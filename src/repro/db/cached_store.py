@@ -6,9 +6,10 @@ blob** of each resource it has seen; a cache hit decodes the blob instead
 of touching the database, so the wrapper can elide the ``db_load`` delay
 (see ``wsrf/tooling.py``).  Caching the serialized bytes — not the state
 dict — guarantees the same value-isolation as the real store: every load
-returns a freshly decoded copy, so callers mutating the returned dict
-(or the Elements inside it) can never corrupt the cache, exactly as they
-cannot corrupt a database row.
+decodes through the inner store's :class:`~repro.db.DecodeCache`, which
+hands out a fresh copy, so callers mutating the returned dict (or the
+Elements inside it) can never corrupt the cache, exactly as they cannot
+corrupt a database row.
 
 The cache is write-through: ``create``/``save`` always hit the inner
 store first and only then update the cached blob, and ``destroy``
@@ -23,13 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.db.resource_store import (
-    BlobResourceStore,
-    DecodeCache,
-    State,
-    decode_state,
-    encode_state,
-)
+from repro.db.resource_store import BlobResourceStore, State
 
 
 class CachedResourceStore:
@@ -51,10 +46,9 @@ class CachedResourceStore:
         #: cache effectiveness counters for the obs registry
         self.hits = 0
         self.misses = 0
-        #: optional :class:`DecodeCache` shared with the inner store (the
-        #: codec fast path sets it); a blob-cache hit then also skips the
-        #: XML re-parse while keeping per-load value isolation
-        self.decode_cache: Optional[DecodeCache] = None
+        #: the inner store's state hand-off: a blob-cache hit skips the
+        #: XML re-parse too, with the same per-load value isolation
+        self.decode_cache = self.inner.decode_cache
 
     @staticmethod
     def _key(service: str, resource_id: str) -> str:
@@ -90,18 +84,14 @@ class CachedResourceStore:
         return self.inner.exists(service, resource_id)
 
     def load(self, service: str, resource_id: str) -> State:
-        blob = self._blobs.get(self._key(service, resource_id))
-        if blob is not None:
+        key = self._key(service, resource_id)
+        blob = self._blobs.get(key)
+        if blob is None:
+            self.misses += 1
+            blob = self._blobs[key] = self.inner.load_blob(service, resource_id)
+        else:
             self.hits += 1
-            if self.decode_cache is not None:
-                return self.decode_cache.decode(blob)
-            return decode_state(blob)
-        self.misses += 1
-        state = self.inner.load(service, resource_id)
-        cache = self.decode_cache
-        blob = encode_state(state) if cache is None else cache.encode(state)
-        self._blobs[self._key(service, resource_id)] = blob
-        return state
+        return self.decode_cache.decode(blob)
 
     def save(self, service: str, resource_id: str, state: State) -> None:
         self._blobs[self._key(service, resource_id)] = self.inner.save(

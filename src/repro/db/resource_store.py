@@ -9,11 +9,13 @@ loads are cheap, but any query must deserialize every blob.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.db.engine import Column, Database
-from repro.soap import from_typed_element, to_typed_element
+from repro.db.engine import Column, Database, DbError
+from repro.soap import ContentTable, from_typed_element, to_typed_element
+from repro.wsa import EndpointReference
 from repro.xmlx import NS, Element, QName, parse, to_string, xpath_select
+from repro.xmlx.writer import document_frame, fragment_to_string
 
 _STATE_TAG = QName.of(NS.UVACG, "ResourceState")
 
@@ -24,99 +26,261 @@ class NoSuchResource(KeyError):
     """Raised on load/save/destroy of an unknown resource."""
 
 
+def _qname(key) -> QName:
+    return key if isinstance(key, QName) else QName(key)
+
+
 def encode_state(state: State) -> bytes:
     root = Element(_STATE_TAG)
     for key, value in state.items():
-        qkey = key if isinstance(key, QName) else QName(key)
-        root.append(to_typed_element(qkey, value))
+        root.append(to_typed_element(_qname(key), value))
     return to_string(root).encode("utf-8")
 
 
-def _parse_state_tree(blob: bytes) -> Element:
+def decode_state(blob: bytes) -> State:
     root = parse(blob.decode("utf-8"))
     if root.tag != _STATE_TAG:
         raise ValueError(f"not a resource-state document: {root.tag}")
-    return root
-
-
-def decode_state(blob: bytes) -> State:
-    root = _parse_state_tree(blob)
     return {child.tag: from_typed_element(child) for child in root.children}
 
 
+_PLAIN = frozenset({int, bool, bytes, type(None)})
+
+
+class _Inexact(Exception):
+    """A value that does not decode to itself (a tuple comes back a
+    list, a subclass its base): it must cross the codec to be loaded."""
+
+
 def _copy_value(value: Any) -> Any:
-    """Isolation copy for a value produced by :func:`from_typed_element`.
+    """Isolation copy of a value that decodes to itself.
 
     The typed-value universe is closed (soap/types.py): the only mutable
     shapes are dict, list and Element — everything else (str, int, float,
     bool, bytes, None, EndpointReference) is immutable and safe to share.
+    What :func:`from_typed_element` produced is always inside it; what a
+    caller saves may not be, and raises :class:`_Inexact`.
     """
     cls = type(value)
+    if cls is str or cls in _PLAIN or cls is float:
+        return value
     if cls is dict:
         return {key: _copy_value(item) for key, item in value.items()}
     if cls is list:
         return [_copy_value(item) for item in value]
     if cls is Element:
         return value.copy()
-    return value
+    if cls is EndpointReference and value.address == value.address.strip():
+        return value
+    raise _Inexact
+
+
+def _same_element(a: Element, b: Element) -> bool:
+    """Like :meth:`Element.equals`, plus what only the writer sees:
+    tails and the order of attributes."""
+    if (
+        a.tag != b.tag
+        or a.text != b.text
+        or a.tail != b.tail
+        or len(a.children) != len(b.children)
+        or list(a.attrib.items()) != list(b.attrib.items())
+    ):
+        return False
+    return all(map(_same_element, a.children, b.children))
+
+
+def _same_encoding(a: Any, b: Any) -> bool:
+    """True when :func:`to_typed_element` encodes *a* and *b* alike.
+
+    Stricter than ``==``, which cannot stand in for it: the typed
+    encoding tells ``True`` / ``1`` / ``1.0`` apart and writes map
+    entries in insertion order, and ``Element`` has identity equality.
+    Anything outside the exact types of the typed-value universe (a
+    tuple, a subclass) is never "the same": it is encoded afresh.
+    """
+    if a is b:
+        return True
+    cls = type(a)
+    if cls is not type(b):
+        return False
+    if cls is str or cls in _PLAIN or cls is EndpointReference:
+        return a == b
+    if cls is dict:
+        if len(a) != len(b):
+            return False
+        for (key_a, item_a), (key_b, item_b) in zip(a.items(), b.items()):
+            if key_a != key_b or not _same_encoding(item_a, item_b):
+                return False
+        return True
+    if cls is list:
+        return len(a) == len(b) and all(map(_same_encoding, a, b))
+    if cls is float:
+        return repr(a) == repr(b)  # the encoded form; tells -0.0 from 0.0
+    if cls is Element:
+        return _same_element(a, b)
+    return False
+
+
+#: one field of a kept state: the decoded value (never handed out, loads
+#: get copies) and, when the blob was assembled from fragments here,
+#: where the field's serialized element sits in the blob (offsets from
+#: the end of the root start tag; ``end == 0``: not known) and the
+#: namespaces it mentions — kept so the save that replaces the blob
+#: re-encodes only what changed
+_Field = Tuple[Any, int, int, Tuple[str, ...]]
+
+
+class _Entry:
+    """What the cache knows about one blob."""
+
+    __slots__ = ("fields", "body_at", "rows")
+
+    def __init__(self, fields: Dict[QName, _Field], body_at: int = 0) -> None:
+        self.fields = fields
+        #: length of the root start tag: where the first fragment begins
+        self.body_at = body_at
+        #: store rows this cache saw take this blob, minus those it saw
+        #: give it up; the entry goes with the last one
+        self.rows = 1
+
+
+#: the entry of a blob nothing is known about: no field to copy
+_UNKNOWN = _Entry({})
+
+
+def _assemble(state: State, base: bytes, old: _Entry) -> Optional[Tuple[bytes, _Entry]]:
+    """Encode *state* field by field, copying out of *base* (the blob
+    being replaced, *old* its entry) every field that encodes as it did
+    there.  None when *state* is not a run of document-independent
+    fragments, one per key, inside a root start and end tag."""
+    if not state:
+        return None  # an empty root is written as one tag
+    fields: Dict[QName, _Field] = {}
+    pieces: List[bytes] = []
+    uris: Set[str] = set()
+    at = 0
+    for key, value in state.items():
+        qkey = _qname(key)
+        if qkey in fields:
+            return None  # "x" beside QName("x"): two children, one key
+        field = old.fields.get(qkey)
+        if field is not None and field[2] and _same_encoding(value, field[0]):
+            kept, start, end, mentions = field
+            piece = base[old.body_at + start:old.body_at + end]
+        else:
+            fragment = fragment_to_string(to_typed_element(qkey, value))
+            if fragment is None:
+                return None
+            kept, mentions = _copy_value(value), fragment[1]
+            piece = fragment[0].encode("utf-8")
+        fields[qkey] = (kept, at, at + len(piece), mentions)
+        at += len(piece)
+        pieces.append(piece)
+        uris.update(mentions)
+    opening, closing = (tag.encode("utf-8") for tag in document_frame(_STATE_TAG, uris))
+    return b"".join([opening, *pieces, closing]), _Entry(fields, len(opening))
+
+
+def _whole(state: State) -> Tuple[bytes, Optional[_Entry]]:
+    """The reference encoding of *state*, and *state* kept decoded —
+    unless one of its values does not decode to itself."""
+    blob = encode_state(state)
+    try:
+        return blob, _Entry(
+            {_qname(key): (_copy_value(value), 0, 0, ()) for key, value in state.items()}
+        )
+    except _Inexact:
+        return blob, None
 
 
 class DecodeCache:
-    """Content-addressed memo for :func:`decode_state` (docs/performance.md).
+    """The state hand-off: a value crosses the codec once
+    (docs/performance.md, "Codec fast path").
 
-    Keyed on the immutable encoded blob bytes: identical bytes always
-    decode to the same document, so the decoded state can be reused with
-    no invalidation protocol at all — destroy/recreate and checkpoint
-    restore change *which bytes a store serves*, never what bytes already
-    seen mean.  Value isolation follows the same discipline as
-    :class:`~repro.db.CachedResourceStore`: the cached state dict is
-    never handed out — every load (hit or miss) returns a deep copy built
-    by :func:`_copy_value`, so callers can mutate what they get without
-    corrupting the cache.
+    Content-addressed — keyed on the immutable encoded blob bytes:
+    identical bytes always decode to the same document, so what is known
+    about a blob needs no invalidation protocol at all — destroy/recreate
+    and checkpoint restore change *which bytes a store serves*, never
+    what bytes already seen mean.  Per blob it keeps
 
-    The table is bounded; past ``capacity`` distinct blobs the oldest
-    entry is dropped (FIFO — the dispatch working set is a few dozen
-    resources, so anything reasonable works).
+    - the decoded state, so a load of bytes that were encoded (or
+      already decoded) here skips the parser.  The kept state is never
+      handed out — every load, hit or miss, returns a deep copy built by
+      :func:`_copy_value`, so callers can mutate what they get;
+    - where each field's serialized fragment sits in the blob, so
+      :meth:`encode` of a state that replaces this blob re-encodes only
+      the fields that differ under :func:`_same_encoding` and copies the
+      rest — byte-identical to :func:`encode_state`, which stays the
+      reference.
+
+    Blobs not encoded here (restored snapshots, rows written behind the
+    store's back) go through :func:`decode_state` and its strict parser.
+
+    Footprint: the table is bounded by the bytes of the blobs it keys on
+    (*max_bytes*, oldest dropped first), and an entry is dropped as soon
+    as no row holds its blob any more (a save replaced it, the resource
+    was destroyed).  ``rows`` can be stale after a ``restore`` — that
+    costs a parse or an early FIFO eviction, never a wrong answer.
     """
 
-    __slots__ = ("capacity", "hits", "misses", "_states")
+    __slots__ = ("hits", "misses", "_entries")
 
-    def __init__(self, capacity: int = 512) -> None:
-        if capacity < 1:
-            raise ValueError("DecodeCache capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self, max_bytes: int = 4 << 20) -> None:
         #: cache effectiveness counters for the obs registry
         self.hits = 0
         self.misses = 0
-        self._states: Dict[bytes, State] = {}
+        self._entries = ContentTable(max_bytes)
 
     def decode(self, blob: bytes) -> State:
-        state = self._states.get(blob)
-        if state is None:
+        entry = self._entries.get(blob)
+        if entry is None:
             self.misses += 1
-            root = _parse_state_tree(blob)
-            state = {child.tag: from_typed_element(child) for child in root.children}
-            if len(self._states) >= self.capacity:
-                self._states.pop(next(iter(self._states)))
-            self._states[blob] = state
+            entry = _Entry(
+                {key: (value, 0, 0, ()) for key, value in decode_state(blob).items()}
+            )
+            self._entries.put(blob, entry)
         else:
             self.hits += 1
-        return {key: _copy_value(item) for key, item in state.items()}
+        return {key: _copy_value(field[0]) for key, field in entry.fields.items()}
 
-    def encode(self, state: State) -> bytes:
-        """Encode *state* and warm the cache under the produced bytes.
+    def encode(self, state: State, base: Optional[bytes] = None) -> bytes:
+        """Encode *state*, which replaces the blob *base* (None: a new
+        row), and keep it decoded under the produced bytes.
 
-        The save path already has the decoded form in hand, so the next
-        load of these exact bytes can skip the XML parse entirely
-        (encode once, decode never).  A value-isolated copy goes into
-        the table — the caller keeps mutating its own dict after save.
+        Fields that encode as they did in *base* are copied out of it
+        and keep its decoded values; the others are encoded and
+        value-isolated copies kept (the caller goes on mutating its own
+        dict).  With no usable *base* every field is encoded: one
+        encoder, from scratch or incremental.  A field in a namespace
+        without a preferred prefix has no document-independent fragment
+        (:func:`~repro.xmlx.writer.fragment_to_string`), so such a state
+        is serialized whole by :func:`encode_state`; a state holding a
+        value that does not decode to itself (:class:`_Inexact`) is not
+        kept, so its next load parses what was written.
         """
-        blob = encode_state(state)
-        if blob not in self._states:
-            if len(self._states) >= self.capacity:
-                self._states.pop(next(iter(self._states)))
-            self._states[blob] = {key: _copy_value(item) for key, item in state.items()}
+        entries = self._entries
+        try:
+            built = _assemble(state, base or b"", entries.get(base) or _UNKNOWN)
+        except _Inexact:
+            built = None
+        blob, entry = built or _whole(state)
+        if blob != base:
+            known = entries.get(blob)
+            if known is not None:
+                known.rows += 1
+            elif entry is not None:
+                entries.put(blob, entry)
+            if base is not None:
+                self.release(base)
         return blob
+
+    def release(self, blob: bytes) -> None:
+        """A row gave up *blob* (replaced or destroyed)."""
+        entry = self._entries.get(blob)
+        if entry is not None:
+            entry.rows -= 1
+            if entry.rows < 1:
+                self._entries.take(blob)
 
 
 class BlobResourceStore:
@@ -141,61 +305,63 @@ class BlobResourceStore:
         self.loads = 0
         self.saves = 0
         self.scans = 0
-        #: optional :class:`DecodeCache` (the perf layer's codec fast
-        #: path attaches one; None keeps the from-scratch decode path)
-        self.decode_cache: Optional[DecodeCache] = None
+        #: the state hand-off: what this store encoded it never re-parses
+        self.decode_cache = DecodeCache()
 
     @staticmethod
     def _key(service: str, resource_id: str) -> str:
         return f"{service}|{resource_id}"
 
-    def _encode(self, state: State) -> bytes:
-        cache = self.decode_cache
-        return encode_state(state) if cache is None else cache.encode(state)
-
     def create(self, service: str, resource_id: str, state: State) -> bytes:
-        blob = self._encode(state)
-        self.db.table(self.TABLE).insert(
-            {
-                "rid": self._key(service, resource_id),
-                "service": service,
-                "resource_id": resource_id,
-                "state": blob,
-            }
-        )
+        blob = self.decode_cache.encode(state)
+        try:
+            self.db.table(self.TABLE).insert(
+                {
+                    "rid": self._key(service, resource_id),
+                    "service": service,
+                    "resource_id": resource_id,
+                    "state": blob,
+                }
+            )
+        except DbError:
+            self.decode_cache.release(blob)
+            raise
         self.saves += 1
         return blob
 
     def exists(self, service: str, resource_id: str) -> bool:
         return self.db.table(self.TABLE).get(self._key(service, resource_id)) is not None
 
-    def load(self, service: str, resource_id: str) -> State:
+    def load_blob(self, service: str, resource_id: str) -> bytes:
+        """The stored bytes of one resource (a counted load)."""
         row = self.db.table(self.TABLE).get(self._key(service, resource_id))
         if row is None:
             raise NoSuchResource(f"{service}/{resource_id}")
         self.loads += 1
-        cache = self.decode_cache
-        if cache is not None:
-            return cache.decode(row["state"])
-        return decode_state(row["state"])
+        return row["state"]
+
+    def load(self, service: str, resource_id: str) -> State:
+        return self.decode_cache.decode(self.load_blob(service, resource_id))
 
     def save(self, service: str, resource_id: str, state: State) -> bytes:
-        blob = self._encode(state)
-        count = self.db.table(self.TABLE).update(
-            {"state": blob},
-            equals={"rid": self._key(service, resource_id)},
-        )
-        if count == 0:
+        key = self._key(service, resource_id)
+        table = self.db.table(self.TABLE)
+        row = table.get(key)
+        if row is None:
             raise NoSuchResource(f"{service}/{resource_id}")
+        blob = self.decode_cache.encode(state, base=row["state"])
+        table.update({"state": blob}, equals={"rid": key})
         self.saves += 1
         return blob
 
     def destroy(self, service: str, resource_id: str) -> None:
-        count = self.db.table(self.TABLE).delete(
-            equals={"rid": self._key(service, resource_id)}
-        )
-        if count == 0:
+        key = self._key(service, resource_id)
+        table = self.db.table(self.TABLE)
+        row = table.get(key)
+        if row is None:
             raise NoSuchResource(f"{service}/{resource_id}")
+        table.delete(equals={"rid": key})
+        self.decode_cache.release(row["state"])
 
     def list_ids(self, service: str) -> List[str]:
         rows = self.db.table(self.TABLE).select(

@@ -71,7 +71,7 @@ class ClientFileServer:
 
     def handle(self, payload: str, ctx):
         prof = getattr(self.network, "prof", None)
-        codec = getattr(self.network, "codec", None)
+        codec = self.network.codec
         if prof is None:
             envelope = SoapEnvelope.deserialize(payload, codec)
         else:
@@ -111,7 +111,7 @@ class ClientFileServer:
         )
         response = SoapEnvelope(headers, body)
         prof = getattr(self.network, "prof", None)
-        codec = getattr(self.network, "codec", None)
+        codec = self.network.codec
         if prof is None:
             return response.serialize(codec)
         with prof.region("soap.encode"):

@@ -141,13 +141,6 @@ class Testbed:
         self.ca = CertificateAuthority()
         self.programs = ProgramRegistry()
         self.perf = perf
-        # Codec fast path (docs/performance.md): one EnvelopeCache per
-        # fabric, attached before any endpoint is built so every
-        # serialize/deserialize site picks it up via network.codec.
-        if perf is not None and perf.codec_envelope_cache:
-            from repro.soap import EnvelopeCache
-
-            self.network.codec = EnvelopeCache()
 
         if machine_speeds is None:
             # Heterogeneous campus desktops: 1.0x to 2.0x, deterministic.

@@ -10,6 +10,7 @@ from repro.net.host import Host
 from repro.net.params import NetworkParams
 from repro.net.uri import Uri
 from repro.sim import Environment
+from repro.soap.envelope import EnvelopeCache
 
 
 class DeliveryError(RuntimeError):
@@ -107,10 +108,10 @@ class Network:
         #: attached repro.obs.WallClockProfiler, or None = profiling off
         #: (same None-check contract as obs; see docs/observability.md)
         self.prof: Optional[Any] = None
-        #: attached repro.soap.EnvelopeCache, or None = codec caching off
-        #: (endpoints pass this to SoapEnvelope.serialize/deserialize;
-        #: same None-check contract as obs/prof — docs/performance.md)
-        self.codec: Optional[Any] = None
+        #: the envelope hand-off (docs/performance.md): endpoints pass it
+        #: to SoapEnvelope.serialize/deserialize, so the receiver of a
+        #: message encoded on this fabric adopts the sender's tree
+        self.codec = EnvelopeCache()
 
     def inject_faults(
         self,

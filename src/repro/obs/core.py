@@ -106,15 +106,18 @@ class Observability:
 
     def collect(self) -> MetricsRegistry:
         """Mirror every ad-hoc counter into the registry; returns it."""
+        # The codec hand-off counters are exported under the perf layer
+        # only: default exports stay byte-identical to the paper-shape run.
+        perf_on = any(getattr(w, "perf", None) is not None for w in self._wrappers)
         for network in self._networks:
-            self._collect_network(network)
+            self._collect_network(network, perf_on)
         seen_stores: Set[int] = set()
         seen_machines: Set[str] = set()
         for wrapper in self._wrappers:
             self._collect_wrapper(wrapper, seen_stores, seen_machines)
         return self.registry
 
-    def _collect_network(self, network: "Network") -> None:
+    def _collect_network(self, network: "Network", perf_on: bool) -> None:
         stats: "NetworkStats" = network.stats
         reg = self.registry
         reg.counter("net.messages").set_total(stats.messages)
@@ -138,11 +141,8 @@ class Observability:
             reg.counter("net.faults", kind=kind).set_total(stats.faults[kind])
         reg.counter("net.retries").set_total(stats.retries)
         reg.counter("net.redeliveries").set_total(stats.redeliveries)
-        # Codec fast path (docs/performance.md): these metrics exist only
-        # when an EnvelopeCache is attached, so default exports stay
-        # byte-identical.
-        codec = getattr(network, "codec", None)
-        if codec is not None:
+        if perf_on:
+            codec = network.codec
             reg.counter("perf.envelope_parse_hits").set_total(codec.parse_hits)
             reg.counter("perf.envelope_parse_misses").set_total(codec.parse_misses)
             reg.counter("perf.envelope_encode_hits").set_total(codec.encode_hits)
@@ -180,10 +180,10 @@ class Observability:
                 reg.counter("perf.cache_misses", **ids).set_total(
                     int(getattr(store, "misses", 0))
                 )
-            # Codec fast path: decode-cache effectiveness, present only
-            # when the perf layer attached a DecodeCache to this store.
+            # Codec fast path: decode-cache effectiveness (blob-backed
+            # stores; exported with the perf layer only, as above).
             decode_cache = getattr(store, "decode_cache", None)
-            if decode_cache is not None:
+            if decode_cache is not None and getattr(wrapper, "perf", None) is not None:
                 reg.counter("perf.decode_cache_hits", **ids).set_total(
                     decode_cache.hits
                 )

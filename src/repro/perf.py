@@ -3,7 +3,7 @@
 The paper's §5/Fig. 1 cost analysis shows WSRF dispatch is dominated by
 the two 0.8 ms database accesses per call, and the Fig. 3 walkthrough's
 centralized Scheduler/Broker path sends one Notify per subscriber per
-event.  :class:`PerfConfig` switches on three mechanisms that attack
+event.  :class:`PerfConfig` switches on four mechanisms that attack
 exactly those costs, without changing any observable outcome:
 
 - **state_cache** — a write-through :class:`repro.db.CachedResourceStore`
@@ -19,21 +19,15 @@ exactly those costs, without changing any observable outcome:
   multi-message ``wsnt:Notify`` (``0.0`` disables batching);
 - **nis_pass_cache** — the Scheduler reuses one Node Information Service
   ``GetProcessors`` catalog across all jobs of a scheduling pass instead
-  of polling once per job;
-- **codec_decode_cache** / **codec_envelope_cache** — the codec fast
-  path (docs/performance.md, "Codec fast path"): content-addressed
-  caches that stop the XML codec re-parsing byte-identical resource
-  blobs and wire messages.  Unlike the four knobs above these change
-  **no simulated quantity at all** — not even latencies — only host CPU;
-  a codec-only config (:meth:`PerfConfig.codec_only`) keeps traces
-  byte-identical, timestamps included.
+  of polling once per job.
 
 Like ``Testbed(faults=...)`` and ``Testbed(observability=...)`` the
 layer is **off by default**: a plain ``Testbed()`` reproduces the
 paper-shape numbers byte-for-byte.  ``tests/test_perf_equivalence.py``
 is the differential harness proving the enabled layer changes only
 simulated latencies — never job outcomes, traces, or final resource
-state.  See docs/performance.md.
+state.  See docs/performance.md (which also covers the codec fast
+path: not a knob, it moves no simulated quantity).
 """
 
 from __future__ import annotations
@@ -58,25 +52,6 @@ class PerfConfig:
     notification_batch_window_s: float = 0.05
     #: reuse one NIS GetProcessors catalog per scheduling pass
     nis_pass_cache: bool = True
-    #: attach a content-addressed repro.db.DecodeCache to each service's
-    #: store: identical state blobs parse once (wall-clock only)
-    codec_decode_cache: bool = True
-    #: hang a repro.soap.EnvelopeCache off the network: identical wire
-    #: messages parse once, envelopes encode once (wall-clock only)
-    codec_envelope_cache: bool = True
-
-    @classmethod
-    def codec_only(cls) -> "PerfConfig":
-        """Only the wall-clock codec caches — every simulated quantity
-        (latencies, message counts, timestamps) stays byte-identical."""
-        return cls(
-            state_cache=False,
-            write_elision=False,
-            notification_batch_window_s=0.0,
-            nis_pass_cache=False,
-            codec_decode_cache=True,
-            codec_envelope_cache=True,
-        )
 
     def __post_init__(self) -> None:
         if self.notification_batch_window_s < 0:

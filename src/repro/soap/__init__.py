@@ -1,10 +1,11 @@
 """SOAP 1.1 message layer.
 
 Envelopes are real XML: every message crossing the simulated network is
-serialized with :func:`repro.xmlx.to_string` and re-parsed on arrival, so
-header processing (WS-Addressing routing, WS-Security tokens, WSRF EPR
-resolution) happens against parsed documents exactly as in the paper's
-ASP.NET stack.
+serialized with :func:`repro.xmlx.to_string` (its size drives transfer
+time), so header processing (WS-Addressing routing, WS-Security tokens,
+WSRF EPR resolution) happens against documents exactly as in the paper's
+ASP.NET stack.  The receiver of a text this process encoded is handed
+the encoder's tree (:class:`EnvelopeCache`); any other text is parsed.
 
 Two message-exchange patterns, matching §4.1 of the paper:
 
@@ -15,8 +16,15 @@ Two message-exchange patterns, matching §4.1 of the paper:
   from a void-returning method, which still sends an empty reply.
 """
 
-from repro.soap.envelope import EnvelopeCache, SoapEnvelope
+from repro.soap.envelope import ContentTable, EnvelopeCache, SoapEnvelope
 from repro.soap.fault import SoapFault
 from repro.soap.types import from_typed_element, to_typed_element
 
-__all__ = ["EnvelopeCache", "SoapEnvelope", "SoapFault", "from_typed_element", "to_typed_element"]
+__all__ = [
+    "ContentTable",
+    "EnvelopeCache",
+    "SoapEnvelope",
+    "SoapFault",
+    "from_typed_element",
+    "to_typed_element",
+]

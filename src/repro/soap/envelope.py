@@ -13,12 +13,53 @@ _HEADER = QName.of(NS.SOAP, "Header")
 _BODY = QName.of(NS.SOAP, "Body")
 
 
-class EnvelopeCache:
-    """Parse-once / encode-once cache for identical wire messages.
+class ContentTable(dict):
+    """FIFO table keyed on immutable content, bounded by total key size.
 
-    The codec fast path (docs/performance.md) hangs one of these off the
-    simulated :class:`~repro.net.Network` (``network.codec``); endpoints
-    pass it to :meth:`SoapEnvelope.serialize` / ``deserialize``.
+    Both codec hand-off tables (:class:`EnvelopeCache` here,
+    :class:`repro.db.DecodeCache`) are content-addressed — the key *is*
+    the wire text or the blob bytes — so the keys are what costs memory,
+    and the bound is on their summed length, not on an entry count.  A
+    key longer than the whole bound is not kept.  Lookups are plain
+    ``dict`` lookups; insert with :meth:`put`, remove with :meth:`take`
+    so the running size stays right.
+    """
+
+    __slots__ = ("max_bytes", "bytes")
+
+    def __init__(self, max_bytes: int) -> None:
+        if max_bytes < 1:
+            raise ValueError("a content table needs max_bytes >= 1")
+        super().__init__()
+        self.max_bytes = max_bytes
+        self.bytes = 0
+
+    def put(self, key, value) -> None:
+        """Insert *key* (absent), dropping the oldest entries to fit."""
+        size = len(key)
+        if size > self.max_bytes:
+            return
+        self.bytes += size
+        while self.bytes > self.max_bytes:
+            oldest = next(iter(self))
+            self.bytes -= len(oldest)
+            del self[oldest]
+        self[key] = value
+
+    def take(self, key):
+        """Remove *key* and return its value, or None when absent."""
+        value = self.pop(key, None)
+        if value is not None:
+            self.bytes -= len(key)
+        return value
+
+
+class EnvelopeCache:
+    """The envelope hand-off: a message encoded in this process is never
+    re-parsed in it (docs/performance.md, "Codec fast path").
+
+    Every :class:`~repro.net.Network` owns one (``network.codec``);
+    endpoints pass it to :meth:`SoapEnvelope.serialize` / ``deserialize``.
 
     *Parse side* — keyed on the raw wire text.  The encoder registers a
     pristine copy of the tree it just walked under the wire text it
@@ -26,76 +67,78 @@ class EnvelopeCache:
     *consumes* the entry: the copy is handed over wholesale (move
     semantics — exactly one receiver, free to mutate), so the common
     send→deliver round trip pays one tree copy and zero re-parses.
-    Texts seen again after that (retry resends, broker redeliveries)
-    are re-cached on their next sighting and served as deep copies from
-    then on, so repeated deliveries can never observe each other's
-    mutations (most handlers do mutate — EPR resolution pops headers).
-    Texts that never passed through :meth:`encode` (snapshot restores,
-    hand-built payloads) take the same lazy second-sighting route.
+    Texts seen again after that (retry resends) are parsed on their next
+    sighting, kept, and served as deep copies from then on, so repeated
+    deliveries can never observe each other's mutations (most handlers
+    do mutate — EPR resolution pops headers).  Texts that never passed
+    through :meth:`encode` (hand-built, hostile or restored payloads) go
+    through the strict parser and take the same second-sighting route.
 
     *Encode side* — a per-instance memo (weak, so it dies with the
     envelope): serializing the same :class:`SoapEnvelope` object twice
-    returns the identical string without re-walking the tree.  The
-    client's retry loop and ``wire_size`` both re-serialize, which made
-    every retried request pay the encoder twice.
+    returns the identical string without re-walking the tree.
+
+    Both tables are bounded by the bytes of text they key on
+    (*max_bytes* each); which texts were seen once is remembered as
+    digests, so no delivered text is kept alive by the cache.
     """
 
-    __slots__ = ("capacity", "parse_hits", "parse_misses", "encode_hits", "encode_misses",
+    __slots__ = ("parse_hits", "parse_misses", "encode_hits", "encode_misses",
                  "_trees", "_fresh", "_seen", "_encoded")
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("EnvelopeCache capacity must be >= 1")
-        self.capacity = capacity
+    #: how many once-seen digests are remembered
+    SEEN_MAX = 4096
+
+    def __init__(self, max_bytes: int = 8 << 20) -> None:
         #: cache effectiveness counters for the obs registry
         self.parse_hits = 0
         self.parse_misses = 0
         self.encode_hits = 0
         self.encode_misses = 0
         #: sticky entries (texts that repeated) — hits serve deep copies
-        self._trees: Dict[str, Element] = {}
+        self._trees = ContentTable(max_bytes)
         #: move-once entries from the encode bridge — the first parse of
         #: the text consumes the entry and owns the tree outright
-        self._fresh: Dict[str, Element] = {}
-        #: texts seen exactly once — insertion into _trees is lazy (see
-        #: parse) so single-transmission messages never pay a tree copy
-        self._seen: Dict[str, bool] = {}
+        self._fresh = ContentTable(max_bytes)
+        #: ``hash(text)`` of texts seen exactly once — insertion into
+        #: _trees is lazy (see parse) so single-transmission messages
+        #: never pay a tree copy.  A colliding digest only costs a copy.
+        self._seen: Dict[int, None] = {}
         self._encoded: "weakref.WeakKeyDictionary[SoapEnvelope, str]" = (
             weakref.WeakKeyDictionary()
         )
+
+    def _remember(self, text: str) -> None:
+        seen = self._seen
+        if len(seen) >= self.SEEN_MAX:
+            del seen[next(iter(seen))]
+        seen[hash(text)] = None
 
     def parse(self, text: str) -> "SoapEnvelope":
         tree = self._trees.get(text)
         if tree is not None:
             self.parse_hits += 1
             return SoapEnvelope.from_element(tree.copy())
-        tree = self._fresh.pop(text, None)
+        tree = self._fresh.take(text)
         if tree is not None:
             # Consume the encoder's pristine copy — this receiver is the
             # only owner, so no defensive copy is needed.  Remember the
-            # text: if it crosses the wire again (retry, redelivery) the
-            # next parse re-caches it as a sticky entry.
+            # text: if it crosses the wire again (a retry resend) the
+            # next parse keeps it as a sticky entry.
             self.parse_hits += 1
-            if len(self._seen) >= self.capacity:
-                self._seen.pop(next(iter(self._seen)))
-            self._seen[text] = True
+            self._remember(text)
             return SoapEnvelope.from_element(tree)
         self.parse_misses += 1
         tree = parse(text)
-        if text in self._seen:
-            # Second sighting: this text repeats (retry resend, broker
-            # redelivery) — cache the fresh tree and hand out a copy so
-            # the cached document stays pristine.
-            if len(self._trees) >= self.capacity:
-                self._trees.pop(next(iter(self._trees)))
-            self._trees[text] = tree
+        if hash(text) in self._seen:
+            # Second sighting: this text repeats — keep the fresh tree
+            # and hand out a copy so the kept document stays pristine.
+            self._trees.put(text, tree)
             return SoapEnvelope.from_element(tree.copy())
         # First sighting: most wire texts are unique (WS-Addressing
         # MessageIDs), so don't pay a defensive copy for a tree that
         # will never be served again — just remember the text.
-        if len(self._seen) >= self.capacity:
-            self._seen.pop(next(iter(self._seen)))
-        self._seen[text] = True
+        self._remember(text)
         return SoapEnvelope.from_element(tree)
 
     def encode(self, envelope: "SoapEnvelope") -> str:
@@ -106,14 +149,13 @@ class EnvelopeCache:
             wire = to_string(tree, xml_declaration=True)
             self._encoded[envelope] = wire
             # Bridge to the parse side: the receiver of this text takes
-            # the tree we just walked instead of re-parsing it.  Cache a
-            # copy — to_element() aliases the envelope's own body/header
-            # elements, and the handed-over document must be isolated
-            # from whatever the sender later does with its envelope.
+            # the tree we just walked instead of re-parsing it.  Hand
+            # over a copy — to_element() aliases the envelope's own
+            # body/header elements, and the receiver's document must be
+            # isolated from whatever the sender later does with its
+            # envelope.
             if wire not in self._fresh and wire not in self._trees:
-                if len(self._fresh) >= self.capacity:
-                    self._fresh.pop(next(iter(self._fresh)))
-                self._fresh[wire] = tree.copy()
+                self._fresh.put(wire, tree.copy())
         else:
             self.encode_hits += 1
         return wire
@@ -154,8 +196,9 @@ class SoapEnvelope:
         return root
 
     def serialize(self, cache: Optional[EnvelopeCache] = None) -> str:
-        """Wire text.  With *cache*, repeated serializations of this same
-        (by-then frozen) envelope reuse the first encoding."""
+        """Wire text.  Endpoints pass their network's hand-off
+        (``network.codec``) as *cache*; without one this is the
+        reference encoding, ``to_string`` of :meth:`to_element`."""
         if cache is not None:
             return cache.encode(self)
         return to_string(self.to_element(), xml_declaration=True)
@@ -184,6 +227,8 @@ class SoapEnvelope:
 
     @classmethod
     def deserialize(cls, text: str, cache: Optional[EnvelopeCache] = None) -> "SoapEnvelope":
+        """Inverse of :meth:`serialize`; without *cache* the reference
+        decoding, the strict ``parse`` of *text*."""
         if cache is not None:
             return cache.parse(text)
         return cls.from_element(parse(text))

@@ -65,7 +65,7 @@ class NotificationListener:
 
     def handle(self, payload: str, ctx):
         prof = getattr(self.network, "prof", None)
-        codec = getattr(self.network, "codec", None)
+        codec = self.network.codec
         if prof is None:
             envelope = SoapEnvelope.deserialize(payload, codec)
         else:

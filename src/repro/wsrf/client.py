@@ -97,7 +97,7 @@ class WsrfClient:
         headers = AddressingHeaders(to_epr=epr, action=action, reply_to=reply_to)
         envelope = SoapEnvelope(headers, body, extra_headers=extra_headers)
         prof = getattr(self.network, "prof", None)
-        codec = getattr(self.network, "codec", None)
+        codec = self.network.codec
         if prof is None:
             raw = envelope.serialize(codec)
         else:

@@ -47,6 +47,24 @@ RESOURCE_ID = QName(NS.UVACG, "ResourceID")
 _WSSE_SECURITY = QName(NS.WSSE, "Security")
 
 
+def _argument_table(fn: Callable) -> Tuple[Tuple[str, Any], ...]:
+    """``(name, default)`` for each argument web method *fn* takes off
+    the wire (``inspect.Parameter.empty`` marks a required one), read
+    off its signature the first time a wrapper deploys it."""
+    meta = getattr(fn, "__web_method__")
+    table = meta.get("arguments")
+    if table is None:
+        table = meta["arguments"] = tuple(
+            (name, param.default)
+            for name, param in inspect.signature(fn).parameters.items()
+            if name != "self"
+            and param.kind not in (
+                inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD
+            )
+        )
+    return table
+
+
 class InvocationContext:
     """Everything a service method can reach through ``self.wsrf``."""
 
@@ -152,26 +170,17 @@ class WrapperService:
             self.store, CachedResourceStore
         ):
             self.store = CachedResourceStore(self.store)
-        if perf is not None and perf.codec_decode_cache:
-            # Codec fast path: identical blobs parse once.  The cache is
-            # shared by the blob cache's hit path and the inner store so
-            # every load route benefits (docs/performance.md).
-            from repro.db import DecodeCache
-
-            decode_cache = DecodeCache()
-            if isinstance(self.store, CachedResourceStore):
-                self.store.decode_cache = decode_cache
-                self.store.inner.decode_cache = decode_cache
-            elif isinstance(self.store, BlobResourceStore):
-                self.store.decode_cache = decode_cache
         self.address = machine.service_url(self.path)
 
         self._fields = collect_resource_fields(service_cls)
         self._rps = collect_resource_properties(service_cls)
         self._methods = collect_web_methods(service_cls)
         ns = service_cls.SERVICE_NS
-        self._author_ops: Dict[QName, Tuple[str, Callable]] = {
-            QName(ns, name): (name, fn) for name, fn in self._methods.items()
+        #: body element -> (operation, function, its (argument, default)
+        #: pairs: looked up here, not read off the signature per dispatch)
+        self._author_ops: Dict[QName, Tuple[str, Callable, Tuple[Tuple[str, Any], ...]]] = {
+            QName(ns, name): (name, fn, _argument_table(fn))
+            for name, fn in self._methods.items()
         }
         self._spec_ops: Dict[QName, Tuple[type, str]] = {}
         self._pt_rps: Dict[QName, Tuple[type, Callable]] = {}
@@ -479,7 +488,7 @@ class WrapperService:
     def _handle_soap_impl(self, payload: str, delivery, pool=None):
         self.invocations += 1
         prof = getattr(self.machine.network, "prof", None)
-        codec = getattr(self.machine.network, "codec", None)
+        codec = self.machine.network.codec
         if prof is None:
             envelope = SoapEnvelope.deserialize(payload, codec)
         else:
@@ -561,7 +570,7 @@ class WrapperService:
             obs.finish(stage)
 
         if tag in self._author_ops:
-            name, fn = self._author_ops[tag]
+            name, fn, arguments = self._author_ops[tag]
             meta = fn.__web_method__
             requires_resource = meta["requires_resource"]
             handler_kind = "author"
@@ -663,7 +672,7 @@ class WrapperService:
                     attrs={"service": self.path, "operation": tag.local},
                 )
             if handler_kind == "author":
-                kwargs = self._deserialize_args(fn, body)
+                kwargs = self._deserialize_args(fn, arguments, body)
                 result = fn(instance, **kwargs)
                 if inspect.isgenerator(result):
                     result = yield from result
@@ -739,21 +748,15 @@ class WrapperService:
             if san is not None:
                 san.on_dispatch_exit(self.machine.name, self.service_name, rid)
 
-    def _deserialize_args(self, fn, body: Element) -> Dict[str, Any]:
-        signature = inspect.signature(fn)
+    def _deserialize_args(self, fn, arguments, body: Element) -> Dict[str, Any]:
         kwargs: Dict[str, Any] = {}
         by_local = {child.tag.local: child for child in body.children}
-        for name, param in signature.parameters.items():
-            if name == "self" or param.kind in (
-                inspect.Parameter.VAR_POSITIONAL,
-                inspect.Parameter.VAR_KEYWORD,
-            ):
-                continue
+        for name, default in arguments:
             child = by_local.get(name)
             if child is not None:
                 kwargs[name] = from_typed_element(child)
-            elif param.default is not inspect.Parameter.empty:
-                kwargs[name] = param.default
+            elif default is not inspect.Parameter.empty:
+                kwargs[name] = default
             else:
                 raise SoapFault(
                     "soap:Client",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.xmlx.element import Element
 from repro.xmlx.qname import NS, QName
@@ -105,6 +105,47 @@ def to_string(root: Element, xml_declaration: bool = False, indent: bool = False
     else:
         _write_compact(root, allocator, out, allocator.declarations())
     return "".join(out)
+
+
+#: a serialized child element plus the namespace URIs it mentions (which
+#: the document that embeds it must declare on its root)
+Fragment = Tuple[str, Tuple[str, ...]]
+
+
+def fragment_to_string(element: Element) -> Optional[Fragment]:
+    """Serialize *element* as it appears *inside* a :func:`to_string`
+    document: compact, no declarations (the root hoists them).
+
+    Only possible when every namespace the fragment mentions has an
+    entry in ``NS.PREFERRED_PREFIXES`` — such a prefix is the same in
+    any document.  Any other namespace is given ``ns0``, ``ns1``, ... in
+    document order, so its prefix depends on what precedes the fragment;
+    the answer is then ``None`` and the caller serializes the whole
+    document with :func:`to_string`.
+    """
+    allocator = _PrefixAllocator()
+    out: List[str] = []
+    _write_compact(element, allocator, out)
+    preferred = NS.PREFERRED_PREFIXES
+    for uri, prefix in allocator._by_uri.items():
+        if preferred.get(uri) != prefix:
+            return None
+    return "".join(out), tuple(allocator._by_uri)
+
+
+def document_frame(tag: QName, uris: Iterable[str]) -> Tuple[str, str]:
+    """The start and end tag :func:`to_string` writes for an
+    attribute-less root *tag* with element content only, when the
+    fragments inside mention the namespaces *uris*: the document is
+    start tag + fragments + end tag."""
+    if tag.uri and tag.uri not in NS.PREFERRED_PREFIXES:
+        raise ValueError(f"root namespace {tag.uri!r} has no preferred prefix")
+    allocator = _PrefixAllocator()
+    name = _name(tag, allocator)
+    for uri in uris:
+        allocator.prefix_for(uri)
+    decls = "".join(" " + decl for decl in allocator.declarations())
+    return "<" + name + decls + ">", "</" + name + ">"
 
 
 def _name(qname: QName, allocator: _PrefixAllocator) -> str:

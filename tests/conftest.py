@@ -10,8 +10,10 @@ sensitivity (these are pure-Python codecs; a slow run is not a bug).
 Override with ``HYPOTHESIS_PROFILE=dev`` for randomized local hunting.
 """
 
+import contextlib
 import os
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -25,3 +27,33 @@ settings.register_profile(
 settings.register_profile("dev", deadline=None, max_examples=100)
 
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
+
+
+@pytest.fixture
+def reference_codec(monkeypatch):
+    """``with reference_codec():`` forces every network and every
+    blob-backed store built inside the block onto the reference codec —
+    ``parse`` / ``to_string`` for envelopes, ``decode_state`` /
+    ``encode_state`` for resource state, nothing handed over decoded.
+    The differentials compare a run against the same run made this way:
+    the hand-off (docs/performance.md) is not a knob, so the tests turn
+    it off themselves."""
+    from repro.db import DecodeCache
+    from repro.db.resource_store import decode_state, encode_state
+    from repro.soap import EnvelopeCache, SoapEnvelope
+    from repro.xmlx import parse, to_string
+
+    @contextlib.contextmanager
+    def forced():
+        with monkeypatch.context() as patch:
+            patch.setattr(EnvelopeCache, "parse",
+                          lambda self, text: SoapEnvelope.from_element(parse(text)))
+            patch.setattr(EnvelopeCache, "encode",
+                          lambda self, envelope: to_string(envelope.to_element(),
+                                                           xml_declaration=True))
+            patch.setattr(DecodeCache, "decode", lambda self, blob: decode_state(blob))
+            patch.setattr(DecodeCache, "encode",
+                          lambda self, state, base=None: encode_state(state))
+            yield
+
+    return forced

@@ -1,6 +1,6 @@
 """Codec fast path (docs/performance.md, "Codec fast path").
 
-Four concerns, one file:
+Five concerns, one file:
 
 - the three parser *contract* fixes that rode along with the fast path:
   malformed character references raise :class:`XmlParseError` with an
@@ -12,23 +12,28 @@ Four concerns, one file:
   over trees richer than the ``test_xmlx`` one — several namespaces,
   default-namespace children, qualified attributes, entity-bearing
   text/tails;
-- coherence oracles for the two content-addressed caches
+- coherence oracles for the two content-addressed hand-offs
   (:class:`repro.db.DecodeCache`, :class:`repro.soap.EnvelopeCache`):
   value isolation, destroy-then-recreate, post-restore invalidation,
-  move-semantics of the encode→parse bridge — plus the codec-only
-  differential (byte-identical traces, timestamps included) the
-  wall-clock benchmark also pins.
+  move-semantics of the encode→parse bridge, the byte bounds;
+- the oracles of the always-on hand-off: incremental state encoding
+  against from-scratch :func:`encode_state` under random edit
+  sequences, every tree and state handed over in whole runs checked
+  against the reference ``parse`` / ``decode_state`` from outside,
+  hostile wire text still meeting the strict parser, and the run
+  differential against the same run forced onto the reference codec
+  (byte-identical traces, timestamps included).
 """
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.db import BlobResourceStore, CachedResourceStore, DecodeCache
+from repro.db import BlobResourceStore, CachedResourceStore, DecodeCache, SqlResourceStore
 from repro.db.resource_store import decode_state, encode_state
-from repro.gridapp import FileRef, JobSpec, Testbed
+from repro.gridapp import FaultToleranceConfig, FileRef, JobSpec, Testbed
+from repro.net import RetryPolicy
 from repro.osim.programs import make_compute_program
-from repro.perf import PerfConfig
 from repro.soap import EnvelopeCache, SoapEnvelope
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.xmlx import NS, Element, QName, XmlParseError, parse, to_string
@@ -223,17 +228,14 @@ def _state(n=0):
 
 
 def _values_equal(a, b):
-    """Structural equality over the typed-value universe (Element has
-    identity ``__eq__``; dicts/lists may nest Elements)."""
-    if isinstance(a, Element):
-        return isinstance(b, Element) and a.equals(b)
-    if isinstance(a, dict):
-        return (isinstance(b, dict) and a.keys() == b.keys()
-                and all(_values_equal(a[k], b[k]) for k in a))
-    if isinstance(a, list):
-        return (isinstance(b, list) and len(a) == len(b)
-                and all(_values_equal(x, y) for x, y in zip(a, b)))
-    return a == b
+    """State equality as the reference encoder sees it: tells ``True`` /
+    ``1`` / ``1.0`` apart, key and map order, Element tails and
+    attribute order."""
+    return encode_state(a) == encode_state(b)
+
+
+def _blob_bytes(n):
+    return len(encode_state(_state(n)))
 
 
 class TestDecodeCache:
@@ -271,29 +273,64 @@ class TestDecodeCache:
         assert _values_equal(cache.decode(blob), decode_state(blob))
 
     def test_capacity_bounded_fifo(self):
-        cache = DecodeCache(capacity=2)
+        # The bound is on blob bytes: room for two of these, not three.
+        cache = DecodeCache(max_bytes=2 * _blob_bytes(0) + 10)
         blobs = [encode_state(_state(n)) for n in range(3)]
         for blob in blobs:
             cache.decode(blob)
         cache.decode(blobs[0])  # evicted by blobs[2] — a miss again
         assert cache.misses == 4
 
+    def test_blob_larger_than_the_bound_is_not_kept(self):
+        cache = DecodeCache(max_bytes=_blob_bytes(0) - 1)
+        blob = cache.encode(_state(0))
+        assert blob == encode_state(_state(0))
+        assert _values_equal(cache.decode(blob), decode_state(blob))
+        assert (cache.hits, cache.misses) == (0, 1)
+
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            DecodeCache(capacity=0)
+            DecodeCache(max_bytes=0)
+
+    def test_superseded_blob_is_dropped(self):
+        # Footprint: a save keeps the new version and lets the old one go.
+        cache = DecodeCache()
+        first = cache.encode(_state(1))
+        state = _state(1)
+        state[QName(UVA, "Count")] = 99
+        second = cache.encode(state, base=first)
+        assert second == encode_state(state)
+        cache.decode(second)
+        cache.decode(first)
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_blob_shared_by_two_rows_survives_one_save(self):
+        cache = DecodeCache()
+        shared = cache.encode(_state(1))
+        assert cache.encode(_state(1)) == shared  # a second row, same bytes
+        cache.encode(_state(2), base=shared)  # the first row moves on
+        cache.decode(shared)  # the second row still loads without a parse
+        assert (cache.hits, cache.misses) == (1, 0)
+        cache.release(shared)  # ... until it is destroyed too
+        cache.decode(shared)
+        assert cache.misses == 1
 
 
 class TestDecodeCacheThroughStores:
     """The cache is content-addressed, so store-level lifecycle events
     (destroy/recreate, checkpoint restore) need no invalidation — prove
-    it against the uncached store as oracle."""
+    it against a store on the reference codec (:class:`SqlResourceStore`
+    calls ``encode_state`` / ``decode_state``), snapshots byte for byte."""
 
     def _stores(self):
-        cached = CachedResourceStore()
-        shared = DecodeCache()
-        cached.decode_cache = shared
-        cached.inner.decode_cache = shared
-        return cached, BlobResourceStore()
+        return CachedResourceStore(), SqlResourceStore()
+
+    def _assert_same(self, store, oracle):
+        assert store.snapshot() == oracle.snapshot()
+        for key in oracle.snapshot():
+            service, _, rid = key.partition("|")
+            assert _values_equal(store.load(service, rid), oracle.load(service, rid))
+        store.assert_coherent()
 
     def test_destroy_then_recreate_serves_fresh_state(self):
         store, oracle = self._stores()
@@ -302,8 +339,7 @@ class TestDecodeCacheThroughStores:
         for s in (store, oracle):
             s.destroy("Exec", "r1")
             s.create("Exec", "r1", _state(2))
-        assert _values_equal(store.load("Exec", "r1"), oracle.load("Exec", "r1"))
-        store.assert_coherent()
+        self._assert_same(store, oracle)
 
     def test_restore_rolls_back_cached_state(self):
         store, oracle = self._stores()
@@ -315,11 +351,27 @@ class TestDecodeCacheThroughStores:
             s.load("Exec", "r1")
         store.restore(snap_store)
         oracle.restore(snap_oracle)
-        assert _values_equal(store.load("Exec", "r1"), oracle.load("Exec", "r1"))
+        self._assert_same(store, oracle)
         assert store.load("Exec", "r1")[QName(UVA, "Name")] == "job-1"
-        store.assert_coherent()
+        # The first save after the rollback has no fragments to build
+        # on (the restored bytes were never assembled here): still exact.
+        for s in (store, oracle):
+            state = s.load("Exec", "r1")
+            state[QName(UVA, "Count")] = 5
+            s.save("Exec", "r1", state)
+        self._assert_same(store, oracle)
 
-    @given(st.lists(st.sampled_from(["create", "save", "load", "destroy"]),
+    def test_loaded_state_mutated_in_place_reloads_pristine(self):
+        store, oracle = self._stores()
+        for s in (store, oracle):
+            s.create("Exec", "r1", _state(1))
+        loaded = store.load("Exec", "r1")
+        loaded[QName(UVA, "Tags")].append("mutated")
+        loaded[QName(UVA, "Doc")].set(QName(UVA, "hacked"), "yes")
+        del loaded[QName(UVA, "Name")]
+        self._assert_same(store, oracle)
+
+    @given(st.lists(st.sampled_from(["create", "save", "touch", "load", "destroy"]),
                     min_size=1, max_size=12))
     def test_random_op_sequences_match_oracle(self, ops):
         store, oracle = self._stores()
@@ -335,6 +387,11 @@ class TestDecodeCacheThroughStores:
                     elif op == "save":
                         s.save("Svc", "r", _state(n))
                         results.append(("saved", None))
+                    elif op == "touch":  # load, change one field, save
+                        state = s.load("Svc", "r")
+                        state[QName(UVA, "Count")] = -n
+                        s.save("Svc", "r", state)
+                        results.append(("touched", None))
                     elif op == "load":
                         results.append(("loaded", s.load("Svc", "r")))
                     else:
@@ -345,19 +402,213 @@ class TestDecodeCacheThroughStores:
                 except Exception as exc:  # e.g. duplicate create
                     results.append((type(exc).__name__, None))
             assert results[0][0] == results[1][0]
-            assert _values_equal(results[0][1], results[1][1])
-        store.assert_coherent()
+            if results[0][1] is not None:
+                assert _values_equal(results[0][1], results[1][1])
+        self._assert_same(store, oracle)
+
+
+# -- incremental state encoding against the from-scratch encoder --------------------
+
+_FOREIGN = "http://one"  # no entry in NS.PREFERRED_PREFIXES
+_KEYS = [QName(UVA, name) for name in "abcd"] + [QName(NS.WSRF_RL, "e"), QName(_FOREIGN, "f")]
+
+_eprs = st.builds(
+    EndpointReference,
+    st.sampled_from(["http://n1:80/Exec", "soap.tcp://c:9000/files"]),
+    st.dictionaries(
+        st.sampled_from([QName(UVA, "ResourceID"), QName(_FOREIGN, "k")]),
+        st.text(alphabet="ab", max_size=3), max_size=2,
+    ),
+)
+
+
+@st.composite
+def _element_values(draw):
+    """Element-typed values: any namespaces (``_rich_elements``) or the
+    testbed's own only, with a tail on the value itself."""
+    if draw(st.booleans()):
+        el = draw(_rich_elements())
+    else:
+        el = Element(QName(UVA, draw(_locals)), text=draw(_rich_texts))
+        el.set(QName(UVA, "n"), draw(_rich_texts))
+        el.subelement(QName(NS.WSA, "Address"), text=draw(_rich_texts))
+    el.tail = draw(_rich_texts)
+    return el
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, float("inf")]),
+    st.text(alphabet="ab<&>\" \n1", max_size=5), st.binary(max_size=4),
+    _eprs, _element_values(),
+)
+_typed_values = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.text(alphabet="kxy", min_size=1, max_size=2), inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+_edits = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_KEYS), _typed_values),
+    st.tuples(st.just("remove"), st.sampled_from(_KEYS)),
+    st.tuples(st.just("flip"), st.sampled_from(_KEYS)),
+    st.tuples(st.just("perturb"), st.sampled_from(_KEYS)),
+    st.tuples(st.just("to_end"), st.sampled_from(_KEYS)),
+    st.tuples(st.just("reverse")),
+    st.tuples(st.just("evict")),
+)
+_FLIPS = {"1": True, "True": 1.0, "1.0": 1, "0": False, "False": 0.0, "0.0": 0}
+
+
+def _apply(state, edit):
+    op, key = edit[0], (edit[1] if len(edit) > 1 else None)
+    if op == "set":
+        state[key] = edit[2]
+    elif op == "remove":
+        state.pop(key, None)
+    elif op == "flip" and key in state:
+        state[key] = _FLIPS.get(repr(state[key]), 1)
+    elif op == "perturb" and key in state:
+        # what ``==`` / ``Element.equals`` cannot see but the writer does
+        value = state[key]
+        if isinstance(value, dict):
+            state[key] = dict(reversed(value.items()))
+        elif isinstance(value, Element):
+            value = state[key] = value.copy()
+            value.attrib = dict(reversed(value.attrib.items()))
+            value.tail = "" if value.tail else "tail"
+    elif op == "to_end" and key in state:
+        state[key] = state.pop(key)
+    elif op == "reverse":
+        for k in list(reversed(state)):
+            state[k] = state.pop(k)
+
+
+def _doc(text="", tail="", attrs=("p",)):
+    el = Element(QName(UVA, "doc"), text=text)
+    for name in attrs:
+        el.set(QName(UVA, name), name)
+    el.tail = tail
+    return el
+
+
+class TestIncrementalEncode:
+    """``DecodeCache.encode(state, base=...)`` re-encodes only the
+    fields that changed; the bytes must be the from-scratch encoder's,
+    and what a load is handed must be what ``decode_state`` parses."""
+
+    @given(st.dictionaries(st.sampled_from(_KEYS), _typed_values, max_size=4),
+           st.lists(_edits, max_size=8))
+    def test_every_step_matches_from_scratch(self, state, edits):
+        cache = DecodeCache(max_bytes=4096)
+        filler = {QName(UVA, "filler"): "x" * 3000}
+        blob = cache.encode(state)
+        assert blob == encode_state(state)
+        for edit in edits:
+            if edit[0] == "evict":  # push the base out of the table
+                cache.release(cache.encode(filler))
+            else:
+                _apply(state, edit)
+            blob = cache.encode(state, base=blob)
+            assert blob == encode_state(state)
+            assert _values_equal(cache.decode(blob), decode_state(blob))
+
+    @pytest.mark.parametrize("before, after", [
+        (1, True), (True, 1.0), (1.0, 1), (0, False), (0.0, -0.0), ([1], [True]),
+        ({"a": 1, "b": 2}, {"b": 2, "a": 1}),
+        ({"m": {"a": 1, "b": 2}}, {"m": {"b": 2, "a": 1}}),
+        (_doc(tail=""), _doc(tail="t")),
+        (_doc(attrs=("p", "q")), _doc(attrs=("q", "p"))),
+        (_doc(text="x"), _doc(text="y")),
+    ])
+    def test_lookalikes_are_told_apart(self, before, after):
+        """``before == after`` (or ``before.equals(after)``), yet the
+        encoder writes them differently: never reuse the fragment."""
+        cache = DecodeCache()
+        key, other = QName(UVA, "v"), QName(UVA, "other")
+        blob = cache.encode({key: before, other: "same"})
+        state = {key: after, other: "same"}
+        assert blob != encode_state(state)
+        blob = cache.encode(state, base=blob)
+        assert blob == encode_state(state)
+        assert _values_equal(cache.decode(blob), decode_state(blob))
+
+    def test_unchanged_fields_are_not_encoded_again(self, monkeypatch):
+        from repro.db import resource_store
+
+        encoded = []
+        real = resource_store.to_typed_element
+        monkeypatch.setattr(resource_store, "to_typed_element",
+                            lambda tag, value: encoded.append(tag) or real(tag, value))
+        cache = DecodeCache()
+        state = _state(1)
+        blob = cache.encode(state)
+        assert len(encoded) == len(state)
+        state[QName(UVA, "Count")] = 2
+        state[QName(UVA, "Meta")]["k"] = "changed"
+        expected = encode_state(state)
+        del encoded[:]
+        assert cache.encode(state, base=blob) == expected
+        assert encoded == [QName(UVA, "Count"), QName(UVA, "Meta")]
+
+    # The two sides of the one fallback: a namespace with a preferred
+    # prefix serializes the same in any document, any other gets ns0...
+    # in document order, so the document is serialized whole.
+
+    def _edit_beside(self, value):
+        """Encode, then change a neighbour of *value*'s field."""
+        cache = DecodeCache()
+        state = {QName(UVA, "a"): 1, QName(UVA, "doc"): value, QName(UVA, "z"): "tail"}
+        first = cache.encode(state)
+        state[QName(UVA, "a")] = 2
+        second = cache.encode(state, base=first)
+        assert (first, second) == (encode_state({**state, QName(UVA, "a"): 1}),
+                                   encode_state(state))
+        assert _values_equal(cache.decode(second), decode_state(second))
+        return second
+
+    def test_preferred_prefix_namespaces_are_assembled(self):
+        doc = Element(QName(NS.WSNT, "Topic"), text="t")
+        doc.set(QName(NS.WSRF_RP, "dialect"), "d")
+        blob = self._edit_beside(doc)
+        assert b"xmlns:wsnt=" in blob and b"xmlns:wsrp=" in blob and b"ns0" not in blob
+
+    def test_foreign_namespace_is_serialized_whole(self):
+        doc = Element(QName("urn:first", "x"))
+        doc.subelement(QName("urn:second", "y"))
+        blob = self._edit_beside(doc)
+        assert b'xmlns:ns0="urn:first"' in blob and b'xmlns:ns1="urn:second"' in blob
+
+    # ... and of what may be handed over decoded: a value that decodes
+    # to itself, or one that must cross the codec to be loaded.
+
+    @pytest.mark.parametrize("value, decoded", [
+        ((1, "two"), [1, "two"]),
+        ({"k": ("nested",)}, {"k": ["nested"]}),
+        (EndpointReference(" http://padded/S "), EndpointReference("http://padded/S")),
+    ])
+    def test_value_that_does_not_decode_to_itself_is_parsed(self, value, decoded):
+        store = BlobResourceStore()
+        store.create("Svc", "r", {QName(UVA, "v"): value, QName(UVA, "n"): 1})
+        loaded = store.load("Svc", "r")
+        assert loaded[QName(UVA, "v")] == decoded
+        assert type(loaded[QName(UVA, "v")]) is type(decoded)
+        assert store.decode_cache.misses == 1
+        loaded[QName(UVA, "n")] = 2
+        assert store.save("Svc", "r", loaded) == encode_state(loaded)
 
 
 # -- EnvelopeCache coherence --------------------------------------------------------
 
 
-def _envelope(n=0):
+def _envelope(n=0, pad=""):
     epr = EndpointReference(
         "http://node1:80/Exec", {QName(UVA, "ResourceID"): f"r-{n}"}
     )
     body = Element(QName(UVA, "Run"))
-    body.subelement(QName(UVA, "Arg"), text=f"value-{n}")
+    body.subelement(QName(UVA, "Arg"), text=f"value-{n}{pad}")
     return SoapEnvelope(
         AddressingHeaders(epr, action="urn:Run", message_id=f"uuid:m-{n}"), body
     )
@@ -405,43 +656,236 @@ class TestEnvelopeCache:
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            EnvelopeCache(capacity=0)
+            EnvelopeCache(max_bytes=0)
+
+    def test_bounded_by_text_bytes(self):
+        # Undelivered messages (drops, dead hosts) are held up to the
+        # bound and no further; the oldest go first.
+        size = len(_envelope(0).serialize())
+        cache = EnvelopeCache(max_bytes=3 * size)
+        wires = [_envelope(n).serialize(cache) for n in range(5)]
+        assert all(len(w) == size for w in wires)
+        for wire in wires:
+            assert SoapEnvelope.deserialize(wire, cache).serialize() == wire
+        assert (cache.parse_hits, cache.parse_misses) == (3, 2)
+
+    def test_text_larger_than_the_bound_is_parsed(self):
+        cache = EnvelopeCache(max_bytes=len(_envelope(0).serialize()))
+        wire = _envelope(0, pad="x" * 10).serialize(cache)
+        assert SoapEnvelope.deserialize(wire, cache).serialize() == wire
+        assert (cache.parse_hits, cache.parse_misses) == (0, 1)
+
+    def test_delivered_texts_are_not_kept_alive(self):
+        import gc
+        import weakref
+
+        class Text(str):  # a str that can be weakly referenced
+            __slots__ = ("__weakref__",)
+
+        cache = EnvelopeCache()
+        text = Text(_envelope().serialize())  # not encoded here: parsed, remembered
+        probe = weakref.ref(text)
+        SoapEnvelope.deserialize(text, cache)
+        del text
+        gc.collect()
+        assert probe() is None
 
 
-# -- the codec-only differential ----------------------------------------------------
+# -- the hand-off watched from outside, in whole runs -------------------------------
 
 
-def _run_fig3(perf):
-    tb = Testbed(n_machines=3, seed=11, machine_speeds=[1.0, 1.0, 1.0],
-                 perf=perf)
+def _grid(chaos=False, **kwargs):
+    if chaos:
+        policy = RetryPolicy(max_attempts=5, base_delay_s=0.2, backoff_factor=2.0,
+                             max_delay_s=2.0, timeout_s=30.0)
+        kwargs.update(
+            retry_policy=policy, broker_redelivery=policy,
+            fault_tolerance=FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0),
+        )
+    tb = Testbed(n_machines=3, seed=11, machine_speeds=[1.0, 1.0, 1.0], **kwargs)
+    if chaos:
+        tb.network.inject_faults(drop_probability=0.20, seed=3)
     tb.programs.register(make_compute_program("work", 10.0, outputs={"out": b"x"}))
+    return tb
+
+
+def _run_fig3(chaos=False, **kwargs):
+    tb = _grid(chaos, **kwargs)
     client = tb.make_client()
     spec = client.new_job_set()
     exe = client.add_program_binary(tb.programs.get("work"))
     for i in range(4):
         spec.add(JobSpec(name=f"job{i}", executable=FileRef(exe, "job.exe")))
-    outcome, job_states, outputs = tb.run_job_set(client, spec)
-    tb.settle()
-    return tb, outcome, job_states, outputs
-
-
-class TestCodecOnlyDifferential:
-    """``PerfConfig.codec_only()`` changes host CPU only: the full step
-    trace — timestamps included — is byte-identical to a run with no
-    perf layer at all (stronger than the other knobs, which are allowed
-    to shift simulated latencies)."""
-
-    def test_traces_byte_identical(self):
-        tb_off, outcome_off, states_off, outputs_off = _run_fig3(None)
-        tb_on, outcome_on, states_on, outputs_on = _run_fig3(
-            PerfConfig.codec_only()
+    if chaos:
+        outcome, _, _ = tb.run(
+            client.run_job_set_polled(spec, period=3.0, give_up_after=2000.0)
         )
-        assert (outcome_off, states_off, outputs_off) == \
-            (outcome_on, states_on, outputs_on)
-        assert tb_off.env.now == tb_on.env.now
-        assert [(e.at, e.step, e.actor, e.detail) for e in tb_off.trace.events] == \
-            [(e.at, e.step, e.actor, e.detail) for e in tb_on.trace.events]
-        # ... and the caches actually engaged, or this proved nothing.
-        assert tb_on.network.codec.parse_hits > 0
-        decode = tb_on.scheduler.store.decode_cache
-        assert decode is not None and decode.hits > 0
+        result = (outcome,)
+    else:
+        result = tb.run_job_set(client, spec)
+    tb.settle()
+    return tb, result
+
+
+@pytest.fixture
+def audit(monkeypatch):
+    """Check, from outside, everything the hand-off hands over: each
+    envelope against the strict parse of its wire text, each loaded
+    state against ``decode_state`` of the stored bytes."""
+    seen = {"envelopes": 0, "states": 0}
+    real_parse, real_decode = EnvelopeCache.parse, DecodeCache.decode
+
+    def parse_checked(self, text):
+        envelope = real_parse(self, text)
+        assert envelope.to_element().equals(
+            SoapEnvelope.from_element(parse(text)).to_element())
+        seen["envelopes"] += 1
+        return envelope
+
+    def decode_checked(self, blob):
+        state = real_decode(self, blob)
+        assert _values_equal(state, decode_state(blob))
+        seen["states"] += 1
+        return state
+
+    monkeypatch.setattr(EnvelopeCache, "parse", parse_checked)
+    monkeypatch.setattr(DecodeCache, "decode", decode_checked)
+    return seen
+
+
+def _all_blobs(tb):
+    wrappers = [tb.scheduler, tb.broker, tb.node_info, *tb.es.values(), *tb.fss.values()]
+    for zone in tb.zones[1:]:
+        wrappers += [zone.scheduler, zone.broker, zone.node_info]
+    if tb.zones:
+        wrappers += [tb.root_broker, tb.aggregator]
+    return {f"{w.machine.name}/{key}": blob
+            for w in wrappers for key, blob in w.store.snapshot().items()}
+
+
+class TestHandOffFromOutside:
+    def test_fig3_run(self, audit):
+        tb, (outcome, _, _) = _run_fig3()
+        assert outcome == "completed"
+        assert audit["envelopes"] == tb.network.codec.parse_hits > 0
+        assert audit["states"] > 0 and tb.network.codec.parse_misses == 0
+        # every stored blob is what the from-scratch encoder writes
+        for key, blob in _all_blobs(tb).items():
+            assert blob == encode_state(decode_state(blob)), key
+
+    def test_chaos_run_with_redelivery(self, audit):
+        tb, (outcome,) = _run_fig3(chaos=True)
+        assert outcome == "completed"
+        assert tb.network.stats.drops > 0 and tb.network.stats.retries > 0
+        assert audit["envelopes"] > 0 and audit["states"] > 0
+        for key, blob in _all_blobs(tb).items():
+            assert blob == encode_state(decode_state(blob)), key
+
+    def test_federated_run_with_bounces(self, audit):
+        # The fed_bounce shape: zones, polling clients, a node and a zone
+        # head restarted mid-run (snapshot, restore, readoption).
+        policy = RetryPolicy(max_attempts=8, base_delay_s=0.5, backoff_factor=2.0,
+                             max_delay_s=3.0, timeout_s=30.0)
+        tb = Testbed(
+            n_machines=4, seed=11, machine_speeds=[1.0] * 4, federation=2,
+            retry_policy=policy, broker_redelivery=policy,
+            fault_tolerance=FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0),
+        )
+        tb.programs.register(make_compute_program("work", 10.0, outputs={"out": b"x"}))
+        client = tb.make_federated_client()
+        spec = client.new_job_set()
+        exe = client.add_program_binary(tb.programs.get("work"))
+        for i in range(4):
+            spec.add(JobSpec(name=f"job{i}", executable=FileRef(exe, "job.exe")))
+        tb.restart_host("node01", at=4.0, down_for=5.0)
+        tb.restart_host("uvacg-z01", at=12.0, down_for=5.0)
+        outcome, _, _ = tb.run(
+            client.run_job_set_polled(spec, period=3.0, give_up_after=2000.0)
+        )
+        tb.settle()
+        assert outcome == "completed"
+        assert audit["envelopes"] > 0 and audit["states"] > 0
+        for key, blob in _all_blobs(tb).items():
+            assert blob == encode_state(decode_state(blob)), key
+
+    def test_received_envelope_mutated_in_place_redelivers_pristine(self):
+        codec = _grid().network.codec
+        wire = _envelope().serialize(codec)
+        reference = parse(wire)
+        for _ in range(4):  # the first delivery, then three resends
+            got = SoapEnvelope.deserialize(wire, codec)
+            assert got.to_element().equals(SoapEnvelope.from_element(reference).to_element())
+            got.body.children[0].text = "CORRUPTED"
+            got.extra_headers.append(Element(QName(UVA, "hacked")))
+            got.addressing.message_id = "uuid:forged"
+
+    @pytest.mark.parametrize("text, message", [
+        ("<soap:Envelope xmlns:soap='http://schemas.xmlsoap.org/soap/envelope/'><soap:Bo",
+         "expected"),
+        ("<a>&#xZZ;</a>", "malformed character reference"),
+        ("<!DOCTYPE a [<!ENTITY x 'y'>]><a>&x;</a>", "DTDs are not supported"),
+    ])
+    def test_text_not_encoded_here_meets_the_strict_parser(self, text, message):
+        with pytest.raises(XmlParseError) as reference:
+            parse(text)
+        assert message in str(reference.value)
+        tb = _grid()
+
+        def scenario():
+            for _ in range(3):  # nothing about a failed parse is remembered
+                with pytest.raises(XmlParseError) as got:
+                    yield from tb.network.request("node00", tb.scheduler.address, text)
+                assert str(got.value) == str(reference.value)
+                assert got.value.pos == reference.value.pos
+
+        tb.run(scenario())
+        assert tb.network.codec.parse_misses == 3
+
+
+# -- the run differential against the reference codec -------------------------------
+
+
+_PID = QName(UVA, "pid")  # OS pids come from a process-global counter
+
+
+def _without_pid(blob):
+    state = decode_state(blob)
+    state.pop(_PID, None)
+    return encode_state(state)
+
+
+def _fingerprint(tb, result):
+    return {
+        "result": tuple(result),
+        "now": tb.env.now,
+        "trace": [(e.at, e.step, e.actor, e.detail) for e in tb.trace.events],
+        "messages": (tb.network.stats.messages, tb.network.stats.bytes),
+        "export": tb.obs.export_json(),
+        "stores": {key: _without_pid(blob) for key, blob in _all_blobs(tb).items()},
+    }
+
+
+class TestReferenceCodecDifferential:
+    """The hand-off changes host CPU only: a run is byte-identical —
+    the full step trace with its timestamps, the obs export, every
+    stored blob — to the same run with every network and store forced
+    onto the reference ``parse`` / ``decode_state`` / ``encode_state``
+    path (by the test: there is no knob)."""
+
+    def test_traces_byte_identical(self, reference_codec):
+        tb, result = _run_fig3(observability=True)
+        with reference_codec():
+            tb_ref, result_ref = _run_fig3(observability=True)
+        assert tb_ref.network.codec.parse_hits == 0  # ... it really was forced
+        assert tb_ref.scheduler.store.decode_cache.hits == 0
+        assert _fingerprint(tb, result) == _fingerprint(tb_ref, result_ref)
+        # ... and the hand-off actually engaged, or this proved nothing.
+        assert tb.network.codec.parse_hits > 0
+        assert tb.scheduler.store.decode_cache.hits > 0
+
+    def test_chaos_run_byte_identical(self, reference_codec):
+        tb, result = _run_fig3(chaos=True, observability=True)
+        with reference_codec():
+            tb_ref, result_ref = _run_fig3(chaos=True, observability=True)
+        assert tb.network.stats.drops == tb_ref.network.stats.drops > 0
+        assert _fingerprint(tb, result) == _fingerprint(tb_ref, result_ref)

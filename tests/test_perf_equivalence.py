@@ -85,6 +85,10 @@ def _trace_content(tb):
     return sorted((e.step, e.actor, e.detail) for e in tb.trace.events)
 
 
+def _timed_trace(tb):
+    return [(e.at, e.step, e.actor, e.detail) for e in tb.trace.events]
+
+
 def _make_testbed(perf, **kwargs):
     tb = Testbed(
         n_machines=4, seed=11, machine_speeds=[1.0] * 4, perf=perf, **kwargs
@@ -196,37 +200,33 @@ class TestDifferentialFig3:
             assert isinstance(wrapper.store, CachedResourceStore), wrapper.path
             wrapper.store.assert_coherent()
 
-    def test_each_mechanism_is_independently_equivalent(self):
+    def test_each_mechanism_is_independently_equivalent(self, reference_codec):
         """Flipping one knob at a time keeps equivalence (localizes a
         regression to the mechanism that broke it)."""
         off = _run_jobset(None, _independent_spec)
-        codec_off = dict(codec_decode_cache=False, codec_envelope_cache=False)
+        one_at_a_time = dict(state_cache=False, write_elision=False,
+                             notification_batch_window_s=0.0, nis_pass_cache=False)
         for knob in (
-            PerfConfigDirect(state_cache=True, write_elision=False,
-                             notification_batch_window_s=0.0,
-                             nis_pass_cache=False, **codec_off),
-            PerfConfigDirect(state_cache=False, write_elision=True,
-                             notification_batch_window_s=0.0,
-                             nis_pass_cache=False, **codec_off),
-            PerfConfigDirect(state_cache=False, write_elision=False,
-                             notification_batch_window_s=0.05,
-                             nis_pass_cache=False, **codec_off),
-            PerfConfigDirect(state_cache=False, write_elision=False,
-                             notification_batch_window_s=0.0,
-                             nis_pass_cache=True, **codec_off),
-            PerfConfigDirect(state_cache=False, write_elision=False,
-                             notification_batch_window_s=0.0,
-                             nis_pass_cache=False,
-                             codec_decode_cache=True,
-                             codec_envelope_cache=False),
-            PerfConfigDirect(state_cache=False, write_elision=False,
-                             notification_batch_window_s=0.0,
-                             nis_pass_cache=False,
-                             codec_decode_cache=False,
-                             codec_envelope_cache=True),
+            dict(state_cache=True),
+            dict(write_elision=True),
+            dict(notification_batch_window_s=0.05),
+            dict(nis_pass_cache=True),
         ):
-            on = _run_jobset(knob, _independent_spec)
+            on = _run_jobset(PerfConfigDirect(**{**one_at_a_time, **knob}),
+                             _independent_spec)
             self._assert_equivalent(off, on)
+        # The codec hand-off is not a knob; its row compares each
+        # pipeline with itself on the reference codec, and is stricter —
+        # no simulated quantity may move, timestamps included.
+        for perf in (None, PerfConfig()):
+            run = _run_jobset(perf, _independent_spec)
+            with reference_codec():
+                reference = _run_jobset(perf, _independent_spec)
+            assert reference["tb"].network.codec.parse_hits == 0
+            self._assert_equivalent(reference, run)
+            assert _timed_trace(run["tb"]) == _timed_trace(reference["tb"])
+            assert run["tb"].env.now == reference["tb"].env.now
+            assert run["tb"].network.stats.bytes == reference["tb"].network.stats.bytes
 
 
 class TestDifferentialChaos:
