@@ -41,7 +41,7 @@ checks the same properties on the paths a simulation actually takes:
 vector-clock happens-before plus Eraser-style dynamic lockset per
 WS-Resource row, lock-order-inversion detection, and dispatch
 reentrancy.  Off by default; a single ``env.san is None`` check per
-kernel hook, like ``env.prof``.
+kernel hook.
 
 See ``docs/static_analysis.md`` for the rule catalog, the
 ``# wsrfcheck: ignore[RULE, ...]`` suppression syntax, baselines, SARIF

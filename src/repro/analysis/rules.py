@@ -371,22 +371,8 @@ _WALLCLOCK = {
 _DATETIME_CALLS = {"now", "utcnow", "today"}
 _UUID_CALLS = {"uuid1", "uuid4"}
 
-#: path suffixes allowed to read the host timer family (perf_counter &
-#: friends): the wall-clock profiler's entire job is timing the host.
-#: The exemption is for timers ONLY — datetime, RNG, uuid and set-order
-#: findings still fire in these files — and a suffix match keeps the
-#: rule hot everywhere else (repro.sim, repro.net, repro.wsrf, ...).
-DET001_TIMER_ALLOWLIST = ("obs/prof.py",)
 
-
-def _timer_allowlisted(path: str) -> bool:
-    normalized = path.replace("\\", "/")
-    return normalized.endswith(DET001_TIMER_ALLOWLIST)
-
-
-def det_source_sites(
-    tree: ast.Module, path: str
-) -> Iterator[Tuple[ast.AST, str]]:
+def det_source_sites(tree: ast.Module) -> Iterator[Tuple[ast.AST, str]]:
     """``(node, message)`` for every nondeterminism site in *tree*.
 
     Shared between DET001 (reports each site in place) and DET002
@@ -398,12 +384,11 @@ def det_source_sites(
             parts = dotted_parts(node.func)
             dotted = ".".join(parts)
             if tuple(parts[-2:]) in _WALLCLOCK and parts[0] == "time":
-                if not _timer_allowlisted(path):
-                    yield (
-                        node,
-                        f"{dotted}() reads the wall clock; use env.now so "
-                        "runs are reproducible under the simulation clock",
-                    )
+                yield (
+                    node,
+                    f"{dotted}() reads the wall clock; use env.now so "
+                    "runs are reproducible under the simulation clock",
+                )
             elif len(parts) >= 2 and parts[-1] in _DATETIME_CALLS and (
                 "datetime" in parts[:-1] or parts[0] == "datetime"
             ):
@@ -472,7 +457,7 @@ def det_source_sites(
 )
 def check_determinism(ctx: ModuleContext) -> Iterator[Finding]:
     symbols = enclosing_symbols(ctx.tree)
-    for node, message in det_source_sites(ctx.tree, ctx.path):
+    for node, message in det_source_sites(ctx.tree):
         yield Finding(
             rule="DET001",
             path=ctx.path,

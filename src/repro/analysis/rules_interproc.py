@@ -609,7 +609,7 @@ def check_interproc_determinism(pctx: ProgramContext) -> Iterator[Finding]:
     sources: List[TaintSource] = []
     for ctx in pctx.modules:
         owners = _owner_index(graph, ctx.module)
-        for node, message in det_source_sites(ctx.tree, ctx.path):
+        for node, message in det_source_sites(ctx.tree):
             line = getattr(node, "lineno", 0)
             if ctx.suppressed(line, "DET001") or ctx.suppressed(line, "DET002"):
                 continue  # an accepted source doesn't taint its callers

@@ -51,7 +51,7 @@ the static tier's LOCK001 recovery allowlist.
 Everything here is observation only: hooks never schedule, never touch
 simulated time, and with ``env.san is None`` (the default) each hook
 site is a single attribute check — the same zero-cost-off discipline as
-``env.prof`` (docs/observability.md).  tests/test_sanitizer.py asserts
+``network.obs`` (docs/observability.md).  tests/test_sanitizer.py asserts
 sanitized runs are byte-identical to bare ones.
 
 Usage::

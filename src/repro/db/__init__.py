@@ -26,7 +26,12 @@ by the host crash-restart machinery (docs/durability.md).
 
 from repro.db.engine import Column, Database, DbError, Table
 from repro.db.sql import SqlError, SqlResourceStore, execute_sql
-from repro.db.resource_store import BlobResourceStore, DecodeCache, NoSuchResource
+from repro.db.resource_store import (
+    BlobResourceStore,
+    DecodeCache,
+    NoSuchResource,
+    ResourceStore,
+)
 from repro.db.cached_store import CachedResourceStore
 from repro.db.xmlstore import XmlResourceStore
 
@@ -38,6 +43,7 @@ __all__ = [
     "DbError",
     "DecodeCache",
     "NoSuchResource",
+    "ResourceStore",
     "SqlError",
     "SqlResourceStore",
     "Table",

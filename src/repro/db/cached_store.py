@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.db.resource_store import BlobResourceStore, State
+from repro.db.resource_store import BlobResourceStore, ResourceStore, State
 
 
-class CachedResourceStore:
+class CachedResourceStore(ResourceStore):
     """Write-through, blob-level cache over a :class:`BlobResourceStore`.
 
     Exposes the full store surface (create/exists/load/save/destroy/

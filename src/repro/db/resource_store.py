@@ -26,6 +26,27 @@ class NoSuchResource(KeyError):
     """Raised on load/save/destroy of an unknown resource."""
 
 
+class ResourceStore:
+    """What the WSRF wrapper asks of a WS-Resource state backend.
+
+    Every backend implements ``create``/``exists``/``load``/``save``/
+    ``destroy``/``list_ids``/``scan_query`` plus ``snapshot``/``restore``
+    in the shared checkpoint format (tests/test_store_backends.py runs
+    one conformance suite over all of them); this base holds the
+    answers they share: a backend with no cache in front of its
+    database serves nothing from one.
+    """
+
+    #: loads answered from the cache / passed on to the database
+    hits = 0
+    misses = 0
+
+    def is_cached(self, service: str, resource_id: str) -> bool:
+        """True when a load would be served without a database access,
+        so the wrapper's db_load stage charges no db delay for it."""
+        return False
+
+
 def _qname(key) -> QName:
     return key if isinstance(key, QName) else QName(key)
 
@@ -283,7 +304,7 @@ class DecodeCache:
                 self._entries.take(blob)
 
 
-class BlobResourceStore:
+class BlobResourceStore(ResourceStore):
     """CRUD + (expensive) scan-query over serialized resource state."""
 
     TABLE = "resources"

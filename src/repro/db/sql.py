@@ -18,6 +18,12 @@ import re
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.db.engine import Column, Database, DbError
+from repro.db.resource_store import (
+    NoSuchResource,
+    ResourceStore,
+    decode_state,
+    encode_state,
+)
 
 
 class SqlError(DbError):
@@ -156,7 +162,7 @@ def execute_sql(db: Database, statement: str, params: Sequence[Any] = ()) -> Any
     raise SqlError(f"unrecognized statement: {statement.strip()[:60]!r}")
 
 
-class SqlResourceStore:
+class SqlResourceStore(ResourceStore):
     """WS-Resource state store speaking only SQL — the literal "ODBC
     compliant database" face of the paper's persistence model.
 
@@ -189,8 +195,6 @@ class SqlResourceStore:
         return f"{service}|{resource_id}"
 
     def create(self, service: str, resource_id: str, state: Dict[Any, Any]) -> None:
-        from repro.db.resource_store import encode_state
-
         execute_sql(
             self.db,
             f"INSERT INTO {self.TABLE} (rid, service, resource_id, state) "
@@ -209,8 +213,6 @@ class SqlResourceStore:
         return bool(rows)
 
     def load(self, service: str, resource_id: str) -> Dict[Any, Any]:
-        from repro.db.resource_store import NoSuchResource, decode_state
-
         rows = execute_sql(
             self.db,
             f"SELECT state FROM {self.TABLE} WHERE rid = ?",
@@ -222,8 +224,6 @@ class SqlResourceStore:
         return decode_state(rows[0]["state"])
 
     def save(self, service: str, resource_id: str, state: Dict[Any, Any]) -> None:
-        from repro.db.resource_store import NoSuchResource, encode_state
-
         count = execute_sql(
             self.db,
             f"UPDATE {self.TABLE} SET state = ? WHERE rid = ?",
@@ -234,8 +234,6 @@ class SqlResourceStore:
         self.saves += 1
 
     def destroy(self, service: str, resource_id: str) -> None:
-        from repro.db.resource_store import NoSuchResource
-
         count = execute_sql(
             self.db,
             f"DELETE FROM {self.TABLE} WHERE rid = ?",

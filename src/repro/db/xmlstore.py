@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.db.resource_store import NoSuchResource, State, _STATE_TAG
+from repro.db.resource_store import NoSuchResource, ResourceStore, State, _STATE_TAG
 from repro.soap import from_typed_element, to_typed_element
 from repro.xmlx import Element, QName, parse, to_string, xpath_select
 
 
-class XmlResourceStore:
+class XmlResourceStore(ResourceStore):
     """Stores resource state as live XML documents, queryable in place."""
 
     def __init__(self) -> None:

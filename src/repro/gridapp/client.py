@@ -70,13 +70,7 @@ class ClientFileServer:
         )
 
     def handle(self, payload: str, ctx):
-        prof = getattr(self.network, "prof", None)
-        codec = self.network.codec
-        if prof is None:
-            envelope = SoapEnvelope.deserialize(payload, codec)
-        else:
-            with prof.region("soap.parse"):
-                envelope = SoapEnvelope.deserialize(payload, codec)
+        envelope = SoapEnvelope.deserialize(payload, self.network.codec)
         body = envelope.body
         if body.tag != QName(UVA, "Read"):
             fault = SoapFault("soap:Client", "file server only supports Read")
@@ -109,13 +103,7 @@ class ClientFileServer:
             action=request.action + "Response",
             relates_to=request.addressing.message_id,
         )
-        response = SoapEnvelope(headers, body)
-        prof = getattr(self.network, "prof", None)
-        codec = self.network.codec
-        if prof is None:
-            return response.serialize(codec)
-        with prof.region("soap.encode"):
-            return response.serialize(codec)
+        return SoapEnvelope(headers, body).serialize(self.network.codec)
 
     def close(self) -> None:
         self.network.host(self.host_name).unbind(FILE_SERVER_PORT)

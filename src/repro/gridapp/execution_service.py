@@ -289,16 +289,14 @@ class ExecutionService(ServiceSkeleton):
         wrapper = self.wsrf.wrapper
         machine = self.machine
         env = self.env
-        host = getattr(machine, "host", None)
-        epoch = getattr(host, "boot_epoch", 0)
+        host = machine.host
+        epoch = host.boot_epoch
 
         def stale() -> bool:
             # The watcher belongs to this boot of the machine: once the
             # host crashes, its observation dies unpersisted — recovery
             # (wsrf_recover) re-dispatches the job instead.
-            return host is not None and (
-                host.down or getattr(host, "boot_epoch", 0) != epoch
-            )
+            return host.down or host.boot_epoch != epoch
 
         def watcher(env):
             code = yield process.done
@@ -322,7 +320,7 @@ class ExecutionService(ServiceSkeleton):
                     return  # crashed between observing and persisting
                 wrapper.store.save(wrapper.service_name, rid, state)
             finally:
-                lock.release()
+                wrapper.release_resource_lock(rid, lock)
             # The outcome is persisted; the broadcast may follow (the
             # write-ahead ordering, done manually by this detached
             # process since it runs outside any invocation).

@@ -135,9 +135,10 @@ class HashRing:
 
 @dataclass
 class Zone:
-    """One federation zone as assembled by the Testbed."""
+    """One site as assembled by the Testbed: a federation zone, or the
+    paper's single site (``name`` None, never listed in ``tb.zones``)."""
 
-    name: str
+    name: Optional[str]
     central: object  # the zone's central Machine
     broker: object  # zone NotificationBroker wrapper
     node_info: object  # zone NIS wrapper

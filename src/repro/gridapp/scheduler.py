@@ -824,13 +824,13 @@ def _start_watchdog(wrapper, rid: str, jobset_epr, ft: FaultToleranceConfig):
     """
     env = wrapper.env
     status_key = QName(UVA, "status")
-    host = getattr(wrapper.machine, "host", None)
-    epoch = getattr(host, "boot_epoch", 0)
+    host = wrapper.machine.host
+    epoch = host.boot_epoch
 
     def loop(env):
         while True:
             yield env.timeout(ft.watchdog_period)
-            if host is not None and getattr(host, "boot_epoch", 0) != epoch:
+            if host.boot_epoch != epoch:
                 # This watchdog belongs to a dead boot; wsrf_recover
                 # started a replacement, so exit instead of double-probing.
                 return

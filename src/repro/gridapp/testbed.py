@@ -13,8 +13,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.gridapp.aggregator import AggregatorCatalogService, setup_aggregator
 from repro.gridapp.client import GridClient
 from repro.gridapp.execution_service import ExecutionService
+from repro.gridapp.federation import FederationConfig, Zone
 from repro.gridapp.filesystem_service import GRID_ROOT, FileSystemService
 from repro.gridapp.node_info import NodeInfoService, setup_node_info
 from repro.gridapp.scheduler import SchedulerService
@@ -25,7 +27,7 @@ from repro.net import Network, NetworkParams
 from repro.osim import Machine, MachineParams, ProgramRegistry
 from repro.sim import Environment
 from repro.wsn.base_notification import attach_notification_producer
-from repro.wsn.broker import NotificationBrokerService
+from repro.wsn.broker import NotificationBrokerService, federate_brokers
 from repro.wsrf import deploy
 from repro.wssec import CertificateAuthority
 from repro.wssec.x509 import enroll
@@ -57,7 +59,6 @@ class Testbed:
         broker_redelivery=None,
         observability: bool = False,
         perf=None,
-        profile: bool = False,
         sanitize: bool = False,
         federation=None,
     ) -> None:
@@ -81,12 +82,6 @@ class Testbed:
         catalog reuse in the Scheduler.  Also off by default;
         tests/test_perf_equivalence.py proves enabling it changes only
         simulated latencies.
-
-        ``profile=True`` attaches a
-        :class:`repro.obs.WallClockProfiler` (``self.prof``) measuring
-        the *host* CPU cost of the run by subsystem stage; it reads only
-        the wall clock and never the simulation, so simulated results
-        stay byte-identical (benchmarks/bench_wallclock.py asserts it).
 
         ``sanitize=True`` attaches a
         :class:`repro.analysis.RaceSanitizer` (``self.san``): a runtime
@@ -119,17 +114,6 @@ class Testbed:
             from repro.obs import Observability
 
             self.obs = Observability(self.env).attach(self.network)
-        # Opt-in wall-clock profiler (docs/observability.md): attributes
-        # host CPU time to subsystem stages.  Attached per-testbed (never
-        # a module global) so differential two-testbed runs in one
-        # process can profile one side without contaminating the other.
-        self.prof = None
-        if profile:
-            from repro.obs import WallClockProfiler
-
-            self.prof = WallClockProfiler()
-            self.env.prof = self.prof
-            self.network.prof = self.prof
         # Opt-in runtime sanitizer: attached before any service deploys
         # so every wrapper instruments its store at construction.
         self.san = None
@@ -151,31 +135,24 @@ class Testbed:
             raise ValueError("machine_speeds length must equal n_machines")
 
         # -- topology: single site (the paper's Fig. 3) or federated zones ---
-        self.federation = None
-        self.zones: List = []
-        self.root = None
+        if isinstance(federation, int):
+            federation = FederationConfig(n_zones=federation)
         if federation is not None:
-            from repro.gridapp.federation import FederationConfig
-
-            if isinstance(federation, int):
-                federation = FederationConfig(n_zones=federation)
             if n_linux_machines:
                 raise ValueError(
                     "federation and n_linux_machines are mutually exclusive"
                 )
-            self.federation = federation
-            self._assemble_federated(
-                federation, n_machines, machine_speeds, seed,
-                utilization_threshold, utilization_period,
-                start_utilization_services, scheduling_policy,
-                cores_per_machine, perf,
-            )
-        else:
-            self._assemble_single(
-                n_machines, machine_speeds, seed, utilization_threshold,
-                utilization_period, start_utilization_services,
-                scheduling_policy, cores_per_machine, n_linux_machines, perf,
-            )
+            if federation.n_zones > n_machines:
+                raise ValueError(
+                    f"{federation.n_zones} zones need at least that many grid "
+                    f"machines (got {n_machines})"
+                )
+        self.federation = federation
+        self._assemble(
+            n_machines, n_linux_machines, machine_speeds, cores_per_machine,
+            seed, scheduling_policy, utilization_threshold,
+            utilization_period, start_utilization_services,
+        )
 
         # -- fault-tolerance layer (all opt-in) ----------------------------------
         self.retry_policy = retry_policy
@@ -201,259 +178,157 @@ class Testbed:
 
         self._client_seq = 0
 
-    def _assemble_single(
-        self,
-        n_machines: int,
-        machine_speeds: Sequence[float],
-        seed: int,
-        utilization_threshold: float,
-        utilization_period: float,
-        start_utilization_services: bool,
-        scheduling_policy: str,
-        cores_per_machine: int,
-        n_linux_machines: int,
-        perf,
+    def _assemble(
+        self, n_machines, n_linux_machines, machine_speeds, cores_per_machine,
+        seed, scheduling_policy, utilization_threshold, utilization_period,
+        start_utilization_services,
     ) -> None:
-        """The paper's Fig. 3 deployment: one central machine."""
-        # -- central services machine ---------------------------------------------
-        self.central = Machine(
-            self.network, "uvacg-central", params=MachineParams(cpu_speed=2.0),
-            programs=self.programs,
-        )
-        self._enroll(self.central)
-        self.broker = deploy(
-            NotificationBrokerService, self.central, "NotificationBroker", perf=perf
-        )
-        attach_notification_producer(self.broker)
-        self.node_info = deploy(NodeInfoService, self.central, "NodeInfo", perf=perf)
-        self.scheduler = deploy(SchedulerService, self.central, "Scheduler", perf=perf)
+        """Deploy the grid: root, then sites, then grid machines.
 
-        # -- grid machines ------------------------------------------------------------
+        The paper's Fig. 3 deployment is one site on ``uvacg-central``
+        and no root.  A federation (docs/federation.md) is a root
+        machine (root broker + aggregator catalog) and one site per
+        zone — a central machine with Scheduler + NIS + zone broker
+        uplinked to the root — with the grid machines sharded
+        round-robin across the zones.
+        """
+        federation = self.federation
+        self._wrappers: List = []
+        self.root: Optional[Machine] = None
+        self.root_broker = self.aggregator = None
+        self.zones: List[Zone] = []
+        if federation is None:
+            sites = [self._add_site("uvacg-central")]
+        else:
+            self.root = self._central_machine("uvacg-root")
+            self.root_broker = self._deploy(
+                NotificationBrokerService, self.root, "NotificationBroker", "root"
+            )
+            attach_notification_producer(self.root_broker)
+            self.aggregator = self._deploy(
+                AggregatorCatalogService, self.root, "AggregatorCatalog", "root"
+            )
+            for z in range(federation.n_zones):
+                self.zones.append(self._add_site(f"uvacg-z{z:02d}", f"z{z:02d}"))
+            sites = self.zones
+
         self.machines: List[Machine] = []
+        self.linux_machines: List[LinuxMachine] = []
         self.fss: Dict[str, object] = {}
         self.es: Dict[str, object] = {}
         self.utilization_services: Dict[str, ProcessorUtilizationService] = {}
-        for i in range(n_machines):
-            machine = Machine(
-                self.network,
-                f"node{i:02d}",
-                params=MachineParams(
-                    cpu_speed=float(machine_speeds[i]), cores=cores_per_machine
-                ),
-                programs=self.programs,
+        for i in range(n_machines + n_linux_machines):
+            if i < n_machines:
+                machine = Machine(
+                    self.network,
+                    f"node{i:02d}",
+                    params=MachineParams(
+                        cpu_speed=float(machine_speeds[i]), cores=cores_per_machine
+                    ),
+                    programs=self.programs,
+                )
+                machine.fs.mkdir(GRID_ROOT)
+                es_cls = ExecutionService
+            else:
+                # Linux/GT4 machines (paper 6: UVaCG's Windows+Linux goal)
+                machine = LinuxMachine(
+                    self.network, f"linux{i - n_machines:02d}", programs=self.programs
+                )
+                machine.trusted_ca = self.ca
+                self.linux_machines.append(machine)
+                es_cls = Gt4ExecutionService
+            util = self._add_grid_machine(
+                machine, sites[i % len(sites)], es_cls,
+                utilization_threshold, utilization_period,
             )
-            machine.users.add_user(GRID_USER, GRID_PASSWORD)
-            machine.fs.mkdir(GRID_ROOT)
-            self._enroll(machine)
-            self.machines.append(machine)
-            self.fss[machine.name] = deploy(
-                FileSystemService, machine, "FileSystem", perf=perf
-            )
-            es = deploy(ExecutionService, machine, "ExecService", perf=perf)
-            es.broker_epr = self.broker.service_epr()
-            self.es[machine.name] = es
-            util = ProcessorUtilizationService(
-                machine,
-                self.node_info.service_epr(),
-                threshold=utilization_threshold,
-                period=utilization_period,
-            )
-            self.utilization_services[machine.name] = util
-            if start_utilization_services:
-                util.start()
-
-        # -- Linux/GT4 machines (paper 6: UVaCG's Windows+Linux goal) -----------
-        self.linux_machines = []
-        for i in range(n_linux_machines):
-            machine = LinuxMachine(self.network, f"linux{i:02d}", programs=self.programs)
-            machine.users.add_user(GRID_USER, GRID_PASSWORD)
-            machine.trusted_ca = self.ca
-            self._enroll(machine)
-            self.machines.append(machine)
-            self.linux_machines.append(machine)
-            self.fss[machine.name] = deploy(
-                FileSystemService, machine, "FileSystem", perf=perf
-            )
-            es = deploy(Gt4ExecutionService, machine, "ExecService", perf=perf)
-            es.broker_epr = self.broker.service_epr()
-            self.es[machine.name] = es
-            util = ProcessorUtilizationService(
-                machine,
-                self.node_info.service_epr(),
-                threshold=utilization_threshold,
-                period=utilization_period,
-            )
-            self.utilization_services[machine.name] = util
             if start_utilization_services:
                 util.start()
 
         # -- wiring -------------------------------------------------------------------
-        setup_node_info(self.node_info, self.machines)
-        self.scheduler.nis_epr = self.node_info.service_epr()
-        self.scheduler.broker_epr = self.broker.service_epr()
-        self.scheduler.machine_certs = {m.name: m.cert for m in self.machines}
-        self.scheduler.scheduling_policy = scheduling_policy
-        self.scheduler.rng = np.random.default_rng(seed + 1)
-        self.scheduler.gt4_machines = {m.name for m in self.linux_machines}
-
-        self._schedulers = [self.scheduler]
-        self._brokers = [self.broker]
-        self._wrappers = (
-            [self.scheduler, self.broker, self.node_info]
-            + list(self.fss.values())
-            + list(self.es.values())
-        )
-
-    def _assemble_federated(
-        self,
-        config,
-        n_machines: int,
-        machine_speeds: Sequence[float],
-        seed: int,
-        utilization_threshold: float,
-        utilization_period: float,
-        start_utilization_services: bool,
-        scheduling_policy: str,
-        cores_per_machine: int,
-        perf,
-    ) -> None:
-        """The federated deployment (docs/federation.md).
-
-        One root machine (root broker + aggregator catalog), one central
-        machine per zone (Scheduler + NIS + zone broker uplinked to the
-        root), grid machines sharded round-robin across zones.
-        """
-        from repro.gridapp.aggregator import (
-            AggregatorCatalogService,
-            setup_aggregator,
-        )
-        from repro.gridapp.federation import Zone
-        from repro.wsn.broker import federate_brokers
-
-        if config.n_zones > n_machines:
-            raise ValueError(
-                f"{config.n_zones} zones need at least that many grid "
-                f"machines (got {n_machines})"
-            )
-
-        # -- root machine: federation-wide services --------------------------------
-        self.root = Machine(
-            self.network, "uvacg-root", params=MachineParams(cpu_speed=2.0),
-            programs=self.programs,
-        )
-        self._enroll(self.root)
-        self.root_broker = deploy(
-            NotificationBrokerService, self.root, "NotificationBroker",
-            perf=perf,
-        )
-        attach_notification_producer(self.root_broker)
-        self.root_broker.zone = "root"
-        self.aggregator = deploy(
-            AggregatorCatalogService, self.root, "AggregatorCatalog",
-            perf=perf,
-        )
-        self.aggregator.zone = "root"
-
-        # -- zone central machines ----------------------------------------------------
-        self.zones = []
-        for z in range(config.n_zones):
-            zone_name = f"z{z:02d}"
-            central = Machine(
-                self.network, f"uvacg-{zone_name}",
-                params=MachineParams(cpu_speed=2.0), programs=self.programs,
-            )
-            self._enroll(central)
-            broker = deploy(
-                NotificationBrokerService, central, "NotificationBroker",
-                perf=perf,
-            )
-            attach_notification_producer(broker)
-            federate_brokers(broker, self.root_broker.service_epr())
-            node_info = deploy(NodeInfoService, central, "NodeInfo", perf=perf)
-            scheduler = deploy(SchedulerService, central, "Scheduler", perf=perf)
-            for wrapper in (broker, node_info, scheduler):
-                wrapper.zone = zone_name
-            self.zones.append(
-                Zone(
-                    name=zone_name, central=central, broker=broker,
-                    node_info=node_info, scheduler=scheduler,
-                )
-            )
-
-        # -- grid machines, sharded round-robin across zones -----------------------
-        self.machines = []
-        self.linux_machines = []
-        self.fss = {}
-        self.es = {}
-        self.utilization_services = {}
-        for i in range(n_machines):
-            zone = self.zones[i % config.n_zones]
-            machine = Machine(
-                self.network,
-                f"node{i:02d}",
-                params=MachineParams(
-                    cpu_speed=float(machine_speeds[i]), cores=cores_per_machine
-                ),
-                programs=self.programs,
-            )
-            machine.users.add_user(GRID_USER, GRID_PASSWORD)
-            machine.fs.mkdir(GRID_ROOT)
-            self._enroll(machine)
-            self.machines.append(machine)
-            zone.machines.append(machine)
-            fss = deploy(FileSystemService, machine, "FileSystem", perf=perf)
-            fss.zone = zone.name
-            self.fss[machine.name] = fss
-            es = deploy(ExecutionService, machine, "ExecService", perf=perf)
-            es.broker_epr = zone.broker.service_epr()
-            es.zone = zone.name
-            self.es[machine.name] = es
-            util = ProcessorUtilizationService(
-                machine,
-                zone.node_info.service_epr(),
-                threshold=utilization_threshold,
-                period=utilization_period,
-            )
-            self.utilization_services[machine.name] = util
-            if start_utilization_services:
-                util.start()
-
-        # -- wiring ------------------------------------------------------------------
         # Cross-zone dispatch means any zone's Scheduler may target any
         # grid machine, so every Scheduler knows every machine's cert.
         machine_certs = {m.name: m.cert for m in self.machines}
-        for z, zone in enumerate(self.zones):
-            setup_node_info(zone.node_info, zone.machines)
-            scheduler = zone.scheduler
-            scheduler.nis_epr = zone.node_info.service_epr()
-            scheduler.broker_epr = zone.broker.service_epr()
-            scheduler.subscribe_broker_epr = self.root_broker.service_epr()
+        for z, site in enumerate(sites):
+            setup_node_info(site.node_info, site.machines)
+            scheduler = site.scheduler
+            scheduler.nis_epr = site.node_info.service_epr()
+            scheduler.broker_epr = site.broker.service_epr()
             scheduler.machine_certs = machine_certs
             scheduler.scheduling_policy = scheduling_policy
             scheduler.rng = np.random.default_rng(seed + 1 + z)
-            scheduler.gt4_machines = set()
-            scheduler.federation = config
-            scheduler.aggregator_epr = self.aggregator.service_epr()
-        setup_aggregator(self.aggregator, self.zones, config.staleness_s)
+            scheduler.gt4_machines = {m.name for m in self.linux_machines}
+            if federation is not None:
+                scheduler.subscribe_broker_epr = self.root_broker.service_epr()
+                scheduler.federation = federation
+                scheduler.aggregator_epr = self.aggregator.service_epr()
+        if federation is not None:
+            setup_aggregator(self.aggregator, sites, federation.staleness_s)
 
-        # Zone 0 doubles as the default site, so single-site helpers
-        # (make_client, restart_host, existing assertions) keep working
-        # against a federated testbed.
-        self.central = self.zones[0].central
-        self.broker = self.zones[0].broker
-        self.node_info = self.zones[0].node_info
-        self.scheduler = self.zones[0].scheduler
+        # The first site doubles as the default one, so single-site
+        # helpers (make_client, restart_host, existing assertions) keep
+        # working against a federated testbed.
+        self.central = sites[0].central
+        self.broker = sites[0].broker
+        self.node_info = sites[0].node_info
+        self.scheduler = sites[0].scheduler
+        self._schedulers = [site.scheduler for site in sites]
+        self._brokers = [site.broker for site in sites]
+        if federation is not None:
+            self._brokers.insert(0, self.root_broker)
 
-        self._schedulers = [zone.scheduler for zone in self.zones]
-        self._brokers = [self.root_broker] + [z.broker for z in self.zones]
-        self._wrappers = (
-            self._schedulers
-            + self._brokers
-            + [zone.node_info for zone in self.zones]
-            + [self.aggregator]
-            + list(self.fss.values())
-            + list(self.es.values())
+    def _deploy(self, service_cls, machine: Machine, path: str, zone: Optional[str] = None):
+        """Deploy one service with the testbed's perf layer; a federated
+        testbed labels it with the zone it serves."""
+        wrapper = deploy(service_cls, machine, path, perf=self.perf)
+        if zone is not None:
+            wrapper.zone = zone
+        self._wrappers.append(wrapper)
+        return wrapper
+
+    def _central_machine(self, name: str) -> Machine:
+        machine = Machine(
+            self.network, name, params=MachineParams(cpu_speed=2.0),
+            programs=self.programs,
         )
+        self._enroll(machine)
+        return machine
+
+    def _add_site(self, host_name: str, zone: Optional[str] = None) -> Zone:
+        """One central machine with its broker, NIS and Scheduler; a
+        zone's broker is uplinked to the root broker."""
+        central = self._central_machine(host_name)
+        broker = self._deploy(NotificationBrokerService, central, "NotificationBroker", zone)
+        attach_notification_producer(broker)
+        if self.root_broker is not None:
+            federate_brokers(broker, self.root_broker.service_epr())
+        node_info = self._deploy(NodeInfoService, central, "NodeInfo", zone)
+        scheduler = self._deploy(SchedulerService, central, "Scheduler", zone)
+        return Zone(
+            name=zone, central=central, broker=broker, node_info=node_info,
+            scheduler=scheduler,
+        )
+
+    def _add_grid_machine(
+        self, machine: Machine, site: Zone, es_cls, threshold: float, period: float
+    ) -> ProcessorUtilizationService:
+        """Wire *machine* into *site*: grid account, X.509 identity, File
+        System + Execution services, and the utilization reporter feeding
+        the site's NIS (returned, not yet started)."""
+        machine.users.add_user(GRID_USER, GRID_PASSWORD)
+        self._enroll(machine)
+        self.machines.append(machine)
+        site.machines.append(machine)
+        self.fss[machine.name] = self._deploy(
+            FileSystemService, machine, "FileSystem", site.name
+        )
+        es = self._deploy(es_cls, machine, "ExecService", site.name)
+        es.broker_epr = site.broker.service_epr()
+        self.es[machine.name] = es
+        util = ProcessorUtilizationService(
+            machine, site.node_info.service_epr(), threshold=threshold, period=period
+        )
+        self.utilization_services[machine.name] = util
+        return util
 
     def _enroll(self, machine: Machine) -> None:
         machine.keys, machine.cert = enroll(self.ca, machine.name)

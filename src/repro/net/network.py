@@ -105,9 +105,9 @@ class Network:
         #: attached repro.obs.Observability, or None = observation off
         #: (every instrumentation site guards on this being non-None)
         self.obs: Optional[Any] = None
-        #: attached repro.obs.WallClockProfiler, or None = profiling off
-        #: (same None-check contract as obs; see docs/observability.md)
-        self.prof: Optional[Any] = None
+        #: attached repro.gridapp.tracing.EventTrace (the numbered Fig. 3
+        #: steps), or None
+        self.trace: Optional[Any] = None
         #: the envelope hand-off (docs/performance.md): endpoints pass it
         #: to SoapEnvelope.serialize/deserialize, so the receiver of a
         #: message encoded on this fabric adopts the sender's tree
@@ -237,6 +237,27 @@ class Network:
         yield self.env.timeout(self.latency_between(src.name, dst_name))
         self.stats.record(scheme, size + self._overhead(scheme), category)
 
+    def _open_send(self, name: str, src_host: str, url: str, category: str, message_id):
+        """What both transports start with: the parsed target, the
+        sending host and the send's span (None with observation off)."""
+        uri = Uri.parse(url)
+        if not uri.is_network:
+            raise DeliveryError(f"cannot route non-network URI {url!r}")
+        src = self.host(src_host)
+        span = None
+        if self.obs is not None:
+            span = self.obs.start_span(
+                name,
+                message_id=message_id,
+                attrs={
+                    "scheme": uri.scheme,
+                    "category": category,
+                    "source": src_host,
+                    "target": uri.host,
+                },
+            )
+        return uri, src, span
+
     def request(
         self,
         src_host: str,
@@ -255,39 +276,8 @@ class Network:
         envelope's WS-Addressing MessageID, when the caller has one)
         correlates the network span with the sender's.
         """
-        gen = self._request_impl(src_host, url, payload, category, message_id)
-        prof = self.prof
-        if prof is None:
-            # Hand back the impl generator itself: the disabled path adds
-            # no wrapper frame and no per-resumption work.
-            return gen
-        return prof.wrap("net.request", gen)
-
-    def _request_impl(
-        self,
-        src_host: str,
-        url: str,
-        payload: str,
-        category: str,
-        message_id: Optional[str],
-    ):
-        uri = Uri.parse(url)
-        if not uri.is_network:
-            raise DeliveryError(f"cannot route non-network URI {url!r}")
-        src = self.host(src_host)
+        uri, src, span = self._open_send("net.request", src_host, url, category, message_id)
         obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.start_span(
-                "net.request",
-                message_id=message_id,
-                attrs={
-                    "scheme": uri.scheme,
-                    "category": category,
-                    "source": src_host,
-                    "target": uri.host,
-                },
-            )
         try:
             dest = self._check_reachable(src_host, uri.host)
             port = uri.port or 80
@@ -399,37 +389,9 @@ class Network:
         for the handler to run, so handler exceptions do NOT propagate
         (they end the handler's own process).
         """
-        gen = self._send_one_way_impl(src_host, url, payload, category, message_id)
-        prof = self.prof
-        if prof is None:
-            return gen
-        return prof.wrap("net.oneway", gen)
-
-    def _send_one_way_impl(
-        self,
-        src_host: str,
-        url: str,
-        payload: str,
-        category: str,
-        message_id: Optional[str],
-    ):
-        uri = Uri.parse(url)
-        if not uri.is_network:
-            raise DeliveryError(f"cannot route non-network URI {url!r}")
-        src = self.host(src_host)
+        uri, src, span = self._open_send("net.oneway", src_host, url, category, message_id)
         obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.start_span(
-                "net.oneway",
-                message_id=message_id,
-                attrs={
-                    "scheme": uri.scheme,
-                    "category": category,
-                    "source": src_host,
-                    "target": uri.host,
-                },
-            )
+        if span is not None:
             # This send runs as its own process and may outlive the
             # dispatch that spawned it: detach immediately so an
             # enclosing span's finish_subtree never closes it mid-flight
@@ -479,10 +441,7 @@ class Network:
                     if span is not None:
                         obs.spans.finish_subtree(span)
 
-            prof = self.prof
-            self.env.process(
-                _deliver() if prof is None else prof.wrap("net.oneway", _deliver())
-            )
+            self.env.process(_deliver())
             handed_off = True
             return None
         finally:

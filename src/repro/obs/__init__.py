@@ -21,7 +21,6 @@ from repro.obs.dashboard import (
     render_event_tail,
     render_metric_tables,
     render_pipeline_breakdown,
-    render_profile,
     render_slowest_spans,
     render_trace,
 )
@@ -33,12 +32,10 @@ from repro.obs.metrics import (
     MetricsRegistry,
     format_metric_name,
 )
-from repro.obs.prof import PROFILE_STAGES, WallClockProfiler
 from repro.obs.spans import METRIC_LABELS, Span, SpanRecorder
 
 __all__ = [
     "METRIC_LABELS",
-    "PROFILE_STAGES",
     "Counter",
     "Gauge",
     "Histogram",
@@ -47,7 +44,6 @@ __all__ = [
     "Observability",
     "Span",
     "SpanRecorder",
-    "WallClockProfiler",
     "format_metric_name",
     "load_snapshot",
     "obs_of",
@@ -56,7 +52,6 @@ __all__ = [
     "render_event_tail",
     "render_metric_tables",
     "render_pipeline_breakdown",
-    "render_profile",
     "render_slowest_spans",
     "render_trace",
 ]

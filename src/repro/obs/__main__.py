@@ -4,9 +4,8 @@ Three modes:
 
 - default: run the seeded demo workload (a small FIG-3-style job set on
   the testbed with observability attached) and render its dashboard;
-  ``--json PATH`` additionally writes the deterministic JSON export,
-  ``--events PATH`` the structured JSONL event log, and ``--profile``
-  turns on the wall-clock profiler and appends its report.
+  ``--json PATH`` additionally writes the deterministic JSON export
+  and ``--events PATH`` the structured JSONL event log.
 - ``render FILE``: render a previously exported ``.json`` snapshot
   (e.g. the ``BENCH_fig3.json`` CI artifact).
 - ``tail FILE``: print the last records of a JSONL event log export.
@@ -32,15 +31,9 @@ def run_demo(
     n_machines: int = 3,
     n_jobs: int = 4,
     seed: int = 11,
-    profile: bool = False,
     events_path: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """One seeded job-set run with observability on; returns the snapshot.
-
-    With ``profile=True`` the wall-clock profile is attached under the
-    snapshot's ``profile`` key (host timings — the one intentionally
-    nondeterministic section; everything else stays byte-reproducible).
-    """
+    """One seeded job-set run with observability on; returns the snapshot."""
     # Imported lazily: the obs package itself must not depend on gridapp.
     from repro.gridapp import FileRef, JobSpec, Testbed
     from repro.osim.programs import make_compute_program
@@ -50,7 +43,6 @@ def run_demo(
         seed=seed,
         machine_speeds=[1.0] * n_machines,
         observability=True,
-        profile=profile,
     )
     assert testbed.obs is not None
     event_log = testbed.obs.enable_event_log()
@@ -70,11 +62,7 @@ def run_demo(
         pathlib.Path(events_path).write_text(
             event_log.to_jsonl(), encoding="utf-8"
         )
-    snapshot = testbed.obs.snapshot()
-    if profile:
-        assert testbed.prof is not None
-        snapshot["profile"] = testbed.prof.snapshot()
-    return snapshot
+    return testbed.obs.snapshot()
 
 
 def _read_file(path: str) -> Optional[str]:
@@ -107,10 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     demo.add_argument(
         "--events", metavar="PATH", default=None,
         help="also write the structured JSONL event log to PATH",
-    )
-    demo.add_argument(
-        "--profile", action="store_true",
-        help="profile the host (wall-clock) cost and append the report",
     )
     demo.add_argument("--top", type=int, default=10, help="slowest-span rows")
 
@@ -161,7 +145,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         n_machines=args.machines,
         n_jobs=args.jobs,
         seed=args.seed,
-        profile=args.profile,
         events_path=args.events,
     )
     print(render_dashboard(snapshot, top=args.top))

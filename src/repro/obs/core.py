@@ -38,7 +38,7 @@ EXPORT_FORMAT = 1
 def obs_of(machine_or_network: Any) -> Optional["Observability"]:
     """The Observability attached to the fabric, if any (else None)."""
     network = getattr(machine_or_network, "network", machine_or_network)
-    return getattr(network, "obs", None)
+    return network.obs
 
 
 class Observability:
@@ -76,7 +76,7 @@ class Observability:
 
     def detach(self, network: "Network") -> None:
         """Disable observation of *network* (instrumentation goes dormant)."""
-        if getattr(network, "obs", None) is self:
+        if network.obs is self:
             network.obs = None
 
     def register_wrapper(self, wrapper: Any) -> None:
@@ -166,31 +166,29 @@ class Observability:
         reg.counter("wsrf.invocations", **ids).set_total(wrapper.invocations)
         reg.counter("wsrf.faults_returned", **ids).set_total(wrapper.faults_returned)
         store = wrapper.store
+        perf = wrapper.perf
         if id(store) not in seen_stores:
             seen_stores.add(id(store))
             reg.counter("db.loads", **ids).set_total(store.loads)
             reg.counter("db.saves", **ids).set_total(store.saves)
             reg.counter("db.scans", **ids).set_total(store.scans)
-            # Performance-layer cache effectiveness (CachedResourceStore
+            # Performance-layer cache effectiveness (the state cache
             # only — with perf off these metrics don't exist at all, so
             # default exports stay byte-identical).
-            hits = getattr(store, "hits", None)
-            if hits is not None:
-                reg.counter("perf.cache_hits", **ids).set_total(int(hits))
-                reg.counter("perf.cache_misses", **ids).set_total(
-                    int(getattr(store, "misses", 0))
-                )
+            if perf is not None and perf.state_cache:
+                reg.counter("perf.cache_hits", **ids).set_total(store.hits)
+                reg.counter("perf.cache_misses", **ids).set_total(store.misses)
             # Codec fast path: decode-cache effectiveness (blob-backed
             # stores; exported with the perf layer only, as above).
             decode_cache = getattr(store, "decode_cache", None)
-            if decode_cache is not None and getattr(wrapper, "perf", None) is not None:
+            if decode_cache is not None and perf is not None:
                 reg.counter("perf.decode_cache_hits", **ids).set_total(
                     decode_cache.hits
                 )
                 reg.counter("perf.decode_cache_misses", **ids).set_total(
                     decode_cache.misses
                 )
-        if getattr(wrapper, "perf", None) is not None:
+        if perf is not None:
             reg.counter("perf.loads_elided", **ids).set_total(
                 int(getattr(wrapper, "loads_elided", 0))
             )

@@ -172,62 +172,6 @@ def render_trace(snapshot: Snapshot, root_id: int, max_children: int = 12) -> st
     return "\n".join(lines)
 
 
-def render_profile(profile: Dict[str, Any]) -> str:
-    """The wall-clock profile: meters, flat stage table, flame tree.
-
-    *profile* is :meth:`repro.obs.prof.WallClockProfiler.snapshot` (or
-    the ``profile`` key of an exported snapshot).  All times here are
-    real host seconds, not simulated time.
-    """
-    meta = profile.get("meta", {})
-    meters = profile.get("meters", {})
-    counters = profile.get("counters", {})
-    lines = [
-        "== wall-clock profile (host time) ==",
-        f"wall {meta.get('wall_s', 0.0):.3f}s, busy {meta.get('busy_s', 0.0):.3f}s "
-        f"({counters.get('events', 0)} events)",
-    ]
-    meter_rows: List[Sequence[object]] = [
-        ["events/s", meters.get("events_per_s", 0.0), counters.get("events", 0)],
-        [
-            "envelopes/s",
-            meters.get("envelopes_per_s", 0.0),
-            counters.get("envelopes_encoded", 0) + counters.get("envelopes_parsed", 0),
-        ],
-        [
-            "store ops/s",
-            meters.get("store_ops_per_s", 0.0),
-            counters.get("store_loads", 0) + counters.get("store_saves", 0),
-        ],
-    ]
-    lines += _table(["meter", "rate", "count"], meter_rows)
-
-    stage_rows: List[Sequence[object]] = [
-        [
-            entry["stage"], entry["calls"], entry["self_s"] * 1000,
-            entry["cum_s"] * 1000, f"{entry['self_share'] * 100:.1f}%",
-        ]
-        for entry in profile.get("stages", [])
-    ]
-    if stage_rows:
-        lines.append("")
-        lines += _table(
-            ["stage", "calls", "self_ms", "cum_ms", "self%"], stage_rows
-        )
-
-    tree_rows: List[Sequence[object]] = [
-        [
-            "  " * (len(entry["path"]) - 1) + entry["path"][-1],
-            entry["calls"], entry["self_s"] * 1000, entry["cum_s"] * 1000,
-        ]
-        for entry in profile.get("tree", [])
-    ]
-    if tree_rows:
-        lines.append("")
-        lines += _table(["stage tree", "calls", "self_ms", "cum_ms"], tree_rows)
-    return "\n".join(lines)
-
-
 def render_event_tail(events: List[Dict[str, Any]], n: int = 20) -> str:
     """The last *n* records of a structured event log, one per line."""
     shown = events[-n:] if n > 0 else []
@@ -269,6 +213,4 @@ def render_dashboard(snapshot: Snapshot, top: int = 10, trace: bool = True) -> s
             parts.append(
                 "== slowest trace ==\n" + render_trace(snapshot, slowest["id"])
             )
-    if "profile" in snapshot:
-        parts.append(render_profile(snapshot["profile"]))
     return "\n\n".join(parts)

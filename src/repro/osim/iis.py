@@ -99,12 +99,12 @@ class IisServer:
             raise LookupError(
                 f"no service at {ctx.path!r} on host {self.machine.name!r}"
             )
-        obs = getattr(getattr(self.machine, "network", None), "obs", None)
+        obs = self.machine.network.obs
         span = None
         if obs is not None:
             span = obs.start_span(
                 "iis.handle",
-                message_id=getattr(ctx, "message_id", "") or None,
+                message_id=ctx.message_id or None,
                 attrs={"host": self.machine.name, "path": ctx.path},
             )
         try:

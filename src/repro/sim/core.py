@@ -141,11 +141,8 @@ class Environment:
         self._heap: list = []
         self._seq = 0
         self._active_process = None
-        #: attached repro.obs.WallClockProfiler, or None = profiling off
-        #: (step() then does a single None check, nothing else)
-        self.prof: Optional[Any] = None
         #: attached repro.analysis.RaceSanitizer, or None = sanitizing off
-        #: (the same single-None-check discipline as prof)
+        #: (step() and _schedule() then do a single None check each)
         self.san: Optional[Any] = None
 
     @property
@@ -206,18 +203,7 @@ class Environment:
         san = self.san
         if san is not None:
             san.on_step(event)
-        prof = self.prof
-        if prof is None:
-            event._run_callbacks()
-        else:
-            # Every bit of host work in a run happens synchronously
-            # inside exactly one step() — this region is the profile's
-            # root and its call count is the events/sec numerator.
-            prof.enter("sim.dispatch")
-            try:
-                event._run_callbacks()
-            finally:
-                prof.exit()
+        event._run_callbacks()
         if not event._ok and not event._defused:
             exc = event._value
             raise exc

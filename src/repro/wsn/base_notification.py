@@ -310,16 +310,6 @@ class NotificationProducer:
         wsnt:Notify sent by a detached simulation process (the publisher
         does not block on consumers, per §4.1's one-way semantics).
         """
-        prof = getattr(self.wrapper.machine.network, "prof", None)
-        if prof is None:
-            return self._publish_impl(topic_path, payload, parent_span)
-        # Synchronous fan-out work (matching, per-subscriber deep copies,
-        # dispatch process spawns); the sends themselves are profiled as
-        # net.oneway by their own detached processes.
-        with prof.region("wsn.publish"):
-            return self._publish_impl(topic_path, payload, parent_span)
-
-    def _publish_impl(self, topic_path: str, payload: Element, parent_span=None) -> int:
         wrapper = self.wrapper
         if topic_path not in self.topics_seen:
             if len(self.topics_seen) < self._topics_cap:
@@ -334,7 +324,7 @@ class NotificationProducer:
         ]
         env = wrapper.env
         client = wrapper.client
-        obs = getattr(wrapper.machine.network, "obs", None)
+        obs = wrapper.machine.network.obs
         span = None
         if obs is not None:
             span = obs.start_span(
@@ -383,9 +373,9 @@ class NotificationProducer:
         wrapper = self.wrapper
         policy = self.redelivery_policy
         env = wrapper.env
-        obs = getattr(wrapper.machine.network, "obs", None)
-        host = getattr(wrapper.machine, "host", None)
-        epoch = getattr(host, "boot_epoch", 0)
+        obs = wrapper.machine.network.obs
+        host = wrapper.machine.host
+        epoch = host.boot_epoch
         failures = 0
         while True:
             try:
@@ -416,9 +406,7 @@ class NotificationProducer:
                     obs.finish(rspan)
             except Exception:
                 return  # non-transport failure: plain one-way loss
-        if host is not None and (
-            host.down or getattr(host, "boot_epoch", 0) != epoch
-        ):
+        if host.down or host.boot_epoch != epoch:
             # This redelivery loop belongs to a dead boot: its failure
             # tally describes deliveries that never happened as far as
             # the restored broker is concerned — do not drop.
@@ -435,7 +423,7 @@ class NotificationProducer:
             except Exception:
                 self.subscriptions.pop(sub.resource_id, None)
             finally:
-                lock.release()
+                wrapper.release_resource_lock(sub.resource_id, lock)
 
 
 def attach_notification_producer(wrapper) -> NotificationProducer:

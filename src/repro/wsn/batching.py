@@ -91,7 +91,7 @@ class NotificationBatcher:
         self.batches_sent += 1
         self.max_batch_size = max(self.max_batch_size, len(events))
         body = build_notify_batch_body(events, wrapper.service_epr())
-        obs = getattr(wrapper.machine.network, "obs", None)
+        obs = wrapper.machine.network.obs
         span = None
         if obs is not None:
             span = obs.start_span(

@@ -64,13 +64,7 @@ class NotificationListener:
     # -- network server protocol -----------------------------------------------------
 
     def handle(self, payload: str, ctx):
-        prof = getattr(self.network, "prof", None)
-        codec = self.network.codec
-        if prof is None:
-            envelope = SoapEnvelope.deserialize(payload, codec)
-        else:
-            with prof.region("soap.parse"):
-                envelope = SoapEnvelope.deserialize(payload, codec)
+        envelope = SoapEnvelope.deserialize(payload, self.network.codec)
         if envelope.body.tag != NOTIFY:
             raise ValueError(
                 f"notification listener received non-Notify {envelope.body.tag}"

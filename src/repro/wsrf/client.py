@@ -96,15 +96,10 @@ class WsrfClient:
             action = f"{body.tag.uri}/{body.tag.local}"
         headers = AddressingHeaders(to_epr=epr, action=action, reply_to=reply_to)
         envelope = SoapEnvelope(headers, body, extra_headers=extra_headers)
-        prof = getattr(self.network, "prof", None)
         codec = self.network.codec
-        if prof is None:
-            raw = envelope.serialize(codec)
-        else:
-            with prof.region("soap.encode"):
-                raw = envelope.serialize(codec)
+        raw = envelope.serialize(codec)
         mid = headers.message_id
-        obs = getattr(self.network, "obs", None)
+        obs = self.network.obs
         span = None
         if obs is not None:
             span = obs.start_span(
@@ -141,11 +136,7 @@ class WsrfClient:
                     rng=self._rng,
                     on_retry=self._count_retry,
                 )
-            if prof is None:
-                response = SoapEnvelope.deserialize(response_raw, codec)
-            else:
-                with prof.region("soap.parse"):
-                    response = SoapEnvelope.deserialize(response_raw, codec)
+            response = SoapEnvelope.deserialize(response_raw, codec)
             payload = response.body
             if SoapFault.is_fault(payload):
                 fault = SoapFault.from_element(payload)

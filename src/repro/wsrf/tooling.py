@@ -19,9 +19,11 @@ IIS dispatches to.  Per invocation the wrapper
 from __future__ import annotations
 
 import inspect
+from operator import attrgetter
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
-from repro.db import BlobResourceStore, CachedResourceStore, NoSuchResource
+from repro.db import BlobResourceStore, CachedResourceStore, NoSuchResource, ResourceStore
+from repro.net.network import DeliveryError
 from repro.perf import PerfConfig
 from repro.sim import Lock
 from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
@@ -141,6 +143,34 @@ class InvocationContext:
         return open_security_header(header, keys)
 
 
+class _Call:
+    """One invocation's trip through :attr:`WrapperService._STAGES`: what
+    the stages hand each other.  Lives and dies with the dispatch — the
+    InvocationContext outlives it in author code and detached watchers,
+    so the loaded state and the reply are kept off that."""
+
+    __slots__ = (
+        "ctx", "instance", "pool", "epoch", "needs_resource", "lock",
+        "worker_held", "stage", "state_before", "state_after", "persist",
+        "response",
+    )
+
+    def __init__(self, ctx: InvocationContext, instance, pool, epoch: int,
+                 needs_resource: bool) -> None:
+        self.ctx = ctx
+        self.instance = instance  # the service object the method runs on
+        self.pool = pool  # the ASP.NET pool serving the call
+        self.epoch = epoch  # the host's boot on arrival (_zombie)
+        self.needs_resource = needs_resource  # the operation works on a WS-Resource
+        self.lock = None  # ... whose mutex this is, once held
+        self.worker_held = False  # a thread of the pool is occupied
+        self.stage = None  # the stage span now open (None when obs is off)
+        self.state_before = None  # the state db_load read
+        self.state_after = None  # what db_save must write (None: no change)
+        self.persist = True  # cleared by write elision: db_save is skipped
+        self.response = None  # the reply body
+
+
 class WrapperService:
     """The generated WSRF-compliant wrapper around an author's service."""
 
@@ -152,7 +182,7 @@ class WrapperService:
         service_cls: Type[ServiceSkeleton],
         machine,
         path: str,
-        store: Optional[BlobResourceStore] = None,
+        store: Optional[ResourceStore] = None,
         perf: Optional[PerfConfig] = None,
     ) -> None:
         if not issubclass(service_cls, ServiceSkeleton):
@@ -164,7 +194,7 @@ class WrapperService:
         self.env = machine.env
         self.path = path.strip("/")
         self.service_name = self.path
-        self.store = store if store is not None else BlobResourceStore()
+        self.store: ResourceStore = store if store is not None else BlobResourceStore()
         self.perf = perf
         if perf is not None and perf.state_cache and not isinstance(
             self.store, CachedResourceStore
@@ -173,6 +203,10 @@ class WrapperService:
         self.address = machine.service_url(self.path)
 
         self._fields = collect_resource_fields(service_cls)
+        #: (attribute, state key) per Resource field, resolved once here
+        self._field_qnames = [
+            (name, desc.resolved_qname(service_cls)) for name, desc in self._fields.items()
+        ]
         self._rps = collect_resource_properties(service_cls)
         self._methods = collect_web_methods(service_cls)
         ns = service_cls.SERVICE_NS
@@ -212,10 +246,10 @@ class WrapperService:
 
         self.client = WsrfClient(machine.network, machine.name)
         machine.iis.register_app(self.path, self)
-        obs = getattr(machine.network, "obs", None)
+        obs = machine.network.obs
         if obs is not None:
             obs.register_wrapper(self)
-        san = getattr(self.env, "san", None)
+        san = self.env.san
         if san is not None:
             # Runtime lockset/happens-before sanitizer: wrap the store so
             # every row access is checked (docs/static_analysis.md).
@@ -234,14 +268,10 @@ class WrapperService:
     # -- resource management ----------------------------------------------------------
 
     def _state_from_instance(self, instance) -> Dict[QName, Any]:
-        return {
-            desc.resolved_qname(self.service_cls): getattr(instance, name)
-            for name, desc in self._fields.items()
-        }
+        return {qname: getattr(instance, name) for name, qname in self._field_qnames}
 
     def _populate_instance(self, instance, state: Dict[QName, Any]) -> None:
-        for name, desc in self._fields.items():
-            qname = desc.resolved_qname(self.service_cls)
+        for name, qname in self._field_qnames:
             if qname in state:
                 setattr(instance, name, state[qname])
 
@@ -265,14 +295,17 @@ class WrapperService:
         try:
             self.store.destroy(self.service_name, resource_id)
         except NoSuchResource:
-            raise ResourceUnknownFault(
-                description=f"no resource {resource_id!r} at {self.address}",
-                timestamp=self.env.now,
-            ) from None
+            raise self._unknown_resource(resource_id) from None
         self._termination.pop(resource_id, None)
         self._pending_db_ops += 1
         for callback in self.on_resource_destroyed:
             callback(resource_id)
+
+    def _unknown_resource(self, resource_id) -> ResourceUnknownFault:
+        return ResourceUnknownFault(
+            description=f"no resource {resource_id!r} at {self.address}",
+            timestamp=self.env.now,
+        )
 
     def resource_ids(self):
         return self.store.list_ids(self.service_name)
@@ -304,6 +337,23 @@ class WrapperService:
                     f"{self.machine.name}:{self.service_name}/{resource_id}",
                 )
         return lock
+
+    def release_resource_lock(self, resource_id: str, lock: Lock) -> None:
+        """Release *lock*, and forget it once its resource is gone.
+
+        Every job, directory and subscription gets a mutex on first use;
+        dropped nowhere, the table grows with every resource ever
+        created.  The entry goes only when the row no longer exists and
+        the release left the lock free: a lock handed to a waiter stays
+        locked, and that waiter's own release comes back here.
+        """
+        lock.release()
+        if (
+            not lock.locked
+            and self._resource_locks.get(resource_id) is lock
+            and not self.store.exists(self.service_name, resource_id)
+        ):
+            del self._resource_locks[resource_id]
 
     def start_sweeper(self, period: float = 1.0):
         """Spawn the lifetime sweeper enforcing scheduled termination."""
@@ -339,7 +389,7 @@ class WrapperService:
                         # The destroy is persisted; deferred sends may go.
                         ctx._flush_outbox()
                     finally:
-                        lock.release()
+                        self.release_resource_lock(rid, lock)
 
         return self.env.process(sweeper(self.env))
 
@@ -373,7 +423,7 @@ class WrapperService:
         mirrors are rebuilt from persisted rows.  Finishes by invoking
         the author-side :meth:`ServiceSkeleton.wsrf_recover` hook.
         """
-        obs = getattr(self.machine.network, "obs", None)
+        obs = self.machine.network.obs
         span = None
         if obs is not None:
             span = obs.start_span(
@@ -404,8 +454,9 @@ class WrapperService:
         if span is not None:
             obs.finish(span)
 
-    def _check_alive(self, epoch: int) -> None:
-        """Abort the dispatch if the host crashed since it started.
+    def _zombie(self, epoch: int) -> Optional[DeliveryError]:
+        """The error that aborts a dispatch whose host crashed since it
+        started (None while the boot it arrived in is still up).
 
         A handler that straddles a crash is a zombie of the previous
         boot: its writes were never persisted (the checkpoint predates
@@ -413,16 +464,13 @@ class WrapperService:
         :class:`~repro.net.network.DeliveryError` models the client-side
         connection reset; retry policies take it from there.
         """
-        host = getattr(self.machine, "host", None)
-        if host is None:
-            return
-        if host.down or getattr(host, "boot_epoch", 0) != epoch:
-            from repro.net.network import DeliveryError
-
-            raise DeliveryError(
+        host = self.machine.host
+        if host.down or host.boot_epoch != epoch:
+            return DeliveryError(
                 f"host {self.machine.name!r} went down mid-dispatch; "
                 "unpersisted work is discarded (write-ahead contract)"
             )
+        return None
 
     # -- notifications ------------------------------------------------------------------
 
@@ -476,29 +524,15 @@ class WrapperService:
     # -- the dispatch pipeline ---------------------------------------------------------------
 
     def handle_soap(self, payload: str, delivery, pool=None):
-        """IIS-facing entry point; returns a simulation coroutine."""
-        gen = self._handle_soap_impl(payload, delivery, pool)
-        prof = getattr(self.machine.network, "prof", None)
-        if prof is None:
-            # Disabled profiling hands back the impl generator directly
-            # (no wrapper frame — the obs None-check contract).
-            return gen
-        return prof.wrap("wsrf.dispatch", gen)
-
-    def _handle_soap_impl(self, payload: str, delivery, pool=None):
+        """IIS-facing entry point; a simulation coroutine."""
         self.invocations += 1
-        prof = getattr(self.machine.network, "prof", None)
         codec = self.machine.network.codec
-        if prof is None:
-            envelope = SoapEnvelope.deserialize(payload, codec)
-        else:
-            with prof.region("soap.parse"):
-                envelope = SoapEnvelope.deserialize(payload, codec)
+        envelope = SoapEnvelope.deserialize(payload, codec)
         rid = envelope.addressing.to_epr.get(RESOURCE_ID)
-        obs = getattr(self.machine.network, "obs", None)
+        obs = self.machine.network.obs
         span = None
         if obs is not None:
-            mid = getattr(delivery, "message_id", "") if delivery is not None else ""
+            mid = delivery.message_id if delivery is not None else ""
             span = obs.start_span(
                 "wsrf.dispatch",
                 message_id=mid or envelope.addressing.message_id or None,
@@ -537,216 +571,197 @@ class WrapperService:
             action=envelope.action + "Response",
             relates_to=envelope.addressing.message_id,
         )
-        response = SoapEnvelope(headers, response_body)
-        if prof is None:
-            return response.serialize(codec)
-        with prof.region("soap.encode"):
-            return response.serialize(codec)
+        return SoapEnvelope(headers, response_body).serialize(codec)
 
-    def _charge_pending_db(self):
+    def _dispatch(self, envelope: SoapEnvelope, rid, delivery, pool=None, span=None):
+        """Take one invocation through the Fig. 1 stages (:attr:`_STAGES`).
+
+        The loop below is the one place a stage span opens and closes.
+        A stage ends the dispatch either by *returning* the fault — it
+        is raised once the stage's span has closed — or by raising it,
+        which leaves the span open for ``handle_soap``'s
+        ``finish_subtree`` to close after the dispatch span (the event
+        log tells the two apart).  docs/observability.md has the table.
+        """
+        tag = envelope.body.tag
+        self._pending_db_ops = 0
+        obs = self.machine.network.obs if span is not None else None
+        if obs is not None:
+            # EPR resolution (reading ResourceID out of the headers) costs
+            # no simulated time; the zero-length stage still marks Fig. 1
+            # step 1 in the trace.
+            obs.finish(obs.start_span(
+                "wsrf.dispatch.epr_resolve", parent=span,
+                attrs={"service": self.path, "resource_id": rid or ""},
+            ))
+        author_op = self._author_ops.get(tag)
+        if author_op is not None:
+            needs_resource = author_op[1].__web_method__["requires_resource"]
+        elif tag in self._spec_ops:
+            optional = tag in self._spec_ops[tag][0].OPTIONAL_RESOURCE_OPS
+            needs_resource = not optional or rid is not None
+        else:
+            raise SoapFault(
+                "soap:Client",
+                f"service {self.path!r} has no operation for body element {tag}",
+            )
+        # The epoch says which boot of this host the invocation belongs
+        # to; a restart mid-dispatch turns the handler into a zombie.
+        call = _Call(
+            InvocationContext(self, rid, envelope, delivery, span=span),
+            self.service_cls(), pool, self.machine.host.boot_epoch, needs_resource,
+        )
+        san = self.env.san
+        if san is not None:
+            # Joins the service's recovery clock and reports reentrant
+            # dispatch of a resource this call stack already holds.
+            san.on_dispatch_enter(self.machine.name, self.service_name, rid)
+        try:
+            for name, stage, applies in self._STAGES:
+                if applies is not None and not applies(call):
+                    continue
+                if obs is not None:
+                    call.stage = obs.start_span(
+                        name, parent=span, attrs={"service": self.path}
+                    )
+                fault = yield from stage(self, call)
+                if obs is not None:
+                    obs.finish(call.stage)
+                if fault is not None:
+                    raise fault
+            # What the sends describe is durable now (under write elision
+            # it already was before this dispatch).
+            call.ctx._flush_outbox()
+            return call.response
+        finally:
+            # Fault paths reach here with the outbox unflushed: those
+            # sends are discarded, not delayed (their state never made
+            # it to the database).  Closing the context makes any later
+            # send_after_persist from detached watchers fire directly.
+            call.ctx._outbox_closed = True
+            if call.worker_held:
+                pool.release()
+            if call.lock is not None:
+                self.release_resource_lock(rid, call.lock)
+            if san is not None:
+                san.on_dispatch_exit(self.machine.name, self.service_name, rid)
+
+    def _queue(self, call: _Call):
+        """Wait for the resource's mutex, then for an ASP.NET worker
+        thread.  A stage of its own so the stages partition the whole
+        dispatch span: every simulated wait lands in exactly one."""
+        if call.needs_resource:
+            rid = call.ctx.resource_id
+            if rid is None:
+                return ResourceUnknownFault(
+                    description=(
+                        f"operation {call.ctx.envelope.body.tag.local} requires a "
+                        "WS-Resource but the EPR carries no ResourceID "
+                        "reference property"
+                    ),
+                    timestamp=self.env.now,
+                )
+            lock = self.resource_lock(rid)
+            yield lock.acquire()
+            call.lock = lock
+        # Resource lock first, worker thread second: lock waiters must
+        # not occupy the ASP.NET pool (re-entrancy deadlock hazard).
+        if call.pool is not None:
+            yield call.pool.acquire()
+            call.worker_held = True
+            yield self.env.timeout(self.machine.params.iis_dispatch_s)
+        return self._zombie(call.epoch)
+
+    def _db_load(self, call: _Call):
+        """Read the WS-Resource's state into the instance's fields."""
+        rid = call.ctx.resource_id
+        cached = self.store.is_cached(self.service_name, rid)
+        if call.stage is not None and self.perf is not None and self.perf.state_cache:
+            call.stage.attrs["cache"] = "hit" if cached else "miss"
+        if cached:
+            # The state is served from the write-through cache: no
+            # database access, no db delay.  The resource lock is held,
+            # so nothing can invalidate the entry between the is_cached
+            # probe and the load.
+            self.loads_elided += 1
+        else:
+            yield self.machine.db_delay()
+        try:
+            call.state_before = self.store.load(self.service_name, rid)
+        except NoSuchResource:
+            raise self._unknown_resource(rid) from None
+        self._populate_instance(call.instance, call.state_before)
+
+    def _method(self, call: _Call):
+        """Run the author's web method or the spec port type's, then
+        work out what the db_save stage has to persist."""
+        ctx, instance = call.ctx, call.instance
+        body = ctx.envelope.body
+        instance._invocation = ctx
+        if call.stage is not None:
+            call.stage.attrs["operation"] = body.tag.local
+        author_op = self._author_ops.get(body.tag)
+        if author_op is not None:
+            name, fn, arguments = author_op
+            result = fn(instance, **self._deserialize_args(fn, arguments, body))
+            if inspect.isgenerator(result):
+                result = yield from result
+            call.response = self._serialize_author_result(name, result)
+        else:
+            pt_cls, method_name = self._spec_ops[body.tag]
+            result = getattr(pt_cls(self, instance), method_name)(body)
+            if inspect.isgenerator(result):
+                result = yield from result
+            call.response = result
+        # A crash between the method and the db_save stage rolls the
+        # state back to the checkpoint: no save, no reply, and the
+        # outbox dies unflushed (the write-ahead contract's whole
+        # point — nothing announces state that was never persisted).
+        zombie = self._zombie(call.epoch)
+        if zombie is not None:
+            return zombie
+        # Save state if the resource still exists and anything changed.
+        if call.state_before is not None and self.store.exists(
+            self.service_name, ctx.resource_id
+        ):
+            candidate = self._state_from_instance(instance)
+            if candidate != call.state_before:
+                call.state_after = candidate
+        if (
+            self.perf is not None
+            and self.perf.write_elision
+            and call.state_after is None
+            and self._pending_db_ops == 0
+        ):
+            # Nothing to persist: skip the db_save stage entirely.
+            # (WSRF.NET's pipeline opens it unconditionally, so the
+            # default path keeps the stage even when empty.)
+            self.writes_elided += 1
+            call.persist = False
+
+    def _db_save(self, call: _Call):
+        """Write back what the method changed, then pay for the rows it
+        created or destroyed."""
+        if call.state_after is not None:
+            yield self.machine.db_delay()
+            zombie = self._zombie(call.epoch)
+            if zombie is not None:
+                raise zombie
+            self.store.save(self.service_name, call.ctx.resource_id, call.state_after)
         # Resource create/destroy from author code is synchronous; the DB
         # time it implies is charged here, after the method returns.
         while self._pending_db_ops:
             self._pending_db_ops -= 1
             yield self.machine.db_delay()
 
-    def _dispatch(self, envelope: SoapEnvelope, rid, delivery, pool=None, span=None):
-        body = envelope.body
-        tag = body.tag
-        self._pending_db_ops = 0
-        # Which boot of this host the invocation belongs to; a restart
-        # mid-dispatch turns the handler into a zombie (see _check_alive).
-        epoch = getattr(getattr(self.machine, "host", None), "boot_epoch", 0)
-        prof = getattr(self.machine.network, "prof", None)
-        obs = getattr(self.machine.network, "obs", None) if span is not None else None
-        if obs is not None:
-            # EPR resolution (reading ResourceID out of the headers) costs
-            # no simulated time; the zero-length stage still marks Fig. 1
-            # step 1 in the trace.
-            stage = obs.start_span(
-                "wsrf.dispatch.epr_resolve", parent=span,
-                attrs={"service": self.path, "resource_id": rid or ""},
-            )
-            obs.finish(stage)
-
-        if tag in self._author_ops:
-            name, fn, arguments = self._author_ops[tag]
-            meta = fn.__web_method__
-            requires_resource = meta["requires_resource"]
-            handler_kind = "author"
-        elif tag in self._spec_ops:
-            pt_cls_probe = self._spec_ops[tag][0]
-            optional = tag in pt_cls_probe.OPTIONAL_RESOURCE_OPS
-            requires_resource = not optional or rid is not None
-            handler_kind = "spec"
-        else:
-            raise SoapFault(
-                "soap:Client",
-                f"service {self.path!r} has no operation for body element {tag}",
-            )
-
-        san = self.env.san
-        if san is not None:
-            # Joins the service's recovery clock and reports reentrant
-            # dispatch of a resource this call stack already holds.
-            san.on_dispatch_enter(self.machine.name, self.service_name, rid)
-        instance = self.service_cls()
-        state_before: Optional[Dict[QName, Any]] = None
-        lock = None
-        stage = None
-        if obs is not None:
-            # Queueing: the resource lock plus the ASP.NET worker thread.
-            # Counted as a pipeline stage so the stages partition the
-            # whole dispatch span (every simulated wait lands in exactly
-            # one wsrf.dispatch.* child).
-            stage = obs.start_span(
-                "wsrf.dispatch.queue", parent=span, attrs={"service": self.path}
-            )
-        if requires_resource:
-            if rid is None:
-                if stage is not None:
-                    obs.finish(stage)
-                raise ResourceUnknownFault(
-                    description=(
-                        f"operation {tag.local} requires a WS-Resource but the "
-                        "EPR carries no ResourceID reference property"
-                    ),
-                    timestamp=self.env.now,
-                )
-            lock = self.resource_lock(rid)
-            yield lock.acquire()
-        worker_held = False
-        ctx = None
-        try:
-            # Resource lock first, worker thread second: lock waiters must
-            # not occupy the ASP.NET pool (re-entrancy deadlock hazard).
-            if pool is not None:
-                yield pool.acquire()
-                worker_held = True
-                yield self.env.timeout(self.machine.params.iis_dispatch_s)
-            if stage is not None:
-                obs.finish(stage)
-            self._check_alive(epoch)
-            if requires_resource:
-                cache_hit = (
-                    self.perf is not None
-                    and self.perf.state_cache
-                    and isinstance(self.store, CachedResourceStore)
-                    and self.store.is_cached(self.service_name, rid)
-                )
-                if obs is not None:
-                    attrs = {"service": self.path}
-                    if self.perf is not None and self.perf.state_cache:
-                        attrs["cache"] = "hit" if cache_hit else "miss"
-                    stage = obs.start_span(
-                        "wsrf.dispatch.db_load", parent=span, attrs=attrs,
-                    )
-                if cache_hit:
-                    # The state is served from the write-through cache:
-                    # no database access, no db delay.  The resource lock
-                    # is held, so nothing can invalidate the entry between
-                    # the is_cached probe and the load.
-                    self.loads_elided += 1
-                else:
-                    yield self.machine.db_delay()
-                try:
-                    if prof is None:
-                        state_before = self.store.load(self.service_name, rid)
-                    else:
-                        with prof.region("db.load"):
-                            state_before = self.store.load(self.service_name, rid)
-                except NoSuchResource:
-                    raise ResourceUnknownFault(
-                        description=f"no resource {rid!r} at {self.address}",
-                        timestamp=self.env.now,
-                    ) from None
-                self._populate_instance(instance, state_before)
-                if stage is not None:
-                    obs.finish(stage)
-            ctx = InvocationContext(self, rid, envelope, delivery, span=span)
-            instance._invocation = ctx
-
-            if obs is not None:
-                stage = obs.start_span(
-                    "wsrf.dispatch.method", parent=span,
-                    attrs={"service": self.path, "operation": tag.local},
-                )
-            if handler_kind == "author":
-                kwargs = self._deserialize_args(fn, arguments, body)
-                result = fn(instance, **kwargs)
-                if inspect.isgenerator(result):
-                    result = yield from result
-                response_body = self._serialize_author_result(name, result)
-            else:
-                pt_cls, method_name = self._spec_ops[tag]
-                pt = pt_cls(self, instance)
-                result = getattr(pt, method_name)(body)
-                if inspect.isgenerator(result):
-                    result = yield from result
-                response_body = result
-            if stage is not None:
-                obs.finish(stage)
-            # A crash between the method and the db_save stage rolls the
-            # state back to the checkpoint: no save, no reply, and the
-            # outbox dies unflushed (the write-ahead contract's whole
-            # point — nothing announces state that was never persisted).
-            self._check_alive(epoch)
-
-            # Save state if the resource still exists and anything changed.
-            state_after: Optional[Dict[QName, Any]] = None
-            if (
-                requires_resource
-                and state_before is not None
-                and self.store.exists(self.service_name, rid)
-            ):
-                candidate = self._state_from_instance(instance)
-                if candidate != state_before:
-                    state_after = candidate
-            if (
-                self.perf is not None
-                and self.perf.write_elision
-                and state_after is None
-                and self._pending_db_ops == 0
-            ):
-                # Nothing to persist: skip the db_save stage entirely.
-                # (WSRF.NET's pipeline opens it unconditionally, so the
-                # default path below keeps the stage even when empty.)
-                # Deferred sends are safe here — elision means the state
-                # they describe was already durable before this dispatch.
-                self.writes_elided += 1
-                ctx._flush_outbox()
-                return response_body
-            if obs is not None:
-                stage = obs.start_span(
-                    "wsrf.dispatch.db_save", parent=span,
-                    attrs={"service": self.path},
-                )
-            if state_after is not None:
-                yield self.machine.db_delay()
-                self._check_alive(epoch)
-                if prof is None:
-                    self.store.save(self.service_name, rid, state_after)
-                else:
-                    with prof.region("db.save"):
-                        self.store.save(self.service_name, rid, state_after)
-            yield from self._charge_pending_db()
-            if stage is not None:
-                obs.finish(stage)
-            ctx._flush_outbox()
-            return response_body
-        finally:
-            # Fault paths reach here with the outbox unflushed: those
-            # sends are discarded, not delayed (their state never made
-            # it to the database).  Closing the context makes any later
-            # send_after_persist from detached watchers fire directly.
-            if ctx is not None:
-                ctx._outbox_closed = True
-            if worker_held:
-                pool.release()
-            if lock is not None:
-                lock.release()
-            if san is not None:
-                san.on_dispatch_exit(self.machine.name, self.service_name, rid)
+    #: Fig. 1 in order: (span name, stage coroutine, the per-call flag
+    #: that must be set for the stage to run — None: it always does)
+    _STAGES = (
+        ("wsrf.dispatch.queue", _queue, None),
+        ("wsrf.dispatch.db_load", _db_load, attrgetter("needs_resource")),
+        ("wsrf.dispatch.method", _method, None),
+        ("wsrf.dispatch.db_save", _db_save, attrgetter("persist")),
+    )
 
     def _deserialize_args(self, fn, arguments, body: Element) -> Dict[str, Any]:
         kwargs: Dict[str, Any] = {}
@@ -778,7 +793,7 @@ def deploy(
     service_cls: Type[ServiceSkeleton],
     machine,
     path: str,
-    store: Optional[BlobResourceStore] = None,
+    store: Optional[ResourceStore] = None,
     perf: Optional[PerfConfig] = None,
 ) -> WrapperService:
     """Run the WSRF.NET tooling: wrap *service_cls* and host it in IIS.

@@ -18,7 +18,7 @@ def wall_clock_datetime():
 
 
 def wall_clock_perf_counter():
-    # DET001: the host timer family is only allowlisted in obs/prof.py.
+    # DET001: the host timer family has no exemption anywhere.
     return time.perf_counter()
 
 

@@ -38,6 +38,8 @@ from repro.soap import EnvelopeCache, SoapEnvelope
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.xmlx import NS, Element, QName, XmlParseError, parse, to_string
 
+from tests.helpers import fan_spec, fig3_testbed
+
 UVA = NS.UVACG
 
 
@@ -702,20 +704,16 @@ def _grid(chaos=False, **kwargs):
             retry_policy=policy, broker_redelivery=policy,
             fault_tolerance=FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0),
         )
-    tb = Testbed(n_machines=3, seed=11, machine_speeds=[1.0, 1.0, 1.0], **kwargs)
+    tb = fig3_testbed(10.0, {"out": b"x"}, n_machines=3, **kwargs)
     if chaos:
         tb.network.inject_faults(drop_probability=0.20, seed=3)
-    tb.programs.register(make_compute_program("work", 10.0, outputs={"out": b"x"}))
     return tb
 
 
 def _run_fig3(chaos=False, **kwargs):
     tb = _grid(chaos, **kwargs)
     client = tb.make_client()
-    spec = client.new_job_set()
-    exe = client.add_program_binary(tb.programs.get("work"))
-    for i in range(4):
-        spec.add(JobSpec(name=f"job{i}", executable=FileRef(exe, "job.exe")))
+    spec = fan_spec(client, tb, 4)
     if chaos:
         outcome, _, _ = tb.run(
             client.run_job_set_polled(spec, period=3.0, give_up_after=2000.0)

@@ -23,25 +23,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.resource_store import encode_state
-from repro.gridapp import (
-    FederationConfig,
-    FileRef,
-    HashRing,
-    JobSpec,
-    Testbed,
-)
+from repro.gridapp import FederationConfig, HashRing, Testbed
 from repro.gridapp.federation import FederatedGridClient, ZoneRoute
 from repro.osim.programs import make_compute_program
 from repro.xmlx import NS, QName
+
+from tests.helpers import assembly_order, fan_spec, fig3_testbed, final_grid_state
 
 UVA = NS.UVACG
 SG = NS.WSRF_SG
 
 PAYLOAD = b"federation payload"
-
-#: run-relative artifacts, not semantics (see test_perf_equivalence.py)
-_TIME_KEYS = {QName(UVA, "job_dispatched_at"), QName(UVA, "pid")}
 
 
 # -- consistent-hash ring properties (satellite 2) -----------------------------------
@@ -154,38 +146,10 @@ class TestHashRingProperties:
 # -- 1-zone differential (satellite 1) -----------------------------------------------
 
 
-def _normalized_store_state(wrapper):
-    out = {}
-    for rid in wrapper.store.list_ids(wrapper.service_name):
-        state = wrapper.store.load(wrapper.service_name, rid)
-        state = {k: v for k, v in state.items() if k not in _TIME_KEYS}
-        out[rid] = encode_state(state)
-    return out
-
-
-def _comparable_grid_state(tb):
-    """Normalized stores of every service with host-independent state.
-
-    The brokers are *excluded*: a federated run's subscription rows
-    point consumers at different host names (root broker vs. central)
-    by construction, and the zone broker additionally holds the root
-    uplink — topology, not job-set semantics.
-    """
-    wrappers = {"Scheduler": tb.scheduler, "NodeInfo": tb.node_info}
-    for name, es in tb.es.items():
-        wrappers[f"ExecService@{name}"] = es
-    for name, fss in tb.fss.items():
-        wrappers[f"FileSystem@{name}"] = fss
-    return {name: _normalized_store_state(w) for name, w in wrappers.items()}
-
-
 def _run_fig3(federation, n_jobs=8, chain=False):
-    tb = Testbed(
-        n_machines=4, seed=11, machine_speeds=[1.0] * 4,
+    tb = fig3_testbed(
+        30.0, {"out.dat": PAYLOAD},
         start_utilization_services=False, federation=federation,
-    )
-    tb.programs.register(
-        make_compute_program("work", 30.0, outputs={"out.dat": PAYLOAD})
     )
     if federation is None:
         client = tb.make_client()
@@ -194,16 +158,7 @@ def _run_fig3(federation, n_jobs=8, chain=False):
         fed = tb.make_federated_client()
         client = fed.client
         runner = fed.run_job_set_polled
-    spec = client.new_job_set()
-    exe = client.add_program_binary(tb.programs.get("work"))
-    for i in range(n_jobs):
-        inputs = (
-            [FileRef(f"job{i-1}://out.dat", "prev.dat")] if chain and i else []
-        )
-        spec.add(
-            JobSpec(name=f"job{i}", executable=FileRef(exe, "job.exe"),
-                    inputs=inputs, outputs=["out.dat"] if chain else [])
-        )
+    spec = fan_spec(client, tb, n_jobs, chain=chain)
     outcome, jobset_epr, topic = tb.run(runner(spec))
     tb.settle()
     rid = jobset_epr.get(QName(UVA, "ResourceID"))
@@ -220,7 +175,7 @@ def _run_fig3(federation, n_jobs=8, chain=False):
         "outputs": outputs,
         "exit_codes": state[QName(UVA, "job_exit_codes")],
         "placements": state[QName(UVA, "job_machine")],
-        "state": _comparable_grid_state(tb),
+        "state": final_grid_state(tb, brokers=False),
         "client_events": sorted(
             (note.topic, note.payload.tag.local)
             for note in client.listener.received
@@ -259,6 +214,31 @@ class TestSingleZoneDifferential:
         federated = _run_fig3(FederationConfig(n_zones=1), n_jobs=4, chain=True)
         self._assert_equivalent(single, federated)
 
+    def test_one_zone_assembly_is_the_single_site_one_behind_a_root(self):
+        single = Testbed(n_machines=2, seed=11, observability=True)
+        hosts, wrappers, by_serial = assembly_order(single)
+        assert hosts == by_serial == ["uvacg-central", "node00", "node01"]
+        assert wrappers == [
+            ("uvacg-central", "NotificationBroker", None),
+            ("uvacg-central", "NodeInfo", None),
+            ("uvacg-central", "Scheduler", None),
+            ("node00", "FileSystem", None), ("node00", "ExecService", None),
+            ("node01", "FileSystem", None), ("node01", "ExecService", None),
+        ]
+        assert single.zones == [] and single.root is None
+
+        zoned = Testbed(n_machines=2, seed=11, observability=True, federation=1)
+        z_hosts, z_wrappers, z_by_serial = assembly_order(zoned)
+        assert z_hosts == z_by_serial == ["uvacg-root", "uvacg-z00", "node00", "node01"]
+        assert z_wrappers == [
+            ("uvacg-root", "NotificationBroker", "root"),
+            ("uvacg-root", "AggregatorCatalog", "root"),
+        ] + [
+            (host.replace("uvacg-central", "uvacg-z00"), path, "z00")
+            for host, path, _ in wrappers
+        ]
+        assert zoned.central is zoned.zones[0].central
+
     def test_one_zone_ring_routes_everything_to_it(self):
         ring = HashRing(["z00"])
         for i in range(20):
@@ -281,11 +261,7 @@ def _federated_testbed(n_machines=4, config=None, **kwargs):
 
 
 def _spec_of(client, tb, n_jobs):
-    spec = client.new_job_set()
-    exe = client.add_program_binary(tb.programs.get("work"))
-    for i in range(n_jobs):
-        spec.add(JobSpec(name=f"j{i}", executable=FileRef(exe, "job.exe")))
-    return spec
+    return fan_spec(client, tb, n_jobs, name="j{}")
 
 
 class TestFederatedTopology:

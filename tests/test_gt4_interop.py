@@ -10,7 +10,7 @@ import pytest
 
 from repro.gridapp import FileRef, JobSpec, Testbed
 from repro.gridapp.execution_service import parse_job_event
-from repro.gt4 import ForkSpawnService, Gt4Params, LinuxMachine
+from repro.gt4 import ForkSpawnService, Gt4ExecutionService, Gt4Params, LinuxMachine
 from repro.net import Network
 from repro.osim import SpawnError
 from repro.osim.programs import make_compute_program
@@ -23,6 +23,8 @@ from repro.wssec import (
 )
 from repro.wssec.x509 import enroll
 from repro.xmlx import NS, QName, parse, to_string
+
+from tests.helpers import assembly_order
 
 UVA = NS.UVACG
 
@@ -139,6 +141,25 @@ def _spec_for(client, tb, n=1):
 
 
 class TestMixedGrid:
+    def test_assembly_deploys_windows_machines_then_linux(self):
+        tb = Testbed(n_machines=2, n_linux_machines=2, seed=61, observability=True)
+        hosts, wrappers, by_serial = assembly_order(tb)
+        assert hosts == by_serial == [
+            "uvacg-central", "node00", "node01", "linux00", "linux01",
+        ]
+        assert wrappers == [
+            ("uvacg-central", "NotificationBroker", None),
+            ("uvacg-central", "NodeInfo", None),
+            ("uvacg-central", "Scheduler", None),
+        ] + [
+            (host, path, None)
+            for host in hosts[1:] for path in ("FileSystem", "ExecService")
+        ]
+        assert [m.name for m in tb.linux_machines] == ["linux00", "linux01"]
+        assert tb.scheduler.gt4_machines == {"linux00", "linux01"}
+        assert tb.es["linux00"].service_cls is Gt4ExecutionService
+        assert all(m.trusted_ca is tb.ca for m in tb.linux_machines)
+
     def test_job_runs_on_linux_via_gsi(self, mixed_grid):
         tb = mixed_grid
         client = tb.make_client(grid_identity=True)

@@ -5,20 +5,27 @@ import math
 
 import pytest
 
-from repro.gridapp import FileRef, JobSpec, Testbed
 from repro.net import Network
 from repro.obs import (
     MetricsRegistry,
     Observability,
+    ObsEventLog,
     SpanRecorder,
     format_metric_name,
     load_snapshot,
     obs_of,
+    parse_jsonl,
     render_dashboard,
+    render_event_tail,
     render_trace,
 )
-from repro.osim.programs import make_compute_program
+from repro.perf import PerfConfig
 from repro.sim import Environment
+from repro.wsrf import InvalidResourcePropertyQNameFault, ResourceUnknownFault
+from repro.wsrf.tooling import WrapperService
+from repro.xmlx import NS, QName
+
+from tests.helpers import fan_spec, fig3_testbed
 
 
 class TestMetricsRegistry:
@@ -179,20 +186,15 @@ class TestSpanRecorder:
         ]
 
 
-def _run_jobset(observability, n_jobs=3, seed=11):
-    testbed = Testbed(
-        n_machines=2, seed=seed, machine_speeds=[1.0, 1.0],
-        observability=observability,
+def _run_jobset(observability, n_jobs=3, seed=11, event_log=False, **kwargs):
+    testbed = fig3_testbed(
+        5.0, {"out": b"x"}, n_machines=2, seed=seed,
+        observability=observability, **kwargs,
     )
-    testbed.programs.register(
-        make_compute_program("work", 5.0, outputs={"out": b"x"})
-    )
+    if event_log:
+        testbed.obs.enable_event_log()
     client = testbed.make_client()
-    spec = client.new_job_set()
-    exe = client.add_program_binary(testbed.programs.get("work"))
-    for i in range(n_jobs):
-        spec.add(JobSpec(name=f"job{i}", executable=FileRef(exe, "job.exe")))
-    outcome, _, _ = testbed.run_job_set(client, spec)
+    outcome, _, _ = testbed.run_job_set(client, fan_spec(client, testbed, n_jobs))
     assert outcome == "completed"
     testbed.settle()
     return testbed
@@ -263,20 +265,49 @@ class TestEndToEnd:
             assert parent.end >= handle.end
 
     def test_fig1_stages_partition_dispatch_latency(self, observed_run):
-        rec = observed_run.obs.spans
-        dispatches = rec.named("wsrf.dispatch")
-        assert len(dispatches) >= 10
-        for dispatch in dispatches:
-            stages = [
-                s for s in rec.children(dispatch)
-                if s.name.startswith("wsrf.dispatch.")
-            ]
-            stage_sum = sum(s.duration for s in stages)
-            assert dispatch.duration > 0
-            # acceptance criterion: stage sum within 5% of dispatch latency
-            assert math.isclose(stage_sum, dispatch.duration, rel_tol=0.05), (
-                dispatch.attrs, stage_sum, dispatch.duration,
-            )
+        """A clean Fig-3 run, the perf layer (elided db_save, cache-hit
+        db_load) and a dispatch faulting in db_load and one in method:
+        the stage spans come in table order, never overlap, all close
+        and add up to the dispatch span."""
+        table = ["wsrf.dispatch.epr_resolve"] + [s[0] for s in WrapperService._STAGES]
+        perf_run = _run_jobset(observability=True, perf=PerfConfig())
+        soap = perf_run.make_client().soap
+        jobset = perf_run.scheduler.epr_for(perf_run.scheduler.resource_ids()[0])
+        with pytest.raises(ResourceUnknownFault):
+            perf_run.run(soap.get_resource_property(
+                perf_run.scheduler.epr_for("ghost"), QName(NS.UVACG, "Status")))
+        with pytest.raises(InvalidResourcePropertyQNameFault):
+            perf_run.run(soap.get_resource_property(jobset, QName(NS.UVACG, "NoSuchRP")))
+
+        clean, perf = set(), set()
+        for rec, seen in ((observed_run.obs.spans, clean), (perf_run.obs.spans, perf)):
+            assert rec.open_spans() == []
+            dispatches = rec.named("wsrf.dispatch")
+            assert len(dispatches) >= 10
+            for dispatch in dispatches:
+                stages = [
+                    s for s in rec.children(dispatch)
+                    if s.name.startswith("wsrf.dispatch.")
+                ]
+                names = [s.name for s in stages]
+                assert names == [n for n in table if n in names], names
+                assert names[:2] == table[:2]
+                for before, after in zip(stages, stages[1:]):
+                    assert before.end <= after.start
+                stage_sum = sum(s.duration for s in stages)
+                assert dispatch.duration > 0
+                # acceptance criterion: stage sum within 5% of dispatch latency
+                assert math.isclose(stage_sum, dispatch.duration, rel_tol=0.05), (
+                    dispatch.attrs, stage_sum, dispatch.duration,
+                )
+                cache = [s.attrs["cache"] for s in stages if "cache" in s.attrs]
+                seen.add(("fault" in dispatch.attrs, names[-1].rsplit(".", 1)[1], *cache))
+        # the clean run: no cache attr, db_save never skipped, no fault
+        assert clean == {(False, "db_save")}
+        # the perf layer: cache-hit loads, and dispatches ending at method
+        assert {(False, "method", "hit"), (False, "db_save", "hit")} <= perf
+        # the two faults stop the pipeline in the stage that raised
+        assert {(True, "db_load", "miss"), (True, "method", "hit")} <= perf
 
     def test_registry_mirrors_adhoc_counters(self, observed_run):
         obs = observed_run.obs
@@ -386,3 +417,154 @@ class TestCli:
         path.write_text(obs.export_json(), encoding="utf-8")
         assert main(["render", str(path)]) == 0
         assert "wsrf.dispatch" in capsys.readouterr().out
+
+
+# -- structured event log -----------------------------------------------------------
+
+
+class TestEventLog:
+    def test_field_ordering_is_deterministic(self):
+        env = Environment()
+        log = ObsEventLog(env)
+        log.emit("custom", zebra=1, alpha=2, mid=3)
+        line = log.to_jsonl().splitlines()[0]
+        event = json.loads(line)
+        assert list(event) == ["seq", "t", "kind", "alpha", "mid", "zebra"]
+        assert event["seq"] == 1 and event["kind"] == "custom"
+
+    def test_reserved_fields_rejected(self):
+        log = ObsEventLog(Environment())
+        with pytest.raises(ValueError):
+            log.emit("custom", seq=9)
+
+    def test_span_lifecycle_mirrored(self):
+        env = Environment()
+        obs = Observability(env)
+        log = obs.enable_event_log()
+        assert obs.enable_event_log() is log  # idempotent
+        span = obs.start_span("wsrf.dispatch", attrs={"service": "S"})
+        obs.finish(span)
+        kinds = [event["kind"] for event in log.events]
+        assert kinds == ["span.start", "span.finish"]
+        assert log.events[0]["span"] == span.span_id
+        assert log.events[1]["dur"] == 0.0
+
+    def test_identical_runs_emit_identical_bytes(self):
+        a = _run_jobset(observability=True, n_jobs=2, event_log=True)
+        b = _run_jobset(observability=True, n_jobs=2, event_log=True)
+        text = a.obs.events.to_jsonl()
+        assert text == b.obs.events.to_jsonl()
+        assert len(a.obs.events) > 0
+
+    def test_parse_jsonl_roundtrip_and_errors(self):
+        env = Environment()
+        log = ObsEventLog(env)
+        log.emit("one", x=1)
+        log.emit("two", y="z")
+        events = parse_jsonl(log.to_jsonl())
+        assert [event["kind"] for event in events] == ["one", "two"]
+        with pytest.raises(ValueError, match="line 1"):
+            parse_jsonl("not json\n")
+        with pytest.raises(ValueError, match="line 2"):
+            parse_jsonl('{"kind": "ok"}\n[1, 2]\n')
+
+    def test_render_event_tail(self):
+        log = ObsEventLog(Environment())
+        for i in range(30):
+            log.emit("tick", i=i)
+        report = render_event_tail(log.events, n=5)
+        assert "5 of 30" in report
+        assert "i=29" in report and "i=24" not in report
+        assert render_event_tail([], n=5).endswith("(none)")
+
+
+# -- span correlation edges (satellite) ---------------------------------------------
+
+
+class TestSpanCorrelationEdges:
+    def test_orphan_span_gets_no_parent(self):
+        rec = SpanRecorder(Environment())
+        orphan = rec.start("iis.handle", message_id="mid-without-sender")
+        assert orphan.parent_id is None
+        rec.finish(orphan)
+        assert rec.open_spans() == []
+
+    def test_closed_parent_does_not_adopt_late_spans(self):
+        rec = SpanRecorder(Environment())
+        sender = rec.start("client.invoke", message_id="m1")
+        rec.finish(sender)
+        # the sender's stack entry is gone: a late hop must not
+        # mis-parent to the finished span
+        late = rec.start("net.request", message_id="m1")
+        assert late.parent_id is None
+        rec.finish(late)
+
+    def test_out_of_order_close_degrades_gracefully(self):
+        env = Environment()
+        rec = SpanRecorder(env)
+        outer = rec.start("client.invoke", message_id="m1")
+        inner = rec.start("net.request", message_id="m1")
+        assert inner.parent_id == outer.span_id
+        # close the OUTER first (out of order)
+        rec.finish(outer)
+        # the inner span is still open, still closable, and new spans on
+        # the same message id still parent to it (the innermost OPEN one)
+        sibling = rec.start("iis.handle", message_id="m1")
+        assert sibling.parent_id == inner.span_id
+        rec.finish(sibling)
+        rec.finish(inner)
+        assert rec.open_spans() == []
+        assert all(s.duration is not None for s in rec.spans)
+
+    def test_finish_subtree_after_out_of_order_close_is_idempotent(self):
+        rec = SpanRecorder(Environment())
+        root = rec.start("wsrf.dispatch", message_id="m1")
+        child = rec.start("wsrf.dispatch.method", parent=root)
+        rec.finish(root)
+        rec.finish_subtree(root)  # must not raise, must close the child
+        assert child.finished
+        assert rec.open_spans() == []
+
+
+# -- CLI (satellite: robust errors + tail) ------------------------------------------
+
+
+class TestCliRobustness:
+    def test_render_missing_file_exits_2(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        assert main(["render", str(tmp_path / "missing.json")]) == 2
+        err = capsys.readouterr().err
+        assert "error: cannot read" in err
+        assert "Traceback" not in err
+
+    def test_render_corrupt_file_exits_2(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        assert main(["render", str(bad)]) == 2
+        assert "not an observability export" in capsys.readouterr().err
+        bad.write_text('{"spans": []}', encoding="utf-8")  # valid JSON, wrong shape
+        assert main(["render", str(bad)]) == 2
+        assert "no 'metrics' key" in capsys.readouterr().err
+
+    def test_tail_missing_and_corrupt_exit_2(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        assert main(["tail", str(tmp_path / "missing.jsonl")]) == 2
+        assert "error: cannot read" in capsys.readouterr().err
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("... not jsonl ...", encoding="utf-8")
+        assert main(["tail", str(bad)]) == 2
+        assert "not a JSONL event log" in capsys.readouterr().err
+
+    def test_demo_events_and_tail(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        events = tmp_path / "events.jsonl"
+        code = main(["--machines", "1", "--jobs", "1", "--events", str(events)])
+        assert code == 0
+        assert "wrote JSONL event log" in capsys.readouterr().out
+        assert main(["tail", str(events), "-n", "3"]) == 0
+        assert "span.finish" in capsys.readouterr().out

@@ -34,7 +34,6 @@ from repro.db import (
     DbError,
     NoSuchResource,
 )
-from repro.db.resource_store import encode_state
 from repro.gridapp import (
     FaultToleranceConfig,
     FileRef,
@@ -48,54 +47,19 @@ from repro.perf import PerfConfig as PerfConfigDirect
 from repro.wsn import build_notify_batch_body, parse_notify_body
 from repro.xmlx import NS, Element, QName
 
+from tests.helpers import fan_spec, fig3_testbed, final_grid_state, timed_trace
+
 UVA = NS.UVACG
 
 PAYLOAD = b"perf-equivalence payload"
-
-#: resource-state keys whose values are run-relative artifacts, not
-#: semantics: simulated timestamps, and OS pids (allocated from a
-#: process-global counter, so even two identical back-to-back runs get
-#: different pids)
-_TIME_KEYS = {QName(UVA, "job_dispatched_at"), QName(UVA, "pid")}
-
-
-def _normalized_store_state(wrapper):
-    """{rid: encoded state bytes} with timestamp-valued keys dropped."""
-    out = {}
-    for rid in wrapper.store.list_ids(wrapper.service_name):
-        state = wrapper.store.load(wrapper.service_name, rid)
-        state = {k: v for k, v in state.items() if k not in _TIME_KEYS}
-        out[rid] = encode_state(state)
-    return out
-
-
-def _final_grid_state(tb):
-    """Normalized state of every service store in the testbed."""
-    wrappers = {"Scheduler": tb.scheduler, "NotificationBroker": tb.broker,
-                "NodeInfo": tb.node_info}
-    for name, es in tb.es.items():
-        wrappers[f"ExecService@{name}"] = es
-    for name, fss in tb.fss.items():
-        wrappers[f"FileSystem@{name}"] = fss
-    return {name: _normalized_store_state(w) for name, w in wrappers.items()}
-
 
 def _trace_content(tb):
     """Trace events without their timestamps (order preserved per actor)."""
     return sorted((e.step, e.actor, e.detail) for e in tb.trace.events)
 
 
-def _timed_trace(tb):
-    return [(e.at, e.step, e.actor, e.detail) for e in tb.trace.events]
-
-
 def _make_testbed(perf, **kwargs):
-    tb = Testbed(
-        n_machines=4, seed=11, machine_speeds=[1.0] * 4, perf=perf, **kwargs
-    )
-    tb.programs.register(
-        make_compute_program("work", 30.0, outputs={"out.dat": PAYLOAD})
-    )
+    tb = fig3_testbed(30.0, {"out.dat": PAYLOAD}, perf=perf, **kwargs)
     tb.programs.register(
         make_compute_program("chain", 10.0, outputs={"out.dat": PAYLOAD})
     )
@@ -103,23 +67,11 @@ def _make_testbed(perf, **kwargs):
 
 
 def _independent_spec(client, tb, n_jobs=8):
-    spec = client.new_job_set()
-    exe = client.add_program_binary(tb.programs.get("work"))
-    for i in range(n_jobs):
-        spec.add(JobSpec(name=f"job{i}", executable=FileRef(exe, "job.exe")))
-    return spec
+    return fan_spec(client, tb, n_jobs)
 
 
 def _chain_spec(client, tb, n_jobs=4):
-    spec = client.new_job_set()
-    exe = client.add_program_binary(tb.programs.get("chain"))
-    for i in range(n_jobs):
-        inputs = [] if i == 0 else [FileRef(f"job{i-1}://out.dat", "prev.dat")]
-        spec.add(
-            JobSpec(name=f"job{i}", executable=FileRef(exe, "job.exe"),
-                    inputs=inputs, outputs=["out.dat"])
-        )
-    return spec
+    return fan_spec(client, tb, n_jobs, chain=True, program="chain")
 
 
 def _run_jobset(perf, make_spec):
@@ -146,7 +98,7 @@ def _run_jobset(perf, make_spec):
         "exit_codes": exit_codes,
         "placements": state[QName(UVA, "job_machine")],
         "trace": _trace_content(tb),
-        "state": _final_grid_state(tb),
+        "state": final_grid_state(tb),
         "client_events": events,
     }
 
@@ -224,7 +176,7 @@ class TestDifferentialFig3:
                 reference = _run_jobset(perf, _independent_spec)
             assert reference["tb"].network.codec.parse_hits == 0
             self._assert_equivalent(reference, run)
-            assert _timed_trace(run["tb"]) == _timed_trace(reference["tb"])
+            assert timed_trace(run["tb"]) == timed_trace(reference["tb"])
             assert run["tb"].env.now == reference["tb"].env.now
             assert run["tb"].network.stats.bytes == reference["tb"].network.stats.bytes
 

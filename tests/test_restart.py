@@ -30,17 +30,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db.resource_store import encode_state
-from repro.gridapp import (
-    FaultToleranceConfig,
-    FileRef,
-    JobSpec,
-    PerfConfig,
-    Testbed,
-)
+from repro.gridapp import FaultToleranceConfig, PerfConfig
 from repro.net import DeliveryError, Network, RetryPolicy
 from repro.osim import Machine, MachineParams
-from repro.osim.programs import make_compute_program
 from repro.sim import Environment
 from repro.wsn.base_notification import build_notify_body
 from repro.wsrf import (
@@ -51,6 +43,8 @@ from repro.wsrf import (
     deploy,
 )
 from repro.xmlx import NS, Element, QName
+
+from tests.helpers import fan_spec, fig3_testbed, final_grid_state
 
 UVA = NS.UVACG
 
@@ -64,47 +58,15 @@ RESTART_RETRY = RetryPolicy(
 
 FT = FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0)
 
-#: run-relative artifacts excluded from state comparisons (see
-#: tests/test_perf_equivalence.py for the rationale)
-_TIME_KEYS = {QName(UVA, "job_dispatched_at"), QName(UVA, "pid")}
-
-
-def _normalized_store_state(wrapper):
-    out = {}
-    for rid in wrapper.store.list_ids(wrapper.service_name):
-        state = wrapper.store.load(wrapper.service_name, rid)
-        state = {k: v for k, v in state.items() if k not in _TIME_KEYS}
-        out[rid] = encode_state(state)
-    return out
-
-
-def _final_grid_state(tb):
-    wrappers = {"Scheduler": tb.scheduler, "NotificationBroker": tb.broker,
-                "NodeInfo": tb.node_info}
-    for name, es in tb.es.items():
-        wrappers[f"ExecService@{name}"] = es
-    for name, fss in tb.fss.items():
-        wrappers[f"FileSystem@{name}"] = fss
-    return {name: _normalized_store_state(w) for name, w in wrappers.items()}
-
-
 def _make_testbed(duration=10.0, **kwargs):
     kwargs.setdefault("retry_policy", RESTART_RETRY)
     kwargs.setdefault("fault_tolerance", FT)
     kwargs.setdefault("broker_redelivery", RESTART_RETRY)
-    tb = Testbed(n_machines=4, seed=11, machine_speeds=[1.0] * 4, **kwargs)
-    tb.programs.register(
-        make_compute_program("work", duration, outputs={"out.dat": PAYLOAD})
-    )
-    return tb
+    return fig3_testbed(duration, {"out.dat": PAYLOAD}, **kwargs)
 
 
 def _spec(client, tb, n_jobs):
-    spec = client.new_job_set()
-    exe = client.add_program_binary(tb.programs.get("work"))
-    for i in range(n_jobs):
-        spec.add(JobSpec(name=f"job{i:02d}", executable=FileRef(exe, "job.exe")))
-    return spec
+    return fan_spec(client, tb, n_jobs, name="job{:02d}")
 
 
 def _run_polled(tb, client, spec):
@@ -176,10 +138,9 @@ class TestCrashPointSweep:
 class TestDifferentialRestartIdle:
     """Bouncing an idle host must be invisible in the final state."""
 
-    def _two_phase(self, restart, perf=None, observability=False,
-                   profile=False):
+    def _two_phase(self, restart, perf=None, observability=False):
         tb = _make_testbed(duration=5.0, perf=perf,
-                           observability=observability, profile=profile)
+                           observability=observability)
         client = tb.make_client()
         out1 = _run_polled(tb, client, _spec(client, tb, 4))
         tb.settle()
@@ -204,7 +165,7 @@ class TestDifferentialRestartIdle:
         for (oa, outa, _), (ob, outb, _) in ((a1, b1), (a2, b2)):
             assert oa == ob == "completed"
             assert outa == outb
-        assert _final_grid_state(tb_a) == _final_grid_state(tb_b)
+        assert final_grid_state(tb_a) == final_grid_state(tb_b)
 
     def test_restart_then_idle_matches_undisturbed(self):
         self._assert_equivalent(
@@ -220,12 +181,10 @@ class TestDifferentialRestartIdle:
         )
 
     def test_observed_restart_run_exports_deterministically(self):
-        """Two identical seeded restart runs with observability and the
-        wall-clock profiler on export byte-identical obs JSON."""
-        tb1, _, _ = self._two_phase(restart=True, observability=True,
-                                    profile=True)
-        tb2, _, _ = self._two_phase(restart=True, observability=True,
-                                    profile=True)
+        """Two identical seeded restart runs with observability on
+        export byte-identical obs JSON."""
+        tb1, _, _ = self._two_phase(restart=True, observability=True)
+        tb2, _, _ = self._two_phase(restart=True, observability=True)
         assert tb1.obs.export_json() == tb2.obs.export_json()
         named = tb1.obs.spans.named("host.restart")
         assert len(named) == 1

@@ -5,7 +5,7 @@ Proof layers:
 - **Clean suites**: the Fig. 3 listener run, a 20%-drop chaos run and a
   host-bounce restart run all execute sanitized with zero reports — and
   byte-identical traces/obs exports to the unsanitized control, so the
-  hooks observe without perturbing (the ``env.prof`` contract).
+  hooks observe without perturbing (the ``network.obs`` contract).
 - **Both tiers catch the same bug**: the deliberately-racy LOCK001
   fixture (``tests/analysis_fixtures/races.py``) is flagged statically
   by LOCK001 *and*, when driven live against a deployed wrapper, by the
@@ -25,10 +25,9 @@ import pytest
 from repro.analysis import analyze_paths
 from repro.analysis.sanitizer import RaceSanitizer
 from repro.db import BlobResourceStore
-from repro.gridapp import FaultToleranceConfig, FileRef, JobSpec, Testbed
+from repro.gridapp import FaultToleranceConfig, Testbed
 from repro.net import Network, RetryPolicy
 from repro.osim import Machine, MachineParams
-from repro.osim.programs import make_compute_program
 from repro.sim import Environment
 from repro.sim.sync import Lock
 from repro.soap import SoapEnvelope
@@ -36,6 +35,7 @@ from repro.wsa import AddressingHeaders
 from repro.wsrf import Resource, ServiceSkeleton, WebMethod, WsrfClient, deploy
 from repro.xmlx import NS, Element, QName
 
+from tests.helpers import fan_spec, fig3_testbed, timed_trace
 from tests.test_analysis import FIXTURES, REPO_ROOT
 
 sys.path.insert(0, str(FIXTURES.parent))
@@ -54,28 +54,19 @@ POLICY = RetryPolicy(
 FT = FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0)
 
 
-def _trace(tb):
-    return [(e.at, e.step, e.actor, e.detail) for e in tb.trace.events]
-
-
 def _fig3(sanitize, **kwargs):
-    tb = Testbed(n_machines=4, seed=11, sanitize=sanitize, **kwargs)
-    tb.programs.register(
-        make_compute_program("work", 2.0, outputs={"out.dat": PAYLOAD})
-    )
+    # machine_speeds=None: the testbed's own heterogeneous default
+    tb = fig3_testbed(2.0, {"out.dat": PAYLOAD}, machine_speeds=None,
+                      sanitize=sanitize, **kwargs)
     client = tb.make_client()
-    spec = client.new_job_set()
-    exe = client.add_program_binary(tb.programs.get("work"))
-    for i in range(4):
-        spec.add(JobSpec(name=f"j{i}", executable=FileRef(exe, "job.exe")))
-    outcome, _, _ = tb.run_job_set(client, spec)
+    outcome, _, _ = tb.run_job_set(client, fan_spec(client, tb, 4, name="j{}"))
     tb.settle()
     return tb, outcome
 
 
 def _polled(sanitize, *, drop=0.0, bounce=None):
-    tb = Testbed(
-        n_machines=4, seed=11, machine_speeds=[1.0] * 4,
+    tb = fig3_testbed(
+        2.0, {"out.dat": PAYLOAD},
         retry_policy=POLICY, fault_tolerance=FT, broker_redelivery=POLICY,
         sanitize=sanitize,
     )
@@ -84,14 +75,8 @@ def _polled(sanitize, *, drop=0.0, bounce=None):
     if bounce is not None:
         host, at = bounce
         tb.restart_host(host, at=at, down_for=3.0)
-    tb.programs.register(
-        make_compute_program("work", 2.0, outputs={"out.dat": PAYLOAD})
-    )
     client = tb.make_client()
-    spec = client.new_job_set()
-    exe = client.add_program_binary(tb.programs.get("work"))
-    for i in range(6):
-        spec.add(JobSpec(name=f"job{i:02d}", executable=FileRef(exe, "job.exe")))
+    spec = fan_spec(client, tb, 6, name="job{:02d}")
     outcome, _, _ = tb.run(
         client.run_job_set_polled(spec, period=3.0, give_up_after=2000.0)
     )
@@ -110,7 +95,7 @@ class TestCleanSuites:
         assert tb_on.san.accesses_checked > 0
         tb_on.san.assert_clean()
         # Observation only: the sanitized run is indistinguishable.
-        assert _trace(tb_off) == _trace(tb_on)
+        assert timed_trace(tb_off) == timed_trace(tb_on)
         assert tb_off.obs.export_json() == tb_on.obs.export_json()
 
     def test_chaos_run_clean(self):
@@ -119,7 +104,7 @@ class TestCleanSuites:
         assert out_off == out_on == "completed"
         assert tb_on.network.stats.drops > 0
         tb_on.san.assert_clean()
-        assert _trace(tb_off) == _trace(tb_on)
+        assert timed_trace(tb_off) == timed_trace(tb_on)
 
     def test_restart_run_clean(self):
         """Bouncing the central host exercises the recovery barrier:
@@ -130,7 +115,7 @@ class TestCleanSuites:
         assert out_off == out_on == "completed"
         assert tb_on.scheduler.restarts == 1
         tb_on.san.assert_clean()
-        assert _trace(tb_off) == _trace(tb_on)
+        assert timed_trace(tb_off) == timed_trace(tb_on)
 
     def test_federated_fig3_clean(self):
         """A federated Fig. 3 run — aggregator refreshes, cross-zone
@@ -144,20 +129,15 @@ class TestCleanSuites:
         from repro.gridapp import FederationConfig
 
         def _run(sanitize):
-            tb = Testbed(
-                n_machines=2, seed=11, sanitize=sanitize, observability=True,
+            tb = fig3_testbed(
+                2.0, {"out.dat": PAYLOAD}, n_machines=2, machine_speeds=None,
+                sanitize=sanitize, observability=True,
                 federation=FederationConfig(
                     n_zones=2, max_queued_per_machine=1, staleness_s=0.0,
                 ),
             )
-            tb.programs.register(
-                make_compute_program("work", 2.0, outputs={"out.dat": PAYLOAD})
-            )
             fed = tb.make_federated_client()
-            spec = fed.new_job_set()
-            exe = fed.add_program_binary(tb.programs.get("work"))
-            for i in range(4):
-                spec.add(JobSpec(name=f"j{i}", executable=FileRef(exe, "job.exe")))
+            spec = fan_spec(fed, tb, 4, name="j{}")
             outcome, _, _ = tb.run(
                 fed.run_job_set_polled(spec, give_up_after=600.0)
             )
@@ -177,7 +157,7 @@ class TestCleanSuites:
         assert crossed > 0
         assert tb_on.san.accesses_checked > 0
         tb_on.san.assert_clean()
-        assert _trace(tb_off) == _trace(tb_on)
+        assert timed_trace(tb_off) == timed_trace(tb_on)
         assert tb_off.obs.export_json() == tb_on.obs.export_json()
 
 

@@ -14,6 +14,7 @@ from repro.db import (
     BlobResourceStore,
     CachedResourceStore,
     NoSuchResource,
+    ResourceStore,
     SqlResourceStore,
     XmlResourceStore,
 )
@@ -72,8 +73,48 @@ def run(env, gen):
     return proc.value
 
 
-@pytest.mark.parametrize("store_cls", [BlobResourceStore, XmlResourceStore])
+#: every backend, for the conformance suites below; a bare
+#: CachedResourceStore() is CachedResourceStore(BlobResourceStore()).
+#: All must also speak the uniform checkpoint dialect of
+#: docs/durability.md: snapshot() -> {"Service|rid": encoded bytes}
+BACKENDS = [
+    BlobResourceStore,
+    XmlResourceStore,
+    SqlResourceStore,
+    CachedResourceStore,
+]
+
+COUNT = QName(UVA, "count")
+
+
+@pytest.mark.parametrize("store_cls", BACKENDS)
 class TestInterchangeableBackends:
+    def test_store_surface(self, store_cls):
+        store = store_cls()
+        assert isinstance(store, ResourceStore)
+        store.create("Counter", "r2", {COUNT: 2})
+        store.create("Counter", "r1", {COUNT: 1})
+        assert store.exists("Counter", "r1") and not store.exists("Counter", "ghost")
+        assert not store.exists("Other", "r1")
+        assert list(store.list_ids("Counter")) == ["r1", "r2"]
+        store.save("Counter", "r1", {COUNT: 5})
+        assert store.load("Counter", "r1") == {COUNT: 5}
+        assert store.load("Counter", "r2") == {COUNT: 2}
+        # Only the write-through cache ever serves a load without the
+        # database; everyone answers the question.
+        cached = store_cls is CachedResourceStore
+        assert store.is_cached("Counter", "r1") is cached
+        assert (store.hits > 0) is cached
+        store.destroy("Counter", "r1")
+        assert not store.exists("Counter", "r1")
+        assert not store.is_cached("Counter", "r1")
+        assert list(store.list_ids("Counter")) == ["r2"]
+        for op in (store.load, store.destroy):
+            with pytest.raises(NoSuchResource):
+                op("Counter", "r1")
+        with pytest.raises(NoSuchResource):
+            store.save("Counter", "r1", {COUNT: 9})
+
     def test_full_lifecycle_identical(self, store_cls):
         env, wrapper, client = _fabric(store_cls())
         epr = run(env, client.call(wrapper.service_epr(), UVA, "Create"))
@@ -104,11 +145,11 @@ class LegacyInventorySystem:
         }
 
 
-class LegacyStoreAdapter:
+class LegacyStoreAdapter(ResourceStore):
     """Models the legacy system's records as WS-Resource state.
 
     Implements the store protocol (create/exists/load/save/destroy/
-    list_ids) over the legacy structure; the WSRF wrapper neither knows
+    list_ids; ``is_cached`` comes from the base) over the legacy structure; the WSRF wrapper neither knows
     nor cares that there is no database behind it.
     """
 
@@ -151,19 +192,7 @@ class LegacyStoreAdapter:
         return sorted(self.legacy.parts)
 
 
-#: every backend must speak the uniform checkpoint dialect of
-#: docs/durability.md: snapshot() -> {"Service|rid": encoded bytes}
-SNAPSHOT_BACKENDS = [
-    BlobResourceStore,
-    XmlResourceStore,
-    SqlResourceStore,
-    CachedResourceStore,
-]
-
-COUNT = QName(UVA, "count")
-
-
-@pytest.mark.parametrize("store_cls", SNAPSHOT_BACKENDS)
+@pytest.mark.parametrize("store_cls", BACKENDS)
 class TestSnapshotRestore:
     def test_round_trip_is_byte_identical(self, store_cls):
         env, wrapper, client = _fabric(store_cls())

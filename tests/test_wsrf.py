@@ -7,6 +7,7 @@ through real SOAP envelopes over the simulated network.
 
 import pytest
 
+from repro.analysis.sanitizer import RaceSanitizer
 from repro.net import Network
 from repro.osim import Machine, MachineParams
 from repro.sim import Environment
@@ -112,6 +113,10 @@ def run(env, gen):
     proc = env.process(gen)
     env.run(until=proc)
     return proc.value
+
+
+def _wait(event):
+    return (yield event)
 
 
 def make_resource(env, wrapper, client, initial="hello"):
@@ -284,6 +289,66 @@ class TestLifetime:
         with pytest.raises(ResourceUnknownFault):
             run(env, client.call(epr, UVA, "MyMethod"))
         assert MyServ.destroyed_log
+
+    @pytest.mark.parametrize("sanitize", [False, True])
+    def test_resource_locks_return_to_baseline(self, sanitize):
+        """Soak: a resource that is gone leaves no mutex behind, however
+        it went — Destroy, the sweeper, or a late call on a dead EPR."""
+        env = Environment()
+        san = RaceSanitizer(env) if sanitize else None
+        net = Network(env)
+        wrapper = deploy(MyServ, Machine(net, "node1", params=MachineParams()), "MyServ")
+        net.add_host("client")
+        client = WsrfClient(net, "client")
+        wrapper.start_sweeper(period=0.5)
+        keep = make_resource(env, wrapper, client)
+        assert run(env, client.call(keep, UVA, "MyMethod")) == 1
+        baseline = dict(wrapper._resource_locks)
+        assert len(baseline) == 1  # a live resource keeps its mutex
+
+        def cycles():
+            for i in range(300):
+                epr = yield from client.call(
+                    wrapper.service_epr(), UVA, "CreateExample", {"initial": "x"})
+                assert (yield from client.call(epr, UVA, "MyMethod")) == 1
+                if i % 3 == 2:
+                    yield from client.set_termination_time(epr, env.now + 1.0)
+                    continue
+                yield from client.destroy(epr)
+                if i % 30 == 0:
+                    with pytest.raises(ResourceUnknownFault):
+                        yield from client.call(epr, UVA, "MyMethod")
+
+        run(env, cycles())
+        env.run(until=env.now + 3.0)  # the sweeper reaps the scheduled third
+        assert wrapper.resource_ids() == [keep.get(QName(UVA, "ResourceID"))]
+        assert wrapper._resource_locks == baseline
+        assert run(env, client.call(keep, UVA, "MyMethod")) == 2
+        if san is not None:
+            san.assert_clean()
+            assert san.accesses_checked > 600
+
+    def test_waiter_on_a_destroyed_resource_is_still_served(self, grid):
+        """The entry goes only once the lock is free: a call queued
+        behind the Destroy gets the mutex handed to it, faults on the
+        missing row, and only then is the mutex forgotten."""
+        env, net, machine, wrapper, client = grid
+        epr = make_resource(env, wrapper, client)
+        slow = env.process(client.call(epr, UVA, "SlowEcho", {"text": "x"}))
+
+        def after(delay, call):  # both queue up inside SlowEcho's 0.5 s
+            yield env.timeout(delay)
+            return (yield from call)
+
+        doomed = env.process(after(0.1, client.destroy(epr)))
+        late = env.process(after(0.2, client.call(epr, UVA, "MyMethod")))
+        assert run(env, _wait(slow)) == "x"
+        assert len(wrapper._resource_locks) == 1  # Destroy holds it, MyMethod queues
+        run(env, _wait(doomed))
+        assert len(wrapper._resource_locks) == 1  # handed to MyMethod, not dropped
+        with pytest.raises(ResourceUnknownFault):
+            run(env, _wait(late))
+        assert wrapper._resource_locks == {}
 
     def test_termination_time_rp(self, grid):
         env, net, machine, wrapper, client = grid
