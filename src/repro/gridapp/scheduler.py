@@ -396,7 +396,7 @@ class SchedulerService(ServiceSkeleton):
     def _ft(self) -> Optional[FaultToleranceConfig]:
         return getattr(self.wsrf.wrapper, "fault_tolerance", None)
 
-    def _dispatch_with_failover(self, job, name_map, pass_cache=None):
+    def _dispatch_with_failover(self, job, name_map, pass_cache):
         """Dispatch *job*, failing over to other machines under FT.
 
         Transport failures (the target never answered Run, even after
@@ -407,15 +407,13 @@ class SchedulerService(ServiceSkeleton):
         """
         ft = self._ft()
         if ft is None:
-            yield from self._dispatch(job, name_map, pass_cache=pass_cache)
+            yield from self._dispatch(job, name_map, pass_cache)
             return
         excluded = set((self.job_excluded or {}).get(job.name, ()))
         for attempt in range(1, ft.max_dispatch_attempts + 1):
             self._last_target = None
             try:
-                yield from self._dispatch(
-                    job, name_map, exclude=excluded, pass_cache=pass_cache
-                )
+                yield from self._dispatch(job, name_map, pass_cache, exclude=excluded)
                 return
             except DeliveryError as fault:
                 if attempt >= ft.max_dispatch_attempts:
@@ -434,7 +432,7 @@ class SchedulerService(ServiceSkeleton):
                 )
                 self._announce_recovery(job.name, dead or "?", str(fault))
 
-    def _dispatch(self, job, name_map, exclude=(), pass_cache=None):
+    def _dispatch(self, job, name_map, pass_cache, exclude=()):
         wrapper = self.wsrf.wrapper
         machine = self.machine
         # Step 2: poll the NIS.
@@ -442,10 +440,7 @@ class SchedulerService(ServiceSkeleton):
         nis_epr = getattr(wrapper, "nis_epr", None)
         if nis_epr is None:
             raise SchedulingFault(description="scheduler has no Node Info service")
-        perf = getattr(wrapper, "perf", None)
-        batch_nis = (
-            perf is not None and perf.nis_pass_cache and pass_cache is not None
-        )
+        batch_nis = wrapper.perf is not None
         if batch_nis and "processors" in pass_cache:
             # Performance layer: reuse this pass's catalog instead of
             # polling once per job.  Each dispatch still gets private

@@ -77,9 +77,7 @@ class Testbed:
 
         ``perf`` (a :class:`repro.perf.PerfConfig`, see
         docs/performance.md) opts every service into the hot-path
-        performance layer: write-through state caching with load/save
-        elision, batched broker notification fan-out, and per-pass NIS
-        catalog reuse in the Scheduler.  Also off by default;
+        performance layer.  Also off by default;
         tests/test_perf_equivalence.py proves enabling it changes only
         simulated latencies.
 
@@ -164,14 +162,14 @@ class Testbed:
 
             for broker in self._brokers:
                 enable_redelivery(broker, broker_redelivery)
-        if perf is not None and perf.notification_batch_window_s > 0:
+        if perf is not None:
             from repro.wsn.batching import enable_batching
 
             # Only the brokers' fan-out batches: they are the producers
             # with per-event subscriber multiplicity (the ES->broker leg
             # is already a single message per event).
             for broker in self._brokers:
-                enable_batching(broker, perf.notification_batch_window_s)
+                enable_batching(broker)
         if retry_policy is not None:
             for wrapper in self._wrappers:
                 wrapper.client.retry_policy = retry_policy

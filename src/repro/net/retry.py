@@ -6,9 +6,12 @@ the client-side half of the fault-tolerance layer: a declarative
 :class:`RetryPolicy` (attempt budget, exponential backoff with jitter,
 per-call timeout implemented with simulation timers) and
 :func:`with_retry`, the coroutine that executes an attempt factory under
-a policy.  :class:`~repro.wsrf.client.WsrfClient` and the notification
-redelivery path in :mod:`repro.wsn.base_notification` both drive their
-retries through it.
+a policy.  :class:`~repro.wsrf.client.WsrfClient` drives its retries
+through it.  The notification redelivery path
+(``NotificationProducer._redeliver`` in :mod:`repro.wsn.base_notification`)
+takes only the policy — its attempt budget and ``delay_for`` — and runs
+its own loop, because exhausting the budget there drops the subscriber
+instead of raising.
 
 Only transport-level faults (``DeliveryError``, including
 :class:`CallTimeout`) are retried; SOAP faults are application answers

@@ -34,6 +34,23 @@ if TYPE_CHECKING:  # pragma: no cover
 
 EXPORT_FORMAT = 1
 
+#: (metric, wrapper attribute) of the counters a wrapper only grows on
+#: first use — the Scheduler's recovery and per-pass NIS reuse, a host
+#: restart (docs/durability.md), the cross-zone paths and the aggregator
+#: catalog (docs/federation.md).  Exported when the attribute exists, so
+#: a run that never took the path exports byte-identically to one from
+#: before the path was written.
+_LAZY_COUNTERS = (
+    ("perf.nis_polls_elided", "nis_polls_elided"),
+    ("scheduler.recoveries", "recoveries_announced"),
+    ("host.restarts", "restarts"),
+    ("scheduler.jobsets_readopted", "jobsets_readopted"),
+    ("scheduler.jobsets_stolen", "jobsets_stolen"),
+    ("scheduler.cross_zone_dispatches", "cross_zone_dispatches"),
+    ("federation.catalog_refreshes", "catalog_refreshes"),
+    ("federation.catalog_stale_served", "catalog_stale_served"),
+)
+
 
 def obs_of(machine_or_network: Any) -> Optional["Observability"]:
     """The Observability attached to the fabric, if any (else None)."""
@@ -175,7 +192,7 @@ class Observability:
             # Performance-layer cache effectiveness (the state cache
             # only — with perf off these metrics don't exist at all, so
             # default exports stay byte-identical).
-            if perf is not None and perf.state_cache:
+            if perf is not None:
                 reg.counter("perf.cache_hits", **ids).set_total(store.hits)
                 reg.counter("perf.cache_misses", **ids).set_total(store.misses)
             # Codec fast path: decode-cache effectiveness (blob-backed
@@ -189,15 +206,8 @@ class Observability:
                     decode_cache.misses
                 )
         if perf is not None:
-            reg.counter("perf.loads_elided", **ids).set_total(
-                int(getattr(wrapper, "loads_elided", 0))
-            )
-            reg.counter("perf.writes_elided", **ids).set_total(
-                int(getattr(wrapper, "writes_elided", 0))
-            )
-            nis_elided = getattr(wrapper, "nis_polls_elided", None)
-            if nis_elided is not None:
-                reg.counter("perf.nis_polls_elided", **ids).set_total(int(nis_elided))
+            reg.counter("perf.loads_elided", **ids).set_total(wrapper.loads_elided)
+            reg.counter("perf.writes_elided", **ids).set_total(wrapper.writes_elided)
         producer = getattr(wrapper, "notification_producer", None)
         if producer is not None:
             reg.counter("wsn.notifications_sent", **ids).set_total(
@@ -213,43 +223,17 @@ class Observability:
                 1 if producer.topics_truncated else 0
             )
             reg.counter("wsn.topics_dropped", **ids).set_total(producer.topics_dropped)
-            batcher = getattr(producer, "batcher", None)
+            batcher = producer.batcher
             if batcher is not None:
                 reg.counter("wsn.batches_sent", **ids).set_total(batcher.batches_sent)
                 reg.counter("wsn.notifications_batched", **ids).set_total(
                     batcher.notifications_batched
                 )
                 reg.gauge("wsn.batch_max_size", **ids).set(batcher.max_batch_size)
-        recoveries = getattr(wrapper, "recoveries_announced", None)
-        if recoveries is not None:
-            reg.counter("scheduler.recoveries", **ids).set_total(recoveries)
-        # Crash-restart durability counters (docs/durability.md): set
-        # lazily by WrapperService.restore / wsrf_recover, so runs with
-        # no restarts export byte-identically to pre-durability runs.
-        restarts = getattr(wrapper, "restarts", None)
-        if restarts is not None:
-            reg.counter("host.restarts", **ids).set_total(restarts)
-        readopted = getattr(wrapper, "jobsets_readopted", None)
-        if readopted is not None:
-            reg.counter("scheduler.jobsets_readopted", **ids).set_total(readopted)
-        # Federation counters (docs/federation.md), set lazily by the
-        # scheduler's cross-zone paths and the aggregator catalog.
-        stolen = getattr(wrapper, "jobsets_stolen", None)
-        if stolen is not None:
-            reg.counter("scheduler.jobsets_stolen", **ids).set_total(stolen)
-        cross_zone = getattr(wrapper, "cross_zone_dispatches", None)
-        if cross_zone is not None:
-            reg.counter("scheduler.cross_zone_dispatches", **ids).set_total(
-                cross_zone
-            )
-        refreshes = getattr(wrapper, "catalog_refreshes", None)
-        if refreshes is not None:
-            reg.counter("federation.catalog_refreshes", **ids).set_total(refreshes)
-        stale_served = getattr(wrapper, "catalog_stale_served", None)
-        if stale_served is not None:
-            reg.counter("federation.catalog_stale_served", **ids).set_total(
-                stale_served
-            )
+        for metric, attribute in _LAZY_COUNTERS:
+            total = getattr(wrapper, attribute, None)
+            if total is not None:
+                reg.counter(metric, **ids).set_total(total)
         if machine.name not in seen_machines:
             seen_machines.add(machine.name)
             reg.counter("iis.requests_served", host=machine.name).set_total(

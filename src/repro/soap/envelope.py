@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import weakref
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.wsa.headers import AddressingHeaders
 from repro.xmlx import NS, Element, QName, parse, to_string
@@ -55,109 +54,63 @@ class ContentTable(dict):
 
 
 class EnvelopeCache:
-    """The envelope hand-off: a message encoded in this process is never
+    """The envelope hand-off: a message encoded in this process is not
     re-parsed in it (docs/performance.md, "Codec fast path").
 
     Every :class:`~repro.net.Network` owns one (``network.codec``);
     endpoints pass it to :meth:`SoapEnvelope.serialize` / ``deserialize``.
 
-    *Parse side* — keyed on the raw wire text.  The encoder registers a
-    pristine copy of the tree it just walked under the wire text it
-    produced, and the receiving endpoint's parse of that exact text
-    *consumes* the entry: the copy is handed over wholesale (move
-    semantics — exactly one receiver, free to mutate), so the common
-    send→deliver round trip pays one tree copy and zero re-parses.
-    Texts seen again after that (retry resends) are parsed on their next
-    sighting, kept, and served as deep copies from then on, so repeated
-    deliveries can never observe each other's mutations (most handlers
-    do mutate — EPR resolution pops headers).  Texts that never passed
-    through :meth:`encode` (hand-built, hostile or restored payloads) go
-    through the strict parser and take the same second-sighting route.
+    One move-once table, keyed on the raw wire text.  The encoder
+    registers a pristine copy of the tree it just walked under the wire
+    text it produced, and the receiving endpoint's parse of that exact
+    text *consumes* the entry: the copy is handed over wholesale (move
+    semantics — exactly one receiver, free to mutate), so the send→
+    deliver round trip pays one tree copy and zero re-parses.  Any other
+    text — delivered a second time (a lost reply's retry resends the
+    text it holds), or never encoded here (hand-built, hostile or
+    restored payloads) — goes through the strict parser, which builds a
+    fresh tree each time, so repeated deliveries can never observe each
+    other's mutations (most handlers do mutate — EPR resolution pops
+    headers).
 
-    *Encode side* — a per-instance memo (weak, so it dies with the
-    envelope): serializing the same :class:`SoapEnvelope` object twice
-    returns the identical string without re-walking the tree.
-
-    Both tables are bounded by the bytes of text they key on
-    (*max_bytes* each); which texts were seen once is remembered as
-    digests, so no delivered text is kept alive by the cache.
+    The table is bounded by the bytes of text it keys on (*max_bytes*);
+    a delivered text's entry is gone, so the cache keeps none alive.
     """
 
     __slots__ = ("parse_hits", "parse_misses", "encode_hits", "encode_misses",
-                 "_trees", "_fresh", "_seen", "_encoded")
-
-    #: how many once-seen digests are remembered
-    SEEN_MAX = 4096
+                 "_fresh")
 
     def __init__(self, max_bytes: int = 8 << 20) -> None:
-        #: cache effectiveness counters for the obs registry
+        #: hand-off effectiveness counters for the obs registry; there is
+        #: no encode memo, so every encode is a miss and encode_hits
+        #: stays 0 (the ledger and the perf export read all four)
         self.parse_hits = 0
         self.parse_misses = 0
         self.encode_hits = 0
         self.encode_misses = 0
-        #: sticky entries (texts that repeated) — hits serve deep copies
-        self._trees = ContentTable(max_bytes)
-        #: move-once entries from the encode bridge — the first parse of
-        #: the text consumes the entry and owns the tree outright
+        #: wire text -> the encoder's copy of its tree, until delivered
         self._fresh = ContentTable(max_bytes)
-        #: ``hash(text)`` of texts seen exactly once — insertion into
-        #: _trees is lazy (see parse) so single-transmission messages
-        #: never pay a tree copy.  A colliding digest only costs a copy.
-        self._seen: Dict[int, None] = {}
-        self._encoded: "weakref.WeakKeyDictionary[SoapEnvelope, str]" = (
-            weakref.WeakKeyDictionary()
-        )
-
-    def _remember(self, text: str) -> None:
-        seen = self._seen
-        if len(seen) >= self.SEEN_MAX:
-            del seen[next(iter(seen))]
-        seen[hash(text)] = None
 
     def parse(self, text: str) -> "SoapEnvelope":
-        tree = self._trees.get(text)
-        if tree is not None:
-            self.parse_hits += 1
-            return SoapEnvelope.from_element(tree.copy())
         tree = self._fresh.take(text)
-        if tree is not None:
-            # Consume the encoder's pristine copy — this receiver is the
-            # only owner, so no defensive copy is needed.  Remember the
-            # text: if it crosses the wire again (a retry resend) the
-            # next parse keeps it as a sticky entry.
+        if tree is None:
+            self.parse_misses += 1
+            tree = parse(text)
+        else:
+            # This receiver is the entry's only owner: no defensive copy.
             self.parse_hits += 1
-            self._remember(text)
-            return SoapEnvelope.from_element(tree)
-        self.parse_misses += 1
-        tree = parse(text)
-        if hash(text) in self._seen:
-            # Second sighting: this text repeats — keep the fresh tree
-            # and hand out a copy so the kept document stays pristine.
-            self._trees.put(text, tree)
-            return SoapEnvelope.from_element(tree.copy())
-        # First sighting: most wire texts are unique (WS-Addressing
-        # MessageIDs), so don't pay a defensive copy for a tree that
-        # will never be served again — just remember the text.
-        self._remember(text)
         return SoapEnvelope.from_element(tree)
 
     def encode(self, envelope: "SoapEnvelope") -> str:
-        wire = self._encoded.get(envelope)
-        if wire is None:
-            self.encode_misses += 1
-            tree = envelope.to_element()
-            wire = to_string(tree, xml_declaration=True)
-            self._encoded[envelope] = wire
-            # Bridge to the parse side: the receiver of this text takes
-            # the tree we just walked instead of re-parsing it.  Hand
-            # over a copy — to_element() aliases the envelope's own
-            # body/header elements, and the receiver's document must be
-            # isolated from whatever the sender later does with its
-            # envelope.
-            if wire not in self._fresh and wire not in self._trees:
-                self._fresh.put(wire, tree.copy())
-        else:
-            self.encode_hits += 1
+        self.encode_misses += 1
+        tree = envelope.to_element()
+        wire = to_string(tree, xml_declaration=True)
+        # Hand over a copy — to_element() aliases the envelope's own
+        # body/header elements, and the receiver's document must be
+        # isolated from whatever the sender later does with its
+        # envelope.
+        if wire not in self._fresh:
+            self._fresh.put(wire, tree.copy())
         return wire
 
 
@@ -169,9 +122,7 @@ class SoapEnvelope:
     non-addressing blocks such as the WS-Security header of §4.2.
     """
 
-    # __weakref__ lets EnvelopeCache's encode memo key on the instance
-    # without pinning it alive.
-    __slots__ = ("addressing", "extra_headers", "body", "__weakref__")
+    __slots__ = ("addressing", "extra_headers", "body")
 
     def __init__(
         self,

@@ -64,14 +64,8 @@ def build_notify_body(
     payload: Element,
     producer_epr: Optional[EndpointReference] = None,
 ) -> Element:
-    body = Element(NOTIFY)
-    message = body.subelement(_NOTIFICATION_MESSAGE)
-    topic = message.subelement(_TOPIC, text=topic_path)
-    topic.set("Dialect", CONCRETE_DIALECT)
-    if producer_epr is not None:
-        message.append(producer_epr.to_xml(_PRODUCER_REF))
-    message.subelement(_MESSAGE).append(payload.copy())
-    return body
+    """A wsnt:Notify carrying one NotificationMessage."""
+    return build_notify_batch_body([(topic_path, payload)], producer_epr)
 
 
 def build_notify_batch_body(
@@ -322,8 +316,6 @@ class NotificationProducer:
             for sub in self.subscriptions.values()
             if not sub.paused and sub.expression.matches(topic_path)
         ]
-        env = wrapper.env
-        client = wrapper.client
         obs = wrapper.machine.network.obs
         span = None
         if obs is not None:
@@ -347,17 +339,28 @@ class NotificationProducer:
                 # redelivery retries) run detached and serialize later, so a
                 # shared tree would alias one consumer's mutations into the
                 # other subscribers' still-pending notifications.
-                dispatch_body = body.copy()
-                if self.redelivery_policy is None:
-                    fire_and_forget(
-                        env, client, sub.consumer, dispatch_body, parent_span=span
-                    )
-                else:
-                    env.process(self._redeliver(sub, dispatch_body, parent_span=span))
+                self.send(sub, body.copy(), parent_span=span)
         self.notifications_sent += len(targets)
         if span is not None:
             obs.finish(span)
         return len(targets)
+
+    def send(self, sub: Subscription, body: Element, parent_span=None) -> None:
+        """Start the detached delivery of one Notify *body* to *sub*.
+
+        The one send path of immediate fan-out and of a batch flush:
+        fire-and-forget, or the bounded redelivery when a policy is set.
+        The send serializes *body* later, so the caller hands over a
+        tree nothing else will touch.
+        """
+        wrapper = self.wrapper
+        if self.redelivery_policy is None:
+            fire_and_forget(
+                wrapper.env, wrapper.client, sub.consumer, body,
+                parent_span=parent_span,
+            )
+        else:
+            wrapper.env.process(self._redeliver(sub, body, parent_span=parent_span))
 
     def _redeliver(self, sub: Subscription, body: Element, parent_span=None):
         """Detached coroutine: bounded redelivery, then drop the subscriber.

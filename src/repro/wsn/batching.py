@@ -3,8 +3,8 @@
 The Fig. 3 walkthrough's step-9 broadcast sends one one-way wsnt:Notify
 per subscriber per event; ``bench_scale`` shows the resulting linear
 central-message growth at the broker.  :class:`NotificationBatcher`
-coalesces every Notify bound for one subscriber within a configurable
-window into a single multi-message Notify (the WS-BaseNotification
+coalesces every Notify bound for one subscriber within a fixed window
+(:data:`BATCH_WINDOW_S`) into a single multi-message Notify (the WS-BaseNotification
 schema allows any number of NotificationMessages per Notify, and every
 consumer in this codebase already parses the multi-message form).
 
@@ -37,19 +37,19 @@ from repro.wsn.base_notification import (
     Subscription,
     attach_notification_producer,
     build_notify_batch_body,
-    fire_and_forget,
 )
 from repro.xmlx import Element
+
+
+#: how long a subscriber's first queued event waits for company (s)
+BATCH_WINDOW_S = 0.05
 
 
 class NotificationBatcher:
     """Per-subscriber coalescing window over a NotificationProducer."""
 
-    def __init__(self, producer: NotificationProducer, window_s: float) -> None:
-        if window_s <= 0:
-            raise ValueError(f"batch window must be > 0, got {window_s!r}")
+    def __init__(self, producer: NotificationProducer) -> None:
         self.producer = producer
-        self.window_s = float(window_s)
         #: pending (topic, payload) events per subscription resource id
         self._pending: Dict[str, List[Tuple[str, Element]]] = {}
         #: counters for the obs registry
@@ -83,8 +83,7 @@ class NotificationBatcher:
 
     def _flush_after_window(self, sub: Subscription):
         wrapper = self.producer.wrapper
-        env = wrapper.env
-        yield env.timeout(self.window_s)
+        yield wrapper.env.timeout(BATCH_WINDOW_S)
         events = self._pending.pop(sub.resource_id, [])
         if not events:
             return
@@ -102,21 +101,17 @@ class NotificationBatcher:
                     "size": len(events),
                 },
             )
-        if self.producer.redelivery_policy is None:
-            fire_and_forget(env, wrapper.client, sub.consumer, body, parent_span=span)
-        else:
-            env.process(self.producer._redeliver(sub, body, parent_span=span))
+        self.producer.send(sub, body, parent_span=span)
         if span is not None:
             obs.finish(span)
 
 
-def enable_batching(wrapper, window_s: float) -> NotificationBatcher:
+def enable_batching(wrapper) -> NotificationBatcher:
     """Attach a coalescing batcher to a wrapper's notification producer.
 
-    Mirrors ``enable_redelivery``: idempotent per wrapper (re-enabling
-    replaces the window), and composes with redelivery — batches go
-    through the bounded-redelivery path when one is configured.
+    Composes with ``enable_redelivery``: batches go through the
+    producer's bounded-redelivery path when one is configured.
     """
     producer = attach_notification_producer(wrapper)
-    producer.batcher = NotificationBatcher(producer, window_s)
+    producer.batcher = NotificationBatcher(producer)
     return producer.batcher

@@ -194,12 +194,10 @@ class WrapperService:
         self.env = machine.env
         self.path = path.strip("/")
         self.service_name = self.path
-        self.store: ResourceStore = store if store is not None else BlobResourceStore()
         self.perf = perf
-        if perf is not None and perf.state_cache and not isinstance(
-            self.store, CachedResourceStore
-        ):
-            self.store = CachedResourceStore(self.store)
+        if store is None:
+            store = BlobResourceStore() if perf is None else CachedResourceStore()
+        self.store: ResourceStore = store
         self.address = machine.service_url(self.path)
 
         self._fields = collect_resource_fields(service_cls)
@@ -676,7 +674,7 @@ class WrapperService:
         """Read the WS-Resource's state into the instance's fields."""
         rid = call.ctx.resource_id
         cached = self.store.is_cached(self.service_name, rid)
-        if call.stage is not None and self.perf is not None and self.perf.state_cache:
+        if call.stage is not None and self.perf is not None:
             call.stage.attrs["cache"] = "hit" if cached else "miss"
         if cached:
             # The state is served from the write-through cache: no
@@ -729,7 +727,6 @@ class WrapperService:
                 call.state_after = candidate
         if (
             self.perf is not None
-            and self.perf.write_elision
             and call.state_after is None
             and self._pending_db_ops == 0
         ):
@@ -799,7 +796,8 @@ def deploy(
     """Run the WSRF.NET tooling: wrap *service_cls* and host it in IIS.
 
     Passing a :class:`~repro.perf.PerfConfig` opts this service into the
-    hot-path performance layer (state caching + write elision); the
-    default ``perf=None`` keeps the unoptimized Fig. 1 pipeline.
+    hot-path performance layer (docs/performance.md); the default
+    ``perf=None`` keeps the unoptimized Fig. 1 pipeline.  A *store*
+    passed explicitly is used as given, with or without *perf*.
     """
     return WrapperService(service_cls, machine, path, store=store, perf=perf)

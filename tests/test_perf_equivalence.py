@@ -43,7 +43,6 @@ from repro.gridapp import (
 )
 from repro.net import RetryPolicy
 from repro.osim.programs import make_compute_program
-from repro.perf import PerfConfig as PerfConfigDirect
 from repro.wsn import build_notify_batch_body, parse_notify_body
 from repro.xmlx import NS, Element, QName
 
@@ -152,24 +151,11 @@ class TestDifferentialFig3:
             assert isinstance(wrapper.store, CachedResourceStore), wrapper.path
             wrapper.store.assert_coherent()
 
-    def test_each_mechanism_is_independently_equivalent(self, reference_codec):
-        """Flipping one knob at a time keeps equivalence (localizes a
-        regression to the mechanism that broke it)."""
-        off = _run_jobset(None, _independent_spec)
-        one_at_a_time = dict(state_cache=False, write_elision=False,
-                             notification_batch_window_s=0.0, nis_pass_cache=False)
-        for knob in (
-            dict(state_cache=True),
-            dict(write_elision=True),
-            dict(notification_batch_window_s=0.05),
-            dict(nis_pass_cache=True),
-        ):
-            on = _run_jobset(PerfConfigDirect(**{**one_at_a_time, **knob}),
-                             _independent_spec)
-            self._assert_equivalent(off, on)
-        # The codec hand-off is not a knob; its row compares each
-        # pipeline with itself on the reference codec, and is stricter —
-        # no simulated quantity may move, timestamps included.
+    def test_codec_handoff_matches_the_reference_codec(self, reference_codec):
+        """The codec hand-off is no part of the switch; its row compares
+        each pipeline with itself on the reference codec, and is stricter
+        than the layer's — no simulated quantity may move, timestamps
+        included."""
         for perf in (None, PerfConfig()):
             run = _run_jobset(perf, _independent_spec)
             with reference_codec():
@@ -402,7 +388,7 @@ class TestBatchedNotifications:
         class _Producer:
             wrapper = _Wrapper()
 
-        batcher = NotificationBatcher(_Producer(), 0.05)
+        batcher = NotificationBatcher(_Producer())
         payload = Element(QName(UVA, "Ev"), text="before")
         batcher.enqueue(_Sub(), "t", payload)
         payload.text = "after"
@@ -426,7 +412,7 @@ class TestBatchedNotifications:
 # -- write elision and the default-off contract -------------------------------------
 
 class TestWriteElision:
-    def _fabric(self, perf, observability=False):
+    def _fabric(self, perf, observability=False, store=None):
         from repro.net import Network
         from repro.osim import Machine
         from repro.sim import Environment
@@ -467,7 +453,7 @@ class TestWriteElision:
                 self.value = self.value + 1
                 return self.value
 
-        wrapper = deploy(Counter, machine, "Counter", perf=perf)
+        wrapper = deploy(Counter, machine, "Counter", store=store, perf=perf)
         return env, net, machine, client, wrapper
 
     def _drive(self, env, gen):
@@ -528,6 +514,19 @@ class TestWriteElision:
         wrapper.store.assert_coherent()
         assert wrapper.store.inner.saves >= 4  # create + three increments
 
+    def test_switch_builds_the_cache_unless_a_store_is_given(self):
+        *_, wrapper = self._fabric(PerfConfig())
+        assert isinstance(wrapper.store, CachedResourceStore)
+        given = BlobResourceStore()
+        env, net, machine, client, wrapper = self._fabric(PerfConfig(), store=given)
+        assert wrapper.store is given
+        # The rest of the layer runs over the store as given: nothing
+        # is served from a cache, clean saves are still elided.
+        epr = self._drive(env, client.call(wrapper.service_epr(), UVA, "Create"))
+        assert self._drive(env, client.call(epr, UVA, "Increment")) == 1
+        assert self._drive(env, client.call(epr, UVA, "ReadValue")) == 1
+        assert (wrapper.loads_elided, wrapper.writes_elided) == (0, 1)
+
     def test_default_off_keeps_plain_store_and_pipeline(self):
         env, net, machine, client, wrapper = self._fabric(None)
         assert isinstance(wrapper.store, BlobResourceStore)
@@ -536,15 +535,3 @@ class TestWriteElision:
         self._drive(env, client.call(epr, UVA, "ReadValue"))
         assert wrapper.writes_elided == 0
         assert wrapper.loads_elided == 0
-
-
-class TestPerfConfigValidation:
-    def test_negative_window_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            PerfConfig(notification_batch_window_s=-0.1)
-
-    def test_zero_window_disables_batching(self):
-        tb = _make_testbed(PerfConfigDirect(notification_batch_window_s=0.0))
-        assert tb.broker.notification_producer.batcher is None

@@ -301,13 +301,7 @@ class TestWriteAheadContract:
         """PR 5's write elision skips the db_save stage when nothing
         changed; the WAL flush must still run (the state the send
         describes was already durable)."""
-        from repro.perf import PerfConfig as PerfConfigDirect
-
-        env, net, machine, wrapper, client = _wal_fabric(
-            perf=PerfConfigDirect(state_cache=True, write_elision=True,
-                                  notification_batch_window_s=0.0,
-                                  nis_pass_cache=False)
-        )
+        env, net, machine, wrapper, client = _wal_fabric(perf=PerfConfig())
         epr = _drive(env, client.call(wrapper.service_epr(), UVA, "Create"))
         _drive(env, client.call(epr, UVA, "AnnounceOnly"))
         _drive(env, client.call(epr, UVA, "AnnounceOnly"))

@@ -534,6 +534,30 @@ class TestBrokerRedelivery:
         env.run()
         assert listener.received == []
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_exhaustion_spends_the_same_budget_batched_or_not(self, fabric, batched):
+        """Immediate fan-out and a batch flush share one send path: under
+        a redelivery policy both try an unreachable consumer exactly
+        ``max_attempts`` times, then drop it."""
+        from repro.wsn import enable_batching
+
+        env, net, pm, wrapper, client = fabric
+        broker, listener, sub_epr = self._broker_with_listener(
+            env, net, client, self._policy(attempts=3)
+        )
+        if batched:
+            enable_batching(broker)
+        net.host("watcher").down = True
+        self._notify(env, client, broker, "never")
+        env.run()
+        producer = broker.notification_producer
+        assert net.stats.faults["host-down"] == 3
+        assert producer.redeliveries == 2
+        assert len(producer.dropped_subscribers) == 1
+        assert producer.subscriptions == {}
+        if batched:
+            assert producer.batcher.batches_sent == 1
+
     def test_dropped_subscribers_resource_property(self, fabric):
         env, net, pm, wrapper, client = fabric
         broker, listener, sub_epr = self._broker_with_listener(
