@@ -1,11 +1,12 @@
 """SOAP 1.1 message layer.
 
 Envelopes are real XML: every message crossing the simulated network is
-serialized with :func:`repro.xmlx.to_string` (its size drives transfer
-time), so header processing (WS-Addressing routing, WS-Security tokens,
-WSRF EPR resolution) happens against documents exactly as in the paper's
-ASP.NET stack.  The receiver of a text this process encoded is handed
-the encoder's tree (:class:`EnvelopeCache`); any other text is parsed.
+serialized to the text :func:`repro.xmlx.to_string` writes for it (its
+size drives transfer time), so header processing (WS-Addressing routing,
+WS-Security tokens, WSRF EPR resolution) happens against documents
+exactly as in the paper's ASP.NET stack.  The receiver of a text this
+process encoded is handed a ready envelope of its own
+(:class:`EnvelopeCache`); any other text is parsed.
 
 Two message-exchange patterns, matching §4.1 of the paper:
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.wsa.headers import AddressingHeaders
 from repro.xmlx import NS, Element, QName, parse, to_string
+from repro.xmlx.writer import XML_DECLARATION, document_frame, write_fragment
 
 _ENVELOPE = QName.of(NS.SOAP, "Envelope")
 _HEADER = QName.of(NS.SOAP, "Header")
@@ -54,22 +55,34 @@ class ContentTable(dict):
 
 
 class EnvelopeCache:
-    """The envelope hand-off: a message encoded in this process is not
-    re-parsed in it (docs/performance.md, "Codec fast path").
+    """The envelope hand-off: a message encoded in this process is
+    written in one pass and not re-parsed (docs/performance.md, "Codec
+    fast path").
 
     Every :class:`~repro.net.Network` owns one (``network.codec``);
     endpoints pass it to :meth:`SoapEnvelope.serialize` / ``deserialize``.
 
+    :meth:`encode` builds no envelope tree: the WS-Addressing blocks are
+    concatenated from the header fields, the body and any ``wsse:``
+    block are written as fragments, and the root's declarations are the
+    union of the namespaces they mention — byte for byte the reference
+    ``to_string(envelope.to_element(), xml_declaration=True)``.  A
+    message the splice cannot reproduce exactly (:func:`_splice` lists
+    the conditions, each a property of the message) is written by the
+    reference encoder instead.
+
     One move-once table, keyed on the raw wire text.  The encoder
-    registers a pristine copy of the tree it just walked under the wire
-    text it produced, and the receiving endpoint's parse of that exact
-    text *consumes* the entry: the copy is handed over wholesale (move
-    semantics — exactly one receiver, free to mutate), so the send→
-    deliver round trip pays one tree copy and zero re-parses.  Any other
-    text — delivered a second time (a lost reply's retry resends the
-    text it holds), or never encoded here (hand-built, hostile or
-    restored payloads) — goes through the strict parser, which builds a
-    fresh tree each time, so repeated deliveries can never observe each
+    registers what the receiver is to have — a new
+    :class:`SoapEnvelope` with its own addressing headers, body and
+    extra-header copies (only the immutable EPR is shared), equal field
+    for field to the strict parse of the text; for a reference-encoded
+    message a copy of its tree, decoded on arrival — and the receiving
+    endpoint's parse of that exact text *consumes* the entry (move
+    semantics — exactly one receiver, free to mutate).  Any other text
+    — delivered a second time (a lost reply's retry resends the text it
+    holds), or never encoded here (hand-built, hostile or restored
+    payloads) — goes through the strict parser, which builds a fresh
+    tree each time, so repeated deliveries can never observe each
     other's mutations (most handlers do mutate — EPR resolution pops
     headers).
 
@@ -88,30 +101,73 @@ class EnvelopeCache:
         self.parse_misses = 0
         self.encode_hits = 0
         self.encode_misses = 0
-        #: wire text -> the encoder's copy of its tree, until delivered
+        #: wire text -> what its receiver is handed, until delivered
         self._fresh = ContentTable(max_bytes)
 
     def parse(self, text: str) -> "SoapEnvelope":
-        tree = self._fresh.take(text)
-        if tree is None:
+        handed = self._fresh.take(text)
+        if handed is None:
             self.parse_misses += 1
-            tree = parse(text)
-        else:
-            # This receiver is the entry's only owner: no defensive copy.
-            self.parse_hits += 1
-        return SoapEnvelope.from_element(tree)
+            return SoapEnvelope.from_element(parse(text))
+        # This receiver is the entry's only owner: no defensive copy.
+        self.parse_hits += 1
+        if isinstance(handed, Element):
+            # A reference-encoded message's tree: decoded on arrival,
+            # where the reference decoder would raise.
+            return SoapEnvelope.from_element(handed)
+        return handed
 
     def encode(self, envelope: "SoapEnvelope") -> str:
         self.encode_misses += 1
-        tree = envelope.to_element()
-        wire = to_string(tree, xml_declaration=True)
-        # Hand over a copy — to_element() aliases the envelope's own
-        # body/header elements, and the receiver's document must be
-        # isolated from whatever the sender later does with its
-        # envelope.
+        wire = _splice(envelope)
+        # Hand over copies: the receiver's document must be isolated
+        # from whatever the sender later does with its envelope.
+        if wire is None:
+            tree = envelope.to_element()
+            wire = to_string(tree, xml_declaration=True)
+            handed: Union[Element, SoapEnvelope] = tree.copy()
+        else:
+            sent = envelope.addressing
+            handed = SoapEnvelope(
+                AddressingHeaders(sent.to_epr, sent.action, sent.message_id, sent.relates_to),
+                envelope.body.copy(),
+                [block.copy() for block in envelope.extra_headers],
+            )
         if wire not in self._fresh:
-            self._fresh.put(wire, tree.copy())
+            self._fresh.put(wire, handed)
         return wire
+
+
+def _splice(envelope: "SoapEnvelope") -> Optional[str]:
+    """The reference wire text of *envelope*, written without building
+    its tree — or None when the text, or what the strict parser reads
+    back from it, depends on more than the pieces: the addressing
+    headers decline (:meth:`AddressingHeaders.header_fragment`), an
+    extra header is not a ``wsse:`` block
+    (:meth:`SoapEnvelope.from_element` reads any other back as a
+    reference property), or the body or a ``wsse:`` block mentions a
+    namespace without a preferred prefix.
+    """
+    head = envelope.addressing.header_fragment()
+    if head is None:
+        return None
+    # One list of pieces, joined once: a body can be megabytes of text.
+    # out[1] is the root's start tag, known when every piece is written.
+    out = [XML_DECLARATION, "", "<soap:Header>", head[0]]
+    uris = set(head[1])
+    for block in envelope.extra_headers:
+        mentions = write_fragment(block, out) if block.tag.uri == NS.WSSE else None
+        if mentions is None:
+            return None
+        uris.update(mentions)
+    out.append("</soap:Header><soap:Body>")
+    mentions = write_fragment(envelope.body, out)
+    if mentions is None:
+        return None
+    uris.update(mentions)
+    out[1], closing = document_frame(_ENVELOPE, uris)
+    out.append("</soap:Body>" + closing)
+    return "".join(out)
 
 
 class SoapEnvelope:
@@ -166,13 +222,13 @@ class SoapEnvelope:
             raise ValueError("document/literal body must hold exactly one element")
         header_blocks = list(header.children) if header is not None else []
         addressing = AddressingHeaders.from_header_elements(header_blocks)
-        known = set()
-        for block in addressing.to_header_elements():
-            known.add(block.tag)
+        # What was read as addressing: every wsa: block, and the blocks
+        # taken for reference properties.
+        known = addressing.to_epr.reference_properties
         extra = [
             block
             for block in header_blocks
-            if block.tag.uri not in (NS.WSA,) and block.tag not in known
+            if block.tag.uri != NS.WSA and block.tag not in known
         ]
         return cls(addressing, body.children[0], extra_headers=extra)
 
@@ -200,10 +256,6 @@ class SoapEnvelope:
             if block.tag == want:
                 return block
         return None
-
-    def wire_size(self) -> int:
-        """Serialized size in bytes (drives simulated transfer time)."""
-        return len(self.serialize().encode("utf-8"))
 
     def __repr__(self) -> str:
         return (

@@ -7,6 +7,7 @@ from typing import List, Optional
 
 from repro.wsa.epr import EndpointReference
 from repro.xmlx import NS, Element, QName
+from repro.xmlx.writer import Fragment, escape_text
 
 _TO = QName(NS.WSA, "To")
 _ACTION = QName(NS.WSA, "Action")
@@ -68,6 +69,41 @@ class AddressingHeaders:
         for name, value in self.to_epr.reference_properties.items():
             out.append(Element(name, text=value))
         return out
+
+    def header_fragment(self) -> Optional[Fragment]:
+        """The blocks of :meth:`to_header_elements` as ``to_string``
+        writes them inside an envelope, with the namespaces they mention
+        — or None when :meth:`from_header_elements` would not read every
+        field back as it stands here: ``reply_to`` / ``fault_to`` set, a
+        value that is empty or that ``strip()`` changes, a reference
+        property whose namespace has no preferred prefix (its ``ns0`` /
+        ``ns1`` depends on the whole document) or is ``wsa:`` / ``wsse:``
+        (not read back as a reference property).
+        """
+        if self.reply_to is not None or self.fault_to is not None:
+            return None
+        fields = [self.to_epr.address, self.action, self.message_id]
+        if self.relates_to is not None:
+            fields.append(self.relates_to)
+        for value in fields:
+            if not value or value != value.strip():
+                return None
+        text = (
+            f"<wsa:To>{escape_text(fields[0])}</wsa:To>"
+            f"<wsa:Action>{escape_text(fields[1])}</wsa:Action>"
+            f"<wsa:MessageID>{escape_text(fields[2])}</wsa:MessageID>"
+        )
+        if self.relates_to is not None:
+            text += f"<wsa:RelatesTo>{escape_text(self.relates_to)}</wsa:RelatesTo>"
+        uris = [NS.WSA]
+        for name, value in self.to_epr.reference_properties.items():
+            prefix = NS.PREFERRED_PREFIXES.get(name.uri)
+            if prefix is None or name.uri in (NS.WSA, NS.WSSE):
+                return None
+            uris.append(name.uri)
+            tag = prefix + ":" + name.local
+            text += f"<{tag}>{escape_text(value)}</{tag}>" if value else f"<{tag} />"
+        return text, tuple(uris)
 
     @classmethod
     def from_header_elements(cls, headers: List[Element]) -> "AddressingHeaders":

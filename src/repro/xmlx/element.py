@@ -139,11 +139,5 @@ class Element:
             and all(a.equals(b) for a, b in zip(self.children, other.children))
         )
 
-    def size_bytes(self) -> int:
-        """Approximate serialized size; used for simulated wire accounting."""
-        from repro.xmlx.writer import to_string
-
-        return len(to_string(self).encode("utf-8"))
-
     def __repr__(self) -> str:
         return f"<Element {self.tag.clark()} children={len(self.children)}>"

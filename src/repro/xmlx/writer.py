@@ -38,6 +38,14 @@ def escape_attr(value: str) -> str:
     return value
 
 
+#: what ``to_string(..., xml_declaration=True)`` opens a document with
+XML_DECLARATION = '<?xml version="1.0" encoding="utf-8"?>'
+
+
+def _declaration(prefix: str, uri: str) -> str:
+    return f' xmlns:{prefix}="{escape_attr(uri)}"'
+
+
 class _PrefixAllocator:
     """Assigns stable prefixes to namespace URIs within one document."""
 
@@ -69,21 +77,12 @@ class _PrefixAllocator:
         self._used.add(prefix)
         return prefix
 
-    def declarations(self) -> List[str]:
-        return [
-            f'xmlns:{prefix}="{escape_attr(uri)}"'
+    def declarations(self) -> str:
+        """What the root's start tag carries, sorted by prefix."""
+        return "".join(
+            _declaration(prefix, uri)
             for uri, prefix in sorted(self._by_uri.items(), key=lambda kv: kv[1])
-        ]
-
-
-def _collect_uris(element: Element, allocator: _PrefixAllocator) -> None:
-    if element.tag.uri:
-        allocator.prefix_for(element.tag.uri)
-    for name in element.attrib:
-        if name.uri:
-            allocator.prefix_for(name.uri)
-    for child in element.children:
-        _collect_uris(child, allocator)
+        )
 
 
 def to_string(root: Element, xml_declaration: bool = False, indent: bool = False) -> str:
@@ -94,16 +93,20 @@ def to_string(root: Element, xml_declaration: bool = False, indent: bool = False
     output easy to diff in tests.
     """
     allocator = _PrefixAllocator()
-    _collect_uris(root, allocator)
     out: List[str] = []
     if xml_declaration:
-        out.append('<?xml version="1.0" encoding="utf-8"?>')
+        out.append(XML_DECLARATION)
         if indent:
             out.append("\n")
+    # One walk: prefixes are allocated as names are first written (tag,
+    # attributes, children), and the root's declarations, known only
+    # when the walk ends, go in behind its name, the walk's first piece.
+    slot = len(out)
     if indent:
-        _write(root, allocator, out, root_decls=allocator.declarations(), indent=True, depth=0)
+        _write(root, allocator, out, indent=True, depth=0)
     else:
-        _write_compact(root, allocator, out, allocator.declarations())
+        _write_compact(root, allocator, out)
+    out[slot] += allocator.declarations()
     return "".join(out)
 
 
@@ -112,40 +115,62 @@ def to_string(root: Element, xml_declaration: bool = False, indent: bool = False
 Fragment = Tuple[str, Tuple[str, ...]]
 
 
-def fragment_to_string(element: Element) -> Optional[Fragment]:
-    """Serialize *element* as it appears *inside* a :func:`to_string`
-    document: compact, no declarations (the root hoists them).
+def write_fragment(element: Element, out: List[str]) -> Optional[Tuple[str, ...]]:
+    """Append to *out* the pieces of *element* as it appears *inside* a
+    :func:`to_string` document — compact, no declarations (the root
+    hoists them), its tail behind it — and return the namespace URIs it
+    mentions.
 
     Only possible when every namespace the fragment mentions has an
     entry in ``NS.PREFERRED_PREFIXES`` — such a prefix is the same in
     any document.  Any other namespace is given ``ns0``, ``ns1``, ... in
     document order, so its prefix depends on what precedes the fragment;
-    the answer is then ``None`` and the caller serializes the whole
-    document with :func:`to_string`.
+    the answer is then ``None`` (what was appended is of no use) and the
+    caller serializes the whole document with :func:`to_string`.
     """
     allocator = _PrefixAllocator()
-    out: List[str] = []
     _write_compact(element, allocator, out)
+    if element.tail:
+        out.append(escape_text(element.tail))
     preferred = NS.PREFERRED_PREFIXES
     for uri, prefix in allocator._by_uri.items():
         if preferred.get(uri) != prefix:
             return None
-    return "".join(out), tuple(allocator._by_uri)
+    return tuple(allocator._by_uri)
+
+
+def fragment_to_string(element: Element) -> Optional[Fragment]:
+    """:func:`write_fragment` as one string, with the URIs it mentions."""
+    out: List[str] = []
+    uris = write_fragment(element, out)
+    return None if uris is None else ("".join(out), uris)
+
+
+#: namespace -> (its preferred prefix, the declaration a root carries
+#: for it): a preferred prefix is the same in every document
+_PREFERRED_DECLARATIONS = {
+    uri: (prefix, _declaration(prefix, uri))
+    for uri, prefix in NS.PREFERRED_PREFIXES.items()
+}
 
 
 def document_frame(tag: QName, uris: Iterable[str]) -> Tuple[str, str]:
     """The start and end tag :func:`to_string` writes for an
     attribute-less root *tag* with element content only, when the
-    fragments inside mention the namespaces *uris*: the document is
-    start tag + fragments + end tag."""
-    if tag.uri and tag.uri not in NS.PREFERRED_PREFIXES:
-        raise ValueError(f"root namespace {tag.uri!r} has no preferred prefix")
-    allocator = _PrefixAllocator()
-    name = _name(tag, allocator)
-    for uri in uris:
-        allocator.prefix_for(uri)
-    decls = "".join(" " + decl for decl in allocator.declarations())
-    return "<" + name + decls + ">", "</" + name + ">"
+    fragments inside mention the namespaces *uris* (each, like the
+    root's, with a preferred prefix): the document is start tag +
+    fragments + end tag."""
+    declared = set(uris)
+    name = tag.local
+    try:
+        if tag.uri:
+            declared.add(tag.uri)
+            name = _PREFERRED_DECLARATIONS[tag.uri][0] + ":" + name
+        # hoisted declarations are sorted by prefix
+        decls = sorted([_PREFERRED_DECLARATIONS[uri] for uri in declared])
+    except KeyError as missing:
+        raise ValueError(f"namespace {missing} has no preferred prefix") from None
+    return "<" + name + "".join([decl for _, decl in decls]) + ">", "</" + name + ">"
 
 
 def _name(qname: QName, allocator: _PrefixAllocator) -> str:
@@ -164,7 +189,6 @@ def _write_compact(
     element: Element,
     allocator: _PrefixAllocator,
     out: List[str],
-    root_decls=None,
 ) -> None:
     """Non-indented serialization — the wire-format hot path.
 
@@ -180,9 +204,6 @@ def _write_compact(
         parts = ("<" + name, "</" + name + ">")
         memo[tag] = parts
     out.append(parts[0])
-    if root_decls:
-        for decl in root_decls:
-            out.append(" " + decl)
     if element.attrib:
         for name, value in element.attrib.items():
             out.append(f' {_name(name, allocator)}="{escape_attr(value)}"')
@@ -205,16 +226,12 @@ def _write(
     element: Element,
     allocator: _PrefixAllocator,
     out: List[str],
-    root_decls=None,
     indent: bool = False,
     depth: int = 0,
 ) -> None:
     pad = "  " * depth if indent else ""
     tag = _name(element.tag, allocator)
     out.append(f"{pad}<{tag}")
-    if root_decls:
-        for decl in root_decls:
-            out.append(f" {decl}")
     for name, value in element.attrib.items():
         out.append(f' {_name(name, allocator)}="{escape_attr(value)}"')
     if not element.text and not element.children:

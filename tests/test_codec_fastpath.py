@@ -1,6 +1,6 @@
 """Codec fast path (docs/performance.md, "Codec fast path").
 
-Five concerns, one file:
+Seven concerns, one file:
 
 - the three parser *contract* fixes that rode along with the fast path:
   malformed character references raise :class:`XmlParseError` with an
@@ -12,21 +12,28 @@ Five concerns, one file:
   over trees richer than the ``test_xmlx`` one — several namespaces,
   default-namespace children, qualified attributes, entity-bearing
   text/tails;
+- the one-walk writer against the two-pass one it replaced (prefixes
+  allocated by a pre-order walk before anything is written);
 - coherence oracles for the two content-addressed hand-offs
   (:class:`repro.db.DecodeCache`, :class:`repro.soap.EnvelopeCache`):
   value isolation, destroy-then-recreate, post-restore invalidation,
   move-semantics of the encode→parse bridge, the byte bounds;
+- the envelope splice against the reference codec: a Hypothesis
+  differential over generated envelopes, and each fallback condition
+  from both sides;
 - the oracles of the always-on hand-off: incremental state encoding
   against from-scratch :func:`encode_state` under random edit
-  sequences, every tree and state handed over in whole runs checked
+  sequences, every envelope and state handed over in whole runs checked
   against the reference ``parse`` / ``decode_state`` from outside,
   hostile wire text still meeting the strict parser, and the run
   differential against the same run forced onto the reference codec
   (byte-identical traces, timestamps included).
 """
 
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.db import BlobResourceStore, CachedResourceStore, DecodeCache, SqlResourceStore
@@ -37,6 +44,7 @@ from repro.osim.programs import make_compute_program
 from repro.soap import EnvelopeCache, SoapEnvelope
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.xmlx import NS, Element, QName, XmlParseError, parse, to_string
+from repro.xmlx import writer
 
 from tests.helpers import fan_spec, fig3_testbed
 
@@ -174,10 +182,18 @@ class TestQNameInterning:
 
 _URIS = ("", "http://one", "http://two", NS.SOAP)
 _locals = st.text(alphabet=st.sampled_from("abcdefgh"), min_size=1, max_size=6)
-_qnames = st.builds(
-    lambda uri, local: QName(uri, local) if uri else QName(local),
-    st.sampled_from(_URIS), _locals,
-)
+
+
+def _qnames_in(uris):
+    return st.builds(
+        lambda uri, local: QName(uri, local) if uri else QName(local),
+        st.sampled_from(uris), _locals,
+    )
+
+
+_qnames = _qnames_in(_URIS)
+#: names whose prefix is the same in every document
+_preferred_qnames = _qnames_in(("", NS.UVACG, NS.WSRF_RP, NS.WSNT))
 # Texts exercise every escape and entity route, plus non-ASCII.
 _rich_texts = st.text(
     alphabet=st.sampled_from("ab <>&\"'\r\n\tzé "), min_size=0, max_size=16
@@ -185,13 +201,13 @@ _rich_texts = st.text(
 
 
 @st.composite
-def _rich_elements(draw, depth=0):
-    el = Element(draw(_qnames))
+def _rich_elements(draw, depth=0, names=_qnames):
+    el = Element(draw(names))
     el.text = draw(_rich_texts)
-    for name in draw(st.lists(_qnames, max_size=3, unique_by=lambda q: (q.uri, q.local))):
+    for name in draw(st.lists(names, max_size=3, unique_by=lambda q: (q.uri, q.local))):
         el.set(name, draw(_rich_texts))
     if depth < 3:
-        for child in draw(st.lists(_rich_elements(depth=depth + 1), max_size=3)):
+        for child in draw(st.lists(_rich_elements(depth + 1, names), max_size=3)):
             el.append(child)
             child.tail = draw(_rich_texts)
     return el
@@ -214,6 +230,46 @@ class TestRoundtripProperty:
     def test_roundtrip_survives_a_second_trip(self, element):
         once = parse(to_string(element))
         assert parse(to_string(once)).equals(once)
+
+
+def _two_pass(root, indent):
+    """The writer ``to_string`` replaced: allocate every prefix in a
+    pre-order walk (tag, attributes, children), then write."""
+    allocator = writer._PrefixAllocator()
+    for element in root.iter():
+        for name in (element.tag, *element.attrib):
+            if name.uri:
+                allocator.prefix_for(name.uri)
+    out = []
+    if indent:
+        writer._write(root, allocator, out, indent=True)
+    else:
+        writer._write_compact(root, allocator, out)
+    out[0] += allocator.declarations()
+    return "".join(out)
+
+
+class TestOneWalkWriter:
+    """Prefixes allocated while writing land as a pre-walk allots them,
+    ``ns0`` / ``ns1`` included, on tags and on attributes."""
+
+    @given(_rich_elements(), st.booleans())
+    def test_byte_identical_to_the_two_pass_writer(self, element, indent):
+        assert to_string(element, indent=indent) == _two_pass(element, indent)
+
+    def test_non_preferred_prefixes_follow_document_order(self):
+        root = Element(QName("urn:b", "r"))
+        root.set(QName("urn:a", "k"), "v")
+        child = root.subelement(QName(UVA, "c"))
+        child.set(QName("urn:c", "k"), "v")
+        root.subelement(QName("urn:a", "d"))
+        for indent in (False, True):
+            text = to_string(root, xml_declaration=True, indent=indent)
+            assert text == '<?xml version="1.0" encoding="utf-8"?>' + (
+                "\n" if indent else "") + _two_pass(root, indent)
+            assert re.findall(r'xmlns:(\w+)="([^"]+)"', text) == [
+                ("ns0", "urn:b"), ("ns1", "urn:a"), ("ns2", "urn:c"), ("uva", UVA)]
+            assert '<ns0:r xmlns:ns0="urn:b"' in text and ' ns1:k="v"' in text
 
 
 # -- DecodeCache coherence ----------------------------------------------------------
@@ -676,6 +732,231 @@ class TestEnvelopeCache:
         assert probe() is None
 
 
+# -- the envelope splice against the reference codec --------------------------------
+
+_SECURITY = QName(NS.WSSE, "Security")
+
+
+def _assert_same_message(got, expected, minted_id=False):
+    """*got* is *expected* field for field, in a document of its own."""
+    a, b = got.addressing, expected.addressing
+    assert (a.to_epr, a.action, a.relates_to, a.reply_to, a.fault_to) == (
+        b.to_epr, b.action, b.relates_to, b.reply_to, b.fault_to)
+    if minted_id:  # no usable MessageID on the wire: each decode mints its own
+        assert a.message_id.startswith("uuid:msg-") and b.message_id.startswith("uuid:msg-")
+    else:
+        assert a.message_id == b.message_id
+    assert got.body.equals(expected.body) and got.body.tail == expected.body.tail
+    assert len(got.extra_headers) == len(expected.extra_headers)
+    for x, y in zip(got.extra_headers, expected.extra_headers):
+        assert x.equals(y) and x.tail == y.tail
+
+
+def _watch_decoding(patch):
+    """The trees ``SoapEnvelope.from_element`` is given from now on: a
+    receiver handed an envelope decodes none."""
+    decoded = []
+    real = SoapEnvelope.from_element.__func__
+    patch.setattr(SoapEnvelope, "from_element", classmethod(
+        lambda cls, root: decoded.append(root) or real(cls, root)))
+    return decoded
+
+
+def _deliver(envelope):
+    """Send *envelope* through a hand-off and receive it, watching from
+    outside whether the receiver was handed an envelope or had a tree
+    to decode: ``(wire, received envelope or the exception, spliced?)``."""
+    cache = EnvelopeCache()
+    with pytest.MonkeyPatch.context() as patch:
+        decoded = _watch_decoding(patch)
+        wire = cache.encode(envelope)
+        try:
+            received = cache.parse(wire)
+        except Exception as exc:
+            received = exc
+    assert (cache.parse_hits, cache.parse_misses) == (1, 0)
+    return wire, received, not decoded
+
+
+# Generated envelopes are spliceable except in up to two respects,
+# so the differential meets both paths, and every fallback condition
+# alone.  Header values: markup, CR, padding, emptiness — what the
+# writer escapes and what the reader strips.
+_any_texts = st.text(alphabet=st.sampled_from("ab:/<>&\"\r\n\t é"), max_size=8)
+_exact_texts = _any_texts.map(lambda text: f"urn:{text}.")
+_prop_values = st.sampled_from(["", " ", "r-1", "a<b&c", " padded\r"])
+_exact_props = st.dictionaries(
+    st.sampled_from([QName(UVA, "ResourceID"), QName(UVA, "Shard"), QName(NS.WSRF_RL, "Lease")]),
+    _prop_values, max_size=3)
+_any_props = st.dictionaries(
+    st.sampled_from([QName(UVA, "ResourceID"), QName(_FOREIGN, "k"), QName("plain"),
+                     QName(NS.WSA, "To"), QName(NS.WSA, "Hop"), QName(NS.WSSE, "Token")]),
+    _prop_values, max_size=3)
+_any_eprs = st.builds(EndpointReference, _any_texts.filter(bool), _any_props)
+
+
+@st.composite
+def _header_blocks(draw, exact):
+    """An extra header: a security block or, not *exact*, also one a
+    sender should not have put there (``wsa:``, the testbed's or a
+    foreign namespace)."""
+    tags = [_SECURITY, QName(NS.WSSE, "Other")]
+    if not exact:
+        tags += [QName(NS.WSA, "Hop"), QName(NS.WSA, "Action"), QName(UVA, "Trace"),
+                 QName(_FOREIGN, "trace")]
+    block = Element(draw(st.sampled_from(tags)), text=draw(_rich_texts))
+    names = _preferred_qnames if exact else _qnames
+    for child in draw(st.lists(_rich_elements(names=names), max_size=2)):
+        block.append(child)
+        child.tail = draw(_rich_texts)
+    block.tail = draw(_rich_texts)
+    return block
+
+
+@st.composite
+def _envelopes(draw):
+    loose = draw(st.sets(st.sampled_from(
+        ["to", "props", "action", "message_id", "relates_to", "reply", "headers", "body"]),
+        max_size=2))
+
+    def text(field):
+        return draw(_any_texts if field in loose else _exact_texts)
+
+    headers = AddressingHeaders(
+        EndpointReference(text("to") or " ",
+                          draw(_any_props if "props" in loose else _exact_props)),
+        text("action"))
+    headers.message_id = text("message_id")
+    headers.relates_to = draw(st.one_of(st.none(), st.just(text("relates_to"))))
+    if "reply" in loose:
+        headers.reply_to = draw(st.one_of(st.none(), _any_eprs))
+        headers.fault_to = draw(st.one_of(st.none(), _any_eprs))
+    body = draw(_rich_elements(names=_qnames if "body" in loose else _preferred_qnames))
+    body.tail = draw(_rich_texts)
+    return SoapEnvelope(headers, body,
+                        draw(st.lists(_header_blocks("headers" not in loose), max_size=2)))
+
+
+def _plain(**fields):
+    """A message the splice takes, then changed by *fields*."""
+    envelope = _envelope()
+    envelope.addressing.relates_to = "uuid:m-0"
+    envelope.extra_headers.append(Element(_SECURITY, text="token"))
+    for name, value in fields.items():
+        setattr(envelope.addressing, name, value)
+    return envelope
+
+
+def _with_body(body):
+    envelope = _plain()
+    envelope.body = body
+    return envelope
+
+
+def _with_header(block):
+    envelope = _plain()
+    envelope.extra_headers.append(block)
+    return envelope
+
+
+def _to(address, props):
+    return _plain(to_epr=EndpointReference(address, props))
+
+
+class TestEnvelopeSplice:
+    """``EnvelopeCache.encode`` writes the reference text without the
+    envelope tree and hands the receiver an envelope, not a tree — or
+    declines, on a property of the message, and takes the tree path."""
+
+    @settings(max_examples=300)
+    @given(_envelopes())
+    def test_matches_the_reference_codec(self, envelope):
+        reference = to_string(envelope.to_element(), xml_declaration=True)
+        wire, got, _ = _deliver(envelope)
+        assert wire == reference
+        try:
+            expected = SoapEnvelope.from_element(parse(reference))
+        except Exception as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            return
+        _assert_same_message(got, expected,
+                             minted_id=not envelope.addressing.message_id.strip())
+        assert got.body is not envelope.body
+        assert got.addressing is not envelope.addressing
+        assert envelope.serialize() == reference  # the sender's is untouched
+
+    def test_the_receiver_shares_only_the_epr(self):
+        envelope = _plain()
+        _, got, spliced = _deliver(envelope)
+        assert spliced
+        assert got.addressing.to_epr is envelope.addressing.to_epr
+        assert got.addressing is not envelope.addressing
+        assert got.body is not envelope.body and got.body.equals(envelope.body)
+        assert got.extra_headers is not envelope.extra_headers
+        assert got.extra_headers[0] is not envelope.extra_headers[0]
+
+    # What falls back, from both sides: the left column is spliced, the
+    # right one — the same message with one property changed — is not.
+    @pytest.mark.parametrize("spliced, declined", [
+        # a namespace whose prefix depends on document order
+        (_with_body(Element(QName(NS.WSRF_RP, "Get"), text="uva:x")),
+         _with_body(Element(QName(_FOREIGN, "Get"), text="uva:x"))),
+        (_with_body(_doc(attrs=("p",))),
+         _with_body(Element(QName(UVA, "doc"), {QName(_FOREIGN, "p"): "p"}))),
+        (_to("http://n:80/S", {QName(NS.WSRF_RL, "Lease"): "7", QName(UVA, "Empty"): ""}),
+         _to("http://n:80/S", {QName(_FOREIGN, "Lease"): "7"})),
+        (_plain(), _to("http://n:80/S", {QName("unqualified"): "7"})),
+        (_with_header(Element(_SECURITY, text="second")),
+         _with_header(Element(_SECURITY, {QName(_FOREIGN, "id"): "1"}))),
+        # a header block the parser does not read back as what it was
+        (_plain(), _to("http://n:80/S", {QName(NS.WSA, "Hop"): "1"})),
+        (_plain(), _to("http://n:80/S", {QName(NS.WSSE, "Token"): "1"})),
+        (_with_header(Element(QName(NS.WSSE, "Other"))),
+         _with_header(Element(QName(UVA, "Trace"), text="t"))),
+        (_plain(), _with_header(Element(QName(_FOREIGN, "trace")))),
+        (_plain(), _with_header(Element(QName(NS.WSA, "Hop")))),
+        # reply_to / fault_to
+        (_plain(), _plain(reply_to=EndpointReference("http://c:9000/reply"))),
+        (_plain(), _plain(fault_to=EndpointReference("http://c:9000/fault"))),
+        # a value strip() would change, or an empty one
+        (_to("http://n:80/a b", None), _to(" http://n:80/S", None)),
+        (_plain(action="urn:<Run> &"), _plain(action="urn:Run\r")),
+        (_plain(action="urn:Run"), _plain(action="")),
+        (_plain(message_id="uuid:m 1"), _plain(message_id="uuid:m-1\n")),
+        (_plain(relates_to=None), _plain(relates_to="")),
+        (_plain(relates_to="uuid:m-0"), _plain(relates_to="\tuuid:m-0")),
+    ])
+    def test_what_falls_back(self, spliced, declined):
+        for envelope, expect_spliced in ((spliced, True), (declined, False)):
+            wire, got, was_spliced = _deliver(envelope)
+            assert was_spliced == expect_spliced
+            assert wire == envelope.serialize()
+            _assert_same_message(got, SoapEnvelope.deserialize(wire),
+                                 minted_id=not envelope.addressing.message_id.strip())
+
+    def test_unreadable_to_fails_at_the_receiver_not_the_sender(self):
+        envelope = _plain(to_epr=EndpointReference(" \t"))
+        message = "EPR requires a non-empty address"
+        with pytest.raises(ValueError, match=message):
+            SoapEnvelope.deserialize(envelope.serialize())
+        cache = EnvelopeCache()
+        wire = envelope.serialize(cache)  # the sender is not the one to fail
+        assert wire == envelope.serialize()
+        with pytest.raises(ValueError, match=message):
+            SoapEnvelope.deserialize(wire, cache)
+        assert (cache.parse_hits, cache.parse_misses) == (1, 0)
+
+    def test_fault_and_unqualified_body_children_are_spliced(self):
+        from repro.soap import SoapFault
+
+        detail = Element(QName(NS.WSRF_BF, "BaseFault"))
+        detail.subelement(QName(NS.WSRF_BF, "Description"), text="no such <resource>")
+        envelope = _with_body(SoapFault("soap:Client", "bad & gone", [detail]).to_element())
+        wire, got, spliced = _deliver(envelope)
+        assert spliced and wire == envelope.serialize()
+        _assert_same_message(got, SoapEnvelope.deserialize(wire))
+
+
 # -- the hand-off watched from outside, in whole runs -------------------------------
 
 
@@ -711,15 +992,22 @@ def _run_fig3(chaos=False, **kwargs):
 @pytest.fixture
 def audit(monkeypatch):
     """Check, from outside, everything the hand-off hands over: each
-    envelope against the strict parse of its wire text, each loaded
-    state against ``decode_state`` of the stored bytes."""
-    seen = {"envelopes": 0, "states": 0}
+    envelope, field for field, against the strict parse of its wire
+    text, each loaded state against ``decode_state`` of the stored
+    bytes.  Counts the envelopes handed over as envelopes (``spliced``)
+    and those handed over as trees for the receiver to decode
+    (``fallback``)."""
+    seen = {"envelopes": 0, "spliced": 0, "fallback": 0, "states": 0}
     real_parse, real_decode = EnvelopeCache.parse, DecodeCache.decode
+    decoded = _watch_decoding(monkeypatch)
 
     def parse_checked(self, text):
+        hits = self.parse_hits
+        del decoded[:]
         envelope = real_parse(self, text)
-        assert envelope.to_element().equals(
-            SoapEnvelope.from_element(parse(text)).to_element())
+        if self.parse_hits > hits:
+            seen["fallback" if decoded else "spliced"] += 1
+        _assert_same_message(envelope, SoapEnvelope.from_element(parse(text)))
         seen["envelopes"] += 1
         return envelope
 
@@ -748,7 +1036,7 @@ class TestHandOffFromOutside:
     def test_fig3_run(self, audit):
         tb, (outcome, _, _) = _run_fig3()
         assert outcome == "completed"
-        assert audit["envelopes"] == tb.network.codec.parse_hits > 0
+        assert audit["envelopes"] == audit["spliced"] == tb.network.codec.parse_hits > 0
         assert audit["states"] > 0 and tb.network.codec.parse_misses == 0
         # every stored blob is what the from-scratch encoder writes
         for key, blob in _all_blobs(tb).items():
@@ -758,7 +1046,8 @@ class TestHandOffFromOutside:
         tb, (outcome,) = _run_fig3(chaos=True)
         assert outcome == "completed"
         assert tb.network.stats.drops > 0 and tb.network.stats.retries > 0
-        assert audit["envelopes"] > 0 and audit["states"] > 0
+        assert audit["envelopes"] > audit["spliced"] > 0 and audit["states"] > 0
+        assert audit["fallback"] == 0  # the rest were resent texts, parsed
         for key, blob in _all_blobs(tb).items():
             assert blob == encode_state(decode_state(blob)), key
 
@@ -785,9 +1074,35 @@ class TestHandOffFromOutside:
         )
         tb.settle()
         assert outcome == "completed"
-        assert audit["envelopes"] > 0 and audit["states"] > 0
+        assert audit["spliced"] > 0 and audit["states"] > 0
+        assert audit["fallback"] == 0
         for key, blob in _all_blobs(tb).items():
             assert blob == encode_state(decode_state(blob)), key
+
+    def test_foreign_extra_header_takes_the_tree_path(self, audit):
+        """A client that attaches a header block outside ``wsse:``: the
+        parser reads it back as a reference property, so those requests
+        are written by the reference encoder and decoded on arrival —
+        same job set, and the replies are still spliced."""
+        tb = _grid()
+        client = tb.make_client()
+        spec = fan_spec(client, tb, 2)
+        outcome, jobset_epr, _ = tb.run_job_set(client, spec)
+        tb.settle()
+        assert outcome == "completed" and audit["fallback"] == 0
+        spliced = audit["spliced"]
+        trace = Element(QName("urn:tracking", "Trace"), text="t-1")
+
+        def scenario():
+            for _ in range(3):
+                ask = Element(QName(NS.WSRF_RP, "GetResourceProperty"),
+                              text=QName(UVA, "Status").clark())
+                reply = yield from client.soap.invoke(jobset_epr, ask, extra_headers=[trace])
+                assert reply.full_text() == "Completed"
+
+        tb.run(scenario())
+        assert audit["fallback"] == 3 and audit["spliced"] == spliced + 3
+        assert tb.network.codec.parse_misses == 0
 
     def test_received_envelope_mutated_in_place_redelivers_pristine(self):
         codec = _grid().network.codec

@@ -137,11 +137,28 @@ class TestSoapEnvelope:
             SoapEnvelope.deserialize(bad)
         assert SoapEnvelope.deserialize(text)  # control
 
-    def test_wire_size_counts_bytes(self):
-        small = _envelope().wire_size()
-        big_payload = Element(QName(NS.UVACG, "Write"), text="x" * 10_000)
-        big = _envelope(payload=big_payload).wire_size()
-        assert big > small + 9_000
+    @pytest.mark.parametrize("tag, addressing_field, reference_property, extra_header", [
+        (QName(NS.WSA, "RelatesTo"), True, False, False),   # wsa:, known
+        (QName(NS.WSA, "Hop"), False, False, False),        # wsa:, unknown: dropped
+        (QName(NS.WSSE, "Security"), False, False, True),
+        (QName(NS.WSSE, "Other"), False, False, True),
+        (QName(NS.UVACG, "Trace"), False, True, False),     # any other namespace
+        (QName("urn:foreign", "trace"), False, True, False),
+        (QName("unqualified"), False, True, False),
+    ])
+    def test_header_block_classified_by_namespace(
+        self, tag, addressing_field, reference_property, extra_header
+    ):
+        """How the parser reads back a block the sender put in
+        ``extra_headers`` — the envelope writer's fast path takes only
+        the blocks that come back as extra headers (``wsse:``)."""
+        env = _envelope()
+        env.extra_headers.append(Element(tag, text="value"))
+        again = SoapEnvelope.deserialize(env.serialize())
+        assert (again.addressing.relates_to == "value") == addressing_field
+        assert (again.addressing.to_epr.get(tag) == "value") == reference_property
+        assert again.addressing.to_epr.get(QName(NS.UVACG, "ResourceID")) == "dir-1"
+        assert [block.tag for block in again.extra_headers] == ([tag] if extra_header else [])
 
     def test_not_an_envelope_rejected(self):
         with pytest.raises(ValueError, match="not a SOAP envelope"):

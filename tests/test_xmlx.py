@@ -117,9 +117,6 @@ class TestElement:
         assert root.child_text("name") == "fred"
         assert root.child_text("missing", "dflt") == "dflt"
 
-    def test_size_bytes_positive(self):
-        assert Element("r").size_bytes() > 0
-
 
 class TestWriterParser:
     def test_roundtrip_simple(self):
