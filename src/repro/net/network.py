@@ -17,6 +17,13 @@ class DeliveryError(RuntimeError):
     """Connection refused / host down / partitioned / message dropped."""
 
 
+def _utf8_size(text: str) -> int:
+    """``len(text.encode("utf-8"))``, without the encoded copy when the
+    text is ASCII (``isascii`` reads a flag): an envelope carrying a
+    staged file is megabytes of it."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
 @dataclass(slots=True)
 class NetworkStats:
     """Aggregate traffic and fault counters for the benchmark harness."""
@@ -286,7 +293,7 @@ class Network:
             if connect:
                 yield self.env.timeout(connect)
 
-            size = len(payload.encode("utf-8"))
+            size = _utf8_size(payload)
             # Sender-side XML serialization cost.
             yield self.env.timeout(self.params.xml_cost(size))
             request_dropped = self._message_dropped(src_host, uri.host)
@@ -325,7 +332,7 @@ class Network:
                 )
             if response is None:
                 response = ""
-            resp_size = len(response.encode("utf-8"))
+            resp_size = _utf8_size(response)
             yield self.env.timeout(self.params.xml_cost(resp_size))
             # NOTE: the server has already executed by now — losing the
             # response leg makes a retried call at-least-once.
@@ -405,7 +412,7 @@ class Network:
             connect = self._connect_cost(uri.scheme, src_host, uri.host, port)
             if connect:
                 yield self.env.timeout(connect)
-            size = len(payload.encode("utf-8"))
+            size = _utf8_size(payload)
             yield self.env.timeout(self.params.xml_cost(size))
             dropped = self._message_dropped(src_host, uri.host)
             yield from self._transmit(src, uri.host, uri.scheme, size, category)

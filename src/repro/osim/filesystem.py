@@ -20,7 +20,14 @@ class FsError(Exception):
 
 
 class FileContent:
-    """Real or synthetic file content with a stable digest."""
+    """Real or synthetic file content with a stable digest.
+
+    The digest of real data is a pass over every byte, so it is
+    computed when :attr:`digest` or ``==`` first asks, at most once —
+    staging a file (``write_file`` / ``read_file`` / ``to_bytes``) asks
+    for none.  Synthetic content is digested from its size label when
+    built (``content_to_wire`` sends that digest with every transfer).
+    """
 
     __slots__ = ("_data", "size", "_digest")
 
@@ -32,7 +39,7 @@ class FileContent:
         if data is not None:
             self._data = data
             self.size = len(data)
-            self._digest = hashlib.sha256(data).hexdigest()
+            self._digest: Optional[str] = None  # until asked for
         else:
             if synthetic_size < 0:
                 raise ValueError("negative synthetic size")
@@ -54,6 +61,8 @@ class FileContent:
 
     @property
     def digest(self) -> str:
+        if self._digest is None:
+            self._digest = hashlib.sha256(self._data).hexdigest()
         return self._digest
 
     def to_bytes(self) -> bytes:
@@ -71,7 +80,11 @@ class FileContent:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FileContent):
             return NotImplemented
-        return self._digest == other._digest and self.size == other.size
+        if self.size != other.size:
+            return False
+        if self._data is not None and self._data is other._data:
+            return True
+        return self.digest == other.digest
 
     def __repr__(self) -> str:
         kind = "synthetic" if self.is_synthetic else "bytes"

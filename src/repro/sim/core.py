@@ -248,11 +248,15 @@ class Environment:
 
             stop_event.add_callback(_stop)
 
-        while self._heap and not stopped:
-            if self.peek() > deadline:
+        # step is looked up through the instance once per run (tracers
+        # patch Environment.step on the class), the heap head read inline
+        heap = self._heap
+        step = self.step
+        while heap and not stopped:
+            if heap[0][0] > deadline:
                 self._now = deadline
                 return None
-            self.step()
+            step()
 
         if stop_event is not None:
             if not stop_event.triggered:

@@ -88,6 +88,10 @@ class EnvelopeCache:
 
     The table is bounded by the bytes of text it keys on (*max_bytes*);
     a delivered text's entry is gone, so the cache keeps none alive.
+    An undelivered entry also keeps alive the ``bytes`` any base64 leaf
+    of its body was encoded from (soap/types.py hands them over with
+    the text: 0.75x that text's length); the bound still counts text
+    bytes only.
     """
 
     __slots__ = ("parse_hits", "parse_misses", "encode_hits", "encode_misses",

@@ -24,8 +24,45 @@ _KEY = QName(NS.UVACG, "key")
 _VALUE = QName(NS.UVACG, "value")
 
 
+class _Base64Text(str):
+    """The base64 text of :attr:`raw`, still referring to it: the
+    decoded hand-off for a ``bytes`` leaf (docs/performance.md, "Bulk
+    data path").  Equal, hashed and written as the plain ``str`` it is;
+    immutable, so it cannot go stale, and it lives as long as the text
+    does — no table, nothing to reset.  Text that came through the
+    parser is a plain ``str`` and is decoded.
+    """
+
+    __slots__ = ("raw",)
+    raw: bytes
+
+    def __new__(cls, raw: bytes) -> "_Base64Text":
+        # str(bytes, "ascii"): built straight from the encoder's output
+        self = super().__new__(cls, base64.b64encode(raw), "ascii")
+        self.raw = raw
+        return self
+
+
+def _literal(element: Element, xsi_type: str, convert) -> Any:
+    """``convert(text)`` of a numeric leaf, a bad literal being the
+    sender's mistake (``soap:Client``) and not a stray ``ValueError``."""
+    text = element.full_text().strip()
+    try:
+        return convert(text)
+    except ValueError:
+        kind = xsi_type[len("xsd:"):]
+        raise SoapFault("soap:Client", f"bad {kind} literal {text!r}") from None
+
+
 def to_typed_element(tag, value: Any) -> Element:
-    """Serialize *value* into an element named *tag* with an xsi:type."""
+    """Serialize *value* into an element named *tag* with an xsi:type.
+
+    A value that is exactly ``bytes`` (immutable, and it decodes to
+    itself) gets a text that still refers to it, so a receiver handed
+    this very element — or a copy, :meth:`Element.copy` carries the text
+    object — need not decode megabytes back into a second copy.  A
+    ``bytes`` subclass decodes to its base, so it gets a plain ``str``.
+    """
     el = Element(tag)
     if value is None:
         el.attrib[_XSI_NIL] = "true"
@@ -43,7 +80,10 @@ def to_typed_element(tag, value: Any) -> Element:
         el.text = value
     elif isinstance(value, bytes):
         el.attrib[_XSI_TYPE] = "xsd:base64Binary"
-        el.text = base64.b64encode(value).decode("ascii")
+        if type(value) is bytes:
+            el.text = _Base64Text(value)
+        else:
+            el.text = base64.b64encode(value).decode("ascii")
     elif isinstance(value, EndpointReference):
         el.attrib[_XSI_TYPE] = "wsa:EndpointReferenceType"
         for child in value.to_xml().children:
@@ -69,7 +109,14 @@ def to_typed_element(tag, value: Any) -> Element:
 
 
 def from_typed_element(element: Element) -> Any:
-    """Inverse of :func:`to_typed_element`."""
+    """Inverse of :func:`to_typed_element`.
+
+    A malformed literal raises ``SoapFault("soap:Client", "bad <type>
+    literal ...")``.  A base64 leaf whose text is the very object
+    :func:`to_typed_element` wrote (and that has gained no child) hands
+    back the ``bytes`` it was encoded from; any other text — parsed,
+    assigned, foreign — goes through ``base64.b64decode``.
+    """
     if element.get(_XSI_NIL) == "true":
         return None
     xsi_type = element.get(_XSI_TYPE)
@@ -83,13 +130,20 @@ def from_typed_element(element: Element) -> Any:
             raise SoapFault("soap:Client", f"bad boolean literal {text!r}")
         return text in ("true", "1")
     if xsi_type in ("xsd:long", "xsd:int"):
-        return int(element.full_text().strip())
+        return _literal(element, xsi_type, int)
     if xsi_type in ("xsd:double", "xsd:float"):
-        return float(element.full_text().strip())
+        return _literal(element, xsi_type, float)
     if xsi_type == "xsd:string":
         return element.full_text()
     if xsi_type == "xsd:base64Binary":
-        return base64.b64decode(element.full_text().strip().encode("ascii"))
+        text = element.text
+        if type(text) is _Base64Text and not element.children:
+            return text.raw
+        try:
+            return base64.b64decode(element.full_text().strip().encode("ascii"))
+        except ValueError as exc:  # binascii.Error, UnicodeEncodeError
+            # the reason, not the text: the literal may be megabytes
+            raise SoapFault("soap:Client", f"bad base64Binary literal: {exc}") from None
     if xsi_type == "wsa:EndpointReferenceType":
         return EndpointReference.from_xml(element)
     if xsi_type == "uva:xmlAny":

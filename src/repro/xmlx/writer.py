@@ -2,24 +2,21 @@
 
 from __future__ import annotations
 
-import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.xmlx.element import Element
 from repro.xmlx.qname import NS, QName
 
-_TEXT_ESCAPES = [("&", "&amp;"), ("<", "&lt;"), (">", "&gt;")]
-_ATTR_ESCAPES = _TEXT_ESCAPES + [('"', "&quot;")]
-
-# Most values carry no markup characters; one C-level scan decides
-# whether any replace() allocations are needed at all.
-_TEXT_NEEDS_ESCAPE = re.compile(r"[&<>]").search
-_ATTR_NEEDS_ESCAPE = re.compile(r'[&<>"]').search
-
 
 def escape_text(value: str) -> str:
-    if _TEXT_NEEDS_ESCAPE(value) is None:
-        return value
+    """*value* as character data: ``&``, ``<`` and ``>`` replaced.
+
+    Most values hold none of the three, and a staged file's base64 text
+    is megabytes of none: each test is one substring search, and a value
+    with nothing to escape comes back as the object it was (the base64
+    hand-off in soap/types.py and the envelope splice rely on that —
+    no copy, no second pass).
+    """
     if "&" in value:
         value = value.replace("&", "&amp;")
     if "<" in value:
@@ -30,8 +27,7 @@ def escape_text(value: str) -> str:
 
 
 def escape_attr(value: str) -> str:
-    if _ATTR_NEEDS_ESCAPE(value) is None:
-        return value
+    """:func:`escape_text` plus ``"``, for a double-quoted attribute."""
     value = escape_text(value)
     if '"' in value:
         value = value.replace('"', "&quot;")

@@ -30,6 +30,7 @@ Seven concerns, one file:
   (byte-identical traces, timestamps included).
 """
 
+import base64
 import re
 
 import pytest
@@ -41,7 +42,7 @@ from repro.db.resource_store import decode_state, encode_state
 from repro.gridapp import FaultToleranceConfig, FileRef, JobSpec, Testbed
 from repro.net import RetryPolicy
 from repro.osim.programs import make_compute_program
-from repro.soap import EnvelopeCache, SoapEnvelope
+from repro.soap import EnvelopeCache, SoapEnvelope, from_typed_element
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.xmlx import NS, Element, QName, XmlParseError, parse, to_string
 from repro.xmlx import writer
@@ -993,11 +994,12 @@ def _run_fig3(chaos=False, **kwargs):
 def audit(monkeypatch):
     """Check, from outside, everything the hand-off hands over: each
     envelope, field for field, against the strict parse of its wire
-    text, each loaded state against ``decode_state`` of the stored
-    bytes.  Counts the envelopes handed over as envelopes (``spliced``)
-    and those handed over as trees for the receiver to decode
-    (``fallback``)."""
-    seen = {"envelopes": 0, "spliced": 0, "fallback": 0, "states": 0}
+    text, each base64 leaf that still refers to the ``bytes`` it was
+    encoded from against the reference decode of its text, each loaded
+    state against ``decode_state`` of the stored bytes.  Counts the
+    envelopes handed over as envelopes (``spliced``) and those handed
+    over as trees for the receiver to decode (``fallback``)."""
+    seen = {"envelopes": 0, "spliced": 0, "fallback": 0, "states": 0, "base64": 0}
     real_parse, real_decode = EnvelopeCache.parse, DecodeCache.decode
     decoded = _watch_decoding(monkeypatch)
 
@@ -1008,6 +1010,12 @@ def audit(monkeypatch):
         if self.parse_hits > hits:
             seen["fallback" if decoded else "spliced"] += 1
         _assert_same_message(envelope, SoapEnvelope.from_element(parse(text)))
+        for block in (envelope.body, *envelope.extra_headers):
+            for leaf in block.iter():
+                if hasattr(leaf.text, "raw"):
+                    assert from_typed_element(leaf) is leaf.text.raw
+                    assert leaf.text.raw == base64.b64decode(leaf.text.encode("ascii"))
+                    seen["base64"] += 1
         seen["envelopes"] += 1
         return envelope
 
@@ -1038,6 +1046,7 @@ class TestHandOffFromOutside:
         assert outcome == "completed"
         assert audit["envelopes"] == audit["spliced"] == tb.network.codec.parse_hits > 0
         assert audit["states"] > 0 and tb.network.codec.parse_misses == 0
+        assert audit["base64"] > 0
         # every stored blob is what the from-scratch encoder writes
         for key, blob in _all_blobs(tb).items():
             assert blob == encode_state(decode_state(blob)), key
@@ -1047,6 +1056,7 @@ class TestHandOffFromOutside:
         assert outcome == "completed"
         assert tb.network.stats.drops > 0 and tb.network.stats.retries > 0
         assert audit["envelopes"] > audit["spliced"] > 0 and audit["states"] > 0
+        assert audit["base64"] > 0
         assert audit["fallback"] == 0  # the rest were resent texts, parsed
         for key, blob in _all_blobs(tb).items():
             assert blob == encode_state(decode_state(blob)), key
@@ -1074,7 +1084,7 @@ class TestHandOffFromOutside:
         )
         tb.settle()
         assert outcome == "completed"
-        assert audit["spliced"] > 0 and audit["states"] > 0
+        assert audit["spliced"] > 0 and audit["states"] > 0 and audit["base64"] > 0
         assert audit["fallback"] == 0
         for key, blob in _all_blobs(tb).items():
             assert blob == encode_state(decode_state(blob)), key
