@@ -1,0 +1,26 @@
+"""Every scenario of tests/equivalence.py still leaves the bytes the
+committed goldens describe (regenerate them only on purpose: see that
+module's docstring)."""
+
+import json
+
+import pytest
+
+from tests.equivalence import GOLDEN, SCENARIOS, fingerprint_of
+
+GOLDENS = json.loads(GOLDEN.read_text())
+
+
+def test_goldens_cover_exactly_the_scenarios():
+    assert sorted(GOLDENS) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_matches_golden(name):
+    got, want = fingerprint_of(name), GOLDENS[name]
+    assert list(got) == list(want)
+    differing = [component for component in got if got[component] != want[component]]
+    assert not differing, (
+        f"{name}: first differing component is {differing[0]!r} "
+        f"(all differing: {differing})"
+    )
