@@ -17,7 +17,7 @@ from repro.wsa import EndpointReference
 from repro.xmlx import NS, Element, QName, parse, to_string, xpath_select
 from repro.xmlx.writer import document_frame, fragment_to_string
 
-_STATE_TAG = QName.of(NS.UVACG, "ResourceState")
+_STATE_TAG = QName(NS.UVACG, "ResourceState")
 
 State = Dict[QName, Any]
 

@@ -74,6 +74,15 @@ def parse_zone_catalog(el: Element) -> Dict:
 class AggregatorCatalogService(ServiceGroupService):
     """ServiceGroup-of-ServiceGroups with staleness-bounded entries."""
 
+    DEPLOYMENT = {
+        #: the zone group's resource id and the staleness bound, both
+        #: from setup_aggregator (no group: an empty catalog)
+        "agg_group_rid": None,
+        "staleness_s": None,
+        "catalog_refreshes": 0,
+        "catalog_stale_served": 0,
+    }
+
     @WebMethod(requires_resource=False)
     def GetAllProcessors(self) -> List[Dict]:
         """Every processor in the federation, tagged with its zone.
@@ -84,10 +93,10 @@ class AggregatorCatalogService(ServiceGroupService):
         a dead zone.
         """
         wrapper = self.wsrf.wrapper
-        group_id = getattr(wrapper, "agg_group_rid", None)
+        group_id = wrapper.agg_group_rid
         if group_id is None:
             return []
-        staleness_s = getattr(wrapper, "staleness_s", 5.0)
+        staleness_s = wrapper.staleness_s
         group_state = wrapper.store.load(wrapper.service_name, group_id)
         out: List[Dict] = []
         for entry_id in group_state.get(QName(SG, "entry_ids")) or []:
@@ -114,9 +123,7 @@ class AggregatorCatalogService(ServiceGroupService):
                             category="nis",
                         )
                     except (DeliveryError, SoapFault):
-                        wrapper.catalog_stale_served = (
-                            getattr(wrapper, "catalog_stale_served", 0) + 1
-                        )
+                        wrapper.catalog_stale_served += 1
                     else:
                         catalog["processors"] = processors
                         catalog["fetched_at"] = self.env.now
@@ -127,9 +134,7 @@ class AggregatorCatalogService(ServiceGroupService):
                         wrapper.store.save(
                             wrapper.service_name, entry_id, state
                         )
-                        wrapper.catalog_refreshes = (
-                            getattr(wrapper, "catalog_refreshes", 0) + 1
-                        )
+                        wrapper.catalog_refreshes += 1
                 for p in catalog["processors"]:
                     out.append(dict(p, zone=catalog["zone"]))
             finally:

@@ -63,6 +63,9 @@ class ExecutionService(ServiceSkeleton):
 
     SERVICE_NS = UVA
 
+    #: where job events go (None: no broker, events are dropped)
+    DEPLOYMENT = {"broker_epr": None}
+
     job_name = Resource(default="")
     status = Resource(default="Created")  # StagingFiles|Running|Exited|Killed|Failed
     binary_name = Resource(default="")
@@ -273,7 +276,7 @@ class ExecutionService(ServiceSkeleton):
         so the send fires immediately.
         """
         wrapper = self.wsrf.wrapper
-        broker_epr = getattr(wrapper, "broker_epr", None)
+        broker_epr = wrapper.broker_epr
         if broker_epr is None:
             return  # testbed without a broker: events are dropped
         tracing.record(self.machine, 9, f"ES@{self.machine.name}", topic_path)

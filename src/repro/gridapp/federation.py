@@ -9,9 +9,9 @@ machine carrying the cross-zone aggregator catalog and the root broker.
 Job sets are sharded across zones by consistent hash on a deterministic
 job-set id; the :class:`FederatedGridClient` routes ``SubmitJobSet`` to
 the owning zone, fails over to ring successors when the owner is
-unreachable at submission, and (with ``work_stealing``) re-submits a job
-set to the next live zone when the owning Scheduler stops answering
-Status polls mid-run.
+unreachable at submission, and steals work: it re-submits a job set to
+the next live zone when the owning Scheduler stops answering Status
+polls mid-run.
 
 Everything here is deterministic: the ring hashes with SHA-256 (never
 Python's salted ``hash()``), so a mapping computed today is the mapping
@@ -49,9 +49,6 @@ class FederationConfig:
     #: aggregator catalog entries older than this are re-fetched from
     #: the zone NIS on read; unreachable zones are served stale instead
     staleness_s: float = 5.0
-    #: client-driven work stealing: re-submit a job set to the next
-    #: live zone when the owning Scheduler stops answering polls
-    work_stealing: bool = True
     #: a zone counts as *full* when every local machine already has
     #: this many of the scheduler's jobs in flight; further dispatches
     #: consult the cross-zone aggregator catalog
@@ -283,8 +280,6 @@ class FederatedGridClient:
                     submission.jobset_epr, _STATUS_RP, category="poll"
                 )
             except DeliveryError:
-                if not self.config.work_stealing:
-                    raise
                 submission = yield from self._steal(submission)
                 continue
             if status in ("Completed", "Failed"):

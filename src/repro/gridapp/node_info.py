@@ -57,6 +57,13 @@ class NodeInfoService(ServiceGroupService):
     # Inherits SERVICE_NS = NS.WSRF_SG, so Add/CreateGroup keep their
     # spec QNames; ReportUtilization/GetProcessors live there too.
 
+    DEPLOYMENT = {
+        #: the processor group's resource id, from setup_node_info
+        "nis_group_rid": None,
+        #: {machine name: entry resource id}, rebuilt from the group on a miss
+        "_processor_index": dict,
+    }
+
     @WebMethod(requires_resource=False, one_way=True)
     def ReportUtilization(self, machine_name: str, utilization: float) -> int:
         """One-way from a machine's Processor Utilization service.
@@ -94,7 +101,7 @@ class NodeInfoService(ServiceGroupService):
     def GetProcessors(self) -> List[Dict]:
         """The Scheduler's step-2 poll: every known processor's state."""
         wrapper = self.wsrf.wrapper
-        group_id = getattr(wrapper, "nis_group_rid", None)
+        group_id = wrapper.nis_group_rid
         if group_id is None:
             return []
         group_state = wrapper.store.load(wrapper.service_name, group_id)
@@ -112,16 +119,13 @@ class NodeInfoService(ServiceGroupService):
     def _entry_for(self, machine_name: str) -> Optional[str]:
         """Entry resource id for a machine, via a wrapper-side index."""
         wrapper = self.wsrf.wrapper
-        index = getattr(wrapper, "_processor_index", None)
-        if index is None:
-            index = {}
-            wrapper._processor_index = index
+        index = wrapper._processor_index
         entry_id = index.get(machine_name)
         if entry_id is not None and wrapper.store.exists(wrapper.service_name, entry_id):
             return entry_id
         # (Re)build the index from the group.
         index.clear()
-        group_id = getattr(wrapper, "nis_group_rid", None)
+        group_id = wrapper.nis_group_rid
         if group_id is None:
             return None
         group_state = wrapper.store.load(wrapper.service_name, group_id)

@@ -23,11 +23,11 @@ from typing import Dict, List, Optional
 from repro.gridapp import tracing
 from repro.gridapp.execution_service import parse_job_event
 from repro.gridapp.jobset import FileRef, JobSetSpec
-from repro.net import Uri
+from repro.net import DeliveryError, Uri
 from repro.wsa import EndpointReference
-from repro.net import DeliveryError
 from repro.wsn.base_notification import (
     NotificationConsumerPortType,
+    build_notify_body,
     build_subscribe_body,
 )
 from repro.wsn.topics import FULL_DIALECT
@@ -47,7 +47,7 @@ from repro.wsrf.porttypes import (
     QueryResourcePropertiesPortType,
 )
 from repro.wssec import UsernameToken, build_security_header, has_x509_token
-from repro.xmlx import NS, QName
+from repro.xmlx import NS, Element, QName
 
 UVA = NS.UVACG
 SG = NS.WSRF_SG
@@ -71,24 +71,22 @@ class FaultToleranceConfig:
     behaviour (one transport fault marks the set Failed).
     """
 
-    #: machines tried per scheduling pass before the dispatch fails
-    max_dispatch_attempts: int = 3
-    #: watchdog-driven recoveries allowed per job before giving up
-    max_redispatches: int = 3
     #: seconds between watchdog sweeps over a running job set
     watchdog_period: float = 5.0
     #: re-dispatch a job stuck in Created/StagingFiles this long
     stuck_after: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.max_dispatch_attempts < 1:
-            raise ValueError("max_dispatch_attempts must be >= 1")
-        if self.max_redispatches < 0:
-            raise ValueError("max_redispatches must be >= 0")
         if self.watchdog_period <= 0:
             raise ValueError("watchdog_period must be positive")
         if self.stuck_after <= 0:
             raise ValueError("stuck_after must be positive")
+
+
+#: under fault tolerance: machines tried per scheduling pass before the
+#: dispatch fails, and watchdog-driven recoveries per job before giving up
+_MAX_DISPATCH_ATTEMPTS = 3
+_MAX_REDISPATCHES = 3
 
 
 def choose_machine(processors: List[Dict], policy: str, rng=None, rr_state=None) -> Dict:
@@ -133,6 +131,29 @@ class SchedulerService(ServiceSkeleton):
     """WS-Resources are job sets."""
 
     SERVICE_NS = UVA
+
+    DEPLOYMENT = {
+        # -- wiring: assigned by whoever assembles the grid (Testbed) --
+        "nis_epr": None,  # the Node Info service polled in step 2
+        "broker_epr": None,  # where job-set events are published
+        "subscribe_broker_epr": None,  # federation: the root broker
+        "aggregator_epr": None,  # federation: the cross-zone catalog ...
+        "federation": None,  # ... and the FederationConfig with its spill cap
+        "fault_tolerance": None,  # a FaultToleranceConfig turns re-dispatch on
+        "machine_certs": dict,  # {machine: certificate}
+        "gt4_machines": set,  # machines that take a delegated credential
+        "scheduling_policy": "best",
+        "rng": None,  # the random policy's generator
+        # -- per-boot working state --
+        "_jobset_seq": 0,  # topic sequence (wsrf_recover re-derives it)
+        "_rr_state": lambda: {"next": 0},  # the round-robin cursor
+        # -- counters: obs/core.py exports the non-zero ones --
+        "nis_polls_elided": 0,
+        "recoveries_announced": 0,
+        "jobsets_readopted": 0,
+        "jobsets_stolen": 0,
+        "cross_zone_dispatches": 0,
+    }
 
     jobs = Resource(default=None)  # wire-form job specs
     status = Resource(default="Running")  # Running|Completed|Failed
@@ -198,9 +219,7 @@ class SchedulerService(ServiceSkeleton):
         # GSI delegation: if the client's security header also carries a
         # signed X.509 token, keep it to authenticate dispatches to GT4
         # machines on the client's behalf (a proxy-credential stand-in).
-        from repro.xmlx import NS as _NS
-
-        sec_header = self.wsrf.envelope.find_header(QName(_NS.WSSE, "Security"))
+        sec_header = self.wsrf.envelope.find_header(QName(NS.WSSE, "Security"))
         delegated = (
             sec_header.copy()
             if sec_header is not None and has_x509_token(sec_header)
@@ -210,15 +229,14 @@ class SchedulerService(ServiceSkeleton):
         if origin:
             # Work stealing: a federated client re-routed this job set
             # here after zone *origin* stopped answering.
-            wrapper.jobsets_stolen = getattr(wrapper, "jobsets_stolen", 0) + 1
+            wrapper.jobsets_stolen += 1
             tracing.record(
                 machine, 12, "Scheduler",
                 f"adopting job set of {len(spec.jobs)} jobs from zone {origin}",
             )
 
-        seq = getattr(wrapper, "_jobset_seq", 0) + 1
-        wrapper._jobset_seq = seq
-        topic = f"jobset-{seq:04d}"
+        wrapper._jobset_seq += 1
+        topic = f"jobset-{wrapper._jobset_seq:04d}"
 
         rid = self.create_resource(
             jobs=jobs,
@@ -240,9 +258,8 @@ class SchedulerService(ServiceSkeleton):
         )
         jobset_epr = self.epr_for(rid)
 
-        ft = getattr(wrapper, "fault_tolerance", None)
-        if ft is not None:
-            _start_watchdog(wrapper, rid, jobset_epr, ft)
+        if wrapper.fault_tolerance is not None:
+            _start_watchdog(wrapper, rid, jobset_epr, wrapper.fault_tolerance)
 
         # "The SS then invokes the Subscribe() method on the Notification
         # Broker to subscribe both itself and the client's notification
@@ -250,9 +267,7 @@ class SchedulerService(ServiceSkeleton):
         # Federated zones subscribe at the *root* broker — zone brokers
         # uplink every publish there, so subscribers see events from any
         # zone a job may run in.
-        broker_epr = getattr(wrapper, "subscribe_broker_epr", None) or getattr(
-            wrapper, "broker_epr", None
-        )
+        broker_epr = wrapper.subscribe_broker_epr or wrapper.broker_epr
         if broker_epr is not None:
             yield from self.client.invoke(
                 broker_epr,
@@ -280,7 +295,7 @@ class SchedulerService(ServiceSkeleton):
     @WebMethod
     def CancelJobSet(self) -> str:
         """Kill all dispatched jobs and mark the set failed."""
-        phases = dict(self.job_phase or {})
+        phases = self.job_phase or {}
         eprs = self.job_eprs or {}
         for name, phase in phases.items():
             if phase == "dispatched" and name in eprs:
@@ -288,9 +303,10 @@ class SchedulerService(ServiceSkeleton):
                     yield from self.client.call(eprs[name], UVA, "Kill")
                 except BaseFault:
                     pass
-            if phase in ("pending", "dispatched"):
-                phases[name] = "failed"
-        self.job_phase = phases
+        self.job_phase = {
+            name: "failed" if phase in ("pending", "dispatched") else phase
+            for name, phase in phases.items()
+        }
         self.status = "Failed"
         self._announce("cancelled")
         return "cancelled"
@@ -305,18 +321,14 @@ class SchedulerService(ServiceSkeleton):
         if not job_name or self.status != "Running":
             return
         if kind == "JobCreated":
-            eprs = dict(self.job_eprs or {})
-            dirs = dict(self.job_dirs or {})
             if self._is_stale(job_name, event):
                 return
             if "job_epr" in event:
-                eprs[job_name] = event["job_epr"]
+                self._record("job_eprs", job_name, event["job_epr"])
             if "dir_epr" in event:
                 # "The Scheduler then makes sure that any further jobs that
                 # reference the output of this job will use this EPR."
-                dirs[job_name] = event["dir_epr"]
-            self.job_eprs = eprs
-            self.job_dirs = dirs
+                self._record("job_dirs", job_name, event["dir_epr"])
             return
         if kind != "JobExited":
             return
@@ -337,15 +349,26 @@ class SchedulerService(ServiceSkeleton):
             and event["job_epr"] != current
         )
 
+    def _record(self, table: str, job_name: str, value) -> None:
+        """``self.<table>[job_name] = value`` for the ``{job: value}``
+        Resource fields — by replacement, never in place: the dict a
+        field holds is the very object ``db_load`` read, and the
+        wrapper's changed-state check compares against it.  A new key
+        goes last, a known one keeps its place (entries are encoded in
+        insertion order)."""
+        setattr(self, table, {**(getattr(self, table) or {}), job_name: value})
+
+    def _fail(self, job_name: str, detail: str) -> None:
+        """Mark the job failed, the set Failed, and announce it."""
+        self._record("job_phase", job_name, "failed")
+        self.status = "Failed"
+        self._announce("failed", detail=detail)
+
     def _job_exited(self, job_name: str, code: int):
-        phases = dict(self.job_phase or {})
-        codes = dict(self.job_exit_codes or {})
-        codes[job_name] = code
+        self._record("job_exit_codes", job_name, code)
         if code == 0:
-            phases[job_name] = "done"
-            self.job_phase = phases
-            self.job_exit_codes = codes
-            if all(phase == "done" for phase in phases.values()):
+            self._record("job_phase", job_name, "done")
+            if all(phase == "done" for phase in self.job_phase.values()):
                 self.status = "Completed"
                 self._announce("completed")
             else:
@@ -354,24 +377,20 @@ class SchedulerService(ServiceSkeleton):
                 # any uncompleted dependencies."
                 yield from self._schedule_ready_jobs()
         else:
-            phases[job_name] = "failed"
-            self.job_phase = phases
-            self.job_exit_codes = codes
-            self.status = "Failed"
-            self._announce("failed", detail=f"{job_name} exited {code}")
+            self._fail(job_name, f"{job_name} exited {code}")
 
     # -- internals ---------------------------------------------------------------------------
 
     def _schedule_ready_jobs(self):
         spec = JobSetSpec.from_wire(self.jobs or [])
         name_map = spec.name_map()
-        phases = dict(self.job_phase or {})
         # With the performance layer on, one NIS GetProcessors catalog is
         # shared by every dispatch of this scheduling pass (the catalog
         # lags reality anyway; in-flight placements are folded in per
         # dispatch below, so placement decisions are unchanged).
         pass_cache: Dict[str, List[Dict]] = {}
         for job in spec.jobs:
+            phases = self.job_phase or {}  # each dispatch replaces it
             if phases.get(job.name) != "pending":
                 continue
             if any(
@@ -384,48 +403,33 @@ class SchedulerService(ServiceSkeleton):
                 # A dispatch failure must not unwind the whole pass (the
                 # already-recorded placements would be lost): mark the job
                 # and the set failed, announce, and stop scheduling.
-                failed = dict(self.job_phase or {})
-                failed[job.name] = "failed"
-                self.job_phase = failed
-                self.status = "Failed"
-                detail = getattr(fault, "description", str(fault))
-                self._announce("failed", detail=detail)
+                self._fail(job.name, getattr(fault, "description", str(fault)))
                 return
-            phases = dict(self.job_phase or {})  # _dispatch updates it
-
-    def _ft(self) -> Optional[FaultToleranceConfig]:
-        return getattr(self.wsrf.wrapper, "fault_tolerance", None)
 
     def _dispatch_with_failover(self, job, name_map, pass_cache):
         """Dispatch *job*, failing over to other machines under FT.
 
         Transport failures (the target never answered Run, even after
         client-level retries) exclude the machine and try the next best
-        one, up to ``max_dispatch_attempts``.  SchedulingFaults — no
-        machines, missing credentials — are configuration problems and
-        stay terminal.
+        one, up to ``_MAX_DISPATCH_ATTEMPTS``; without fault tolerance
+        the budget is the one attempt, whose failure propagates.
+        SchedulingFaults — no machines, missing credentials — are
+        configuration problems and stay terminal.
         """
-        ft = self._ft()
-        if ft is None:
-            yield from self._dispatch(job, name_map, pass_cache)
-            return
+        budget = 1 if self.wsrf.wrapper.fault_tolerance is None else _MAX_DISPATCH_ATTEMPTS
         excluded = set((self.job_excluded or {}).get(job.name, ()))
-        for attempt in range(1, ft.max_dispatch_attempts + 1):
+        for attempt in range(1, budget + 1):
             self._last_target = None
             try:
                 yield from self._dispatch(job, name_map, pass_cache, exclude=excluded)
                 return
             except DeliveryError as fault:
-                if attempt >= ft.max_dispatch_attempts:
+                if attempt >= budget:
                     raise
                 dead = self._last_target
                 if dead is not None:
                     excluded.add(dead)
-                    by_job = {
-                        k: list(v) for k, v in (self.job_excluded or {}).items()
-                    }
-                    by_job[job.name] = sorted(excluded)
-                    self.job_excluded = by_job
+                    self._record("job_excluded", job.name, sorted(excluded))
                 tracing.record(
                     self.machine, 11, "Scheduler",
                     f"dispatch of {job.name} to {dead or '?'} failed; failing over",
@@ -437,7 +441,7 @@ class SchedulerService(ServiceSkeleton):
         machine = self.machine
         # Step 2: poll the NIS.
         tracing.record(machine, 2, "Scheduler", f"poll NIS for {job.name}")
-        nis_epr = getattr(wrapper, "nis_epr", None)
+        nis_epr = wrapper.nis_epr
         if nis_epr is None:
             raise SchedulingFault(description="scheduler has no Node Info service")
         batch_nis = wrapper.perf is not None
@@ -446,16 +450,13 @@ class SchedulerService(ServiceSkeleton):
             # polling once per job.  Each dispatch still gets private
             # dict copies (the queued-folding below mutates them).
             processors = [dict(p) for p in pass_cache["processors"]]
-            wrapper.nis_polls_elided = getattr(wrapper, "nis_polls_elided", 0) + 1
+            wrapper.nis_polls_elided += 1
         else:
             processors = yield from self.client.call(
                 nis_epr, SG, "GetProcessors", category="nis"
             )
             if batch_nis:
                 pass_cache["processors"] = [dict(p) for p in processors]
-        policy = getattr(wrapper, "scheduling_policy", "best")
-        if not hasattr(wrapper, "_rr_state"):
-            wrapper._rr_state = {"next": 0}
         # The NIS catalog lags (utilization reports are periodic and
         # threshold-gated), but the Scheduler knows exactly which of this
         # job set's jobs are already in flight — fold those into
@@ -470,17 +471,16 @@ class SchedulerService(ServiceSkeleton):
         processors = [
             dict(p, queued=in_flight.get(p["name"], 0)) for p in processors
         ]
-        aggregator_epr = getattr(wrapper, "aggregator_epr", None)
+        aggregator_epr = wrapper.aggregator_epr
         if aggregator_epr is not None:
-            fed = getattr(wrapper, "federation", None)
-            cap = fed.max_queued_per_machine if fed is not None else 4
+            cap = wrapper.federation.max_queued_per_machine
             if not processors or all(p["queued"] >= cap for p in processors):
                 # The local zone is full (or exclusions emptied it):
                 # consult the cross-zone aggregator catalog for capacity
                 # anywhere in the federation.
                 tracing.record(
                     machine, 12, "Scheduler",
-                    f"zone {getattr(wrapper, 'zone', '?')} full; consulting "
+                    f"zone {wrapper.zone} full; consulting "
                     f"aggregator for {job.name}",
                 )
                 catalog = yield from self.client.call(
@@ -501,15 +501,13 @@ class SchedulerService(ServiceSkeleton):
                 )
             )
         chosen = choose_machine(
-            processors, policy, rng=getattr(wrapper, "rng", None),
+            processors, wrapper.scheduling_policy, rng=wrapper.rng,
             rr_state=wrapper._rr_state,
         )
         target = chosen["name"]
-        zone = getattr(wrapper, "zone", None)
+        zone = wrapper.zone
         if zone is not None and chosen.get("zone", zone) != zone:
-            wrapper.cross_zone_dispatches = (
-                getattr(wrapper, "cross_zone_dispatches", 0) + 1
-            )
+            wrapper.cross_zone_dispatches += 1
             tracing.record(
                 machine, 12, "Scheduler",
                 f"{job.name} dispatched cross-zone to "
@@ -520,8 +518,7 @@ class SchedulerService(ServiceSkeleton):
         for ref in job.inputs:
             files.append(self._resolve(ref, job.name, name_map))
 
-        gt4_machines = getattr(wrapper, "gt4_machines", set())
-        if target in gt4_machines:
+        if target in wrapper.gt4_machines:
             # GT4 node: forward the client's delegated X.509 credential.
             if self.delegated_cred is None:
                 raise SchedulingFault(
@@ -532,7 +529,7 @@ class SchedulerService(ServiceSkeleton):
                 )
             header = self.delegated_cred.copy()
         else:
-            certs = getattr(wrapper, "machine_certs", {})
+            certs = wrapper.machine_certs
             if target not in certs:
                 raise SchedulingFault(
                     description=f"no certificate known for machine {target!r}"
@@ -557,24 +554,14 @@ class SchedulerService(ServiceSkeleton):
             extra_headers=[header],
             category="dispatch",
         )
-        phases = dict(self.job_phase or {})
-        phases[job.name] = "dispatched"
-        self.job_phase = phases
-        machines = dict(self.job_machine or {})
-        machines[job.name] = target
-        self.job_machine = machines
-        eprs = dict(self.job_eprs or {})
-        eprs[job.name] = result["job"]
-        self.job_eprs = eprs
-        dirs = dict(self.job_dirs or {})
-        dirs[job.name] = result["dir"]
-        self.job_dirs = dirs
-        attempts = dict(self.job_attempts or {})
-        attempts[job.name] = attempts.get(job.name, 0) + 1
-        self.job_attempts = attempts
-        stamped = dict(self.job_dispatched_at or {})
-        stamped[job.name] = self.env.now
-        self.job_dispatched_at = stamped
+        self._record("job_phase", job.name, "dispatched")
+        self._record("job_machine", job.name, target)
+        self._record("job_eprs", job.name, result["job"])
+        self._record("job_dirs", job.name, result["dir"])
+        self._record(
+            "job_attempts", job.name, (self.job_attempts or {}).get(job.name, 0) + 1
+        )
+        self._record("job_dispatched_at", job.name, self.env.now)
 
     # -- fault tolerance (watchdog-driven re-dispatch) --------------------------------
 
@@ -595,12 +582,14 @@ class SchedulerService(ServiceSkeleton):
         Ends with a scheduling pass, which also self-heals a lost
         Activate self-message.
         """
-        ft = self._ft()
+        ft = self.wsrf.wrapper.fault_tolerance
         if ft is None or self.status != "Running":
             return
-        eprs = dict(self.job_eprs or {})
+        # The tables as the sweep found them: recoveries and completions
+        # below replace the fields, never these dicts.
+        eprs = self.job_eprs or {}
         stamped = self.job_dispatched_at or {}
-        for name, phase in dict(self.job_phase or {}).items():
+        for name, phase in (self.job_phase or {}).items():
             if self.status != "Running":
                 return  # a recovery exhausted its budget mid-sweep
             if phase != "dispatched" or name not in eprs:
@@ -640,28 +629,16 @@ class SchedulerService(ServiceSkeleton):
 
     def _recover(self, job_name: str, reason: str, exclude_machine: bool = True):
         """Re-queue *job_name* after its dispatch was lost (§watchdog)."""
-        ft = self._ft()
         done = (self.job_attempts or {}).get(job_name, 1)
         from_machine = (self.job_machine or {}).get(job_name, "?")
-        if ft is None or done - 1 >= ft.max_redispatches:
-            phases = dict(self.job_phase or {})
-            phases[job_name] = "failed"
-            self.job_phase = phases
-            self.status = "Failed"
-            self._announce(
-                "failed",
-                detail=f"{job_name}: recovery budget exhausted ({reason})",
-            )
+        if done - 1 >= _MAX_REDISPATCHES:
+            self._fail(job_name, f"{job_name}: recovery budget exhausted ({reason})")
             return
         if exclude_machine and from_machine != "?":
-            by_job = {k: list(v) for k, v in (self.job_excluded or {}).items()}
-            names = by_job.setdefault(job_name, [])
+            names = (self.job_excluded or {}).get(job_name, [])
             if from_machine not in names:
-                names.append(from_machine)
-            self.job_excluded = by_job
-        phases = dict(self.job_phase or {})
-        phases[job_name] = "pending"
-        self.job_phase = phases
+                self._record("job_excluded", job_name, [*names, from_machine])
+        self._record("job_phase", job_name, "pending")
         tracing.record(
             self.machine, 11, "Scheduler",
             f"recover {job_name} from {from_machine}: {reason}",
@@ -670,16 +647,7 @@ class SchedulerService(ServiceSkeleton):
 
     def _announce_recovery(self, job_name: str, from_machine: str, reason: str):
         """Broadcast a JobRecovery event carrying a typed WS-BaseFault."""
-        wrapper = self.wsrf.wrapper
-        # Recovery count lives on the wrapper (not the skeleton instance,
-        # which is rebuilt per invocation) so obs collection can read it.
-        wrapper.recoveries_announced = getattr(wrapper, "recoveries_announced", 0) + 1
-        broker_epr = getattr(wrapper, "broker_epr", None)
-        if broker_epr is None:
-            return
-        from repro.wsn.base_notification import build_notify_body
-        from repro.xmlx import Element
-
+        self.wsrf.wrapper.recoveries_announced += 1
         payload = Element(QName(UVA, "JobRecovery"))
         payload.set("job", job_name)
         payload.set("from", from_machine)
@@ -687,12 +655,7 @@ class SchedulerService(ServiceSkeleton):
             description=reason, timestamp=self.env.now
         )
         payload.append(fault.to_detail_element())
-        body = build_notify_body(
-            f"{self.topic}/recovery", payload, wrapper.service_epr()
-        )
-        # Write-ahead contract (WAL001): the recovery bookkeeping this
-        # event describes must be persisted before the event leaves.
-        self.wsrf.send_after_persist(broker_epr, body)
+        self._broadcast("recovery", payload)
 
     def _resolve(self, ref: FileRef, job_name: str, name_map) -> Dict:
         """Turn a FileRef into the paper's {EPR, filename, jobname} tuple."""
@@ -731,22 +694,23 @@ class SchedulerService(ServiceSkeleton):
 
     def _announce(self, outcome: str, detail: str = "") -> None:
         """Broadcast the job set's terminal status on its topic."""
-        wrapper = self.wsrf.wrapper
-        broker_epr = getattr(wrapper, "broker_epr", None)
-        if broker_epr is None:
-            return
-        from repro.wsn.base_notification import build_notify_body
-        from repro.xmlx import Element
-
         payload = Element(QName(UVA, "JobSetStatus"), text=outcome)
         if detail:
             payload.set("detail", detail)
+        self._broadcast(outcome, payload)
+
+    def _broadcast(self, subtopic: str, payload: Element) -> None:
+        """One Notify to the broker on ``<job set topic>/<subtopic>``."""
+        wrapper = self.wsrf.wrapper
+        if wrapper.broker_epr is None:
+            return
         body = build_notify_body(
-            f"{self.topic}/{outcome}", payload, wrapper.service_epr()
+            f"{self.topic}/{subtopic}", payload, wrapper.service_epr()
         )
-        # Write-ahead contract (WAL001): the terminal status must be on
-        # disk before the fabric hears about it.
-        self.wsrf.send_after_persist(broker_epr, body)
+        # Write-ahead contract (WAL001): the status or the recovery
+        # bookkeeping the event describes must be on disk before the
+        # fabric hears about it.
+        self.wsrf.send_after_persist(wrapper.broker_epr, body)
 
     # -- crash recovery ------------------------------------------------------------------
 
@@ -765,9 +729,8 @@ class SchedulerService(ServiceSkeleton):
         """
         status_key = QName(UVA, "status")
         topic_key = QName(UVA, "topic")
-        seq = getattr(wrapper, "_jobset_seq", 0)
-        ft = getattr(wrapper, "fault_tolerance", None)
-        readopted = 0
+        seq = wrapper._jobset_seq
+        ft = wrapper.fault_tolerance
         for rid in wrapper.store.list_ids(wrapper.service_name):
             state = wrapper.store.load(wrapper.service_name, rid)
             topic = state.get(topic_key, "")
@@ -780,17 +743,12 @@ class SchedulerService(ServiceSkeleton):
                     pass
             if state.get(status_key) != "Running":
                 continue
-            readopted += 1
+            wrapper.jobsets_readopted += 1
             jobset_epr = wrapper.epr_for(rid)
             if ft is not None:
                 _start_watchdog(wrapper, rid, jobset_epr, ft)
             _nudge_scheduling_pass(wrapper, jobset_epr)
         wrapper._jobset_seq = seq
-        if readopted:
-            #: created lazily so default obs exports stay byte-identical
-            wrapper.jobsets_readopted = (
-                getattr(wrapper, "jobsets_readopted", 0) + readopted
-            )
 
 
 def _nudge_scheduling_pass(wrapper, jobset_epr):

@@ -23,7 +23,7 @@ from repro.gridapp.scheduler import SchedulerService
 from repro.gridapp.tracing import EventTrace
 from repro.gridapp.utilization import ProcessorUtilizationService
 from repro.gt4 import Gt4ExecutionService, LinuxMachine
-from repro.net import Network, NetworkParams
+from repro.net import Network
 from repro.osim import Machine, MachineParams, ProgramRegistry
 from repro.sim import Environment
 from repro.wsn.base_notification import attach_notification_producer
@@ -47,7 +47,6 @@ class Testbed:
         n_machines: int = 4,
         machine_speeds: Optional[Sequence[float]] = None,
         seed: int = 42,
-        network_params: Optional[NetworkParams] = None,
         utilization_threshold: float = 0.10,
         utilization_period: float = 1.0,
         start_utilization_services: bool = True,
@@ -102,7 +101,7 @@ class Testbed:
         if n_machines < 1:
             raise ValueError("a grid needs at least one machine")
         self.env = Environment()
-        self.network = Network(self.env, params=network_params)
+        self.network = Network(self.env)
         self.network.trace = EventTrace(self.env)
         self.trace = self.network.trace
         # Attached before any service deploys so every wrapper
@@ -278,8 +277,7 @@ class Testbed:
         """Deploy one service with the testbed's perf layer; a federated
         testbed labels it with the zone it serves."""
         wrapper = deploy(service_cls, machine, path, perf=self.perf)
-        if zone is not None:
-            wrapper.zone = zone
+        wrapper.zone = zone
         self._wrappers.append(wrapper)
         return wrapper
 

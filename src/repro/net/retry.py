@@ -23,7 +23,7 @@ idempotent or tolerate re-execution (all testbed operations are).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Type
+from typing import Callable, Optional
 
 from repro.net.network import DeliveryError
 
@@ -97,18 +97,17 @@ def with_retry(
     policy: RetryPolicy,
     make_attempt: Callable[[], object],
     rng=None,
-    retry_on: Tuple[Type[BaseException], ...] = (DeliveryError,),
     on_retry: Optional[Callable[[int, BaseException], None]] = None,
 ):
     """Coroutine: run ``make_attempt()`` under *policy* until it succeeds.
 
     *make_attempt* must return a **fresh** simulation coroutine per call
-    (each attempt is an independent exchange).  Exceptions matching
-    *retry_on* consume an attempt and back off; anything else
-    propagates.  With ``policy.timeout_s`` set, an attempt that has not
-    completed within the window is abandoned (its client-side process is
-    killed; any server-side work it triggered keeps running detached)
-    and counted as a :class:`CallTimeout` failure.
+    (each attempt is an independent exchange).  A transport fault
+    (:class:`DeliveryError`) consumes an attempt and backs off; anything
+    else propagates.  With ``policy.timeout_s`` set, an attempt that has
+    not completed within the window is abandoned (its client-side
+    process is killed; any server-side work it triggered keeps running
+    detached) and counted as a :class:`CallTimeout` failure.
 
     ``on_retry(failures, exc)`` is called before each backoff sleep —
     the hook the network stats counter hangs off.
@@ -127,7 +126,7 @@ def with_retry(
             raise CallTimeout(
                 f"no response within {policy.timeout_s}s (attempt {failures + 1})"
             )
-        except retry_on as exc:
+        except DeliveryError as exc:
             failures += 1
             if failures >= policy.max_attempts:
                 raise

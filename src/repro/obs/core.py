@@ -34,12 +34,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 EXPORT_FORMAT = 1
 
-#: (metric, wrapper attribute) of the counters a wrapper only grows on
-#: first use — the Scheduler's recovery and per-pass NIS reuse, a host
-#: restart (docs/durability.md), the cross-zone paths and the aggregator
-#: catalog (docs/federation.md).  Exported when the attribute exists, so
-#: a run that never took the path exports byte-identically to one from
-#: before the path was written.
+#: (metric, wrapper attribute) of the counters of paths most runs never
+#: take — the Scheduler's recovery and per-pass NIS reuse, a host restart
+#: (docs/durability.md), the cross-zone paths and the aggregator catalog
+#: (docs/federation.md).  A service declares the ones it keeps
+#: (``ServiceSkeleton.DEPLOYMENT``) and they start at 0; one is exported
+#: once it is non-zero, so a run that never took the path exports
+#: byte-identically to one from before the path was written.
 _LAZY_COUNTERS = (
     ("perf.nis_polls_elided", "nis_polls_elided"),
     ("scheduler.recoveries", "recoveries_announced"),
@@ -91,11 +92,6 @@ class Observability:
             self._networks.append(network)
         return self
 
-    def detach(self, network: "Network") -> None:
-        """Disable observation of *network* (instrumentation goes dormant)."""
-        if network.obs is self:
-            network.obs = None
-
     def register_wrapper(self, wrapper: Any) -> None:
         """Adopt a deployed WrapperService as a collection source.
 
@@ -125,7 +121,7 @@ class Observability:
         """Mirror every ad-hoc counter into the registry; returns it."""
         # The codec hand-off counters are exported under the perf layer
         # only: default exports stay byte-identical to the paper-shape run.
-        perf_on = any(getattr(w, "perf", None) is not None for w in self._wrappers)
+        perf_on = any(w.perf is not None for w in self._wrappers)
         for network in self._networks:
             self._collect_network(network, perf_on)
         seen_stores: Set[int] = set()
@@ -174,12 +170,11 @@ class Observability:
         # several machines (every node runs an ExecService): set_total
         # would otherwise let the last wrapper win.
         ids = {"service": wrapper.path, "host": machine.name}
-        # Federation: zone-labelled metrics.  The zone tag exists only on
-        # wrappers a federated Testbed assembled, so default (single-site)
+        # Federation: zone-labelled metrics.  Only wrappers a federated
+        # Testbed assembled carry a zone, so default (single-site)
         # exports stay byte-identical.
-        zone = getattr(wrapper, "zone", None)
-        if zone is not None:
-            ids["zone"] = zone
+        if wrapper.zone is not None:
+            ids["zone"] = wrapper.zone
         reg.counter("wsrf.invocations", **ids).set_total(wrapper.invocations)
         reg.counter("wsrf.faults_returned", **ids).set_total(wrapper.faults_returned)
         store = wrapper.store
@@ -208,7 +203,7 @@ class Observability:
         if perf is not None:
             reg.counter("perf.loads_elided", **ids).set_total(wrapper.loads_elided)
             reg.counter("perf.writes_elided", **ids).set_total(wrapper.writes_elided)
-        producer = getattr(wrapper, "notification_producer", None)
+        producer = wrapper.notification_producer
         if producer is not None:
             reg.counter("wsn.notifications_sent", **ids).set_total(
                 producer.notifications_sent
@@ -231,8 +226,8 @@ class Observability:
                 )
                 reg.gauge("wsn.batch_max_size", **ids).set(batcher.max_batch_size)
         for metric, attribute in _LAZY_COUNTERS:
-            total = getattr(wrapper, attribute, None)
-            if total is not None:
+            total = getattr(wrapper, attribute, 0)
+            if total:
                 reg.counter(metric, **ids).set_total(total)
         if machine.name not in seen_machines:
             seen_machines.add(machine.name)

@@ -66,9 +66,6 @@ class IisServer:
             raise TypeError(f"app must expose handle_soap(); got {app!r}")
         self._apps[path] = app
 
-    def app_at(self, path: str):
-        return self._apps.get("/" + path.strip("/"))
-
     # -- crash-restart ----------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
@@ -95,6 +92,11 @@ class IisServer:
         """Network-facing server protocol (see repro.net)."""
         app = self._apps.get("/" + ctx.path.strip("/"))
         if app is None:
+            if ctx.one_way:
+                # 404 with nobody to tell: the sender is gone, so this is
+                # a refused delivery, not an exception in the fabric.
+                self.machine.network.stats.record_fault("refused")
+                return None
             # 404: surfaced as an error to request/response callers.
             raise LookupError(
                 f"no service at {ctx.path!r} on host {self.machine.name!r}"

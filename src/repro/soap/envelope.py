@@ -8,9 +8,9 @@ from repro.wsa.headers import AddressingHeaders
 from repro.xmlx import NS, Element, QName, parse, to_string
 from repro.xmlx.writer import XML_DECLARATION, document_frame, write_fragment
 
-_ENVELOPE = QName.of(NS.SOAP, "Envelope")
-_HEADER = QName.of(NS.SOAP, "Header")
-_BODY = QName.of(NS.SOAP, "Body")
+_ENVELOPE = QName(NS.SOAP, "Envelope")
+_HEADER = QName(NS.SOAP, "Header")
+_BODY = QName(NS.SOAP, "Body")
 
 
 class ContentTable(dict):

@@ -431,10 +431,7 @@ class NotificationProducer:
 
 def attach_notification_producer(wrapper) -> NotificationProducer:
     """Enable publish/subscribe on a deployed wrapper service."""
-    existing = getattr(wrapper, "notification_producer", None)
-    if existing is not None:
-        return existing
-    return NotificationProducer(wrapper)
+    return wrapper.notification_producer or NotificationProducer(wrapper)
 
 
 # -- port types ----------------------------------------------------------------------
@@ -444,7 +441,7 @@ TOPIC_RP = QName(NS.WSTOP, "Topic")
 
 
 def _advertised_topics(pt) -> list:
-    producer = getattr(pt.wrapper, "notification_producer", None)
+    producer = pt.wrapper.notification_producer
     if producer is None:
         return []
     return sorted(producer.topics_seen)
@@ -466,9 +463,7 @@ class NotificationProducerPortType(SpecPortType):
         return {TOPIC_RP: _advertised_topics}
 
     def subscribe(self, request: Element) -> Element:
-        producer = getattr(self.wrapper, "notification_producer", None)
-        if producer is None:
-            producer = attach_notification_producer(self.wrapper)
+        producer = attach_notification_producer(self.wrapper)
         consumer_el = request.find(_CONSUMER_REF)
         expr_el = request.find(_TOPIC_EXPR)
         if consumer_el is None or expr_el is None:
@@ -502,7 +497,7 @@ class SubscriptionManagerPortType(SpecPortType):
     }
 
     def _producer(self):
-        producer = getattr(self.wrapper, "notification_producer", None)
+        producer = self.wrapper.notification_producer
         if producer is None:
             raise PauseFailedFault(
                 description="service has no notification producer",

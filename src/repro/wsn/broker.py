@@ -96,7 +96,7 @@ class _DemandManager:
         rebuild, resource-destroy callbacks) the state is already
         durable, so a closed context sends immediately.
         """
-        producer = getattr(self.wrapper, "notification_producer", None)
+        producer = self.wrapper.notification_producer
         if producer is None:
             return
         send = ctx
@@ -190,14 +190,14 @@ class NotificationBrokerService(ServiceSkeleton):
     @ResourceProperty
     @property
     def SubscriptionCount(self) -> int:
-        producer = getattr(self.wsrf.wrapper, "notification_producer", None)
+        producer = self.wsrf.wrapper.notification_producer
         return len(producer.subscriptions) if producer is not None else 0
 
     @ResourceProperty
     @property
     def DroppedSubscribers(self) -> int:
         """Subscriptions dropped after exhausting redelivery attempts."""
-        producer = getattr(self.wsrf.wrapper, "notification_producer", None)
+        producer = self.wsrf.wrapper.notification_producer
         return len(producer.dropped_subscribers) if producer is not None else 0
 
     @WebMethod(requires_resource=False)

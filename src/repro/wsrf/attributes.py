@@ -146,10 +146,24 @@ class ServiceSkeleton:
     instantiates one per invocation, populates the ``Resource`` fields
     from the database, injects the invocation context, runs the method
     and persists changed state — the Fig. 1 pipeline.
+
+    State that belongs to a *deployment* rather than to a WS-Resource —
+    wiring such as a peer's EPR, per-boot working state, counters — is
+    declared in :attr:`DEPLOYMENT` and lives on the wrapper
+    (``self.wsrf.wrapper.<name>``), so it outlives the per-invocation
+    instances and every reader finds it there without probing.
     """
 
     #: namespace for this service's methods, resource fields and RPs
     SERVICE_NS = NS.UVACG
+
+    #: ``{wrapper attribute: initial value}`` — what each deployment of
+    #: this service carries beside its WS-Resources.  The wrapper sets
+    #: every name at deploy time (a callable is called once per
+    #: deployment: write ``dict``, not a shared ``{}``); whoever assembles
+    #: the grid then assigns the wiring.  A subclass that adds names
+    #: spreads its parent's: ``{**Parent.DEPLOYMENT, ...}``.
+    DEPLOYMENT: Dict[str, Any] = {}
 
     def __init__(self) -> None:
         self._resource_fields: Dict[str, Any] = {}

@@ -185,6 +185,19 @@ class WrapperService:
         store: Optional[ResourceStore] = None,
         perf: Optional[PerfConfig] = None,
     ) -> None:
+        """Deploy *service_cls* at *path* on *machine*.
+
+        Everything a deployment holds is an attribute from here on: the
+        tables read off the class (fields, resource properties, web
+        methods, port types), the wrapper's own bookkeeping, and the
+        state the service declares in ``ServiceSkeleton.DEPLOYMENT`` —
+        wiring, per-boot working state, counters — at its initial
+        values.  Whoever assembles the grid assigns the wiring
+        afterwards; readers use ``wrapper.<name>`` and never ask whether
+        an attribute exists.  (Only the brokered-notification port
+        types of ``wsn/broker.py``, which any service may import, still
+        create their state on first use.)
+        """
         if not issubclass(service_cls, ServiceSkeleton):
             raise TypeError(
                 f"{service_cls.__name__} must derive from ServiceSkeleton"
@@ -231,14 +244,22 @@ class WrapperService:
         self._pending_db_ops = 0
         #: set by the WS-Notification producer attachment
         self.publish_hook: Optional[Callable] = None
+        self.notification_producer = None
         #: callbacks fired with the resource id after each destroy
         self.on_resource_destroyed: list = []
+        #: the federation zone this deployment serves (None: single site)
+        self.zone: Optional[str] = None
         #: diagnostics
         self.invocations = 0
         self.faults_returned = 0
+        #: times the service came back from a checkpoint (restore)
+        self.restarts = 0
         #: performance-layer counters (stay 0 with perf off)
         self.writes_elided = 0
         self.loads_elided = 0
+        # What the service declares a deployment of it carries.
+        for name, initial in service_cls.DEPLOYMENT.items():
+            setattr(self, name, initial() if callable(initial) else initial)
 
         from repro.wsrf.client import WsrfClient
 
@@ -436,11 +457,9 @@ class WrapperService:
         self._termination = dict(snap["termination"])
         self._rid_next = snap["rid_next"]
         self._resource_locks = {}
-        #: created lazily so default obs exports stay byte-identical
-        self.restarts = getattr(self, "restarts", 0) + 1
-        producer = getattr(self, "notification_producer", None)
-        if producer is not None:
-            producer.rebuild_from_store()
+        self.restarts += 1
+        if self.notification_producer is not None:
+            self.notification_producer.rebuild_from_store()
         self.service_cls.wsrf_recover(self)
         # Recovery's own destroys/loads are part of the reboot, not of
         # whichever dispatch happens to run next: don't charge them.
@@ -525,7 +544,17 @@ class WrapperService:
         """IIS-facing entry point; a simulation coroutine."""
         self.invocations += 1
         codec = self.machine.network.codec
-        envelope = SoapEnvelope.deserialize(payload, codec)
+        try:
+            envelope = SoapEnvelope.deserialize(payload, codec)
+        except ValueError:
+            if delivery is None or not delivery.one_way:
+                raise
+            # Unreadable, and one-way: the sender closed the connection
+            # and is owed no answer, so the message ends here, counted —
+            # not in the detached delivery process, whose failure would
+            # stop the whole simulation.
+            self.faults_returned += 1
+            return None
         rid = envelope.addressing.to_epr.get(RESOURCE_ID)
         obs = self.machine.network.obs
         span = None

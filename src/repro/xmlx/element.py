@@ -10,9 +10,7 @@ NameLike = Union[QName, str]
 
 
 def _qname(name: NameLike) -> QName:
-    # of_clark interns: tag/attr lookups by string hit a bounded cache
-    # instead of re-parsing Clark notation on every call.
-    return name if isinstance(name, QName) else QName.of_clark(name)
+    return name if isinstance(name, QName) else QName(name)
 
 
 class Element:

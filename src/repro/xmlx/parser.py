@@ -5,11 +5,12 @@ namespace declarations (default and prefixed), attributes, character data
 with the five predefined entities plus numeric character references,
 comments, processing instructions and CDATA sections.  DTDs are rejected.
 
-The scanner is written for the wall-clock hot path (docs/performance.md,
-"Codec fast path"): it indexes into the input instead of allocating
-``peek`` substrings, and resolved names go through the bounded
-:meth:`QName.of` intern table so a document that repeats the same ~40
-qualified names thousands of times allocates each exactly once.
+It is the reference decoder and the only path for text this process did
+not write (foreign, hostile, resent or restored): everything the stack
+encodes itself is handed over decoded (docs/performance.md), so no
+ledger workload parses at all and the parser carries no memo or fast
+path of its own — one way through each construct, every check on it.
+The scanner indexes into the input instead of allocating substrings.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from repro.xmlx.qname import QName
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
-# Note ``:`` is deliberately NOT a name-start character: a name may carry at
-# most one colon (prefix separator), never leading or trailing (read_name).
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_NAME_CHARS = _NAME_START | set("0123456789.-:")
-#: one C-level scan per name instead of a per-character Python loop
+#: one C-level scan per name.  ``:`` is deliberately NOT a name-start
+#: character: a name may carry at most one colon (prefix separator),
+#: never leading or trailing (read_name).
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9._:\-]*")
 _WHITESPACE = set(" \t\r\n")
 _HEX_DIGITS = set("0123456789abcdefABCDEF")
@@ -48,9 +47,6 @@ class _Scanner:
         self.pos = 0
         self.length = len(text)
 
-    def peek(self, count: int = 1) -> str:
-        return self.text[self.pos : self.pos + count]
-
     def advance(self, count: int = 1) -> None:
         self.pos += count
 
@@ -62,11 +58,6 @@ class _Scanner:
         while pos < length and text[pos] in _WHITESPACE:
             pos += 1
         self.pos = pos
-
-    def expect(self, literal: str) -> None:
-        if not self.text.startswith(literal, self.pos):
-            raise XmlParseError(f"expected {literal!r}", self.pos)
-        self.pos += len(literal)
 
     def read_until(self, literal: str) -> str:
         end = self.text.find(literal, self.pos)
@@ -140,18 +131,11 @@ def _decode_entities(raw: str, pos_hint: int) -> str:
 class _NsScope:
     """A chain of in-scope namespace bindings."""
 
-    __slots__ = ("bindings", "parent", "elem_memo", "attr_memo")
+    __slots__ = ("bindings", "parent")
 
     def __init__(self, bindings: Dict[str, str], parent: Optional["_NsScope"]) -> None:
         self.bindings = bindings
         self.parent = parent
-        # Resolved-name memos: SOAP documents hoist all declarations to
-        # the root, so one scope serves the whole tree and the same ~40
-        # raw names resolve thousands of times.  Scoped per _NsScope, so
-        # re-declared prefixes deeper in the tree can never be poisoned
-        # by an ancestor's resolution.
-        self.elem_memo: Dict[str, QName] = {}
-        self.attr_memo: Dict[str, QName] = {}
 
     def resolve(self, prefix: str) -> Optional[str]:
         scope: Optional[_NsScope] = self
@@ -163,25 +147,17 @@ class _NsScope:
 
 
 def _split_qname(raw: str, scope: _NsScope, pos: int, is_attr: bool) -> QName:
-    memo = scope.attr_memo if is_attr else scope.elem_memo
-    qname = memo.get(raw)
-    if qname is not None:
-        return qname
     colon = raw.find(":")
     if colon >= 0:
         prefix = raw[:colon]
         uri = scope.resolve(prefix)
         if uri is None:
             raise XmlParseError(f"unbound namespace prefix {prefix!r}", pos)
-        qname = QName.of(uri, raw[colon + 1 :])
-    elif is_attr:
+        return QName(uri, raw[colon + 1 :])
+    if is_attr:
         # Per the namespaces spec, unprefixed attributes are in no namespace.
-        qname = QName.of("", raw)
-    else:
-        default = scope.resolve("")
-        qname = QName.of(default or "", raw)
-    memo[raw] = qname
-    return qname
+        return QName("", raw)
+    return QName(scope.resolve("") or "", raw)
 
 
 def _is_xml_decl(text: str, pos: int) -> bool:
@@ -232,8 +208,9 @@ def _skip_misc(scanner: _Scanner) -> None:
 
 def _parse_attributes(
     scanner: _Scanner,
-) -> Tuple[List[Tuple[str, str, int]], Dict[str, str], bool, bool]:
-    """Read attributes; returns (raw attrs, xmlns bindings, empty?, ...)."""
+) -> Tuple[List[Tuple[str, str, int]], Dict[str, str], bool]:
+    """Read a start tag's attributes up to its ``>`` or ``/>``; returns
+    (raw attrs, xmlns bindings, empty element?)."""
     raw_attrs: List[Tuple[str, str, int]] = []
     ns_bindings: Dict[str, str] = {}
     text, length = scanner.text, scanner.length
@@ -243,10 +220,10 @@ def _parse_attributes(
         ch = text[pos] if pos < length else ""
         if ch == ">":
             scanner.pos = pos + 1
-            return raw_attrs, ns_bindings, False, True
+            return raw_attrs, ns_bindings, False
         if ch == "/" and text.startswith("/>", pos):
             scanner.pos = pos + 2
-            return raw_attrs, ns_bindings, True, True
+            return raw_attrs, ns_bindings, True
         name = scanner.read_name()
         scanner.skip_whitespace()
         if scanner.pos >= length or text[scanner.pos] != "=":
@@ -271,38 +248,23 @@ def _parse_element(scanner: _Scanner, scope: _NsScope) -> Element:
     scanner.pos += 1
     tag_pos = scanner.pos
     raw_tag = scanner.read_name()
-    text = scanner.text
-    # Fast path: most SOAP elements carry no attributes at all — dodge
-    # the attribute loop and its per-element list/dict allocations.
-    pos = scanner.pos
-    nxt = text[pos] if pos < scanner.length else ""
-    if nxt == ">":
-        scanner.pos = pos + 1
-        raw_attrs = None
-        is_empty = False
-    elif nxt == "/" and text.startswith("/>", pos):
-        scanner.pos = pos + 2
-        raw_attrs = None
-        is_empty = True
-    else:
-        raw_attrs, ns_bindings, is_empty, _ = _parse_attributes(scanner)
-        if ns_bindings:
-            scope = _NsScope(ns_bindings, scope)
+    raw_attrs, ns_bindings, is_empty = _parse_attributes(scanner)
+    if ns_bindings:
+        scope = _NsScope(ns_bindings, scope)
     # __new__ skips Element.__init__'s NameLike normalization — the
-    # parser always holds an interned QName already.
+    # parser always holds a QName already.
     element = Element.__new__(Element)
     element.tag = _split_qname(raw_tag, scope, tag_pos, is_attr=False)
     element.attrib = {}
     element.text = ""
     element.tail = ""
     element.children = []
-    if raw_attrs:
-        attrib = element.attrib
-        for name, value, pos in raw_attrs:
-            qname = _split_qname(name, scope, pos, is_attr=True)
-            if qname in attrib:
-                raise XmlParseError(f"duplicate attribute {qname}", pos)
-            attrib[qname] = value
+    attrib = element.attrib
+    for name, value, pos in raw_attrs:
+        qname = _split_qname(name, scope, pos, is_attr=True)
+        if qname in attrib:
+            raise XmlParseError(f"duplicate attribute {qname}", pos)
+        attrib[qname] = value
     if is_empty:
         return element
 
@@ -334,13 +296,6 @@ def _parse_content(scanner: _Scanner, element: Element, scope: _NsScope, raw_tag
             nxt = text[pos + 1] if pos + 1 < length else ""
             if nxt == "/":
                 flush_text()
-                # Fast path: "</tag>" with no interior whitespace — one
-                # startswith plus one char test instead of a name scan.
-                close = pos + 2 + len(raw_tag)
-                if (close < length and text[close] == ">"
-                        and text.startswith(raw_tag, pos + 2)):
-                    scanner.pos = close + 1
-                    return
                 scanner.pos = pos + 2
                 end_tag = scanner.read_name()
                 if end_tag != raw_tag:

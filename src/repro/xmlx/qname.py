@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 
 class NS:
@@ -80,42 +80,12 @@ class QName:
     def __setattr__(self, name: str, value) -> None:  # immutability
         raise AttributeError("QName is immutable")
 
-    @classmethod
-    def of(cls, uri: str, local: str) -> "QName":
-        """Interned constructor: one shared instance per ``(uri, local)``.
-
-        A document mentions the same handful of names thousands of times;
-        interning lets the parser and the typed codec reuse one immutable
-        instance instead of re-allocating and re-hashing it per mention,
-        and lets ``__eq__`` short-circuit on identity.  The table is
-        bounded: past ``_INTERN_MAX`` distinct names, ``of`` degrades to a
-        plain constructor call (correctness never depends on interning).
-        """
-        key = (uri, local)
-        interned = _INTERN.get(key)
-        if interned is None:
-            interned = cls(uri, local)
-            if len(_INTERN) < _INTERN_MAX:
-                _INTERN[key] = interned
-        return interned
-
-    @classmethod
-    def of_clark(cls, text: str) -> "QName":
-        """Interned constructor from Clark notation (``{uri}local``)."""
-        interned = _CLARK_INTERN.get(text)
-        if interned is None:
-            parsed = cls(text)
-            interned = cls.of(parsed.uri, parsed.local)
-            if len(_CLARK_INTERN) < _INTERN_MAX:
-                _CLARK_INTERN[text] = interned
-        return interned
-
     def clark(self) -> str:
         """Clark notation, e.g. ``{http://ns}local``."""
         return f"{{{self.uri}}}{self.local}" if self.uri else self.local
 
     def __eq__(self, other) -> bool:
-        if other is self:  # interned names hit this without touching strings
+        if other is self:  # a module-level constant met again: no string compare
             return True
         if isinstance(other, QName):
             return self.uri == other.uri and self.local == other.local
@@ -131,9 +101,3 @@ class QName:
 
     def __str__(self) -> str:
         return self.clark()
-
-
-#: bounded intern tables backing :meth:`QName.of` / :meth:`QName.of_clark`.
-_INTERN: Dict[Tuple[str, str], QName] = {}
-_CLARK_INTERN: Dict[str, QName] = {}
-_INTERN_MAX = 4096

@@ -189,7 +189,7 @@ def _stored_blobs(wrapper) -> Dict[str, bytes]:
     out = {}
     for key, blob in sorted(wrapper.store.snapshot().items()):
         state = decode_state(blob)
-        dropped = [state.pop(field, None) for field in _PROCESS_RELATIVE]
+        dropped = [state.pop(qname, None) for qname in _PROCESS_RELATIVE]
         if any(value is not None for value in dropped):
             blob = encode_state(state)
         out[key] = blob

@@ -55,7 +55,7 @@ def assembly_order(tb):
     machines = {w.machine.name: w.machine for w in tb.obs._wrappers}
     return (
         list(tb.network.hosts),
-        [(w.machine.name, w.path, getattr(w, "zone", None)) for w in tb.obs._wrappers],
+        [(w.machine.name, w.path, w.zone) for w in tb.obs._wrappers],
         sorted(machines, key=lambda name: machines[name].cert.serial),
     )
 

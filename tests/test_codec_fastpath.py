@@ -1,13 +1,12 @@
 """Codec fast path (docs/performance.md, "Codec fast path").
 
-Seven concerns, one file:
+Six concerns, one file:
 
 - the three parser *contract* fixes that rode along with the fast path:
   malformed character references raise :class:`XmlParseError` with an
   offset (never a bare ``ValueError``), colons are rejected at scan time
   (no leading/trailing/multiple colons reach a :class:`QName`), and an
   XML declaration is legal only at offset 0;
-- QName interning (:meth:`QName.of` / :meth:`QName.of_clark`);
 - a Hypothesis round-trip property ``parse(to_string(e)).equals(e)``
   over trees richer than the ``test_xmlx`` one — several namespaces,
   default-namespace children, qualified attributes, entity-bearing
@@ -155,28 +154,6 @@ class TestXmlDeclPlacement:
     def test_xml_prefixed_pi_is_not_a_declaration(self):
         # A PI whose target merely *starts* with "xml" is an ordinary PI.
         assert parse('<?xml-stylesheet href="s"?><a/>').tag == QName("a")
-
-
-# -- QName interning ----------------------------------------------------------------
-
-
-class TestQNameInterning:
-    def test_of_returns_shared_instance(self):
-        assert QName.of("http://u", "x") is QName.of("http://u", "x")
-
-    def test_of_clark_shares_with_of(self):
-        assert QName.of_clark("{http://u}x") is QName.of("http://u", "x")
-        assert QName.of_clark("bare") is QName.of("", "bare")
-
-    def test_interned_equals_plain_constructor(self):
-        plain = QName("http://u", "x")
-        interned = QName.of("http://u", "x")
-        assert plain == interned and hash(plain) == hash(interned)
-
-    def test_parser_emits_interned_names(self):
-        a = parse('<a:b xmlns:a="http://u"/>').tag
-        b = parse('<a:b xmlns:a="http://u"/>').tag
-        assert a is b
 
 
 # -- Hypothesis round-trip over rich trees ------------------------------------------

@@ -98,13 +98,15 @@ class TestInterchangeableBackends:
         assert not store.exists("Other", "r1")
         assert list(store.list_ids("Counter")) == ["r1", "r2"]
         store.save("Counter", "r1", {COUNT: 5})
+        loads = store.loads
         assert store.load("Counter", "r1") == {COUNT: 5}
         assert store.load("Counter", "r2") == {COUNT: 2}
         # Only the write-through cache ever serves a load without the
-        # database; everyone answers the question.
+        # database (its D-3 load count does not move on a hit);
+        # everyone answers the question.
         cached = store_cls is CachedResourceStore
         assert store.is_cached("Counter", "r1") is cached
-        assert (store.hits > 0) is cached
+        assert (store.hits, store.loads - loads) == ((2, 0) if cached else (0, 2))
         store.destroy("Counter", "r1")
         assert not store.exists("Counter", "r1")
         assert not store.is_cached("Counter", "r1")
@@ -222,7 +224,12 @@ class TestSnapshotRestore:
         store.restore(snap)
         assert store.exists("Counter", "keep")
         assert not store.exists("Counter", "doomed")
+        # Nothing is cached after a restart, whatever the backend: the
+        # first load of a restored row is a database access again.
+        assert not store.is_cached("Counter", "keep")
+        loads = store.loads
         assert store.load("Counter", "keep") == {COUNT: 1}
+        assert store.loads == loads + 1
 
     def test_empty_store_round_trip(self, store_cls):
         store = store_cls()
@@ -247,22 +254,38 @@ class TestCheckpointPortability:
 
 
 class TestCachedStoreRestoreInvalidation:
-    def test_cache_cannot_resurrect_pre_restart_state(self):
-        """Regression: restore() must invalidate the blob cache.
+    def test_a_hit_decodes_the_rows_current_bytes(self):
+        """The cache holds no bytes of its own to go stale: a hit reads
+        the row, so even a write that reached the row alone (never how
+        the wrapper writes — the cache is write-through) is what the
+        next hit returns, and the database load count does not move."""
+        store = CachedResourceStore()
+        store.create("Counter", "r1", {COUNT: 1})
+        loads = store.inner.loads
+        assert store.load("Counter", "r1") == {COUNT: 1}
+        store.inner.save("Counter", "r1", {COUNT: 7})
+        assert store.load("Counter", "r1") == {COUNT: 7}
+        assert (store.hits, store.misses, store.inner.loads) == (2, 0, loads)
 
-        If restore wrote through to the inner store but left ``_blobs``
-        alone, the next load would serve the rolled-back post-checkpoint
-        blob — resurrecting state the crash erased.
+    def test_cache_cannot_resurrect_pre_restart_state(self):
+        """Regression: restore() must empty the cache.
+
+        A row cached before the checkpoint and rolled back (or removed)
+        by it must be read from the database again: the key set is
+        process memory, which the crash took.
         """
         store = CachedResourceStore()
         store.create("Counter", "r1", {COUNT: 1})
         before = store.load("Counter", "r1")  # primes the cache
         snap = store.snapshot()
         store.save("Counter", "r1", {COUNT: 99})
-        store.load("Counter", "r1")  # cache now holds the doomed blob
+        store.create("Counter", "late", {COUNT: 3})  # cached, then rolled away
         store.restore(snap)
+        assert store._cached == set()
         store.assert_coherent()
         assert store.load("Counter", "r1") == before
+        assert (store.hits, store.misses) == (1, 1)
+        assert store.is_cached("Counter", "r1") and not store.exists("Counter", "late")
 
 
 class TestLegacySystemAsResources:
