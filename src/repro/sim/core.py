@@ -66,22 +66,22 @@ class Event:
 
     # -- triggering ---------------------------------------------------------
 
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
+    def succeed(self, value: Any = None) -> "Event":
         if self.triggered:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
         self._ok = True
-        self.env._schedule(self, delay=delay)
+        self.env._schedule(self)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
+    def fail(self, exception: BaseException) -> "Event":
         if self.triggered:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
         self._value = exception
         self._ok = False
-        self.env._schedule(self, delay=delay)
+        self.env._schedule(self)
         return self
 
     def trigger(self, other: "Event") -> None:
@@ -119,7 +119,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would poison the clock
             raise ValueError(f"negative timeout delay: {delay!r}")
         super().__init__(env)
         self.delay = delay

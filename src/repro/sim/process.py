@@ -36,13 +36,14 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        #: the event this process is currently waiting on
-        self._target: Optional[Event] = None
         # Bootstrap: resume the process at the current instant.
         boot = Event(env)
         boot._value = None
         boot._ok = True
         boot.callbacks.append(self._resume)
+        #: the event this process is currently waiting on; the boot first,
+        #: so a kill() before the first resumption detaches from it
+        self._target: Optional[Event] = boot
         env._schedule(boot, priority=URGENT)
 
     @property
@@ -58,6 +59,10 @@ class Process(Event):
             san.on_resume(self, trigger)
         try:
             while True:
+                # A process can be killed by an earlier callback of the very
+                # event resuming it (kill() cannot detach from a list step()
+                # is walking).  Its closed generator then ends at once, the
+                # process is already triggered, and it stays killed.
                 try:
                     if trigger._ok:
                         target = self._generator.send(trigger._value)
@@ -65,12 +70,14 @@ class Process(Event):
                         trigger._defused = True
                         target = self._generator.throw(trigger._value)
                 except StopIteration as stop:
-                    self.succeed(stop.value)
+                    if not self.triggered:
+                        self.succeed(stop.value)
                     return
                 except BaseException as exc:
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                         raise
-                    self.fail(exc)
+                    if not self.triggered:
+                        self.fail(exc)
                     return
 
                 if not isinstance(target, Event):
@@ -99,12 +106,35 @@ class Process(Event):
             env._active_process = prev
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant."""
+        """Throw :class:`Interrupt` into the process at the current instant.
+
+        The interrupt is an URGENT event of its own: it is delivered at
+        whatever suspension point the process has reached when that event
+        is popped (an interrupt sent before the first resumption lands on
+        the first ``yield``), and is dropped if the process has ended by
+        then.
+        """
         if self.triggered:
             raise SimulationError(f"cannot interrupt finished process {self.name!r}")
         if self is self.env.active_process:
             raise SimulationError("a process cannot interrupt itself")
-        # Detach from whatever it awaits, then schedule a failing resume.
+        hit = Event(self.env)
+        hit._value = Interrupt(cause)
+        hit._ok = False
+        hit._defused = True
+        hit.callbacks.append(self._deliver_interrupt)
+        self.env._schedule(hit, priority=URGENT)
+
+    def _deliver_interrupt(self, hit: Event) -> None:
+        if self.triggered:
+            return
+        # Between interrupt() and now the process may have moved on to
+        # another event: detach from the one it awaits at this moment, or
+        # that event would resume it a second time later.
+        self._detach()
+        self._resume(hit)
+
+    def _detach(self) -> None:
         target = self._target
         if target is not None and target.callbacks is not None:
             try:
@@ -112,12 +142,6 @@ class Process(Event):
             except ValueError:
                 pass
         self._target = None
-        hit = Event(self.env)
-        hit._value = Interrupt(cause)
-        hit._ok = False
-        hit._defused = True
-        hit.callbacks.append(self._resume)
-        self.env._schedule(hit, priority=URGENT)
 
     def kill(self, reason: str = "killed") -> None:
         """Terminate the process immediately; it fails with ProcessKilled.
@@ -125,16 +149,14 @@ class Process(Event):
         Unlike :meth:`interrupt`, the generator gets no chance to clean up
         via ``except`` — ``GeneratorExit`` is raised at the suspension point
         (running ``finally`` blocks), mirroring hard process termination.
+        A process killed before its first resumption never runs at all, and
+        an interrupt still in flight is dropped.
         """
         if self.triggered:
             return
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
+        if self is self.env.active_process:
+            raise SimulationError("a process cannot kill itself")
+        self._detach()
         self._generator.close()
         exc = ProcessKilled(reason)
         self._value = exc

@@ -246,6 +246,168 @@ class TestProcess:
         assert env.active_process is None
 
 
+class TestInterruptKillRaces:
+    """interrupt() and kill() racing the events they overtake.  An
+    interrupt lands on the suspension point the process has reached when
+    the interrupt event pops; a kill detaches from whatever the process
+    awaits, its boot included.  No abandoned event may resume a process,
+    and none may trigger it a second time."""
+
+    def test_kill_before_first_resumption(self):
+        env = Environment()
+        ran = []
+
+        def child(env):
+            ran.append("started")
+            yield env.timeout(1)
+
+        p = env.process(child(env))
+        p.kill()
+        env.run()
+        assert ran == []
+        assert isinstance(p.value, ProcessKilled)
+
+    def test_kill_overtakes_pending_interrupt(self):
+        env = Environment()
+        seen = []
+
+        def child(env):
+            try:
+                yield env.timeout(10)
+            except Interrupt as i:
+                seen.append(i.cause)
+
+        p = env.process(child(env))
+        env.run(until=1)
+        p.interrupt("x")
+        p.kill()
+        env.run()
+        assert seen == []
+        assert isinstance(p.value, ProcessKilled)
+        assert env.now == 10  # the abandoned timeout still pops, resuming nobody
+
+    def test_two_interrupts_at_one_instant(self):
+        env = Environment()
+        log = []
+
+        def sleeper(env):
+            for _ in range(2):
+                try:
+                    yield env.timeout(10)
+                except Interrupt as i:
+                    log.append((env.now, i.cause))
+            yield env.timeout(10)
+            log.append((env.now, "third sleep"))
+            yield env.timeout(100)
+            log.append((env.now, "long sleep"))
+
+        p = env.process(sleeper(env))
+
+        def driver(env):
+            yield env.timeout(1)
+            p.interrupt("a")
+            p.interrupt("b")
+
+        env.process(driver(env))
+        env.run()
+        assert log == [(1.0, "a"), (1.0, "b"), (11.0, "third sleep"), (111.0, "long sleep")]
+        assert p.ok
+
+    def test_interrupt_before_first_resumption(self):
+        env = Environment()
+        log = []
+
+        def sleeper(env):
+            log.append((env.now, "started"))
+            try:
+                yield env.timeout(10)
+            except Interrupt as i:
+                log.append((env.now, i.cause))
+            yield env.timeout(100)
+            log.append((env.now, "long sleep"))
+
+        p = env.process(sleeper(env))
+        p.interrupt("early")
+        env.run()
+        assert log == [(0.0, "started"), (0.0, "early"), (100.0, "long sleep")]
+        assert p.ok
+
+    def test_interrupt_of_a_process_that_ends_first_is_dropped(self):
+        env = Environment()
+
+        def quick(env):
+            return "done"
+            yield
+
+        p = env.process(quick(env))
+        p.interrupt("too late")
+        env.run()
+        assert p.value == "done"
+
+    def test_process_cannot_kill_itself(self):
+        env = Environment()
+        caught = []
+
+        def suicidal(env):
+            yield env.timeout(1)
+            try:
+                env.active_process.kill()
+            except SimulationError as exc:
+                caught.append(str(exc))
+            return "alive"
+
+        p = env.process(suicidal(env))
+        env.run()
+        assert caught == ["a process cannot kill itself"]
+        assert p.value == "alive"
+
+    def test_kill_by_an_earlier_callback_of_the_awaited_event(self):
+        env = Environment()
+        gate = env.event()
+        log = []
+
+        def victim(env):
+            try:
+                yield gate
+                log.append("victim resumed")
+            finally:
+                log.append("victim cleaned up")
+
+        def killer(env):
+            yield gate
+            v.kill("now")
+            log.append("killed")
+
+        env.process(killer(env))
+        v = env.process(victim(env))
+        gate.succeed()
+        env.run()
+        assert log == ["victim cleaned up", "killed"]
+        assert isinstance(v.value, ProcessKilled)
+
+
+class TestClock:
+    def test_nan_delay_rejected(self):
+        env = Environment()
+        with pytest.raises(ValueError, match="negative timeout delay"):
+            env.timeout(float("nan"))
+        env.run()
+        assert env.now == 0.0
+
+    def test_an_event_fires_at_the_instant_it_is_triggered(self):
+        # succeed(value, delay=-3) used to move the clock backwards; a
+        # delayed trigger is a Timeout, which checks its delay
+        env = Environment()
+        env.run(until=5)
+        with pytest.raises(TypeError):
+            env.event().succeed(1, delay=-3)
+        with pytest.raises(TypeError):
+            env.event().fail(RuntimeError("x"), delay=-3)
+        env.event().succeed(1)
+        env.run()
+        assert env.now == 5
+
+
 class TestRun:
     def test_run_until_time(self):
         env = Environment()
