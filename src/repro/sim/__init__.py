@@ -25,6 +25,21 @@ Public API
 ``Interrupt``
     Exception thrown into a process by :meth:`Process.interrupt`.
 
+Schedule
+--------
+
+Events are popped in ``(time, priority, sequence)`` order: at one
+instant the URGENT ones (process boots, interrupts, kills) before the
+NORMAL ones, then in the order they were scheduled, one sequence number
+per scheduled event.  An event's callbacks run in the order they were
+attached.  A process that yields an event whose callbacks have already
+run continues at once; one that yields an event that is triggered but
+still on the heap waits for its pop.  An interrupt is an URGENT event of
+its own: it lands on whatever the process awaits when it is popped and
+is dropped if the process has ended by then, while ``kill`` takes effect
+at the call.  ``tests/test_kernel_equivalence.py`` holds the kernel to
+this schedule against a frozen copy of its predecessor.
+
 Example
 -------
 

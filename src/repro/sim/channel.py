@@ -46,7 +46,7 @@ class Channel:
 
     def get(self) -> Event:
         """Return an event that fires with the next item."""
-        ev = Event(self.env)
+        ev = self.env.event()
         if self._items:
             ev.succeed(self._items.popleft())
         elif self._closed:

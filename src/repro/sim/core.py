@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Optional
 
 #: Events scheduled at the same instant are ordered by priority, then by
@@ -11,6 +11,9 @@ from typing import Any, Callable, Generator, Optional
 #: same-time events.
 URGENT = 0
 NORMAL = 1
+
+#: the value of an event nobody has triggered yet
+_PENDING = object()
 
 
 class SimulationError(Exception):
@@ -28,12 +31,14 @@ class Event:
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused", "_san_vc")
 
-    _PENDING = object()
+    _PENDING = _PENDING
 
     def __init__(self, env: "Environment") -> None:
         self.env = env
+        #: None once step() has run them: that, not the trigger, is what
+        #: "processed" means everywhere in the kernel
         self.callbacks: Optional[list] = []
-        self._value: Any = Event._PENDING
+        self._value: Any = _PENDING
         self._ok: bool = True
         #: a failed event whose failure was never observed re-raises at the
         #: end of the run unless defused (observed by a process or waitable)
@@ -44,7 +49,7 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has been scheduled to fire (succeed/fail)."""
-        return self._value is not Event._PENDING
+        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
@@ -67,7 +72,7 @@ class Event:
     # -- triggering ---------------------------------------------------------
 
     def succeed(self, value: Any = None) -> "Event":
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         self._value = value
         self._ok = True
@@ -75,7 +80,7 @@ class Event:
         return self
 
     def fail(self, exception: BaseException) -> "Event":
-        if self.triggered:
+        if self._value is not _PENDING:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
@@ -83,19 +88,6 @@ class Event:
         self._ok = False
         self.env._schedule(self)
         return self
-
-    def trigger(self, other: "Event") -> None:
-        """Mirror another (triggered) event's outcome onto this one."""
-        if other._ok:
-            self.succeed(other._value)
-        else:
-            other._defused = True
-            self.fail(other._value)
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        for cb in callbacks:
-            cb(self)
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Attach *fn*; called with the event once it fires.
@@ -116,16 +108,24 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed simulated delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
         if not delay >= 0:  # also rejects NaN, which would poison the clock
             raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
+        # Most events of a run are timeouts, so this one fills its slots
+        # and puts itself on the heap: Event.__init__ and
+        # Environment._schedule written out, with nothing left out.
+        self.env = env
+        self.callbacks = []
         self._value = value
         self._ok = True
-        env._schedule(self, delay=delay)
+        self._defused = False
+        san = env.san
+        if san is not None:
+            san.on_schedule(self)
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (env._now + delay, NORMAL, seq, self))
 
 
 class Environment:
@@ -142,7 +142,7 @@ class Environment:
         self._seq = 0
         self._active_process = None
         #: attached repro.analysis.RaceSanitizer, or None = sanitizing off
-        #: (step() and _schedule() then do a single None check each)
+        #: (step() and each scheduling site then do a single None check)
         self.san: Optional[Any] = None
 
     @property
@@ -164,31 +164,32 @@ class Environment:
 
     def process(self, generator: Generator):
         """Spawn *generator* as a new simulated process."""
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
     def all_of(self, events):
-        from repro.sim.waitables import AllOf
-
         return AllOf(self, events)
 
     def any_of(self, events):
-        from repro.sim.waitables import AnyOf
-
         return AnyOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, priority: int = NORMAL) -> None:
+        """Put a triggered *event* on the heap at the current instant.
+
+        The heap key is ``(time, priority, sequence)`` with one sequence
+        number per scheduled event, so same-instant events pop URGENT
+        first, then in the order they were scheduled.  (A ``Timeout``,
+        the only event scheduled into the future, does the same itself.)
+        """
         san = self.san
         if san is not None:
             # Stamp the event with the scheduler's vector clock: the one
             # edge from which the sanitizer derives every happens-before
             # relation (spawn, join, timeout, interrupt, lock hand-off).
             san.on_schedule(event)
-        self._seq += 1
-        heapq.heappush(self._heap, (self._now + delay, priority, self._seq, event))
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (self._now, priority, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
@@ -196,17 +197,18 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next event."""
-        if not self._heap:
-            raise SimulationError("step() on an empty schedule")
-        when, _prio, _seq, event = heapq.heappop(self._heap)
-        self._now = when
+        try:
+            self._now, _prio, _seq, event = heappop(self._heap)
+        except IndexError:
+            raise SimulationError("step() on an empty schedule") from None
         san = self.san
         if san is not None:
             san.on_step(event)
-        event._run_callbacks()
+        callbacks, event.callbacks = event.callbacks, None
+        for cb in callbacks:
+            cb(event)
         if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
+            raise event._value
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -270,3 +272,9 @@ class Environment:
         if deadline != float("inf") and self._now < deadline:
             self._now = deadline
         return None
+
+
+# Process and the conditions subclass Event, so their modules import this
+# one; Environment's factories need the classes at call time only.
+from repro.sim.process import Process  # noqa: E402
+from repro.sim.waitables import AllOf, AnyOf  # noqa: E402

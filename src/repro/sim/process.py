@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Generator, Optional
 
-from repro.sim.core import URGENT, Environment, Event, SimulationError
+from repro.sim.core import _PENDING, URGENT, Environment, Event, SimulationError
 
 
 class Interrupt(Exception):
@@ -31,7 +32,9 @@ class Process(Event):
     __slots__ = ("_generator", "_target", "name")
 
     def __init__(self, env: Environment, generator: Generator, name: str = "") -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        if type(generator) is not GeneratorType and not (
+            hasattr(generator, "send") and hasattr(generator, "throw")
+        ):
             raise TypeError(f"process() requires a generator, got {generator!r}")
         super().__init__(env)
         self._generator = generator
@@ -57,6 +60,7 @@ class Process(Event):
         san = env.san
         if san is not None:
             san.on_resume(self, trigger)
+        generator = self._generator
         try:
             while True:
                 # A process can be killed by an earlier callback of the very
@@ -65,18 +69,18 @@ class Process(Event):
                 # process is already triggered, and it stays killed.
                 try:
                     if trigger._ok:
-                        target = self._generator.send(trigger._value)
+                        target = generator.send(trigger._value)
                     else:
                         trigger._defused = True
-                        target = self._generator.throw(trigger._value)
+                        target = generator.throw(trigger._value)
                 except StopIteration as stop:
-                    if not self.triggered:
+                    if self._value is _PENDING:
                         self.succeed(stop.value)
                     return
                 except BaseException as exc:
                     if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                         raise
-                    if not self.triggered:
+                    if self._value is _PENDING:
                         self.fail(exc)
                     return
 
@@ -86,21 +90,24 @@ class Process(Event):
                     )
                     # Deliver the misuse back into the generator so tests can
                     # observe it, then fail the process if unhandled.
-                    trigger = Event(self.env)
+                    trigger = Event(env)
                     trigger._value = err
                     trigger._ok = False
                     continue
-                if target.env is not self.env:
+                if target.env is not env:
                     raise SimulationError("yielded an event from another environment")
 
-                if target.triggered and target.callbacks is None:
+                callbacks = target.callbacks
+                if callbacks is None:
                     # Already fully processed: resume synchronously.
                     if san is not None:
                         san.on_join(self, target)
                     trigger = target
                     continue
+                # Triggered or not, an event still on its way through the
+                # heap resumes this process when step() pops it.
                 self._target = target
-                target.add_callback(self._resume)
+                callbacks.append(self._resume)
                 return
         finally:
             env._active_process = prev

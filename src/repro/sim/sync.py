@@ -30,7 +30,7 @@ class Lock:
         return self._locked
 
     def acquire(self) -> Event:
-        ev = Event(self.env)
+        ev = self.env.event()
         if not self._locked:
             self._locked = True
             ev.succeed()

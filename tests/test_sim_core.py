@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+from unittest import mock
+
 import pytest
 
 from repro.sim import (
@@ -9,6 +11,7 @@ from repro.sim import (
     ChannelClosed,
     Environment,
     Interrupt,
+    Lock,
     ProcessKilled,
     SimulationError,
 )
@@ -408,6 +411,182 @@ class TestClock:
         assert env.now == 5
 
 
+class TestScheduleOrder:
+    """The schedule contract: heap order is (time, priority, sequence);
+    callbacks run in attach order; only a *processed* event continues a
+    process without a trip through the heap."""
+
+    def test_urgent_before_normal_then_insertion_order(self):
+        env = Environment()
+        order = []
+
+        def note(tag):
+            return lambda _ev: order.append(tag)
+
+        def child(env, tag):
+            order.append(tag)
+            yield env.timeout(0)
+
+        env.timeout(0).add_callback(note("timeout 1"))
+        env.event().succeed().add_callback(note("succeed 2"))
+        env.process(child(env, "boot 3"))  # URGENT: overtakes 1 and 2
+        env.timeout(0).add_callback(note("timeout 4"))
+        env.process(child(env, "boot 5"))
+        env.timeout(1).add_callback(note("later"))
+        env.run()
+        assert order == ["boot 3", "boot 5", "timeout 1", "succeed 2", "timeout 4", "later"]
+
+    def test_one_sequence_number_per_scheduled_event(self):
+        env = Environment()
+        lock = Lock(env)
+
+        def child(env):
+            yield lock.acquire()
+            yield env.timeout(1)
+
+        p = env.process(child(env))  # boot
+        env.timeout(0)
+        env.event().succeed()
+        env.event().fail(RuntimeError("x"))._defused = True
+        p.interrupt()
+        p.kill()  # the process event itself
+        assert env._seq == 6
+        assert [entry[2] for entry in sorted(env._heap)] == [1, 5, 6, 2, 3, 4]
+
+    def test_callbacks_run_in_attach_order(self):
+        env = Environment()
+        ev = env.event()
+        order = []
+
+        def first(event):
+            order.append("first")
+            # the event is processed from the moment its callbacks start:
+            # a callback attached now runs now, ahead of "second"
+            event.add_callback(lambda _ev: order.append("added by first"))
+
+        ev.add_callback(first)
+        ev.add_callback(lambda _ev: order.append("second"))
+        ev.succeed()
+        assert order == []
+        env.run()
+        assert order == ["first", "added by first", "second"]
+
+    def test_triggered_but_unprocessed_event_waits_for_its_pop(self):
+        env = Environment()
+        lock = Lock(env)
+        order = []
+
+        def locker(env):
+            yield lock.acquire()  # free, so already triggered — but not processed
+            order.append("locker has the lock")
+
+        def bystander(env):
+            order.append("bystander")
+            yield env.timeout(0)
+
+        env.process(locker(env))
+        env.process(bystander(env))
+        env.run()
+        assert order == ["bystander", "locker has the lock"]
+
+    def test_processed_event_continues_synchronously(self):
+        env = Environment()
+        done = env.timeout(0, value="v")
+        env.run()
+        order = []
+
+        def late(env):
+            order.append((yield done))
+            order.append((yield done))
+
+        def bystander(env):
+            order.append("bystander")
+            yield env.timeout(0)
+
+        env.process(late(env))
+        env.process(bystander(env))
+        env.run()
+        assert order == ["v", "v", "bystander"]
+
+    def test_event_of_another_environment_rejected(self):
+        env, other = Environment(), Environment()
+
+        def confused(env):
+            yield other.timeout(1)
+
+        env.process(confused(env))
+        with pytest.raises(SimulationError, match="another environment"):
+            env.run()
+
+    @pytest.mark.parametrize("exit_request", [KeyboardInterrupt, SystemExit])
+    def test_exit_requests_pass_through_a_process(self, exit_request):
+        env = Environment()
+
+        def stopped(env):
+            yield env.timeout(1)
+            raise exit_request()
+
+        p = env.process(stopped(env))
+        with pytest.raises(exit_request):
+            env.run()
+        assert not p.triggered and env.active_process is None
+
+
+class TestSanitizerHooks:
+    def test_every_kind_of_scheduling_is_stamped_exactly_once(self):
+        env = Environment()
+        san = env.san = mock.Mock()  # stands in for the sanitizer: records every hook call
+        lock = Lock(env)
+
+        def holder(env):
+            yield lock.acquire()
+            yield env.timeout(1)
+            lock.release()  # hand-off: succeeds the waiter's event
+
+        def waiter(env):
+            yield lock.acquire()
+            try:
+                yield env.timeout(10)
+            except Interrupt:
+                pass
+            yield env.timeout(10)
+
+        def failing(env):
+            yield env.timeout(2)
+            raise RuntimeError("observed below")
+
+        def driver(env, w, f):
+            try:
+                yield f
+            except RuntimeError:
+                pass
+            gate = env.event()
+            gate.fail(ValueError("seen"))
+            try:
+                yield gate
+            except ValueError:
+                pass
+            w.interrupt()
+            yield env.timeout(1)
+            w.kill()
+
+        env.process(holder(env))
+        w = env.process(waiter(env))
+        f = env.process(failing(env))
+        env.process(driver(env, w, f))
+        env.run()
+        # 4 boots, 2 acquires, 5 timeouts, the failed gate, the interrupt,
+        # 4 process ends (the kill is the waiter's)
+        scheduled = [call.args[0] for call in san.on_schedule.call_args_list]
+        assert len(scheduled) == env._seq == 17
+        assert len(set(map(id, scheduled))) == 17
+        kinds = [type(event).__name__ for event in scheduled]
+        assert (kinds.count("Timeout"), kinds.count("Process"), kinds.count("Event")) == (5, 4, 8)
+        # ... and each was popped once
+        stepped = [call.args[0] for call in san.on_step.call_args_list]
+        assert sorted(map(id, stepped)) == sorted(map(id, scheduled))
+
+
 class TestRun:
     def test_run_until_time(self):
         env = Environment()
@@ -452,8 +631,11 @@ class TestRun:
 
     def test_step_empty_rejected(self):
         env = Environment()
-        with pytest.raises(SimulationError):
+        assert env.peek() == float("inf")
+        with pytest.raises(SimulationError, match="empty schedule") as caught:
             env.step()
+        # the heap's own IndexError is not part of the message
+        assert caught.value.__context__ is None or caught.value.__suppress_context__
 
     def test_run_advances_clock_to_deadline_when_idle(self):
         env = Environment()
