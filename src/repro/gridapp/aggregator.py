@@ -25,7 +25,12 @@ from repro.net import DeliveryError
 from repro.soap import SoapFault
 from repro.wsa import EndpointReference
 from repro.wsrf.attributes import WebMethod
-from repro.wsrf.servicegroup import ServiceGroupService
+from repro.wsrf.servicegroup import (
+    ServiceGroupService,
+    group_entry_ids,
+    load_entry,
+    seed_group,
+)
 from repro.xmlx import NS, Element, QName
 
 UVA = NS.UVACG
@@ -93,13 +98,9 @@ class AggregatorCatalogService(ServiceGroupService):
         a dead zone.
         """
         wrapper = self.wsrf.wrapper
-        group_id = wrapper.agg_group_rid
-        if group_id is None:
-            return []
         staleness_s = wrapper.staleness_s
-        group_state = wrapper.store.load(wrapper.service_name, group_id)
         out: List[Dict] = []
-        for entry_id in group_state.get(QName(SG, "entry_ids")) or []:
+        for entry_id in group_entry_ids(wrapper, wrapper.agg_group_rid):
             # Same serialization discipline as NIS ReportUtilization:
             # the refresh below is a load-modify-save on the entry row
             # outside a requires_resource dispatch, so take the entry's
@@ -107,11 +108,7 @@ class AggregatorCatalogService(ServiceGroupService):
             lock = wrapper.resource_lock(entry_id)
             yield lock.acquire()
             try:
-                try:
-                    state = wrapper.store.load(wrapper.service_name, entry_id)
-                except KeyError:
-                    continue
-                content = state.get(QName(SG, "content"))
+                state, content = load_entry(wrapper, entry_id) or (None, None)
                 if content is None:
                     continue
                 catalog = parse_zone_catalog(content)
@@ -138,7 +135,7 @@ class AggregatorCatalogService(ServiceGroupService):
                 for p in catalog["processors"]:
                     out.append(dict(p, zone=catalog["zone"]))
             finally:
-                lock.release()
+                wrapper.release_resource_lock(entry_id, lock)
         return out
 
 
@@ -150,12 +147,8 @@ def setup_aggregator(wrapper, zones, staleness_s: float) -> str:
     zones' assembly-time processor parameters so the catalog is usable
     before the first refresh.  Returns the group resource id.
     """
-    group_rid = wrapper.create_resource_from_fields(
-        {"kind": "group", "entry_ids": [], "content_rule": ZONE_CATALOG.clark()}
-    )
-    wrapper.agg_group_rid = group_rid
-    wrapper.staleness_s = staleness_s
-    entry_ids = []
+    now = wrapper.env.now
+    members = []
     for zone in zones:
         nis_epr = zone.node_info.service_epr()
         processors = [
@@ -164,23 +157,13 @@ def setup_aggregator(wrapper, zones, staleness_s: float) -> str:
                 "cpu_speed": machine.params.cpu_speed,
                 "ram_mb": machine.params.ram_mb,
                 "utilization": machine.utilization(),
-                "updated_at": wrapper.env.now,
+                "updated_at": now,
             }
             for machine in zone.machines
         ]
-        entry_rid = wrapper.create_resource_from_fields(
-            {
-                "kind": "entry",
-                "member_epr": nis_epr,
-                "content": zone_catalog_content(
-                    zone.name, nis_epr, wrapper.env.now, processors
-                ),
-                "group_id": group_rid,
-            }
+        members.append(
+            (nis_epr, zone_catalog_content(zone.name, nis_epr, now, processors))
         )
-        entry_ids.append(entry_rid)
-    state = wrapper.store.load(wrapper.service_name, group_rid)
-    state[QName(SG, "entry_ids")] = entry_ids
-    wrapper.store.save(wrapper.service_name, group_rid, state)
-    wrapper._pending_db_ops = 0  # assembly-time writes are not billed
-    return group_rid
+    wrapper.agg_group_rid = seed_group(wrapper, ZONE_CATALOG, members)
+    wrapper.staleness_s = staleness_s
+    return wrapper.agg_group_rid

@@ -14,7 +14,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.wsa import EndpointReference
-from repro.wsrf.servicegroup import ServiceGroupService
+from repro.wsrf.servicegroup import (
+    ServiceGroupService,
+    group_entries,
+    group_entry_ids,
+    seed_group,
+)
 from repro.wsrf.attributes import WebMethod
 from repro.xmlx import NS, Element, QName
 
@@ -94,27 +99,19 @@ class NodeInfoService(ServiceGroupService):
             )
             wrapper.store.save(wrapper.service_name, entry_id, state)
         finally:
-            lock.release()
+            wrapper.release_resource_lock(entry_id, lock)
         return 1
 
     @WebMethod(requires_resource=False)
     def GetProcessors(self) -> List[Dict]:
         """The Scheduler's step-2 poll: every known processor's state."""
         wrapper = self.wsrf.wrapper
-        group_id = wrapper.nis_group_rid
-        if group_id is None:
-            return []
-        group_state = wrapper.store.load(wrapper.service_name, group_id)
-        out: List[Dict] = []
-        for entry_id in group_state.get(QName(SG, "entry_ids")) or []:
-            try:
-                state = wrapper.store.load(wrapper.service_name, entry_id)
-            except KeyError:
-                continue
-            content = state.get(QName(SG, "content"))
-            if content is not None:
-                out.append(parse_processor_content(content))
-        return out
+        ids = group_entry_ids(wrapper, wrapper.nis_group_rid)
+        return [
+            parse_processor_content(content)
+            for _, _, content in group_entries(wrapper, ids)
+            if content is not None
+        ]
 
     def _entry_for(self, machine_name: str) -> Optional[str]:
         """Entry resource id for a machine, via a wrapper-side index."""
@@ -125,16 +122,8 @@ class NodeInfoService(ServiceGroupService):
             return entry_id
         # (Re)build the index from the group.
         index.clear()
-        group_id = wrapper.nis_group_rid
-        if group_id is None:
-            return None
-        group_state = wrapper.store.load(wrapper.service_name, group_id)
-        for eid in group_state.get(QName(SG, "entry_ids")) or []:
-            try:
-                state = wrapper.store.load(wrapper.service_name, eid)
-            except KeyError:
-                continue
-            content = state.get(QName(SG, "content"))
+        ids = group_entry_ids(wrapper, wrapper.nis_group_rid)
+        for eid, _, content in group_entries(wrapper, ids):
             if content is not None:
                 index[parse_processor_content(content)["name"]] = eid
         return index.get(machine_name)
@@ -147,30 +136,17 @@ def setup_node_info(wrapper, machines) -> str:
     seeds the catalog); thereafter the Processor Utilization services
     keep it fresh over the wire.  Returns the group resource id.
     """
-    group_rid = wrapper.create_resource_from_fields(
-        {"kind": "group", "entry_ids": [], "content_rule": PROCESSOR_INFO.clark()}
-    )
-    wrapper.nis_group_rid = group_rid
-    entry_ids = []
-    for machine in machines:
-        content = processor_content(
-            machine.name,
-            machine.params.cpu_speed,
-            machine.params.ram_mb,
-            machine.utilization(),
-            wrapper.env.now,
+    group_rid = wrapper.nis_group_rid = seed_group(wrapper, PROCESSOR_INFO, [
+        (
+            EndpointReference(machine.service_url("ExecService")),
+            processor_content(
+                machine.name,
+                machine.params.cpu_speed,
+                machine.params.ram_mb,
+                machine.utilization(),
+                wrapper.env.now,
+            ),
         )
-        entry_rid = wrapper.create_resource_from_fields(
-            {
-                "kind": "entry",
-                "member_epr": EndpointReference(machine.service_url("ExecService")),
-                "content": content,
-                "group_id": group_rid,
-            }
-        )
-        entry_ids.append(entry_rid)
-    state = wrapper.store.load(wrapper.service_name, group_rid)
-    state[QName(SG, "entry_ids")] = entry_ids
-    wrapper.store.save(wrapper.service_name, group_rid, state)
-    wrapper._pending_db_ops = 0  # assembly-time writes are not billed
+        for machine in machines
+    ])
     return group_rid

@@ -234,7 +234,6 @@ def federate_brokers(zone_broker, root_epr: EndpointReference) -> str:
     rid = producer.add_subscription(
         root_epr, TopicExpression("**", FULL_DIALECT)
     )
-    zone_broker._pending_db_ops = 0  # assembly-time writes are not billed
     return rid
 
 

@@ -41,6 +41,55 @@ from repro.xmlx import NS, Element, QName
 ENTRY_RP = QName(NS.WSRF_SG, "Entry")
 CONTENT_RULE_RP = QName(NS.WSRF_SG, "MembershipContentRule")
 
+_ENTRY_IDS = QName(NS.WSRF_SG, "entry_ids")
+_CONTENT = QName(NS.WSRF_SG, "content")
+
+
+def group_entry_ids(wrapper, group_id) -> list:
+    """The entry resource ids of a stored group (none: no group)."""
+    if group_id is None:
+        return []
+    return wrapper.store.load(wrapper.service_name, group_id).get(_ENTRY_IDS) or []
+
+
+def load_entry(wrapper, entry_id):
+    """``(state, content)`` of one stored entry, or None when the entry
+    is gone (destroyed since the group was read)."""
+    try:
+        state = wrapper.store.load(wrapper.service_name, entry_id)
+    except KeyError:
+        return None
+    return state, state.get(_CONTENT)
+
+
+def group_entries(wrapper, entry_ids):
+    """The one walk of a group's *entry_ids*: ``(entry_id, state,
+    content)`` of each entry still there, in group order."""
+    for entry_id in entry_ids:
+        loaded = load_entry(wrapper, entry_id)
+        if loaded is not None:
+            yield entry_id, loaded[0], loaded[1]
+
+
+def seed_group(wrapper, content_rule: QName, members) -> str:
+    """Assembly-time seeding (no traffic — the administrator's doing):
+    a group with one entry per ``(member_epr, content)`` of *members*;
+    returns the group's resource id."""
+    group_rid = wrapper.create_resource_from_fields(
+        {"kind": "group", "entry_ids": [], "content_rule": content_rule.clark()}
+    )
+    entry_ids = [
+        wrapper.create_resource_from_fields(
+            {"kind": "entry", "member_epr": member, "content": content,
+             "group_id": group_rid}
+        )
+        for member, content in members
+    ]
+    state = wrapper.store.load(wrapper.service_name, group_rid)
+    state[_ENTRY_IDS] = entry_ids
+    wrapper.store.save(wrapper.service_name, group_rid, state)
+    return group_rid
+
 
 class ContentRuleViolation(BaseFault):
     FAULT_QNAME = QName(NS.WSRF_SG, "ContentCreationFailedFault")
@@ -114,11 +163,7 @@ class ServiceGroupService(ServiceSkeleton):
         self._require_kind("group")
         wrapper = self.wsrf.wrapper
         out = []
-        for entry_id in self.entry_ids or []:
-            try:
-                state = wrapper.store.load(wrapper.service_name, entry_id)
-            except KeyError:
-                continue
+        for entry_id, state, content in group_entries(wrapper, self.entry_ids or []):
             el = Element(ENTRY_RP)
             member = state.get(QName(NS.WSRF_SG, "member_epr"))
             if member is not None:
@@ -126,7 +171,6 @@ class ServiceGroupService(ServiceSkeleton):
             el.append(
                 wrapper.epr_for(entry_id).to_xml(QName(NS.WSRF_SG, "ServiceGroupEntryEPR"))
             )
-            content = state.get(QName(NS.WSRF_SG, "content"))
             holder = el.subelement(QName(NS.WSRF_SG, "Content"))
             if content is not None:
                 holder.append(content.copy())
