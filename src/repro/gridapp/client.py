@@ -22,8 +22,9 @@ from repro.gridapp.filesystem_service import (
 from repro.gridapp.jobset import JobSetSpec
 from repro.net import Network
 from repro.osim.filesystem import FileContent, FsError, SimFileSystem
-from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
-from repro.wsa import AddressingHeaders, EndpointReference
+from repro.soap import SoapFault, from_typed_element, to_typed_element
+from repro.soap.endpoint import read_request, reject, reply_text
+from repro.wsa import EndpointReference
 from repro.wsn import NotificationListener
 from repro.wsrf.client import WsrfClient
 from repro.wssec import Certificate, UsernameToken, build_security_header
@@ -53,6 +54,9 @@ class ClientFileServer:
     Serves ``Read(filename)`` requests from the scientist's local file
     system, speaking the same operation the FSS exposes, so the FSS can
     pull ``local://`` inputs without caring who is on the other end.
+    Anything else — unreadable text, another operation, a missing file
+    — is answered with a ``soap:Client`` fault, or counted and dropped
+    when it came one-way (:mod:`repro.soap.endpoint`).
     """
 
     def __init__(self, network: Network, host_name: str, fs: SimFileSystem) -> None:
@@ -70,40 +74,34 @@ class ClientFileServer:
         )
 
     def handle(self, payload: str, ctx):
-        envelope = SoapEnvelope.deserialize(payload, self.network.codec)
-        body = envelope.body
-        if body.tag != QName(UVA, "Read"):
-            fault = SoapFault("soap:Client", "file server only supports Read")
-            return self._respond(envelope, fault.to_element())
-        filename_el = body.find(QName(UVA, "filename"))
-        if filename_el is None:
-            fault = SoapFault("soap:Client", "Read lacks a filename")
-            return self._respond(envelope, fault.to_element())
-        filename = from_typed_element(filename_el)
-        tracing.record(self.network, 5, f"ClientFS@{self.host_name}",
-                       f"serving {filename}")
+        network = self.network
+        envelope = None
         try:
-            content = self.fs.read_file(filename)
-        except FsError as exc:
-            return self._respond(
-                envelope, SoapFault("soap:Client", str(exc)).to_element()
-            )
+            envelope = read_request(payload, network.codec)
+            body = envelope.body
+            if body.tag != QName(UVA, "Read"):
+                raise SoapFault("soap:Client", "file server only supports Read")
+            filename_el = body.find(QName(UVA, "filename"))
+            if filename_el is None:
+                raise SoapFault("soap:Client", "Read lacks a filename")
+            filename = from_typed_element(filename_el)
+            if not isinstance(filename, str):
+                raise SoapFault("soap:Client", "Read's filename is not a string")
+            tracing.record(network, 5, f"ClientFS@{self.host_name}",
+                           f"serving {filename}")
+            try:
+                content = self.fs.read_file(filename)
+            except FsError as exc:
+                raise SoapFault("soap:Client", str(exc)) from None
+        except SoapFault as fault:
+            return reject(network, ctx, envelope, fault, self.host_name)
         self.reads_served += 1
         response = Element(QName(UVA, "ReadResponse"))
         response.append(
             to_typed_element(QName(UVA, "ReadResult"), content_to_wire(content))
         )
         yield self.env.timeout(0)
-        return self._respond(envelope, response)
-
-    def _respond(self, request: SoapEnvelope, body: Element) -> str:
-        headers = AddressingHeaders(
-            to_epr=request.addressing.reply_to
-            or EndpointReference(f"http://{self.host_name}/anonymous"),
-            action=request.action + "Response",
-            relates_to=request.addressing.message_id,
-        )
-        return SoapEnvelope(headers, body).serialize(self.network.codec)
+        return reply_text(network.codec, ctx, envelope, response, self.host_name)
 
     def close(self) -> None:
         self.network.host(self.host_name).unbind(FILE_SERVER_PORT)

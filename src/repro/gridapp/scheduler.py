@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.db import NoSuchResource
 from repro.gridapp import tracing
 from repro.gridapp.execution_service import parse_job_event
 from repro.gridapp.jobset import FileRef, JobSetSpec
@@ -399,7 +400,7 @@ class SchedulerService(ServiceSkeleton):
                 continue
             try:
                 yield from self._dispatch_with_failover(job, name_map, pass_cache)
-            except (SoapFault, DeliveryError, LookupError) as fault:
+            except (SoapFault, DeliveryError) as fault:
                 # A dispatch failure must not unwind the whole pass (the
                 # already-recorded placements would be lost): mark the job
                 # and the set failed, announce, and stop scheduling.
@@ -759,7 +760,7 @@ def _nudge_scheduling_pass(wrapper, jobset_epr):
             yield from wrapper.client.call(
                 jobset_epr, UVA, "Activate", category="scheduler", one_way=True
             )
-        except Exception:
+        except DeliveryError:
             pass  # the watchdog self-heals a lost nudge
 
     return wrapper.env.process(nudge(wrapper.env))
@@ -789,7 +790,7 @@ def _start_watchdog(wrapper, rid: str, jobset_epr, ft: FaultToleranceConfig):
                 return
             try:
                 state = wrapper.store.load(wrapper.service_name, rid)
-            except Exception:
+            except NoSuchResource:
                 return  # job set destroyed
             if state.get(status_key, "Running") != "Running":
                 return
@@ -798,7 +799,7 @@ def _start_watchdog(wrapper, rid: str, jobset_epr, ft: FaultToleranceConfig):
                     jobset_epr, UVA, "Watchdog",
                     category="watchdog", one_way=True,
                 )
-            except Exception:
+            except DeliveryError:
                 return  # scheduler host itself went down
 
     # Every failure path inside loop() is absorbed, so the detached

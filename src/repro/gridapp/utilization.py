@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.net import DeliveryError
 from repro.osim.winservice import WindowsService
 from repro.wsa import EndpointReference
 from repro.wsrf.client import WsrfClient
@@ -73,7 +74,7 @@ class ProcessorUtilizationService(WindowsService):
                             category="utilization",
                             one_way=True,
                         )
-                    except Exception:
+                    except DeliveryError:
                         # NIS unreachable (partition, central down): drop
                         # the report and retry next period; the catalog
                         # simply goes stale, which is the D-7 trade-off.

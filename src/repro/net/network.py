@@ -8,7 +8,7 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 from repro.net.host import Host
 from repro.net.params import NetworkParams
-from repro.net.uri import Uri
+from repro.net.uri import Uri, UriError
 from repro.sim import Environment
 from repro.soap.envelope import EnvelopeCache
 
@@ -38,7 +38,8 @@ class NetworkStats:
     drops_by_link: Dict[Tuple[str, str], int] = field(
         default_factory=lambda: defaultdict(int)
     )
-    #: delivery failures by cause: "drop" | "partition" | "host-down" | "refused"
+    #: delivery failures by cause: "drop" | "partition" | "host-down" |
+    #: "refused" | "rejected" (a one-way message dropped at its endpoint)
     faults: Dict[str, int] = field(default_factory=lambda: defaultdict(int))
     #: client-side retries taken under a RetryPolicy
     retries: int = 0
@@ -247,7 +248,13 @@ class Network:
     def _open_send(self, name: str, src_host: str, url: str, category: str, message_id):
         """What both transports start with: the parsed target, the
         sending host and the send's span (None with observation off)."""
-        uri = Uri.parse(url)
+        try:
+            uri = Uri.parse(url)
+        except UriError as exc:
+            # An address nobody can be reached at (a subscriber's
+            # ConsumerReference, say) is a refused delivery.
+            self.stats.record_fault("refused")
+            raise DeliveryError(f"cannot route {url!r}: {exc}") from None
         if not uri.is_network:
             raise DeliveryError(f"cannot route non-network URI {url!r}")
         src = self.host(src_host)
@@ -276,10 +283,12 @@ class Network:
         """Request/response exchange; returns the response text.
 
         Returns a coroutine (``yield from`` it, or wrap with
-        ``env.process``).  Raises :class:`DeliveryError` if the
-        destination is unreachable or nothing listens on the port.
-        Server-side exceptions propagate to the caller (the SOAP layer
-        above converts them to faults first).  *message_id* (the
+        ``env.process``).  Raises :class:`DeliveryError` if *url*
+        cannot be routed, the destination is unreachable or nothing
+        listens on the port — and nothing else for what the payload
+        says: every endpoint answers a bad message with a fault envelope
+        (:mod:`repro.soap.endpoint`).  A bug in a handler still
+        propagates to the caller; that is not input.  *message_id* (the
         envelope's WS-Addressing MessageID, when the caller has one)
         correlates the network span with the sender's.
         """
@@ -393,8 +402,11 @@ class Network:
 
         Returns a coroutine.  The paper's one-way message "closes the
         connection immediately after sending"; the sender does not wait
-        for the handler to run, so handler exceptions do NOT propagate
-        (they end the handler's own process).
+        for the handler to run and sees :class:`DeliveryError` only (no
+        route, unreachable, nothing listening).  A message the endpoint
+        will not act on is counted and dropped there
+        (:mod:`repro.soap.endpoint`); a bug in a handler ends the
+        handler's own detached process and so stops the run.
         """
         uri, src, span = self._open_send("net.oneway", src_host, url, category, message_id)
         obs = self.obs

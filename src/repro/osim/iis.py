@@ -14,6 +14,8 @@ from collections import deque
 from typing import Deque, Dict
 
 from repro.sim import Environment, Event
+from repro.soap import SoapFault
+from repro.soap.endpoint import reply_text
 
 
 class _WorkerPool:
@@ -48,7 +50,10 @@ class IisServer:
     """Routes inbound SOAP text to applications by URL path.
 
     Applications expose ``handle_soap(payload: str, ctx) -> coroutine``
-    returning response text (or None for one-way deliveries).
+    returning response text (or None for one-way deliveries).  A path
+    nobody serves is answered with a ``soap:Client`` fault envelope and
+    counted as a ``"refused"`` delivery (docs/fault_tolerance.md, "The
+    wire contract").
     """
 
     def __init__(self, machine) -> None:
@@ -91,17 +96,18 @@ class IisServer:
     def handle(self, payload: str, ctx):
         """Network-facing server protocol (see repro.net)."""
         app = self._apps.get("/" + ctx.path.strip("/"))
+        network = self.machine.network
         if app is None:
-            if ctx.one_way:
-                # 404 with nobody to tell: the sender is gone, so this is
-                # a refused delivery, not an exception in the fabric.
-                self.machine.network.stats.record_fault("refused")
-                return None
-            # 404: surfaced as an error to request/response callers.
-            raise LookupError(
-                f"no service at {ctx.path!r} on host {self.machine.name!r}"
+            # 404: a refused delivery either way — a fault envelope for
+            # the caller who waits, nothing for the one-way sender who
+            # is gone; never an exception in the fabric.
+            network.stats.record_fault("refused")
+            fault = SoapFault(
+                "soap:Client",
+                f"no service at {ctx.path!r} on host {self.machine.name!r}",
             )
-        obs = self.machine.network.obs
+            return reply_text(network.codec, ctx, None, fault.to_element())
+        obs = network.obs
         span = None
         if obs is not None:
             span = obs.start_span(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.wsa.headers import AddressingHeaders
 from repro.xmlx import NS, Element, QName, parse, to_string
@@ -75,11 +75,11 @@ class EnvelopeCache:
     registers what the receiver is to have — a new
     :class:`SoapEnvelope` with its own addressing headers, body and
     extra-header copies (only the immutable EPR is shared), equal field
-    for field to the strict parse of the text; for a reference-encoded
-    message a copy of its tree, decoded on arrival — and the receiving
+    for field to the strict parse of the text — and the receiving
     endpoint's parse of that exact text *consumes* the entry (move
     semantics — exactly one receiver, free to mutate).  Any other text
-    — delivered a second time (a lost reply's retry resends the text it
+    — reference-encoded (no workload sends one: docs/performance.md),
+    delivered a second time (a lost reply's retry resends the text it
     holds), or never encoded here (hand-built, hostile or restored
     payloads) — goes through the strict parser, which builds a fresh
     tree each time, so repeated deliveries can never observe each
@@ -115,30 +115,24 @@ class EnvelopeCache:
             return SoapEnvelope.from_element(parse(text))
         # This receiver is the entry's only owner: no defensive copy.
         self.parse_hits += 1
-        if isinstance(handed, Element):
-            # A reference-encoded message's tree: decoded on arrival,
-            # where the reference decoder would raise.
-            return SoapEnvelope.from_element(handed)
         return handed
 
     def encode(self, envelope: "SoapEnvelope") -> str:
         self.encode_misses += 1
         wire = _splice(envelope)
+        if wire is None:
+            # Nothing is handed over: the receiver's strict parse reads
+            # this text, and raises where the reference decoder would.
+            return to_string(envelope.to_element(), xml_declaration=True)
         # Hand over copies: the receiver's document must be isolated
         # from whatever the sender later does with its envelope.
-        if wire is None:
-            tree = envelope.to_element()
-            wire = to_string(tree, xml_declaration=True)
-            handed: Union[Element, SoapEnvelope] = tree.copy()
-        else:
-            sent = envelope.addressing
-            handed = SoapEnvelope(
+        sent = envelope.addressing
+        if wire not in self._fresh:
+            self._fresh.put(wire, SoapEnvelope(
                 AddressingHeaders(sent.to_epr, sent.action, sent.message_id, sent.relates_to),
                 envelope.body.copy(),
                 [block.copy() for block in envelope.extra_headers],
-            )
-        if wire not in self._fresh:
-            self._fresh.put(wire, handed)
+            ))
         return wire
 
 

@@ -145,7 +145,10 @@ def from_typed_element(element: Element) -> Any:
             # the reason, not the text: the literal may be megabytes
             raise SoapFault("soap:Client", f"bad base64Binary literal: {exc}") from None
     if xsi_type == "wsa:EndpointReferenceType":
-        return EndpointReference.from_xml(element)
+        try:
+            return EndpointReference.from_xml(element)
+        except ValueError as exc:
+            raise SoapFault("soap:Client", f"bad EndpointReferenceType: {exc}") from None
     if xsi_type == "uva:xmlAny":
         if len(element.children) != 1:
             raise SoapFault("soap:Client", "xmlAny must wrap exactly one element")

@@ -16,9 +16,6 @@ _RELATES_TO = QName(NS.WSA, "RelatesTo")
 _REPLY_TO = QName(NS.WSA, "ReplyTo")
 _FAULT_TO = QName(NS.WSA, "FaultTo")
 
-#: WS-Addressing's anonymous address: "reply over the same connection"
-ANONYMOUS = "http://schemas.xmlsoap.org/ws/2004/03/addressing/role/anonymous"
-
 _id_counter = itertools.count(1)
 
 

@@ -18,6 +18,7 @@ from repro.xmlx import NS, Element, QName
 
 SUBSCRIBE = QName(NS.WSNT, "Subscribe")
 NOTIFY = QName(NS.WSNT, "Notify")
+NOTIFY_RESPONSE = QName(NS.WSNT, "NotifyResponse")
 PAUSE_SUBSCRIPTION = QName(NS.WSNT, "PauseSubscription")
 RESUME_SUBSCRIPTION = QName(NS.WSNT, "ResumeSubscription")
 
@@ -103,9 +104,12 @@ def parse_notify_body(
         if topic_el is None or payload_holder is None or not payload_holder.children:
             raise SoapFault("soap:Client", "malformed NotificationMessage")
         producer_el = message.find(_PRODUCER_REF)
-        producer = (
-            EndpointReference.from_xml(producer_el) if producer_el is not None else None
-        )
+        try:
+            producer = (
+                EndpointReference.from_xml(producer_el) if producer_el is not None else None
+            )
+        except ValueError as exc:
+            raise SoapFault("soap:Client", f"malformed ProducerReference: {exc}") from None
         out.append(
             (topic_el.full_text().strip(), payload_holder.children[0], producer)
         )
@@ -128,7 +132,7 @@ def fire_and_forget(env, client, target_epr, body, category="notify", parent_spa
                 target_epr, body, category=category, one_way=True,
                 parent_span=parent_span,
             )
-        except Exception:
+        except DeliveryError:
             pass  # lost notification: fire-and-forget semantics
 
     return env.process(send(env))
@@ -407,8 +411,6 @@ class NotificationProducer:
                 yield env.timeout(policy.delay_for(failures, self._redelivery_rng))
                 if rspan is not None:
                     obs.finish(rspan)
-            except Exception:
-                return  # non-transport failure: plain one-way loss
         if host.down or host.boot_epoch != epoch:
             # This redelivery loop belongs to a dead boot: its failure
             # tally describes deliveries that never happened as far as
@@ -541,4 +543,4 @@ class NotificationConsumerPortType(SpecPortType):
             result = handler(topic, payload, producer)
             if hasattr(result, "send"):
                 yield from result
-        return Element(QName(NS.WSNT, "NotifyResponse"))
+        return Element(NOTIFY_RESPONSE)

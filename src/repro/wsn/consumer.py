@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from repro.net import Network
-from repro.soap import SoapEnvelope
+from repro.soap import SoapFault
+from repro.soap.endpoint import read_request, reject, reply_text
 from repro.wsa import EndpointReference
-from repro.wsn.base_notification import NOTIFY, parse_notify_body
+from repro.wsn.base_notification import NOTIFY, NOTIFY_RESPONSE, parse_notify_body
 from repro.wsn.topics import FULL_DIALECT, TopicExpression
 from repro.xmlx import Element
 
@@ -30,7 +31,13 @@ class ReceivedNotification:
 
 
 class NotificationListener:
-    """Binds to ``http://<host>:<port>/<path>`` and dispatches callbacks."""
+    """Binds to ``http://<host>:<port>/<path>`` and dispatches callbacks.
+
+    A message that is not a readable ``wsnt:Notify`` runs no callback:
+    it is counted and dropped, or — sent request/response — answered
+    with a ``soap:Client`` fault; a Notify sent request/response gets a
+    ``NotifyResponse`` (:mod:`repro.soap.endpoint`).
+    """
 
     def __init__(
         self,
@@ -64,12 +71,18 @@ class NotificationListener:
     # -- network server protocol -----------------------------------------------------
 
     def handle(self, payload: str, ctx):
-        envelope = SoapEnvelope.deserialize(payload, self.network.codec)
-        if envelope.body.tag != NOTIFY:
-            raise ValueError(
-                f"notification listener received non-Notify {envelope.body.tag}"
-            )
-        for topic, message, producer in parse_notify_body(envelope.body):
+        envelope = None
+        try:
+            envelope = read_request(payload, self.network.codec)
+            if envelope.body.tag != NOTIFY:
+                raise SoapFault(
+                    "soap:Client",
+                    f"notification listener received non-Notify {envelope.body.tag}",
+                )
+            messages = parse_notify_body(envelope.body)
+        except SoapFault as fault:
+            return reject(self.network, ctx, envelope, fault)
+        for topic, message, producer in messages:
             note = ReceivedNotification(
                 at=self.env.now, topic=topic, payload=message, producer=producer
             )
@@ -78,7 +91,7 @@ class NotificationListener:
                 if expression.matches(topic):
                     callback(note)
         yield self.env.timeout(0)
-        return None
+        return reply_text(self.network.codec, ctx, envelope, Element(NOTIFY_RESPONSE))
 
     def topics_seen(self) -> List[str]:
         return [note.topic for note in self.received]

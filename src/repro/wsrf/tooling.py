@@ -27,7 +27,8 @@ from repro.net.network import DeliveryError
 from repro.perf import PerfConfig
 from repro.sim import Lock
 from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
-from repro.wsa import AddressingHeaders, EndpointReference
+from repro.soap.endpoint import read_request, reject, reply_text, server_fault
+from repro.wsa import EndpointReference
 from repro.wsrf.attributes import (
     ServiceSkeleton,
     collect_resource_fields,
@@ -93,7 +94,7 @@ class InvocationContext:
 
     @property
     def source_host(self) -> str:
-        return self.delivery.source_host if self.delivery else ""
+        return self.delivery.source_host
 
     def my_epr(self) -> EndpointReference:
         return self.wrapper.epr_for(self.resource_id)
@@ -541,28 +542,23 @@ class WrapperService:
     # -- the dispatch pipeline ---------------------------------------------------------------
 
     def handle_soap(self, payload: str, delivery, pool=None):
-        """IIS-facing entry point; a simulation coroutine."""
+        """IIS-facing entry point; a simulation coroutine.  Whatever
+        the message, it ends here as a reply, a fault or a counted drop
+        (:mod:`repro.soap.endpoint`)."""
         self.invocations += 1
-        codec = self.machine.network.codec
+        network = self.machine.network
         try:
-            envelope = SoapEnvelope.deserialize(payload, codec)
-        except ValueError:
-            if delivery is None or not delivery.one_way:
-                raise
-            # Unreadable, and one-way: the sender closed the connection
-            # and is owed no answer, so the message ends here, counted —
-            # not in the detached delivery process, whose failure would
-            # stop the whole simulation.
+            envelope = read_request(payload, network.codec)
+        except SoapFault as fault:
             self.faults_returned += 1
-            return None
+            return reject(network, delivery, None, fault)
         rid = envelope.addressing.to_epr.get(RESOURCE_ID)
-        obs = self.machine.network.obs
+        obs = network.obs
         span = None
         if obs is not None:
-            mid = delivery.message_id if delivery is not None else ""
             span = obs.start_span(
                 "wsrf.dispatch",
-                message_id=mid or envelope.addressing.message_id or None,
+                message_id=delivery.message_id or envelope.addressing.message_id or None,
                 attrs={
                     "service": self.path,
                     "host": self.machine.name,
@@ -577,28 +573,20 @@ class WrapperService:
             self.faults_returned += 1
             if span is not None:
                 span.attrs["fault"] = fault.code
-            response_body = fault.to_element()
-        except (SecurityError, NoSuchResource, ValueError, TypeError, KeyError, LookupError) as exc:
+            return reject(network, delivery, envelope, fault)
+        except (SecurityError, ValueError, TypeError, LookupError, AttributeError) as exc:
+            # Author code raising is the service's fault (NoSuchResource
+            # and KeyError are LookupErrors; a decoded argument of the
+            # wrong shape surfaces as any of the last four); anything
+            # else is a bug.
             self.faults_returned += 1
             if span is not None:
                 span.attrs["fault"] = type(exc).__name__
-            response_body = SoapFault(
-                "soap:Server", f"{type(exc).__name__}: {exc}"
-            ).to_element()
+            return reject(network, delivery, envelope, server_fault(exc))
         finally:
             if span is not None:
                 obs.spans.finish_subtree(span)
-        if delivery is not None and delivery.one_way:
-            return None
-        reply_to = envelope.addressing.reply_to or EndpointReference(
-            f"http://{delivery.source_host}/anonymous" if delivery else "http://anonymous"
-        )
-        headers = AddressingHeaders(
-            to_epr=reply_to,
-            action=envelope.action + "Response",
-            relates_to=envelope.addressing.message_id,
-        )
-        return SoapEnvelope(headers, response_body).serialize(codec)
+        return reply_text(network.codec, delivery, envelope, response_body)
 
     def _dispatch(self, envelope: SoapEnvelope, rid, delivery, pool=None, span=None):
         """Take one invocation through the Fig. 1 stages (:attr:`_STAGES`).

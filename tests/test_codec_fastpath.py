@@ -41,11 +41,13 @@ from repro.db.resource_store import decode_state, encode_state
 from repro.gridapp import FaultToleranceConfig, FileRef, JobSpec, Testbed
 from repro.net import RetryPolicy
 from repro.osim.programs import make_compute_program
-from repro.soap import EnvelopeCache, SoapEnvelope, from_typed_element
+from repro.soap import EnvelopeCache, SoapEnvelope, SoapFault, from_typed_element
+from repro.soap import envelope as envelope_module
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.xmlx import NS, Element, QName, XmlParseError, parse, to_string
 from repro.xmlx import writer
 
+from tests.equivalence import SCENARIOS, fingerprint, run_scenario
 from tests.helpers import fan_spec, fig3_testbed
 
 UVA = NS.UVACG
@@ -742,8 +744,10 @@ def _watch_decoding(patch):
 
 def _deliver(envelope):
     """Send *envelope* through a hand-off and receive it, watching from
-    outside whether the receiver was handed an envelope or had a tree
-    to decode: ``(wire, received envelope or the exception, spliced?)``."""
+    outside whether the receiver was handed an envelope (a hit) or met
+    the strict parser with a tree to decode (a miss: nothing is handed
+    over for a message the splice declines):
+    ``(wire, received envelope or the exception, spliced?)``."""
     cache = EnvelopeCache()
     with pytest.MonkeyPatch.context() as patch:
         decoded = _watch_decoding(patch)
@@ -752,7 +756,7 @@ def _deliver(envelope):
             received = cache.parse(wire)
         except Exception as exc:
             received = exc
-    assert (cache.parse_hits, cache.parse_misses) == (1, 0)
+    assert (cache.parse_hits, cache.parse_misses) == ((0, 1) if decoded else (1, 0))
     return wire, received, not decoded
 
 
@@ -843,8 +847,9 @@ def _to(address, props):
 
 class TestEnvelopeSplice:
     """``EnvelopeCache.encode`` writes the reference text without the
-    envelope tree and hands the receiver an envelope, not a tree — or
-    declines, on a property of the message, and takes the tree path."""
+    envelope tree and hands the receiver an envelope — or declines, on
+    a property of the message, writes the reference text and hands over
+    nothing: that receiver's strict parse is a miss."""
 
     @settings(max_examples=300)
     @given(_envelopes())
@@ -922,7 +927,7 @@ class TestEnvelopeSplice:
         assert wire == envelope.serialize()
         with pytest.raises(ValueError, match=message):
             SoapEnvelope.deserialize(wire, cache)
-        assert (cache.parse_hits, cache.parse_misses) == (1, 0)
+        assert (cache.parse_hits, cache.parse_misses) == (0, 1)
 
     def test_fault_and_unqualified_body_children_are_spliced(self):
         from repro.soap import SoapFault
@@ -938,33 +943,8 @@ class TestEnvelopeSplice:
 # -- the hand-off watched from outside, in whole runs -------------------------------
 
 
-def _grid(chaos=False, **kwargs):
-    if chaos:
-        policy = RetryPolicy(max_attempts=5, base_delay_s=0.2, backoff_factor=2.0,
-                             max_delay_s=2.0, timeout_s=30.0)
-        kwargs.update(
-            retry_policy=policy, broker_redelivery=policy,
-            fault_tolerance=FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0),
-        )
-    tb = fig3_testbed(10.0, {"out": b"x"}, n_machines=3, **kwargs)
-    if chaos:
-        tb.network.inject_faults(drop_probability=0.20, seed=3)
-    return tb
-
-
-def _run_fig3(chaos=False, **kwargs):
-    tb = _grid(chaos, **kwargs)
-    client = tb.make_client()
-    spec = fan_spec(client, tb, 4)
-    if chaos:
-        outcome, _, _ = tb.run(
-            client.run_job_set_polled(spec, period=3.0, give_up_after=2000.0)
-        )
-        result = (outcome,)
-    else:
-        result = tb.run_job_set(client, spec)
-    tb.settle()
-    return tb, result
+def _grid():
+    return fig3_testbed(10.0, {"out": b"x"}, n_machines=3)
 
 
 @pytest.fixture
@@ -974,18 +954,21 @@ def audit(monkeypatch):
     text, each base64 leaf that still refers to the ``bytes`` it was
     encoded from against the reference decode of its text, each loaded
     state against ``decode_state`` of the stored bytes.  Counts the
-    envelopes handed over as envelopes (``spliced``) and those handed
-    over as trees for the receiver to decode (``fallback``)."""
+    envelopes handed over (``spliced``) and the encodes the splice
+    declined (``fallback``: reference text, nothing handed over)."""
     seen = {"envelopes": 0, "spliced": 0, "fallback": 0, "states": 0, "base64": 0}
     real_parse, real_decode = EnvelopeCache.parse, DecodeCache.decode
-    decoded = _watch_decoding(monkeypatch)
+    real_splice = envelope_module._splice
+
+    def splice_counted(envelope):
+        wire = real_splice(envelope)
+        seen["fallback"] += wire is None
+        return wire
 
     def parse_checked(self, text):
         hits = self.parse_hits
-        del decoded[:]
         envelope = real_parse(self, text)
-        if self.parse_hits > hits:
-            seen["fallback" if decoded else "spliced"] += 1
+        seen["spliced"] += self.parse_hits - hits
         _assert_same_message(envelope, SoapEnvelope.from_element(parse(text)))
         for block in (envelope.body, *envelope.extra_headers):
             for leaf in block.iter():
@@ -1002,6 +985,7 @@ def audit(monkeypatch):
         seen["states"] += 1
         return state
 
+    monkeypatch.setattr(envelope_module, "_splice", splice_counted)
     monkeypatch.setattr(EnvelopeCache, "parse", parse_checked)
     monkeypatch.setattr(DecodeCache, "decode", decode_checked)
     return seen
@@ -1019,8 +1003,8 @@ def _all_blobs(tb):
 
 class TestHandOffFromOutside:
     def test_fig3_run(self, audit):
-        tb, (outcome, _, _) = _run_fig3()
-        assert outcome == "completed"
+        tb, result = run_scenario(SCENARIOS["fig3_fan"])
+        assert result["outcome"] == "completed"
         assert audit["envelopes"] == audit["spliced"] == tb.network.codec.parse_hits > 0
         assert audit["states"] > 0 and tb.network.codec.parse_misses == 0
         assert audit["base64"] > 0
@@ -1029,8 +1013,8 @@ class TestHandOffFromOutside:
             assert blob == encode_state(decode_state(blob)), key
 
     def test_chaos_run_with_redelivery(self, audit):
-        tb, (outcome,) = _run_fig3(chaos=True)
-        assert outcome == "completed"
+        tb, result = run_scenario(SCENARIOS["drop20_ft"])
+        assert result["outcome"] == "completed"
         assert tb.network.stats.drops > 0 and tb.network.stats.retries > 0
         assert audit["envelopes"] > audit["spliced"] > 0 and audit["states"] > 0
         assert audit["base64"] > 0
@@ -1069,8 +1053,8 @@ class TestHandOffFromOutside:
     def test_foreign_extra_header_takes_the_tree_path(self, audit):
         """A client that attaches a header block outside ``wsse:``: the
         parser reads it back as a reference property, so those requests
-        are written by the reference encoder and decoded on arrival —
-        same job set, and the replies are still spliced."""
+        are written by the reference encoder and strictly parsed on
+        arrival — same job set, and the replies are still spliced."""
         tb = _grid()
         client = tb.make_client()
         spec = fan_spec(client, tb, 2)
@@ -1089,7 +1073,7 @@ class TestHandOffFromOutside:
 
         tb.run(scenario())
         assert audit["fallback"] == 3 and audit["spliced"] == spliced + 3
-        assert tb.network.codec.parse_misses == 0
+        assert tb.network.codec.parse_misses == 3
 
     def test_received_envelope_mutated_in_place_redelivers_pristine(self):
         codec = _grid().network.codec
@@ -1162,36 +1146,16 @@ class TestHandOffFromOutside:
 
         def scenario():
             for _ in range(3):  # nothing about a failed parse is remembered
-                with pytest.raises(XmlParseError) as got:
-                    yield from tb.network.request("node00", tb.scheduler.address, text)
-                assert str(got.value) == str(reference.value)
-                assert got.value.pos == reference.value.pos
+                reply = yield from tb.network.request("node00", tb.scheduler.address, text)
+                fault = SoapFault.from_element(SoapEnvelope.deserialize(reply).body)
+                assert fault.code == "soap:Client"
+                assert fault.reason.endswith(f"XmlParseError: {reference.value}")
 
         tb.run(scenario())
         assert tb.network.codec.parse_misses == 3
 
 
 # -- the run differential against the reference codec -------------------------------
-
-
-_PID = QName(UVA, "pid")  # OS pids come from a process-global counter
-
-
-def _without_pid(blob):
-    state = decode_state(blob)
-    state.pop(_PID, None)
-    return encode_state(state)
-
-
-def _fingerprint(tb, result):
-    return {
-        "result": tuple(result),
-        "now": tb.env.now,
-        "trace": [(e.at, e.step, e.actor, e.detail) for e in tb.trace.events],
-        "messages": (tb.network.stats.messages, tb.network.stats.bytes),
-        "export": tb.obs.export_json(),
-        "stores": {key: _without_pid(blob) for key, blob in _all_blobs(tb).items()},
-    }
 
 
 class TestReferenceCodecDifferential:
@@ -1202,19 +1166,19 @@ class TestReferenceCodecDifferential:
     path (by the test: there is no knob)."""
 
     def test_traces_byte_identical(self, reference_codec):
-        tb, result = _run_fig3(observability=True)
+        tb, result = run_scenario(SCENARIOS["fig3_fan"])
         with reference_codec():
-            tb_ref, result_ref = _run_fig3(observability=True)
+            tb_ref, result_ref = run_scenario(SCENARIOS["fig3_fan"])
         assert tb_ref.network.codec.parse_hits == 0  # ... it really was forced
         assert tb_ref.scheduler.store.decode_cache.hits == 0
-        assert _fingerprint(tb, result) == _fingerprint(tb_ref, result_ref)
+        assert fingerprint(tb, result) == fingerprint(tb_ref, result_ref)
         # ... and the hand-off actually engaged, or this proved nothing.
         assert tb.network.codec.parse_hits > 0
         assert tb.scheduler.store.decode_cache.hits > 0
 
     def test_chaos_run_byte_identical(self, reference_codec):
-        tb, result = _run_fig3(chaos=True, observability=True)
+        tb, result = run_scenario(SCENARIOS["drop20_ft"])
         with reference_codec():
-            tb_ref, result_ref = _run_fig3(chaos=True, observability=True)
+            tb_ref, result_ref = run_scenario(SCENARIOS["drop20_ft"])
         assert tb.network.stats.drops == tb_ref.network.stats.drops > 0
-        assert _fingerprint(tb, result) == _fingerprint(tb_ref, result_ref)
+        assert fingerprint(tb, result) == fingerprint(tb_ref, result_ref)

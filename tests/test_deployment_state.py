@@ -26,6 +26,7 @@ from repro.obs.core import _LAZY_COUNTERS
 from repro.osim import Machine, MachineParams
 from repro.osim.programs import make_compute_program
 from repro.sim import Environment
+from repro.soap import SoapEnvelope, SoapFault
 from repro.wsrf import deploy
 from repro.wssec import CertificateAuthority
 from repro.wssec.x509 import enroll
@@ -260,15 +261,20 @@ class TestHostileOneWay:
         assert outcome == "completed"
         assert tb.scheduler.faults_returned == 2
 
-    @pytest.mark.parametrize("url, text, error", [
-        (SCHEDULER_URL, "not xml at all", ValueError),
-        (SCHEDULER_URL, _NO_TO, ValueError),
-        ("http://uvacg-central:80/Nope", "<a/>", LookupError),
+    @pytest.mark.parametrize("url, text, reason", [
+        (SCHEDULER_URL, "not xml at all", "XmlParseError"),
+        (SCHEDULER_URL, _NO_TO, "lacks a wsa:To"),
+        ("http://uvacg-central:80/Nope", "<a/>", "no service at '/Nope'"),
     ])
-    def test_request_response_callers_still_get_the_exception(self, url, text, error):
+    def test_request_response_callers_still_get_the_exception_as_a_client_fault(
+            self, url, text, reason):
+        # Until the wire contract (docs/fault_tolerance.md) this pinned a
+        # ValueError / LookupError raised in the caller's own process.
         tb = fig3_testbed(2.0, {})
         tb.network.add_host("evil")
-        with pytest.raises(error):
-            tb.run(tb.network.request("evil", url, text))
-        assert tb.scheduler.faults_returned == 0
-        assert "refused" not in tb.network.stats.faults
+        reply = SoapEnvelope.deserialize(tb.run(tb.network.request("evil", url, text)))
+        fault = SoapFault.from_element(reply.body)
+        assert fault.code == "soap:Client" and reason in fault.reason
+        served = url == SCHEDULER_URL
+        assert tb.scheduler.faults_returned == (1 if served else 0)
+        assert tb.network.stats.faults == ({} if served else {"refused": 1})

@@ -20,6 +20,7 @@ from repro.osim.cpu import ProcessState
 from repro.osim.filesystem import normalize_path
 from repro.osim.programs import make_compute_program
 from repro.sim import Environment
+from repro.soap import SoapEnvelope, SoapFault
 
 
 class TestFileContent:
@@ -484,10 +485,11 @@ class TestIis:
 
     def test_unknown_path_404(self):
         env, m = _machine()
-        def call(env):
-            yield from m.network.request("node1", "http://node1:80/Ghost", "x")
-        with pytest.raises(LookupError, match="no service"):
-            env.run(until=env.process(call(env)))
+        call = env.process(m.network.request("node1", "http://node1:80/Ghost", "x"))
+        env.run(until=call)
+        fault = SoapFault.from_element(SoapEnvelope.deserialize(call.value).body)
+        assert fault.code == "soap:Client" and "no service at '/Ghost'" in fault.reason
+        assert m.network.stats.faults == {"refused": 1}
 
     def test_duplicate_path_rejected(self):
         env, m = _machine()
