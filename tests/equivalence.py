@@ -63,7 +63,7 @@ _RETRY = RetryPolicy(
     max_attempts=8, base_delay_s=0.5, backoff_factor=2.0,
     max_delay_s=3.0, timeout_s=30.0,
 )
-_FT = dict(
+FT = dict(
     retry_policy=_RETRY, broker_redelivery=_RETRY,
     fault_tolerance=FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0),
 )
@@ -95,18 +95,18 @@ SCENARIOS: Dict[str, Scenario] = {
     "perf_fan": Scenario(testbed=dict(perf=PerfConfig())),
     "perf_chain": Scenario(testbed=dict(perf=PerfConfig()), chain=True),
     "sanitize": Scenario(testbed=dict(sanitize=True)),
-    "drop20_ft": Scenario(testbed=_FT, n_jobs=8, drop=0.20, polled=True),
+    "drop20_ft": Scenario(testbed=FT, n_jobs=8, drop=0.20, polled=True),
     "drop20_ft_perf": Scenario(
-        testbed=dict(_FT, perf=PerfConfig()), n_jobs=8, drop=0.20, polled=True
+        testbed=dict(FT, perf=PerfConfig()), n_jobs=8, drop=0.20, polled=True
     ),
     "node_bounce": Scenario(
-        testbed=_FT, bounces=(("node01", 8.0, 3.0),), polled=True
+        testbed=FT, bounces=(("node01", 8.0, 3.0),), polled=True
     ),
     "central_bounce": Scenario(
-        testbed=_FT, bounces=(("uvacg-central", 6.0, 3.0),), polled=True
+        testbed=FT, bounces=(("uvacg-central", 6.0, 3.0),), polled=True
     ),
     "central_bounce_perf": Scenario(
-        testbed=dict(_FT, perf=PerfConfig()),
+        testbed=dict(FT, perf=PerfConfig()),
         bounces=(("uvacg-central", 6.0, 3.0),), polled=True,
     ),
     "zones_1": Scenario(testbed=dict(federation=1), n_jobs=8),
@@ -120,7 +120,7 @@ SCENARIOS: Dict[str, Scenario] = {
     # client's retry budget (the set is stolen by z02, next on the ring),
     # z02's head then blinks (re-adoption) and a grid machine reboots.
     "zones_4_bounces": Scenario(
-        testbed=dict(_FT, n_machines=8, federation=4), n_jobs=8,
+        testbed=dict(FT, n_machines=8, federation=4), n_jobs=8,
         bounces=(
             ("node01", 4.0, 5.0), ("uvacg-z01", 6.0, 40.0),
             ("uvacg-z02", 30.0, 3.0),
@@ -138,9 +138,10 @@ SCENARIOS: Dict[str, Scenario] = {
 def run_scenario(scenario: Scenario):
     """Assemble, run to completion, settle; returns ``(tb, result)``."""
     tb = fig3_testbed(
-        10.0, {"out.dat": PAYLOAD}, observability=True, **scenario.testbed
+        10.0, {"out.dat": PAYLOAD}, **{"observability": True, **scenario.testbed}
     )
-    tb.obs.enable_event_log()
+    if tb.obs is not None:  # a scenario may run unobserved, as the control
+        tb.obs.enable_event_log()
     if scenario.drop:
         tb.network.inject_faults(drop_probability=scenario.drop, seed=3)
     for host, at, down_for in scenario.bounces:

@@ -28,7 +28,8 @@ from repro.gridapp.federation import FederatedGridClient, ZoneRoute
 from repro.osim.programs import make_compute_program
 from repro.xmlx import NS, QName
 
-from tests.helpers import assembly_order, fan_spec, fig3_testbed, final_grid_state
+from tests.equivalence import Scenario, run_scenario
+from tests.helpers import assembly_order, fan_spec, final_grid_state
 
 UVA = NS.UVACG
 SG = NS.WSRF_SG
@@ -146,41 +147,15 @@ class TestHashRingProperties:
 # -- 1-zone differential (satellite 1) -----------------------------------------------
 
 
-def _run_fig3(federation, n_jobs=8, chain=False):
-    tb = fig3_testbed(
-        30.0, {"out.dat": PAYLOAD},
-        start_utilization_services=False, federation=federation,
-    )
-    if federation is None:
-        client = tb.make_client()
-        runner = client.run_job_set
-    else:
-        fed = tb.make_federated_client()
-        client = fed.client
-        runner = fed.run_job_set_polled
-    spec = fan_spec(client, tb, n_jobs, chain=chain)
-    outcome, jobset_epr, topic = tb.run(runner(spec))
-    tb.settle()
-    rid = jobset_epr.get(QName(UVA, "ResourceID"))
-    state = tb.scheduler.store.load("Scheduler", rid)
-    dirs = state[QName(UVA, "job_dirs")]
-    outputs = {
-        name: tb.run(client.fetch_output(dir_epr, "out.dat")).to_bytes()
-        for name, dir_epr in sorted(dirs.items())
-    }
-    return {
-        "tb": tb,
-        "outcome": outcome,
-        "topic": topic,
-        "outputs": outputs,
-        "exit_codes": state[QName(UVA, "job_exit_codes")],
-        "placements": state[QName(UVA, "job_machine")],
-        "state": final_grid_state(tb, brokers=False),
-        "client_events": sorted(
-            (note.topic, note.payload.tag.local)
-            for note in client.listener.received
-        ),
-    }
+def _run(federation, n_jobs=8, chain=False):
+    """One Fig-3 job set as tests/equivalence.py drives it, with the
+    final grid state beside the result."""
+    tb, result = run_scenario(Scenario(
+        testbed=dict(start_utilization_services=False, federation=federation),
+        n_jobs=n_jobs, chain=chain,
+    ))
+    return dict(result, tb=tb, state=final_grid_state(tb, brokers=False),
+                client_events=sorted(result["client_events"]))
 
 
 class TestSingleZoneDifferential:
@@ -196,8 +171,8 @@ class TestSingleZoneDifferential:
         assert federated["client_events"] == single["client_events"]
 
     def test_independent_jobset_equivalent(self):
-        single = _run_fig3(None)
-        federated = _run_fig3(FederationConfig(n_zones=1))
+        single = _run(None)
+        federated = _run(FederationConfig(n_zones=1))
         self._assert_equivalent(single, federated)
         # The federated run really went through the federation plumbing:
         tb = federated["tb"]
@@ -210,8 +185,8 @@ class TestSingleZoneDifferential:
     def test_chain_jobset_equivalent(self):
         """Dependencies exercise job_dirs fill-in and inter-FSS staging
         across the zone broker → root broker notification hierarchy."""
-        single = _run_fig3(None, n_jobs=4, chain=True)
-        federated = _run_fig3(FederationConfig(n_zones=1), n_jobs=4, chain=True)
+        single = _run(None, n_jobs=4, chain=True)
+        federated = _run(FederationConfig(n_zones=1), n_jobs=4, chain=True)
         self._assert_equivalent(single, federated)
 
     def test_one_zone_assembly_is_the_single_site_one_behind_a_root(self):

@@ -25,7 +25,7 @@ from repro.wsrf import InvalidResourcePropertyQNameFault, ResourceUnknownFault
 from repro.wsrf.tooling import WrapperService
 from repro.xmlx import NS, QName
 
-from tests.helpers import fan_spec, fig3_testbed
+from tests.equivalence import Scenario, run_scenario
 
 
 class TestMetricsRegistry:
@@ -186,23 +186,19 @@ class TestSpanRecorder:
         ]
 
 
-def _run_jobset(observability, n_jobs=3, seed=11, event_log=False, **kwargs):
-    testbed = fig3_testbed(
-        5.0, {"out": b"x"}, n_machines=2, seed=seed,
-        observability=observability, **kwargs,
-    )
-    if event_log:
-        testbed.obs.enable_event_log()
-    client = testbed.make_client()
-    outcome, _, _ = testbed.run_job_set(client, fan_spec(client, testbed, n_jobs))
-    assert outcome == "completed"
-    testbed.settle()
-    return testbed
+def _completed(n_jobs=3, **testbed):
+    """The testbed of a finished Fig-3 run on two machines, as
+    tests/equivalence.py drives it (observed, event log on, unless
+    *testbed* says ``observability=False``)."""
+    tb, result = run_scenario(
+        Scenario(testbed=dict(n_machines=2, **testbed), n_jobs=n_jobs))
+    assert result["outcome"] == "completed"
+    return tb
 
 
 @pytest.fixture(scope="module")
 def observed_run():
-    return _run_jobset(observability=True)
+    return _completed()
 
 
 class TestEndToEnd:
@@ -270,7 +266,7 @@ class TestEndToEnd:
         the stage spans come in table order, never overlap, all close
         and add up to the dispatch span."""
         table = ["wsrf.dispatch.epr_resolve"] + [s[0] for s in WrapperService._STAGES]
-        perf_run = _run_jobset(observability=True, perf=PerfConfig())
+        perf_run = _completed(perf=PerfConfig())
         soap = perf_run.make_client().soap
         jobset = perf_run.scheduler.epr_for(perf_run.scheduler.resource_ids()[0])
         with pytest.raises(ResourceUnknownFault):
@@ -343,21 +339,21 @@ class TestEndToEnd:
             assert set(labels) <= {"service", "host", "operation"}
 
     def test_observability_adds_zero_simulated_latency(self):
-        with_obs = _run_jobset(observability=True, n_jobs=2, seed=7)
-        without = _run_jobset(observability=False, n_jobs=2, seed=7)
+        with_obs = _completed(2, seed=7)
+        without = _completed(2, seed=7, observability=False)
         assert with_obs.env.now == without.env.now
         assert with_obs.network.stats.messages == without.network.stats.messages
 
     def test_disabled_mode_allocates_nothing(self):
-        testbed = _run_jobset(observability=False, n_jobs=1, seed=5)
+        testbed = _completed(1, seed=5, observability=False)
         assert testbed.obs is None
         assert testbed.network.obs is None
         assert obs_of(testbed.network) is None
         assert obs_of(testbed.central) is None
 
     def test_seeded_runs_export_identical_json(self):
-        a = _run_jobset(observability=True, n_jobs=2, seed=3).obs.export_json()
-        b = _run_jobset(observability=True, n_jobs=2, seed=3).obs.export_json()
+        a = _completed(2, seed=3).obs.export_json()
+        b = _completed(2, seed=3).obs.export_json()
         assert a == b  # byte-identical
 
     def test_obs_of_resolves_through_machines(self, observed_run):
@@ -450,8 +446,8 @@ class TestEventLog:
         assert log.events[1]["dur"] == 0.0
 
     def test_identical_runs_emit_identical_bytes(self):
-        a = _run_jobset(observability=True, n_jobs=2, event_log=True)
-        b = _run_jobset(observability=True, n_jobs=2, event_log=True)
+        a = _completed(2)
+        b = _completed(2)
         text = a.obs.events.to_jsonl()
         assert text == b.obs.events.to_jsonl()
         assert len(a.obs.events) > 0

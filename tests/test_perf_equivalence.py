@@ -34,72 +34,27 @@ from repro.db import (
     DbError,
     NoSuchResource,
 )
-from repro.gridapp import (
-    FaultToleranceConfig,
-    FileRef,
-    JobSpec,
-    PerfConfig,
-    Testbed,
-)
-from repro.net import RetryPolicy
-from repro.osim.programs import make_compute_program
+from repro.gridapp import PerfConfig
 from repro.wsn import build_notify_batch_body, parse_notify_body
 from repro.xmlx import NS, Element, QName
 
-from tests.helpers import fan_spec, fig3_testbed, final_grid_state, timed_trace
+from tests.equivalence import PAYLOAD, SCENARIOS, Scenario, run_scenario
+from tests.helpers import final_grid_state, timed_trace
 
 UVA = NS.UVACG
-
-PAYLOAD = b"perf-equivalence payload"
 
 def _trace_content(tb):
     """Trace events without their timestamps (order preserved per actor)."""
     return sorted((e.step, e.actor, e.detail) for e in tb.trace.events)
 
 
-def _make_testbed(perf, **kwargs):
-    tb = fig3_testbed(30.0, {"out.dat": PAYLOAD}, perf=perf, **kwargs)
-    tb.programs.register(
-        make_compute_program("chain", 10.0, outputs={"out.dat": PAYLOAD})
-    )
-    return tb
-
-
-def _independent_spec(client, tb, n_jobs=8):
-    return fan_spec(client, tb, n_jobs)
-
-
-def _chain_spec(client, tb, n_jobs=4):
-    return fan_spec(client, tb, n_jobs, chain=True, program="chain")
-
-
-def _run_jobset(perf, make_spec):
-    tb = _make_testbed(perf)
-    client = tb.make_client()
-    outcome, jobset_epr, topic = tb.run_job_set(client, make_spec(client, tb))
-    tb.settle()
-    rid = jobset_epr.get(QName(UVA, "ResourceID"))
-    state = tb.scheduler.store.load("Scheduler", rid)
-    dirs = state[QName(UVA, "job_dirs")]
-    outputs = {
-        name: tb.run(client.fetch_output(dir_epr, "out.dat")).to_bytes()
-        for name, dir_epr in sorted(dirs.items())
-    }
-    exit_codes = state[QName(UVA, "job_exit_codes")]
-    events = [
-        (note.topic, note.payload.tag.local)
-        for note in client.listener.received
-    ]
-    return {
-        "tb": tb,
-        "outcome": outcome,
-        "outputs": outputs,
-        "exit_codes": exit_codes,
-        "placements": state[QName(UVA, "job_machine")],
-        "trace": _trace_content(tb),
-        "state": final_grid_state(tb),
-        "client_events": events,
-    }
+def _run(perf, chain=False):
+    """The Fig-3 fan (or, *chain*, the staging chain) as
+    tests/equivalence.py drives it, with what this differential compares
+    beside the result: the untimed trace and the final grid state."""
+    tb, result = run_scenario(
+        Scenario(testbed=dict(perf=perf), n_jobs=4 if chain else 8, chain=chain))
+    return dict(result, tb=tb, trace=_trace_content(tb), state=final_grid_state(tb))
 
 
 class TestDifferentialFig3:
@@ -118,8 +73,8 @@ class TestDifferentialFig3:
         assert sorted(on["client_events"]) == sorted(off["client_events"])
 
     def test_independent_jobset_equivalent(self):
-        off = _run_jobset(None, _independent_spec)
-        on = _run_jobset(PerfConfig(), _independent_spec)
+        off = _run(None)
+        on = _run(PerfConfig())
         self._assert_equivalent(off, on)
         # ...and the optimizations actually engaged:
         tb = on["tb"]
@@ -138,12 +93,12 @@ class TestDifferentialFig3:
 
     def test_chain_jobset_equivalent(self):
         """Dependencies exercise job_dirs fill-in and inter-FSS staging."""
-        off = _run_jobset(None, _chain_spec)
-        on = _run_jobset(PerfConfig(), _chain_spec)
+        off = _run(None, chain=True)
+        on = _run(PerfConfig(), chain=True)
         self._assert_equivalent(off, on)
 
     def test_caches_remain_coherent_after_run(self):
-        on = _run_jobset(PerfConfig(), _independent_spec)
+        on = _run(PerfConfig())
         tb = on["tb"]
         wrappers = [tb.scheduler, tb.broker, tb.node_info]
         wrappers += list(tb.es.values()) + list(tb.fss.values())
@@ -157,9 +112,9 @@ class TestDifferentialFig3:
         than the layer's — no simulated quantity may move, timestamps
         included."""
         for perf in (None, PerfConfig()):
-            run = _run_jobset(perf, _independent_spec)
+            run = _run(perf)
             with reference_codec():
-                reference = _run_jobset(perf, _independent_spec)
+                reference = _run(perf)
             assert reference["tb"].network.codec.parse_hits == 0
             self._assert_equivalent(reference, run)
             assert timed_trace(run["tb"]) == timed_trace(reference["tb"])
@@ -177,60 +132,20 @@ class TestDifferentialChaos:
     stale reads, no resurrected resources).
     """
 
-    def _chaos_testbed(self, perf, drop=0.20, fault_seed=3):
-        policy = RetryPolicy(
-            max_attempts=5, base_delay_s=0.2, backoff_factor=2.0,
-            max_delay_s=2.0, timeout_s=30.0,
-        )
-        tb = Testbed(
-            n_machines=4,
-            seed=11,
-            retry_policy=policy,
-            fault_tolerance=FaultToleranceConfig(
-                watchdog_period=5.0, stuck_after=20.0
-            ),
-            broker_redelivery=policy,
-            perf=perf,
-        )
-        tb.network.inject_faults(drop_probability=drop, seed=fault_seed)
-        tb.programs.register(
-            make_compute_program("work", 2.0, outputs={"out.dat": PAYLOAD})
-        )
-        return tb
-
-    def _run_chaos(self, perf, n_jobs=8):
-        tb = self._chaos_testbed(perf)
-        client = tb.make_client()
-        spec = client.new_job_set()
-        exe = client.add_program_binary(tb.programs.get("work"))
-        for i in range(n_jobs):
-            spec.add(JobSpec(name=f"job{i:02d}", executable=FileRef(exe, "job.exe")))
-        outcome, jobset_epr, _ = tb.run(
-            client.run_job_set_polled(spec, period=3.0, give_up_after=2000.0)
-        )
-        rid = jobset_epr.get(QName(UVA, "ResourceID"))
-        state = tb.scheduler.store.load("Scheduler", rid)
-        dirs = state[QName(UVA, "job_dirs")]
-        outputs = {
-            name: tb.run(client.fetch_output(dir_epr, "out.dat")).to_bytes()
-            for name, dir_epr in sorted(dirs.items())
-        }
-        return tb, outcome, outputs
-
     def test_chaos_with_perf_layer_completes_identically(self):
-        tb_off, outcome_off, outputs_off = self._run_chaos(None)
-        tb_on, outcome_on, outputs_on = self._run_chaos(PerfConfig())
-        assert outcome_off == outcome_on == "completed"
+        tb_off, off = run_scenario(SCENARIOS["drop20_ft"])
+        tb_on, on = run_scenario(SCENARIOS["drop20_ft_perf"])
+        assert off["outcome"] == on["outcome"] == "completed"
         assert tb_on.network.stats.drops > 0, "chaos must actually have bitten"
-        assert outputs_on == outputs_off
-        assert set(outputs_on) == {f"job{i:02d}" for i in range(8)}
-        assert all(content == PAYLOAD for content in outputs_on.values())
+        assert on["outputs"] == off["outputs"]
+        assert set(on["outputs"]) == {f"job{i:02d}" for i in range(8)}
+        assert all(content == PAYLOAD for content in on["outputs"].values())
 
     def test_chaos_caches_stay_coherent(self):
         """Retried dispatches and watchdog re-dispatches never leave a
         cache stale or holding a destroyed resource."""
-        tb, outcome, _ = self._run_chaos(PerfConfig())
-        assert outcome == "completed"
+        tb, result = run_scenario(SCENARIOS["drop20_ft_perf"])
+        assert result["outcome"] == "completed"
         wrappers = [tb.scheduler, tb.broker, tb.node_info]
         wrappers += list(tb.es.values()) + list(tb.fss.values())
         for wrapper in wrappers:
@@ -398,7 +313,7 @@ class TestBatchedNotifications:
     def test_per_job_event_order_preserved_end_to_end(self):
         """Across a whole batched Fig. 3 run, every job's lifecycle
         events reach the client in causal order."""
-        on = _run_jobset(PerfConfig(), _independent_spec)
+        on = _run(PerfConfig())
         per_job = {}
         for topic, _local in on["client_events"]:
             parts = topic.split("/")

@@ -19,14 +19,15 @@ Proof layers:
 """
 
 import sys
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis import analyze_paths
 from repro.analysis.sanitizer import RaceSanitizer
 from repro.db import BlobResourceStore
-from repro.gridapp import FaultToleranceConfig, Testbed
-from repro.net import Network, RetryPolicy
+from repro.gridapp import Testbed
+from repro.net import Network
 from repro.osim import Machine, MachineParams
 from repro.sim import Environment
 from repro.sim.sync import Lock
@@ -35,7 +36,8 @@ from repro.wsa import AddressingHeaders
 from repro.wsrf import Resource, ServiceSkeleton, WebMethod, WsrfClient, deploy
 from repro.xmlx import NS, Element, QName
 
-from tests.helpers import fan_spec, fig3_testbed, timed_trace
+from tests.equivalence import FT, SCENARIOS, Scenario, run_scenario
+from tests.helpers import timed_trace
 from tests.test_analysis import FIXTURES, REPO_ROOT
 
 sys.path.insert(0, str(FIXTURES.parent))
@@ -45,52 +47,26 @@ from analysis_fixtures.races import (  # noqa: E402
 )
 
 UVA = NS.UVACG
-PAYLOAD = b"sanitizer payload"
-
-POLICY = RetryPolicy(
-    max_attempts=8, base_delay_s=0.5, backoff_factor=2.0,
-    max_delay_s=3.0, timeout_s=30.0,
-)
-FT = FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0)
 
 
-def _fig3(sanitize, **kwargs):
-    # machine_speeds=None: the testbed's own heterogeneous default
-    tb = fig3_testbed(2.0, {"out.dat": PAYLOAD}, machine_speeds=None,
-                      sanitize=sanitize, **kwargs)
-    client = tb.make_client()
-    outcome, _, _ = tb.run_job_set(client, fan_spec(client, tb, 4, name="j{}"))
-    tb.settle()
-    return tb, outcome
-
-
-def _polled(sanitize, *, drop=0.0, bounce=None):
-    tb = fig3_testbed(
-        2.0, {"out.dat": PAYLOAD},
-        retry_policy=POLICY, fault_tolerance=FT, broker_redelivery=POLICY,
-        sanitize=sanitize,
-    )
-    if drop:
-        tb.network.inject_faults(drop_probability=drop, seed=3)
-    if bounce is not None:
-        host, at = bounce
-        tb.restart_host(host, at=at, down_for=3.0)
-    client = tb.make_client()
-    spec = fan_spec(client, tb, 6, name="job{:02d}")
-    outcome, _, _ = tb.run(
-        client.run_job_set_polled(spec, period=3.0, give_up_after=2000.0)
-    )
-    tb.settle()
-    return tb, outcome
+def _with_and_without(scenario):
+    """*scenario* unsanitized and sanitized: ``(tb_off, tb_on)``, both
+    completed (tests/equivalence.py ``run_scenario`` does the driving)."""
+    runs = [
+        run_scenario(replace(scenario, testbed=dict(scenario.testbed, sanitize=sanitize)))
+        for sanitize in (False, True)
+    ]
+    assert [result["outcome"] for _, result in runs] == ["completed", "completed"]
+    return runs[0][0], runs[1][0]
 
 
 class TestCleanSuites:
     """The shipped grid races nowhere the sanitizer can see."""
 
     def test_fig3_clean_with_identical_trace_and_obs(self):
-        tb_off, out_off = _fig3(False, observability=True)
-        tb_on, out_on = _fig3(True, observability=True)
-        assert out_off == out_on == "completed"
+        # machine_speeds=None: the testbed's own heterogeneous default
+        tb_off, tb_on = _with_and_without(
+            Scenario(testbed=dict(machine_speeds=None), n_jobs=4))
         assert tb_off.san is None
         assert tb_on.san.accesses_checked > 0
         tb_on.san.assert_clean()
@@ -99,9 +75,7 @@ class TestCleanSuites:
         assert tb_off.obs.export_json() == tb_on.obs.export_json()
 
     def test_chaos_run_clean(self):
-        tb_off, out_off = _polled(False, drop=0.2)
-        tb_on, out_on = _polled(True, drop=0.2)
-        assert out_off == out_on == "completed"
+        tb_off, tb_on = _with_and_without(Scenario(testbed=FT, drop=0.2, polled=True))
         assert tb_on.network.stats.drops > 0
         tb_on.san.assert_clean()
         assert timed_trace(tb_off) == timed_trace(tb_on)
@@ -110,9 +84,7 @@ class TestCleanSuites:
         """Bouncing the central host exercises the recovery barrier:
         wsrf_recover's writes and post-restart dispatches must not be
         reported against the dead boot's accesses."""
-        tb_off, out_off = _polled(False, bounce=("uvacg-central", 6.0))
-        tb_on, out_on = _polled(True, bounce=("uvacg-central", 6.0))
-        assert out_off == out_on == "completed"
+        tb_off, tb_on = _with_and_without(SCENARIOS["central_bounce"])
         assert tb_on.scheduler.restarts == 1
         tb_on.san.assert_clean()
         assert timed_trace(tb_off) == timed_trace(tb_on)
@@ -128,25 +100,15 @@ class TestCleanSuites:
         does)."""
         from repro.gridapp import FederationConfig
 
-        def _run(sanitize):
-            tb = fig3_testbed(
-                2.0, {"out.dat": PAYLOAD}, n_machines=2, machine_speeds=None,
-                sanitize=sanitize, observability=True,
+        tb_off, tb_on = _with_and_without(Scenario(
+            testbed=dict(
+                n_machines=2, machine_speeds=None,
                 federation=FederationConfig(
                     n_zones=2, max_queued_per_machine=1, staleness_s=0.0,
                 ),
-            )
-            fed = tb.make_federated_client()
-            spec = fan_spec(fed, tb, 4, name="j{}")
-            outcome, _, _ = tb.run(
-                fed.run_job_set_polled(spec, give_up_after=600.0)
-            )
-            tb.settle()
-            return tb, outcome
-
-        tb_off, out_off = _run(False)
-        tb_on, out_on = _run(True)
-        assert out_off == out_on == "completed"
+            ),
+            n_jobs=4,
+        ))
         # staleness_s=0 forces a NIS re-fetch + entry rewrite on every
         # aggregator read; the tight queue cap forces aggregator reads.
         assert tb_on.aggregator.catalog_refreshes > 0
