@@ -108,7 +108,7 @@ class AggregatorCatalogService(ServiceGroupService):
             lock = wrapper.resource_lock(entry_id)
             yield lock.acquire()
             try:
-                state, content = load_entry(wrapper, entry_id) or (None, None)
+                state, content = load_entry(wrapper, entry_id)
                 if content is None:
                     continue
                 catalog = parse_zone_catalog(content)

@@ -250,13 +250,13 @@ class Network:
         sending host and the send's span (None with observation off)."""
         try:
             uri = Uri.parse(url)
+            if not uri.is_network:
+                raise UriError(f"{uri.scheme}:// names no network endpoint")
         except UriError as exc:
             # An address nobody can be reached at (a subscriber's
             # ConsumerReference, say) is a refused delivery.
             self.stats.record_fault("refused")
             raise DeliveryError(f"cannot route {url!r}: {exc}") from None
-        if not uri.is_network:
-            raise DeliveryError(f"cannot route non-network URI {url!r}")
         src = self.host(src_host)
         span = None
         if self.obs is not None:

@@ -124,10 +124,10 @@ class EnvelopeCache:
             # Nothing is handed over: the receiver's strict parse reads
             # this text, and raises where the reference decoder would.
             return to_string(envelope.to_element(), xml_declaration=True)
-        # Hand over copies: the receiver's document must be isolated
-        # from whatever the sender later does with its envelope.
-        sent = envelope.addressing
         if wire not in self._fresh:
+            # Hand over copies: the receiver's document must be isolated
+            # from whatever the sender later does with its envelope.
+            sent = envelope.addressing
             self._fresh.put(wire, SoapEnvelope(
                 AddressingHeaders(sent.to_epr, sent.action, sent.message_id, sent.relates_to),
                 envelope.body.copy(),

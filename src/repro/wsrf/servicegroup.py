@@ -53,12 +53,12 @@ def group_entry_ids(wrapper, group_id) -> list:
 
 
 def load_entry(wrapper, entry_id):
-    """``(state, content)`` of one stored entry, or None when the entry
-    is gone (destroyed since the group was read)."""
+    """``(state, content)`` of one stored entry; ``(None, None)`` when
+    the entry is gone (destroyed since the group was read)."""
     try:
         state = wrapper.store.load(wrapper.service_name, entry_id)
     except KeyError:
-        return None
+        return None, None
     return state, state.get(_CONTENT)
 
 
@@ -66,9 +66,9 @@ def group_entries(wrapper, entry_ids):
     """The one walk of a group's *entry_ids*: ``(entry_id, state,
     content)`` of each entry still there, in group order."""
     for entry_id in entry_ids:
-        loaded = load_entry(wrapper, entry_id)
-        if loaded is not None:
-            yield entry_id, loaded[0], loaded[1]
+        state, content = load_entry(wrapper, entry_id)
+        if state is not None:
+            yield entry_id, state, content
 
 
 def seed_group(wrapper, content_rule: QName, members) -> str:
@@ -201,11 +201,10 @@ class ServiceGroupService(ServiceSkeleton):
             group_state = wrapper.store.load(wrapper.service_name, self.group_id)
         except KeyError:
             return
-        key = QName(NS.WSRF_SG, "entry_ids")
-        ids = list(group_state.get(key) or [])
+        ids = list(group_state.get(_ENTRY_IDS) or [])
         if self.resource_id in ids:
             ids.remove(self.resource_id)
-            group_state[key] = ids
+            group_state[_ENTRY_IDS] = ids
             wrapper.store.save(wrapper.service_name, self.group_id, group_state)
 
     # -- helpers ------------------------------------------------------------------------

@@ -162,9 +162,10 @@ class TestAnAddressThatCannotBeRouted:
     def test_is_a_delivery_error_not_a_uri_error(self):
         tb, _ = _grid()
         for send in (tb.network.request, tb.network.send_one_way):
-            with pytest.raises(DeliveryError, match="cannot route 'not-a-uri'"):
-                tb.run(send("evil", "not-a-uri", "<a/>"))
-        assert tb.network.stats.faults == {"refused": 2}
+            for url in ("not-a-uri", "local://c:/data/x"):
+                with pytest.raises(DeliveryError, match=f"cannot route '{url}'"):
+                    tb.run(send("evil", url, "<a/>"))
+        assert tb.network.stats.faults == {"refused": 4}
 
     def test_such_a_subscriber_loses_its_notification_and_nobody_elses(self):
         tb, client = _grid()
