@@ -12,10 +12,10 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.db.engine import Column, Database, DbError
-from repro.soap import ContentTable, from_typed_element, to_typed_element
+from repro.soap import ContentTable, from_typed_element, to_typed_element, write_typed
 from repro.wsa import EndpointReference
 from repro.xmlx import NS, Element, QName, parse, to_string, xpath_select
-from repro.xmlx.writer import document_frame, fragment_to_string
+from repro.xmlx.writer import document_frame
 
 _STATE_TAG = QName(NS.UVACG, "ResourceState")
 
@@ -65,7 +65,8 @@ def decode_state(blob: bytes) -> State:
     return {child.tag: from_typed_element(child) for child in root.children}
 
 
-_PLAIN = frozenset({int, bool, bytes, type(None)})
+#: the exact types whose values are immutable and decode to themselves
+_SHARED = frozenset({str, int, bool, float, bytes, type(None)})
 
 
 class _Inexact(Exception):
@@ -79,16 +80,27 @@ def _copy_value(value: Any) -> Any:
     The typed-value universe is closed (soap/types.py): the only mutable
     shapes are dict, list and Element — everything else (str, int, float,
     bool, bytes, None, EndpointReference) is immutable and safe to share.
-    What :func:`from_typed_element` produced is always inside it; what a
-    caller saves may not be, and raises :class:`_Inexact`.
+    So a container is copied in one call and only the members that are
+    not plain leaves are looked at again; the leaves, nearly all of a
+    state, cost no call of their own.  What :func:`from_typed_element`
+    produced is always inside the universe; what a caller saves may not
+    be, and raises :class:`_Inexact`.
     """
     cls = type(value)
-    if cls is str or cls in _PLAIN or cls is float:
-        return value
     if cls is dict:
-        return {key: _copy_value(item) for key, item in value.items()}
+        copy = value.copy()
+        for key, item in value.items():
+            if type(item) not in _SHARED:
+                copy[key] = _copy_value(item)
+        return copy
     if cls is list:
-        return [_copy_value(item) for item in value]
+        copy = value.copy()
+        for at, item in enumerate(value):
+            if type(item) not in _SHARED:
+                copy[at] = _copy_value(item)
+        return copy
+    if cls in _SHARED:
+        return value
     if cls is Element:
         return value.copy()
     if cls is EndpointReference and value.address == value.address.strip():
@@ -118,25 +130,37 @@ def _same_encoding(a: Any, b: Any) -> bool:
     entries in insertion order, and ``Element`` has identity equality.
     Anything outside the exact types of the typed-value universe (a
     tuple, a subclass) is never "the same": it is encoded afresh.
+
+    A state loaded here shares every immutable leaf with the kept value
+    it was copied from (:func:`_copy_value`), so members that are one
+    object on both sides — nearly all of an unchanged field — are
+    passed over without a call.
     """
     if a is b:
         return True
     cls = type(a)
     if cls is not type(b):
         return False
-    if cls is str or cls in _PLAIN or cls is EndpointReference:
-        return a == b
     if cls is dict:
         if len(a) != len(b):
             return False
         for (key_a, item_a), (key_b, item_b) in zip(a.items(), b.items()):
-            if key_a != key_b or not _same_encoding(item_a, item_b):
+            if key_a != key_b:
+                return False
+            if item_a is not item_b and not _same_encoding(item_a, item_b):
                 return False
         return True
     if cls is list:
-        return len(a) == len(b) and all(map(_same_encoding, a, b))
+        if len(a) != len(b):
+            return False
+        for item_a, item_b in zip(a, b):
+            if item_a is not item_b and not _same_encoding(item_a, item_b):
+                return False
+        return True
     if cls is float:
         return repr(a) == repr(b)  # the encoded form; tells -0.0 from 0.0
+    if cls in _SHARED or cls is EndpointReference:
+        return a == b
     if cls is Element:
         return _same_element(a, b)
     return False
@@ -189,11 +213,12 @@ def _assemble(state: State, base: bytes, old: _Entry) -> Optional[Tuple[bytes, _
             kept, start, end, mentions = field
             piece = base[old.body_at + start:old.body_at + end]
         else:
-            fragment = fragment_to_string(to_typed_element(qkey, value))
-            if fragment is None:
+            text: List[str] = []
+            mentions = write_typed(qkey, value, text)
+            if mentions is None:
                 return None
-            kept, mentions = _copy_value(value), fragment[1]
-            piece = fragment[0].encode("utf-8")
+            kept = _copy_value(value)
+            piece = "".join(text).encode("utf-8")
         fields[qkey] = (kept, at, at + len(piece), mentions)
         at += len(piece)
         pieces.append(piece)
@@ -274,8 +299,8 @@ class DecodeCache:
         dict).  With no usable *base* every field is encoded: one
         encoder, from scratch or incremental.  A field in a namespace
         without a preferred prefix has no document-independent fragment
-        (:func:`~repro.xmlx.writer.fragment_to_string`), so such a state
-        is serialized whole by :func:`encode_state`; a state holding a
+        (:func:`~repro.soap.types.write_typed` answers None), so such a
+        state is serialized whole by :func:`encode_state`; a state holding a
         value that does not decode to itself (:class:`_Inexact`) is not
         kept, so its next load parses what was written.
         """

@@ -19,7 +19,7 @@ Two message-exchange patterns, matching §4.1 of the paper:
 
 from repro.soap.envelope import ContentTable, EnvelopeCache, SoapEnvelope
 from repro.soap.fault import SoapFault
-from repro.soap.types import from_typed_element, to_typed_element
+from repro.soap.types import from_typed_element, to_typed_element, write_typed
 
 __all__ = [
     "ContentTable",
@@ -28,4 +28,5 @@ __all__ = [
     "SoapFault",
     "from_typed_element",
     "to_typed_element",
+    "write_typed",
 ]

@@ -9,11 +9,12 @@ byte blobs, lists and string-keyed dicts.
 from __future__ import annotations
 
 import base64
-from typing import Any
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.soap.fault import SoapFault
 from repro.wsa.epr import EndpointReference
 from repro.xmlx import NS, Element, QName
+from repro.xmlx.writer import escape_text, write_fragment
 
 _XSI_TYPE = QName(NS.XSI, "type")
 _XSI_NIL = QName(NS.XSI, "nil")
@@ -22,6 +23,10 @@ _ITEM = QName(NS.UVACG, "item")
 _ENTRY = QName(NS.UVACG, "entry")
 _KEY = QName(NS.UVACG, "key")
 _VALUE = QName(NS.UVACG, "value")
+
+#: the ``xsi:type`` names of the two containers
+_ARRAY = "uva:array"
+_MAP = "uva:map"
 
 
 class _Base64Text(str):
@@ -45,45 +50,62 @@ class _Base64Text(str):
 
 def _literal(element: Element, xsi_type: str, convert) -> Any:
     """``convert(text)`` of a numeric leaf, a bad literal being the
-    sender's mistake (``soap:Client``) and not a stray ``ValueError``."""
+    sender's mistake (``soap:Client``) and not a stray ``ValueError``.
+
+    Python's ``int()`` / ``float()`` read more than any sender writes —
+    ``1_000``, digits of other scripts — so a literal with an underscore
+    or a non-ASCII character is refused before they see it.
+    """
     text = element.full_text().strip()
-    try:
-        return convert(text)
-    except ValueError:
-        kind = xsi_type[len("xsd:"):]
-        raise SoapFault("soap:Client", f"bad {kind} literal {text!r}") from None
+    if "_" not in text and text.isascii():
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    kind = xsi_type[len("xsd:"):]
+    raise SoapFault("soap:Client", f"bad {kind} literal {text!r}")
+
+
+#: the leaf types: what :func:`_leaf` spells
+_LEAVES = (bool, int, float, str, bytes)
+
+
+def _leaf(value: Any) -> Tuple[str, str]:
+    """The ``xsi:type`` name and the literal of a leaf *value* (one of
+    :data:`_LEAVES`, ``bool`` before ``int``): the one spelling, for the
+    element :func:`to_typed_element` builds and the text
+    :func:`write_typed` appends.
+
+    A value that is exactly ``bytes`` (immutable, and it decodes to
+    itself) gets a text that still refers to it; a ``bytes`` subclass
+    decodes to its base, so it gets a plain ``str``.
+    """
+    if isinstance(value, bool):
+        return "xsd:boolean", "true" if value else "false"
+    if isinstance(value, int):
+        return "xsd:long", str(value)
+    if isinstance(value, float):
+        return "xsd:double", repr(value)
+    if isinstance(value, str):
+        return "xsd:string", value
+    if type(value) is bytes:
+        return "xsd:base64Binary", _Base64Text(value)
+    return "xsd:base64Binary", base64.b64encode(value).decode("ascii")
 
 
 def to_typed_element(tag, value: Any) -> Element:
     """Serialize *value* into an element named *tag* with an xsi:type.
 
-    A value that is exactly ``bytes`` (immutable, and it decodes to
-    itself) gets a text that still refers to it, so a receiver handed
-    this very element — or a copy, :meth:`Element.copy` carries the text
-    object — need not decode megabytes back into a second copy.  A
-    ``bytes`` subclass decodes to its base, so it gets a plain ``str``.
+    The text of a ``bytes`` leaf still refers to the value
+    (:func:`_leaf`), so a receiver handed this very element — or a copy,
+    :meth:`Element.copy` carries the text object — need not decode
+    megabytes back into a second copy.
     """
     el = Element(tag)
     if value is None:
         el.attrib[_XSI_NIL] = "true"
-    elif isinstance(value, bool):
-        el.attrib[_XSI_TYPE] = "xsd:boolean"
-        el.text = "true" if value else "false"
-    elif isinstance(value, int):
-        el.attrib[_XSI_TYPE] = "xsd:long"
-        el.text = str(value)
-    elif isinstance(value, float):
-        el.attrib[_XSI_TYPE] = "xsd:double"
-        el.text = repr(value)
-    elif isinstance(value, str):
-        el.attrib[_XSI_TYPE] = "xsd:string"
-        el.text = value
-    elif isinstance(value, bytes):
-        el.attrib[_XSI_TYPE] = "xsd:base64Binary"
-        if type(value) is bytes:
-            el.text = _Base64Text(value)
-        else:
-            el.text = base64.b64encode(value).decode("ascii")
+    elif isinstance(value, _LEAVES):
+        el.attrib[_XSI_TYPE], el.text = _leaf(value)
     elif isinstance(value, EndpointReference):
         el.attrib[_XSI_TYPE] = "wsa:EndpointReferenceType"
         for child in value.to_xml().children:
@@ -92,11 +114,11 @@ def to_typed_element(tag, value: Any) -> Element:
         el.attrib[_XSI_TYPE] = "uva:xmlAny"
         el.append(value.copy())
     elif isinstance(value, (list, tuple)):
-        el.attrib[_XSI_TYPE] = "uva:array"
+        el.attrib[_XSI_TYPE] = _ARRAY
         for item in value:
             el.append(to_typed_element(_ITEM, item))
     elif isinstance(value, dict):
-        el.attrib[_XSI_TYPE] = "uva:map"
+        el.attrib[_XSI_TYPE] = _MAP
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"map keys must be strings, got {key!r}")
@@ -106,6 +128,94 @@ def to_typed_element(tag, value: Any) -> Element:
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}: {value!r}")
     return el
+
+
+def _prefixed(qname: QName) -> str:
+    return f"{NS.PREFERRED_PREFIXES[qname.uri]}:{qname.local}"
+
+
+_TYPE_ATTR = _prefixed(_XSI_TYPE)
+_NIL_ATTR = _prefixed(_XSI_NIL)
+_ITEM_NAME = _prefixed(_ITEM)
+_ENTRY_NAME = _prefixed(_ENTRY)
+_KEY_NAME = _prefixed(_KEY)
+_VALUE_NAME = _prefixed(_VALUE)
+#: the exact types :func:`write_typed` spells itself
+_LEAF_TYPES = frozenset(_LEAVES)
+_STR_ONLY = frozenset({str})
+
+
+def write_typed(tag: QName, value: Any, out: List[str]) -> Optional[Tuple[str, ...]]:
+    """``write_fragment(to_typed_element(tag, value), out)`` without the
+    element: the same pieces of text appended to *out*, the same
+    namespaces returned, in one walk of *value*.
+
+    A second output of one grammar, not a second grammar.  The walk
+    spells the exact types ``str``, ``int``, ``bool``, ``float``,
+    ``bytes``, ``None``, ``dict`` with ``str`` keys and ``list`` — the
+    leaves through :func:`_leaf`, as the element does — and hands
+    everything else to the reference, subtree by subtree: an
+    ``EndpointReference``, an ``Element``, a tuple, any subclass, a map
+    with some other key.  So the reference's ``TypeError`` is raised by
+    the reference, and ``None`` is its answer too: a namespace without a
+    preferred prefix, in *tag* or below it, has no document-independent
+    spelling (:func:`~repro.xmlx.writer.write_fragment`).
+    """
+    name = tag.local
+    mentions: Dict[str, None] = {}  # in order of first mention
+    if tag.uri:
+        prefix = NS.PREFERRED_PREFIXES.get(tag.uri)
+        if prefix is None:
+            return write_fragment(to_typed_element(tag, value), out)
+        name = f"{prefix}:{name}"
+        mentions[tag.uri] = None
+    mentions[NS.XSI] = None
+    return tuple(mentions) if _write_typed(tag, name, value, out, mentions) else None
+
+
+def _write_typed(
+    tag: QName, name: str, value: Any, out: List[str], mentions: Dict[str, None]
+) -> bool:
+    """The element *name* (*tag* as written) of *value*; False when a
+    subtree handed to the reference has no document-independent
+    spelling — the walk goes on, what it meets next may not encode."""
+    cls = type(value)
+    if cls in _LEAF_TYPES:
+        xsi_type, text = _leaf(value)
+        start = f'<{name} {_TYPE_ATTR}="{xsi_type}"'
+        if text:
+            out += (start + ">", escape_text(text), f"</{name}>")
+        else:
+            out.append(start + " />")
+    elif value is None:
+        out.append(f'<{name} {_NIL_ATTR}="true" />')
+    elif cls is list or (cls is dict and _STR_ONLY.issuperset(map(type, value))):
+        start = f'<{name} {_TYPE_ATTR}="{_ARRAY if cls is list else _MAP}"'
+        if not value:
+            out.append(start + " />")
+            return True
+        out.append(start + ">")
+        mentions[NS.UVACG] = None
+        exact = True
+        if cls is list:
+            for item in value:
+                exact &= _write_typed(_ITEM, _ITEM_NAME, item, out, mentions)
+        else:
+            for key, item in value.items():
+                out.append(
+                    f"<{_ENTRY_NAME}><{_KEY_NAME}>{escape_text(key)}</{_KEY_NAME}>"
+                    if key else f"<{_ENTRY_NAME}><{_KEY_NAME} />"
+                )
+                exact &= _write_typed(_VALUE, _VALUE_NAME, item, out, mentions)
+                out.append(f"</{_ENTRY_NAME}>")
+        out.append(f"</{name}>")
+        return exact
+    else:
+        uris = write_fragment(to_typed_element(tag, value), out)
+        if uris is None:
+            return False
+        mentions.update(dict.fromkeys(uris))
+    return True
 
 
 def from_typed_element(element: Element) -> Any:
@@ -153,9 +263,9 @@ def from_typed_element(element: Element) -> Any:
         if len(element.children) != 1:
             raise SoapFault("soap:Client", "xmlAny must wrap exactly one element")
         return element.children[0].copy()
-    if xsi_type == "uva:array":
+    if xsi_type == _ARRAY:
         return [from_typed_element(child) for child in element.children]
-    if xsi_type == "uva:map":
+    if xsi_type == _MAP:
         out = {}
         for entry in element.children:
             key = entry.child_text(_KEY)

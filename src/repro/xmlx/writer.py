@@ -135,13 +135,6 @@ def write_fragment(element: Element, out: List[str]) -> Optional[Tuple[str, ...]
     return tuple(allocator._by_uri)
 
 
-def fragment_to_string(element: Element) -> Optional[Fragment]:
-    """:func:`write_fragment` as one string, with the URIs it mentions."""
-    out: List[str] = []
-    uris = write_fragment(element, out)
-    return None if uris is None else ("".join(out), uris)
-
-
 #: namespace -> (its preferred prefix, the declaration a root carries
 #: for it): a preferred prefix is the same in every document
 _PREFERRED_DECLARATIONS = {

@@ -408,6 +408,14 @@ _BAD_LITERALS = [
     ("amount", "xsd:int", "", "bad int literal ''"),
     ("scale", "xsd:double", "1.5.2", "bad double literal '1.5.2'"),
     ("scale", "xsd:float", "fast", "bad float literal 'fast'"),
+    # what Python's int() / float() would read and no sender writes
+    ("amount", "xsd:long", "1_000", "bad long literal '1_000'"),
+    ("amount", "xsd:long", "\u0663", "bad long literal '\u0663'"),
+    ("amount", "xsd:int", "\uff11\uff12", "bad int literal '\uff11\uff12'"),
+    ("amount", "xsd:long", "0x10", "bad long literal '0x10'"),
+    ("scale", "xsd:double", "1_0.5", "bad double literal '1_0.5'"),
+    ("scale", "xsd:double", "\u0663.5", "bad double literal '\u0663.5'"),
+    ("scale", "xsd:float", "1e1_0", "bad float literal '1e1_0'"),
     ("blob", "xsd:base64Binary", "a", "bad base64Binary literal"),
     ("blob", "xsd:base64Binary", "aGk=é", "bad base64Binary literal"),
 ]
@@ -447,5 +455,11 @@ class TestBadLiterals:
 
         assert leaf("xsd:long", " 42\n") == 42 and leaf("xsd:int", "-7") == -7
         assert leaf("xsd:double", " 1e3 ") == 1000.0 and leaf("xsd:float", "-0.0") == 0.0
+        # everything str(int) / repr(float) write still round-trips
+        for number in (0, -7, 10**30, 1.5, -0.0, 1e-07, 1e+300, float("inf"), float("-inf")):
+            kind, text = ("xsd:long", str(number)) if type(number) is int else (
+                "xsd:double", repr(number))
+            assert repr(leaf(kind, text)) == repr(number)
+        assert leaf("xsd:long", "+5") == 5 and repr(leaf("xsd:double", "nan")) == "nan"
         assert leaf("xsd:base64Binary", "\n aGk= ") == b"hi"
         assert leaf("xsd:base64Binary", "aG k=") == b"hi"  # no validate=True

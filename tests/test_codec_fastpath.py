@@ -1,6 +1,6 @@
 """Codec fast path (docs/performance.md, "Codec fast path").
 
-Six concerns, one file:
+Seven concerns, one file:
 
 - the three parser *contract* fixes that rode along with the fast path:
   malformed character references raise :class:`XmlParseError` with an
@@ -20,6 +20,11 @@ Six concerns, one file:
 - the envelope splice against the reference codec: a Hypothesis
   differential over generated envelopes, and each fallback condition
   from both sides;
+- the state writer (:func:`repro.soap.write_typed`, value -> text in
+  one walk) against the element it does not build: a Hypothesis
+  differential with ``write_fragment(to_typed_element(...))`` over
+  values inside and outside the types it spells itself, and every field
+  fragment of two whole runs;
 - the oracles of the always-on hand-off: incremental state encoding
   against from-scratch :func:`encode_state` under random edit
   sequences, every envelope and state handed over in whole runs checked
@@ -30,6 +35,7 @@ Six concerns, one file:
 """
 
 import base64
+import enum
 import re
 
 import pytest
@@ -41,7 +47,9 @@ from repro.db.resource_store import decode_state, encode_state
 from repro.gridapp import FaultToleranceConfig, FileRef, JobSpec, Testbed
 from repro.net import RetryPolicy
 from repro.osim.programs import make_compute_program
-from repro.soap import EnvelopeCache, SoapEnvelope, SoapFault, from_typed_element
+from repro.soap import (
+    EnvelopeCache, SoapEnvelope, SoapFault, from_typed_element, to_typed_element, write_typed,
+)
 from repro.soap import envelope as envelope_module
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.xmlx import NS, Element, QName, XmlParseError, parse, to_string
@@ -577,9 +585,9 @@ class TestIncrementalEncode:
         from repro.db import resource_store
 
         encoded = []
-        real = resource_store.to_typed_element
-        monkeypatch.setattr(resource_store, "to_typed_element",
-                            lambda tag, value: encoded.append(tag) or real(tag, value))
+        real = resource_store.write_typed
+        monkeypatch.setattr(resource_store, "write_typed",
+                            lambda tag, value, out: encoded.append(tag) or real(tag, value, out))
         cache = DecodeCache()
         state = _state(1)
         blob = cache.encode(state)
@@ -636,6 +644,141 @@ class TestIncrementalEncode:
         assert store.decode_cache.misses == 1
         loaded[QName(UVA, "n")] = 2
         assert store.save("Svc", "r", loaded) == encode_state(loaded)
+
+
+# -- the state writer against the element it does not build -------------------------
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Bytes(bytes):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Phase(enum.IntEnum):
+    RUNNING = 2
+
+
+#: what the walk spells itself, at its edges ...
+_edge_leaves = st.sampled_from(
+    [float("nan"), float("-inf"), "", b"", "a<b>&c", "]]>", -0.0, 10**30, True])
+#: ... and what it hands to the reference: a subclass decodes to its
+#: base, a tuple to a list, and two of these do not encode at all
+_outsiders = st.one_of(
+    st.sampled_from([_Str("s<&>"), _Str(""), _Int(7), _Bytes(b"raw"), _Bytes(b""),
+                     _Phase.RUNNING, 3j, frozenset({1})]),
+    st.builds(EndpointReference, st.just("http://n1:80/Exec"),
+              st.just({QName(_FOREIGN, "k"): "v"})),
+)
+
+
+def _writer_containers(inner):
+    keys = st.text(alphabet="kxy<", max_size=2)  # "" included
+    maps = st.dictionaries(keys, inner, max_size=3)
+    lists = st.lists(inner, max_size=3)
+    return st.one_of(
+        lists, maps, lists.map(tuple), lists.map(_List), maps.map(_Dict),
+        # a key that is not exactly a str, after entries that are fine
+        st.tuples(maps, st.sampled_from([1, None, _Str("sub"), b"k"]), inner).map(
+            lambda parts: {**parts[0], parts[1]: parts[2]}),
+    )
+
+
+_writer_values = st.recursive(
+    st.one_of(_leaves, _edge_leaves, _outsiders), _writer_containers, max_leaves=8)
+_writer_tags = st.sampled_from(_KEYS + [QName("plain")])
+
+
+def _written(write):
+    """What one of the two outputs answers: the text and the namespaces
+    it mentions, None, or the exception."""
+    out = []
+    try:
+        mentions = write(out)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None if mentions is None else ("".join(out), mentions)
+
+
+def _reference_written(tag, value):
+    return _written(lambda out: writer.write_fragment(to_typed_element(tag, value), out))
+
+
+class TestTypedWriter:
+    """``write_typed`` is ``write_fragment(to_typed_element(...))``: same
+    text, same namespaces, same None, same exception."""
+
+    @settings(max_examples=400)
+    @given(_writer_tags, _writer_values)
+    def test_matches_the_element_output(self, tag, value):
+        got = _written(lambda out: write_typed(tag, value, out))
+        assert got == _reference_written(tag, value)
+
+    @pytest.mark.parametrize("value, handed_over", [
+        ({"a": [1, "x", None, 2.5, b"b", True], "": {}}, 0),
+        ((1, 2), 1), ([(1, 2), (3,)], 2), (_Str("s"), 1), (_Int(1), 1),
+        (_Phase.RUNNING, 1), (_Dict(a=1), 1), ([_List([1])], 1),
+        ({"k": 1, _Str("sub"): 2}, 1),
+        ([EndpointReference("http://n1:80/Exec"), Element(QName(UVA, "doc")), 1], 2),
+    ])
+    def test_only_outsiders_reach_the_reference(self, monkeypatch, value, handed_over):
+        from repro.soap import types
+
+        handed = []
+        monkeypatch.setattr(
+            types, "write_fragment",
+            lambda element, out: handed.append(element) or writer.write_fragment(element, out))
+        tag = QName(UVA, "v")
+        got = _written(lambda out: write_typed(tag, value, out))
+        assert got == _reference_written(tag, value)
+        assert len(handed) == handed_over
+
+    @pytest.mark.parametrize("tag, value, answer", [
+        (QName(_FOREIGN, "f"), 1, None),
+        (QName(UVA, "v"), [1, Element(QName(_FOREIGN, "x"))], None),
+        # the walk goes on past a subtree without a fragment: what
+        # follows may not encode at all, and the reference says so first
+        (QName(UVA, "v"), [Element(QName(_FOREIGN, "x")), 3j],
+         (TypeError, "cannot serialize complex: 3j")),
+        (QName(_FOREIGN, "f"), {1: 2}, (TypeError, "map keys must be strings, got 1")),
+        (QName(UVA, "v"), {"k": 1, 2: 3}, (TypeError, "map keys must be strings, got 2")),
+    ])
+    def test_none_and_type_errors_are_the_references(self, tag, value, answer):
+        assert _written(lambda out: write_typed(tag, value, out)) == answer
+        assert _reference_written(tag, value) == answer
+
+    @pytest.mark.parametrize("name", ["fig3_fan", "perf_fan"])
+    def test_every_field_fragment_of_a_run(self, monkeypatch, name):
+        from repro.db import resource_store
+
+        real = resource_store.write_typed
+        checked = []
+
+        def write_checked(tag, value, out):
+            mark = len(out)
+            mentions = real(tag, value, out)
+            assert ("".join(out[mark:]), mentions) == _reference_written(tag, value)
+            checked.append(tag)
+            return mentions
+
+        monkeypatch.setattr(resource_store, "write_typed", write_checked)
+        _, result = run_scenario(SCENARIOS[name])
+        assert result["outcome"] == "completed"
+        assert len(checked) > 100
 
 
 # -- EnvelopeCache coherence --------------------------------------------------------
