@@ -718,6 +718,10 @@ def _reference_written(tag, value):
     return _written(lambda out: writer.write_fragment(to_typed_element(tag, value), out))
 
 
+def _writer_written(tag, value):
+    return _written(lambda out: write_typed(tag, value, out))
+
+
 class TestTypedWriter:
     """``write_typed`` is ``write_fragment(to_typed_element(...))``: same
     text, same namespaces, same None, same exception."""
@@ -725,8 +729,7 @@ class TestTypedWriter:
     @settings(max_examples=400)
     @given(_writer_tags, _writer_values)
     def test_matches_the_element_output(self, tag, value):
-        got = _written(lambda out: write_typed(tag, value, out))
-        assert got == _reference_written(tag, value)
+        assert _writer_written(tag, value) == _reference_written(tag, value)
 
     @pytest.mark.parametrize("value, handed_over", [
         ({"a": [1, "x", None, 2.5, b"b", True], "": {}}, 0),
@@ -743,8 +746,7 @@ class TestTypedWriter:
             types, "write_fragment",
             lambda element, out: handed.append(element) or writer.write_fragment(element, out))
         tag = QName(UVA, "v")
-        got = _written(lambda out: write_typed(tag, value, out))
-        assert got == _reference_written(tag, value)
+        assert _writer_written(tag, value) == _reference_written(tag, value)
         assert len(handed) == handed_over
 
     @pytest.mark.parametrize("tag, value, answer", [
@@ -758,8 +760,7 @@ class TestTypedWriter:
         (QName(UVA, "v"), {"k": 1, 2: 3}, (TypeError, "map keys must be strings, got 2")),
     ])
     def test_none_and_type_errors_are_the_references(self, tag, value, answer):
-        assert _written(lambda out: write_typed(tag, value, out)) == answer
-        assert _reference_written(tag, value) == answer
+        assert _writer_written(tag, value) == _reference_written(tag, value) == answer
 
     @pytest.mark.parametrize("name", ["fig3_fan", "perf_fan"])
     def test_every_field_fragment_of_a_run(self, monkeypatch, name):
