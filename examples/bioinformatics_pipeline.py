@@ -101,8 +101,7 @@ def main() -> None:
     from repro.xmlx import NS, QName
 
     rid = jobset_epr.get(QName(NS.UVACG, "ResourceID"))
-    state = testbed.scheduler.store.load("Scheduler", rid)
-    placement = state[QName(NS.UVACG, "job_machine")]
+    placement = testbed.scheduler.load_resource(rid).job_machine
     print("\nplacement decisions:")
     for job, machine in placement.items():
         speed = next(m.params.cpu_speed for m in testbed.machines if m.name == machine)

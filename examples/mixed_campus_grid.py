@@ -68,8 +68,7 @@ def main() -> None:
     print(f"\njob set {topic}: {outcome} in {makespan:.1f}s simulated")
 
     rid = jobset_epr.get(QName(UVA, "ResourceID"))
-    state = testbed.scheduler.store.load("Scheduler", rid)
-    placement = state[QName(UVA, "job_machine")]
+    placement = testbed.scheduler.load_resource(rid).job_machine
     print("\nplacement across platforms:")
     for job in sorted(placement):
         machine = placement[job]

@@ -62,8 +62,7 @@ def main() -> None:
 
     # Placement summary straight from the Scheduler's job set resource.
     rid = jobset_epr.get(QName(NS.UVACG, "ResourceID"))
-    state = testbed.scheduler.store.load("Scheduler", rid)
-    placement = state[QName(NS.UVACG, "job_machine")]
+    placement = testbed.scheduler.load_resource(rid).job_machine
     per_machine = {}
     for machine in placement.values():
         per_machine[machine] = per_machine.get(machine, 0) + 1

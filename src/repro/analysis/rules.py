@@ -530,8 +530,8 @@ def store_mutation(node: ast.Call) -> Optional[str]:
     func = node.func
     if not isinstance(func, ast.Attribute):
         return None
-    if func.attr == "destroy_resource":
-        return "destroy_resource"
+    if func.attr in ("destroy_resource", "save_resource"):
+        return func.attr
     if (
         func.attr in _STORE_MUTATIONS
         and isinstance(func.value, ast.Attribute)

@@ -263,6 +263,8 @@ _HANDLE_USES: Dict[str, int] = {
     "db_load": 0,
     "db_save": 0,
     "set_termination_time": 0,
+    "load_resource": 0,
+    "save_resource": 0,
 }
 #: store operations taking (service, resource_id)
 _STORE_USES: Dict[str, int] = {"load": 1, "save": 1, "exists": 1}
@@ -751,8 +753,8 @@ LOCK001_RECOVERY_ALLOWLIST = ("restore", "wsrf_recover", "snapshot")
 @register_program_rule(
     "LOCK001",
     "store mutation on an unlocked path from a detached process",
-    "a resource-store mutation (store.save/destroy/create or "
-    "destroy_resource) can execute on a call path from an "
+    "a resource-store mutation (store.save/destroy/create, "
+    "save_resource or destroy_resource) can execute on a call path from an "
     "env.process(...) root with no resource Lock acquired anywhere "
     "along the chain; a concurrent handler mid load-modify-save on the "
     "same WS-Resource loses its write (interprocedural successor of "

@@ -108,10 +108,10 @@ class AggregatorCatalogService(ServiceGroupService):
             lock = wrapper.resource_lock(entry_id)
             yield lock.acquire()
             try:
-                state, content = load_entry(wrapper, entry_id)
-                if content is None:
+                entry = load_entry(wrapper, entry_id)
+                if entry is None or entry.content is None:
                     continue
-                catalog = parse_zone_catalog(content)
+                catalog = parse_zone_catalog(entry.content)
                 age = self.env.now - catalog["fetched_at"]
                 if age > staleness_s and catalog["nis_epr"] is not None:
                     try:
@@ -124,13 +124,11 @@ class AggregatorCatalogService(ServiceGroupService):
                     else:
                         catalog["processors"] = processors
                         catalog["fetched_at"] = self.env.now
-                        state[QName(SG, "content")] = zone_catalog_content(
+                        entry.content = zone_catalog_content(
                             catalog["zone"], catalog["nis_epr"],
                             catalog["fetched_at"], processors,
                         )
-                        wrapper.store.save(
-                            wrapper.service_name, entry_id, state
-                        )
+                        wrapper.save_resource(entry_id, entry)
                         wrapper.catalog_refreshes += 1
                 for p in catalog["processors"]:
                     out.append(dict(p, zone=catalog["zone"]))

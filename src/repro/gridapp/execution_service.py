@@ -48,10 +48,6 @@ class JobFault(BaseFault):
     FAULT_QNAME = QName(UVA, "JobFault")
 
 
-def _k(name: str) -> QName:
-    return QName(UVA, name)
-
-
 @WSRFPortType(
     GetResourcePropertyPortType,
     GetMultipleResourcePropertiesPortType,
@@ -246,18 +242,12 @@ class ExecutionService(ServiceSkeleton):
         gets ResourceUnknownFault and re-dispatches.  Terminal jobs keep
         their resources — GetExitCode and output fetches still work.
         """
-        machine = wrapper.machine
-        status_key = _k("status")
-        pid_key = _k("pid")
-        for rid in list(wrapper.store.list_ids(wrapper.service_name)):
-            state = wrapper.store.load(wrapper.service_name, rid)
-            if status_key not in state:
+        for rid in list(wrapper.resource_ids()):
+            job = wrapper.load_resource(rid)
+            if job.status in ("Exited", "Killed", "Failed"):
                 continue
-            if state.get(status_key) in ("Exited", "Killed", "Failed"):
-                continue
-            pid = state.get(pid_key)
-            if pid is not None:
-                process = machine.procspawn.find(pid)
+            if job.pid is not None:
+                process = wrapper.machine.procspawn.find(job.pid)
                 if process is not None and process.is_running:
                     process.kill()
             wrapper.destroy_resource(rid)
@@ -313,28 +303,26 @@ class ExecutionService(ServiceSkeleton):
                 if stale() or not wrapper.store.exists(wrapper.service_name, rid):
                     return  # job resource destroyed while running
                 yield machine.db_delay()
-                state = wrapper.store.load(wrapper.service_name, rid)
-                state[_k("status")] = (
+                job = wrapper.load_resource(rid)
+                job.status = (
                     "Killed" if process.state == ProcessState.KILLED else "Exited"
                 )
-                state[_k("exit_code")] = code
+                job.exit_code = code
                 yield machine.db_delay()
                 if stale():
                     return  # crashed between observing and persisting
-                wrapper.store.save(wrapper.service_name, rid, state)
+                wrapper.save_resource(rid, job)
             finally:
                 wrapper.release_resource_lock(rid, lock)
             # The outcome is persisted; the broadcast may follow (the
             # write-ahead ordering, done manually by this detached
             # process since it runs outside any invocation).
-            topic = state[_k("topic")]
-            job_name = state[_k("job_name")]
             self._broadcast(
-                f"{topic}/{job_name}/exited",
+                f"{job.topic}/{job.job_name}/exited",
                 _job_event(
-                    "JobExited", job_name, exit_code=code,
+                    "JobExited", job.job_name, exit_code=code,
                     job_epr=wrapper.epr_for(rid),
-                    dir_epr=state[_k("workdir_epr")],
+                    dir_epr=job.workdir_epr,
                 ),
             )
 

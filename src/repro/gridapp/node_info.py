@@ -24,7 +24,6 @@ from repro.wsrf.attributes import WebMethod
 from repro.xmlx import NS, Element, QName
 
 UVA = NS.UVACG
-SG = NS.WSRF_SG
 
 PROCESSOR_INFO = QName(UVA, "ProcessorInfo")
 
@@ -87,17 +86,15 @@ class NodeInfoService(ServiceGroupService):
         lock = wrapper.resource_lock(entry_id)
         yield lock.acquire()
         try:
-            state = wrapper.store.load(wrapper.service_name, entry_id)
-            content_key = QName(SG, "content")
-            content = state.get(content_key)
-            if content is None:
+            entry = wrapper.load_resource(entry_id)
+            if entry.content is None:
                 return 0
-            info = parse_processor_content(content)
-            state[content_key] = processor_content(
+            info = parse_processor_content(entry.content)
+            entry.content = processor_content(
                 info["name"], info["cpu_speed"], info["ram_mb"],
                 utilization, self.env.now,
             )
-            wrapper.store.save(wrapper.service_name, entry_id, state)
+            wrapper.save_resource(entry_id, entry)
         finally:
             wrapper.release_resource_lock(entry_id, lock)
         return 1
@@ -108,9 +105,9 @@ class NodeInfoService(ServiceGroupService):
         wrapper = self.wsrf.wrapper
         ids = group_entry_ids(wrapper, wrapper.nis_group_rid)
         return [
-            parse_processor_content(content)
-            for _, _, content in group_entries(wrapper, ids)
-            if content is not None
+            parse_processor_content(entry.content)
+            for _, entry in group_entries(wrapper, ids)
+            if entry.content is not None
         ]
 
     def _entry_for(self, machine_name: str) -> Optional[str]:
@@ -123,9 +120,9 @@ class NodeInfoService(ServiceGroupService):
         # (Re)build the index from the group.
         index.clear()
         ids = group_entry_ids(wrapper, wrapper.nis_group_rid)
-        for eid, _, content in group_entries(wrapper, ids):
-            if content is not None:
-                index[parse_processor_content(content)["name"]] = eid
+        for eid, entry in group_entries(wrapper, ids):
+            if entry.content is not None:
+                index[parse_processor_content(entry.content)["name"]] = eid
         return index.get(machine_name)
 
 

@@ -728,21 +728,18 @@ class SchedulerService(ServiceSkeleton):
         probes them and synthesizes or re-dispatches as usual, so no
         completed work is redone just because the coordinator blinked.
         """
-        status_key = QName(UVA, "status")
-        topic_key = QName(UVA, "topic")
         seq = wrapper._jobset_seq
         ft = wrapper.fault_tolerance
-        for rid in wrapper.store.list_ids(wrapper.service_name):
-            state = wrapper.store.load(wrapper.service_name, rid)
-            topic = state.get(topic_key, "")
+        for rid in wrapper.resource_ids():
+            jobset = wrapper.load_resource(rid)
             # The topic sequence is derived state: recover the high-water
             # mark so post-restart submissions get fresh topics.
-            if isinstance(topic, str) and topic.startswith("jobset-"):
+            if jobset.topic.startswith("jobset-"):
                 try:
-                    seq = max(seq, int(topic[len("jobset-"):]))
+                    seq = max(seq, int(jobset.topic[len("jobset-"):]))
                 except ValueError:
                     pass
-            if state.get(status_key) != "Running":
+            if jobset.status != "Running":
                 continue
             wrapper.jobsets_readopted += 1
             jobset_epr = wrapper.epr_for(rid)
@@ -777,7 +774,6 @@ def _start_watchdog(wrapper, rid: str, jobset_epr, ft: FaultToleranceConfig):
     watchdog keeps ticking no matter how lossy the wide network is.
     """
     env = wrapper.env
-    status_key = QName(UVA, "status")
     host = wrapper.machine.host
     epoch = host.boot_epoch
 
@@ -789,10 +785,10 @@ def _start_watchdog(wrapper, rid: str, jobset_epr, ft: FaultToleranceConfig):
                 # started a replacement, so exit instead of double-probing.
                 return
             try:
-                state = wrapper.store.load(wrapper.service_name, rid)
+                status = wrapper.load_resource(rid).status
             except NoSuchResource:
                 return  # job set destroyed
-            if state.get(status_key, "Running") != "Running":
+            if status != "Running":
                 return
             try:
                 yield from wrapper.client.call(

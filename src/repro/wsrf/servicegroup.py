@@ -41,34 +41,30 @@ from repro.xmlx import NS, Element, QName
 ENTRY_RP = QName(NS.WSRF_SG, "Entry")
 CONTENT_RULE_RP = QName(NS.WSRF_SG, "MembershipContentRule")
 
-_ENTRY_IDS = QName(NS.WSRF_SG, "entry_ids")
-_CONTENT = QName(NS.WSRF_SG, "content")
-
 
 def group_entry_ids(wrapper, group_id) -> list:
     """The entry resource ids of a stored group (none: no group)."""
     if group_id is None:
         return []
-    return wrapper.store.load(wrapper.service_name, group_id).get(_ENTRY_IDS) or []
+    return wrapper.load_resource(group_id).entry_ids or []
 
 
 def load_entry(wrapper, entry_id):
-    """``(state, content)`` of one stored entry; ``(None, None)`` when
-    the entry is gone (destroyed since the group was read)."""
+    """One stored entry; None when it is gone (destroyed since the
+    group was read)."""
     try:
-        state = wrapper.store.load(wrapper.service_name, entry_id)
+        return wrapper.load_resource(entry_id)
     except KeyError:
-        return None, None
-    return state, state.get(_CONTENT)
+        return None
 
 
 def group_entries(wrapper, entry_ids):
-    """The one walk of a group's *entry_ids*: ``(entry_id, state,
-    content)`` of each entry still there, in group order."""
+    """The one walk of a group's *entry_ids*: ``(entry_id, entry)`` of
+    each entry still there, in group order."""
     for entry_id in entry_ids:
-        state, content = load_entry(wrapper, entry_id)
-        if state is not None:
-            yield entry_id, state, content
+        entry = load_entry(wrapper, entry_id)
+        if entry is not None:
+            yield entry_id, entry
 
 
 def seed_group(wrapper, content_rule: QName, members) -> str:
@@ -85,9 +81,9 @@ def seed_group(wrapper, content_rule: QName, members) -> str:
         )
         for member, content in members
     ]
-    state = wrapper.store.load(wrapper.service_name, group_rid)
-    state[_ENTRY_IDS] = entry_ids
-    wrapper.store.save(wrapper.service_name, group_rid, state)
+    group = wrapper.load_resource(group_rid)
+    group.entry_ids = entry_ids
+    wrapper.save_resource(group_rid, group)
     return group_rid
 
 
@@ -163,17 +159,16 @@ class ServiceGroupService(ServiceSkeleton):
         self._require_kind("group")
         wrapper = self.wsrf.wrapper
         out = []
-        for entry_id, state, content in group_entries(wrapper, self.entry_ids or []):
+        for entry_id, entry in group_entries(wrapper, self.entry_ids or []):
             el = Element(ENTRY_RP)
-            member = state.get(QName(NS.WSRF_SG, "member_epr"))
-            if member is not None:
-                el.append(member.to_xml(QName(NS.WSRF_SG, "MemberServiceEPR")))
+            if entry.member_epr is not None:
+                el.append(entry.member_epr.to_xml(QName(NS.WSRF_SG, "MemberServiceEPR")))
             el.append(
                 wrapper.epr_for(entry_id).to_xml(QName(NS.WSRF_SG, "ServiceGroupEntryEPR"))
             )
             holder = el.subelement(QName(NS.WSRF_SG, "Content"))
-            if content is not None:
-                holder.append(content.copy())
+            if entry.content is not None:
+                holder.append(entry.content.copy())
             out.append(el)
         return out
 
@@ -198,14 +193,14 @@ class ServiceGroupService(ServiceSkeleton):
             return
         wrapper = self.wsrf.wrapper
         try:
-            group_state = wrapper.store.load(wrapper.service_name, self.group_id)
+            group = wrapper.load_resource(self.group_id)
         except KeyError:
             return
-        ids = list(group_state.get(_ENTRY_IDS) or [])
+        ids = list(group.entry_ids or [])
         if self.resource_id in ids:
             ids.remove(self.resource_id)
-            group_state[_ENTRY_IDS] = ids
-            wrapper.store.save(wrapper.service_name, self.group_id, group_state)
+            group.entry_ids = ids
+            wrapper.save_resource(self.group_id, group)
 
     # -- helpers ------------------------------------------------------------------------
 

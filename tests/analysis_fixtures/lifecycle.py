@@ -21,6 +21,12 @@ def destroy_then_load(wrapper, rid):
     return wrapper.store.load(wrapper.service_name, rid)
 
 
+def destroy_then_load_resource(wrapper, rid):
+    wrapper.destroy_resource(rid)
+    # WSRF004: reading a destroyed resource's fields by name.
+    return wrapper.load_resource(rid).status
+
+
 def double_destroy(wrapper, rid):
     wrapper.destroy_resource(rid)
     # WSRF004: a second destroy of the same handle.

@@ -29,6 +29,18 @@ def start_unsafe_reaper(env, wrapper, rid):
     return env.process(reaper(env))
 
 
+def start_unsafe_watcher(env, wrapper, rid, process):
+    def watcher(env):
+        code = yield process.done
+        job = wrapper.load_resource(rid)
+        job.exit_code = code
+        # LOCK001: the process-watcher shape, read and written by field
+        # name through the wrapper, with no resource lock taken.
+        wrapper.save_resource(rid, job)
+
+    return env.process(watcher(env))
+
+
 def start_layered_sweeper(env, wrapper):
     def layered(env):
         while True:

@@ -229,9 +229,16 @@ class TestInterprocRulesFire:
         assert symbols == {
             "destroy_then_call",        # client.call(..., 'Destroy') then call
             "destroy_then_load",        # destroy_resource then store.load
+            "destroy_then_load_resource",  # ... then wrapper.load_resource
             "double_destroy",           # destroy twice
             "destroy_via_helper_then_use",  # destroyer helper then epr_for
         }
+
+    def test_wsrf004_sees_load_resource(self):
+        """Reading fields by name through the wrapper is a use of the
+        handle like ``store.load``."""
+        by_symbol = {f.symbol: f.message for f in findings_for("WSRF004")}
+        assert "(load_resource())" in by_symbol["destroy_then_load_resource"]
 
     def test_wsrf004_helper_chain_in_message(self):
         by_symbol = {f.symbol: f.message for f in findings_for("WSRF004")}
@@ -304,8 +311,17 @@ class TestInterprocRulesFire:
         assert symbols == {
             "start_unsafe_sweeper.sweeper",  # direct load-modify-save
             "start_unsafe_reaper.reaper",    # direct destroy
+            "start_unsafe_watcher.watcher",  # save_resource, no lock
             "_sweep_one",                    # reached through a helper
         }
+
+    def test_lock001_sees_save_resource(self):
+        """The ES-watcher shape: a detached process writing fields back
+        through the wrapper mutates the store like ``store.save``."""
+        by_symbol = {f.symbol: f.message for f in findings_for("LOCK001")}
+        assert by_symbol["start_unsafe_watcher.watcher"].startswith(
+            "save_resource() runs with no resource Lock held"
+        )
 
     def test_lock001_witness_chain(self):
         by_symbol = {f.symbol: f.message for f in findings_for("LOCK001")}
