@@ -81,27 +81,20 @@ class _PrefixAllocator:
         )
 
 
-def to_string(root: Element, xml_declaration: bool = False, indent: bool = False) -> str:
-    """Serialize *root* to XML text.
+def to_string(root: Element, xml_declaration: bool = False) -> str:
+    """Serialize *root* to compact XML text.
 
     All namespace declarations are hoisted to the root element (the style
     ASP.NET uses for SOAP envelopes), which keeps prefixes stable and the
     output easy to diff in tests.
     """
     allocator = _PrefixAllocator()
-    out: List[str] = []
-    if xml_declaration:
-        out.append(XML_DECLARATION)
-        if indent:
-            out.append("\n")
+    out: List[str] = [XML_DECLARATION] if xml_declaration else []
     # One walk: prefixes are allocated as names are first written (tag,
     # attributes, children), and the root's declarations, known only
     # when the walk ends, go in behind its name, the walk's first piece.
     slot = len(out)
-    if indent:
-        _write(root, allocator, out, indent=True, depth=0)
-    else:
-        _write_compact(root, allocator, out)
+    _write_compact(root, allocator, out)
     out[slot] += allocator.declarations()
     return "".join(out)
 
@@ -179,11 +172,10 @@ def _write_compact(
     allocator: _PrefixAllocator,
     out: List[str],
 ) -> None:
-    """Non-indented serialization — the wire-format hot path.
+    """Compact serialization — the wire-format hot path.
 
-    Same output as ``_write(indent=False)``; start/end tag fragments are
-    memoized per QName so repeated names cost two dict hits, not string
-    formatting.
+    Start/end tag fragments are memoized per QName so repeated names
+    cost two dict hits, not string formatting.
     """
     memo = allocator._tag_memo
     tag = element.tag
@@ -209,37 +201,3 @@ def _write_compact(
         if child.tail:
             out.append(escape_text(child.tail))
     out.append(parts[1])
-
-
-def _write(
-    element: Element,
-    allocator: _PrefixAllocator,
-    out: List[str],
-    indent: bool = False,
-    depth: int = 0,
-) -> None:
-    pad = "  " * depth if indent else ""
-    tag = _name(element.tag, allocator)
-    out.append(f"{pad}<{tag}")
-    for name, value in element.attrib.items():
-        out.append(f' {_name(name, allocator)}="{escape_attr(value)}"')
-    if not element.text and not element.children:
-        out.append(" />")
-        if indent:
-            out.append("\n")
-        return
-    out.append(">")
-    if element.text:
-        out.append(escape_text(element.text))
-    if element.children:
-        if indent and not element.text:
-            out.append("\n")
-        for child in element.children:
-            _write(child, allocator, out, indent=indent and not element.text, depth=depth + 1)
-            if child.tail:
-                out.append(escape_text(child.tail))
-        if indent and not element.text:
-            out.append(pad)
-    out.append(f"</{tag}>")
-    if indent:
-        out.append("\n")

@@ -220,7 +220,7 @@ class TestRoundtripProperty:
         assert parse(to_string(once)).equals(once)
 
 
-def _two_pass(root, indent):
+def _two_pass(root):
     """The writer ``to_string`` replaced: allocate every prefix in a
     pre-order walk (tag, attributes, children), then write."""
     allocator = writer._PrefixAllocator()
@@ -229,10 +229,7 @@ def _two_pass(root, indent):
             if name.uri:
                 allocator.prefix_for(name.uri)
     out = []
-    if indent:
-        writer._write(root, allocator, out, indent=True)
-    else:
-        writer._write_compact(root, allocator, out)
+    writer._write_compact(root, allocator, out)
     out[0] += allocator.declarations()
     return "".join(out)
 
@@ -241,9 +238,9 @@ class TestOneWalkWriter:
     """Prefixes allocated while writing land as a pre-walk allots them,
     ``ns0`` / ``ns1`` included, on tags and on attributes."""
 
-    @given(_rich_elements(), st.booleans())
-    def test_byte_identical_to_the_two_pass_writer(self, element, indent):
-        assert to_string(element, indent=indent) == _two_pass(element, indent)
+    @given(_rich_elements())
+    def test_byte_identical_to_the_two_pass_writer(self, element):
+        assert to_string(element) == _two_pass(element)
 
     def test_non_preferred_prefixes_follow_document_order(self):
         root = Element(QName("urn:b", "r"))
@@ -251,13 +248,11 @@ class TestOneWalkWriter:
         child = root.subelement(QName(UVA, "c"))
         child.set(QName("urn:c", "k"), "v")
         root.subelement(QName("urn:a", "d"))
-        for indent in (False, True):
-            text = to_string(root, xml_declaration=True, indent=indent)
-            assert text == '<?xml version="1.0" encoding="utf-8"?>' + (
-                "\n" if indent else "") + _two_pass(root, indent)
-            assert re.findall(r'xmlns:(\w+)="([^"]+)"', text) == [
-                ("ns0", "urn:b"), ("ns1", "urn:a"), ("ns2", "urn:c"), ("uva", UVA)]
-            assert '<ns0:r xmlns:ns0="urn:b"' in text and ' ns1:k="v"' in text
+        text = to_string(root, xml_declaration=True)
+        assert text == '<?xml version="1.0" encoding="utf-8"?>' + _two_pass(root)
+        assert re.findall(r'xmlns:(\w+)="([^"]+)"', text) == [
+            ("ns0", "urn:b"), ("ns1", "urn:a"), ("ns2", "urn:c"), ("uva", UVA)]
+        assert '<ns0:r xmlns:ns0="urn:b"' in text and ' ns1:k="v"' in text
 
 
 # -- DecodeCache coherence ----------------------------------------------------------
