@@ -4,6 +4,7 @@ import pytest
 
 from repro.gridapp import FileRef, JobSpec, Testbed
 from repro.gridapp.execution_service import parse_job_event
+from repro.gridapp.filesystem_service import FileAccessFault
 from repro.osim.programs import make_compute_program
 from repro.xmlx import NS, QName
 
@@ -322,3 +323,42 @@ class TestJobResourceInterface:
         assert stats.by_category["file-tcp"] > 0  # local:// staging
         assert stats.by_category["file-http"] > 0  # job1://output1 staging
         assert stats.by_category["notify"] > 0
+
+
+class TestDirectoryOperations:
+    """§4.1's Read / Write / List on a directory WS-Resource, over SOAP."""
+
+    def _directory(self, testbed, client):
+        fss_epr = testbed.fss[testbed.machines[0].name].service_epr()
+        return testbed.run(client.soap.call(fss_epr, UVA, "CreateDirectory"))
+
+    def test_write_then_read_round_trips_and_list_shows_the_file(self, testbed):
+        client = testbed.make_client()
+        dir_epr = self._directory(testbed, client)
+
+        def scenario():
+            written = yield from client.soap.call(
+                dir_epr, UVA, "Write", {"filename": "notes.txt", "data": b"a\x00<b>"}
+            )
+            read = yield from client.soap.call(
+                dir_epr, UVA, "Read", {"filename": "notes.txt"}
+            )
+            names = yield from client.soap.call(dir_epr, UVA, "List")
+            return written, read, names
+
+        written, read, names = testbed.run(scenario())
+        assert written == 5
+        assert read == {"kind": "data", "data": b"a\x00<b>"}
+        assert names == ["notes.txt"]
+
+    def test_write_into_a_destroyed_directory_is_a_file_access_fault(self, testbed):
+        client = testbed.make_client()
+        dir_epr = self._directory(testbed, client)
+        path = testbed.run(
+            client.soap.get_resource_property(dir_epr, QName(UVA, "Path"))
+        )
+        testbed.machines[0].fs.remove_tree(path)
+        with pytest.raises(FileAccessFault):
+            testbed.run(client.soap.call(
+                dir_epr, UVA, "Write", {"filename": "late.txt", "data": b"x"}
+            ))
