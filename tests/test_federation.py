@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.gridapp import FederationConfig, HashRing, Testbed
 from repro.gridapp.federation import FederatedGridClient, ZoneRoute
+from repro.net import DeliveryError
 from repro.osim.programs import make_compute_program
 from repro.xmlx import NS, QName
 
@@ -377,6 +378,37 @@ class TestAggregatorStaleness:
         assert {p["zone"] for p in catalog} == {"z00", "z01"}
         assert tb.aggregator.catalog_refreshes == 1
         assert tb.aggregator.catalog_stale_served == 1
+
+
+class TestZonePartition:
+    """The primitive alone: ``heal_zone`` undoes ``partition_zone``.
+    Who wins when a healed owner still holds a stolen job set is not
+    pinned here."""
+
+    def test_heal_zone_reopens_the_cut_in_both_directions(self):
+        tb = _federated_testbed()
+        outside, inside = tb.zones
+
+        def poll(caller, target):
+            try:
+                yield from caller.scheduler.client.call(
+                    target.node_info.service_epr(), SG, "GetProcessors",
+                    category="nis",
+                )
+            except DeliveryError:
+                return "cut"
+            return "ok"
+
+        faults = tb.network.stats.faults
+        tb.partition_zone(1)
+        before = faults["partition"]
+        assert tb.run(poll(outside, inside)) == "cut"
+        assert tb.run(poll(inside, outside)) == "cut"
+        assert faults["partition"] == before + 2
+        tb.heal_zone(1)
+        assert tb.run(poll(outside, inside)) == "ok"
+        assert tb.run(poll(inside, outside)) == "ok"
+        assert faults["partition"] == before + 2
 
 
 class TestFederatedObservability:
