@@ -25,6 +25,7 @@ class ImmediateResourceTerminationPortType(SpecPortType):
         # runs with state loaded, then the row is removed.
         self.instance.wsrf_on_destroy()
         self.wrapper.destroy_resource(self.wrapper_current_id())
+        self.instance.wsrf.db_ops += 1
         return Element(QName(NS.WSRF_RL, "DestroyResponse"))
 
     def wrapper_current_id(self) -> str:

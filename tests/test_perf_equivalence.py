@@ -411,7 +411,7 @@ class TestWriteElision:
         self._drive(env, calls())
         saves = obs.spans.named("wsrf.dispatch.db_save")
         loads = obs.spans.named("wsrf.dispatch.db_load")
-        # Only the Increment (and the Create's pending-op charge) open a
+        # Only the Increment (and the Create's db charge) open a
         # db_save stage; the five reads elide it entirely.
         assert wrapper.writes_elided == 5
         assert len(saves) == 2

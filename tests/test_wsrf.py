@@ -9,7 +9,9 @@ import pytest
 
 from repro.analysis.sanitizer import RaceSanitizer
 from repro.net import Network
+from repro.obs import Observability
 from repro.osim import Machine, MachineParams
+from repro.perf import PerfConfig
 from repro.sim import Environment
 from repro.soap import SoapFault
 from repro.wsrf import (
@@ -95,6 +97,22 @@ class MyServ(ServiceSkeleton):
 
     def wsrf_on_destroy(self):
         MyServ.destroyed_log.append(self.resource_id)
+
+
+class Churn(ServiceSkeleton):
+    """Creates and destroys sibling resources, then keeps the dispatch
+    open for *hold* seconds."""
+
+    tag = Resource(default="")
+
+    @WebMethod(requires_resource=False)
+    def Churn(self, creates: int, destroys: list, hold: float) -> int:
+        for _ in range(creates):
+            self.create_resource()
+        for rid in destroys:
+            self.destroy_resource(rid)
+        yield self.env.timeout(hold)
+        return creates + len(destroys)
 
 
 @pytest.fixture()
@@ -424,6 +442,38 @@ class TestStateStoreIntegration:
         t0 = env.now
         run(env, client.get_resource_property(epr, QName(UVA, "Mutable")))
         assert env.now - t0 >= machine.params.db_access_s
+
+    @pytest.mark.parametrize("perf", [None, PerfConfig()], ids=["default", "perf"])
+    def test_create_and_destroy_are_charged_to_their_own_dispatch(self, perf):
+        """Two overlapping dispatches on one wrapper: each db_save stage
+        lasts its own invocation's creates and destroys times the db
+        delay, whichever of the two reaches the stage first."""
+        env = Environment()
+        net = Network(env)
+        obs = Observability(env).attach(net)
+        machine = Machine(net, "node1", params=MachineParams())
+        wrapper = deploy(Churn, machine, "Churn", perf=perf)
+        net.add_host("client")
+        client = WsrfClient(net, "client")
+        doomed = wrapper.create_resource_from_fields({})
+
+        def churn(delay, creates, destroys, hold):
+            yield env.timeout(delay)
+            yield from client.call(
+                wrapper.service_epr(), UVA, "Churn",
+                {"creates": creates, "destroys": destroys, "hold": hold},
+            )
+
+        first = env.process(churn(0.0, 2, [], 1.0))  # holds across the second
+        second = env.process(churn(0.5, 0, [doomed], 0.0))
+        env.run(until=env.all_of([first, second]))
+        dispatch_start = {s.span_id: s.start for s in obs.spans.named("wsrf.dispatch")}
+        saves = sorted(
+            obs.spans.named("wsrf.dispatch.db_save"),
+            key=lambda s: dispatch_start[s.parent_id],
+        )
+        db = machine.params.db_access_s
+        assert [s.duration for s in saves] == [pytest.approx(2 * db), pytest.approx(db)]
 
 
 class TestWsdl:
