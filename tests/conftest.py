@@ -34,7 +34,8 @@ def reference_codec(monkeypatch):
     """``with reference_codec():`` forces every network and every
     blob-backed store built inside the block onto the reference codec —
     ``parse`` / ``to_string`` for envelopes, ``decode_state`` /
-    ``encode_state`` for resource state, nothing handed over decoded.
+    ``encode_state`` for resource state (the copying load and the
+    wrapper's uncopied one alike), nothing handed over decoded.
     The differentials compare a run against the same run made this way:
     the hand-off (docs/performance.md) is not a knob, so the tests turn
     it off themselves."""
@@ -52,6 +53,7 @@ def reference_codec(monkeypatch):
                           lambda self, envelope: to_string(envelope.to_element(),
                                                            xml_declaration=True))
             patch.setattr(DecodeCache, "decode", lambda self, blob: decode_state(blob))
+            patch.setattr(DecodeCache, "kept", lambda self, blob: decode_state(blob))
             patch.setattr(DecodeCache, "encode",
                           lambda self, state, base=None: encode_state(state))
             yield
