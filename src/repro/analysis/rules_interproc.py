@@ -267,7 +267,7 @@ _HANDLE_USES: Dict[str, int] = {
     "save_resource": 0,
 }
 #: store operations taking (service, resource_id)
-_STORE_USES: Dict[str, int] = {"load": 1, "save": 1, "exists": 1}
+_STORE_USES: Dict[str, int] = {"load": 1, "load_kept": 1, "save": 1, "exists": 1}
 
 
 def _handle_uses(call: ast.Call) -> List[Tuple[str, str]]:

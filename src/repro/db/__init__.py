@@ -29,8 +29,11 @@ from repro.db.sql import SqlError, SqlResourceStore, execute_sql
 from repro.db.resource_store import (
     BlobResourceStore,
     DecodeCache,
+    IMMUTABLE_LEAVES,
     NoSuchResource,
     ResourceStore,
+    copy_field,
+    same_field,
 )
 from repro.db.cached_store import CachedResourceStore
 from repro.db.xmlstore import XmlResourceStore
@@ -42,11 +45,14 @@ __all__ = [
     "Database",
     "DbError",
     "DecodeCache",
+    "IMMUTABLE_LEAVES",
     "NoSuchResource",
     "ResourceStore",
     "SqlError",
     "SqlResourceStore",
     "Table",
     "XmlResourceStore",
+    "copy_field",
     "execute_sql",
+    "same_field",
 ]

@@ -27,6 +27,12 @@ def destroy_then_load_resource(wrapper, rid):
     return wrapper.load_resource(rid).status
 
 
+def destroy_then_load_kept(wrapper, rid):
+    wrapper.destroy_resource(rid)
+    # WSRF004: the db_load stage's read of a destroyed resource's row.
+    return wrapper.store.load_kept(wrapper.service_name, rid)
+
+
 def double_destroy(wrapper, rid):
     wrapper.destroy_resource(rid)
     # WSRF004: a second destroy of the same handle.

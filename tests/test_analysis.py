@@ -230,6 +230,7 @@ class TestInterprocRulesFire:
             "destroy_then_call",        # client.call(..., 'Destroy') then call
             "destroy_then_load",        # destroy_resource then store.load
             "destroy_then_load_resource",  # ... then wrapper.load_resource
+            "destroy_then_load_kept",   # ... then store.load_kept
             "double_destroy",           # destroy twice
             "destroy_via_helper_then_use",  # destroyer helper then epr_for
         }
@@ -239,6 +240,12 @@ class TestInterprocRulesFire:
         handle like ``store.load``."""
         by_symbol = {f.symbol: f.message for f in findings_for("WSRF004")}
         assert "(load_resource())" in by_symbol["destroy_then_load_resource"]
+
+    def test_wsrf004_sees_load_kept(self):
+        """The db_load stage's uncopied read is a store read of the row
+        like ``store.load``."""
+        by_symbol = {f.symbol: f.message for f in findings_for("WSRF004")}
+        assert "(store.load_kept())" in by_symbol["destroy_then_load_kept"]
 
     def test_wsrf004_helper_chain_in_message(self):
         by_symbol = {f.symbol: f.message for f in findings_for("WSRF004")}
