@@ -49,6 +49,10 @@ class EndpointReference:
     def __setattr__(self, name, value):
         raise AttributeError("EndpointReference is immutable")
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through __init__, not __setattr__
+        return EndpointReference, (self._address, dict(self._props))
+
     @property
     def address(self) -> str:
         return self._address
