@@ -113,7 +113,7 @@ def to_typed_element(tag, value: Any) -> Element:
     elif isinstance(value, Element):
         el.attrib[_XSI_TYPE] = "uva:xmlAny"
         el.append(value.copy())
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple)) and not isinstance(value, QName):  # a name is no array
         el.attrib[_XSI_TYPE] = _ARRAY
         for item in value:
             el.append(to_typed_element(_ITEM, item))
@@ -146,9 +146,10 @@ _STR_ONLY = frozenset({str})
 
 
 def write_typed(tag: QName, value: Any, out: List[str]) -> Optional[Tuple[str, ...]]:
-    """``write_fragment(to_typed_element(tag, value), out)`` without the
-    element: the same pieces of text appended to *out*, the same
-    namespaces returned, in one walk of *value*.
+    """:func:`~repro.xmlx.writer.write_fragment` of
+    ``to_typed_element(tag, value)`` without the element: the same
+    pieces of text appended to *out*, the namespaces it mentions
+    returned in the same order, in one walk of *value*.
 
     A second output of one grammar, not a second grammar.  The walk
     spells the exact types ``str``, ``int``, ``bool``, ``float``,
@@ -166,7 +167,8 @@ def write_typed(tag: QName, value: Any, out: List[str]) -> Optional[Tuple[str, .
     if tag.uri:
         prefix = NS.PREFERRED_PREFIXES.get(tag.uri)
         if prefix is None:
-            return write_fragment(to_typed_element(tag, value), out)
+            to_typed_element(tag, value)  # raises what the reference raises
+            return None
         name = f"{prefix}:{name}"
         mentions[tag.uri] = None
     mentions[NS.XSI] = None
@@ -211,10 +213,7 @@ def _write_typed(
         out.append(f"</{name}>")
         return exact
     else:
-        uris = write_fragment(to_typed_element(tag, value), out)
-        if uris is None:
-            return False
-        mentions.update(dict.fromkeys(uris))
+        return write_fragment(to_typed_element(tag, value), out, mentions) is not None
     return True
 
 
