@@ -254,6 +254,9 @@ class Environment:
         # patch Environment.step on the class), the heap head read inline
         heap = self._heap
         step = self.step
+        if deadline == float("inf"):  # no deadline to test before each event
+            while heap and not stopped:
+                step()
         while heap and not stopped:
             if heap[0][0] > deadline:
                 self._now = deadline
