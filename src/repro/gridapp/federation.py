@@ -59,7 +59,7 @@ class FederationConfig:
             raise ValueError("a federation needs at least one zone")
         if self.vnodes < 1:
             raise ValueError("vnodes must be >= 1")
-        if self.staleness_s < 0:
+        if not self.staleness_s >= 0:  # NaN fails too
             raise ValueError("staleness_s must be >= 0")
         if self.max_queued_per_machine < 1:
             raise ValueError("max_queued_per_machine must be >= 1")

@@ -78,9 +78,10 @@ class FaultToleranceConfig:
     stuck_after: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.watchdog_period <= 0:
+        # ``not x > 0`` rejects NaN too, which ``x <= 0`` lets through
+        if not self.watchdog_period > 0:
             raise ValueError("watchdog_period must be positive")
-        if self.stuck_after <= 0:
+        if not self.stuck_after > 0:
             raise ValueError("stuck_after must be positive")
 
 
@@ -88,6 +89,9 @@ class FaultToleranceConfig:
 #: dispatch fails, and watchdog-driven recoveries per job before giving up
 _MAX_DISPATCH_ATTEMPTS = 3
 _MAX_REDISPATCHES = 3
+
+#: the policies :func:`choose_machine` knows; the Testbed checks against it
+SCHEDULING_POLICIES = ("best", "random", "roundrobin")
 
 
 def choose_machine(processors: List[Dict], policy: str, rng=None, rr_state=None) -> Dict:
@@ -118,7 +122,9 @@ def choose_machine(processors: List[Dict], policy: str, rng=None, rr_state=None)
         index = rr_state["next"] % len(ordered)
         rr_state["next"] += 1
         return ordered[index]
-    raise SchedulingFault(description=f"unknown scheduling policy {policy!r}")
+    raise SchedulingFault(
+        description=f"unknown scheduling policy {policy!r}, not one of {SCHEDULING_POLICIES}"
+    )
 
 
 @WSRFPortType(

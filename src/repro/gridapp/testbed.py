@@ -19,7 +19,7 @@ from repro.gridapp.execution_service import ExecutionService
 from repro.gridapp.federation import FederationConfig, Zone
 from repro.gridapp.filesystem_service import GRID_ROOT, FileSystemService
 from repro.gridapp.node_info import NodeInfoService, setup_node_info
-from repro.gridapp.scheduler import SchedulerService
+from repro.gridapp.scheduler import SCHEDULING_POLICIES, SchedulerService
 from repro.gridapp.tracing import EventTrace
 from repro.gridapp.utilization import ProcessorUtilizationService
 from repro.gt4 import Gt4ExecutionService, LinuxMachine
@@ -100,6 +100,11 @@ class Testbed:
         """
         if n_machines < 1:
             raise ValueError("a grid needs at least one machine")
+        if scheduling_policy not in SCHEDULING_POLICIES:
+            raise ValueError(
+                f"scheduling_policy must be one of {SCHEDULING_POLICIES}, "
+                f"got {scheduling_policy!r}"
+            )
         self.env = Environment()
         self.network = Network(self.env)
         self.network.trace = EventTrace(self.env)

@@ -33,6 +33,12 @@ class ProcessorUtilizationService(WindowsService):
         period: float = 1.0,
         always_report: bool = False,
     ) -> None:
+        # NaN-safe: a zero period spins the sampler at one instant, and a
+        # NaN threshold silences every report after the first.
+        if not period > 0:
+            raise ValueError(f"utilization period must be positive, got {period!r}")
+        if not threshold >= 0:
+            raise ValueError(f"utilization threshold must be >= 0, got {threshold!r}")
         super().__init__(machine)
         self.nis_epr = nis_epr
         self.threshold = threshold

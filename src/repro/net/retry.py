@@ -52,15 +52,16 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts!r}")
-        if self.base_delay_s < 0 or self.max_delay_s < 0:
+        # Every comparison is written to be False for NaN, so NaN fails.
+        if not (self.base_delay_s >= 0 and self.max_delay_s >= 0):
             raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1.0:
+        if not self.backoff_factor >= 1.0:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor!r}"
             )
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter!r}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s!r}")
 
     def delay_for(self, failures: int, rng=None) -> float:

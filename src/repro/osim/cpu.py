@@ -40,7 +40,7 @@ class CpuScheduler:
     def __init__(self, env: Environment, cores: int = 1, speed: float = 1.0) -> None:
         if cores < 1:
             raise ValueError("a machine needs at least one core")
-        if speed <= 0:
+        if not speed > 0:  # NaN fails too
             raise ValueError("cpu speed must be positive")
         self.env = env
         self.cores = cores

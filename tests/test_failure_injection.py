@@ -266,11 +266,45 @@ class TestRetryPolicyMath:
             RetryPolicy(base_delay_s=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=2.0)
+        # NaN compares False both ways: each of these once ran with no
+        # backoff or crashed the kernel with a NaN timeout delay.
+        for field in ("base_delay_s", "max_delay_s", "backoff_factor", "timeout_s"):
+            with pytest.raises(ValueError):
+                RetryPolicy(**{field: float("nan")})
 
     def test_disabled_variant_is_single_attempt(self):
         from repro.net import RetryPolicy
 
         assert RetryPolicy(max_attempts=7).disabled().max_attempts == 1
+
+
+_NAN = float("nan")
+
+
+class TestAssemblyValidation:
+    """Input that would hang a run, crash it mid-way or quietly switch a
+    mechanism off is refused when the testbed is built."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(watchdog_period=_NAN),  # negative timeout delay: nan
+        dict(stuck_after=_NAN),  # stuck-job recovery never fires
+    ], ids=["watchdog_period=nan", "stuck_after=nan"])
+    def test_fault_tolerance_config(self, kwargs):
+        from repro.gridapp import FaultToleranceConfig
+
+        with pytest.raises(ValueError):
+            FaultToleranceConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(utilization_period=0.0),  # the sampler spins at t = 0
+        dict(utilization_period=-1.0),  # negative timeout delay mid-run
+        dict(utilization_threshold=_NAN),  # reports once, then never
+        dict(n_machines=2, machine_speeds=[1.0, _NAN]),
+        dict(scheduling_policy="fastest"),  # failed at the first dispatch
+    ], ids=["period=0", "period<0", "threshold=nan", "speed=nan", "policy=fastest"])
+    def test_testbed(self, kwargs):
+        with pytest.raises(ValueError):
+            Testbed(**kwargs)
 
 
 class TestWithRetry:

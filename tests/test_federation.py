@@ -141,6 +141,8 @@ class TestHashRingProperties:
             FederationConfig(vnodes=0)
         with pytest.raises(ValueError):
             FederationConfig(staleness_s=-1.0)
+        with pytest.raises(ValueError):  # would never refresh a catalog
+            FederationConfig(staleness_s=float("nan"))
         with pytest.raises(ValueError):
             FederationConfig(max_queued_per_machine=0)
 

@@ -437,6 +437,8 @@ class TestCpuSharing:
             CpuScheduler(env, cores=0)
         with pytest.raises(ValueError):
             CpuScheduler(env, speed=0)
+        with pytest.raises(ValueError):
+            CpuScheduler(env, speed=float("nan"))
 
 
 class TestProgramRegistry:
