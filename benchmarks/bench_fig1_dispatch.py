@@ -88,7 +88,7 @@ def _mean_simulated_latency(env, one_call, calls=CALLS) -> float:
     return run_coroutine(env, driver())
 
 
-def _scenario(perf=None):
+def _scenario(perf=False):
     """Returns (rows, latencies dict in simulated ms)."""
     env, net, machine, client = _fabric()
     wrapper = deploy(StatefulService, machine, "Stateful", perf=perf)
@@ -135,14 +135,12 @@ def bench_fig1_wrapper_overhead(benchmark):
 
 def bench_fig1_perf_layer(benchmark):
     """The hot-path performance layer (docs/performance.md): with
-    ``PerfConfig()`` the read path sheds its DB load (state cache) while
+    ``perf=True`` the read path sheds its DB load (state cache) while
     the write path keeps the full pipeline; with the layer off the
     numbers stay exactly at the EXPERIMENTS.md baseline."""
-    from repro.perf import PerfConfig
-
     def scenario():
         _, machine, lat_off = _scenario()
-        _, _, lat_on = _scenario(PerfConfig())
+        _, _, lat_on = _scenario(perf=True)
         return machine, lat_off, lat_on
 
     machine, lat_off, lat_on = benchmark.pedantic(scenario, rounds=1, iterations=1)

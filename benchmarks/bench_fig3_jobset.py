@@ -22,7 +22,7 @@ from repro.gridapp import FileRef, JobSpec, Testbed
 from repro.osim.programs import make_compute_program
 
 
-def _make_testbed(n_machines, seed=11, observability=False, perf=None):
+def _make_testbed(n_machines, seed=11, observability=False, perf=False):
     tb = Testbed(n_machines=n_machines, seed=seed,
                  machine_speeds=[1.0] * n_machines,
                  observability=observability, perf=perf)
@@ -190,8 +190,6 @@ def bench_fig3_perf_jobset(benchmark):
     shape, the perf run must cut central messages by >= 20% and elide
     DB save stages; emits ``BENCH_fig3_perf.json`` for the CI artifact
     trail (docs/performance.md)."""
-    from repro.gridapp import PerfConfig
-
     def run_observed(perf):
         tb = _make_testbed(4, observability=True, perf=perf)
         client = tb.make_client()
@@ -213,7 +211,7 @@ def bench_fig3_perf_jobset(benchmark):
         }
 
     def scenario():
-        return run_observed(None), run_observed(PerfConfig())
+        return run_observed(False), run_observed(True)
 
     off, on = benchmark.pedantic(scenario, rounds=1, iterations=1)
     saving = 1.0 - on["messages"] / off["messages"]

@@ -23,7 +23,6 @@ Fig. 3 step tracing              :mod:`repro.gridapp.tracing`
 ===============================  ==============================================
 """
 
-from repro.perf import PerfConfig
 from repro.gridapp.jobset import FileRef, JobSetSpec, JobSpec
 from repro.gridapp.tracing import EventTrace, TraceEvent
 from repro.gridapp.filesystem_service import FileSystemService
@@ -40,6 +39,10 @@ from repro.gridapp.federation import (
 )
 from repro.gridapp.report import JobSetReport, build_report, render_gantt, render_summary
 from repro.gridapp.testbed import Testbed
+
+
+class PerfConfig:
+    """Truthy, so ``Testbed(perf=PerfConfig())`` means ``perf=True``."""
 
 __all__ = [
     "AggregatorCatalogService",

@@ -80,9 +80,10 @@ class AggregatorCatalogService(ServiceGroupService):
     """ServiceGroup-of-ServiceGroups with staleness-bounded entries."""
 
     DEPLOYMENT = {
-        #: the zone group's resource id and the staleness bound, both
-        #: from setup_aggregator (no group: an empty catalog)
+        #: the zone group's resource id, from setup_aggregator (no
+        #: group: an empty catalog)
         "agg_group_rid": None,
+        #: the FederationConfig's bound, assigned at deploy time
         "staleness_s": None,
         "catalog_refreshes": 0,
         "catalog_stale_served": 0,
@@ -137,7 +138,7 @@ class AggregatorCatalogService(ServiceGroupService):
         return out
 
 
-def setup_aggregator(wrapper, zones, staleness_s: float) -> str:
+def setup_aggregator(wrapper, zones) -> str:
     """Create the aggregator group with one entry per zone.
 
     Runs at testbed assembly (the administrator seeds the federation
@@ -163,5 +164,4 @@ def setup_aggregator(wrapper, zones, staleness_s: float) -> str:
             (nis_epr, zone_catalog_content(zone.name, nis_epr, now, processors))
         )
     wrapper.agg_group_rid = seed_group(wrapper, ZONE_CATALOG, members)
-    wrapper.staleness_s = staleness_s
     return wrapper.agg_group_rid

@@ -140,7 +140,7 @@ class SchedulerService(ServiceSkeleton):
     SERVICE_NS = UVA
 
     DEPLOYMENT = {
-        # -- wiring: assigned by whoever assembles the grid (Testbed) --
+        # -- wiring: assigned when the grid is assembled (Testbed._deploy) --
         "nis_epr": None,  # the Node Info service polled in step 2
         "broker_epr": None,  # where job-set events are published
         "subscribe_broker_epr": None,  # federation: the root broker
@@ -453,7 +453,7 @@ class SchedulerService(ServiceSkeleton):
         nis_epr = wrapper.nis_epr
         if nis_epr is None:
             raise SchedulingFault(description="scheduler has no Node Info service")
-        batch_nis = wrapper.perf is not None
+        batch_nis = wrapper.perf
         if batch_nis and "processors" in pass_cache:
             # Performance layer: reuse this pass's catalog instead of
             # polling once per job.  Each dispatch still gets private

@@ -26,8 +26,12 @@ from repro.gt4 import Gt4ExecutionService, LinuxMachine
 from repro.net import Network
 from repro.osim import Machine, MachineParams, ProgramRegistry
 from repro.sim import Environment
-from repro.wsn.base_notification import attach_notification_producer
-from repro.wsn.broker import NotificationBrokerService, federate_brokers
+from repro.wsn.batching import enable_batching
+from repro.wsn.broker import (
+    NotificationBrokerService,
+    enable_redelivery,
+    federate_brokers,
+)
 from repro.wsrf import deploy
 from repro.wssec import CertificateAuthority
 from repro.wssec.x509 import enroll
@@ -61,63 +65,58 @@ class Testbed:
         sanitize: bool = False,
         federation=None,
     ) -> None:
-        """Assemble the grid; optional knobs enable fault tolerance.
+        """Assemble the grid in one pass: check the options, then deploy
+        each service with its whole configuration.  The defaults build
+        the paper's single-site Fig. 3 grid with every optional layer off.
 
-        ``retry_policy``/``fault_tolerance``/``broker_redelivery`` (see
-        docs/fault_tolerance.md) work as follows: ``retry_policy`` (a
-        :class:`repro.net.retry.RetryPolicy`) is attached to every
-        service's outbound client and becomes the default for
-        :meth:`make_client`; ``fault_tolerance`` (a
-        :class:`repro.gridapp.scheduler.FaultToleranceConfig`) turns on
-        Scheduler re-dispatch; ``broker_redelivery`` (another
-        RetryPolicy) bounds broker notification redelivery before a dead
-        subscriber is dropped.  All default to off, preserving the
-        paper's fail-fast semantics.
-
-        ``perf`` (a :class:`repro.perf.PerfConfig`, see
-        docs/performance.md) opts every service into the hot-path
-        performance layer.  Also off by default;
-        tests/test_perf_equivalence.py proves enabling it changes only
-        simulated latencies.
-
-        ``sanitize=True`` attaches a
-        :class:`repro.analysis.RaceSanitizer` (``self.san``): a runtime
-        happens-before + lockset checker flagging data races on
-        WS-Resource rows, lock-order inversions and dispatch reentrancy
-        (docs/static_analysis.md).  Observation only — simulated results
-        stay byte-identical (tests/test_sanitizer.py asserts it); call
-        ``tb.san.assert_clean()`` after a run.
-
-        ``federation`` (a
-        :class:`repro.gridapp.federation.FederationConfig`, or an int
-        zone count, see docs/federation.md) replaces the single-site
-        topology with a federated one: per-zone central machines each
-        running a Scheduler + NIS + broker, grid machines sharded
-        round-robin across zones, a root machine carrying the root
-        broker and the cross-zone aggregator catalog.  ``None`` (the
-        default) keeps the paper's Fig. 3 single-site grid and every
-        existing trace/export byte-identical.
+        - ``n_machines``: Windows grid machines, each with an FSS and an ES (README.md)
+        - ``machine_speeds``: one CPU speed each, default 1.0x-2.0x (EXPERIMENTS.md, FIG-3)
+        - ``seed``: ``self.rng``; site *z*'s Scheduler uses ``seed + 1 + z`` (EXPERIMENTS.md, D-6)
+        - ``utilization_threshold``: the change a NIS report waits for (EXPERIMENTS.md, D-7)
+        - ``utilization_period``: seconds between utilization samples (EXPERIMENTS.md, D-7)
+        - ``start_utilization_services``: start those samplers now (EXPERIMENTS.md, D-7)
+        - ``scheduling_policy``: one of ``SCHEDULING_POLICIES`` (EXPERIMENTS.md, D-6)
+        - ``cores_per_machine``: cores of each Windows grid machine (EXPERIMENTS.md, D-7)
+        - ``n_linux_machines``: GT4 machines beside them (examples/mixed_campus_grid.py)
+        - ``retry_policy``: every service's and client's retries (docs/fault_tolerance.md)
+        - ``fault_tolerance``: Scheduler re-dispatch, off when None (docs/fault_tolerance.md)
+        - ``broker_redelivery``: a RetryPolicy for every broker (docs/fault_tolerance.md)
+        - ``observability``: metrics, spans and events as ``self.obs`` (docs/observability.md)
+        - ``perf``: truthy turns the performance layer on (docs/performance.md)
+        - ``sanitize``: the race sanitizer as ``self.san`` (docs/static_analysis.md)
+        - ``federation``: a ``FederationConfig`` shards the grid (docs/federation.md)
         """
         if n_machines < 1:
             raise ValueError("a grid needs at least one machine")
+        if machine_speeds is None:
+            # Heterogeneous campus desktops: 1.0x to 2.0x, deterministic.
+            machine_speeds = [1.0 + (i % 4) * 0.333 for i in range(n_machines)]
+        if len(machine_speeds) != n_machines:
+            raise ValueError("machine_speeds length must equal n_machines")
         if scheduling_policy not in SCHEDULING_POLICIES:
-            raise ValueError(
-                f"scheduling_policy must be one of {SCHEDULING_POLICIES}, "
-                f"got {scheduling_policy!r}"
-            )
+            raise ValueError(f"scheduling_policy must be one of {SCHEDULING_POLICIES}")
+        if federation is not None:
+            if not isinstance(federation, FederationConfig):
+                raise TypeError(f"federation must be a FederationConfig or None: {federation!r}")
+            if n_linux_machines:
+                raise ValueError("federation and n_linux_machines are mutually exclusive")
+            if federation.n_zones > n_machines:
+                raise ValueError(
+                    f"{federation.n_zones} zones need at least that many grid "
+                    f"machines (got {n_machines})"
+                )
+
         self.env = Environment()
         self.network = Network(self.env)
-        self.network.trace = EventTrace(self.env)
-        self.trace = self.network.trace
-        # Attached before any service deploys so every wrapper
-        # self-registers with the collector.
+        self.trace = self.network.trace = EventTrace(self.env)
+        # The collector and the sanitizer attach before any service
+        # deploys: every wrapper registers with the one and instruments
+        # its store for the other at construction.
         self.obs = None
         if observability:
             from repro.obs import Observability
 
             self.obs = Observability(self.env).attach(self.network)
-        # Opt-in runtime sanitizer: attached before any service deploys
-        # so every wrapper instruments its store at construction.
         self.san = None
         if sanitize:
             from repro.analysis.sanitizer import RaceSanitizer
@@ -126,93 +125,46 @@ class Testbed:
         self.rng = np.random.default_rng(seed)
         self.ca = CertificateAuthority()
         self.programs = ProgramRegistry()
-        self.perf = perf
-
-        if machine_speeds is None:
-            # Heterogeneous campus desktops: 1.0x to 2.0x, deterministic.
-            machine_speeds = [
-                1.0 + (i % 4) * 0.333 for i in range(n_machines)
-            ]
-        if len(machine_speeds) != n_machines:
-            raise ValueError("machine_speeds length must equal n_machines")
-
-        # -- topology: single site (the paper's Fig. 3) or federated zones ---
-        if isinstance(federation, int):
-            federation = FederationConfig(n_zones=federation)
-        if federation is not None:
-            if n_linux_machines:
-                raise ValueError(
-                    "federation and n_linux_machines are mutually exclusive"
-                )
-            if federation.n_zones > n_machines:
-                raise ValueError(
-                    f"{federation.n_zones} zones need at least that many grid "
-                    f"machines (got {n_machines})"
-                )
-        self.federation = federation
-        self._assemble(
-            n_machines, n_linux_machines, machine_speeds, cores_per_machine,
-            seed, scheduling_policy, utilization_threshold,
-            utilization_period, start_utilization_services,
-        )
-
-        # -- fault-tolerance layer (all opt-in) ----------------------------------
+        self.perf = bool(perf)
         self.retry_policy = retry_policy
-        if fault_tolerance is not None:
-            for scheduler in self._schedulers:
-                scheduler.fault_tolerance = fault_tolerance
-        if broker_redelivery is not None:
-            from repro.wsn.broker import enable_redelivery
-
-            for broker in self._brokers:
-                enable_redelivery(broker, broker_redelivery)
-        if perf is not None:
-            from repro.wsn.batching import enable_batching
-
-            # Only the brokers' fan-out batches: they are the producers
-            # with per-event subscriber multiplicity (the ES->broker leg
-            # is already a single message per event).
-            for broker in self._brokers:
-                enable_batching(broker)
-        if retry_policy is not None:
-            for wrapper in self._wrappers:
-                wrapper.client.retry_policy = retry_policy
-
+        self.federation = federation
+        self._broker_redelivery = broker_redelivery
         self._client_seq = 0
 
-    def _assemble(
-        self, n_machines, n_linux_machines, machine_speeds, cores_per_machine,
-        seed, scheduling_policy, utilization_threshold, utilization_period,
-        start_utilization_services,
-    ) -> None:
-        """Deploy the grid: root, then sites, then grid machines.
-
-        The paper's Fig. 3 deployment is one site on ``uvacg-central``
-        and no root.  A federation (docs/federation.md) is a root
-        machine (root broker + aggregator catalog) and one site per
-        zone — a central machine with Scheduler + NIS + zone broker
-        uplinked to the root — with the grid machines sharded
-        round-robin across the zones.
-        """
-        federation = self.federation
-        self._wrappers: List = []
+        # -- deploy: root, sites, then grid machines ------------------------------
+        # The paper's Fig. 3 deployment is one site on uvacg-central.  A
+        # federation (docs/federation.md) adds a root machine (root broker
+        # + aggregator catalog) and has one site per zone, the grid
+        # machines sharded round-robin across them.  Any Scheduler may
+        # dispatch to any grid machine, so all share one certificate map
+        # and one GT4 set, filled in as the machines enroll.
+        machine_certs: Dict[str, object] = {}
+        gt4_machines: set = set()
+        shared = dict(
+            federation=federation, fault_tolerance=fault_tolerance,
+            scheduling_policy=scheduling_policy, machine_certs=machine_certs,
+            gt4_machines=gt4_machines,
+        )
+        names = [("uvacg-central", None)]
         self.root: Optional[Machine] = None
         self.root_broker = self.aggregator = None
-        self.zones: List[Zone] = []
-        if federation is None:
-            sites = [self._add_site("uvacg-central")]
-        else:
+        if federation is not None:
             self.root = self._central_machine("uvacg-root")
-            self.root_broker = self._deploy(
-                NotificationBrokerService, self.root, "NotificationBroker", "root"
-            )
-            attach_notification_producer(self.root_broker)
+            self.root_broker = self._deploy_broker(self.root, "root")
             self.aggregator = self._deploy(
-                AggregatorCatalogService, self.root, "AggregatorCatalog", "root"
+                AggregatorCatalogService, self.root, "AggregatorCatalog", "root",
+                staleness_s=federation.staleness_s,
             )
-            for z in range(federation.n_zones):
-                self.zones.append(self._add_site(f"uvacg-z{z:02d}", f"z{z:02d}"))
-            sites = self.zones
+            shared.update(
+                subscribe_broker_epr=self.root_broker.service_epr(),
+                aggregator_epr=self.aggregator.service_epr(),
+            )
+            names = [(f"uvacg-z{z:02d}", f"z{z:02d}") for z in range(federation.n_zones)]
+        sites = [
+            self._add_site(host, zone, dict(shared, rng=np.random.default_rng(seed + 1 + z)))
+            for z, (host, zone) in enumerate(names)
+        ]
+        self.zones: List[Zone] = sites if federation is not None else []
 
         self.machines: List[Machine] = []
         self.linux_machines: List[LinuxMachine] = []
@@ -238,33 +190,21 @@ class Testbed:
                 )
                 machine.trusted_ca = self.ca
                 self.linux_machines.append(machine)
+                gt4_machines.add(machine.name)
                 es_cls = Gt4ExecutionService
             util = self._add_grid_machine(
                 machine, sites[i % len(sites)], es_cls,
                 utilization_threshold, utilization_period,
             )
+            machine_certs[machine.name] = machine.cert
             if start_utilization_services:
                 util.start()
 
-        # -- wiring -------------------------------------------------------------------
-        # Cross-zone dispatch means any zone's Scheduler may target any
-        # grid machine, so every Scheduler knows every machine's cert.
-        machine_certs = {m.name: m.cert for m in self.machines}
-        for z, site in enumerate(sites):
+        # Seed the catalogs now that every machine exists.
+        for site in sites:
             setup_node_info(site.node_info, site.machines)
-            scheduler = site.scheduler
-            scheduler.nis_epr = site.node_info.service_epr()
-            scheduler.broker_epr = site.broker.service_epr()
-            scheduler.machine_certs = machine_certs
-            scheduler.scheduling_policy = scheduling_policy
-            scheduler.rng = np.random.default_rng(seed + 1 + z)
-            scheduler.gt4_machines = {m.name for m in self.linux_machines}
-            if federation is not None:
-                scheduler.subscribe_broker_epr = self.root_broker.service_epr()
-                scheduler.federation = federation
-                scheduler.aggregator_epr = self.aggregator.service_epr()
         if federation is not None:
-            setup_aggregator(self.aggregator, sites, federation.staleness_s)
+            setup_aggregator(self.aggregator, sites)
 
         # The first site doubles as the default one, so single-site
         # helpers (make_client, restart_host, existing assertions) keep
@@ -273,18 +213,32 @@ class Testbed:
         self.broker = sites[0].broker
         self.node_info = sites[0].node_info
         self.scheduler = sites[0].scheduler
-        self._schedulers = [site.scheduler for site in sites]
-        self._brokers = [site.broker for site in sites]
-        if federation is not None:
-            self._brokers.insert(0, self.root_broker)
 
-    def _deploy(self, service_cls, machine: Machine, path: str, zone: Optional[str] = None):
-        """Deploy one service with the testbed's perf layer; a federated
-        testbed labels it with the zone it serves."""
+    def _deploy(self, service_cls, machine: Machine, path: str, zone: Optional[str],
+                **wiring):
+        """Deploy one service with its whole configuration: the perf
+        layer, the zone it serves (None: single site), its client's
+        retry policy and *wiring*, values for its ``DEPLOYMENT`` names."""
         wrapper = deploy(service_cls, machine, path, perf=self.perf)
         wrapper.zone = zone
-        self._wrappers.append(wrapper)
+        wrapper.client.retry_policy = self.retry_policy
+        for name, value in wiring.items():
+            setattr(wrapper, name, value)
         return wrapper
+
+    def _deploy_broker(self, machine: Machine, zone: Optional[str]):
+        """A broker whose producer redelivers under the testbed's policy,
+        uplinked to the root broker once there is one.  Under the perf
+        layer its fan-out batches: brokers are the producers with
+        per-event subscriber multiplicity (the ES->broker leg is already
+        a single message per event)."""
+        broker = self._deploy(NotificationBrokerService, machine, "NotificationBroker", zone)
+        enable_redelivery(broker, self._broker_redelivery)
+        if self.perf:
+            enable_batching(broker)
+        if self.root_broker is not None:
+            federate_brokers(broker, self.root_broker.service_epr())
+        return broker
 
     def _central_machine(self, name: str) -> Machine:
         machine = Machine(
@@ -294,20 +248,19 @@ class Testbed:
         self._enroll(machine)
         return machine
 
-    def _add_site(self, host_name: str, zone: Optional[str] = None) -> Zone:
-        """One central machine with its broker, NIS and Scheduler; a
-        zone's broker is uplinked to the root broker."""
+    def _add_site(self, host_name: str, zone: Optional[str], scheduler_wiring) -> Zone:
+        """One central machine with its broker, NIS and Scheduler, the
+        Scheduler wired to both and to *scheduler_wiring*."""
         central = self._central_machine(host_name)
-        broker = self._deploy(NotificationBrokerService, central, "NotificationBroker", zone)
-        attach_notification_producer(broker)
-        if self.root_broker is not None:
-            federate_brokers(broker, self.root_broker.service_epr())
+        broker = self._deploy_broker(central, zone)
         node_info = self._deploy(NodeInfoService, central, "NodeInfo", zone)
-        scheduler = self._deploy(SchedulerService, central, "Scheduler", zone)
-        return Zone(
-            name=zone, central=central, broker=broker, node_info=node_info,
-            scheduler=scheduler,
+        scheduler = self._deploy(
+            SchedulerService, central, "Scheduler", zone,
+            nis_epr=node_info.service_epr(), broker_epr=broker.service_epr(),
+            **scheduler_wiring,
         )
+        return Zone(name=zone, central=central, broker=broker, node_info=node_info,
+                    scheduler=scheduler)
 
     def _add_grid_machine(
         self, machine: Machine, site: Zone, es_cls, threshold: float, period: float
@@ -322,9 +275,10 @@ class Testbed:
         self.fss[machine.name] = self._deploy(
             FileSystemService, machine, "FileSystem", site.name
         )
-        es = self._deploy(es_cls, machine, "ExecService", site.name)
-        es.broker_epr = site.broker.service_epr()
-        self.es[machine.name] = es
+        self.es[machine.name] = self._deploy(
+            es_cls, machine, "ExecService", site.name,
+            broker_epr=site.broker.service_epr(),
+        )
         util = ProcessorUtilizationService(
             machine, site.node_info.service_epr(), threshold=threshold, period=period
         )

@@ -121,7 +121,7 @@ class Observability:
         """Mirror every ad-hoc counter into the registry; returns it."""
         # The codec hand-off counters are exported under the perf layer
         # only: default exports stay byte-identical to the paper-shape run.
-        perf_on = any(w.perf is not None for w in self._wrappers)
+        perf_on = any(w.perf for w in self._wrappers)
         for network in self._networks:
             self._collect_network(network, perf_on)
         seen_stores: Set[int] = set()
@@ -178,7 +178,6 @@ class Observability:
         reg.counter("wsrf.invocations", **ids).set_total(wrapper.invocations)
         reg.counter("wsrf.faults_returned", **ids).set_total(wrapper.faults_returned)
         store = wrapper.store
-        perf = wrapper.perf
         if id(store) not in seen_stores:
             seen_stores.add(id(store))
             reg.counter("db.loads", **ids).set_total(store.loads)
@@ -187,20 +186,20 @@ class Observability:
             # Performance-layer cache effectiveness (the state cache
             # only — with perf off these metrics don't exist at all, so
             # default exports stay byte-identical).
-            if perf is not None:
+            if wrapper.perf:
                 reg.counter("perf.cache_hits", **ids).set_total(store.hits)
                 reg.counter("perf.cache_misses", **ids).set_total(store.misses)
             # Codec fast path: decode-cache effectiveness (blob-backed
             # stores; exported with the perf layer only, as above).
             decode_cache = getattr(store, "decode_cache", None)
-            if decode_cache is not None and perf is not None:
+            if decode_cache is not None and wrapper.perf:
                 reg.counter("perf.decode_cache_hits", **ids).set_total(
                     decode_cache.hits
                 )
                 reg.counter("perf.decode_cache_misses", **ids).set_total(
                     decode_cache.misses
                 )
-        if perf is not None:
+        if wrapper.perf:
             reg.counter("perf.loads_elided", **ids).set_total(wrapper.loads_elided)
             reg.counter("perf.writes_elided", **ids).set_total(wrapper.writes_elided)
         producer = wrapper.notification_producer

@@ -31,7 +31,6 @@ from repro.db import (
     same_field,
 )
 from repro.net.network import DeliveryError
-from repro.perf import PerfConfig
 from repro.sim import Lock
 from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
 from repro.soap.endpoint import read_request, reject, reply_text, server_fault
@@ -194,7 +193,7 @@ class WrapperService:
         machine,
         path: str,
         store: Optional[ResourceStore] = None,
-        perf: Optional[PerfConfig] = None,
+        perf: bool = False,
     ) -> None:
         """Deploy *service_cls* at *path* on *machine*.
 
@@ -204,7 +203,7 @@ class WrapperService:
         state the service declares in ``ServiceSkeleton.DEPLOYMENT`` —
         wiring, per-boot working state, counters — at its initial
         values.  Whoever assembles the grid assigns the wiring
-        afterwards; readers use ``wrapper.<name>`` and never ask whether
+        before the deployment serves a call; readers use ``wrapper.<name>`` and never ask whether
         an attribute exists.  (Only the brokered-notification port
         types of ``wsn/broker.py``, which any service may import, still
         create their state on first use.)
@@ -220,7 +219,7 @@ class WrapperService:
         self.service_name = self.path
         self.perf = perf
         if store is None:
-            store = BlobResourceStore() if perf is None else CachedResourceStore()
+            store = CachedResourceStore() if perf else BlobResourceStore()
         self.store: ResourceStore = store
         self.address = machine.service_url(self.path)
 
@@ -705,7 +704,7 @@ class WrapperService:
         """Read the WS-Resource's state and hand it to the instance."""
         rid = call.ctx.resource_id
         cached = self.store.is_cached(self.service_name, rid)
-        if call.stage is not None and self.perf is not None:
+        if call.stage is not None and self.perf:
             call.stage.attrs["cache"] = "hit" if cached else "miss"
         if cached:
             # The state is served from the write-through cache: no
@@ -766,11 +765,7 @@ class WrapperService:
             state = self._changed_state(instance, call.as_declared)
             if state is not None and self.store.exists(self.service_name, ctx.resource_id):
                 call.state_after = state
-        if (
-            self.perf is not None
-            and call.state_after is None
-            and ctx.db_ops == 0
-        ):
+        if self.perf and call.state_after is None and ctx.db_ops == 0:
             # Nothing to persist: skip the db_save stage entirely.
             # (WSRF.NET's pipeline opens it unconditionally, so the
             # default path keeps the stage even when empty.)
@@ -858,13 +853,13 @@ def deploy(
     machine,
     path: str,
     store: Optional[ResourceStore] = None,
-    perf: Optional[PerfConfig] = None,
+    perf: bool = False,
 ) -> WrapperService:
     """Run the WSRF.NET tooling: wrap *service_cls* and host it in IIS.
 
-    Passing a :class:`~repro.perf.PerfConfig` opts this service into the
-    hot-path performance layer (docs/performance.md); the default
-    ``perf=None`` keeps the unoptimized Fig. 1 pipeline.  A *store*
-    passed explicitly is used as given, with or without *perf*.
+    ``perf=True`` opts this service into the hot-path performance layer
+    (docs/performance.md); the default keeps the unoptimized Fig. 1
+    pipeline.  A *store* passed explicitly is used as given, with or
+    without *perf*.
     """
     return WrapperService(service_cls, machine, path, store=store, perf=perf)

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Dict, Tuple
 
 from repro.db.resource_store import decode_state, encode_state
-from repro.gridapp import FaultToleranceConfig, PerfConfig
+from repro.gridapp import FaultToleranceConfig
 from repro.gridapp.federation import FederationConfig
 from repro.net import RetryPolicy
 from repro.xmlx import NS, QName
@@ -92,12 +92,12 @@ class Scenario:
 SCENARIOS: Dict[str, Scenario] = {
     "fig3_fan": Scenario(),
     "fig3_chain": Scenario(chain=True),
-    "perf_fan": Scenario(testbed=dict(perf=PerfConfig())),
-    "perf_chain": Scenario(testbed=dict(perf=PerfConfig()), chain=True),
+    "perf_fan": Scenario(testbed=dict(perf=True)),
+    "perf_chain": Scenario(testbed=dict(perf=True), chain=True),
     "sanitize": Scenario(testbed=dict(sanitize=True)),
     "drop20_ft": Scenario(testbed=FT, n_jobs=8, drop=0.20, polled=True),
     "drop20_ft_perf": Scenario(
-        testbed=dict(FT, perf=PerfConfig()), n_jobs=8, drop=0.20, polled=True
+        testbed=dict(FT, perf=True), n_jobs=8, drop=0.20, polled=True
     ),
     "node_bounce": Scenario(
         testbed=FT, bounces=(("node01", 8.0, 3.0),), polled=True
@@ -106,10 +106,10 @@ SCENARIOS: Dict[str, Scenario] = {
         testbed=FT, bounces=(("uvacg-central", 6.0, 3.0),), polled=True
     ),
     "central_bounce_perf": Scenario(
-        testbed=dict(FT, perf=PerfConfig()),
+        testbed=dict(FT, perf=True),
         bounces=(("uvacg-central", 6.0, 3.0),), polled=True,
     ),
-    "zones_1": Scenario(testbed=dict(federation=1), n_jobs=8),
+    "zones_1": Scenario(testbed=dict(federation=FederationConfig(n_zones=1)), n_jobs=8),
     "zones_2_spill": Scenario(
         testbed=dict(
             federation=FederationConfig(n_zones=2, max_queued_per_machine=1)
@@ -120,7 +120,8 @@ SCENARIOS: Dict[str, Scenario] = {
     # client's retry budget (the set is stolen by z02, next on the ring),
     # z02's head then blinks (re-adoption) and a grid machine reboots.
     "zones_4_bounces": Scenario(
-        testbed=dict(FT, n_machines=8, federation=4), n_jobs=8,
+        testbed=dict(FT, n_machines=8, federation=FederationConfig(n_zones=4)),
+        n_jobs=8,
         bounces=(
             ("node01", 4.0, 5.0), ("uvacg-z01", 6.0, 40.0),
             ("uvacg-z02", 30.0, 3.0),

@@ -29,7 +29,7 @@ PAYLOAD = b"chaos-proof payload"
 DROP_THRESHOLD = 0.20
 
 
-def _build(n_jobs, drop, fault_seed, retries, perf=None):
+def _build(n_jobs, drop, fault_seed, retries, perf=False):
     policy = RetryPolicy(
         max_attempts=5, base_delay_s=0.2, backoff_factor=2.0,
         max_delay_s=2.0, timeout_s=30.0,
@@ -120,11 +120,9 @@ class TestChaosWithPerfLayer:
     destroyed resource, no serving pre-retry state."""
 
     def _run_with_perf(self, n_jobs=10):
-        from repro.gridapp import PerfConfig
-
         tb, client, spec = _build(
             n_jobs=n_jobs, drop=DROP_THRESHOLD, fault_seed=3, retries=True,
-            perf=PerfConfig(),
+            perf=True,
         )
         outcome, jobset_epr, _ = tb.run(
             client.run_job_set_polled(spec, period=3.0, give_up_after=2000.0)

@@ -44,7 +44,7 @@ from hypothesis import strategies as st
 
 from repro.db import BlobResourceStore, CachedResourceStore, DecodeCache, SqlResourceStore
 from repro.db.resource_store import decode_state, encode_state
-from repro.gridapp import FaultToleranceConfig, FileRef, JobSpec, Testbed
+from repro.gridapp import FaultToleranceConfig, FederationConfig, FileRef, JobSpec, Testbed
 from repro.net import RetryPolicy
 from repro.osim.programs import make_compute_program
 from repro.soap import (
@@ -1212,7 +1212,8 @@ class TestHandOffFromOutside:
         policy = RetryPolicy(max_attempts=8, base_delay_s=0.5, backoff_factor=2.0,
                              max_delay_s=3.0, timeout_s=30.0)
         tb = Testbed(
-            n_machines=4, seed=11, machine_speeds=[1.0] * 4, federation=2,
+            n_machines=4, seed=11, machine_speeds=[1.0] * 4,
+            federation=FederationConfig(n_zones=2),
             retry_policy=policy, broker_redelivery=policy,
             fault_tolerance=FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0),
         )

@@ -213,7 +213,8 @@ class TestSingleZoneDifferential:
         ]
         assert single.zones == [] and single.root is None
 
-        zoned = Testbed(n_machines=2, seed=11, observability=True, federation=1)
+        zoned = Testbed(n_machines=2, seed=11, observability=True,
+                        federation=FederationConfig(n_zones=1))
         z_hosts, z_wrappers, z_by_serial = assembly_order(zoned)
         assert z_hosts == z_by_serial == ["uvacg-root", "uvacg-z00", "node00", "node01"]
         assert z_wrappers == [
@@ -251,15 +252,19 @@ def _spec_of(client, tb, n_jobs):
 
 
 class TestFederatedTopology:
-    def test_int_shorthand_and_linux_exclusion(self):
-        tb = Testbed(n_machines=2, federation=2,
-                     start_utilization_services=False)
-        assert isinstance(tb.federation, FederationConfig)
-        assert tb.federation.n_zones == 2
+    @pytest.mark.parametrize("federation", [2, True, "z00"])
+    def test_federation_is_a_config_or_none(self, federation):
+        """One spelling: ``federation=True`` used to build a 1-zone
+        federation through ``FederationConfig(n_zones=True)``."""
+        with pytest.raises(TypeError):
+            Testbed(n_machines=2, federation=federation)
+
+    def test_linux_exclusion_and_zone_count(self):
+        two = FederationConfig(n_zones=2)
         with pytest.raises(ValueError):
-            Testbed(n_machines=2, federation=2, n_linux_machines=1)
+            Testbed(n_machines=2, federation=two, n_linux_machines=1)
         with pytest.raises(ValueError):
-            Testbed(n_machines=1, federation=2)  # more zones than machines
+            Testbed(n_machines=1, federation=two)  # more zones than machines
 
     def test_machines_shard_round_robin(self):
         tb = _federated_testbed(n_machines=4)

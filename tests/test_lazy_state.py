@@ -19,7 +19,7 @@ import repro.db.resource_store as resource_store
 import repro.wsrf.attributes as attributes
 from repro.db import BlobResourceStore, CachedResourceStore, SqlResourceStore, XmlResourceStore
 from repro.db.resource_store import encode_state
-from repro.gridapp import JobSetSpec, PerfConfig
+from repro.gridapp import JobSetSpec
 from repro.gridapp.scheduler import SchedulerService
 from repro.net import Network
 from repro.osim import Machine
@@ -59,7 +59,7 @@ def _drive(env, gen):
     return proc.value
 
 
-def _fabric(service_cls, store=None, perf=None):
+def _fabric(service_cls, store=None, perf=False):
     env = Environment()
     net = Network(env)
     machine = Machine(net, "server")
@@ -68,7 +68,7 @@ def _fabric(service_cls, store=None, perf=None):
     return env, wrapper, WsrfClient(net, "client")
 
 
-@pytest.mark.parametrize("perf", [None, PerfConfig()], ids=["plain", "perf"])
+@pytest.mark.parametrize("perf", [False, True], ids=["plain", "perf"])
 def test_a_dispatch_copies_only_the_fields_it_reads(monkeypatch, perf):
     env, wrapper, client = _fabric(Ledger, perf=perf)
     epr = _drive(env, client.call(wrapper.service_epr(), UVA, "Create"))

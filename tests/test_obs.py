@@ -19,7 +19,6 @@ from repro.obs import (
     render_event_tail,
     render_trace,
 )
-from repro.perf import PerfConfig
 from repro.sim import Environment
 from repro.wsrf import InvalidResourcePropertyQNameFault, ResourceUnknownFault
 from repro.wsrf.tooling import WrapperService
@@ -266,7 +265,7 @@ class TestEndToEnd:
         the stage spans come in table order, never overlap, all close
         and add up to the dispatch span."""
         table = ["wsrf.dispatch.epr_resolve"] + [s[0] for s in WrapperService._STAGES]
-        perf_run = _completed(perf=PerfConfig())
+        perf_run = _completed(perf=True)
         soap = perf_run.make_client().soap
         jobset = perf_run.scheduler.epr_for(perf_run.scheduler.resource_ids()[0])
         with pytest.raises(ResourceUnknownFault):

@@ -1,6 +1,6 @@
 """Differential harness: the performance layer changes latencies only.
 
-``Testbed(perf=PerfConfig())`` turns on state caching, write elision,
+``Testbed(perf=True)`` turns on state caching, write elision,
 batched notification fan-out and NIS pass caching.  The layer's whole
 contract is *outcome equivalence*: the same job sets must produce
 byte-identical results, trace content and final resource state as the
@@ -34,7 +34,6 @@ from repro.db import (
     DbError,
     NoSuchResource,
 )
-from repro.gridapp import PerfConfig
 from repro.wsn import build_notify_batch_body, parse_notify_body
 from repro.xmlx import NS, Element, QName
 
@@ -74,7 +73,7 @@ class TestDifferentialFig3:
 
     def test_independent_jobset_equivalent(self):
         off = _run(None)
-        on = _run(PerfConfig())
+        on = _run(True)
         self._assert_equivalent(off, on)
         # ...and the optimizations actually engaged:
         tb = on["tb"]
@@ -94,11 +93,11 @@ class TestDifferentialFig3:
     def test_chain_jobset_equivalent(self):
         """Dependencies exercise job_dirs fill-in and inter-FSS staging."""
         off = _run(None, chain=True)
-        on = _run(PerfConfig(), chain=True)
+        on = _run(True, chain=True)
         self._assert_equivalent(off, on)
 
     def test_caches_remain_coherent_after_run(self):
-        on = _run(PerfConfig())
+        on = _run(True)
         tb = on["tb"]
         wrappers = [tb.scheduler, tb.broker, tb.node_info]
         wrappers += list(tb.es.values()) + list(tb.fss.values())
@@ -111,7 +110,7 @@ class TestDifferentialFig3:
         each pipeline with itself on the reference codec, and is stricter
         than the layer's — no simulated quantity may move, timestamps
         included."""
-        for perf in (None, PerfConfig()):
+        for perf in (False, True):
             run = _run(perf)
             with reference_codec():
                 reference = _run(perf)
@@ -313,7 +312,7 @@ class TestBatchedNotifications:
     def test_per_job_event_order_preserved_end_to_end(self):
         """Across a whole batched Fig. 3 run, every job's lifecycle
         events reach the client in causal order."""
-        on = _run(PerfConfig())
+        on = _run(True)
         per_job = {}
         for topic, _local in on["client_events"]:
             parts = topic.split("/")
@@ -378,7 +377,7 @@ class TestWriteElision:
 
     def test_read_only_dispatch_sheds_db_load_delay(self):
         results = {}
-        for perf in (None, PerfConfig()):
+        for perf in (False, True):
             env, net, machine, client, wrapper = self._fabric(perf)
             epr = self._drive(env, client.call(wrapper.service_epr(), UVA, "Create"))
             start = env.now
@@ -388,7 +387,7 @@ class TestWriteElision:
                     yield from client.call(epr, UVA, "ReadValue")
 
             self._drive(env, reads())
-            results[perf is not None] = (env.now - start) / 10
+            results[perf] = (env.now - start) / 10
         db = 0.0008  # machine.params.db_access_s
         assert results[True] < results[False]
         # Read path sheds the full db_load delay (db_save is already
@@ -398,7 +397,7 @@ class TestWriteElision:
 
     def test_elision_drops_the_db_save_stage(self):
         env, net, machine, client, wrapper = self._fabric(
-            PerfConfig(), observability=True
+            True, observability=True
         )
         obs = net.obs
         epr = self._drive(env, client.call(wrapper.service_epr(), UVA, "Create"))
@@ -420,7 +419,7 @@ class TestWriteElision:
         assert hit_attrs.count("hit") == 6  # create primed the cache
 
     def test_mutations_are_never_elided(self):
-        env, net, machine, client, wrapper = self._fabric(PerfConfig())
+        env, net, machine, client, wrapper = self._fabric(True)
         epr = self._drive(env, client.call(wrapper.service_epr(), UVA, "Create"))
         for expected in (1, 2, 3):
             got = self._drive(env, client.call(epr, UVA, "Increment"))
@@ -430,10 +429,10 @@ class TestWriteElision:
         assert wrapper.store.inner.saves >= 4  # create + three increments
 
     def test_switch_builds_the_cache_unless_a_store_is_given(self):
-        *_, wrapper = self._fabric(PerfConfig())
+        *_, wrapper = self._fabric(True)
         assert isinstance(wrapper.store, CachedResourceStore)
         given = BlobResourceStore()
-        env, net, machine, client, wrapper = self._fabric(PerfConfig(), store=given)
+        env, net, machine, client, wrapper = self._fabric(True, store=given)
         assert wrapper.store is given
         # The rest of the layer runs over the store as given: nothing
         # is served from a cache, clean saves are still elided.
@@ -443,9 +442,9 @@ class TestWriteElision:
         assert (wrapper.loads_elided, wrapper.writes_elided) == (0, 1)
 
     def test_default_off_keeps_plain_store_and_pipeline(self):
-        env, net, machine, client, wrapper = self._fabric(None)
+        env, net, machine, client, wrapper = self._fabric(False)
         assert isinstance(wrapper.store, BlobResourceStore)
-        assert wrapper.perf is None
+        assert wrapper.perf is False
         epr = self._drive(env, client.call(wrapper.service_epr(), UVA, "Create"))
         self._drive(env, client.call(epr, UVA, "ReadValue"))
         assert wrapper.writes_elided == 0

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gridapp import FaultToleranceConfig, PerfConfig
+from repro.gridapp import FaultToleranceConfig
 from repro.net import DeliveryError, Network, RetryPolicy
 from repro.osim import Machine, MachineParams
 from repro.sim import Environment
@@ -138,7 +138,7 @@ class TestCrashPointSweep:
 class TestDifferentialRestartIdle:
     """Bouncing an idle host must be invisible in the final state."""
 
-    def _two_phase(self, restart, perf=None, observability=False):
+    def _two_phase(self, restart, perf=False, observability=False):
         tb = _make_testbed(duration=5.0, perf=perf,
                            observability=observability)
         client = tb.make_client()
@@ -148,7 +148,7 @@ class TestDifferentialRestartIdle:
         if restart:
             proc = tb.restart_host("node01", at=mark + 2.0, down_for=5.0)
             tb.env.run(until=proc)
-            if perf is not None:
+            if perf:
                 # Satellite: the blob caches must be coherent right after
                 # every restart, before any post-restart traffic.
                 tb.es["node01"].store.assert_coherent()
@@ -176,8 +176,8 @@ class TestDifferentialRestartIdle:
         """Same equivalence with caching/elision on — restore must
         invalidate the blob cache, not serve pre-restart state."""
         self._assert_equivalent(
-            self._two_phase(restart=False, perf=PerfConfig()),
-            self._two_phase(restart=True, perf=PerfConfig()),
+            self._two_phase(restart=False, perf=True),
+            self._two_phase(restart=True, perf=True),
         )
 
     def test_observed_restart_run_exports_deterministically(self):
@@ -228,7 +228,7 @@ class Announcer(ServiceSkeleton):
         return "ok"
 
 
-def _wal_fabric(db_access_s=0.0008, perf=None):
+def _wal_fabric(db_access_s=0.0008, perf=False):
     env = Environment()
     net = Network(env)
     machine = Machine(
@@ -301,7 +301,7 @@ class TestWriteAheadContract:
         """PR 5's write elision skips the db_save stage when nothing
         changed; the WAL flush must still run (the state the send
         describes was already durable)."""
-        env, net, machine, wrapper, client = _wal_fabric(perf=PerfConfig())
+        env, net, machine, wrapper, client = _wal_fabric(perf=True)
         epr = _drive(env, client.call(wrapper.service_epr(), UVA, "Create"))
         _drive(env, client.call(epr, UVA, "AnnounceOnly"))
         _drive(env, client.call(epr, UVA, "AnnounceOnly"))

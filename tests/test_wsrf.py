@@ -11,7 +11,6 @@ from repro.analysis.sanitizer import RaceSanitizer
 from repro.net import Network
 from repro.obs import Observability
 from repro.osim import Machine, MachineParams
-from repro.perf import PerfConfig
 from repro.sim import Environment
 from repro.soap import SoapFault
 from repro.wsrf import (
@@ -443,7 +442,7 @@ class TestStateStoreIntegration:
         run(env, client.get_resource_property(epr, QName(UVA, "Mutable")))
         assert env.now - t0 >= machine.params.db_access_s
 
-    @pytest.mark.parametrize("perf", [None, PerfConfig()], ids=["default", "perf"])
+    @pytest.mark.parametrize("perf", [False, True], ids=["default", "perf"])
     def test_create_and_destroy_are_charged_to_their_own_dispatch(self, perf):
         """Two overlapping dispatches on one wrapper: each db_save stage
         lasts its own invocation's creates and destroys times the db
