@@ -29,6 +29,38 @@ settings.register_profile("dev", deadline=None, max_examples=100)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--sanitize-all", action="store_true",
+        help="build every Testbed with sanitize=True and fail a test at "
+             "teardown if any of its sanitizers reported a condition",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _sanitize_all(request, monkeypatch):
+    """Under ``--sanitize-all`` every ``Testbed`` a test builds carries
+    the runtime race sanitizer (docs/static_analysis.md), and each must
+    finish clean.  The sanitizer observes only, so the tests' own
+    assertions hold unchanged."""
+    if not request.config.getoption("--sanitize-all"):
+        yield
+        return
+    from repro.gridapp import Testbed
+
+    built = []
+    assemble = Testbed.__init__
+
+    def sanitized(self, *args, **kwargs):
+        assemble(self, *args, **dict(kwargs, sanitize=True))
+        built.append(self)
+
+    monkeypatch.setattr(Testbed, "__init__", sanitized)
+    yield
+    for tb in built:
+        tb.san.assert_clean()
+
+
 @pytest.fixture
 def reference_codec(monkeypatch):
     """``with reference_codec():`` forces every network and every
