@@ -44,6 +44,7 @@ from repro.gridapp.testbed import Testbed
 class PerfConfig:
     """Truthy, so ``Testbed(perf=PerfConfig())`` means ``perf=True``."""
 
+
 __all__ = [
     "AggregatorCatalogService",
     "EventTrace",

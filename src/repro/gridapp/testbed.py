@@ -94,7 +94,7 @@ class Testbed:
         if len(machine_speeds) != n_machines:
             raise ValueError("machine_speeds length must equal n_machines")
         if scheduling_policy not in SCHEDULING_POLICIES:
-            raise ValueError(f"scheduling_policy must be one of {SCHEDULING_POLICIES}")
+            raise ValueError(f"scheduling_policy {scheduling_policy!r} not in {SCHEDULING_POLICIES}")
         if federation is not None:
             if not isinstance(federation, FederationConfig):
                 raise TypeError(f"federation must be a FederationConfig or None: {federation!r}")

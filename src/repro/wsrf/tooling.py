@@ -202,11 +202,12 @@ class WrapperService:
         methods, port types), the wrapper's own bookkeeping, and the
         state the service declares in ``ServiceSkeleton.DEPLOYMENT`` —
         wiring, per-boot working state, counters — at its initial
-        values.  Whoever assembles the grid assigns the wiring
-        before the deployment serves a call; readers use ``wrapper.<name>`` and never ask whether
-        an attribute exists.  (Only the brokered-notification port
-        types of ``wsn/broker.py``, which any service may import, still
-        create their state on first use.)
+        values.  Whoever assembles the grid assigns the wiring right
+        after this, before the deployment serves a call; readers use
+        ``wrapper.<name>`` and never ask whether an attribute exists.
+        (Only the brokered-notification port types of ``wsn/broker.py``,
+        which any service may import, still create their state on first
+        use.)
         """
         if not issubclass(service_cls, ServiceSkeleton):
             raise TypeError(

@@ -266,8 +266,8 @@ class TestRetryPolicyMath:
             RetryPolicy(base_delay_s=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=2.0)
-        # NaN compares False both ways: each of these once ran with no
-        # backoff or crashed the kernel with a NaN timeout delay.
+        # NaN compares False against any bound: accepted, these would
+        # retry with no backoff or hand the kernel a NaN timeout delay.
         for field in ("base_delay_s", "max_delay_s", "backoff_factor", "timeout_s"):
             with pytest.raises(ValueError):
                 RetryPolicy(**{field: float("nan")})
@@ -286,8 +286,8 @@ class TestAssemblyValidation:
     mechanism off is refused when the testbed is built."""
 
     @pytest.mark.parametrize("kwargs", [
-        dict(watchdog_period=_NAN),  # negative timeout delay: nan
-        dict(stuck_after=_NAN),  # stuck-job recovery never fires
+        dict(watchdog_period=_NAN),  # the watchdog would sleep for NaN
+        dict(stuck_after=_NAN),  # stuck-job recovery would never fire
     ], ids=["watchdog_period=nan", "stuck_after=nan"])
     def test_fault_tolerance_config(self, kwargs):
         from repro.gridapp import FaultToleranceConfig
@@ -296,11 +296,11 @@ class TestAssemblyValidation:
             FaultToleranceConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(utilization_period=0.0),  # the sampler spins at t = 0
-        dict(utilization_period=-1.0),  # negative timeout delay mid-run
-        dict(utilization_threshold=_NAN),  # reports once, then never
-        dict(n_machines=2, machine_speeds=[1.0, _NAN]),
-        dict(scheduling_policy="fastest"),  # failed at the first dispatch
+        dict(utilization_period=0.0),  # the sampler would spin at t = 0
+        dict(utilization_period=-1.0),  # a negative delay, mid-run
+        dict(utilization_threshold=_NAN),  # one report, then none
+        dict(n_machines=2, machine_speeds=[1.0, _NAN]),  # NaN job durations
+        dict(scheduling_policy="fastest"),  # unknown to choose_machine
     ], ids=["period=0", "period<0", "threshold=nan", "speed=nan", "policy=fastest"])
     def test_testbed(self, kwargs):
         with pytest.raises(ValueError):

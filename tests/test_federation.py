@@ -254,8 +254,8 @@ def _spec_of(client, tb, n_jobs):
 class TestFederatedTopology:
     @pytest.mark.parametrize("federation", [2, True, "z00"])
     def test_federation_is_a_config_or_none(self, federation):
-        """One spelling: ``federation=True`` used to build a 1-zone
-        federation through ``FederationConfig(n_zones=True)``."""
+        """One spelling: anything else is refused, so ``True`` cannot
+        turn into ``FederationConfig(n_zones=True)``."""
         with pytest.raises(TypeError):
             Testbed(n_machines=2, federation=federation)
 
