@@ -72,7 +72,7 @@ class TestDifferentialFig3:
         assert sorted(on["client_events"]) == sorted(off["client_events"])
 
     def test_independent_jobset_equivalent(self):
-        off = _run(None)
+        off = _run(False)
         on = _run(True)
         self._assert_equivalent(off, on)
         # ...and the optimizations actually engaged:
@@ -92,7 +92,7 @@ class TestDifferentialFig3:
 
     def test_chain_jobset_equivalent(self):
         """Dependencies exercise job_dirs fill-in and inter-FSS staging."""
-        off = _run(None, chain=True)
+        off = _run(False, chain=True)
         on = _run(True, chain=True)
         self._assert_equivalent(off, on)
 
