@@ -165,33 +165,6 @@ def render_gantt(report: JobSetReport, width: int = 60) -> str:
     return "\n".join(lines)
 
 
-def render_run_metrics(obs) -> str:
-    """Key run metrics from an attached Observability (see repro.obs).
-
-    Complements the notification-derived views above with fabric-side
-    numbers: message/byte counts per transport and the Fig. 1
-    dispatch-stage latency breakdown.  Used by the FIG-3 benchmark to
-    record the perf trajectory (BENCH_fig3.json).
-    """
-    from repro.obs.dashboard import render_pipeline_breakdown
-
-    obs.collect()
-    reg = obs.registry
-    lines = ["run metrics:"]
-    lines.append(
-        f"  messages: {int(reg.value('net.messages'))} "
-        f"({int(reg.value('net.bytes'))} B on the wire)"
-    )
-    for name, labels, metric in reg.query("net.messages"):
-        if labels.get("scheme"):
-            lines.append(f"    {labels['scheme']}: {int(metric.value)}")
-    recoveries = sum(m.value for _, _, m in reg.query("scheduler.recoveries"))
-    if recoveries:
-        lines.append(f"  scheduler recoveries: {int(recoveries)}")
-    lines.append(render_pipeline_breakdown({"metrics": reg.snapshot(), "spans": []}))
-    return "\n".join(lines)
-
-
 def render_summary(report: JobSetReport) -> str:
     """A per-job summary table (staging / run / outcome)."""
     lines = [f"job set {report.topic}: {report.outcome}"]

@@ -1,4 +1,6 @@
-"""Unified observability: metrics registry + correlated message spans.
+"""Unified observability: correlated message spans + metrics registry.
+
+Spans are the one record; the event log and the histograms are views.
 
 Quick start::
 
@@ -10,6 +12,7 @@ Quick start::
     obs.collect()
     obs.registry.value("net.messages", scheme="soap.tcp")
     print(render_dashboard(obs.snapshot()))
+    pathlib.Path("events.jsonl").write_text(obs.event_log())
 
 See ``docs/observability.md`` for the namespace catalog and span model.
 """
@@ -24,7 +27,7 @@ from repro.obs.dashboard import (
     render_slowest_spans,
     render_trace,
 )
-from repro.obs.eventlog import ObsEventLog, parse_jsonl
+from repro.obs.eventlog import parse_jsonl, spans_to_jsonl
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -40,7 +43,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "ObsEventLog",
     "Observability",
     "Span",
     "SpanRecorder",
@@ -54,4 +56,5 @@ __all__ = [
     "render_pipeline_breakdown",
     "render_slowest_spans",
     "render_trace",
+    "spans_to_jsonl",
 ]

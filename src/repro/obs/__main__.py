@@ -5,7 +5,7 @@ Three modes:
 - default: run the seeded demo workload (a small FIG-3-style job set on
   the testbed with observability attached) and render its dashboard;
   ``--json PATH`` additionally writes the deterministic JSON export
-  and ``--events PATH`` the structured JSONL event log.
+  and ``--events PATH`` the JSONL event log, a view of the run's spans.
 - ``render FILE``: render a previously exported ``.json`` snapshot
   (e.g. the ``BENCH_fig3.json`` CI artifact).
 - ``tail FILE``: print the last records of a JSONL event log export.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.dashboard import load_snapshot, render_dashboard, render_event_tail
 from repro.obs.eventlog import parse_jsonl
@@ -45,7 +45,6 @@ def run_demo(
         observability=True,
     )
     assert testbed.obs is not None
-    event_log = testbed.obs.enable_event_log()
     testbed.programs.register(
         make_compute_program("work", 5.0, outputs={"out": b"x"})
     )
@@ -59,20 +58,19 @@ def run_demo(
         raise SystemExit(f"demo job set did not complete: {outcome!r}")
     testbed.settle()
     if events_path is not None:
-        pathlib.Path(events_path).write_text(
-            event_log.to_jsonl(), encoding="utf-8"
-        )
+        pathlib.Path(events_path).write_text(testbed.obs.event_log(), encoding="utf-8")
     return testbed.obs.snapshot()
 
 
-def _read_file(path: str) -> Optional[str]:
-    """File contents, or None after printing a clear error to stderr."""
+def _load(path: str, parse: Callable[[str], Any], what: str) -> Any:
+    """*parse* of the file at *path*, or None after a one-line error."""
     try:
-        return pathlib.Path(path).read_text(encoding="utf-8")
+        return parse(pathlib.Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        reason = exc.strerror or str(exc)
-        print(f"error: cannot read {path!r}: {reason}", file=sys.stderr)
-        return None
+        print(f"error: cannot read {path!r}: {exc.strerror or exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"error: {path!r} is not {what}: {exc}", file=sys.stderr)
+    return None
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -112,31 +110,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(raw)
 
     if args.command == "render":
-        text = _read_file(args.file)
-        if text is None:
-            return 2
-        try:
-            snapshot = load_snapshot(text)
-        except ValueError as exc:
-            print(
-                f"error: {args.file!r} is not an observability export: {exc}",
-                file=sys.stderr,
-            )
+        snapshot = _load(args.file, load_snapshot, "an observability export")
+        if snapshot is None:
             return 2
         print(render_dashboard(snapshot, top=args.top))
         return 0
 
     if args.command == "tail":
-        text = _read_file(args.file)
-        if text is None:
-            return 2
-        try:
-            events = parse_jsonl(text)
-        except ValueError as exc:
-            print(
-                f"error: {args.file!r} is not a JSONL event log: {exc}",
-                file=sys.stderr,
-            )
+        events = _load(args.file, parse_jsonl, "a JSONL event log")
+        if events is None:
             return 2
         print(render_event_tail(events, n=args.n))
         return 0

@@ -7,7 +7,8 @@ Attach one per simulation::
 
 From then on every :class:`~repro.wsrf.tooling.WrapperService` deployed
 on that network self-registers, instrumentation sites record spans, and
-:meth:`collect` mirrors the stack's ad-hoc counters (``NetworkStats``,
+:meth:`collect` computes the ``<span>_s`` duration histograms from the
+finished spans and mirrors the stack's ad-hoc counters (``NetworkStats``,
 resource-store op counters, notification producers, IIS, Scheduler
 recoveries) into the metrics registry under the documented namespaces
 (see ``docs/observability.md`` for the catalog).
@@ -24,9 +25,9 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Set
 
-from repro.obs.eventlog import ObsEventLog
+from repro.obs.eventlog import spans_to_jsonl
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.spans import Span, SpanRecorder
+from repro.obs.spans import METRIC_LABELS, Span, SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network, NetworkStats
@@ -65,25 +66,11 @@ class Observability:
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.registry = MetricsRegistry()
-        self.spans = SpanRecorder(env, self.registry)
-        #: structured JSONL event log, None until enable_event_log()
-        self.events: Optional[ObsEventLog] = None
+        self.spans = SpanRecorder(env)
         self._networks: List["Network"] = []
         self._wrappers: List[Any] = []
 
     # -- wiring ----------------------------------------------------------------
-
-    def enable_event_log(self) -> ObsEventLog:
-        """Mirror span lifecycle into a structured JSONL event log.
-
-        Idempotent; returns the log.  Driven by simulated time only, so
-        enabling it never changes a run's results or its JSON export
-        (the log is a separate artifact, not part of snapshot()).
-        """
-        if self.events is None:
-            self.events = ObsEventLog(self.env)
-            self.spans.event_log = self.events
-        return self.events
 
     def attach(self, network: "Network") -> "Observability":
         """Make *network* observed: sets ``network.obs`` to self."""
@@ -118,7 +105,9 @@ class Observability:
     # -- collection ------------------------------------------------------------
 
     def collect(self) -> MetricsRegistry:
-        """Mirror every ad-hoc counter into the registry; returns it."""
+        """Rebuild the span histograms and mirror every ad-hoc counter
+        into the registry; returns it."""
+        self._collect_spans()
         # The codec hand-off counters are exported under the perf layer
         # only: default exports stay byte-identical to the paper-shape run.
         perf_on = any(w.perf for w in self._wrappers)
@@ -129,6 +118,16 @@ class Observability:
         for wrapper in self._wrappers:
             self._collect_wrapper(wrapper, seen_stores, seen_machines)
         return self.registry
+
+    def _collect_spans(self) -> None:
+        """Replace each ``<name>_s`` histogram by its finished spans' durations."""
+        durations: Dict[tuple, List[float]] = {}
+        for span in self.spans.spans:
+            if span.end is not None:
+                labels = tuple((k, str(span.attrs[k])) for k in METRIC_LABELS if k in span.attrs)
+                durations.setdefault((span.name, labels), []).append(span.end - span.start)
+        for (name, labels), values in durations.items():
+            self.registry.histogram(f"{name}_s", **dict(labels)).values = values
 
     def _collect_network(self, network: "Network", perf_on: bool) -> None:
         stats: "NetworkStats" = network.stats
@@ -256,3 +255,7 @@ class Observability:
     def export_json(self) -> str:
         """Deterministic JSON: identical seeded runs export identical bytes."""
         return json.dumps(self.snapshot(), sort_keys=True, indent=1)
+
+    def event_log(self) -> str:
+        """The JSONL event log of every span recorded so far."""
+        return spans_to_jsonl(self.spans.spans)

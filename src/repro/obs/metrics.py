@@ -2,12 +2,11 @@
 
 One queryable namespace for every number the reproduction produces.
 Metric identity is ``name`` plus a label set, rendered Prometheus-style
-as ``net.messages{scheme=soap.tcp}``; values come either from direct
-instrumentation (span durations feed histograms) or from *collectors*
-that mirror the stack's pre-existing ad-hoc counters (``NetworkStats``,
-resource-store op counters, notification-producer counters, ...) into
-the registry at collection time — so reading the registry costs the
-simulated world nothing.
+as ``net.messages{scheme=soap.tcp}``.  ``Observability.collect`` fills
+it: histograms from the finished spans' durations, counters and gauges
+from the stack's ad-hoc counters (``NetworkStats``, resource-store op
+counters, notification-producer counters, ...) — so reading the
+registry costs the simulated world nothing.
 
 Histograms record *simulated* durations (seconds of ``env.now``), never
 wall-clock time, and keep every observation: no reservoir sampling, no

@@ -15,6 +15,10 @@ is attached to the network (instrumentation sites guard on ``obs is
 None``), cost zero simulated time, and take all timestamps from
 ``env.now`` — never the wall clock — so recording is invisible to the
 simulation and byte-reproducible across seeded runs.
+
+The span list is the only record: the JSONL event log and the ``<span>_s``
+histograms are computed from it.  A recorder-wide counter stamps each start
+and finish, since many spans start and finish at the same simulated ``t``.
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.obs.eventlog import ObsEventLog
-    from repro.obs.metrics import MetricsRegistry
     from repro.sim import Environment
 
-#: span attributes that become histogram labels when the span closes;
-#: everything else (message ids, EPRs) is too high-cardinality to index
+#: span attributes that label the span's duration histogram; everything
+#: else (message ids, EPRs) is too high-cardinality to index.  They are
+#: read when the histograms are collected, so none is written after the
+#: span finishes.
 METRIC_LABELS = ("service", "host", "scheme", "category", "operation", "leg", "kind")
 
 
@@ -36,7 +40,7 @@ class Span:
 
     __slots__ = (
         "span_id", "parent_id", "name", "start", "end", "attrs", "message_id",
-        "detached",
+        "detached", "start_seq", "finish_seq",
     )
 
     def __init__(
@@ -47,6 +51,7 @@ class Span:
         start: float,
         message_id: Optional[str],
         attrs: Dict[str, object],
+        start_seq: int,
     ) -> None:
         self.span_id = span_id
         self.parent_id = parent_id
@@ -58,6 +63,9 @@ class Span:
         #: ownership moved to a detached process (a handed-off one-way
         #: send): an ancestor's finish_subtree must not close it
         self.detached = False
+        #: the recorder's counter at this span's start and finish
+        self.start_seq = start_seq
+        self.finish_seq: Optional[int] = None
 
     @property
     def finished(self) -> bool:
@@ -75,19 +83,16 @@ class Span:
 class SpanRecorder:
     """Append-only store of spans plus the message-id correlation table."""
 
-    def __init__(self, env: "Environment", registry: Optional["MetricsRegistry"] = None) -> None:
+    def __init__(self, env: "Environment") -> None:
         self.env = env
-        self.registry = registry
-        self.spans: List[Span] = []
-        self._by_id: Dict[int, Span] = {}
+        self.spans: List[Span] = []  # a span's id is its position + 1
         #: insertion-ordered index of OPEN spans (subset of ``spans``),
         #: so subtree closes scan live spans instead of the whole run
         self._open: Dict[int, Span] = {}
         #: innermost-last stacks of OPEN spans, keyed by message id
         self._open_by_message: Dict[str, List[Span]] = {}
-        self._next_id = 1
-        #: optional structured event log mirroring span lifecycle
-        self.event_log: Optional["ObsEventLog"] = None
+        #: starts plus finishes so far: orders every span event
+        self._seq = 0
 
     # -- recording -------------------------------------------------------------
 
@@ -111,31 +116,29 @@ class SpanRecorder:
             stack = self._open_by_message.get(message_id)
             if stack:
                 parent = stack[-1]
+        self._seq += 1
         span = Span(
-            span_id=self._next_id,
+            span_id=len(self.spans) + 1,
             parent_id=None if parent is None else parent.span_id,
             name=name,
             start=self.env.now,
             message_id=message_id,
             attrs=dict(attrs) if attrs else {},
+            start_seq=self._seq,
         )
-        self._next_id += 1
         self.spans.append(span)
-        self._by_id[span.span_id] = span
         self._open[span.span_id] = span
         if message_id is not None:
             self._open_by_message.setdefault(message_id, []).append(span)
-        if self.event_log is not None:
-            self.event_log.emit(
-                "span.start", span=span.span_id, name=name, parent=span.parent_id
-            )
         return span
 
     def finish(self, span: Span) -> None:
-        """Close *span* (idempotent) and feed its duration histogram."""
+        """Close *span* (idempotent)."""
         if span.end is not None:
             return
         span.end = self.env.now
+        self._seq += 1
+        span.finish_seq = self._seq
         self._open.pop(span.span_id, None)
         if span.message_id is not None:
             stack = self._open_by_message.get(span.message_id)
@@ -143,18 +146,6 @@ class SpanRecorder:
                 stack.remove(span)
                 if not stack:
                     del self._open_by_message[span.message_id]
-        if self.registry is not None:
-            labels = {
-                key: str(span.attrs[key]) for key in METRIC_LABELS if key in span.attrs
-            }
-            self.registry.observe(f"{span.name}_s", span.end - span.start, **labels)
-        if self.event_log is not None:
-            self.event_log.emit(
-                "span.finish",
-                span=span.span_id,
-                name=span.name,
-                dur=span.end - span.start,
-            )
 
     def finish_subtree(self, root: Span) -> None:
         """Close *root* and any still-open owned descendants.
@@ -172,23 +163,20 @@ class SpanRecorder:
         self.finish(root)
 
     def _owned_descendant(self, span: Span, ancestor: Span) -> bool:
-        seen = 0
+        # A parent starts before its child, so ids fall along the walk.
         current: Optional[Span] = span
-        while current is not None and seen < len(self._by_id) + 1:
+        while current is not None:
             if current.span_id == ancestor.span_id:
                 return True
             if current.detached and current.end is None:
                 return False  # shielded: a live handed-off send en route
-            seen += 1
-            current = (
-                None if current.parent_id is None else self._by_id.get(current.parent_id)
-            )
+            current = None if current.parent_id is None else self.get(current.parent_id)
         return False
 
     # -- queries ---------------------------------------------------------------
 
     def get(self, span_id: int) -> Optional[Span]:
-        return self._by_id.get(span_id)
+        return self.spans[span_id - 1] if 0 < span_id <= len(self.spans) else None
 
     def open_spans(self) -> List[Span]:
         return list(self._open.values())

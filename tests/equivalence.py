@@ -5,7 +5,7 @@ A refactor that claims "same bytes" proves it here: every scenario in
 the run left behind to one sha256 per component — the result, the
 simulated clock, the timed Fig. 3 step trace, every ``NetworkStats``
 field, every wrapper's stored blobs, the per-wrapper counters, the obs
-JSON export and the JSONL event log.  ``tests/golden_fingerprints.json``
+JSON export and the JSONL event log (both views of the run's spans).  ``tests/golden_fingerprints.json``
 holds the hashes of the commit that last *meant* to change one;
 ``tests/test_equivalence.py`` compares, and names the first component
 that differs.
@@ -141,8 +141,6 @@ def run_scenario(scenario: Scenario):
     tb = fig3_testbed(
         10.0, {"out.dat": PAYLOAD}, **{"observability": True, **scenario.testbed}
     )
-    if tb.obs is not None:  # a scenario may run unobserved, as the control
-        tb.obs.enable_event_log()
     if scenario.drop:
         tb.network.inject_faults(drop_probability=scenario.drop, seed=3)
     for host, at, down_for in scenario.bounces:
@@ -223,7 +221,7 @@ def fingerprint(tb, result) -> Dict[str, str]:
             for w in wrappers
         ],
         "obs_export": tb.obs.export_json(),
-        "event_log": tb.obs.events.to_jsonl(),
+        "event_log": tb.obs.event_log(),
     }
     return {
         name: hashlib.sha256(repr(value).encode("utf-8")).hexdigest()

@@ -8,7 +8,6 @@ from repro.gridapp.report import (
     RecoveryEvent,
     build_report,
     render_gantt,
-    render_run_metrics,
     render_summary,
 )
 from repro.gridapp.tracing import EventTrace, record, trace_of
@@ -176,19 +175,3 @@ class TestRenderSummary:
         assert "recovered x1" in text
         assert "recoveries: 1" in text
         assert "makespan: 4.00s" in text
-
-
-class TestRenderRunMetrics:
-    def test_reads_from_observability(self):
-        from repro.obs import Observability
-
-        env = Environment()
-        net = Network(env)
-        obs = Observability(env).attach(net)
-        net.stats.record("soap.tcp", 100, "rpc")
-        obs.registry.observe("wsrf.dispatch_s", 0.004, service="S")
-        obs.registry.observe("wsrf.dispatch.db_load_s", 0.001, service="S")
-        text = render_run_metrics(obs)
-        assert "messages: 1" in text
-        assert "soap.tcp: 1" in text
-        assert "wsrf.dispatch.db_load" in text
