@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from repro.soap import to_typed_element
 from repro.wsa import EndpointReference
 from repro.wsrf.servicegroup import (
     ServiceGroupService,
-    group_entries,
     group_entry_ids,
+    kept_entries,
     seed_group,
 )
 from repro.wsrf.attributes import WebMethod
@@ -55,6 +56,93 @@ def parse_processor_content(el: Element) -> Dict:
     }
 
 
+class ProcessorCatalog:
+    """What a NIS deployment knows about its processor group beside the
+    store: which entry holds which machine, and the last catalog it
+    answered.
+
+    Both are read off the group by the one read-only walk
+    (:func:`~repro.wsrf.servicegroup.kept_entries`), which counts every
+    row read as ``load`` would.  Each entry's parsed row is kept against
+    the kept content document it was parsed from, and the
+    ``GetProcessorsResponse`` against the ordered list of those
+    documents: the answer is a pure function of that list, so nothing
+    invalidates either.  ``ReportUtilization``, ``Add``,
+    ``UpdateContent``, an entry's destroy and a host restore all change
+    a row's bytes, hence the document the store keeps for it, hence the
+    list.  A backend that keeps no decoded state serves new documents on
+    every read, and every poll parses and encodes afresh.
+
+    The response element is never handed out: the reply encoder writes
+    the body's text and gives the receiver its own copy (or, when the
+    envelope cannot be spliced, the receiver parses the text), so no
+    receiver can reach the element this view reuses.
+    """
+
+    def __init__(self) -> None:
+        #: {machine name: entry resource id}, rebuilt from the group on a miss
+        self.index: Dict[str, str] = {}
+        #: {id(content document): (that document, its parsed row)}, for
+        #: the documents the last walk met; holding the document keeps
+        #: its id from being reused
+        self._rows: Dict[int, tuple] = {}
+        #: the content documents the kept response was built from
+        self._contents: list = []
+        self._response: Optional[Element] = None
+
+    def __eq__(self, other) -> bool:
+        # Alike when they hold the same index and last answered from the
+        # same documents: a fresh view equals the declared initial value.
+        return (
+            isinstance(other, ProcessorCatalog)
+            and self.index == other.index
+            and self._contents == other._contents
+        )
+
+    def _walk(self, wrapper) -> list:
+        """``(entry_id, content, row)`` of each entry with a content
+        document, in group order; only documents the last walk did not
+        meet are parsed."""
+        seen, self._rows = self._rows, {}
+        out = []
+        ids = group_entry_ids(wrapper, wrapper.nis_group_rid)
+        for entry_id, _, content in kept_entries(wrapper, ids):
+            if content is None:
+                continue
+            memo = seen.get(id(content))
+            if memo is None:
+                memo = (content, parse_processor_content(content))
+            self._rows[id(content)] = memo
+            out.append((entry_id, content, memo[1]))
+        return out
+
+    def response(self, wrapper) -> Element:
+        """The ``GetProcessorsResponse`` body for the group as stored
+        now, encoded only when its content documents changed."""
+        walked = self._walk(wrapper)
+        contents = [content for _, content, _ in walked]
+        # Element equality is identity: the same documents, in order.
+        if self._response is None or contents != self._contents:
+            ns = wrapper.service_cls.SERVICE_NS
+            response = Element(QName(ns, "GetProcessorsResponse"))
+            response.append(to_typed_element(
+                QName(ns, "GetProcessorsResult"), [row for _, _, row in walked]
+            ))
+            self._response, self._contents = response, contents
+        return self._response
+
+    def entry_for(self, wrapper, machine_name: str) -> Optional[str]:
+        """The entry resource id of *machine_name*'s processor."""
+        index = self.index
+        entry_id = index.get(machine_name)
+        if entry_id is not None and wrapper.store.exists(wrapper.service_name, entry_id):
+            return entry_id
+        index.clear()
+        for entry_id, _, row in self._walk(wrapper):
+            index[row["name"]] = entry_id
+        return index.get(machine_name)
+
+
 class NodeInfoService(ServiceGroupService):
     """ServiceGroup + the processor catalog operations."""
 
@@ -64,8 +152,8 @@ class NodeInfoService(ServiceGroupService):
     DEPLOYMENT = {
         #: the processor group's resource id, from setup_node_info
         "nis_group_rid": None,
-        #: {machine name: entry resource id}, rebuilt from the group on a miss
-        "_processor_index": dict,
+        #: the catalog view: machine -> entry index and the last answer
+        "_processor_index": ProcessorCatalog,
     }
 
     @WebMethod(requires_resource=False, one_way=True)
@@ -80,7 +168,7 @@ class NodeInfoService(ServiceGroupService):
         exactly as a ``requires_resource`` dispatch would be.
         """
         wrapper = self.wsrf.wrapper
-        entry_id = self._entry_for(machine_name)
+        entry_id = wrapper._processor_index.entry_for(wrapper, machine_name)
         if entry_id is None:
             return 0
         lock = wrapper.resource_lock(entry_id)
@@ -101,29 +189,10 @@ class NodeInfoService(ServiceGroupService):
 
     @WebMethod(requires_resource=False)
     def GetProcessors(self) -> List[Dict]:
-        """The Scheduler's step-2 poll: every known processor's state."""
+        """The Scheduler's step-2 poll: every known processor's state,
+        answered as the typed response element the wrapper sends as is."""
         wrapper = self.wsrf.wrapper
-        ids = group_entry_ids(wrapper, wrapper.nis_group_rid)
-        return [
-            parse_processor_content(entry.content)
-            for _, entry in group_entries(wrapper, ids)
-            if entry.content is not None
-        ]
-
-    def _entry_for(self, machine_name: str) -> Optional[str]:
-        """Entry resource id for a machine, via a wrapper-side index."""
-        wrapper = self.wsrf.wrapper
-        index = wrapper._processor_index
-        entry_id = index.get(machine_name)
-        if entry_id is not None and wrapper.store.exists(wrapper.service_name, entry_id):
-            return entry_id
-        # (Re)build the index from the group.
-        index.clear()
-        ids = group_entry_ids(wrapper, wrapper.nis_group_rid)
-        for eid, entry in group_entries(wrapper, ids):
-            if entry.content is not None:
-                index[parse_processor_content(entry.content)["name"]] = eid
-        return index.get(machine_name)
+        return wrapper._processor_index.response(wrapper)
 
 
 def setup_node_info(wrapper, machines) -> str:

@@ -42,29 +42,51 @@ ENTRY_RP = QName(NS.WSRF_SG, "Entry")
 CONTENT_RULE_RP = QName(NS.WSRF_SG, "MembershipContentRule")
 
 
+# The state keys of the group and entry fields (ServiceGroupService
+# declares them in the wssg namespace, and its subclasses keep it).
+_ENTRY_IDS = QName(NS.WSRF_SG, "entry_ids")
+_CONTENT_RULE = QName(NS.WSRF_SG, "content_rule")
+_MEMBER_EPR = QName(NS.WSRF_SG, "member_epr")
+_CONTENT = QName(NS.WSRF_SG, "content")
+
+
+def _kept(wrapper, resource_id):
+    """One stored row read through ``store.load_kept``: the counted read
+    ``load`` makes, without its deep copy.  Read-only to the caller."""
+    return wrapper.store.load_kept(wrapper.service_name, resource_id)
+
+
 def group_entry_ids(wrapper, group_id) -> list:
-    """The entry resource ids of a stored group (none: no group)."""
+    """The entry resource ids of a stored group (none: no group): the
+    stored list itself, read-only to the caller."""
     if group_id is None:
         return []
-    return wrapper.load_resource(group_id).entry_ids or []
+    return _kept(wrapper, group_id).get(_ENTRY_IDS) or []
 
 
 def load_entry(wrapper, entry_id):
-    """One stored entry; None when it is gone (destroyed since the
-    group was read)."""
+    """One stored entry, a copy the caller may change and save; None
+    when it is gone (destroyed since the group was read)."""
     try:
         return wrapper.load_resource(entry_id)
     except KeyError:
         return None
 
 
-def group_entries(wrapper, entry_ids):
-    """The one walk of a group's *entry_ids*: ``(entry_id, entry)`` of
-    each entry still there, in group order."""
+def kept_entries(wrapper, entry_ids):
+    """The read-only walk of a group's *entry_ids*: ``(entry_id,
+    member_epr, content)`` of each entry still there, in group order.
+
+    The values are the stored ones, not copies: a caller mutates none of
+    them and copies what it hands on.  A backend that keeps decoded
+    state serves the same content document for as long as the row's
+    bytes do not change, which is what the NIS catalog view keys on."""
     for entry_id in entry_ids:
-        entry = load_entry(wrapper, entry_id)
-        if entry is not None:
-            yield entry_id, entry
+        try:
+            entry = _kept(wrapper, entry_id)
+        except KeyError:
+            continue  # destroyed since the group was read
+        yield entry_id, entry.get(_MEMBER_EPR), entry.get(_CONTENT)
 
 
 def seed_group(wrapper, content_rule: QName, members) -> str:
@@ -126,15 +148,7 @@ class ServiceGroupService(ServiceSkeleton):
     def Add(self, member: EndpointReference, content: Element) -> EndpointReference:
         """Register *member* with *content*; returns the new entry's EPR."""
         self._require_kind("group")
-        rule = self.content_rule
-        if rule and content.tag.clark() != rule:
-            raise ContentRuleViolation(
-                description=(
-                    f"content element {content.tag} violates the group's "
-                    f"membership content rule {rule}"
-                ),
-                timestamp=self.env.now,
-            )
+        self._check_content(self.content_rule, content)
         entry_id = self.create_resource(
             kind="entry",
             member_epr=member,
@@ -148,6 +162,13 @@ class ServiceGroupService(ServiceSkeleton):
     def UpdateContent(self, content: Element) -> None:
         """Replace an entry's content document (e.g. fresh utilization)."""
         self._require_kind("entry")
+        rule = ""
+        if self.group_id is not None:
+            try:
+                rule = _kept(self.wsrf.wrapper, self.group_id).get(_CONTENT_RULE, "")
+            except KeyError:
+                pass  # the group is gone: no rule left to keep
+        self._check_content(rule, content)
         self.content = content
 
     # -- resource properties -------------------------------------------------------
@@ -159,16 +180,16 @@ class ServiceGroupService(ServiceSkeleton):
         self._require_kind("group")
         wrapper = self.wsrf.wrapper
         out = []
-        for entry_id, entry in group_entries(wrapper, self.entry_ids or []):
+        for entry_id, member, content in kept_entries(wrapper, self.entry_ids or []):
             el = Element(ENTRY_RP)
-            if entry.member_epr is not None:
-                el.append(entry.member_epr.to_xml(QName(NS.WSRF_SG, "MemberServiceEPR")))
+            if member is not None:
+                el.append(member.to_xml(QName(NS.WSRF_SG, "MemberServiceEPR")))
             el.append(
                 wrapper.epr_for(entry_id).to_xml(QName(NS.WSRF_SG, "ServiceGroupEntryEPR"))
             )
             holder = el.subelement(QName(NS.WSRF_SG, "Content"))
-            if entry.content is not None:
-                holder.append(entry.content.copy())
+            if content is not None:
+                holder.append(content.copy())
             out.append(el)
         return out
 
@@ -203,6 +224,19 @@ class ServiceGroupService(ServiceSkeleton):
             wrapper.save_resource(self.group_id, group)
 
     # -- helpers ------------------------------------------------------------------------
+
+    def _check_content(self, rule: str, content: Element) -> None:
+        """The group's membership content rule (Clark name of the
+        required content tag; empty: any), which ``Add`` and
+        ``UpdateContent`` both keep."""
+        if rule and content.tag.clark() != rule:
+            raise ContentRuleViolation(
+                description=(
+                    f"content element {content.tag} violates the group's "
+                    f"membership content rule {rule}"
+                ),
+                timestamp=self.env.now,
+            )
 
     def _require_kind(self, kind: str) -> None:
         if self.kind != kind:

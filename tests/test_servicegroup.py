@@ -96,6 +96,26 @@ class TestServiceGroup:
             )
         assert run(env, client.get_resource_property(group, CONTENT_RULE_RP)) == rule
 
+    def test_content_rule_enforced_on_update(self, fabric):
+        env, net, wrapper, client = fabric
+        rule = QName(NS.UVACG, "ProcessorInfo").clark()
+        group = run(
+            env,
+            client.call(wrapper.service_epr(), SG, "CreateGroup", {"content_rule": rule}),
+        )
+        entry = run(env, client.call(group, SG, "Add",
+                                     {"member": _member(1), "content": _content("n1")}))
+        evil = Element(QName(NS.UVACG, "NotAProcessor"))
+        evil.subelement(QName(NS.UVACG, "Name"), text="evil")
+        with pytest.raises(ContentRuleViolation):
+            run(env, client.call(entry, SG, "UpdateContent", {"content": evil}))
+        # The entry keeps its conforming content, and may still replace it.
+        entries = parse_entries(run(env, client.get_resource_property(group, ENTRY_RP)))
+        assert entries[0][2].child_text(QName(NS.UVACG, "Name")) == "n1"
+        run(env, client.call(entry, SG, "UpdateContent", {"content": _content("n1", "0.9")}))
+        entries = parse_entries(run(env, client.get_resource_property(group, ENTRY_RP)))
+        assert entries[0][2].child_text(QName(NS.UVACG, "Utilization")) == "0.9"
+
     def test_destroy_entry_removes_from_group(self, fabric):
         env, net, wrapper, client = fabric
         group = run(env, client.call(wrapper.service_epr(), SG, "CreateGroup"))
