@@ -249,6 +249,8 @@ class WrapperService:
                 self._pt_rps[rp_qname] = (pt_cls, fn)
 
         self._termination: Dict[str, Optional[float]] = {}
+        #: the lifetime sweeper's period, once one is started (restore restarts it)
+        self._sweep_period: Optional[float] = None
         self._resource_locks: Dict[str, object] = {}
         #: next resource-id suffix; a plain int so checkpoints capture it
         self._rid_next = 1
@@ -396,11 +398,19 @@ class WrapperService:
             del self._resource_locks[resource_id]
 
     def start_sweeper(self, period: float = 1.0):
-        """Spawn the lifetime sweeper enforcing scheduled termination."""
+        """Spawn the lifetime sweeper enforcing scheduled termination for
+        this boot of the host (:meth:`restore` starts the next boot's)."""
+        self._sweep_period = period
+        host = self.machine.host
+        epoch = host.boot_epoch
 
         def sweeper(env):
             while True:
                 yield env.timeout(period)
+                if host.boot_epoch != epoch:
+                    return
+                if host.down:
+                    continue
                 now = env.now
                 expired = [
                     rid
@@ -415,6 +425,8 @@ class WrapperService:
                     lock = self.resource_lock(rid)
                     yield lock.acquire()
                     try:
+                        if self._zombie(epoch) is not None:
+                            break  # the host went down while we waited
                         try:
                             instance = self.load_resource(rid)
                         except NoSuchResource:
@@ -480,6 +492,8 @@ class WrapperService:
         if self.notification_producer is not None:
             self.notification_producer.rebuild_from_store()
         self.service_cls.wsrf_recover(self)
+        if self._sweep_period is not None:
+            self.start_sweeper(self._sweep_period)  # the dead boot's exits
         if san is not None:
             # Dispatches arriving after the host is back up are causally
             # after everything recovery wrote.

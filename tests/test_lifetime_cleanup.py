@@ -12,6 +12,7 @@ import pytest
 
 from repro.gridapp import FileRef, JobSpec, Testbed
 from repro.gridapp.execution_service import parse_job_event
+from repro.gridapp.filesystem_service import GRID_ROOT
 from repro.osim.programs import make_compute_program
 from repro.wsrf.basefaults import ResourceUnknownFault
 from repro.wsrf.lifetime import TERMINATION_TIME_RP
@@ -95,6 +96,56 @@ class TestDirectoryLifetime:
         testbed.run(client.soap.destroy(dir_epr))
         with pytest.raises(ResourceUnknownFault):
             testbed.run(client.list_output_dir(dir_epr))
+
+
+class TestSweeperAcrossRestart:
+    """A sweeper belongs to one boot of its host: nothing is swept while
+    the host is down, and the rebooted host sweeps what expired."""
+
+    def _expiring_dir(self, tb, when):
+        fss = tb.fss["node00"]
+        path = fss.machine.fs.create_unique_dir(GRID_ROOT, prefix="wsr")
+        rid = fss.create_resource_from_fields({"dir_path": path})
+        fss.set_termination_time(rid, when)
+        destroyed = []
+        fss.on_resource_destroyed.append(lambda r: destroyed.append((r, tb.env.now)))
+        return fss, rid, path, destroyed
+
+    def test_nothing_destroyed_while_down_then_once_after_reboot(self, testbed):
+        tb = testbed
+        fss, rid, path, destroyed = self._expiring_dir(tb, 3.0)
+        tb.restart_host("node00", at=1.0, down_for=10.0)
+        tb.settle(10.5 - tb.env.now)  # expired at 3.0, host down until 11.0
+        assert fss.machine.host.down
+        assert destroyed == []
+        assert fss.store.exists(fss.service_name, rid)
+        assert fss.machine.fs.is_dir(path)  # the destroy hook never ran
+        tb.settle(10.0)
+        # The reboot's sweeper (period 1.0) reaps it, once.
+        assert destroyed == [(rid, 12.0)]
+        assert not fss.store.exists(fss.service_name, rid)
+        assert not fss.machine.fs.is_dir(path)
+
+    def test_sweep_straddling_a_crash_does_not_destroy(self, testbed):
+        tb = testbed
+        fss, rid, path, destroyed = self._expiring_dir(tb, 3.0)
+
+        def holder(env):
+            # An invocation holding the row's lock across the sweep at 3.0
+            # and the crash at 4.0; the sweeper gets the lock at 5.0.
+            lock = fss.resource_lock(rid)
+            yield lock.acquire()
+            yield env.timeout(5.0 - env.now)
+            fss.release_resource_lock(rid, lock)
+
+        tb.env.process(holder(tb.env))
+        tb.restart_host("node00", at=4.0, down_for=10.0)
+        tb.settle(13.5 - tb.env.now)
+        assert destroyed == []
+        assert fss.store.exists(fss.service_name, rid)
+        assert fss.machine.fs.is_dir(path)
+        tb.settle(10.0)
+        assert destroyed == [(rid, 15.0)]
 
 
 class TestMultiClientSoak:
