@@ -27,7 +27,7 @@ unresolved rather than guessed at.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.model import ContractModel
@@ -70,6 +70,9 @@ class CallGraph:
         self._in: Dict[str, List[CallEdge]] = {}
         #: bare function/method name -> qualnames defining it
         self.by_name: Dict[str, List[str]] = {}
+        #: qualname -> {id(node) of every function nested inside it},
+        #: built on first use by :func:`own_nodes`
+        self._nested: Optional[Dict[str, Set[int]]] = None
 
     def add_function(self, fn: FunctionNode) -> None:
         self.functions[fn.qualname] = fn
@@ -85,26 +88,6 @@ class CallGraph:
 
     def callers(self, qualname: str) -> List[CallEdge]:
         return self._in.get(qualname, [])
-
-    def reachable_from(self, roots: Set[str]) -> Set[str]:
-        """Transitive closure of callees starting at *roots* (inclusive)."""
-        seen: Set[str] = set()
-        stack = [r for r in roots if r in self.functions]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            for edge in self.callees(current):
-                if edge.callee not in seen:
-                    stack.append(edge.callee)
-        return seen
-
-    def methods_of(self, class_name: str) -> List[FunctionNode]:
-        return sorted(
-            (f for f in self.functions.values() if f.class_name == class_name),
-            key=lambda f: f.qualname,
-        )
 
 
 # -- construction -------------------------------------------------------------------
@@ -419,7 +402,7 @@ def build_callgraph(
                 if g.qualname.startswith(fn.qualname + ".")
                 and g.qualname.count(".") == fn.qualname.count(".") + 1
             }
-            for call in _own_calls(fn, graph):
+            for call in own_calls(fn, graph):
                 callee = builder.resolve(call, fn, local_types, inner_defs)
                 if callee is not None:
                     graph.add_edge(
@@ -428,23 +411,34 @@ def build_callgraph(
     return graph
 
 
-def _own_calls(fn: FunctionNode, graph: CallGraph) -> Iterator[ast.Call]:
-    """Call expressions lexically inside *fn* but not inside a nested def."""
-    nested = {
-        id(g.node)
-        for g in graph.functions.values()
-        if g.qualname.startswith(fn.qualname + ".")
-    }
+def own_nodes(fn: FunctionNode, graph: CallGraph) -> Iterator[ast.AST]:
+    """AST nodes lexically inside *fn*, excluding nested defs and classes."""
+    index = graph._nested
+    if index is None:
+        # Built once per graph: the rules call this hot, and rescanning
+        # all functions per call is quadratic on the real tree.
+        index = graph._nested = {qualname: set() for qualname in graph.functions}
+        for g in graph.functions.values():
+            parts = g.qualname.split(".")
+            for i in range(1, len(parts)):
+                ancestor = ".".join(parts[:i])
+                if ancestor in index:
+                    index[ancestor].add(id(g.node))
+    nested = index.get(fn.qualname, set())
 
-    def walk(node: ast.AST) -> Iterator[ast.Call]:
+    def walk(node: ast.AST) -> Iterator[ast.AST]:
         for child in ast.iter_child_nodes(node):
             if id(child) in nested or isinstance(child, ast.ClassDef):
                 continue
-            if isinstance(child, ast.Call):
-                yield child
+            yield child
             yield from walk(child)
 
     yield from walk(fn.node)
+
+
+def own_calls(fn: FunctionNode, graph: CallGraph) -> Iterator[ast.Call]:
+    """Call expressions lexically inside *fn* but not inside a nested def."""
+    return (n for n in own_nodes(fn, graph) if isinstance(n, ast.Call))
 
 
 # -- context discovery over the graph ------------------------------------------------

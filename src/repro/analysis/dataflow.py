@@ -93,13 +93,6 @@ def propagate(
     return taints
 
 
-def reaching_calls(
-    graph: CallGraph, taints: Dict[str, Taint], caller: str
-) -> List[CallEdge]:
-    """The call sites in *caller* that lead into tainted functions."""
-    return [edge for edge in graph.callees(caller) if edge.callee in taints]
-
-
 def all_callers_satisfy(
     graph: CallGraph,
     qualname: str,

@@ -97,12 +97,6 @@ class ProgramContext:
     #: qualnames of functions handed to env.process (detached contexts)
     process_roots: Set[str]
 
-    def module_for(self, path: str) -> Optional[ModuleContext]:
-        for ctx in self.modules:
-            if ctx.path == path:
-                return ctx
-        return None
-
 
 RuleFn = Callable[[ModuleContext], Iterator[Finding]]
 ProgramRuleFn = Callable[[ProgramContext], Iterator[Finding]]

@@ -159,12 +159,6 @@ class ContractModel:
                             out.add(rp_name)
         return out
 
-    def declared_fields(self, class_name: str) -> Set[str]:
-        out: Set[str] = set()
-        for info in self.mro(class_name):
-            out.update(info.resource_fields)
-        return out
-
     def declared_members(self, class_name: str) -> Set[str]:
         """Every attribute service code may write without losing state."""
         out: Set[str] = set(SKELETON_ATTRS)

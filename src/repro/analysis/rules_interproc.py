@@ -33,7 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.callgraph import CallEdge, CallGraph, FunctionNode
+from repro.analysis.callgraph import CallEdge, CallGraph, FunctionNode, own_calls, own_nodes
 from repro.analysis.dataflow import TaintSource, propagate
 from repro.analysis.engine import (
     Finding,
@@ -45,51 +45,13 @@ from repro.analysis.rules import call_name, det_source_sites, store_mutation
 # -- shared graph/AST helpers ------------------------------------------------------
 
 
-def _nested_index(graph: CallGraph) -> Dict[str, Set[int]]:
-    """``qualname -> {id(node) of every function nested inside it}``.
-
-    Built once per graph (cached on the instance): the rules call
-    :func:`_own_nodes` hot, and rescanning all functions per call is
-    quadratic on the real tree.
-    """
-    cached = getattr(graph, "_nested_index_cache", None)
-    if cached is None:
-        cached = {qualname: set() for qualname in graph.functions}
-        for g in graph.functions.values():
-            parts = g.qualname.split(".")
-            for i in range(1, len(parts)):
-                ancestor = ".".join(parts[:i])
-                if ancestor in cached:
-                    cached[ancestor].add(id(g.node))
-        graph._nested_index_cache = cached  # type: ignore[attr-defined]
-    return cached
-
-
-def _own_nodes(fn: FunctionNode, graph: CallGraph) -> Iterator[ast.AST]:
-    """AST nodes lexically inside *fn*, excluding nested defs/classes."""
-    nested = _nested_index(graph).get(fn.qualname, set())
-
-    def walk(node: ast.AST) -> Iterator[ast.AST]:
-        for child in ast.iter_child_nodes(node):
-            if id(child) in nested or isinstance(child, ast.ClassDef):
-                continue
-            yield child
-            yield from walk(child)
-
-    yield from walk(fn.node)
-
-
-def _own_calls(fn: FunctionNode, graph: CallGraph) -> List[ast.Call]:
-    return [n for n in _own_nodes(fn, graph) if isinstance(n, ast.Call)]
-
-
 def _owner_index(graph: CallGraph, module: str) -> Dict[int, FunctionNode]:
     """id(ast node) -> the function lexically owning it, for one module."""
     owners: Dict[int, FunctionNode] = {}
     for fn in graph.functions.values():
         if fn.module != module:
             continue
-        for node in _own_nodes(fn, graph):
+        for node in own_nodes(fn, graph):
             owners[id(node)] = fn
     return owners
 
@@ -129,7 +91,7 @@ def _sorted_functions(graph: CallGraph) -> List[FunctionNode]:
 def _acquire_lines(fn: FunctionNode, graph: CallGraph) -> List[int]:
     return [
         call.lineno
-        for call in _own_calls(fn, graph)
+        for call in own_calls(fn, graph)
         if call_name(call.func) == "acquire"
     ]
 
@@ -222,7 +184,7 @@ def _destroyer_params(graph: CallGraph) -> Dict[str, Dict[int, str]]:
         for fn in _sorted_functions(graph):
             params = {p: i for i, p in enumerate(_param_names(fn))}
             current = destroyers.setdefault(fn.qualname, {})
-            for call in _own_calls(fn, graph):
+            for call in own_calls(fn, graph):
                 for var, how in _destroys_of(call, fn, graph, destroyers):
                     index = params.get(var)
                     if index is not None and index not in current:
@@ -304,7 +266,7 @@ class _DestroyScanner:
         self.fn = fn
         self.graph = graph
         self.destroyers = destroyers
-        self.own_ids = {id(n) for n in _own_nodes(fn, graph)}
+        self.own_ids = {id(n) for n in own_nodes(fn, graph)}
         self.hits: List[Tuple[ast.Call, str, str, str]] = []
 
     def scan(self) -> List[Tuple[ast.Call, str, str, str]]:
@@ -427,7 +389,7 @@ def _epr_producers(graph: CallGraph) -> Set[str]:
         for fn in _sorted_functions(graph):
             if fn.qualname in producers:
                 continue
-            for node in _own_nodes(fn, graph):
+            for node in own_nodes(fn, graph):
                 if not (isinstance(node, ast.Return) and node.value is not None):
                     continue
                 if _is_epr_expr(node.value, fn.qualname, graph, producers):
@@ -528,7 +490,7 @@ def check_epr_escape(pctx: ProgramContext) -> Iterator[Finding]:
             if fn.module != ctx.module:
                 continue
             symbol = _fn_symbol(fn)
-            own = list(_own_nodes(fn, graph))
+            own = list(own_nodes(fn, graph))
             globals_here = {
                 name
                 for sub in own
@@ -685,7 +647,7 @@ def check_interproc_write_ahead(pctx: ProgramContext) -> Iterator[Finding]:
             continue  # the outbox/base machinery legitimately sends raw
         if _is_service_method(fn, pctx):
             continue  # lexically in a service class: WAL001's site
-        for call in _own_calls(fn, graph):
+        for call in own_calls(fn, graph):
             if call_name(call.func) == "fire_and_forget":
                 sources.append(
                     TaintSource(
@@ -796,7 +758,7 @@ def check_static_lockset(pctx: ProgramContext) -> Iterator[Finding]:
         fn = graph.functions[qualname]
         acquired = acquires.get(qualname, [])
         chain = unlocked[qualname]
-        for call in _own_calls(fn, graph):
+        for call in own_calls(fn, graph):
             mutation = store_mutation(call)
             if mutation is None:
                 continue

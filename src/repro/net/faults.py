@@ -79,9 +79,6 @@ class FaultInjector:
 
     # -- configuration ----------------------------------------------------------
 
-    def set_default(self, plan: LinkFaultPlan) -> None:
-        self.default = plan
-
     def set_link(
         self, a: str, b: str, plan: LinkFaultPlan, symmetric: bool = True
     ) -> None:

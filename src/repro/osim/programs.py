@@ -55,9 +55,6 @@ class ProgramContext:
     def write_output(self, name: str, content) -> None:
         self.machine.fs.write_file(self._path(name), content)
 
-    def list_working_dir(self) -> List[str]:
-        return self.machine.fs.listdir(self.working_dir)
-
 
 Behavior = Callable[[ProgramContext], object]
 
