@@ -13,6 +13,7 @@ Execution Service (§4.2)         :mod:`repro.gridapp.execution_service`
 Notification Broker (§4.3)       :mod:`repro.wsn.broker` (deployed here)
 Node Info Service (§4.4)         :mod:`repro.gridapp.node_info`
 Scheduler Service (§4.5)         :mod:`repro.gridapp.scheduler`
+  its fault-tolerance watchdog   :mod:`repro.gridapp.watchdog`
 ProcSpawn Windows service        :mod:`repro.osim.procspawn`
 Processor Utilization service    :mod:`repro.gridapp.utilization`
 client GUI tool + TCP server +   :mod:`repro.gridapp.client`
@@ -28,7 +29,8 @@ from repro.gridapp.tracing import EventTrace, TraceEvent
 from repro.gridapp.filesystem_service import FileSystemService
 from repro.gridapp.execution_service import ExecutionService
 from repro.gridapp.node_info import NodeInfoService, processor_content
-from repro.gridapp.scheduler import FaultToleranceConfig, SchedulerService
+from repro.gridapp.scheduler import SchedulerService
+from repro.gridapp.watchdog import FaultToleranceConfig
 from repro.gridapp.utilization import ProcessorUtilizationService
 from repro.gridapp.client import GridClient
 from repro.gridapp.aggregator import AggregatorCatalogService

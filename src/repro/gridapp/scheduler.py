@@ -17,11 +17,9 @@ with no uncompleted dependencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.db import NoSuchResource
-from repro.gridapp import tracing
+from repro.gridapp import tracing, watchdog
 from repro.gridapp.execution_service import parse_job_event
 from repro.gridapp.jobset import FileRef, JobSetSpec
 from repro.net import DeliveryError, Uri
@@ -58,37 +56,9 @@ class SchedulingFault(BaseFault):
     FAULT_QNAME = QName(UVA, "SchedulingFault")
 
 
-@dataclass(frozen=True)
-class FaultToleranceConfig:
-    """Opt-in re-dispatch behaviour for the Scheduler.
-
-    Attach an instance as ``wrapper.fault_tolerance`` (or pass
-    ``fault_tolerance=`` to the Testbed) to make the Scheduler survive
-    Execution Services that become unreachable mid-run: dispatches fail
-    over to alternate NIS-cataloged machines, and a per-job-set watchdog
-    probes dispatched jobs, re-dispatching any whose ES stops answering
-    and synthesizing completions whose JobExited notification was lost.
-    Without it the Scheduler keeps the paper's original fail-fast
-    behaviour (one transport fault marks the set Failed).
-    """
-
-    #: seconds between watchdog sweeps over a running job set
-    watchdog_period: float = 5.0
-    #: re-dispatch a job stuck in Created/StagingFiles this long
-    stuck_after: float = 30.0
-
-    def __post_init__(self) -> None:
-        # ``not x > 0`` rejects NaN too, which ``x <= 0`` lets through
-        if not self.watchdog_period > 0:
-            raise ValueError("watchdog_period must be positive")
-        if not self.stuck_after > 0:
-            raise ValueError("stuck_after must be positive")
-
-
 #: under fault tolerance: machines tried per scheduling pass before the
-#: dispatch fails, and watchdog-driven recoveries per job before giving up
+#: dispatch fails
 _MAX_DISPATCH_ATTEMPTS = 3
-_MAX_REDISPATCHES = 3
 
 #: the policies :func:`choose_machine` knows; the Testbed checks against it
 SCHEDULING_POLICIES = ("best", "random", "roundrobin")
@@ -125,6 +95,26 @@ def choose_machine(processors: List[Dict], policy: str, rng=None, rr_state=None)
     raise SchedulingFault(
         description=f"unknown scheduling policy {policy!r}, not one of {SCHEDULING_POLICIES}"
     )
+
+
+class _Attempt:
+    """One try at placing a job: what :attr:`SchedulerService._STAGES`
+    hand each other (the wrapper's ``_Call``).  The failover loop reads
+    the machine a failed attempt went to off :attr:`target`."""
+
+    __slots__ = (
+        "job", "number", "name_map", "excluded", "catalog", "target", "files", "header",
+    )
+
+    def __init__(self, job, number: int, name_map, excluded: set, catalog) -> None:
+        self.job = job
+        self.number = number  # 1 for the job's first try in this pass
+        self.name_map = name_map  # the job set's names, for its inputs
+        self.excluded = excluded  # machines the job must not go to
+        self.catalog = catalog  # poll: the NIS catalog (perf: the pass's)
+        self.target = None  # place: the machine chosen
+        self.files = None  # prepare: the inputs as {EPR, filename, jobname}
+        self.header = None  # prepare: the credential the machine takes
 
 
 @WSRFPortType(
@@ -266,7 +256,7 @@ class SchedulerService(ServiceSkeleton):
         jobset_epr = self.epr_for(rid)
 
         if wrapper.fault_tolerance is not None:
-            _start_watchdog(wrapper, rid, jobset_epr, wrapper.fault_tolerance)
+            watchdog.start_watchdog(wrapper, rid, jobset_epr, wrapper.fault_tolerance)
 
         # "The SS then invokes the Subscribe() method on the Notification
         # Broker to subscribe both itself and the client's notification
@@ -275,16 +265,11 @@ class SchedulerService(ServiceSkeleton):
         # uplink every publish there, so subscribers see events from any
         # zone a job may run in.
         broker_epr = wrapper.subscribe_broker_epr or wrapper.broker_epr
-        if broker_epr is not None:
-            yield from self.client.invoke(
-                broker_epr,
-                build_subscribe_body(jobset_epr, f"{topic}/**", FULL_DIALECT),
-                category="subscribe",
-            )
-            if listener_epr is not None:
+        for subscriber in (jobset_epr, listener_epr):
+            if broker_epr is not None and subscriber is not None:
                 yield from self.client.invoke(
                     broker_epr,
-                    build_subscribe_body(listener_epr, f"{topic}/**", FULL_DIALECT),
+                    build_subscribe_body(subscriber, f"{topic}/**", FULL_DIALECT),
                     category="subscribe",
                 )
 
@@ -393,79 +378,105 @@ class SchedulerService(ServiceSkeleton):
             return  # nothing to place: leave the spec unread and unparsed
         spec = JobSetSpec.from_wire(self.jobs or [])
         name_map = spec.name_map()
+        wrapper = self.wsrf.wrapper
+        # Transport failures (the target never answered Run, even after
+        # client-level retries) exclude the machine and try the next best
+        # one; without fault tolerance the budget is the one attempt.
+        # SchedulingFaults (no machines, no credential) stay terminal.
+        budget = 1 if wrapper.fault_tolerance is None else _MAX_DISPATCH_ATTEMPTS
         # With the performance layer on, one NIS GetProcessors catalog is
         # shared by every dispatch of this scheduling pass (the catalog
         # lags reality anyway; in-flight placements are folded in per
-        # dispatch below, so placement decisions are unchanged).
-        pass_cache: Dict[str, List[Dict]] = {}
+        # dispatch, so placement decisions are unchanged).
+        catalog = None
         for job in spec.jobs:
             phases = self.job_phase or {}  # each dispatch replaces it
             if phases.get(job.name) != "pending":
                 continue
-            if any(
-                phases.get(dep) != "done" for dep in job.dependencies(name_map)
-            ):
+            if any(phases.get(dep) != "done" for dep in job.dependencies(name_map)):
                 continue
-            try:
-                yield from self._dispatch_with_failover(job, name_map, pass_cache)
-            except (SoapFault, DeliveryError) as fault:
+            excluded = set((self.job_excluded or {}).get(job.name, ()))
+            for number in range(1, budget + 1):
+                attempt = _Attempt(job, number, name_map, excluded, catalog)
+                try:
+                    yield from self._dispatch(attempt)
+                    break
+                except DeliveryError as fault:
+                    if number < budget:
+                        self._fail_over(attempt, fault)
+                        continue
+                    failure: Exception = fault
+                except SoapFault as fault:
+                    failure = fault
+                finally:
+                    if wrapper.perf:
+                        catalog = attempt.catalog
                 # A dispatch failure must not unwind the whole pass (the
                 # already-recorded placements would be lost): mark the job
                 # and the set failed, announce, and stop scheduling.
-                self._fail(job.name, getattr(fault, "description", str(fault)))
+                self._fail(job.name, getattr(failure, "description", str(failure)))
                 return
 
-    def _dispatch_with_failover(self, job, name_map, pass_cache):
-        """Dispatch *job*, failing over to other machines under FT.
+    def _fail_over(self, attempt: _Attempt, fault: DeliveryError) -> None:
+        """Exclude the machine whose Run never answered, and say so."""
+        job, dead = attempt.job.name, attempt.target
+        if dead is not None:
+            attempt.excluded.add(dead)
+            self._record("job_excluded", job, sorted(attempt.excluded))
+        tracing.record(
+            self.machine, 11, "Scheduler",
+            f"dispatch of {job} to {dead or '?'} failed; failing over",
+        )
+        self._announce_recovery(job, dead or "?", str(fault))
 
-        Transport failures (the target never answered Run, even after
-        client-level retries) exclude the machine and try the next best
-        one, up to ``_MAX_DISPATCH_ATTEMPTS``; without fault tolerance
-        the budget is the one attempt, whose failure propagates.
-        SchedulingFaults — no machines, missing credentials — are
-        configuration problems and stay terminal.
-        """
-        budget = 1 if self.wsrf.wrapper.fault_tolerance is None else _MAX_DISPATCH_ATTEMPTS
-        excluded = set((self.job_excluded or {}).get(job.name, ()))
-        for attempt in range(1, budget + 1):
-            self._last_target = None
-            try:
-                yield from self._dispatch(job, name_map, pass_cache, exclude=excluded)
-                return
-            except DeliveryError as fault:
-                if attempt >= budget:
+    def _dispatch(self, attempt: _Attempt):
+        """Take one attempt through :attr:`_STAGES`: the one place their
+        spans open and close (docs/observability.md has the table).  A
+        stage's span closes when the stage returns or raises."""
+        parent = self.wsrf.span
+        if parent is None:  # observability is off
+            for _, stage in self._STAGES:
+                yield from stage(self, attempt) or ()
+            return
+        obs = self.machine.network.obs
+        span = obs.start_span(
+            "scheduler.dispatch", parent=parent,
+            attrs={"job": attempt.job.name, "attempt": attempt.number},
+        )
+        try:
+            for name, stage in self._STAGES:
+                current = obs.start_span(name, parent=span)
+                try:
+                    yield from stage(self, attempt) or ()
+                except Exception as exc:
+                    current.attrs["fault"] = span.attrs["fault"] = type(exc).__name__
                     raise
-                dead = self._last_target
-                if dead is not None:
-                    excluded.add(dead)
-                    self._record("job_excluded", job.name, sorted(excluded))
-                tracing.record(
-                    self.machine, 11, "Scheduler",
-                    f"dispatch of {job.name} to {dead or '?'} failed; failing over",
-                )
-                self._announce_recovery(job.name, dead or "?", str(fault))
+                finally:
+                    obs.finish(current)
+        finally:
+            if attempt.target is not None:
+                span.attrs["machine"] = attempt.target
+            obs.finish(span)
 
-    def _dispatch(self, job, name_map, pass_cache, exclude=()):
+    def _poll(self, attempt: _Attempt):
+        """Step 2: the Node Info service's catalog."""
         wrapper = self.wsrf.wrapper
-        machine = self.machine
-        # Step 2: poll the NIS.
-        tracing.record(machine, 2, "Scheduler", f"poll NIS for {job.name}")
-        nis_epr = wrapper.nis_epr
-        if nis_epr is None:
+        tracing.record(self.machine, 2, "Scheduler", f"poll NIS for {attempt.job.name}")
+        if wrapper.nis_epr is None:
             raise SchedulingFault(description="scheduler has no Node Info service")
-        batch_nis = wrapper.perf
-        if batch_nis and "processors" in pass_cache:
-            # Performance layer: reuse this pass's catalog instead of
-            # polling once per job.  Each dispatch still gets private
-            # dict copies (the queued-folding below mutates them).
-            processors = [dict(p) for p in pass_cache["processors"]]
-            wrapper.nis_polls_elided += 1
-        else:
-            processors = yield from self.client.call(
-                nis_epr, SG, "GetProcessors", category="nis"
+        if attempt.catalog is None:
+            attempt.catalog = yield from self.client.call(
+                wrapper.nis_epr, SG, "GetProcessors", category="nis"
             )
-            if batch_nis:
-                pass_cache["processors"] = [dict(p) for p in processors]
+        else:
+            wrapper.nis_polls_elided += 1  # the pass's catalog (perf layer)
+
+    def _place(self, attempt: _Attempt):
+        """Pick the machine: fold in this job set's in-flight jobs, drop
+        the excluded machines, spill to the aggregator when the zone is
+        full, then :func:`choose_machine`."""
+        wrapper = self.wsrf.wrapper
+        job, exclude = attempt.job, attempt.excluded
         # The NIS catalog lags (utilization reports are periodic and
         # threshold-gated), but the Scheduler knows exactly which of this
         # job set's jobs are already in flight — fold those into
@@ -475,33 +486,28 @@ class SchedulerService(ServiceSkeleton):
         for name, where in (self.job_machine or {}).items():
             if phases.get(name) == "dispatched":
                 in_flight[where] = in_flight.get(where, 0) + 1
-        if exclude:
-            processors = [p for p in processors if p["name"] not in exclude]
-        processors = [
-            dict(p, queued=in_flight.get(p["name"], 0)) for p in processors
-        ]
-        aggregator_epr = wrapper.aggregator_epr
-        if aggregator_epr is not None:
-            cap = wrapper.federation.max_queued_per_machine
-            if not processors or all(p["queued"] >= cap for p in processors):
-                # The local zone is full (or exclusions emptied it):
-                # consult the cross-zone aggregator catalog for capacity
-                # anywhere in the federation.
-                tracing.record(
-                    machine, 12, "Scheduler",
-                    f"zone {wrapper.zone} full; consulting "
-                    f"aggregator for {job.name}",
-                )
-                catalog = yield from self.client.call(
-                    aggregator_epr, SG, "GetAllProcessors", category="nis"
-                )
-                remote = [
-                    dict(p, queued=in_flight.get(p["name"], 0))
-                    for p in catalog
-                    if p["name"] not in exclude
-                ]
-                if remote:
-                    processors = remote
+
+        def fold(catalog):
+            return [
+                dict(p, queued=in_flight.get(p["name"], 0))
+                for p in catalog if p["name"] not in exclude
+            ]
+
+        processors = fold(attempt.catalog)
+        if wrapper.aggregator_epr is not None and all(
+            p["queued"] >= wrapper.federation.max_queued_per_machine for p in processors
+        ):
+            # The local zone is full (or exclusions emptied it): consult
+            # the cross-zone aggregator catalog for capacity anywhere in
+            # the federation.
+            tracing.record(
+                self.machine, 12, "Scheduler",
+                f"zone {wrapper.zone} full; consulting aggregator for {job.name}",
+            )
+            catalog = yield from self.client.call(
+                wrapper.aggregator_epr, SG, "GetAllProcessors", category="nis"
+            )
+            processors = fold(catalog) or processors
         if exclude and not processors:
             raise SchedulingFault(
                 description=(
@@ -513,20 +519,23 @@ class SchedulerService(ServiceSkeleton):
             processors, wrapper.scheduling_policy, rng=wrapper.rng,
             rr_state=wrapper._rr_state,
         )
-        target = chosen["name"]
+        attempt.target = chosen["name"]
         zone = wrapper.zone
         if zone is not None and chosen.get("zone", zone) != zone:
             wrapper.cross_zone_dispatches += 1
             tracing.record(
-                machine, 12, "Scheduler",
-                f"{job.name} dispatched cross-zone to "
-                f"{chosen['zone']}:{target}",
+                self.machine, 12, "Scheduler",
+                f"{job.name} dispatched cross-zone to {chosen['zone']}:{attempt.target}",
             )
 
-        files = [self._resolve(job.executable, job.name, name_map)]
-        for ref in job.inputs:
-            files.append(self._resolve(ref, job.name, name_map))
-
+    def _prepare(self, attempt: _Attempt) -> None:
+        """Resolve the job's inputs and pick the credential its machine takes."""
+        job, target = attempt.job, attempt.target
+        wrapper = self.wsrf.wrapper
+        attempt.files = [
+            self._resolve(ref, job.name, attempt.name_map)
+            for ref in (job.executable, *job.inputs)
+        ]
         if target in wrapper.gt4_machines:
             # GT4 node: forward the client's delegated X.509 credential.
             if self.delegated_cred is None:
@@ -536,123 +545,58 @@ class SchedulerService(ServiceSkeleton):
                         "client delegated none at submission"
                     )
                 )
-            header = self.delegated_cred.copy()
+            attempt.header = self.delegated_cred.copy()
+        elif target not in wrapper.machine_certs:
+            raise SchedulingFault(description=f"no certificate known for machine {target!r}")
         else:
-            certs = wrapper.machine_certs
-            if target not in certs:
-                raise SchedulingFault(
-                    description=f"no certificate known for machine {target!r}"
-                )
-            header = build_security_header(
-                UsernameToken(self.username, self.password), certs[target]
+            attempt.header = build_security_header(
+                UsernameToken(self.username, self.password), wrapper.machine_certs[target]
             )
-        es_epr = EndpointReference(f"http://{target}:80/ExecService")
-        tracing.record(machine, 3, "Scheduler", f"{job.name} -> {target}")
-        self._last_target = target
+
+    def _run(self, attempt: _Attempt):
+        """Step 3: Run at the machine's Execution Service, then record
+        the placement."""
+        job, target = attempt.job, attempt.target
+        tracing.record(self.machine, 3, "Scheduler", f"{job.name} -> {target}")
         result = yield from self.client.call(
-            es_epr,
+            EndpointReference(f"http://{target}:80/ExecService"),
             UVA,
             "Run",
             {
                 "job_name": job.name,
                 "executable": job.executable.jobname,
-                "files": files,
+                "files": attempt.files,
                 "topic": self.topic,
                 "args": job.args,
             },
-            extra_headers=[header],
+            extra_headers=[attempt.header],
             category="dispatch",
         )
-        self._record("job_phase", job.name, "dispatched")
-        self._record("job_machine", job.name, target)
-        self._record("job_eprs", job.name, result["job"])
-        self._record("job_dirs", job.name, result["dir"])
-        self._record(
-            "job_attempts", job.name, (self.job_attempts or {}).get(job.name, 0) + 1
-        )
-        self._record("job_dispatched_at", job.name, self.env.now)
+        for table, value in (
+            ("job_phase", "dispatched"), ("job_machine", target),
+            ("job_eprs", result["job"]), ("job_dirs", result["dir"]),
+            ("job_attempts", (self.job_attempts or {}).get(job.name, 0) + 1),
+            ("job_dispatched_at", self.env.now),
+        ):
+            self._record(table, job.name, value)
+
+    #: §4.5's placement in order: (span name, stage).  A stage that
+    #: waits on nothing is a plain function.
+    _STAGES = (
+        ("scheduler.dispatch.poll", _poll),
+        ("scheduler.dispatch.place", _place),
+        ("scheduler.dispatch.prepare", _prepare),
+        ("scheduler.dispatch.run", _run),
+    )
 
     # -- fault tolerance (watchdog-driven re-dispatch) --------------------------------
 
     @WebMethod(one_way=True)
     def Watchdog(self):
-        """One periodic FT sweep over this job set (self-sent one-way).
-
-        For every dispatched job, probe its Status resource property at
-        the Execution Service:
-
-        * unreachable (transport fault after client retries) or resource
-          unknown → re-dispatch elsewhere;
-        * terminal status whose JobExited notification never arrived →
-          fetch GetExitCode and synthesize the completion;
-        * stuck in Created/StagingFiles past ``stuck_after`` (a lost
-          one-way Upload/UploadComplete) → re-dispatch.
-
-        Ends with a scheduling pass, which also self-heals a lost
-        Activate self-message.
-        """
+        """One FT sweep over this job set (:func:`repro.gridapp.watchdog.sweep`)."""
         ft = self.wsrf.wrapper.fault_tolerance
-        if ft is None or self.status != "Running":
-            return
-        # The tables as the sweep found them: recoveries and completions
-        # below replace the fields, never these dicts.
-        eprs = self.job_eprs or {}
-        stamped = self.job_dispatched_at or {}
-        for name, phase in (self.job_phase or {}).items():
-            if self.status != "Running":
-                return  # a recovery exhausted its budget mid-sweep
-            if phase != "dispatched" or name not in eprs:
-                continue
-            try:
-                status = yield from self.client.get_resource_property(
-                    eprs[name], QName(UVA, "Status"), category="watchdog"
-                )
-            except DeliveryError as fault:
-                self._recover(name, f"Execution Service unreachable: {fault}")
-                continue
-            except SoapFault:
-                # e.g. ResourceUnknownFault: the ES restarted and forgot
-                # the job; treat like an unreachable endpoint.
-                self._recover(name, "job resource lost at the Execution Service")
-                continue
-            if status in ("Exited", "Killed", "Failed"):
-                try:
-                    code = yield from self.client.call(
-                        eprs[name], UVA, "GetExitCode", category="watchdog"
-                    )
-                except (SoapFault, DeliveryError):
-                    continue  # try again next sweep
-                yield from self._job_exited(
-                    name, code if code is not None else -1
-                )
-            elif status in ("Created", "StagingFiles"):
-                since = stamped.get(name)
-                if since is not None and self.env.now - since >= ft.stuck_after:
-                    self._recover(
-                        name,
-                        f"staging stalled for {self.env.now - since:.1f}s",
-                        exclude_machine=False,
-                    )
-        if self.status == "Running":
-            yield from self._schedule_ready_jobs()
-
-    def _recover(self, job_name: str, reason: str, exclude_machine: bool = True):
-        """Re-queue *job_name* after its dispatch was lost (§watchdog)."""
-        done = (self.job_attempts or {}).get(job_name, 1)
-        from_machine = (self.job_machine or {}).get(job_name, "?")
-        if done - 1 >= _MAX_REDISPATCHES:
-            self._fail(job_name, f"{job_name}: recovery budget exhausted ({reason})")
-            return
-        if exclude_machine and from_machine != "?":
-            names = (self.job_excluded or {}).get(job_name, [])
-            if from_machine not in names:
-                self._record("job_excluded", job_name, [*names, from_machine])
-        self._record("job_phase", job_name, "pending")
-        tracing.record(
-            self.machine, 11, "Scheduler",
-            f"recover {job_name} from {from_machine}: {reason}",
-        )
-        self._announce_recovery(job_name, from_machine, reason)
+        if ft is not None and self.status == "Running":
+            yield from watchdog.sweep(self, ft)
 
     def _announce_recovery(self, job_name: str, from_machine: str, reason: str):
         """Broadcast a JobRecovery event carrying a typed WS-BaseFault."""
@@ -670,36 +614,19 @@ class SchedulerService(ServiceSkeleton):
         """Turn a FileRef into the paper's {EPR, filename, jobname} tuple."""
         uri = Uri.parse(ref.source_url)
         if uri.scheme == "local":
-            if self.client_fs_epr is None:
+            source = self.client_fs_epr
+            missing = f"{ref.source_url!r} but the client provided no file server"
+        else:
+            dep = ref.depends_on(name_map)
+            if dep is None:
                 raise SchedulingFault(
-                    description=(
-                        f"job {job_name!r} needs {ref.source_url!r} but the "
-                        "client provided no file server"
-                    )
+                    description=f"unsupported input URI scheme {uri.scheme!r}"
                 )
-            return {
-                "source_epr": self.client_fs_epr,
-                "filename": uri.path,
-                "jobname": ref.jobname,
-            }
-        dep = ref.depends_on(name_map)
-        if dep is not None:
-            dirs = self.job_dirs or {}
-            if dep not in dirs:
-                raise SchedulingFault(
-                    description=(
-                        f"job {job_name!r} needs output of {dep!r} but its "
-                        "location is not known yet"
-                    )
-                )
-            return {
-                "source_epr": dirs[dep],
-                "filename": uri.path,
-                "jobname": ref.jobname,
-            }
-        raise SchedulingFault(
-            description=f"unsupported input URI scheme {uri.scheme!r}"
-        )
+            source = (self.job_dirs or {}).get(dep)
+            missing = f"output of {dep!r} but its location is not known yet"
+        if source is None:
+            raise SchedulingFault(description=f"job {job_name!r} needs {missing}")
+        return {"source_epr": source, "filename": uri.path, "jobname": ref.jobname}
 
     def _announce(self, outcome: str, detail: str = "") -> None:
         """Broadcast the job set's terminal status on its topic."""
@@ -752,7 +679,7 @@ class SchedulerService(ServiceSkeleton):
             wrapper.jobsets_readopted += 1
             jobset_epr = wrapper.epr_for(rid)
             if ft is not None:
-                _start_watchdog(wrapper, rid, jobset_epr, ft)
+                watchdog.start_watchdog(wrapper, rid, jobset_epr, ft)
             _nudge_scheduling_pass(wrapper, jobset_epr)
         wrapper._jobset_seq = seq
 
@@ -769,43 +696,3 @@ def _nudge_scheduling_pass(wrapper, jobset_epr):
             pass  # the watchdog self-heals a lost nudge
 
     return wrapper.env.process(nudge(wrapper.env))
-
-
-def _start_watchdog(wrapper, rid: str, jobset_epr, ft: FaultToleranceConfig):
-    """Detached per-job-set process driving periodic Watchdog sweeps.
-
-    It peeks the stored job set state between sleeps and stops once the
-    set leaves Running (or is destroyed); each tick is a one-way
-    self-message so the sweep itself runs through the normal dispatch
-    pipeline, under the resource lock with state loaded (the Activate
-    pattern).  The loopback link is exempt from fault injection, so the
-    watchdog keeps ticking no matter how lossy the wide network is.
-    """
-    env = wrapper.env
-    host = wrapper.machine.host
-    epoch = host.boot_epoch
-
-    def loop(env):
-        while True:
-            yield env.timeout(ft.watchdog_period)
-            if host.boot_epoch != epoch:
-                # This watchdog belongs to a dead boot; wsrf_recover
-                # started a replacement, so exit instead of double-probing.
-                return
-            try:
-                status = wrapper.load_resource(rid).status
-            except NoSuchResource:
-                return  # job set destroyed
-            if status != "Running":
-                return
-            try:
-                yield from wrapper.client.call(
-                    jobset_epr, UVA, "Watchdog",
-                    category="watchdog", one_way=True,
-                )
-            except DeliveryError:
-                return  # scheduler host itself went down
-
-    # Every failure path inside loop() is absorbed, so the detached
-    # process can never re-raise at the end of the run.
-    return env.process(loop(env))

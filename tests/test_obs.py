@@ -18,12 +18,15 @@ from repro.obs import (
     render_event_tail,
     render_trace,
 )
+from repro.gridapp import FaultToleranceConfig
+from repro.gridapp.scheduler import SchedulerService
 from repro.sim import Environment
 from repro.wsrf import InvalidResourcePropertyQNameFault, ResourceUnknownFault
 from repro.wsrf.tooling import WrapperService
 from repro.xmlx import NS, QName
 
-from tests.equivalence import Scenario, run_scenario
+from tests.equivalence import SCENARIOS, Scenario, run_scenario
+from tests.helpers import fan_spec, fig3_testbed
 
 
 class TestMetricsRegistry:
@@ -186,6 +189,26 @@ class TestSpanRecorder:
         ]
 
 
+def _every_machine_down():
+    """A fault-tolerant Fig-3 grid whose four machines are all down: the
+    job set's only job fails after three dispatch attempts.  Returns the
+    testbed and the job set's stored state."""
+    tb = fig3_testbed(
+        1.0, {}, machine_speeds=[1.0, 3.0, 2.0, 4.0],
+        start_utilization_services=False, observability=True,
+        fault_tolerance=FaultToleranceConfig(watchdog_period=5.0, stuck_after=20.0),
+    )
+    for machine in tb.machines:
+        machine.host.down = True
+    client = tb.make_client()
+    outcome, jobset_epr, _ = tb.run_job_set(client, fan_spec(client, tb, 1))
+    tb.settle(1.0)
+    assert outcome == "failed"
+    return tb, tb.scheduler.store.load(
+        "Scheduler", jobset_epr.get(QName(NS.UVACG, "ResourceID"))
+    )
+
+
 def _completed(n_jobs=3, **testbed):
     """The testbed of a finished Fig-3 run on two machines, as
     tests/equivalence.py drives it (observed, unless *testbed* says
@@ -304,6 +327,51 @@ class TestEndToEnd:
         assert {(False, "method", "hit"), (False, "db_save", "hit")} <= perf
         # the two faults stop the pipeline in the stage that raised
         assert {(True, "db_load", "miss"), (True, "method", "hit")} <= perf
+
+    def test_scheduler_stages_partition_each_dispatch(self, observed_run):
+        """The Fig-3 run, a 20 %-drop fault-tolerant run, a two-zone run
+        that spills to the aggregator, and a run whose every machine is
+        down (FT fails over twice, then gives up): each
+        ``scheduler.dispatch`` span is partitioned by its stage spans,
+        in table order, and nothing is left open."""
+        table = [name for name, _ in SchedulerService._STAGES]
+        drop_run, _ = run_scenario(SCENARIOS["drop20_ft"])
+        spill_run, _ = run_scenario(SCENARIOS["zones_2_spill"])
+        down_run, state = _every_machine_down()
+        for tb in (observed_run, drop_run, spill_run, down_run):
+            rec = tb.obs.spans
+            assert rec.open_spans() == []
+            dispatches = rec.named("scheduler.dispatch")
+            assert dispatches
+            for dispatch in dispatches:
+                assert rec.get(dispatch.parent_id).name == "wsrf.dispatch"
+                stages = rec.children(dispatch)
+                names = [s.name for s in stages]
+                assert names and names == table[:len(names)], names
+                for before, after in zip(stages, stages[1:]):
+                    assert before.end <= after.start
+                assert stages[0].start == dispatch.start
+                assert stages[-1].end == dispatch.end
+                assert math.isclose(
+                    sum(s.duration for s in stages), dispatch.duration, rel_tol=0.05
+                )
+                # a stage that raised carries the fault, and ends the attempt
+                faulted = [s for s in stages if "fault" in s.attrs]
+                assert faulted in ([], stages[-1:])
+                assert dispatch.attrs.get("fault") == (
+                    faulted[0].attrs["fault"] if faulted else None
+                )
+        # the run with every machine down: three attempts, each ending in
+        # a Run that never answered; the two that failed over excluded
+        # exactly the machines they had been sent to
+        attempts = rec.named("scheduler.dispatch")
+        assert [d.attrs["attempt"] for d in attempts] == [1, 2, 3]
+        for dispatch in attempts:
+            run = rec.children(dispatch)[-1]
+            assert run.name == "scheduler.dispatch.run"
+            assert run.attrs["fault"] == "DeliveryError"
+        failed_over = sorted(d.attrs["machine"] for d in attempts[:2])
+        assert state[QName(NS.UVACG, "job_excluded")] == {"job0": failed_over}
 
     def test_registry_mirrors_adhoc_counters(self, observed_run):
         obs = observed_run.obs
