@@ -29,12 +29,12 @@ from repro.db.sql import SqlError, SqlResourceStore, execute_sql
 from repro.db.resource_store import (
     BlobResourceStore,
     DecodeCache,
-    IMMUTABLE_LEAVES,
     NoSuchResource,
     ResourceStore,
-    copy_field,
     same_field,
 )
+# the exactness rule lives beside the grammar it describes
+from repro.soap.types import IMMUTABLE_LEAVES, copy_field
 from repro.db.cached_store import CachedResourceStore
 from repro.db.xmlstore import XmlResourceStore
 

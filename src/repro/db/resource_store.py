@@ -13,6 +13,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.db.engine import Column, Database, DbError
 from repro.soap import ContentTable, from_typed_element, to_typed_element, write_typed
+from repro.soap.types import IMMUTABLE_LEAVES, _Inexact, copy_field
 from repro.wsa import EndpointReference
 from repro.xmlx import NS, Element, QName, parse, to_string, xpath_select
 from repro.xmlx.writer import document_frame
@@ -74,53 +75,6 @@ def decode_state(blob: bytes) -> State:
     if root.tag != _STATE_TAG:
         raise ValueError(f"not a resource-state document: {root.tag}")
     return {child.tag: from_typed_element(child) for child in root.children}
-
-
-#: the exact types whose values are immutable and decode to themselves:
-#: a kept value of one of them is its own copy (:func:`copy_field`
-#: returns it as it is), so a reader may take it without the call
-IMMUTABLE_LEAVES = frozenset({str, int, bool, float, bytes, type(None)})
-
-
-class _Inexact(Exception):
-    """A value that does not decode to itself (a tuple comes back a
-    list, a subclass its base): it must cross the codec to be loaded."""
-
-
-def copy_field(value: Any) -> Any:
-    """Isolation copy of a value that decodes to itself: what a reader
-    of a kept field (:meth:`DecodeCache.kept`) gets to own and mutate.
-    An immutable leaf is its own copy.
-
-    The typed-value universe is closed (soap/types.py): the only mutable
-    shapes are dict, list and Element — everything else (str, int, float,
-    bool, bytes, None, EndpointReference) is immutable and safe to share.
-    So a container is copied in one call and only the members that are
-    not plain leaves are looked at again; the leaves, nearly all of a
-    state, cost no call of their own.  What :func:`from_typed_element`
-    produced is always inside the universe; what a caller saves may not
-    be, and raises :class:`_Inexact`.
-    """
-    cls = type(value)
-    if cls is dict:
-        copy = value.copy()
-        for key, item in value.items():
-            if type(item) not in IMMUTABLE_LEAVES:
-                copy[key] = copy_field(item)
-        return copy
-    if cls is list:
-        copy = value.copy()
-        for at, item in enumerate(value):
-            if type(item) not in IMMUTABLE_LEAVES:
-                copy[at] = copy_field(item)
-        return copy
-    if cls in IMMUTABLE_LEAVES:
-        return value
-    if cls is Element:
-        return value.copy()
-    if cls is EndpointReference and value.address == value.address.strip():
-        return value
-    raise _Inexact
 
 
 def _same_element(a: Element, b: Element) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.soap import to_typed_element
 from repro.wsa import EndpointReference
 from repro.wsrf.servicegroup import (
     ServiceGroupService,
@@ -64,19 +63,21 @@ class ProcessorCatalog:
     Both are read off the group by the one read-only walk
     (:func:`~repro.wsrf.servicegroup.kept_entries`), which counts every
     row read as ``load`` would.  Each entry's parsed row is kept against
-    the kept content document it was parsed from, and the
-    ``GetProcessorsResponse`` against the ordered list of those
+    the kept content document it was parsed from, and the list of rows
+    ``GetProcessors`` answers with against the ordered list of those
     documents: the answer is a pure function of that list, so nothing
     invalidates either.  ``ReportUtilization``, ``Add``,
     ``UpdateContent``, an entry's destroy and a host restore all change
     a row's bytes, hence the document the store keeps for it, hence the
     list.  A backend that keeps no decoded state serves new documents on
-    every read, and every poll parses and encodes afresh.
+    every read, and every poll parses afresh.
 
-    The response element is never handed out: the reply encoder writes
-    the body's text and gives the receiver its own copy (or, when the
-    envelope cannot be spliced, the receiver parses the text), so no
-    receiver can reach the element this view reuses.
+    The rows are handed out, and no one can reach them through what was
+    handed: the wrapper wraps the answer in a
+    :func:`~repro.soap.typed_value`, which holds its own copy, and the
+    reply encoder writes the text from that copy and gives the receiver
+    another (or, when the envelope cannot be spliced, the receiver
+    parses the text).
     """
 
     def __init__(self) -> None:
@@ -86,9 +87,9 @@ class ProcessorCatalog:
         #: the documents the last walk met; holding the document keeps
         #: its id from being reused
         self._rows: Dict[int, tuple] = {}
-        #: the content documents the kept response was built from
+        #: the content documents the kept rows were parsed from
         self._contents: list = []
-        self._response: Optional[Element] = None
+        self._processors: Optional[List[Dict]] = None
 
     def __eq__(self, other) -> bool:
         # Alike when they hold the same index and last answered from the
@@ -116,20 +117,16 @@ class ProcessorCatalog:
             out.append((entry_id, content, memo[1]))
         return out
 
-    def response(self, wrapper) -> Element:
-        """The ``GetProcessorsResponse`` body for the group as stored
-        now, encoded only when its content documents changed."""
+    def processors(self, wrapper) -> List[Dict]:
+        """The ``GetProcessors`` rows for the group as stored now, a new
+        list only when its content documents changed."""
         walked = self._walk(wrapper)
         contents = [content for _, content, _ in walked]
         # Element equality is identity: the same documents, in order.
-        if self._response is None or contents != self._contents:
-            ns = wrapper.service_cls.SERVICE_NS
-            response = Element(QName(ns, "GetProcessorsResponse"))
-            response.append(to_typed_element(
-                QName(ns, "GetProcessorsResult"), [row for _, _, row in walked]
-            ))
-            self._response, self._contents = response, contents
-        return self._response
+        if self._processors is None or contents != self._contents:
+            self._processors = [row for _, _, row in walked]
+            self._contents = contents
+        return self._processors
 
     def entry_for(self, wrapper, machine_name: str) -> Optional[str]:
         """The entry resource id of *machine_name*'s processor."""
@@ -189,10 +186,9 @@ class NodeInfoService(ServiceGroupService):
 
     @WebMethod(requires_resource=False)
     def GetProcessors(self) -> List[Dict]:
-        """The Scheduler's step-2 poll: every known processor's state,
-        answered as the typed response element the wrapper sends as is."""
+        """The Scheduler's step-2 poll: every known processor's state."""
         wrapper = self.wsrf.wrapper
-        return wrapper._processor_index.response(wrapper)
+        return wrapper._processor_index.processors(wrapper)
 
 
 def setup_node_info(wrapper, machines) -> str:

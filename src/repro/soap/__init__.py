@@ -6,7 +6,8 @@ size drives transfer time), so header processing (WS-Addressing routing,
 WS-Security tokens, WSRF EPR resolution) happens against documents
 exactly as in the paper's ASP.NET stack.  The receiver of a text this
 process encoded is handed a ready envelope of its own
-(:class:`EnvelopeCache`); any other text is parsed.
+(:class:`EnvelopeCache`), a typed value in it as a value
+(:func:`typed_value`); any other text is parsed.
 
 Two message-exchange patterns, matching §4.1 of the paper:
 
@@ -19,14 +20,22 @@ Two message-exchange patterns, matching §4.1 of the paper:
 
 from repro.soap.envelope import ContentTable, EnvelopeCache, SoapEnvelope
 from repro.soap.fault import SoapFault
-from repro.soap.types import from_typed_element, to_typed_element, write_typed
+from repro.soap.types import (
+    TypedValue,
+    from_typed_element,
+    to_typed_element,
+    typed_value,
+    write_typed,
+)
 
 __all__ = [
     "ContentTable",
     "EnvelopeCache",
     "SoapEnvelope",
     "SoapFault",
+    "TypedValue",
     "from_typed_element",
     "to_typed_element",
+    "typed_value",
     "write_typed",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+from repro.soap.types import TypedValue, typed_value, write_typed
 from repro.wsa.headers import AddressingHeaders
 from repro.xmlx import NS, Element, QName, parse, to_string
 from repro.xmlx.writer import XML_DECLARATION, document_frame, write_fragment
@@ -74,8 +75,9 @@ class EnvelopeCache:
     One move-once table, keyed on the raw wire text.  The encoder
     registers what the receiver is to have — a new
     :class:`SoapEnvelope` with its own addressing headers, body and
-    extra-header copies (built by the walk that wrote their text; only
-    the immutable EPR is shared), equal field for field to the strict
+    extra-header copies (built by the walk that wrote their text, a
+    typed value in the body as a fresh copy of its value; only the
+    immutable EPR is shared), equal field for field to the strict
     parse of the text — and the receiving
     endpoint's parse of that exact text *consumes* the entry (move
     semantics — exactly one receiver, free to mutate).  Any other text
@@ -134,7 +136,8 @@ class EnvelopeCache:
 def _splice(envelope: "SoapEnvelope") -> Optional[Tuple[str, "SoapEnvelope"]]:
     """The reference wire text of *envelope*, written without building
     its tree, and the envelope its receiver is handed (body and blocks
-    copied by the walk that wrote them) — or None when the text, or what
+    copied by the walk that wrote them, a typed value in the body handed
+    over as a value: :func:`_write_body`) — or None when the text, or what
     the strict parser reads back from it, depends on more than the
     pieces: the addressing headers decline
     (:meth:`AddressingHeaders.header_fragment`), an extra header is not
@@ -157,13 +160,53 @@ def _splice(envelope: "SoapEnvelope") -> Optional[Tuple[str, "SoapEnvelope"]]:
             return None
         blocks.append(block)
     out.append("</soap:Header><soap:Body>")
-    body = write_fragment(envelope.body, out, uris)
+    body = _write_body(envelope.body, out, uris)
     if body is None:
         return None
     out[1], closing = document_frame(_ENVELOPE, uris)
     out.append("</soap:Body>" + closing)
     addressing = AddressingHeaders(sent.to_epr, sent.action, sent.message_id, sent.relates_to)
     return "".join(out), SoapEnvelope(addressing, body, blocks)
+
+
+def _write_body(body: Element, out: List[str], uris) -> Optional[Element]:
+    """``write_fragment(body, out, uris)``, except for each direct child
+    that is a :class:`~repro.soap.types.TypedValue` nobody has read:
+    its text is :func:`~repro.soap.types.write_typed` of its value (the
+    same text) and the receiver's copy a fresh ``typed_value`` over that
+    value, so no tree is built, copied or walked for it.
+
+    A payload wrapper has neither attributes nor text; one that has them
+    is written whole by ``write_fragment``, which reads any typed child's
+    tree.
+    """
+    children = body.children
+    if body.attrib or body.text or body.tail or not children:
+        return write_fragment(body, out, uris)
+    uri, name = tag = body.tag
+    if uri:
+        prefix = NS.PREFERRED_PREFIXES.get(uri)
+        if prefix is None:
+            return None
+        uris[uri] = None
+        name = f"{prefix}:{name}"
+    out.append(f"<{name}>")
+    copy = Element(tag)
+    handed = copy.children
+    for child in children:
+        if type(child) is TypedValue and child.unread and not child.tail:
+            mentions = write_typed(child.tag, child.value, out)
+            if mentions is None:
+                return None
+            uris.update(dict.fromkeys(mentions))
+            child = typed_value(child.tag, child.value)
+        else:
+            child = write_fragment(child, out, uris)
+            if child is None:
+                return None
+        handed.append(child)
+    out.append(f"</{name}>")
+    return copy
 
 
 class SoapEnvelope:

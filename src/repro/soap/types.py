@@ -3,7 +3,9 @@
 The WSRF.NET wrapper serializes method arguments, return values and
 resource state to XML.  This module is the equivalent of the ASP.NET
 XML serializer for the primitive types the testbed uses, plus EPRs,
-byte blobs, lists and string-keyed dicts.
+byte blobs, lists and string-keyed dicts.  A value that decodes to
+itself can also cross the in-process hand-off as a value
+(:func:`typed_value`), its element built only if someone reads it.
 """
 
 from __future__ import annotations
@@ -217,15 +219,149 @@ def _write_typed(
     return True
 
 
+# -- values that decode to themselves ------------------------------------------------
+
+#: the exact types whose values are immutable and decode to themselves:
+#: a kept value of one of them is its own copy (:func:`copy_field`
+#: returns it as it is), so a reader may take it without the call
+IMMUTABLE_LEAVES = frozenset({str, int, bool, float, bytes, type(None)})
+
+
+class _Inexact(Exception):
+    """A value that does not decode to itself (a tuple comes back a
+    list, a subclass its base): it must cross the codec to be loaded."""
+
+
+def copy_field(value: Any) -> Any:
+    """Isolation copy of a value that decodes to itself: what a reader
+    of a kept field (:meth:`repro.db.DecodeCache.kept`) or of a
+    :class:`TypedValue` gets to own and mutate.  An immutable leaf is
+    its own copy.
+
+    The typed-value universe is closed: the only mutable shapes are
+    dict, list and Element — everything else (str, int, float, bool,
+    bytes, None, EndpointReference) is immutable and safe to share.  So
+    a container is copied in one call and only the members that are not
+    plain leaves are looked at again; the leaves, nearly all of a value,
+    cost no call of their own.  What :func:`from_typed_element` produced
+    is always inside the universe; what a caller hands in may not be —
+    a tuple, a subclass, a map key that is not exactly ``str``, an EPR
+    whose address the parser would strip — and raises :class:`_Inexact`.
+    """
+    cls = type(value)
+    if cls is dict:
+        if not _STR_ONLY.issuperset(map(type, value)):
+            raise _Inexact
+        copy = value.copy()
+        for key, item in value.items():
+            if type(item) not in IMMUTABLE_LEAVES:
+                copy[key] = copy_field(item)
+        return copy
+    if cls is list:
+        copy = value.copy()
+        for at, item in enumerate(value):
+            if type(item) not in IMMUTABLE_LEAVES:
+                copy[at] = copy_field(item)
+        return copy
+    if cls in IMMUTABLE_LEAVES:
+        return value
+    if cls is Element:
+        return value.copy()
+    if cls is EndpointReference and value.address == value.address.strip():
+        return value
+    raise _Inexact
+
+
+#: what a :class:`TypedValue` holds once its tree is built
+_BUILT = object()
+_ATTRIB, _TEXT, _CHILDREN = (Element.__dict__[slot] for slot in ("attrib", "text", "children"))
+
+
+def _tree_slot(slot):
+    """An element slot of :class:`TypedValue`: read or written, it is
+    the slot of the tree :func:`to_typed_element` builds, built first."""
+
+    def get(self):
+        if self.value is not _BUILT:
+            self._build()
+        return slot.__get__(self)
+
+    def put(self, content):
+        if self.value is not _BUILT:
+            self._build()
+        slot.__set__(self, content)
+
+    return property(get, put)
+
+
+class TypedValue(Element):
+    """``to_typed_element(tag, value)`` not built yet: the element a
+    producer hands to the envelope (:func:`typed_value`).
+
+    It holds an isolated copy of the value (:func:`copy_field`).  The
+    first read or write of ``attrib``, ``text`` or ``children`` builds
+    the tree, so every reader and writer of elements sees exactly the
+    element it stands for; after that it is that element, and ``value``
+    no longer holds the value.  Until then the envelope splice writes its text with
+    :func:`write_typed` and hands the receiver a fresh one over the same
+    value, and :func:`from_typed_element` answers with a copy of the
+    value: nobody builds, copies or walks a tree.  Like
+    :class:`_Base64Text`, it needs no table and nothing invalidates it.
+    """
+
+    __slots__ = ("value",)
+
+    attrib = _tree_slot(_ATTRIB)
+    text = _tree_slot(_TEXT)
+    children = _tree_slot(_CHILDREN)
+
+    @property
+    def unread(self) -> bool:
+        """True while the tree is not built: ``value`` is what it holds."""
+        return self.value is not _BUILT
+
+    def _build(self) -> None:
+        tree = to_typed_element(self.tag, self.value)
+        self.value = _BUILT
+        _ATTRIB.__set__(self, tree.attrib)
+        _TEXT.__set__(self, tree.text)
+        _CHILDREN.__set__(self, tree.children)
+
+
+_new_typed = TypedValue.__new__
+
+
+def typed_value(tag: QName, value: Any) -> Element:
+    """The element :func:`to_typed_element` builds for *value*, as a
+    :class:`TypedValue` over an isolated copy — or, for a value that
+    does not decode to itself (:class:`_Inexact`), that element built
+    now, raising what it raises.  The caller may go on mutating
+    *value*; the element does not see it."""
+    if type(value) not in IMMUTABLE_LEAVES:
+        try:
+            value = copy_field(value)
+        except _Inexact:
+            return to_typed_element(tag, value)
+    element = _new_typed(TypedValue)
+    element.tag = tag
+    element.tail = ""
+    element.value = value
+    return element
+
+
 def from_typed_element(element: Element) -> Any:
     """Inverse of :func:`to_typed_element`.
 
-    A malformed literal raises ``SoapFault("soap:Client", "bad <type>
-    literal ...")``.  A base64 leaf whose text is the very object
-    :func:`to_typed_element` wrote (and that has gained no child) hands
-    back the ``bytes`` it was encoded from; any other text — parsed,
-    assigned, foreign — goes through ``base64.b64decode``.
+    A :class:`TypedValue` whose tree nobody built answers with a copy of
+    its value.  A malformed literal raises ``SoapFault("soap:Client",
+    "bad <type> literal ...")``.  A base64 leaf whose text is the very
+    object :func:`to_typed_element` wrote (and that has gained no child)
+    hands back the ``bytes`` it was encoded from; any other text —
+    parsed, assigned, foreign — goes through ``base64.b64decode``.
     """
+    if type(element) is TypedValue and element.unread:
+        value = element.value
+        return value if type(value) in IMMUTABLE_LEAVES else copy_field(value)
     if element.get(_XSI_NIL) == "true":
         return None
     xsi_type = element.get(_XSI_TYPE)

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.net import Network
 from repro.net.retry import RetryPolicy, with_retry
-from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
+from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element, typed_value
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.wsrf.basefaults import BaseFault
 from repro.wsrf.lifetime import DESTROY, SET_TERMINATION_TIME
@@ -167,7 +167,7 @@ class WsrfClient:
         """
         body = Element(QName(service_ns, method))
         for name, value in (args or {}).items():
-            body.append(to_typed_element(QName(service_ns, name), value))
+            body.append(typed_value(QName(service_ns, name), value))
         response = yield from self.invoke(
             epr,
             body,

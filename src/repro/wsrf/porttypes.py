@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.soap import to_typed_element
+from repro.soap import typed_value
 from repro.wsrf.basefaults import (
     InvalidQueryExpressionFault,
     InvalidResourcePropertyQNameFault,
@@ -151,7 +151,8 @@ class SetResourcePropertiesPortType(SpecPortType):
 
 
 def rp_value_element(qname: QName, value) -> Element:
-    """Serialize one resource property value for a response/RP document."""
+    """Serialize one resource property value for a response/RP document
+    (a :func:`~repro.soap.typed_value`: a reply carries it as a value)."""
     if isinstance(value, Element) and value.tag == qname:
         return value.copy()
-    return to_typed_element(qname, value)
+    return typed_value(qname, value)

@@ -32,7 +32,7 @@ from repro.db import (
 )
 from repro.net.network import DeliveryError
 from repro.sim import Lock
-from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
+from repro.soap import SoapEnvelope, SoapFault, from_typed_element, typed_value
 from repro.soap.endpoint import read_request, reject, reply_text, server_fault
 from repro.wsa import EndpointReference
 from repro.wsrf.attributes import (
@@ -859,7 +859,7 @@ class WrapperService:
             return result
         response = Element(QName(ns, f"{name}Response"))
         if result is not None:
-            response.append(to_typed_element(QName(ns, f"{name}Result"), result))
+            response.append(typed_value(QName(ns, f"{name}Result"), result))
         return response
 
 

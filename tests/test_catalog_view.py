@@ -2,8 +2,8 @@
 
 ``GetProcessors`` answers from :class:`repro.gridapp.node_info.
 ProcessorCatalog`, which parses each entry's content document once and
-reuses the whole response while the group's content documents stay the
-same.  Hypothesis draws sequences of the operations that change a row —
+reuses the whole list of rows while the group's content documents stay
+the same.  Hypothesis draws sequences of the operations that change a row —
 ``ReportUtilization``, ``UpdateContent`` (conforming or not), ``Add``,
 an entry's destroy, a checkpoint and a host restart that restores it —
 interleaved with polls.  Each sequence runs on two deployments side by
@@ -16,10 +16,13 @@ mutates everything it was handed before the next poll.
 A failure prints the program; ``_run(store, program)`` replays it.
 """
 
+import sys
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.db import BlobResourceStore, CachedResourceStore, XmlResourceStore
+import repro.soap.types as soap_types
+from repro.db import BlobResourceStore, CachedResourceStore, XmlResourceStore, copy_field
 from repro.gridapp import node_info
 from repro.gridapp.node_info import (
     PROCESSOR_INFO,
@@ -30,7 +33,7 @@ from repro.gridapp.node_info import (
 from repro.net import Network
 from repro.osim import Machine
 from repro.sim import Environment
-from repro.soap import SoapEnvelope, from_typed_element
+from repro.soap import SoapEnvelope, TypedValue, from_typed_element
 from repro.soap.fault import SoapFault
 from repro.wsa import EndpointReference
 from repro.wsa.headers import AddressingHeaders
@@ -221,26 +224,55 @@ class TestCatalogView:
     def test_the_kept_response_is_never_handed_out(self):
         site = _Site(NodeInfoService, BlobResourceStore)
         catalog = site.wrapper._processor_index
-        first, _ = site.poll()
-        kept = catalog._response
-        # The receiver vandalized its copy (poll does); the kept
-        # element is the one reused, and the reply has not moved.
-        second, _ = site.poll()
-        assert catalog._response is kept
+        first, rows = site.poll()
+        kept = catalog._processors
+        assert kept == rows
+        # The receiver vandalized its copy of the body (poll does) and
+        # now its decoded rows; the kept rows are the ones reused, they
+        # have not moved, and neither has the reply.
+        rows[0]["name"] = "vandal"
+        rows.append({})
+        second, again = site.poll()
+        assert catalog._processors is kept
         assert second.replace("poll-2", "poll-1") == first
+        assert again == kept and "vandal" not in [row["name"] for row in kept]
+
+
+def _count_everywhere(monkeypatch, name, counted):
+    """Rebind the ``repro.soap.types`` function *name* in every
+    ``repro`` module that holds it, counting in *counted* the calls on a
+    ``GetProcessorsResult`` element that *walks* says walk a tree."""
+    original = getattr(soap_types, name)
+
+    def counting(*args):
+        counted[name] += walks(*args)
+        return original(*args)
+
+    walks = {
+        # an element built, by any producer or by reading a TypedValue
+        "to_typed_element": lambda tag, value: tag.local == "GetProcessorsResult",
+        # the tree branch: anything but a TypedValue nobody has read
+        "from_typed_element": lambda element: element.tag.local == "GetProcessorsResult"
+        and not (type(element) is TypedValue and element.unread),
+    }[name]
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("repro") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
 
 
 def test_a_fan_parses_each_content_document_once_and_encodes_on_change(monkeypatch):
     """On a 32-machine, 64-job fan, ``parse_processor_content`` runs
     once per distinct entry content document, not once per entry per
-    poll, and the catalog is encoded only on polls whose rows differ
-    from the previous poll's."""
-    polls, parsed, encodes, reports = [], [], [0], [0]
-    walking, answering = [False], [False]
+    poll, the catalog's rows are rebuilt only on polls whose rows differ
+    from the previous poll's, and no side builds or walks a
+    ``GetProcessorsResult`` tree: the rows cross the hand-off as a
+    value."""
+    polls, answers, parsed, reports = [], [], [], [0]
+    trees = {"to_typed_element": 0, "from_typed_element": 0}
+    walking = [False]
     parse = node_info.parse_processor_content
-    encode = node_info.to_typed_element
     content = node_info.processor_content
-    walk, respond = ProcessorCatalog._walk, ProcessorCatalog.response
+    walk, answer = ProcessorCatalog._walk, ProcessorCatalog.processors
 
     def counting_parse(content):
         if walking[0]:
@@ -258,24 +290,18 @@ def test_a_fan_parses_each_content_document_once_and_encodes_on_change(monkeypat
         finally:
             walking[0] = False
 
-    def counting_encode(*args):
-        encodes[0] += answering[0]
-        return encode(*args)
-
-    def counting_response(self, wrapper):
-        answering[0] = True
-        try:
-            response = respond(self, wrapper)
-        finally:
-            answering[0] = False
-        polls.append(from_typed_element(response.children[0]))
-        return response
+    def counting_answer(self, wrapper):
+        rows = answer(self, wrapper)
+        answers.append(rows)  # held, so no two are ever one id
+        polls.append(copy_field(rows))
+        return rows
 
     monkeypatch.setattr(node_info, "parse_processor_content", counting_parse)
-    monkeypatch.setattr(node_info, "to_typed_element", counting_encode)
     monkeypatch.setattr(node_info, "processor_content", counting_content)
     monkeypatch.setattr(ProcessorCatalog, "_walk", counting_walk)
-    monkeypatch.setattr(ProcessorCatalog, "response", counting_response)
+    monkeypatch.setattr(ProcessorCatalog, "processors", counting_answer)
+    for name in trees:
+        _count_everywhere(monkeypatch, name, trees)
 
     tb = fig3_testbed(1.0, {"out.dat": b"x"}, n_machines=32)
     client = tb.make_client()
@@ -290,4 +316,8 @@ def test_a_fan_parses_each_content_document_once_and_encodes_on_change(monkeypat
     changed = sum(
         1 for at, rows in enumerate(polls) if at == 0 or rows != polls[at - 1]
     )
-    assert encodes[0] == changed < len(polls) // 2
+    rebuilt = sum(
+        1 for at, rows in enumerate(answers) if at == 0 or rows is not answers[at - 1]
+    )
+    assert rebuilt == changed < len(polls) // 2, (rebuilt, changed)
+    assert trees == {"to_typed_element": 0, "from_typed_element": 0}

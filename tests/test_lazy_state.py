@@ -15,10 +15,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import repro.db.resource_store as resource_store
+import repro.soap.types as types
 import repro.wsrf.attributes as attributes
-from repro.db import BlobResourceStore, CachedResourceStore, SqlResourceStore, XmlResourceStore
-from repro.db.resource_store import encode_state
+from repro.db import (
+    BlobResourceStore,
+    CachedResourceStore,
+    DecodeCache,
+    SqlResourceStore,
+    XmlResourceStore,
+    copy_field,
+)
+from repro.db.resource_store import decode_state, encode_state
 from repro.gridapp import JobSetSpec
 from repro.gridapp.scheduler import SchedulerService
 from repro.net import Network
@@ -73,16 +80,17 @@ def test_a_dispatch_copies_only_the_fields_it_reads(monkeypatch, perf):
     env, wrapper, client = _fabric(Ledger, perf=perf)
     epr = _drive(env, client.call(wrapper.service_epr(), UVA, "Create"))
     copied = []
-    original = resource_store.copy_field
+    original = types.copy_field
 
     def counting(value):
         copied.append(value)
         return original(value)
 
     # Both names: Resource.__get__ calls the one it imported, and the
-    # copy recurses through the module's own.
+    # copy recurses through its own module's.  The reply's int result is
+    # a leaf, which crosses the hand-off without a copy_field call.
     monkeypatch.setattr(attributes, "copy_field", counting)
-    monkeypatch.setattr(resource_store, "copy_field", counting)
+    monkeypatch.setattr(types, "copy_field", counting)
     assert _drive(env, client.call(epr, UVA, "CountItems")) == 2
     # ``items`` and its two members; ``note``, ``table`` and ``doc``
     # were never read, so nothing of theirs was copied.
@@ -123,6 +131,31 @@ def test_the_reference_codec_parses_the_wrappers_read_too(reference_codec):
     assert kept == again == {QName(UVA, "items"): [1, 2]}
     assert kept[QName(UVA, "items")] is not again[QName(UVA, "items")]
     assert store.decode_cache.hits == 0
+
+
+class _Key(str):
+    pass
+
+
+@pytest.mark.parametrize("store_cls", [BlobResourceStore, CachedResourceStore])
+def test_a_str_subclass_map_key_is_not_kept(store_cls):
+    # The encoder writes the key as a string and the parser reads it
+    # back as one: the value does not decode to itself, so it is not
+    # kept decoded, and every read answers what the bytes say.
+    field = QName(UVA, "table")
+    state = {field: {_Key("a"): 1}, QName(UVA, "n"): 1}
+    with pytest.raises(types._Inexact):
+        copy_field(state[field])
+    cache = DecodeCache()
+    blob = cache.encode(state)
+    assert blob == encode_state(state)
+    for got in (cache.kept(blob), cache.decode(blob)):
+        assert [type(key) for key in got[field]] == [str]
+    store = store_cls()
+    store.create("S", "r", state)
+    for got in (store.load("S", "r"), store.load_kept("S", "r")):
+        assert got == decode_state(blob)
+        assert [type(key) for key in got[field]] == [str]
 
 
 # -- the field model ----------------------------------------------------------------
