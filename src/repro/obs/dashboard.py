@@ -10,17 +10,9 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.wsrf.tooling import WrapperService
+
 Snapshot = Dict[str, Any]
-
-#: the Fig. 1 wrapper pipeline, in dispatch order
-PIPELINE_STAGES = (
-    "wsrf.dispatch.queue",
-    "wsrf.dispatch.epr_resolve",
-    "wsrf.dispatch.db_load",
-    "wsrf.dispatch.method",
-    "wsrf.dispatch.db_save",
-)
-
 
 _NUMBER = (int, float)
 #: the keys the renderers read of each entry, with the types they accept
@@ -91,13 +83,15 @@ def _metric_rows(snapshot: Snapshot, prefix: str) -> List[Sequence[object]]:
 
 
 def render_pipeline_breakdown(snapshot: Snapshot) -> str:
-    """The Fig. 1 dispatch-stage table, aggregated over all services."""
+    """The Fig. 1 dispatch-stage table, aggregated over all services,
+    in the wrapper's stage order."""
+    stages = [name for name, _, _ in WrapperService._STAGES]
     by_stage: Dict[str, Dict[str, float]] = {}
     for entry in snapshot["metrics"]:
         if entry["kind"] != "histogram":
             continue
         stage = entry["name"].removesuffix("_s")
-        if stage not in PIPELINE_STAGES and stage != "wsrf.dispatch":
+        if stage not in stages and stage != "wsrf.dispatch":
             continue
         agg = by_stage.setdefault(
             stage, {"count": 0, "sum": 0.0, "p50": 0.0, "p95": 0.0, "max": 0.0}
@@ -111,7 +105,7 @@ def render_pipeline_breakdown(snapshot: Snapshot) -> str:
     if not by_stage:
         return "(no wsrf.dispatch spans recorded)"
     rows: List[Sequence[object]] = []
-    ordered = [s for s in PIPELINE_STAGES if s in by_stage]
+    ordered = [s for s in stages if s in by_stage]
     for stage in ordered + (["wsrf.dispatch"] if "wsrf.dispatch" in by_stage else []):
         agg = by_stage[stage]
         rows.append(

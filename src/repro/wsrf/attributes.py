@@ -33,6 +33,7 @@ The running example from Fig. 2 translates directly::
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Dict, Optional, Tuple, Type
 
 from repro.db import copy_field
@@ -120,12 +121,23 @@ def WebMethod(target=None, *, requires_resource: bool = True, one_way: bool = Fa
     without an EPR-named WS-Resource (e.g. "create a new directory").
     ``one_way=True`` documents that the operation is normally delivered
     as a one-way message (no reply body even over request/response).
+    The ``(name, default)`` pair of each argument the method takes off
+    the wire (``inspect.Parameter.empty`` marks a required one) is read
+    off its signature here, once.
     """
 
     def wrap(fn):
         fn.__web_method__ = {
             "requires_resource": requires_resource,
             "one_way": one_way,
+            "arguments": tuple(
+                (name, param.default)
+                for name, param in inspect.signature(fn).parameters.items()
+                if name != "self"
+                and param.kind not in (
+                    inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD
+                )
+            ),
         }
         return fn
 

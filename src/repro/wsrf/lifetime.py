@@ -60,7 +60,9 @@ class ScheduledResourceTerminationPortType(SpecPortType):
                 raise UnableToSetTerminationTimeFault(
                     description=f"unparsable termination time {text!r}"
                 ) from None
-            if new_time < self.wrapper.env.now:
+            # Written so NaN fails too: it compares false with everything,
+            # and a NaN termination time would never come due.
+            if not new_time >= self.wrapper.env.now:
                 raise UnableToSetTerminationTimeFault(
                     description=(
                         f"requested termination time {new_time} is in the past "

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from repro.soap import typed_value
+from repro.soap import from_typed_element, typed_value
 from repro.wsrf.basefaults import (
     InvalidQueryExpressionFault,
     InvalidResourcePropertyQNameFault,
@@ -71,9 +71,8 @@ class GetResourcePropertyPortType(SpecPortType):
 
     def get_resource_property(self, request: Element) -> Element:
         qname = _parse_clark(request.full_text(), InvalidResourcePropertyQNameFault)
-        value_el = self.wrapper.rp_element(self.instance, qname)
         response = Element(QName(NS.WSRF_RP, "GetResourcePropertyResponse"))
-        response.append(value_el)
+        response.append(_rp_element(self, qname))
         return response
 
 
@@ -91,7 +90,7 @@ class GetMultipleResourcePropertiesPortType(SpecPortType):
         )
         for item in wanted:
             qname = _parse_clark(item.full_text(), InvalidResourcePropertyQNameFault)
-            response.append(self.wrapper.rp_element(self.instance, qname))
+            response.append(_rp_element(self, qname))
         return response
 
 
@@ -107,7 +106,10 @@ class QueryResourcePropertiesPortType(SpecPortType):
             raise InvalidQueryExpressionFault(
                 description=f"unsupported dialect {dialect!r}"
             )
-        document = self.wrapper.build_rp_document(self.instance)
+        wrapper = self.wrapper
+        document = Element(QName(wrapper.service_cls.SERVICE_NS, "ResourceProperties"))
+        for qname, getter in wrapper.rps.items():
+            document.append(rp_value_element(qname, getter(self.instance)))
         try:
             hits = xpath_select(document, expr_el.full_text())
         except XPathError as exc:
@@ -146,8 +148,21 @@ class SetResourcePropertiesPortType(SpecPortType):
             else:
                 # Update and Insert both assign values on fixed-schema RPs.
                 for rp_el in change.children:
-                    self.wrapper.set_rp_from_element(self.instance, rp_el)
+                    self.wrapper.set_rp_value(
+                        self.instance, rp_el.tag, from_typed_element(rp_el)
+                    )
         return Element(QName(NS.WSRF_RP, "SetResourcePropertiesResponse"))
+
+
+def _rp_element(pt: SpecPortType, qname: QName) -> Element:
+    """Resource property *qname* of the invocation's WS-Resource."""
+    getter = pt.wrapper.rps.get(qname)
+    if getter is None:
+        raise InvalidResourcePropertyQNameFault(
+            description=f"service {pt.wrapper.path!r} exposes no resource property {qname}",
+            timestamp=pt.wrapper.env.now,
+        )
+    return rp_value_element(qname, getter(pt.instance))
 
 
 def rp_value_element(qname: QName, value) -> Element:

@@ -19,7 +19,6 @@ IIS dispatches to.  Per invocation the wrapper
 from __future__ import annotations
 
 import inspect
-from operator import attrgetter
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.db import (
@@ -46,7 +45,7 @@ from repro.wsrf.basefaults import (
     ResourceUnknownFault,
     UnableToModifyResourcePropertyFault,
 )
-from repro.wsrf.porttypes import SpecPortType, rp_value_element
+from repro.wsrf.porttypes import SpecPortType
 from repro.wssec import SecurityError, UsernameToken, open_security_header
 from repro.xmlx import NS, Element, QName
 
@@ -54,24 +53,6 @@ from repro.xmlx import NS, Element, QName
 RESOURCE_ID = QName(NS.UVACG, "ResourceID")
 
 _WSSE_SECURITY = QName(NS.WSSE, "Security")
-
-
-def _argument_table(fn: Callable) -> Tuple[Tuple[str, Any], ...]:
-    """``(name, default)`` for each argument web method *fn* takes off
-    the wire (``inspect.Parameter.empty`` marks a required one), read
-    off its signature the first time a wrapper deploys it."""
-    meta = getattr(fn, "__web_method__")
-    table = meta.get("arguments")
-    if table is None:
-        table = meta["arguments"] = tuple(
-            (name, param.default)
-            for name, param in inspect.signature(fn).parameters.items()
-            if name != "self"
-            and param.kind not in (
-                inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD
-            )
-        )
-    return table
 
 
 class InvocationContext:
@@ -160,29 +141,28 @@ class _Call:
     so the loaded state and the reply are kept off that."""
 
     __slots__ = (
-        "ctx", "instance", "pool", "epoch", "needs_resource", "lock",
-        "worker_held", "stage", "as_declared", "state_after", "persist",
-        "response",
+        "ctx", "instance", "pool", "epoch", "needs_resource", "run", "lock",
+        "worker_held", "stage", "as_declared", "state_after", "response",
     )
 
-    def __init__(self, ctx: InvocationContext, instance, pool, epoch: int,
-                 needs_resource: bool) -> None:
+    def __init__(self, ctx: InvocationContext, instance, pool, epoch: int) -> None:
         self.ctx = ctx
         self.instance = instance  # the service object the method runs on
         self.pool = pool  # the ASP.NET pool serving the call
         self.epoch = epoch  # the host's boot on arrival (_zombie)
-        self.needs_resource = needs_resource  # the operation works on a WS-Resource
+        self.needs_resource = False  # epr_resolve: the operation works on a WS-Resource
+        self.run = None  # ... and the operation's run (WrapperService._ops)
         self.lock = None  # ... whose mutex this is, once held
         self.worker_held = False  # a thread of the pool is occupied
         self.stage = None  # the stage span now open (None when obs is off)
         self.as_declared = True  # db_load: the stored fields are the declared ones
         self.state_after = None  # what db_save must write (None: no change)
-        self.persist = True  # cleared by write elision: db_save is skipped
         self.response = None  # the reply body
 
 
 class WrapperService:
-    """The generated WSRF-compliant wrapper around an author's service."""
+    """The generated WSRF-compliant wrapper around an author's service;
+    constructing one is running the WSRF.NET tooling (:func:`deploy`)."""
 
     #: tells IIS to delegate worker-thread accounting (see IisServer.handle)
     manages_worker_pool = True
@@ -195,7 +175,12 @@ class WrapperService:
         store: Optional[ResourceStore] = None,
         perf: bool = False,
     ) -> None:
-        """Deploy *service_cls* at *path* on *machine*.
+        """Deploy *service_cls* at *path* on *machine*, hosted in its IIS.
+
+        ``perf=True`` opts this service into the hot-path performance
+        layer (docs/performance.md); the default keeps the unoptimized
+        Fig. 1 pipeline.  A *store* passed explicitly is used as given,
+        with or without *perf*.
 
         Everything a deployment holds is an attribute from here on: the
         tables read off the class (fields, resource properties, web
@@ -229,24 +214,33 @@ class WrapperService:
         self._field_qnames = [
             (name, desc.resolved_qname(service_cls)) for name, desc in self._fields.items()
         ]
-        self._rps = collect_resource_properties(service_cls)
         self._methods = collect_web_methods(service_cls)
-        ns = service_cls.SERVICE_NS
-        #: body element -> (operation, function, its (argument, default)
-        #: pairs: looked up here, not read off the signature per dispatch)
-        self._author_ops: Dict[QName, Tuple[str, Callable, Tuple[Tuple[str, Any], ...]]] = {
-            QName(ns, name): (name, fn, _argument_table(fn))
-            for name, fn in self._methods.items()
-        }
-        self._spec_ops: Dict[QName, Tuple[type, str]] = {}
-        self._pt_rps: Dict[QName, Tuple[type, Callable]] = {}
+        author_rps = collect_resource_properties(service_cls)
+        #: resource property -> its setter (None: read-only); only the
+        #: author's properties are settable
+        self._rp_setters = {qname: rp.fset for qname, rp in author_rps.items()}
+        #: resource property -> fn(service instance) -> its value: the
+        #: author's, then what the imported port types provide
+        self.rps = {qname: rp.fget for qname, rp in author_rps.items()}
+        #: body element -> (needs-resource rule, run(instance, body) -> the
+        #: reply, or a generator returning it).  The rule is True or False,
+        #: or None: the operation needs a resource only when the EPR names one
+        self._ops: Dict[QName, Tuple[Optional[bool], Callable]] = {}
         for pt_cls in getattr(service_cls, "__wsrf_port_types__", ()):
             if not (isinstance(pt_cls, type) and issubclass(pt_cls, SpecPortType)):
                 raise TypeError(f"{pt_cls!r} is not a SpecPortType")
             for body_qname, method_name in pt_cls.OPERATIONS.items():
-                self._spec_ops[body_qname] = (pt_cls, method_name)
+                rule = None if body_qname in pt_cls.OPTIONAL_RESOURCE_OPS else True
+                run = self._on_port_type(pt_cls, getattr(pt_cls, method_name))
+                self._ops[body_qname] = (rule, run)
             for rp_qname, fn in pt_cls.provides_rps().items():
-                self._pt_rps[rp_qname] = (pt_cls, fn)
+                if rp_qname not in author_rps:
+                    self.rps[rp_qname] = self._on_port_type(pt_cls, fn)
+        # An author method wins a clash with a spec operation.
+        for name, fn in self._methods.items():
+            self._ops[QName(service_cls.SERVICE_NS, name)] = (
+                fn.__web_method__["requires_resource"], self._author_op(name, fn)
+            )
 
         self._termination: Dict[str, Optional[float]] = {}
         #: the lifetime sweeper's period, once one is started (restore restarts it)
@@ -531,42 +525,18 @@ class WrapperService:
 
     # -- resource properties --------------------------------------------------------------
 
-    def rp_element(self, instance, qname: QName) -> Element:
-        rp = self._rps.get(qname)
-        if rp is not None:
-            return rp_value_element(qname, rp.fget(instance))
-        pt_entry = self._pt_rps.get(qname)
-        if pt_entry is not None:
-            pt_cls, fn = pt_entry
-            return rp_value_element(qname, fn(pt_cls(self, instance)))
-        raise InvalidResourcePropertyQNameFault(
-            description=f"service {self.path!r} exposes no resource property {qname}",
-            timestamp=self.env.now,
-        )
-
     def set_rp_value(self, instance, qname: QName, value) -> None:
-        rp = self._rps.get(qname)
-        if rp is None:
+        if qname not in self._rp_setters:
             raise InvalidResourcePropertyQNameFault(
                 description=f"no resource property {qname}", timestamp=self.env.now
             )
-        if rp.fset is None:
+        fset = self._rp_setters[qname]
+        if fset is None:
             raise UnableToModifyResourcePropertyFault(
                 description=f"resource property {qname} is read-only",
                 timestamp=self.env.now,
             )
-        rp.fset(instance, value)
-
-    def set_rp_from_element(self, instance, rp_el: Element) -> None:
-        self.set_rp_value(instance, rp_el.tag, from_typed_element(rp_el))
-
-    def build_rp_document(self, instance) -> Element:
-        root = Element(QName(self.service_cls.SERVICE_NS, "ResourceProperties"))
-        for qname, rp in self._rps.items():
-            root.append(rp_value_element(qname, rp.fget(instance)))
-        for qname, (pt_cls, fn) in self._pt_rps.items():
-            root.append(rp_value_element(qname, fn(pt_cls(self, instance))))
-        return root
+        fset(instance, value)
 
     # -- the dispatch pipeline ---------------------------------------------------------------
 
@@ -625,34 +595,15 @@ class WrapperService:
         is raised once the stage's span has closed — or by raising it,
         which leaves the span open for ``handle_soap``'s
         ``finish_subtree`` to close after the dispatch span (the event
-        log tells the two apart).  docs/observability.md has the table.
+        log tells the two apart).  A stage that never waits is a plain
+        function, not a generator.  docs/observability.md has the table.
         """
-        tag = envelope.body.tag
         obs = self.machine.network.obs if span is not None else None
-        if obs is not None:
-            # EPR resolution (reading ResourceID out of the headers) costs
-            # no simulated time; the zero-length stage still marks Fig. 1
-            # step 1 in the trace.
-            obs.finish(obs.start_span(
-                "wsrf.dispatch.epr_resolve", parent=span,
-                attrs={"service": self.path, "resource_id": rid or ""},
-            ))
-        author_op = self._author_ops.get(tag)
-        if author_op is not None:
-            needs_resource = author_op[1].__web_method__["requires_resource"]
-        elif tag in self._spec_ops:
-            optional = tag in self._spec_ops[tag][0].OPTIONAL_RESOURCE_OPS
-            needs_resource = not optional or rid is not None
-        else:
-            raise SoapFault(
-                "soap:Client",
-                f"service {self.path!r} has no operation for body element {tag}",
-            )
         # The epoch says which boot of this host the invocation belongs
         # to; a restart mid-dispatch turns the handler into a zombie.
         call = _Call(
             InvocationContext(self, rid, envelope, delivery, span=span),
-            self.service_cls(), pool, self.machine.host.boot_epoch, needs_resource,
+            self.service_cls(), pool, self.machine.host.boot_epoch,
         )
         san = self.env.san
         if san is not None:
@@ -660,14 +611,16 @@ class WrapperService:
             # dispatch of a resource this call stack already holds.
             san.on_dispatch_enter(self.machine.name, self.service_name, rid)
         try:
-            for name, stage, applies in self._STAGES:
-                if applies is not None and not applies(call):
+            for name, stage, gate in self._STAGES:
+                if gate is not None and not gate(self, call):
                     continue
                 if obs is not None:
                     call.stage = obs.start_span(
                         name, parent=span, attrs={"service": self.path}
                     )
-                fault = yield from stage(self, call)
+                fault = stage(self, call)
+                if inspect.isgenerator(fault):
+                    fault = yield from fault
                 if obs is not None:
                     obs.finish(call.stage)
                 if fault is not None:
@@ -688,6 +641,24 @@ class WrapperService:
                 self.release_resource_lock(rid, call.lock)
             if san is not None:
                 san.on_dispatch_exit(self.machine.name, self.service_name, rid)
+
+    def _epr_resolve(self, call: _Call):
+        """Route the body to its operation (:attr:`_ops`).  Reading
+        ResourceID out of the EPR costs no simulated time; the
+        zero-length stage still marks Fig. 1 step 1 in the trace."""
+        rid = call.ctx.resource_id
+        if call.stage is not None:
+            call.stage.attrs["resource_id"] = rid or ""
+        tag = call.ctx.envelope.body.tag
+        op = self._ops.get(tag)
+        if op is None:
+            return SoapFault(
+                "soap:Client",
+                f"service {self.path!r} has no operation for body element {tag}",
+            )
+        rule, call.run = op
+        call.needs_resource = rid is not None if rule is None else rule
+        return None
 
     def _queue(self, call: _Call):
         """Wait for the resource's mutex, then for an ASP.NET worker
@@ -747,45 +718,38 @@ class WrapperService:
         call.as_declared = len(loaded) == len(kept) == len(fields)
 
     def _method(self, call: _Call):
-        """Run the author's web method or the spec port type's, then
-        work out what the db_save stage has to persist."""
+        """Run the operation epr_resolve routed the body to."""
         ctx, instance = call.ctx, call.instance
         body = ctx.envelope.body
         instance._invocation = ctx
         if call.stage is not None:
             call.stage.attrs["operation"] = body.tag.local
-        author_op = self._author_ops.get(body.tag)
-        if author_op is not None:
-            name, fn, arguments = author_op
-            result = fn(instance, **self._deserialize_args(fn, arguments, body))
-            if inspect.isgenerator(result):
-                result = yield from result
-            call.response = self._serialize_author_result(name, result)
-        else:
-            pt_cls, method_name = self._spec_ops[body.tag]
-            result = getattr(pt_cls(self, instance), method_name)(body)
-            if inspect.isgenerator(result):
-                result = yield from result
-            call.response = result
+        result = call.run(instance, body)
+        if inspect.isgenerator(result):
+            result = yield from result
+        call.response = result
         # A crash between the method and the db_save stage rolls the
         # state back to the checkpoint: no save, no reply, and the
         # outbox dies unflushed (the write-ahead contract's whole
         # point — nothing announces state that was never persisted).
-        zombie = self._zombie(call.epoch)
-        if zombie is not None:
-            return zombie
+        return self._zombie(call.epoch)
+
+    def _dirty(self, call: _Call) -> bool:
+        """db_save's gate: work out what the method changed.  Under the
+        perf layer a dispatch with nothing to persist skips the stage
+        (write elision); WSRF.NET's pipeline opens it unconditionally,
+        so the default path keeps the stage even when empty."""
+        ctx = call.ctx
         # Save state if anything changed and the resource still exists
         # (the method may have destroyed it).
         if call.needs_resource:
-            state = self._changed_state(instance, call.as_declared)
+            state = self._changed_state(call.instance, call.as_declared)
             if state is not None and self.store.exists(self.service_name, ctx.resource_id):
                 call.state_after = state
-        if self.perf and call.state_after is None and ctx.db_ops == 0:
-            # Nothing to persist: skip the db_save stage entirely.
-            # (WSRF.NET's pipeline opens it unconditionally, so the
-            # default path keeps the stage even when empty.)
-            self.writes_elided += 1
-            call.persist = False
+        if not self.perf or call.state_after is not None or ctx.db_ops:
+            return True
+        self.writes_elided += 1
+        return False
 
     def _changed_state(self, instance, as_declared: bool) -> Optional[Dict[QName, Any]]:
         """The state to write after the method ran on *instance*, or
@@ -828,19 +792,43 @@ class WrapperService:
         for _ in range(call.ctx.db_ops):
             yield self.machine.db_delay()
 
-    #: Fig. 1 in order: (span name, stage coroutine, the per-call flag
-    #: that must be set for the stage to run — None: it always does)
+    #: Fig. 1 in order: (span name, stage, gate(wrapper, call) that must
+    #: hold for the stage to run — None: it always does)
     _STAGES = (
+        ("wsrf.dispatch.epr_resolve", _epr_resolve, None),
         ("wsrf.dispatch.queue", _queue, None),
-        ("wsrf.dispatch.db_load", _db_load, attrgetter("needs_resource")),
+        ("wsrf.dispatch.db_load", _db_load, lambda self, call: call.needs_resource),
         ("wsrf.dispatch.method", _method, None),
-        ("wsrf.dispatch.db_save", _db_save, attrgetter("persist")),
+        ("wsrf.dispatch.db_save", _db_save, _dirty),
     )
 
-    def _deserialize_args(self, fn, arguments, body: Element) -> Dict[str, Any]:
+    # -- operations -------------------------------------------------------------------
+
+    def _on_port_type(self, pt_cls: type, fn: Callable) -> Callable:
+        """*fn* of spec port type *pt_cls* as an :attr:`_ops` run or an
+        :attr:`rps` getter: called on the service instance, it runs on a
+        *pt_cls* bound to it."""
+        return lambda instance, *args: fn(pt_cls(self, instance), *args)
+
+    def _author_op(self, name: str, fn: Callable) -> Callable:
+        """The :attr:`_ops` run of author web method *fn*: its arguments
+        taken off the body, its result wrapped in ``<name>Response``."""
+
+        def run(instance, body: Element):
+            result = fn(instance, **self._deserialize_args(fn, body))
+            if inspect.isgenerator(result):
+                return self._reply_when_done(name, result)
+            return self._serialize_author_result(name, result)
+
+        return run
+
+    def _reply_when_done(self, name: str, method):
+        return self._serialize_author_result(name, (yield from method))
+
+    def _deserialize_args(self, fn, body: Element) -> Dict[str, Any]:
         kwargs: Dict[str, Any] = {}
         by_local = {child.tag.local: child for child in body.children}
-        for name, default in arguments:
+        for name, default in fn.__web_method__["arguments"]:
             child = by_local.get(name)
             if child is not None:
                 kwargs[name] = from_typed_element(child)
@@ -863,18 +851,5 @@ class WrapperService:
         return response
 
 
-def deploy(
-    service_cls: Type[ServiceSkeleton],
-    machine,
-    path: str,
-    store: Optional[ResourceStore] = None,
-    perf: bool = False,
-) -> WrapperService:
-    """Run the WSRF.NET tooling: wrap *service_cls* and host it in IIS.
-
-    ``perf=True`` opts this service into the hot-path performance layer
-    (docs/performance.md); the default keeps the unoptimized Fig. 1
-    pipeline.  A *store* passed explicitly is used as given, with or
-    without *perf*.
-    """
-    return WrapperService(service_cls, machine, path, store=store, perf=perf)
+#: running the WSRF.NET tooling over a service is constructing its wrapper
+deploy = WrapperService

@@ -29,7 +29,7 @@ def generate_wsdl(wrapper) -> Element:
     seq = rp_doc.subelement(QName(NS.XSD, "complexType")).subelement(
         QName(NS.XSD, "sequence")
     )
-    for rp_qname in _all_rp_qnames(wrapper):
+    for rp_qname in sorted(wrapper.rps):  # a QName sorts by (uri, local)
         el = seq.subelement(QName(NS.XSD, "element"))
         el.set("ref", rp_qname.clark())
 
@@ -63,11 +63,6 @@ def generate_wsdl(wrapper) -> Element:
     port.set("name", f"{service_cls.__name__}Port")
     port.subelement(QName(NS.WSDL, "address")).set("location", wrapper.address)
     return root
-
-
-def _all_rp_qnames(wrapper):
-    out = list(wrapper._rps.keys()) + list(wrapper._pt_rps.keys())
-    return sorted(out, key=lambda q: (q.uri, q.local))
 
 
 def wsdl_operations(wsdl_doc: Element) -> dict:

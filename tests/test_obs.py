@@ -16,6 +16,7 @@ from repro.obs import (
     parse_jsonl,
     render_dashboard,
     render_event_tail,
+    render_pipeline_breakdown,
     render_trace,
 )
 from repro.gridapp import FaultToleranceConfig
@@ -288,7 +289,7 @@ class TestEndToEnd:
         db_load) and a dispatch faulting in db_load and one in method:
         the stage spans come in table order, never overlap, all close
         and add up to the dispatch span."""
-        table = ["wsrf.dispatch.epr_resolve"] + [s[0] for s in WrapperService._STAGES]
+        table = [s[0] for s in WrapperService._STAGES]
         perf_run = _completed(perf=True)
         soap = perf_run.make_client().soap
         jobset = perf_run.scheduler.epr_for(perf_run.scheduler.resource_ids()[0])
@@ -439,6 +440,11 @@ class TestDashboard:
         assert "top 5 slowest spans" in text
         assert "net metrics" in text
         assert "slowest trace" in text
+
+    def test_pipeline_breakdown_follows_the_stage_table(self, observed_run):
+        text = render_pipeline_breakdown(observed_run.obs.snapshot())
+        rows = [line.split()[0] for line in text.splitlines()[3:]]
+        assert rows == [s[0] for s in WrapperService._STAGES] + ["wsrf.dispatch"]
 
     def test_render_trace_unknown_root(self, observed_run):
         assert "no span #999999" in render_trace(observed_run.obs.snapshot(), 999999)

@@ -4,8 +4,10 @@ import pytest
 
 from repro.db import execute_sql
 from repro.net import Network
+from repro.obs import Observability
 from repro.osim import Machine
 from repro.sim import Environment
+from repro.soap import SoapFault
 from repro.wsrf import (
     GetResourcePropertyPortType,
     Resource,
@@ -16,6 +18,7 @@ from repro.wsrf import (
     WsrfClient,
     deploy,
 )
+from repro.wsrf.porttypes import SpecPortType
 from repro.xmlx import NS, Element, QName
 
 UVA = NS.UVACG
@@ -138,6 +141,95 @@ class TestDeploymentEdges:
         foreign = EndpointReference(w2.address, {QName(UVA, "ResourceID"): rid})
         with pytest.raises(ResourceUnknownFault):
             run(env, client.call(foreign, UVA, "ZoomIn"))
+
+
+PING = QName(UVA, "Ping")
+
+
+class PingPortType(SpecPortType):
+    """A spec operation that needs a WS-Resource only when the EPR names one."""
+
+    OPERATIONS = {PING: "ping"}
+    OPTIONAL_RESOURCE_OPS = frozenset({PING})
+
+    def ping(self, request: Element) -> Element:
+        return Element(QName(UVA, "PingResponse"), text="spec")
+
+
+@WSRFPortType(PingPortType)
+class Router(ServiceSkeleton):
+    hits = Resource(default=0)
+
+    @WebMethod(requires_resource=False)
+    def Create(self):
+        return self.epr_for(self.create_resource())
+
+    @WebMethod(requires_resource=False)
+    def Peek(self) -> str:
+        return self.resource_id
+
+
+class ShadowRouter(Router):
+    @WebMethod
+    def Ping(self) -> str:
+        return "author"
+
+
+def _observed(service_cls):
+    env = Environment()
+    net = Network(env)
+    obs = Observability(env).attach(net)
+    wrapper = deploy(service_cls, Machine(net, "server"), "Router")
+    net.add_host("client")
+    client = WsrfClient(net, "client")
+    epr = run(env, client.call(wrapper.service_epr(), UVA, "Create"))
+    return env, obs, wrapper, client, epr
+
+
+def _last_stages(obs):
+    """The last dispatch span and its stages' short names."""
+    dispatch = obs.spans.named("wsrf.dispatch")[-1]
+    stages = obs.spans.children(dispatch)
+    return dispatch, stages, [s.name.rsplit(".", 1)[1] for s in stages]
+
+
+class TestRouting:
+    """The needs-resource rules of the wrapper's one operation table."""
+
+    def test_optional_resource_op_loads_only_when_the_epr_names_one(self):
+        env, obs, wrapper, client, epr = _observed(Router)
+        loads = wrapper.store.loads
+        reply = run(env, client.invoke(wrapper.service_epr(), Element(PING)))
+        assert reply.text == "spec"
+        assert _last_stages(obs)[2] == ["epr_resolve", "queue", "method", "db_save"]
+        assert wrapper.store.loads == loads
+        run(env, client.invoke(epr, Element(PING)))
+        assert _last_stages(obs)[2] == [
+            "epr_resolve", "queue", "db_load", "method", "db_save"
+        ]
+        assert wrapper.store.loads == loads + 1
+
+    def test_resource_free_author_method_never_loads(self):
+        env, obs, wrapper, client, epr = _observed(Router)
+        loads = wrapper.store.loads
+        assert run(env, client.call(epr, UVA, "Peek")) == epr.get(QName(UVA, "ResourceID"))
+        assert "db_load" not in _last_stages(obs)[2]
+        assert wrapper.store.loads == loads
+
+    def test_author_method_wins_a_clash(self):
+        env, obs, wrapper, client, epr = _observed(ShadowRouter)
+        assert run(env, client.call(epr, UVA, "Ping")) == "author"
+
+    def test_unknown_body_element_faults_after_epr_resolve(self):
+        env, obs, wrapper, client, epr = _observed(Router)
+        with pytest.raises(SoapFault) as info:
+            run(env, client.invoke(epr, Element(QName(UVA, "Bogus"))))
+        assert info.value.code == "soap:Client"
+        dispatch, stages, names = _last_stages(obs)
+        assert names == ["epr_resolve"]
+        assert stages[0].end == stages[0].start
+        assert stages[0].attrs["resource_id"] == epr.get(QName(UVA, "ResourceID"))
+        assert dispatch.attrs["fault"] == "soap:Client"
 
 
 class TestOdbcFidelity:

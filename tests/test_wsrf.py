@@ -390,6 +390,14 @@ class TestLifetime:
         with pytest.raises(UnableToSetTerminationTimeFault):
             run(env, client.set_termination_time(epr, 1.0))
 
+    def test_nan_termination_time_faults(self, grid):
+        # NaN compares false with every time: stored, it never comes due.
+        env, net, machine, wrapper, client = grid
+        epr = make_resource(env, wrapper, client)
+        with pytest.raises(UnableToSetTerminationTimeFault):
+            run(env, client.set_termination_time(epr, float("nan")))
+        assert run(env, client.get_resource_property(epr, TERMINATION_TIME_RP)) is None
+
     def test_destroy_unknown_resource_faults(self, grid):
         env, net, machine, wrapper, client = grid
         with pytest.raises(ResourceUnknownFault):
