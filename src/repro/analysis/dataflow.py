@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.callgraph import CallEdge, CallGraph
 
@@ -91,31 +91,3 @@ def propagate(
             )
             queue.append(edge.caller)
     return taints
-
-
-def all_callers_satisfy(
-    graph: CallGraph,
-    qualname: str,
-    predicate: Callable[[CallEdge], bool],
-    known: Set[str],
-) -> bool:
-    """True if every known call site of *qualname* satisfies *predicate*.
-
-    Walks transitively: a call site may itself be inside a function
-    whose own call sites must then satisfy the predicate.  *known*
-    carries qualnames already being checked (cycle guard); a function
-    with **no** resolved callers fails closed (False) — the engine
-    cannot prove anything about unknown callers.
-    """
-    if qualname in known:
-        return True  # cycle: optimistic within the recursion
-    callers = graph.callers(qualname)
-    if not callers:
-        return False
-    known = known | {qualname}
-    for edge in callers:
-        if predicate(edge):
-            continue
-        if not all_callers_satisfy(graph, edge.caller, predicate, known):
-            return False
-    return True

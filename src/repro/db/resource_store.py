@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.db.engine import Column, Database, DbError
-from repro.soap import ContentTable, from_typed_element, to_typed_element, write_typed
+from repro.soap import from_typed_element, to_typed_element, write_typed
 from repro.soap.types import IMMUTABLE_LEAVES, _Inexact, copy_field
 from repro.wsa import EndpointReference
 from repro.xmlx import NS, Element, QName, parse, to_string, xpath_select
@@ -207,6 +207,46 @@ def _whole(state: State) -> Tuple[bytes, Optional[_Entry]]:
         )
     except _Inexact:
         return blob, None
+
+
+class ContentTable(dict):
+    """FIFO table keyed on immutable content, bounded by total key size.
+
+    :class:`DecodeCache` is content-addressed — the key *is* the blob
+    bytes — so the keys are what costs memory, and the bound is on their
+    summed length, not on an entry count.  A key longer than the whole
+    bound is not kept.  Lookups are plain ``dict`` lookups; insert with
+    :meth:`put`, remove with :meth:`take` so the running size stays
+    right.
+    """
+
+    __slots__ = ("max_bytes", "bytes")
+
+    def __init__(self, max_bytes: int) -> None:
+        if max_bytes < 1:
+            raise ValueError("a content table needs max_bytes >= 1")
+        super().__init__()
+        self.max_bytes = max_bytes
+        self.bytes = 0
+
+    def put(self, key, value) -> None:
+        """Insert *key* (absent), dropping the oldest entries to fit."""
+        size = len(key)
+        if size > self.max_bytes:
+            return
+        self.bytes += size
+        while self.bytes > self.max_bytes:
+            oldest = next(iter(self))
+            self.bytes -= len(oldest)
+            del self[oldest]
+        self[key] = value
+
+    def take(self, key):
+        """Remove *key* and return its value, or None when absent."""
+        value = self.pop(key, None)
+        if value is not None:
+            self.bytes -= len(key)
+        return value
 
 
 class DecodeCache:

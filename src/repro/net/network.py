@@ -4,24 +4,25 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple, Union
 
 from repro.net.host import Host
 from repro.net.params import NetworkParams
 from repro.net.uri import Uri, UriError
 from repro.sim import Environment
 from repro.soap.envelope import EnvelopeCache
+from repro.xmlx import WireText
+from repro.xmlx.writer import utf8_size
 
 
 class DeliveryError(RuntimeError):
     """Connection refused / host down / partitioned / message dropped."""
 
 
-def _utf8_size(text: str) -> int:
-    """``len(text.encode("utf-8"))``, without the encoded copy when the
-    text is ASCII (``isascii`` reads a flag): an envelope carrying a
-    staged file is megabytes of it."""
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
+def _utf8_size(payload: Union[str, WireText]) -> int:
+    """The UTF-8 size of *payload*: a spliced message knows its own,
+    without joining or encoding its text."""
+    return payload.size if isinstance(payload, WireText) else utf8_size(payload)
 
 
 @dataclass(slots=True)
@@ -276,7 +277,7 @@ class Network:
         self,
         src_host: str,
         url: str,
-        payload: str,
+        payload: Union[str, WireText],
         category: str = "rpc",
         message_id: Optional[str] = None,
     ):
@@ -394,7 +395,7 @@ class Network:
         self,
         src_host: str,
         url: str,
-        payload: str,
+        payload: Union[str, WireText],
         category: str = "oneway",
         message_id: Optional[str] = None,
     ):

@@ -4,10 +4,11 @@ Envelopes are real XML: every message crossing the simulated network is
 serialized to the text :func:`repro.xmlx.to_string` writes for it (its
 size drives transfer time), so header processing (WS-Addressing routing,
 WS-Security tokens, WSRF EPR resolution) happens against documents
-exactly as in the paper's ASP.NET stack.  The receiver of a text this
-process encoded is handed a ready envelope of its own
+exactly as in the paper's ASP.NET stack.  The receiver of a message
+this process encoded is handed a ready envelope of its own
 (:class:`EnvelopeCache`), a typed value in it as a value
-(:func:`typed_value`); any other text is parsed.
+(:func:`typed_value`), and the text is joined only if someone reads
+it; any other text is parsed.
 
 Two message-exchange patterns, matching §4.1 of the paper:
 
@@ -18,7 +19,7 @@ Two message-exchange patterns, matching §4.1 of the paper:
   from a void-returning method, which still sends an empty reply.
 """
 
-from repro.soap.envelope import ContentTable, EnvelopeCache, SoapEnvelope
+from repro.soap.envelope import EnvelopeCache, SoapEnvelope
 from repro.soap.fault import SoapFault
 from repro.soap.types import (
     TypedValue,
@@ -29,7 +30,6 @@ from repro.soap.types import (
 )
 
 __all__ = [
-    "ContentTable",
     "EnvelopeCache",
     "SoapEnvelope",
     "SoapFault",

@@ -12,15 +12,15 @@ docs/fault_tolerance.md ("The wire contract") has the table.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 from repro.soap.envelope import EnvelopeCache, SoapEnvelope
 from repro.soap.fault import SoapFault
 from repro.wsa import AddressingHeaders, EndpointReference
-from repro.xmlx import NS, Element
+from repro.xmlx import NS, Element, WireText
 
 
-def read_request(payload: str, codec: EnvelopeCache) -> SoapEnvelope:
+def read_request(payload: Union[str, WireText], codec: EnvelopeCache) -> SoapEnvelope:
     """The envelope in *payload*, through the network's hand-off — or
     a ``soap:Client`` fault when it cannot be read (every reader's
     error is a ``ValueError``)."""
@@ -43,7 +43,7 @@ def reply_text(
     request: Optional[SoapEnvelope],
     body: Element,
     anonymous_host: Optional[str] = None,
-) -> Optional[str]:
+) -> Optional[Union[str, WireText]]:
     """The wire text answering *request* with *body*; None for a
     one-way delivery, whose sender has closed the connection.
 
@@ -70,7 +70,9 @@ def reply_text(
     return SoapEnvelope(headers, body).serialize(codec)
 
 
-def reject(network, delivery, request, fault: SoapFault, anonymous_host=None) -> Optional[str]:
+def reject(
+    network, delivery, request, fault: SoapFault, anonymous_host=None
+) -> Optional[Union[str, WireText]]:
     """*fault* as the end of a message: the fault envelope, or — one-way,
     nobody to tell — a drop counted in ``stats.faults["rejected"]``."""
     if delivery.one_way:

@@ -2,57 +2,16 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple, Union
 
 from repro.soap.types import TypedValue, typed_value, write_typed
 from repro.wsa.headers import AddressingHeaders
-from repro.xmlx import NS, Element, QName, parse, to_string
+from repro.xmlx import NS, Element, QName, WireText, parse, to_string
 from repro.xmlx.writer import XML_DECLARATION, document_frame, write_fragment
 
 _ENVELOPE = QName(NS.SOAP, "Envelope")
 _HEADER = QName(NS.SOAP, "Header")
 _BODY = QName(NS.SOAP, "Body")
-
-
-class ContentTable(dict):
-    """FIFO table keyed on immutable content, bounded by total key size.
-
-    Both codec hand-off tables (:class:`EnvelopeCache` here,
-    :class:`repro.db.DecodeCache`) are content-addressed — the key *is*
-    the wire text or the blob bytes — so the keys are what costs memory,
-    and the bound is on their summed length, not on an entry count.  A
-    key longer than the whole bound is not kept.  Lookups are plain
-    ``dict`` lookups; insert with :meth:`put`, remove with :meth:`take`
-    so the running size stays right.
-    """
-
-    __slots__ = ("max_bytes", "bytes")
-
-    def __init__(self, max_bytes: int) -> None:
-        if max_bytes < 1:
-            raise ValueError("a content table needs max_bytes >= 1")
-        super().__init__()
-        self.max_bytes = max_bytes
-        self.bytes = 0
-
-    def put(self, key, value) -> None:
-        """Insert *key* (absent), dropping the oldest entries to fit."""
-        size = len(key)
-        if size > self.max_bytes:
-            return
-        self.bytes += size
-        while self.bytes > self.max_bytes:
-            oldest = next(iter(self))
-            self.bytes -= len(oldest)
-            del self[oldest]
-        self[key] = value
-
-    def take(self, key):
-        """Remove *key* and return its value, or None when absent."""
-        value = self.pop(key, None)
-        if value is not None:
-            self.bytes -= len(key)
-        return value
 
 
 class EnvelopeCache:
@@ -70,37 +29,34 @@ class EnvelopeCache:
     ``to_string(envelope.to_element(), xml_declaration=True)``.  A
     message the splice cannot reproduce exactly (:func:`_splice` lists
     the conditions, each a property of the message) is written by the
-    reference encoder instead.
+    reference encoder instead, as a plain ``str``.
 
-    One move-once table, keyed on the raw wire text.  The encoder
-    registers what the receiver is to have — a new
+    A spliced message is a :class:`~repro.xmlx.WireText`: the pieces
+    the splice wrote (joined at once unless one is a deferred base64
+    piece, soap/types.py), and what the receiver is to have — a new
     :class:`SoapEnvelope` with its own addressing headers, body and
     extra-header copies (built by the walk that wrote their text, a
     typed value in the body as a fresh copy of its value; only the
     immutable EPR is shared), equal field for field to the strict
-    parse of the text — and the receiving
-    endpoint's parse of that exact text *consumes* the entry (move
-    semantics — exactly one receiver, free to mutate).  Any other text
-    — reference-encoded (no workload sends one: docs/performance.md),
-    delivered a second time (a lost reply's retry resends the text it
-    holds), or never encoded here (hand-built, hostile or restored
-    payloads) — goes through the strict parser, which builds a fresh
-    tree each time, so repeated deliveries can never observe each
-    other's mutations (most handlers do mutate — EPR resolution pops
-    headers).
+    parse of the text.  The first :meth:`parse` of that very object by
+    this codec takes the envelope off it (move semantics — exactly one
+    receiver, free to mutate), so the text is never read.  Anything
+    else — the same message delivered a second time (a lost reply's
+    retry resends the message it holds), delivered to another network's
+    codec, or any plain ``str`` (reference-encoded, hand-built, hostile,
+    restored or GT4 payloads) — goes through the strict parser, which
+    builds a fresh tree each time, so repeated deliveries can never
+    observe each other's mutations (most handlers do mutate — EPR
+    resolution pops headers).
 
-    The table is bounded by the bytes of text it keys on (*max_bytes*);
-    a delivered text's entry is gone, so the cache keeps none alive.
-    An undelivered entry also keeps alive the ``bytes`` any base64 leaf
-    of its body was encoded from (soap/types.py hands them over with
-    the text: 0.75x that text's length); the bound still counts text
-    bytes only.
+    There is no table: an undelivered message's envelope, and the
+    ``bytes`` any deferred piece was written from, are freed with the
+    message.
     """
 
-    __slots__ = ("parse_hits", "parse_misses", "encode_hits", "encode_misses",
-                 "_fresh")
+    __slots__ = ("parse_hits", "parse_misses", "encode_hits", "encode_misses")
 
-    def __init__(self, max_bytes: int = 8 << 20) -> None:
+    def __init__(self) -> None:
         #: hand-off effectiveness counters for the obs registry; there is
         #: no encode memo, so every encode is a miss and encode_hits
         #: stays 0 (the ledger and the perf export read all four)
@@ -108,34 +64,33 @@ class EnvelopeCache:
         self.parse_misses = 0
         self.encode_hits = 0
         self.encode_misses = 0
-        #: wire text -> what its receiver is handed, until delivered
-        self._fresh = ContentTable(max_bytes)
 
-    def parse(self, text: str) -> "SoapEnvelope":
-        handed = self._fresh.take(text)
-        if handed is None:
-            self.parse_misses += 1
-            return SoapEnvelope.from_element(parse(text))
-        # This receiver is the entry's only owner: no defensive copy.
-        self.parse_hits += 1
-        return handed
+    def parse(self, text: Union[str, WireText]) -> "SoapEnvelope":
+        if isinstance(text, WireText) and text.owner is self and text.handed is not None:
+            # This receiver is the envelope's only owner: no defensive copy.
+            handed, text.handed = text.handed, None
+            self.parse_hits += 1
+            return handed
+        self.parse_misses += 1
+        return SoapEnvelope.from_element(parse(text))
 
-    def encode(self, envelope: "SoapEnvelope") -> str:
+    def encode(self, envelope: "SoapEnvelope") -> Union[str, WireText]:
         self.encode_misses += 1
         spliced = _splice(envelope)
         if spliced is None:
             # Nothing is handed over: the receiver's strict parse reads
             # this text, and raises where the reference decoder would.
             return to_string(envelope.to_element(), xml_declaration=True)
-        wire, handed = spliced
-        if wire not in self._fresh:
-            self._fresh.put(wire, handed)
-        return wire
+        pieces, deferred, handed = spliced
+        # A body can be megabytes of text: joined once, here, unless a
+        # piece is deferred — then only a reader of the text joins it.
+        return WireText(pieces if deferred else "".join(pieces), self, handed)
 
 
-def _splice(envelope: "SoapEnvelope") -> Optional[Tuple[str, "SoapEnvelope"]]:
-    """The reference wire text of *envelope*, written without building
-    its tree, and the envelope its receiver is handed (body and blocks
+def _splice(envelope: "SoapEnvelope") -> Optional[Tuple[List[Any], bool, "SoapEnvelope"]]:
+    """The pieces of the reference wire text of *envelope*, written
+    without building its tree, whether one of them is a deferred base64
+    piece, and the envelope its receiver is handed (body and blocks
     copied by the walk that wrote them, a typed value in the body handed
     over as a value: :func:`_write_body`) — or None when the text, or what
     the strict parser reads back from it, depends on more than the
@@ -149,9 +104,8 @@ def _splice(envelope: "SoapEnvelope") -> Optional[Tuple[str, "SoapEnvelope"]]:
     head = sent.header_fragment()
     if head is None:
         return None
-    # One list of pieces, joined once: a body can be megabytes of text.
     # out[1] is the root's start tag, known when every piece is written.
-    out = [XML_DECLARATION, "", "<soap:Header>", head[0]]
+    out: List[Any] = [XML_DECLARATION, "", "<soap:Header>", head[0]]
     uris = dict.fromkeys(head[1])
     blocks = []
     for block in envelope.extra_headers:
@@ -160,21 +114,23 @@ def _splice(envelope: "SoapEnvelope") -> Optional[Tuple[str, "SoapEnvelope"]]:
             return None
         blocks.append(block)
     out.append("</soap:Header><soap:Body>")
-    body = _write_body(envelope.body, out, uris)
+    deferred: List[Any] = []
+    body = _write_body(envelope.body, out, uris, deferred)
     if body is None:
         return None
     out[1], closing = document_frame(_ENVELOPE, uris)
     out.append("</soap:Body>" + closing)
     addressing = AddressingHeaders(sent.to_epr, sent.action, sent.message_id, sent.relates_to)
-    return "".join(out), SoapEnvelope(addressing, body, blocks)
+    return out, bool(deferred), SoapEnvelope(addressing, body, blocks)
 
 
-def _write_body(body: Element, out: List[str], uris) -> Optional[Element]:
+def _write_body(body: Element, out: List[Any], uris, deferred: List[Any]) -> Optional[Element]:
     """``write_fragment(body, out, uris)``, except for each direct child
     that is a :class:`~repro.soap.types.TypedValue` nobody has read:
     its text is :func:`~repro.soap.types.write_typed` of its value (the
-    same text) and the receiver's copy a fresh ``typed_value`` over that
-    value, so no tree is built, copied or walked for it.
+    same text, a ``bytes`` leaf's base64 as a piece added to *deferred*)
+    and the receiver's copy a fresh ``typed_value`` over that value, so
+    no tree is built, copied or walked for it, and no byte encoded.
 
     A payload wrapper has neither attributes nor text; one that has them
     is written whole by ``write_fragment``, which reads any typed child's
@@ -195,7 +151,7 @@ def _write_body(body: Element, out: List[str], uris) -> Optional[Element]:
     handed = copy.children
     for child in children:
         if type(child) is TypedValue and child.unread and not child.tail:
-            mentions = write_typed(child.tag, child.value, out)
+            mentions = write_typed(child.tag, child.value, out, deferred)
             if mentions is None:
                 return None
             uris.update(dict.fromkeys(mentions))
@@ -241,10 +197,12 @@ class SoapEnvelope:
         root.subelement(_BODY).append(self.body)
         return root
 
-    def serialize(self, cache: Optional[EnvelopeCache] = None) -> str:
+    def serialize(self, cache: Optional[EnvelopeCache] = None) -> Union[str, WireText]:
         """Wire text.  Endpoints pass their network's hand-off
-        (``network.codec``) as *cache*; without one this is the
-        reference encoding, ``to_string`` of :meth:`to_element`."""
+        (``network.codec``) as *cache*, which answers a
+        :class:`~repro.xmlx.WireText` (``str()`` of it is the text) for
+        a message it hands over; without one this is the reference
+        encoding, ``to_string`` of :meth:`to_element`."""
         if cache is not None:
             return cache.encode(self)
         return to_string(self.to_element(), xml_declaration=True)
@@ -272,7 +230,9 @@ class SoapEnvelope:
         return cls(addressing, body.children[0], extra_headers=extra)
 
     @classmethod
-    def deserialize(cls, text: str, cache: Optional[EnvelopeCache] = None) -> "SoapEnvelope":
+    def deserialize(
+        cls, text: Union[str, WireText], cache: Optional[EnvelopeCache] = None
+    ) -> "SoapEnvelope":
         """Inverse of :meth:`serialize`; without *cache* the reference
         decoding, the strict ``parse`` of *text*."""
         if cache is not None:

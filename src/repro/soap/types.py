@@ -50,6 +50,25 @@ class _Base64Text(str):
         return self
 
 
+class _Base64Piece:
+    """The base64 text of :attr:`raw`, written only if the document is
+    read as text: the deferred piece (:class:`~repro.xmlx.writer.WireText`)
+    the envelope writer appends for a ``bytes`` leaf, whose receiver is
+    handed the value and never reads the text (docs/performance.md,
+    "Bulk data path")."""
+
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: bytes) -> None:
+        self.raw = raw
+
+    def __len__(self) -> int:
+        return (len(self.raw) + 2) // 3 * 4
+
+    def __str__(self) -> str:
+        return base64.b64encode(self.raw).decode("ascii")
+
+
 def _literal(element: Element, xsi_type: str, convert) -> Any:
     """``convert(text)`` of a numeric leaf, a bad literal being the
     sender's mistake (``soap:Client``) and not a stray ``ValueError``.
@@ -147,11 +166,19 @@ _LEAF_TYPES = frozenset(_LEAVES)
 _STR_ONLY = frozenset({str})
 
 
-def write_typed(tag: QName, value: Any, out: List[str]) -> Optional[Tuple[str, ...]]:
+def write_typed(
+    tag: QName, value: Any, out: List[Any], deferred: Optional[List[Any]] = None
+) -> Optional[Tuple[str, ...]]:
     """:func:`~repro.xmlx.writer.write_fragment` of
     ``to_typed_element(tag, value)`` without the element: the same
     pieces of text appended to *out*, the namespaces it mentions
     returned in the same order, in one walk of *value*.
+
+    Given a *deferred* list, the text of a non-empty value that is
+    exactly ``bytes`` is appended as a deferred base64 piece (its
+    length known, encoded only if the text is read), to *out* and to
+    *deferred*: *out* then makes a :class:`~repro.xmlx.writer.WireText`,
+    not a ``"".join``.
 
     A second output of one grammar, not a second grammar.  The walk
     spells the exact types ``str``, ``int``, ``bool``, ``float``,
@@ -174,17 +201,24 @@ def write_typed(tag: QName, value: Any, out: List[str]) -> Optional[Tuple[str, .
         name = f"{prefix}:{name}"
         mentions[tag.uri] = None
     mentions[NS.XSI] = None
-    return tuple(mentions) if _write_typed(tag, name, value, out, mentions) else None
+    exact = _write_typed(tag, name, value, out, mentions, deferred)
+    return tuple(mentions) if exact else None
 
 
 def _write_typed(
-    tag: QName, name: str, value: Any, out: List[str], mentions: Dict[str, None]
+    tag: QName, name: str, value: Any, out: List[Any], mentions: Dict[str, None],
+    deferred: Optional[List[Any]],
 ) -> bool:
     """The element *name* (*tag* as written) of *value*; False when a
     subtree handed to the reference has no document-independent
     spelling — the walk goes on, what it meets next may not encode."""
     cls = type(value)
     if cls in _LEAF_TYPES:
+        if cls is bytes and value and deferred is not None:
+            piece = _Base64Piece(value)
+            deferred.append(piece)
+            out += (f'<{name} {_TYPE_ATTR}="xsd:base64Binary">', piece, f"</{name}>")
+            return True
         xsi_type, text = _leaf(value)
         start = f'<{name} {_TYPE_ATTR}="{xsi_type}"'
         if text:
@@ -203,14 +237,14 @@ def _write_typed(
         exact = True
         if cls is list:
             for item in value:
-                exact &= _write_typed(_ITEM, _ITEM_NAME, item, out, mentions)
+                exact &= _write_typed(_ITEM, _ITEM_NAME, item, out, mentions, deferred)
         else:
             for key, item in value.items():
                 out.append(
                     f"<{_ENTRY_NAME}><{_KEY_NAME}>{escape_text(key)}</{_KEY_NAME}>"
                     if key else f"<{_ENTRY_NAME}><{_KEY_NAME} />"
                 )
-                exact &= _write_typed(_VALUE, _VALUE_NAME, item, out, mentions)
+                exact &= _write_typed(_VALUE, _VALUE_NAME, item, out, mentions, deferred)
                 out.append(f"</{_ENTRY_NAME}>")
         out.append(f"</{name}>")
         return exact

@@ -69,21 +69,6 @@ class ServiceProxy:
             self.advertised_resource_properties,
         )
 
-    def with_retry(self, retry_policy) -> "ServiceProxy":
-        """The same proxy whose calls run under *retry_policy*.
-
-        Transport faults on every proxied operation are retried per the
-        policy (see :class:`repro.net.retry.RetryPolicy`); pass None to
-        strip retries off again.
-        """
-        return ServiceProxy(
-            self._client.with_policy(retry_policy),
-            self._epr,
-            self._service_ns,
-            self._operations,
-            self.advertised_resource_properties,
-        )
-
     def operations(self):
         return sorted(self._operations)
 

@@ -12,13 +12,14 @@ The pieces:
 ``NS``            namespace URI constants for every spec the paper uses
 ``Element``       the tree node (tag, attributes, text, children)
 ``to_string``     namespace-aware serializer
+``WireText``      a written document kept as pieces until its text is read
 ``parse``         a small, strict, from-scratch XML parser
 ``xpath_select``  the XPath-lite engine behind QueryResourceProperties
 """
 
 from repro.xmlx.qname import NS, QName
 from repro.xmlx.element import Element
-from repro.xmlx.writer import to_string
+from repro.xmlx.writer import WireText, to_string
 from repro.xmlx.parser import XmlParseError, parse
 from repro.xmlx.xpath import XPathError, xpath_select
 
@@ -26,6 +27,7 @@ __all__ = [
     "Element",
     "NS",
     "QName",
+    "WireText",
     "XPathError",
     "XmlParseError",
     "parse",

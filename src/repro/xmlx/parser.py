@@ -16,10 +16,11 @@ The scanner indexes into the input instead of allocating substrings.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.xmlx.element import Element
 from repro.xmlx.qname import QName
+from repro.xmlx.writer import WireText
 
 _ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "quot": '"', "apos": "'"}
 
@@ -169,8 +170,13 @@ def _is_xml_decl(text: str, pos: int) -> bool:
     return nxt == "" or nxt == "?" or nxt in _WHITESPACE
 
 
-def parse(text: str) -> Element:
-    """Parse *text* and return the root :class:`Element`."""
+def parse(text: Union[str, WireText]) -> Element:
+    """Parse *text* and return the root :class:`Element`; a
+    :class:`~repro.xmlx.writer.WireText` is read as its text."""
+    if isinstance(text, WireText):
+        text = str(text)
+    elif not isinstance(text, str):
+        raise TypeError(f"parse() reads a str or a WireText, not {type(text).__name__}")
     scanner = _Scanner(text)
     # An XML declaration is legal only as the very first bytes of the
     # document — consume it here, and let _skip_misc reject any other.

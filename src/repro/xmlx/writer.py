@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.xmlx.element import Element
 from repro.xmlx.qname import NS, QName
@@ -36,6 +36,70 @@ def escape_attr(value: str) -> str:
 
 #: what ``to_string(..., xml_declaration=True)`` opens a document with
 XML_DECLARATION = '<?xml version="1.0" encoding="utf-8"?>'
+
+
+def utf8_size(text: str) -> int:
+    """``len(text.encode("utf-8"))``, without the encoded copy when the
+    text is ASCII (``isascii`` reads a flag): a message carrying a
+    staged file is megabytes of it."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
+class WireText:
+    """A document kept as the pieces a writer appended, joined only
+    when someone reads the text (docs/performance.md, "What is handed
+    over").
+
+    A piece is a ``str`` or a *deferred piece*: ASCII text of
+    ``len(piece)`` characters that ``str(piece)`` writes (the base64
+    text of a staged file, soap/types.py).  ``str(wire)`` is the
+    document, joined once; ``len(wire)`` is ``len(str(wire))`` and
+    :attr:`size` its UTF-8 size, both computed without joining.  The
+    size is computed when first read, so a text UTF-8 cannot encode (a
+    lone surrogate) raises where the transport first asks for it.
+
+    *owner* and *handed* belong to the one writer that made it: the
+    envelope hand-off (:class:`repro.soap.EnvelopeCache`) puts the
+    envelope the receiver is to have here, and takes it off once.
+    """
+
+    __slots__ = ("_content", "_size", "owner", "handed")
+
+    def __init__(self, content: Union[str, List[Any]], owner: object, handed: Any) -> None:
+        #: the joined text, or the pieces until someone reads it
+        self._content = content
+        self._size: Optional[int] = None
+        self.owner = owner
+        self.handed = handed
+
+    def __str__(self) -> str:
+        content = self._content
+        if not isinstance(content, str):
+            # the deferred pieces, and what they were written from, go
+            content = self._content = "".join(
+                [piece if type(piece) is str else str(piece) for piece in content]
+            )
+        return content
+
+    def __len__(self) -> int:
+        content = self._content
+        return len(content) if isinstance(content, str) else sum(map(len, content))
+
+    @property
+    def size(self) -> int:
+        """The UTF-8 size of the document."""
+        size = self._size
+        if size is None:
+            content = self._content
+            if isinstance(content, str):
+                size = utf8_size(content)
+            else:
+                size = sum(
+                    utf8_size(piece) if type(piece) is str else len(piece)
+                    for piece in content
+                )
+            self._size = size
+        return size
 
 
 def _declaration(prefix: str, uri: str) -> str:

@@ -37,13 +37,25 @@ def pytest_addoption(parser):
     )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "sanitize_off_vs_on: the test compares a Testbed built without the "
+        "sanitizer against one built with it, so --sanitize-all leaves its "
+        "Testbeds as the test builds them",
+    )
+
+
 @pytest.fixture(autouse=True)
 def _sanitize_all(request, monkeypatch):
     """Under ``--sanitize-all`` every ``Testbed`` a test builds carries
     the runtime race sanitizer (docs/static_analysis.md), and each must
     finish clean.  The sanitizer observes only, so the tests' own
-    assertions hold unchanged."""
-    if not request.config.getoption("--sanitize-all"):
+    assertions hold unchanged — except in a test marked
+    ``sanitize_off_vs_on``, which asserts that sanitizing is off where
+    it asked for no sanitizer, and whose Testbeds are left alone."""
+    if (not request.config.getoption("--sanitize-all")
+            or request.node.get_closest_marker("sanitize_off_vs_on")):
         yield
         return
     from repro.gridapp import Testbed

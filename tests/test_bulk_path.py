@@ -6,12 +6,14 @@ that path nothing may sweep or copy the whole payload to learn what the
 code already knows.  Each mechanism is pinned against the reference it
 replaced, each guard has a test that fails without it, and the
 regression guard counts the payload-sized calls of a whole staging run
-from outside:
+from outside — no base64 encode or decode, no wire text built as a
+``str``, no digest — against the same run on the reference codec:
 
 - ``escape_text`` / ``escape_attr`` against the regex-probe version
   (kept here as the reference), and the same-object answer the base64
   hand-off and the envelope splice rely on;
-- message sizes for non-ASCII text (the pinned benches send ASCII only);
+- message sizes for non-ASCII text (the pinned benches send ASCII only),
+  and a lone surrogate raising where it did, as text or as an argument;
 - the base64 leaf: handed over only for the very text object the
   encoder wrote, on an element with no children, for a value that is
   exactly ``bytes``; everything else meets ``base64.b64decode``;
@@ -37,7 +39,7 @@ from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_ele
 from repro.soap import types as soap_types
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.wsrf import ServiceSkeleton, WebMethod, WsrfClient, deploy
-from repro.xmlx import NS, Element, QName, parse, to_string
+from repro.xmlx import NS, Element, QName, WireText, parse, to_string
 from repro.xmlx.writer import escape_attr, escape_text
 
 from tests.helpers import fan_spec
@@ -146,6 +148,20 @@ class TestMessageSizes:
             env.run(until=proc)
         assert net.stats.messages == 0 and _delivered(server) == []
 
+    @pytest.mark.parametrize("one_way", [False, True])
+    def test_lone_surrogate_in_a_call_argument_raises_where_it_did(self, one_way):
+        """The typed twin: the argument is written into a message whose
+        size nobody asks for before the transport does, after the
+        connect delay — as for the text above."""
+        env, net, server = _echo_fabric()
+        call = env.process(WsrfClient(net, "node0").call(
+            EndpointReference("http://node1/x"), UVA, "Say", {"word": "bad \ud800"},
+            one_way=one_way))
+        with pytest.raises(UnicodeEncodeError):
+            env.run(until=call)
+        assert env.now == net.params.http_connect_s + net.latency_between("node0", "node1") > 0
+        assert net.stats.messages == 0 and _delivered(server) == []
+
 
 # -- (c) the base64 leaf ------------------------------------------------------------------
 
@@ -165,6 +181,50 @@ def decodes(monkeypatch):
 
     monkeypatch.setattr(soap_types, "base64", types.SimpleNamespace(
         b64encode=base64.b64encode, b64decode=b64decode))
+    return seen
+
+
+@pytest.fixture
+def encodes(decodes, monkeypatch):
+    """The inputs ``base64.b64encode`` is given inside the typed codec
+    (``decodes`` goes on counting)."""
+    seen = []
+
+    def b64encode(data):
+        seen.append(data)
+        return base64.b64encode(data)
+
+    monkeypatch.setattr(soap_types, "base64", types.SimpleNamespace(
+        b64encode=b64encode, b64decode=soap_types.base64.b64decode))
+    return seen
+
+
+@pytest.fixture
+def wire_strs(monkeypatch):
+    """Every wire text built as a ``str``, by length: what the reference
+    encoder wrote, what the hand-off joined when it encoded, and what
+    anyone read out of a message with ``str()``."""
+    seen = []
+    serialize, init, read = SoapEnvelope.serialize, WireText.__init__, WireText.__str__
+
+    def serialized(self, cache=None):
+        wire = serialize(self, cache)
+        if type(wire) is str:
+            seen.append(wire)
+        return wire
+
+    def made(self, content, *args):
+        if type(content) is str:
+            seen.append(content)
+        init(self, content, *args)
+
+    def text(self):
+        seen.append(read(self))
+        return seen[-1]
+
+    monkeypatch.setattr(SoapEnvelope, "serialize", serialized)
+    monkeypatch.setattr(WireText, "__init__", made)
+    monkeypatch.setattr(WireText, "__str__", text)
     return seen
 
 
@@ -249,7 +309,8 @@ class TestBase64Leaf:
         body.append(to_typed_element(QName(UVA, "ReadResult"), {"kind": "data", "data": value}))
         headers = AddressingHeaders(EndpointReference("http://b/x"), "urn:read")
         wire = SoapEnvelope(headers, body).serialize(codec)
-        assert type(wire) is str and wire == SoapEnvelope(headers, body).serialize()
+        text = str(wire)
+        assert type(text) is str and text == SoapEnvelope(headers, body).serialize()
         first = from_typed_element(SoapEnvelope.deserialize(wire, codec).body.children[0])
         assert first["data"] is value and decodes == []
         again = from_typed_element(SoapEnvelope.deserialize(wire, codec).body.children[0])
@@ -363,14 +424,22 @@ class TestStagingRun:
         _staging_run()
         assert _payload_sized(decodes) == [] and _payload_sized(digests) == []
 
+    def test_no_payload_sized_encode_or_wire_text(self, encodes, wire_strs):
+        _staging_run()
+        assert _payload_sized(encodes) == [] and _payload_sized(wire_strs) == []
+
     def test_reference_codec_run_is_identical_and_decodes(
-            self, decodes, digests, reference_codec):
+            self, encodes, decodes, digests, wire_strs, reference_codec):
         handed = _staging_run()
-        assert _payload_sized(decodes) == []
+        assert _payload_sized(decodes) == _payload_sized(encodes) == []
+        assert _payload_sized(wire_strs) == []
         with reference_codec():
             reference = _staging_run()
-        # 2 staged inputs + 3 fetched outputs came through the parser
+        # 2 staged inputs + 3 fetched outputs came through the parser,
+        # each encoded and written into a wire text first: the guards
+        # above are not vacuous
         assert len(_payload_sized(decodes)) == 5
+        assert len(_payload_sized(encodes)) == len(_payload_sized(wire_strs)) == 5
         assert reference == handed
         assert _payload_sized(digests) == []
 

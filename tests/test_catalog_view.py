@@ -109,7 +109,7 @@ class _Site:
         handed = SoapEnvelope.deserialize(reply, self.network.codec)
         value = from_typed_element(handed.body.children[0])
         _vandalize(handed.body)
-        return reply.replace(handed.addressing.message_id, "uuid:reply"), value
+        return str(reply).replace(handed.addressing.message_id, "uuid:reply"), value
 
     def counters(self):
         store = self.wrapper.store

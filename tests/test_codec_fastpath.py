@@ -13,10 +13,12 @@ Seven concerns, one file:
   text/tails;
 - the one-walk writer against the two-pass one it replaced (prefixes
   allocated by a pre-order walk before anything is written);
-- coherence oracles for the two content-addressed hand-offs
-  (:class:`repro.db.DecodeCache`, :class:`repro.soap.EnvelopeCache`):
-  value isolation, destroy-then-recreate, post-restore invalidation,
-  move-semantics of the encode→parse bridge, the byte bounds;
+- coherence oracles for the two hand-offs: the content-addressed
+  :class:`repro.db.DecodeCache` (value isolation, destroy-then-recreate,
+  post-restore invalidation, the byte bound) and the message object of
+  :class:`repro.soap.EnvelopeCache` (the reference text, its size and
+  length unread, move semantics of the encode→parse bridge, nothing
+  kept for an undelivered message);
 - the envelope splice against the reference codec: a Hypothesis
   differential over generated envelopes, and each fallback condition
   from both sides;
@@ -37,6 +39,7 @@ Seven concerns, one file:
 import base64
 import enum
 import re
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -48,11 +51,13 @@ from repro.gridapp import FaultToleranceConfig, FederationConfig, FileRef, JobSp
 from repro.net import RetryPolicy
 from repro.osim.programs import make_compute_program
 from repro.soap import (
-    EnvelopeCache, SoapEnvelope, SoapFault, from_typed_element, to_typed_element, write_typed,
+    EnvelopeCache, SoapEnvelope, SoapFault, from_typed_element, to_typed_element, typed_value,
+    write_typed,
 )
 from repro.soap import envelope as envelope_module
+from repro.soap import types as soap_types
 from repro.wsa import AddressingHeaders, EndpointReference
-from repro.xmlx import NS, Element, QName, XmlParseError, parse, to_string
+from repro.xmlx import NS, Element, QName, WireText, XmlParseError, parse, to_string
 from repro.xmlx import writer
 
 from tests.equivalence import SCENARIOS, fingerprint, run_scenario
@@ -816,7 +821,7 @@ class TestEnvelopeCache:
         wire = _envelope().serialize(cache)
         parsed = SoapEnvelope.deserialize(wire, cache)
         assert (cache.parse_hits, cache.parse_misses) == (1, 0)
-        assert parsed.serialize() == wire  # semantically the same message
+        assert parsed.serialize() == str(wire)  # semantically the same message
 
     def test_repeat_deliveries_are_isolated(self):
         # Same wire text delivered many times (retries, redeliveries):
@@ -833,26 +838,34 @@ class TestEnvelopeCache:
             got.body.set(QName(UVA, "hacked"), "yes")
         assert cache.parse_hits > 0
 
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            EnvelopeCache(max_bytes=0)
+    def test_undelivered_envelope_is_freed_with_the_message(self, monkeypatch):
+        # Nothing but the message holds what its receiver is to have: a
+        # message that is dropped or never delivered leaves nothing behind.
+        import gc
+        import weakref
 
-    def test_bounded_by_text_bytes(self):
-        # Undelivered messages (drops, dead hosts) are held up to the
-        # bound and no further; the oldest go first.
-        size = len(_envelope(0).serialize())
-        cache = EnvelopeCache(max_bytes=3 * size)
-        wires = [_envelope(n).serialize(cache) for n in range(5)]
-        assert all(len(w) == size for w in wires)
-        for wire in wires:
-            assert SoapEnvelope.deserialize(wire, cache).serialize() == wire
-        assert (cache.parse_hits, cache.parse_misses) == (3, 2)
+        class Handed(SoapEnvelope):  # an envelope that can be weakly referenced
+            __slots__ = ("__weakref__",)
 
-    def test_text_larger_than_the_bound_is_parsed(self):
-        cache = EnvelopeCache(max_bytes=len(_envelope(0).serialize()))
-        wire = _envelope(0, pad="x" * 10).serialize(cache)
-        assert SoapEnvelope.deserialize(wire, cache).serialize() == wire
-        assert (cache.parse_hits, cache.parse_misses) == (0, 1)
+        monkeypatch.setattr(envelope_module, "SoapEnvelope", Handed)
+        cache = EnvelopeCache()
+        wire = cache.encode(_envelope())
+        probe = weakref.ref(wire.handed)
+        assert type(probe()) is Handed
+        del wire
+        gc.collect()
+        assert probe() is None
+
+    def test_message_over_8_mb_is_handed_off(self):
+        # The hand-off table this replaced kept at most 8 MB of text and
+        # parsed anything longer; a message carries its own envelope.
+        cache = EnvelopeCache()
+        envelope = _envelope(0, pad="x" * (9 << 20))
+        wire = envelope.serialize(cache)
+        assert len(wire) > 9 << 20
+        got = SoapEnvelope.deserialize(wire, cache)
+        assert (cache.parse_hits, cache.parse_misses) == (1, 0)
+        assert got.body.equals(envelope.body) and str(wire) == envelope.serialize()
 
     def test_delivered_texts_are_not_kept_alive(self):
         import gc
@@ -868,6 +881,72 @@ class TestEnvelopeCache:
         del text
         gc.collect()
         assert probe() is None
+
+
+# -- the message object: the pieces, its size and its one receiver -------------------
+
+
+def _blob(n):
+    return (bytes(range(256)) * (n // 256 + 1))[:n]
+
+
+_blob_sizes = st.one_of(st.integers(0, 64), st.integers(100_000, 300_000))
+_wire_texts = st.text(alphabet=st.sampled_from("ab<&>\"é€\U0001f600 "), max_size=12)
+#: typed values a staged file travels in: exact bytes up to 300 KB (a
+#: deferred piece), a bytes subclass (written as text), non-ASCII and
+#: astral strings, and bytes inside a map and a list
+_message_values = st.one_of(
+    _blob_sizes.map(_blob),
+    _blob_sizes.map(lambda n: _Bytes(_blob(n))),
+    _wire_texts,
+    st.builds(lambda n, name: {"kind": name, "data": _blob(n)}, _blob_sizes, _wire_texts),
+    st.lists(st.one_of(_blob_sizes.map(_blob), _wire_texts), max_size=2),
+)
+
+
+class TestMessageObject:
+    """``EnvelopeCache.encode`` answers a :class:`WireText`: the reference
+    text when read, its size and length known without reading it, and
+    the receiver's envelope handed to one delivery at the codec that
+    wrote it."""
+
+    @settings(max_examples=30)
+    @given(st.lists(_message_values, min_size=1, max_size=2))
+    def test_a_message_is_the_reference_text_handed_once(self, values):
+        envelope = _envelope()
+        envelope.body = Element(QName(UVA, "Stage"))
+        for at, value in enumerate(values):
+            envelope.body.append(typed_value(QName(UVA, f"arg{at}"), value))
+        codec, elsewhere = EnvelopeCache(), EnvelopeCache()
+        encoded = []
+
+        def b64encode(data):
+            encoded.append(data)
+            return base64.b64encode(data)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(soap_types, "base64", types.SimpleNamespace(
+                b64encode=b64encode, b64decode=base64.b64decode))
+            wire = envelope.serialize(codec)
+            length, size = len(wire), wire.size
+            # nothing read the text: no byte was encoded (an empty value's
+            # text is "", spelled by the writer, not deferred)
+            assert type(wire) is WireText and not any(encoded)
+            text = str(wire)
+        assert text == to_string(envelope.to_element(), xml_declaration=True)
+        assert size == len(text.encode("utf-8")) and length == len(text) == len(wire)
+        reference = SoapEnvelope.from_element(parse(text))
+        # delivered to another network's codec: parsed, and the message
+        # still carries its envelope for the codec that wrote it
+        _assert_same_message(SoapEnvelope.deserialize(wire, elsewhere), reference)
+        assert (elsewhere.parse_hits, elsewhere.parse_misses) == (0, 1)
+        first = SoapEnvelope.deserialize(wire, codec)
+        assert (codec.parse_hits, codec.parse_misses) == (1, 0)
+        second = SoapEnvelope.deserialize(wire, codec)
+        assert (codec.parse_hits, codec.parse_misses) == (1, 1)
+        _assert_same_message(first, reference)
+        _assert_same_message(second, first)
+        assert [from_typed_element(child) for child in first.body.children] == values
 
 
 # -- the envelope splice against the reference codec --------------------------------
@@ -915,7 +994,7 @@ def _deliver(envelope):
         except Exception as exc:
             received = exc
     assert (cache.parse_hits, cache.parse_misses) == ((0, 1) if decoded else (1, 0))
-    return wire, received, not decoded
+    return str(wire), received, not decoded
 
 
 # Generated envelopes are spliceable except in up to two respects,
@@ -1108,7 +1187,7 @@ class TestEnvelopeSplice:
             SoapEnvelope.deserialize(envelope.serialize())
         cache = EnvelopeCache()
         wire = envelope.serialize(cache)  # the sender is not the one to fail
-        assert wire == envelope.serialize()
+        assert str(wire) == envelope.serialize()
         with pytest.raises(ValueError, match=message):
             SoapEnvelope.deserialize(wire, cache)
         assert (cache.parse_hits, cache.parse_misses) == (0, 1)

@@ -63,6 +63,7 @@ def _with_and_without(scenario):
 class TestCleanSuites:
     """The shipped grid races nowhere the sanitizer can see."""
 
+    @pytest.mark.sanitize_off_vs_on
     def test_fig3_clean_with_identical_trace_and_obs(self):
         # machine_speeds=None: the testbed's own heterogeneous default
         tb_off, tb_on = _with_and_without(
@@ -356,6 +357,7 @@ class TestHappensBefore:
         env.run()
         san.assert_clean()
 
+    @pytest.mark.sanitize_off_vs_on
     def test_sanitize_off_is_absent(self):
         env = Environment()
         assert env.san is None

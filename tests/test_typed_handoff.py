@@ -163,7 +163,7 @@ def _wire(monkeypatch, value):
 
     def recorded(self, cache=None):
         text = serialize(self, cache)
-        texts.append(re.sub(r"uuid:msg-\d+", "uuid:msg", text))
+        texts.append(re.sub(r"uuid:msg-\d+", "uuid:msg", str(text)))
         return text
 
     with monkeypatch.context() as patch:

@@ -144,7 +144,7 @@ class TestTheTenRows:
             ),
             SoapFault("soap:Client", "Read lacks a filename").to_element(),
         ).serialize()
-        assert text == expected
+        assert str(text) == expected
         assert tb.network.stats.faults == {}
 
     def test_row_10_hostile_one_ways_to_a_wrapper_and_to_nobody(self):
@@ -200,7 +200,7 @@ def _captured_traffic(tb, client):
     def capture(self, envelope):
         wire = real(self, envelope)
         port = envelope.addressing.to_epr.address.split("/", 3)[-1]
-        wires.setdefault((port, envelope.body.tag.clark()), wire)
+        wires.setdefault((port, envelope.body.tag.clark()), str(wire))
         return wire
 
     with pytest.MonkeyPatch.context() as patch:
