@@ -35,9 +35,12 @@ class ImmediateResourceTerminationPortType(SpecPortType):
 class ScheduledResourceTerminationPortType(SpecPortType):
     """wsrl:SetTerminationTime plus the TerminationTime/CurrentTime RPs.
 
-    Termination times live in a wrapper-side table and are enforced by
-    the wrapper's lifetime sweeper (:meth:`WrapperService.start_sweeper`).
-    A nil requested time means "never terminate".
+    Termination times live in a wrapper-side table.  Setting one arms
+    a single timer (:meth:`WrapperService.set_termination_time`); when
+    it fires the wrapper runs a ``wsrl:Destroy`` through its own
+    dispatch, so a service importing this port type imports
+    :class:`ImmediateResourceTerminationPortType` too.  A nil requested
+    time means "never terminate" and cancels the pending destroy.
     """
 
     OPERATIONS = {SET_TERMINATION_TIME: "set_termination_time"}

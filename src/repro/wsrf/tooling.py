@@ -19,6 +19,7 @@ IIS dispatches to.  Per invocation the wrapper
 from __future__ import annotations
 
 import inspect
+import math
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.db import (
@@ -45,6 +46,7 @@ from repro.wsrf.basefaults import (
     ResourceUnknownFault,
     UnableToModifyResourcePropertyFault,
 )
+from repro.wsrf.lifetime import DESTROY
 from repro.wsrf.porttypes import SpecPortType
 from repro.wssec import SecurityError, UsernameToken, open_security_header
 from repro.xmlx import NS, Element, QName
@@ -141,12 +143,13 @@ class _Call:
     so the loaded state and the reply are kept off that."""
 
     __slots__ = (
-        "ctx", "instance", "pool", "epoch", "needs_resource", "run", "lock",
+        "ctx", "body", "instance", "pool", "epoch", "needs_resource", "run", "lock",
         "worker_held", "stage", "as_declared", "state_after", "response",
     )
 
-    def __init__(self, ctx: InvocationContext, instance, pool, epoch: int) -> None:
+    def __init__(self, ctx: InvocationContext, body, instance, pool, epoch: int) -> None:
         self.ctx = ctx
+        self.body = body  # the request body: the operation and its arguments
         self.instance = instance  # the service object the method runs on
         self.pool = pool  # the ASP.NET pool serving the call
         self.epoch = epoch  # the host's boot on arrival (_zombie)
@@ -243,8 +246,6 @@ class WrapperService:
             )
 
         self._termination: Dict[str, Optional[float]] = {}
-        #: the lifetime sweeper's period, once one is started (restore restarts it)
-        self._sweep_period: Optional[float] = None
         self._resource_locks: Dict[str, object] = {}
         #: next resource-id suffix; a plain int so checkpoints capture it
         self._rid_next = 1
@@ -350,6 +351,33 @@ class WrapperService:
 
     def set_termination_time(self, resource_id: str, when: Optional[float]) -> None:
         self._termination[resource_id] = when
+        self._arm_expiry(resource_id, when)
+
+    def _arm_expiry(self, resource_id: str, when: Optional[float]) -> None:
+        """Spawn the process that destroys *resource_id* at *when* (at
+        once if that has passed) with a ``wsrl:Destroy`` through
+        :meth:`_dispatch`; a nil or infinite *when* arms nothing.
+
+        The process belongs to this boot of the host and to this
+        termination time: it does nothing if the host is down or has
+        rebooted (:meth:`restore` arms the next boot's), or if *when*
+        is no longer the resource's time (a later SetTerminationTime
+        armed its own, nil cancelled it, a Destroy removed it).
+        """
+        if when is None or not math.isfinite(when):
+            return
+        epoch = self.machine.host.boot_epoch
+
+        def expiry(env):
+            yield env.timeout(max(when - env.now, 0.0))
+            if self._zombie(epoch) is not None or self._termination.get(resource_id) != when:
+                return
+            try:
+                yield from self._dispatch(Element(DESTROY), resource_id)
+            except DeliveryError:
+                pass  # the host went down mid-destroy; its reboot re-arms
+
+        self.env.process(expiry(self.env))
 
     def get_termination_time(self, resource_id: str) -> Optional[float]:
         return self._termination.get(resource_id)
@@ -390,52 +418,6 @@ class WrapperService:
             and not self.store.exists(self.service_name, resource_id)
         ):
             del self._resource_locks[resource_id]
-
-    def start_sweeper(self, period: float = 1.0):
-        """Spawn the lifetime sweeper enforcing scheduled termination for
-        this boot of the host (:meth:`restore` starts the next boot's)."""
-        self._sweep_period = period
-        host = self.machine.host
-        epoch = host.boot_epoch
-
-        def sweeper(env):
-            while True:
-                yield env.timeout(period)
-                if host.boot_epoch != epoch:
-                    return
-                if host.down:
-                    continue
-                now = env.now
-                expired = [
-                    rid
-                    for rid, when in self._termination.items()
-                    if when is not None and when <= now
-                ]
-                for rid in expired:
-                    # Take the resource lock: an in-flight invocation may be
-                    # mid load-modify-save on this resource, and destroying
-                    # it under that handler loses its write (or resurrects
-                    # the resource when the handler saves after us).
-                    lock = self.resource_lock(rid)
-                    yield lock.acquire()
-                    try:
-                        if self._zombie(epoch) is not None:
-                            break  # the host went down while we waited
-                        try:
-                            instance = self.load_resource(rid)
-                        except NoSuchResource:
-                            self._termination.pop(rid, None)
-                            continue
-                        ctx = InvocationContext(self, rid, None, None)
-                        instance._invocation = ctx
-                        instance.wsrf_on_destroy()
-                        self.destroy_resource(rid)
-                        # The destroy is persisted; deferred sends may go.
-                        ctx._flush_outbox()
-                    finally:
-                        self.release_resource_lock(rid, lock)
-
-        return self.env.process(sweeper(self.env))
 
     # -- crash-restart ------------------------------------------------------------------
 
@@ -486,8 +468,8 @@ class WrapperService:
         if self.notification_producer is not None:
             self.notification_producer.rebuild_from_store()
         self.service_cls.wsrf_recover(self)
-        if self._sweep_period is not None:
-            self.start_sweeper(self._sweep_period)  # the dead boot's exits
+        for rid, when in self._termination.items():
+            self._arm_expiry(rid, when)  # the dead boot's timers died with it
         if san is not None:
             # Dispatches arriving after the host is back up are causally
             # after everything recovery wrote.
@@ -551,58 +533,47 @@ class WrapperService:
         except SoapFault as fault:
             self.faults_returned += 1
             return reject(network, delivery, None, fault)
-        rid = envelope.addressing.to_epr.get(RESOURCE_ID)
-        obs = network.obs
-        span = None
-        if obs is not None:
-            span = obs.start_span(
-                "wsrf.dispatch",
-                message_id=delivery.message_id or envelope.addressing.message_id or None,
-                attrs={
-                    "service": self.path,
-                    "host": self.machine.name,
-                    "operation": envelope.body.tag.local,
-                },
-            )
-        try:
-            response_body = yield from self._dispatch(
-                envelope, rid, delivery, pool, span=span
-            )
-        except SoapFault as fault:
-            self.faults_returned += 1
-            if span is not None:
-                span.attrs["fault"] = fault.code
+        response_body, fault = yield from self._dispatch(
+            envelope.body, envelope.addressing.to_epr.get(RESOURCE_ID),
+            envelope, delivery, pool,
+        )
+        if fault is not None:
             return reject(network, delivery, envelope, fault)
-        except (SecurityError, ValueError, TypeError, LookupError, AttributeError) as exc:
-            # Author code raising is the service's fault (NoSuchResource
-            # and KeyError are LookupErrors; a decoded argument of the
-            # wrong shape surfaces as any of the last four); anything
-            # else is a bug.
-            self.faults_returned += 1
-            if span is not None:
-                span.attrs["fault"] = type(exc).__name__
-            return reject(network, delivery, envelope, server_fault(exc))
-        finally:
-            if span is not None:
-                obs.spans.finish_subtree(span)
         return reply_text(network.codec, delivery, envelope, response_body)
 
-    def _dispatch(self, envelope: SoapEnvelope, rid, delivery, pool=None, span=None):
-        """Take one invocation through the Fig. 1 stages (:attr:`_STAGES`).
+    def _dispatch(self, body: Element, rid, envelope: Optional[SoapEnvelope] = None,
+                  delivery=None, pool=None):
+        """Take one invocation through the Fig. 1 stages (:attr:`_STAGES`)
+        in its ``wsrf.dispatch`` span; returns ``(reply body, None)``, or
+        ``(None, fault)`` once the fault is counted.  A request arrives
+        with its *envelope* and *delivery*; an expiry (:meth:`_arm_expiry`)
+        is a local dispatch with neither, and no worker *pool*.
 
         The loop below is the one place a stage span opens and closes.
         A stage ends the dispatch either by *returning* the fault — it
         is raised once the stage's span has closed — or by raising it,
-        which leaves the span open for ``handle_soap``'s
-        ``finish_subtree`` to close after the dispatch span (the event
-        log tells the two apart).  A stage that never waits is a plain
-        function, not a generator.  docs/observability.md has the table.
+        which leaves the span open for the ``finish_subtree`` below to
+        close after the dispatch span (the event log tells the two
+        apart).  A stage that never waits is a plain function, not a
+        generator.  docs/observability.md has the table.
         """
-        obs = self.machine.network.obs if span is not None else None
+        obs = self.machine.network.obs
+        span = None
+        if obs is not None:
+            span = obs.start_span(
+                "wsrf.dispatch",
+                message_id=None if delivery is None
+                else delivery.message_id or envelope.addressing.message_id or None,
+                attrs={
+                    "service": self.path,
+                    "host": self.machine.name,
+                    "operation": body.tag.local,
+                },
+            )
         # The epoch says which boot of this host the invocation belongs
         # to; a restart mid-dispatch turns the handler into a zombie.
         call = _Call(
-            InvocationContext(self, rid, envelope, delivery, span=span),
+            InvocationContext(self, rid, envelope, delivery, span=span), body,
             self.service_cls(), pool, self.machine.host.boot_epoch,
         )
         san = self.env.san
@@ -628,7 +599,21 @@ class WrapperService:
             # What the sends describe is durable now (under write elision
             # it already was before this dispatch).
             call.ctx._flush_outbox()
-            return call.response
+            return call.response, None
+        except SoapFault as fault:
+            self.faults_returned += 1
+            if span is not None:
+                span.attrs["fault"] = fault.code
+            return None, fault
+        except (SecurityError, ValueError, TypeError, LookupError, AttributeError) as exc:
+            # Author code raising is the service's fault (NoSuchResource
+            # and KeyError are LookupErrors; a decoded argument of the
+            # wrong shape surfaces as any of the last four); anything
+            # else is a bug.
+            self.faults_returned += 1
+            if span is not None:
+                span.attrs["fault"] = type(exc).__name__
+            return None, server_fault(exc)
         finally:
             # Fault paths reach here with the outbox unflushed: those
             # sends are discarded, not delayed (their state never made
@@ -641,6 +626,8 @@ class WrapperService:
                 self.release_resource_lock(rid, call.lock)
             if san is not None:
                 san.on_dispatch_exit(self.machine.name, self.service_name, rid)
+            if span is not None:
+                obs.spans.finish_subtree(span)
 
     def _epr_resolve(self, call: _Call):
         """Route the body to its operation (:attr:`_ops`).  Reading
@@ -649,7 +636,7 @@ class WrapperService:
         rid = call.ctx.resource_id
         if call.stage is not None:
             call.stage.attrs["resource_id"] = rid or ""
-        tag = call.ctx.envelope.body.tag
+        tag = call.body.tag
         op = self._ops.get(tag)
         if op is None:
             return SoapFault(
@@ -669,7 +656,7 @@ class WrapperService:
             if rid is None:
                 return ResourceUnknownFault(
                     description=(
-                        f"operation {call.ctx.envelope.body.tag.local} requires a "
+                        f"operation {call.body.tag.local} requires a "
                         "WS-Resource but the EPR carries no ResourceID "
                         "reference property"
                     ),
@@ -719,9 +706,8 @@ class WrapperService:
 
     def _method(self, call: _Call):
         """Run the operation epr_resolve routed the body to."""
-        ctx, instance = call.ctx, call.instance
-        body = ctx.envelope.body
-        instance._invocation = ctx
+        instance, body = call.instance, call.body
+        instance._invocation = call.ctx
         if call.stage is not None:
             call.stage.attrs["operation"] = body.tag.local
         result = call.run(instance, body)

@@ -13,7 +13,9 @@ fix so the bug stays fixed even if the rule is later tuned:
   ``soap:Server`` strings clients could not reconstruct.
 - SIM002 (x2): the lifetime sweeper and the notification producer's
   redelivery process both destroyed WS-Resources without taking the
-  per-resource lock, racing in-flight load-modify-save handlers.
+  per-resource lock, racing in-flight load-modify-save handlers.  The
+  sweeper is gone (an expiry is now a Destroy through the wrapper's
+  dispatch, which takes the lock like any call); its test stays.
 """
 
 import pytest
@@ -31,6 +33,7 @@ from repro.wsn import (
 )
 from repro.wsrf import (
     AuthenticationFault,
+    ImmediateResourceTerminationPortType,
     Resource,
     ServiceSkeleton,
     WebMethod,
@@ -123,7 +126,11 @@ class TestGt4AuthenticationFault:
 # -- SIM002: destroys must hold the per-resource lock -------------------------------
 
 
-@WSRFPortType(NotificationProducerPortType, SubscriptionManagerPortType)
+@WSRFPortType(
+    NotificationProducerPortType,
+    SubscriptionManagerPortType,
+    ImmediateResourceTerminationPortType,  # an expiry is its Destroy
+)
 class TinyServ(ServiceSkeleton):
     data = Resource(default=0)
 
@@ -144,13 +151,12 @@ class TestSweeperHoldsResourceLock:
         epr = run(env, client.call(wrapper.service_epr(), UVA, "Create"))
         rid = epr.get(RESOURCE_ID)
         wrapper.set_termination_time(rid, env.now + 1.0)
-        wrapper.start_sweeper(period=0.5)
 
         lock = wrapper.resource_lock(rid)
         lock.acquire()  # an in-flight handler owns the resource
         env.run(until=env.now + 3.0)  # well past the termination time
         assert wrapper.store.exists(wrapper.service_name, rid), (
-            "sweeper destroyed the resource out from under the lock holder"
+            "expiry destroyed the resource out from under the lock holder"
         )
 
         lock.release()

@@ -3,9 +3,9 @@
 WSRF's scheduled destruction exists exactly for this: working
 directories outlive their jobs so clients can fetch outputs, then get
 reaped without further interaction.  The client sets a termination time
-on each directory WS-Resource; the FSS's lifetime sweeper destroys the
-resource when it expires and (via the author destroy hook we add here in
-the test's subclass-free form) the files with it.
+on each directory WS-Resource; when it comes due the FSS wrapper runs a
+wsrl:Destroy through its own dispatch, and the FSS destroy hook removes
+the files with the resource.
 """
 
 import pytest
@@ -13,21 +13,21 @@ import pytest
 from repro.gridapp import FileRef, JobSpec, Testbed
 from repro.gridapp.execution_service import parse_job_event
 from repro.gridapp.filesystem_service import GRID_ROOT
+from repro.osim import MachineParams
 from repro.osim.programs import make_compute_program
 from repro.wsrf.basefaults import ResourceUnknownFault
 from repro.wsrf.lifetime import TERMINATION_TIME_RP
 from repro.xmlx import NS
 
 UVA = NS.UVACG
+#: the db_load an expiry's Destroy pays before the hook runs
+DB = MachineParams().db_access_s
 
 
 @pytest.fixture()
 def testbed():
     tb = Testbed(n_machines=2, seed=17)
     tb.programs.register(make_compute_program("tiny", 0.5, outputs={"out": b"r"}))
-    # Start lifetime sweepers on every FSS (deployment-time decision).
-    for fss in tb.fss.values():
-        fss.start_sweeper(period=1.0)
     return tb
 
 
@@ -98,9 +98,10 @@ class TestDirectoryLifetime:
             testbed.run(client.list_output_dir(dir_epr))
 
 
-class TestSweeperAcrossRestart:
-    """A sweeper belongs to one boot of its host: nothing is swept while
-    the host is down, and the rebooted host sweeps what expired."""
+class TestExpiryAcrossRestart:
+    """An expiry belongs to one boot of its host: nothing is destroyed
+    while the host is down, and the rebooted host destroys what expired,
+    once, as a Destroy paying its db_load."""
 
     def _expiring_dir(self, tb, when):
         fss = tb.fss["node00"]
@@ -111,7 +112,7 @@ class TestSweeperAcrossRestart:
         fss.on_resource_destroyed.append(lambda r: destroyed.append((r, tb.env.now)))
         return fss, rid, path, destroyed
 
-    def test_nothing_destroyed_while_down_then_once_after_reboot(self, testbed):
+    def test_none_while_down_then_once_after_reboot(self, testbed):
         tb = testbed
         fss, rid, path, destroyed = self._expiring_dir(tb, 3.0)
         tb.restart_host("node00", at=1.0, down_for=10.0)
@@ -121,18 +122,19 @@ class TestSweeperAcrossRestart:
         assert fss.store.exists(fss.service_name, rid)
         assert fss.machine.fs.is_dir(path)  # the destroy hook never ran
         tb.settle(10.0)
-        # The reboot's sweeper (period 1.0) reaps it, once.
-        assert destroyed == [(rid, 12.0)]
+        # restore re-arms it at the reboot, 11.0, and it goes once.
+        assert destroyed == [(rid, 11.0 + DB)]
         assert not fss.store.exists(fss.service_name, rid)
         assert not fss.machine.fs.is_dir(path)
 
-    def test_sweep_straddling_a_crash_does_not_destroy(self, testbed):
+    def test_straddling_a_crash_destroys_nothing(self, testbed):
         tb = testbed
         fss, rid, path, destroyed = self._expiring_dir(tb, 3.0)
 
         def holder(env):
-            # An invocation holding the row's lock across the sweep at 3.0
-            # and the crash at 4.0; the sweeper gets the lock at 5.0.
+            # An invocation holding the row's lock across the expiry at
+            # 3.0 and the crash at 4.0; the expiry gets the lock at 5.0,
+            # a zombie of the dead boot.
             lock = fss.resource_lock(rid)
             yield lock.acquire()
             yield env.timeout(5.0 - env.now)
@@ -145,7 +147,8 @@ class TestSweeperAcrossRestart:
         assert fss.store.exists(fss.service_name, rid)
         assert fss.machine.fs.is_dir(path)
         tb.settle(10.0)
-        assert destroyed == [(rid, 15.0)]
+        # The reboot at 14.0 re-arms it.
+        assert destroyed == [(rid, 14.0 + DB)]
 
 
 class TestMultiClientSoak:

@@ -151,14 +151,14 @@ def _counter_fabric():
     return env, san, wrapper, client
 
 
-def _drive_sweeper(start_sweeper):
+def _drive_sweeper(start):
     """One resource, locked Bump dispatches every 0.7 s, plus the
     fixture's background sweeper rewriting every row each second."""
     env, san, wrapper, client = _counter_fabric()
     proc = env.process(client.call(wrapper.service_epr(), UVA, "Create"))
     env.run(until=proc)
     epr = proc.value
-    start_sweeper(env, wrapper)
+    start(env, wrapper)
 
     def traffic(env):
         for _ in range(5):
@@ -259,8 +259,8 @@ class NesterService(ServiceSkeleton):
             AddressingHeaders(to_epr=self.wsrf.my_epr(), action=f"{UVA}/Touch"),
             Element(QName(UVA, "Touch")),
         )
-        result = yield from wrapper._dispatch(
-            envelope, self.wsrf.resource_id, None
+        result, _fault = yield from wrapper._dispatch(
+            envelope.body, self.wsrf.resource_id, envelope
         )
         return result
 

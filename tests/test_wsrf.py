@@ -98,6 +98,17 @@ class MyServ(ServiceSkeleton):
         MyServ.destroyed_log.append(self.resource_id)
 
 
+@WSRFPortType(ImmediateResourceTerminationPortType, ScheduledResourceTerminationPortType)
+class Stubborn(ServiceSkeleton):
+    """A destroy hook that refuses while the resource is *stubborn*."""
+
+    stubborn = Resource(default=True)
+
+    def wsrf_on_destroy(self):
+        if self.stubborn:
+            raise ValueError("not while stubborn")
+
+
 class Churn(ServiceSkeleton):
     """Creates and destroys sibling resources, then keeps the dispatch
     open for *hold* seconds."""
@@ -295,29 +306,114 @@ class TestLifetime:
             run(env, client.call(epr, UVA, "MyMethod"))
 
     def test_scheduled_termination(self, grid):
+        """A resource goes at its termination time plus the Destroy's
+        db_load.  A later SetTerminationTime moves the destroy and the
+        earlier timer does nothing; nil cancels it."""
         env, net, machine, wrapper, client = grid
-        wrapper.start_sweeper(period=0.5)
-        epr = make_resource(env, wrapper, client)
+        epr, later, cancelled = [make_resource(env, wrapper, client) for _ in range(3)]
+        rid_of = {e.get(QName(UVA, "ResourceID")): e for e in (epr, later, cancelled)}
+        destroyed = []
+        wrapper.on_resource_destroyed.append(
+            lambda rid: destroyed.append((rid_of[rid], env.now)))
         new_time = run(env, client.set_termination_time(epr, env.now + 3.0))
         assert new_time == pytest.approx(env.now + 3.0, abs=0.2)
+        for other in (later, cancelled):
+            run(env, client.set_termination_time(other, new_time))
+        assert run(env, client.set_termination_time(later, new_time + 4.0)) == new_time + 4.0
+        assert run(env, client.set_termination_time(cancelled, None)) is None
         # Still alive now...
         assert run(env, client.call(epr, UVA, "MyMethod")) == 1
         env.run(until=env.now + 5.0)
         with pytest.raises(ResourceUnknownFault):
             run(env, client.call(epr, UVA, "MyMethod"))
         assert MyServ.destroyed_log
+        db = machine.params.db_access_s
+        assert destroyed == [(epr, pytest.approx(new_time + db))]
+        # The earlier timers of the other two did nothing.
+        assert run(env, client.call(later, UVA, "MyMethod")) == 1
+        env.run(until=new_time + 60.0)
+        assert destroyed[1:] == [(later, pytest.approx(new_time + 4.0 + db))]
+        assert run(env, client.call(cancelled, UVA, "MyMethod")) == 1
+
+    def test_a_raising_destroy_hook_faults_the_expiry_not_the_run(self):
+        """An expiry is a Destroy: a hook raising ValueError is the
+        service's fault, counted and survived as on the wire."""
+        env = Environment()
+        net = Network(env)
+        wrapper = deploy(Stubborn, Machine(net, "node1", params=MachineParams()), "Stubborn")
+        net.add_host("client")
+        client = WsrfClient(net, "client")
+        stubborn = wrapper.create_resource_from_fields({})
+        with pytest.raises(SoapFault):
+            run(env, client.destroy(wrapper.epr_for(stubborn)))
+        assert wrapper.faults_returned == 1
+        assert wrapper.store.exists(wrapper.service_name, stubborn)
+
+        wrapper.set_termination_time(stubborn, env.now + 1.0)
+        env.run(until=env.now + 2.0)  # returns: the ValueError is a fault
+        assert wrapper.store.exists(wrapper.service_name, stubborn)
+        assert wrapper.faults_returned == 2
+
+        meek = wrapper.create_resource_from_fields({"stubborn": False})
+        wrapper.set_termination_time(meek, env.now + 1.0)
+        env.run(until=env.now + 2.0)
+        assert not wrapper.store.exists(wrapper.service_name, meek)
+        assert wrapper.faults_returned == 2
+
+    def test_an_expiry_queued_behind_a_destroy_ends_quietly(self, grid):
+        """The Destroy holds the lock when the time comes due: the
+        expiry queues, then finds no resource, and the run goes on."""
+        env, net, machine, wrapper, client = grid
+        epr = make_resource(env, wrapper, client)
+        rid = epr.get(QName(UVA, "ResourceID"))
+        lock = wrapper.resource_lock(rid)
+        lock.acquire()  # a handler owns the resource until 1.5 s from now
+        wrapper.set_termination_time(rid, env.now + 1.0)
+        destroy = env.process(client.destroy(epr))
+        env.run(until=env.now + 1.5)
+        wrapper.release_resource_lock(rid, lock)
+        run(env, _wait(destroy))
+        env.run(until=env.now + 1.0)
+        assert MyServ.destroyed_log == [rid]
+        assert wrapper.resource_ids() == []
+        assert wrapper._resource_locks == {}
+        assert wrapper.faults_returned == 1  # its ResourceUnknownFault
+
+    def test_an_expiry_is_a_local_dispatch(self):
+        """One wsrf.dispatch span with no message id and the Fig. 1
+        stages under it; no message on the network; sanitizer-clean."""
+        env = Environment()
+        san = RaceSanitizer(env)
+        net = Network(env)
+        obs = Observability(env).attach(net)
+        wrapper = deploy(MyServ, Machine(net, "node1", params=MachineParams()), "MyServ")
+        rid = wrapper.create_resource_from_fields({"some_data": "x"})
+        wrapper.set_termination_time(rid, 2.0)
+        env.run(until=3.0)
+        assert not wrapper.store.exists(wrapper.service_name, rid)
+        assert MyServ.destroyed_log[-1] == rid
+        [dispatch] = obs.spans.named("wsrf.dispatch")
+        assert dispatch.attrs["operation"] == "Destroy"
+        assert dispatch.message_id is None and "fault" not in dispatch.attrs
+        assert (dispatch.start, dispatch.end) == (2.0, 2.0 + 2 * MachineParams().db_access_s)
+        assert [s.name for s in obs.spans.children(dispatch)] == [
+            f"wsrf.dispatch.{stage}"
+            for stage in ("epr_resolve", "queue", "db_load", "method", "db_save")
+        ]
+        assert net.stats.messages == 0
+        assert wrapper.invocations == wrapper.faults_returned == 0
+        san.assert_clean()
 
     @pytest.mark.parametrize("sanitize", [False, True])
     def test_resource_locks_return_to_baseline(self, sanitize):
         """Soak: a resource that is gone leaves no mutex behind, however
-        it went — Destroy, the sweeper, or a late call on a dead EPR."""
+        it went — Destroy, an expiry, or a late call on a dead EPR."""
         env = Environment()
         san = RaceSanitizer(env) if sanitize else None
         net = Network(env)
         wrapper = deploy(MyServ, Machine(net, "node1", params=MachineParams()), "MyServ")
         net.add_host("client")
         client = WsrfClient(net, "client")
-        wrapper.start_sweeper(period=0.5)
         keep = make_resource(env, wrapper, client)
         assert run(env, client.call(keep, UVA, "MyMethod")) == 1
         baseline = dict(wrapper._resource_locks)
@@ -337,7 +433,7 @@ class TestLifetime:
                         yield from client.call(epr, UVA, "MyMethod")
 
         run(env, cycles())
-        env.run(until=env.now + 3.0)  # the sweeper reaps the scheduled third
+        env.run(until=env.now + 3.0)  # the expiries reap the scheduled third
         assert wrapper.resource_ids() == [keep.get(QName(UVA, "ResourceID"))]
         assert wrapper._resource_locks == baseline
         assert run(env, client.call(keep, UVA, "MyMethod")) == 2
@@ -378,10 +474,18 @@ class TestLifetime:
 
     def test_unset_termination_time(self, grid):
         env, net, machine, wrapper, client = grid
-        epr = make_resource(env, wrapper, client)
-        run(env, client.set_termination_time(epr, 99.0))
-        assert run(env, client.set_termination_time(epr, None)) is None
-        assert run(env, client.get_resource_property(epr, TERMINATION_TIME_RP)) is None
+        for never in (None, float("inf")):
+            epr = make_resource(env, wrapper, client)
+            run(env, client.set_termination_time(epr, env.now + 99.0))
+            assert run(env, client.set_termination_time(epr, never)) == never
+            assert run(env, client.get_resource_property(epr, TERMINATION_TIME_RP)) == never
+            env.run(until=env.now + 120.0)  # the 99 s timer finds its time replaced
+            assert run(env, client.call(epr, UVA, "MyMethod")) == 1
+            # A time that never comes due arms no kernel event.
+            env.run(until=env.now + 1.0)
+            pending = env.peek()
+            wrapper.set_termination_time(epr.get(QName(UVA, "ResourceID")), never)
+            assert env.peek() == pending
 
     def test_past_termination_time_faults(self, grid):
         env, net, machine, wrapper, client = grid
