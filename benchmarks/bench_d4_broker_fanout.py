@@ -27,7 +27,7 @@ from conftest import print_table, run_coroutine
 from repro.net import Network
 from repro.osim import Machine
 from repro.sim import Environment
-from repro.wsn import NotificationListener, attach_notification_producer
+from repro.wsn import NotificationListener
 from repro.wsn.base_notification import build_notify_body, build_subscribe_body
 from repro.wsn.broker import NotificationBrokerService
 from repro.wsn.topics import FULL_DIALECT
@@ -43,7 +43,6 @@ def _fanout_run(n_subscribers, brokered):
     producer_machine = Machine(net, "producer")
     broker_machine = Machine(net, "broker-host")
     broker = deploy(NotificationBrokerService, broker_machine, "Broker")
-    attach_notification_producer(broker)
     net.add_host("setup-client")
     setup = WsrfClient(net, "setup-client")
     producer_client = WsrfClient(net, "producer")

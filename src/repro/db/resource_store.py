@@ -162,6 +162,10 @@ class _Entry:
 #: the entry of a blob nothing is known about: no field to copy
 _UNKNOWN = _Entry({})
 
+#: the fields of a blob a row holds that nobody has decoded yet (restored
+#: bytes, or a state that does not decode to itself): none to copy
+_UNDECODED: Dict[QName, _Field] = {}
+
 
 def _assemble(state: State, base: bytes, old: _Entry) -> Optional[Tuple[bytes, _Entry]]:
     """Encode *state* field by field, copying out of *base* (the blob
@@ -209,46 +213,6 @@ def _whole(state: State) -> Tuple[bytes, Optional[_Entry]]:
         return blob, None
 
 
-class ContentTable(dict):
-    """FIFO table keyed on immutable content, bounded by total key size.
-
-    :class:`DecodeCache` is content-addressed — the key *is* the blob
-    bytes — so the keys are what costs memory, and the bound is on their
-    summed length, not on an entry count.  A key longer than the whole
-    bound is not kept.  Lookups are plain ``dict`` lookups; insert with
-    :meth:`put`, remove with :meth:`take` so the running size stays
-    right.
-    """
-
-    __slots__ = ("max_bytes", "bytes")
-
-    def __init__(self, max_bytes: int) -> None:
-        if max_bytes < 1:
-            raise ValueError("a content table needs max_bytes >= 1")
-        super().__init__()
-        self.max_bytes = max_bytes
-        self.bytes = 0
-
-    def put(self, key, value) -> None:
-        """Insert *key* (absent), dropping the oldest entries to fit."""
-        size = len(key)
-        if size > self.max_bytes:
-            return
-        self.bytes += size
-        while self.bytes > self.max_bytes:
-            oldest = next(iter(self))
-            self.bytes -= len(oldest)
-            del self[oldest]
-        self[key] = value
-
-    def take(self, key):
-        """Remove *key* and return its value, or None when absent."""
-        value = self.pop(key, None)
-        if value is not None:
-            self.bytes -= len(key)
-        return value
-
-
 class DecodeCache:
     """The state hand-off: a value crosses the codec once
     (docs/performance.md, "Codec fast path").
@@ -275,20 +239,21 @@ class DecodeCache:
     Blobs not encoded here (restored snapshots, rows written behind the
     store's back) go through :func:`decode_state` and its strict parser.
 
-    Footprint: the table is bounded by the bytes of the blobs it keys on
-    (*max_bytes*, oldest dropped first), and an entry is dropped as soon
-    as no row holds its blob any more (a save replaced it, the resource
-    was destroyed).  ``rows`` can be stale after a ``restore`` — that
-    costs a parse or an early FIFO eviction, never a wrong answer.
+    Footprint: the table holds one entry per distinct blob the store's
+    rows hold, and no other.  Each entry counts the rows that hold its
+    blob (:meth:`hold`, :meth:`release`), and goes with the last one: a
+    save replaced the blob, the resource was destroyed, a restore
+    rolled the row back.  A blob asked about that no row holds (a cache
+    used on its own) is kept as held once.
     """
 
     __slots__ = ("hits", "misses", "_entries")
 
-    def __init__(self, max_bytes: int = 4 << 20) -> None:
+    def __init__(self) -> None:
         #: cache effectiveness counters for the obs registry
         self.hits = 0
         self.misses = 0
-        self._entries = ContentTable(max_bytes)
+        self._entries: Dict[bytes, _Entry] = {}
 
     def kept(self, blob: bytes) -> State:
         """The state *blob* encodes, as the kept values themselves.
@@ -302,11 +267,12 @@ class DecodeCache:
         back."""
         entry = self._entries.get(blob)
         if entry is None:
+            entry = self._entries[blob] = _Entry(_UNDECODED)
+        if entry.fields is _UNDECODED:
             self.misses += 1
-            entry = _Entry(
-                {key: (value, 0, 0, ()) for key, value in decode_state(blob).items()}
-            )
-            self._entries.put(blob, entry)
+            entry.fields = {
+                key: (value, 0, 0, ()) for key, value in decode_state(blob).items()
+            }
         else:
             self.hits += 1
         return {key: field[0] for key, field in entry.fields.items()}
@@ -328,7 +294,7 @@ class DecodeCache:
         (:func:`~repro.soap.types.write_typed` answers None), so such a
         state is serialized whole by :func:`encode_state`; a state holding a
         value that does not decode to itself (:class:`_Inexact`) is not
-        kept, so its next load parses what was written.
+        kept decoded, so its next load parses what was written.
         """
         entries = self._entries
         try:
@@ -337,14 +303,23 @@ class DecodeCache:
             built = None
         blob, entry = built or _whole(state)
         if blob != base:
-            known = entries.get(blob)
-            if known is not None:
-                known.rows += 1
-            elif entry is not None:
-                entries.put(blob, entry)
+            if blob in entries or entry is None:
+                self.hold(blob)
+            else:
+                entries[blob] = entry
             if base is not None:
                 self.release(base)
         return blob
+
+    def hold(self, blob: bytes) -> None:
+        """One more row holds *blob*: an unknown blob (restored, or a
+        state that does not decode to itself) is kept undecoded until
+        read."""
+        entry = self._entries.get(blob)
+        if entry is None:
+            self._entries[blob] = _Entry(_UNDECODED)
+        else:
+            entry.rows += 1
 
     def release(self, blob: bytes) -> None:
         """A row gave up *blob* (replaced or destroyed)."""
@@ -352,7 +327,7 @@ class DecodeCache:
         if entry is not None:
             entry.rows -= 1
             if entry.rows < 1:
-                self._entries.take(blob)
+                del self._entries[blob]
 
 
 class BlobResourceStore(ResourceStore):
@@ -461,20 +436,27 @@ class BlobResourceStore(ResourceStore):
 
         Rows are rewritten directly — the D-3 ``loads``/``saves``
         counters track dispatch-path database work, and a host bounce
-        is not dispatch work.
+        is not dispatch work.  The decode cache counts the new rows in
+        before the old ones out, so a blob on both sides keeps what is
+        known about it.
         """
         table = self.db.table(self.TABLE)
+        given_up = [row["state"] for row in table.select(columns=["state"])]
         table.delete()
         for rid in sorted(snap):
             service, _, resource_id = rid.partition("|")
+            blob = bytes(snap[rid])
             table.insert(
                 {
                     "rid": rid,
                     "service": service,
                     "resource_id": resource_id,
-                    "state": bytes(snap[rid]),
+                    "state": blob,
                 }
             )
+            self.decode_cache.hold(blob)
+        for blob in given_up:
+            self.decode_cache.release(blob)
 
     def scan_query(
         self,

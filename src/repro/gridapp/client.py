@@ -22,7 +22,7 @@ from repro.gridapp.filesystem_service import (
 from repro.gridapp.jobset import JobSetSpec
 from repro.net import Network
 from repro.osim.filesystem import FileContent, FsError, SimFileSystem
-from repro.soap import SoapFault, from_typed_element, to_typed_element
+from repro.soap import SoapFault, from_typed_element, typed_value
 from repro.soap.endpoint import read_request, reject, reply_text
 from repro.wsa import EndpointReference
 from repro.wsn import NotificationListener
@@ -98,7 +98,7 @@ class ClientFileServer:
         self.reads_served += 1
         response = Element(QName(UVA, "ReadResponse"))
         response.append(
-            to_typed_element(QName(UVA, "ReadResult"), content_to_wire(content))
+            typed_value(QName(UVA, "ReadResult"), content_to_wire(content))
         )
         yield self.env.timeout(0)
         return reply_text(network.codec, ctx, envelope, response, self.host_name)

@@ -150,7 +150,7 @@ class Testbed:
         self.root_broker = self.aggregator = None
         if federation is not None:
             self.root = self._central_machine("uvacg-root")
-            self.root_broker = self._deploy_broker(self.root, "root")
+            self.root_broker = self._add_broker(self.root, "root")
             self.aggregator = self._deploy(
                 AggregatorCatalogService, self.root, "AggregatorCatalog", "root",
                 staleness_s=federation.staleness_s,
@@ -226,7 +226,7 @@ class Testbed:
             setattr(wrapper, name, value)
         return wrapper
 
-    def _deploy_broker(self, machine: Machine, zone: Optional[str]):
+    def _add_broker(self, machine: Machine, zone: Optional[str]):
         """A broker whose producer redelivers under the testbed's policy,
         uplinked to the root broker once there is one.  Under the perf
         layer its fan-out batches: brokers are the producers with
@@ -252,7 +252,7 @@ class Testbed:
         """One central machine with its broker, NIS and Scheduler, the
         Scheduler wired to both and to *scheduler_wiring*."""
         central = self._central_machine(host_name)
-        broker = self._deploy_broker(central, zone)
+        broker = self._add_broker(central, zone)
         node_info = self._deploy(NodeInfoService, central, "NodeInfo", zone)
         scheduler = self._deploy(
             SchedulerService, central, "Scheduler", zone,

@@ -48,12 +48,13 @@ class ProcessorUtilizationService(WindowsService):
         self.reports_sent = 0
         self._last_reported: Optional[float] = None
         self._client = WsrfClient(machine.network, machine.name)
-        self._proc = None
 
     def on_start(self) -> None:
         env = self.machine.env
 
         def sampler(env):
+            # stop() needs nothing of its own: the loop checks
+            # self.running each period and winds down
             while self.running:
                 utilization = self.machine.utilization()
                 delta = (
@@ -87,8 +88,4 @@ class ProcessorUtilizationService(WindowsService):
                         self._last_reported = None
                 yield env.timeout(self.period)
 
-        self._proc = env.process(sampler(env))
-
-    def on_stop(self) -> None:
-        # The loop checks self.running each period and winds down.
-        self._proc = None
+        env.process(sampler(env))

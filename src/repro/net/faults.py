@@ -24,10 +24,10 @@ Semantics per transport:
   RPC that set the session up was already subject to loss); they do
   observe ``extra_latency_s``.
 
-Loopback traffic (src == dst) never traverses a link and is exempt
-unless ``affect_loopback=True`` — this keeps a service's one-way
-self-messages (e.g. the Scheduler's Activate kick) off the chaos path,
-mirroring a real host's loopback interface.
+Loopback traffic (src == dst) never traverses a link and is exempt —
+this keeps a service's one-way self-messages (e.g. the Scheduler's
+Activate kick) off the chaos path, mirroring a real host's loopback
+interface.
 """
 
 from __future__ import annotations
@@ -66,11 +66,9 @@ class FaultInjector:
         rng: Optional[np.random.Generator] = None,
         seed: int = 0,
         default: Optional[LinkFaultPlan] = None,
-        affect_loopback: bool = False,
     ) -> None:
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.default = default or LinkFaultPlan()
-        self.affect_loopback = affect_loopback
         self._links: Dict[Tuple[str, str], LinkFaultPlan] = {}
         #: total messages this injector decided to drop
         self.drops = 0
@@ -102,7 +100,7 @@ class FaultInjector:
         Consumes one RNG draw iff the link is lossy, so adding lossless
         links to a topology never perturbs the drop sequence elsewhere.
         """
-        if src == dst and not self.affect_loopback:
+        if src == dst:
             return False
         p = self.plan_for(src, dst).drop_probability
         if p <= 0.0:
@@ -114,6 +112,6 @@ class FaultInjector:
         return dropped
 
     def extra_latency(self, src: str, dst: str) -> float:
-        if src == dst and not self.affect_loopback:
+        if src == dst:
             return 0.0
         return self.plan_for(src, dst).extra_latency_s

@@ -107,8 +107,6 @@ class Network:
         self.stats = NetworkStats()
         self._tcp_sessions: Set[Tuple[str, str, int]] = set()
         self._partitions: Set[Tuple[str, str]] = set()
-        #: optional per-pair latency overrides {(a, b): seconds}
-        self.latency_overrides: Dict[Tuple[str, str], float] = {}
         #: opt-in deterministic link faults (see repro.net.faults)
         self.fault_injector = None
         #: attached repro.obs.Observability, or None = observation off
@@ -128,7 +126,6 @@ class Network:
         extra_latency_s: float = 0.0,
         seed: int = 0,
         rng=None,
-        affect_loopback: bool = False,
     ):
         """Attach a seeded :class:`~repro.net.faults.FaultInjector`.
 
@@ -145,7 +142,6 @@ class Network:
                 drop_probability=drop_probability,
                 extra_latency_s=extra_latency_s,
             ),
-            affect_loopback=affect_loopback,
         )
         return self.fault_injector
 
@@ -177,7 +173,7 @@ class Network:
         self._partitions.discard((b, a))
 
     def latency_between(self, a: str, b: str) -> float:
-        base = self.latency_overrides.get((a, b), self.params.latency_s)
+        base = self.params.latency_s
         if self.fault_injector is not None:
             base += self.fault_injector.extra_latency(a, b)
         return base

@@ -31,25 +31,6 @@ _ARRAY = "uva:array"
 _MAP = "uva:map"
 
 
-class _Base64Text(str):
-    """The base64 text of :attr:`raw`, still referring to it: the
-    decoded hand-off for a ``bytes`` leaf (docs/performance.md, "Bulk
-    data path").  Equal, hashed and written as the plain ``str`` it is;
-    immutable, so it cannot go stale, and it lives as long as the text
-    does — no table, nothing to reset.  Text that came through the
-    parser is a plain ``str`` and is decoded.
-    """
-
-    __slots__ = ("raw",)
-    raw: bytes
-
-    def __new__(cls, raw: bytes) -> "_Base64Text":
-        # str(bytes, "ascii"): built straight from the encoder's output
-        self = super().__new__(cls, base64.b64encode(raw), "ascii")
-        self.raw = raw
-        return self
-
-
 class _Base64Piece:
     """The base64 text of :attr:`raw`, written only if the document is
     read as text: the deferred piece (:class:`~repro.xmlx.writer.WireText`)
@@ -95,12 +76,7 @@ def _leaf(value: Any) -> Tuple[str, str]:
     """The ``xsi:type`` name and the literal of a leaf *value* (one of
     :data:`_LEAVES`, ``bool`` before ``int``): the one spelling, for the
     element :func:`to_typed_element` builds and the text
-    :func:`write_typed` appends.
-
-    A value that is exactly ``bytes`` (immutable, and it decodes to
-    itself) gets a text that still refers to it; a ``bytes`` subclass
-    decodes to its base, so it gets a plain ``str``.
-    """
+    :func:`write_typed` appends."""
     if isinstance(value, bool):
         return "xsd:boolean", "true" if value else "false"
     if isinstance(value, int):
@@ -109,19 +85,13 @@ def _leaf(value: Any) -> Tuple[str, str]:
         return "xsd:double", repr(value)
     if isinstance(value, str):
         return "xsd:string", value
-    if type(value) is bytes:
-        return "xsd:base64Binary", _Base64Text(value)
     return "xsd:base64Binary", base64.b64encode(value).decode("ascii")
 
 
 def to_typed_element(tag, value: Any) -> Element:
     """Serialize *value* into an element named *tag* with an xsi:type.
-
-    The text of a ``bytes`` leaf still refers to the value
-    (:func:`_leaf`), so a receiver handed this very element — or a copy,
-    :meth:`Element.copy` carries the text object — need not decode
-    megabytes back into a second copy.
-    """
+    A value that is to cross the envelope goes as :func:`typed_value`,
+    which builds no element unless someone reads it."""
     el = Element(tag)
     if value is None:
         el.attrib[_XSI_NIL] = "true"
@@ -339,8 +309,8 @@ class TypedValue(Element):
     no longer holds the value.  Until then the envelope splice writes its text with
     :func:`write_typed` and hands the receiver a fresh one over the same
     value, and :func:`from_typed_element` answers with a copy of the
-    value: nobody builds, copies or walks a tree.  Like
-    :class:`_Base64Text`, it needs no table and nothing invalidates it.
+    value: nobody builds, copies or walks a tree.  It needs no table,
+    and nothing invalidates it.
     """
 
     __slots__ = ("value",)
@@ -388,10 +358,7 @@ def from_typed_element(element: Element) -> Any:
 
     A :class:`TypedValue` whose tree nobody built answers with a copy of
     its value.  A malformed literal raises ``SoapFault("soap:Client",
-    "bad <type> literal ...")``.  A base64 leaf whose text is the very
-    object :func:`to_typed_element` wrote (and that has gained no child)
-    hands back the ``bytes`` it was encoded from; any other text —
-    parsed, assigned, foreign — goes through ``base64.b64decode``.
+    "bad <type> literal ...")``.
     """
     if type(element) is TypedValue and element.unread:
         value = element.value
@@ -415,9 +382,6 @@ def from_typed_element(element: Element) -> Any:
     if xsi_type == "xsd:string":
         return element.full_text()
     if xsi_type == "xsd:base64Binary":
-        text = element.text
-        if type(text) is _Base64Text and not element.children:
-            return text.raw
         try:
             return base64.b64decode(element.full_text().strip().encode("ascii"))
         except ValueError as exc:  # binascii.Error, UnicodeEncodeError

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -154,7 +155,10 @@ class NotificationProducer:
 
     Subscriptions are persisted as WS-Resources in the producer's own
     store (so lifetime operations work on them) and mirrored in memory
-    for cheap matching on every publish.
+    for cheap matching on every publish.  A service importing
+    :class:`NotificationProducerPortType` or
+    :class:`SubscriptionManagerPortType` gets one at deploy, as
+    ``wrapper.notification_producer``.
     """
 
     def __init__(self, wrapper) -> None:
@@ -196,9 +200,7 @@ class NotificationProducer:
         self._redelivery_rng = np.random.default_rng(
             zlib.crc32(wrapper.path.encode("utf-8"))
         )
-        wrapper.publish_hook = self.publish
         wrapper.on_resource_destroyed.append(self._forget)
-        wrapper.notification_producer = self
 
     def _forget(self, resource_id: str) -> None:
         if self.subscriptions.pop(resource_id, None) is not None:
@@ -431,9 +433,15 @@ class NotificationProducer:
                 wrapper.release_resource_lock(sub.resource_id, lock)
 
 
-def attach_notification_producer(wrapper) -> NotificationProducer:
-    """Enable publish/subscribe on a deployed wrapper service."""
-    return wrapper.notification_producer or NotificationProducer(wrapper)
+def attach_notification_producer(wrapper) -> Optional[NotificationProducer]:
+    """*wrapper*'s producer, which deploy gave it (None: the service
+    imports no producer port type)."""
+    return wrapper.notification_producer
+
+
+#: the deployment state of the two port types that work on the producer:
+#: one producer per wrapper, whichever of them brought it
+_PRODUCER_STATE = {"notification_producer": NotificationProducer}
 
 
 # -- port types ----------------------------------------------------------------------
@@ -443,10 +451,7 @@ TOPIC_RP = QName(NS.WSTOP, "Topic")
 
 
 def _advertised_topics(pt) -> list:
-    producer = pt.wrapper.notification_producer
-    if producer is None:
-        return []
-    return sorted(producer.topics_seen)
+    return sorted(pt.wrapper.notification_producer.topics_seen)
 
 
 class NotificationProducerPortType(SpecPortType):
@@ -464,8 +469,12 @@ class NotificationProducerPortType(SpecPortType):
     def provides_rps(cls):
         return {TOPIC_RP: _advertised_topics}
 
+    @classmethod
+    def deployment(cls):
+        return _PRODUCER_STATE
+
     def subscribe(self, request: Element) -> Element:
-        producer = attach_notification_producer(self.wrapper)
+        producer = self.wrapper.notification_producer
         consumer_el = request.find(_CONSUMER_REF)
         expr_el = request.find(_TOPIC_EXPR)
         if consumer_el is None or expr_el is None:
@@ -498,23 +507,18 @@ class SubscriptionManagerPortType(SpecPortType):
         RESUME_SUBSCRIPTION: "resume",
     }
 
-    def _producer(self):
-        producer = self.wrapper.notification_producer
-        if producer is None:
-            raise PauseFailedFault(
-                description="service has no notification producer",
-                timestamp=self.wrapper.env.now,
-            )
-        return producer
+    @classmethod
+    def deployment(cls):
+        return _PRODUCER_STATE
 
     def pause(self, request: Element) -> Element:
         wsrf = self.instance.wsrf
-        self._producer().set_paused(wsrf.resource_id, True, ctx=wsrf)
+        self.wrapper.notification_producer.set_paused(wsrf.resource_id, True, ctx=wsrf)
         return Element(QName(NS.WSNT, "PauseSubscriptionResponse"))
 
     def resume(self, request: Element) -> Element:
         wsrf = self.instance.wsrf
-        self._producer().set_paused(wsrf.resource_id, False, ctx=wsrf)
+        self.wrapper.notification_producer.set_paused(wsrf.resource_id, False, ctx=wsrf)
         return Element(QName(NS.WSNT, "ResumeSubscriptionResponse"))
 
 
@@ -526,21 +530,19 @@ class NotificationConsumerPortType(SpecPortType):
         def on_notification(self, topic, payload, producer_epr):
             ...
 
-    which may be a plain method or a simulation coroutine.
+    which may be a plain method or a simulation coroutine.  A service
+    that imports this port type without one answers a Notify with the
+    ``AttributeError`` as a ``soap:Server`` fault: the mistake is the
+    service's, not the sender's.
     """
 
     OPERATIONS = {NOTIFY: "notify"}
     OPTIONAL_RESOURCE_OPS = frozenset({NOTIFY})
 
     def notify(self, request: Element):
-        handler = getattr(self.instance, "on_notification", None)
-        if handler is None:
-            raise SoapFault(
-                "soap:Client",
-                f"{type(self.instance).__name__} does not consume notifications",
-            )
+        handler = self.instance.on_notification
         for topic, payload, producer in parse_notify_body(request):
             result = handler(topic, payload, producer)
-            if hasattr(result, "send"):
+            if inspect.isgenerator(result):
                 yield from result
         return Element(NOTIFY_RESPONSE)

@@ -35,7 +35,6 @@ from typing import Dict, List, Tuple
 from repro.wsn.base_notification import (
     NotificationProducer,
     Subscription,
-    attach_notification_producer,
     build_notify_batch_body,
 )
 from repro.xmlx import Element
@@ -112,6 +111,6 @@ def enable_batching(wrapper) -> NotificationBatcher:
     Composes with ``enable_redelivery``: batches go through the
     producer's bounded-redelivery path when one is configured.
     """
-    producer = attach_notification_producer(wrapper)
+    producer = wrapper.notification_producer
     producer.batcher = NotificationBatcher(producer)
     return producer.batcher

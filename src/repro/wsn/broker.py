@@ -11,15 +11,12 @@ Services broadcast job events through the broker (steps 9-10).
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.soap import SoapFault
 from repro.wsa import EndpointReference
 from repro.wsn.base_notification import (
     NotificationConsumerPortType,
     NotificationProducerPortType,
     SubscriptionManagerPortType,
-    attach_notification_producer,
 )
 from repro.wsrf.tooling import InvocationContext
 from repro.wsrf.attributes import (
@@ -52,12 +49,21 @@ class RegisterPublisherPortType(SpecPortType):
     OPERATIONS = {REGISTER_PUBLISHER: "register_publisher"}
     OPTIONAL_RESOURCE_OPS = frozenset({REGISTER_PUBLISHER})
 
+    @classmethod
+    def deployment(cls):
+        # The demand manager comes with the first demand registration.
+        return {
+            "registered_publishers": lambda wrapper: [],
+            "demand_manager": lambda wrapper: None,
+        }
+
     def register_publisher(self, request: Element) -> Element:
         ref = request.find(QName(NS.WSBN, "PublisherReference"))
         if ref is None:
             raise SoapFault("soap:Client", "RegisterPublisher lacks a reference")
+        wrapper = self.wrapper
         epr = EndpointReference.from_xml(ref)
-        registry = _publishers(self.wrapper)
+        registry = wrapper.registered_publishers
         if epr not in registry:
             registry.append(epr)
         demand = (request.child_text(QName(NS.WSBN, "Demand"), "") or "").strip()
@@ -67,8 +73,9 @@ class RegisterPublisherPortType(SpecPortType):
                 raise SoapFault(
                     "soap:Client", "demand registration needs a Topic root"
                 )
-            manager = _demand_manager(self.wrapper)
-            manager.register(epr, topic_root, ctx=self.instance.wsrf)
+            if wrapper.demand_manager is None:
+                wrapper.demand_manager = _DemandManager(wrapper)
+            wrapper.demand_manager.register(epr, topic_root, ctx=self.instance.wsrf)
         return Element(QName(NS.WSBN, "RegisterPublisherResponse"))
 
 
@@ -79,8 +86,7 @@ class _DemandManager:
         self.wrapper = wrapper
         #: {publisher EPR: (topic_root, currently_told_to_publish)}
         self.entries = {}
-        producer = attach_notification_producer(wrapper)
-        producer.on_subscriptions_changed.append(self.reevaluate)
+        wrapper.notification_producer.on_subscriptions_changed.append(self.reevaluate)
 
     def register(self, epr, topic_root: str, ctx=None) -> None:
         self.entries[epr] = [topic_root, None]  # unknown state yet
@@ -97,8 +103,6 @@ class _DemandManager:
         durable, so a closed context sends immediately.
         """
         producer = self.wrapper.notification_producer
-        if producer is None:
-            return
         send = ctx
         if send is None:
             send = InvocationContext(self.wrapper, None, None, None)
@@ -112,14 +116,6 @@ class _DemandManager:
             body = Element(RESUME_PUBLISHING if want else PAUSE_PUBLISHING)
             body.subelement(QName(NS.WSBN, "Topic"), text=topic_root)
             send.send_after_persist(epr, body, category="demand-control")
-
-
-def _demand_manager(wrapper) -> _DemandManager:
-    manager = getattr(wrapper, "demand_manager", None)
-    if manager is None:
-        manager = _DemandManager(wrapper)
-        wrapper.demand_manager = manager
-    return manager
 
 
 class DemandPublisherPortType(SpecPortType):
@@ -136,26 +132,19 @@ class DemandPublisherPortType(SpecPortType):
     }
     OPTIONAL_RESOURCE_OPS = frozenset({PAUSE_PUBLISHING, RESUME_PUBLISHING})
 
-    def _paused_set(self) -> set:
-        if not hasattr(self.wrapper, "publishing_paused"):
-            self.wrapper.publishing_paused = set()
-        return self.wrapper.publishing_paused
+    @classmethod
+    def deployment(cls):
+        return {"publishing_paused": lambda wrapper: set()}
 
     def pause_publishing(self, request: Element) -> Element:
         root = (request.child_text(QName(NS.WSBN, "Topic"), "") or "").strip()
-        self._paused_set().add(root)
+        self.wrapper.publishing_paused.add(root)
         return Element(QName(NS.WSBN, "PausePublishingResponse"))
 
     def resume_publishing(self, request: Element) -> Element:
         root = (request.child_text(QName(NS.WSBN, "Topic"), "") or "").strip()
-        self._paused_set().discard(root)
+        self.wrapper.publishing_paused.discard(root)
         return Element(QName(NS.WSBN, "ResumePublishingResponse"))
-
-
-def _publishers(wrapper) -> List[EndpointReference]:
-    if not hasattr(wrapper, "registered_publishers"):
-        wrapper.registered_publishers = []
-    return wrapper.registered_publishers
 
 
 @WSRFPortType(
@@ -169,8 +158,8 @@ def _publishers(wrapper) -> List[EndpointReference]:
 class NotificationBrokerService(ServiceSkeleton):
     """The testbed's single broker: consume, then multicast.
 
-    All real state (subscriptions) lives in the producer attachment; the
-    broker's own WS-Resources are its subscriptions, so PauseSubscription
+    All real state (subscriptions) lives in the producer its port types
+    brought at deploy; the broker's own WS-Resources are its subscriptions, so PauseSubscription
     and Destroy work on them directly.
     """
 
@@ -185,34 +174,23 @@ class NotificationBrokerService(ServiceSkeleton):
     @ResourceProperty
     @property
     def RegisteredPublishers(self):
-        return [epr.to_xml() for epr in _publishers(self.wsrf.wrapper)]
+        return [epr.to_xml() for epr in self.wsrf.wrapper.registered_publishers]
 
     @ResourceProperty
     @property
     def SubscriptionCount(self) -> int:
-        producer = self.wsrf.wrapper.notification_producer
-        return len(producer.subscriptions) if producer is not None else 0
+        return len(self.wsrf.wrapper.notification_producer.subscriptions)
 
     @ResourceProperty
     @property
     def DroppedSubscribers(self) -> int:
         """Subscriptions dropped after exhausting redelivery attempts."""
-        producer = self.wsrf.wrapper.notification_producer
-        return len(producer.dropped_subscribers) if producer is not None else 0
+        return len(self.wsrf.wrapper.notification_producer.dropped_subscribers)
 
     @WebMethod(requires_resource=False)
     def Ping(self) -> str:
         """Liveness probe used by testbed assembly."""
         return "broker-alive"
-
-
-def deploy_broker(machine, path: str = "NotificationBroker"):
-    """Deploy a broker and pre-attach its producer engine."""
-    from repro.wsrf.tooling import deploy
-
-    wrapper = deploy(NotificationBrokerService, machine, path)
-    attach_notification_producer(wrapper)
-    return wrapper
 
 
 def federate_brokers(zone_broker, root_epr: EndpointReference) -> str:
@@ -230,11 +208,9 @@ def federate_brokers(zone_broker, root_epr: EndpointReference) -> str:
     """
     from repro.wsn.topics import FULL_DIALECT, TopicExpression
 
-    producer = attach_notification_producer(zone_broker)
-    rid = producer.add_subscription(
+    return zone_broker.notification_producer.add_subscription(
         root_epr, TopicExpression("**", FULL_DIALECT)
     )
-    return rid
 
 
 def enable_redelivery(wrapper, policy):
@@ -245,6 +221,6 @@ def enable_redelivery(wrapper, policy):
     subscription destroyed (visible via the broker's DroppedSubscribers
     resource property).  Pass ``None`` to restore pure fire-and-forget.
     """
-    producer = attach_notification_producer(wrapper)
+    producer = wrapper.notification_producer
     producer.redelivery_policy = policy
     return producer

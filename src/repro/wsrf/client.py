@@ -48,24 +48,13 @@ class WsrfClient:
         network: Network,
         source_host: str,
         retry_policy: Optional[RetryPolicy] = None,
-        rng=None,
     ) -> None:
         self.network = network
         self.source_host = source_host
         self.retry_policy = retry_policy
         # Jitter RNG: seeded from the host name (crc32, not the salted
         # builtin hash) so backoff schedules are stable across runs.
-        self._rng = (
-            rng
-            if rng is not None
-            else np.random.default_rng(zlib.crc32(source_host.encode("utf-8")))
-        )
-
-    def with_policy(self, retry_policy: Optional[RetryPolicy]) -> "WsrfClient":
-        """The same endpoint with a different retry policy."""
-        return WsrfClient(
-            self.network, self.source_host, retry_policy=retry_policy
-        )
+        self._rng = np.random.default_rng(zlib.crc32(source_host.encode("utf-8")))
 
     def _count_retry(self, failures: int, exc: BaseException) -> None:
         self.network.stats.retries += 1

@@ -38,7 +38,8 @@ class SpecPortType:
     ``OPERATIONS`` maps request-body QName → method name.  Instances are
     created per invocation with the wrapper and the loaded service
     instance.  ``provides_rps`` lets a port type contribute implicit
-    resource properties (e.g. TerminationTime).
+    resource properties (e.g. TerminationTime), and ``deployment`` the
+    state a deployment of a service importing it holds.
     """
 
     OPERATIONS: Dict[QName, str] = {}
@@ -53,6 +54,14 @@ class SpecPortType:
     @classmethod
     def provides_rps(cls) -> Dict[QName, Callable]:
         """{qname: fn(port_type_instance) -> value} of implicit RPs."""
+        return {}
+
+    @classmethod
+    def deployment(cls) -> Dict[str, Callable]:
+        """{attribute: fn(wrapper) -> its initial value}: what the tooling
+        sets on the wrapper at deploy, once per attribute however many
+        imported port types name it (WSRF.NET's ``[WSRFPortType]``
+        brings a port type's functionality in when the tooling runs)."""
         return {}
 
 

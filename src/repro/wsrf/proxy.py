@@ -109,15 +109,9 @@ def build_proxy(
     wsdl_doc: Element,
     epr: EndpointReference,
     service_ns: Optional[str] = None,
-    retry_policy=None,
 ) -> ServiceProxy:
-    """Generate a proxy from a WSDL document (the §5 'standard tooling').
-
-    ``retry_policy`` wraps every proxied call in the client-side retry
-    layer without the caller touching the underlying WsrfClient.
-    """
-    if retry_policy is not None:
-        client = client.with_policy(retry_policy)
+    """Generate a proxy from a WSDL document (the §5 'standard tooling');
+    its calls retry under *client*'s retry policy."""
     if service_ns is None:
         service_ns = wsdl_doc.get("targetNamespace") or NS.UVACG
     ops: Dict[str, str] = {}

@@ -144,7 +144,7 @@ class _Call:
 
     __slots__ = (
         "ctx", "body", "instance", "pool", "epoch", "needs_resource", "run", "lock",
-        "worker_held", "stage", "as_declared", "state_after", "response",
+        "worker_held", "stage", "kept", "state_after", "response",
     )
 
     def __init__(self, ctx: InvocationContext, body, instance, pool, epoch: int) -> None:
@@ -158,7 +158,7 @@ class _Call:
         self.lock = None  # ... whose mutex this is, once held
         self.worker_held = False  # a thread of the pool is occupied
         self.stage = None  # the stage span now open (None when obs is off)
-        self.as_declared = True  # db_load: the stored fields are the declared ones
+        self.kept = None  # db_load: the stored state, read-only
         self.state_after = None  # what db_save must write (None: no change)
         self.response = None  # the reply body
 
@@ -190,12 +190,12 @@ class WrapperService:
         methods, port types), the wrapper's own bookkeeping, and the
         state the service declares in ``ServiceSkeleton.DEPLOYMENT`` —
         wiring, per-boot working state, counters — at its initial
-        values.  Whoever assembles the grid assigns the wiring right
-        after this, before the deployment serves a call; readers use
-        ``wrapper.<name>`` and never ask whether an attribute exists.
-        (Only the brokered-notification port types of ``wsn/broker.py``,
-        which any service may import, still create their state on first
-        use.)
+        values — and what the imported port types bring
+        (:meth:`SpecPortType.deployment`: a producer's subscription
+        registry, a broker's publisher list).  Whoever assembles the
+        grid assigns the wiring right after this, before the deployment
+        serves a call; readers use ``wrapper.<name>`` and never ask
+        whether an attribute exists.
         """
         if not issubclass(service_cls, ServiceSkeleton):
             raise TypeError(
@@ -229,6 +229,7 @@ class WrapperService:
         #: reply, or a generator returning it).  The rule is True or False,
         #: or None: the operation needs a resource only when the EPR names one
         self._ops: Dict[QName, Tuple[Optional[bool], Callable]] = {}
+        port_type_state: Dict[str, Callable] = {}
         for pt_cls in getattr(service_cls, "__wsrf_port_types__", ()):
             if not (isinstance(pt_cls, type) and issubclass(pt_cls, SpecPortType)):
                 raise TypeError(f"{pt_cls!r} is not a SpecPortType")
@@ -239,6 +240,7 @@ class WrapperService:
             for rp_qname, fn in pt_cls.provides_rps().items():
                 if rp_qname not in author_rps:
                     self.rps[rp_qname] = self._on_port_type(pt_cls, fn)
+            port_type_state.update(pt_cls.deployment())
         # An author method wins a clash with a spec operation.
         for name, fn in self._methods.items():
             self._ops[QName(service_cls.SERVICE_NS, name)] = (
@@ -249,8 +251,8 @@ class WrapperService:
         self._resource_locks: Dict[str, object] = {}
         #: next resource-id suffix; a plain int so checkpoints capture it
         self._rid_next = 1
-        #: set by the WS-Notification producer attachment
-        self.publish_hook: Optional[Callable] = None
+        #: the WS-Notification producer (None: the service imports no
+        #: producer port type)
         self.notification_producer = None
         #: callbacks fired with the resource id after each destroy
         self.on_resource_destroyed: list = []
@@ -267,6 +269,8 @@ class WrapperService:
         # What the service declares a deployment of it carries.
         for name, initial in service_cls.DEPLOYMENT.items():
             setattr(self, name, initial() if callable(initial) else initial)
+        for name, make in port_type_state.items():
+            setattr(self, name, make(self))
 
         from repro.wsrf.client import WsrfClient
 
@@ -442,7 +446,7 @@ class WrapperService:
         """Bring the service back from *snap* after its host bounced.
 
         The store is overwritten **in place** (detached watchers, the
-        producer attachment and the testbed all hold references to it)
+        notification producer and the testbed all hold references to it)
         and volatile per-boot state is dropped: locks died with their
         holders, the blob cache may describe rolled-back writes
         (``CachedResourceStore.restore`` clears it), and in-memory
@@ -498,12 +502,13 @@ class WrapperService:
     # -- notifications ------------------------------------------------------------------
 
     def publish(self, topic, payload, parent_span=None) -> None:
-        if self.publish_hook is None:
+        producer = self.notification_producer
+        if producer is None:
             raise RuntimeError(
                 f"service {self.path!r} does not import the "
                 "NotificationProducer port type"
             )
-        self.publish_hook(topic, payload, parent_span=parent_span)
+        producer.publish(topic, payload, parent_span=parent_span)
 
     # -- resource properties --------------------------------------------------------------
 
@@ -694,15 +699,14 @@ class WrapperService:
         # Nothing is copied here: Resource.__get__ copies a field out of
         # the kept state when the method first reads it.  An immutable
         # leaf is its own copy, so it is set now and read without a call.
-        fields = self._field_qnames
+        call.kept = kept
         loaded = call.instance._kept = {}
         attrs = call.instance.__dict__
-        for name, qname in fields:
+        for name, qname in self._field_qnames:
             if qname in kept:
                 value = loaded[name] = kept[qname]
                 if type(value) in IMMUTABLE_LEAVES:
                     attrs[name] = value
-        call.as_declared = len(loaded) == len(kept) == len(fields)
 
     def _method(self, call: _Call):
         """Run the operation epr_resolve routed the body to."""
@@ -729,7 +733,7 @@ class WrapperService:
         # Save state if anything changed and the resource still exists
         # (the method may have destroyed it).
         if call.needs_resource:
-            state = self._changed_state(call.instance, call.as_declared)
+            state = self._changed_state(call.instance, call.kept)
             if state is not None and self.store.exists(self.service_name, ctx.resource_id):
                 call.state_after = state
         if not self.perf or call.state_after is not None or ctx.db_ops:
@@ -737,17 +741,19 @@ class WrapperService:
         self.writes_elided += 1
         return False
 
-    def _changed_state(self, instance, as_declared: bool) -> Optional[Dict[QName, Any]]:
-        """The state to write after the method ran on *instance*, or
-        None when it changed nothing.
+    def _changed_state(self, instance, kept) -> Optional[Dict[QName, Any]]:
+        """The state to write after the method ran on *instance*, whose
+        row stored *kept*, or None when it changed nothing.
 
         Only the fields the method read or assigned are instance
         attributes.  Each is compared with its kept value under
         :func:`~repro.db.same_field`, so a field changed in place
         counts.  Every other field is written as the kept value itself,
         which the encoder copies out of the old blob without walking it.
-        A stored key set that is not the declared one (not
-        *as_declared*) is a change."""
+        A declared field the row does not store is a change, unless the
+        row stores keys beside the declared ones: it is someone else's
+        too (a producer's subscription), and such a field changed only
+        if the method assigned it.  The write carries those keys."""
         loaded = instance._kept
         touched = instance.__dict__
         changes = {}
@@ -755,14 +761,23 @@ class WrapperService:
             value = touched.get(name, old)
             if value is not old and not same_field(value, old):
                 changes[name] = value
-        if not changes and as_declared:
+        foreign = len(kept) > len(loaded)
+        if foreign:
+            changes.update(
+                (name, touched[name]) for name, _ in self._field_qnames
+                if name not in loaded and name in touched
+            )
+        if not changes and (foreign or len(loaded) == len(self._field_qnames)):
             return None
-        return {
+        state = {
             qname: changes[name] if name in changes
             else loaded[name] if name in loaded
             else getattr(instance, name)  # not stored: as assigned, or the default
             for name, qname in self._field_qnames
         }
+        if foreign:
+            state.update((key, value) for key, value in kept.items() if key not in state)
+        return state
 
     def _db_save(self, call: _Call):
         """Write back what the method changed, then pay for the rows it

@@ -14,9 +14,9 @@ from outside — no base64 encode or decode, no wire text built as a
   hand-off and the envelope splice rely on;
 - message sizes for non-ASCII text (the pinned benches send ASCII only),
   and a lone surrogate raising where it did, as text or as an argument;
-- the base64 leaf: handed over only for the very text object the
-  encoder wrote, on an element with no children, for a value that is
-  exactly ``bytes``; everything else meets ``base64.b64decode``;
+- the base64 leaf: the ``bytes`` of a typed value (the file server's
+  ``ReadResult``) are handed over; every element's text — built, parsed,
+  assigned — meets ``base64.b64decode``;
 - ``FileContent``: a lazy digest with the eager one's answers;
 - bad numeric / base64 literals are the sender's ``soap:Client`` fault.
 """
@@ -35,7 +35,8 @@ from repro.net import Network
 from repro.osim import FileContent, Machine, MachineParams, SimFileSystem
 from repro.osim.programs import make_compute_program
 from repro.sim import Environment
-from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element
+from repro.gridapp.filesystem_service import content_to_wire
+from repro.soap import SoapEnvelope, SoapFault, from_typed_element, to_typed_element, typed_value
 from repro.soap import types as soap_types
 from repro.wsa import AddressingHeaders, EndpointReference
 from repro.wsrf import ServiceSkeleton, WebMethod, WsrfClient, deploy
@@ -95,8 +96,8 @@ class TestEscapeProbe:
     def test_markup_free_text_comes_back_as_the_same_object(self):
         big = "QUJD" * (1 << 20)  # 4 MB of base64 alphabet
         assert escape_text(big) is big and escape_attr(big) is big
-        handed = soap_types._Base64Text(b"\x00\x01\x02" * 50_000)
-        assert escape_text(handed) is handed
+        sample = base64.b64encode(b"\x00\x01\x02" * 50_000).decode("ascii")
+        assert escape_text(sample) is sample
 
 
 # -- (b) message sizes ------------------------------------------------------------------
@@ -238,12 +239,10 @@ class TestBase64Leaf:
 
     def test_handed_over_without_decoding(self, decodes):
         value = bytes(range(256)) * 8
-        element = to_typed_element(QName(UVA, "blob"), value)
-        assert from_typed_element(element) is value
-        # Element.copy() carries the text object: the receiver's copy of
-        # a sent body hands over too
-        assert element.copy().text is element.text
-        assert from_typed_element(element.copy()) is value
+        content = FileContent.from_bytes(value)
+        element = typed_value(QName(UVA, "ReadResult"), content_to_wire(content))
+        assert from_typed_element(element)["data"] is value
+        assert from_typed_element(element)["data"] is value  # every reader, not just one
         assert decodes == []
 
     def test_the_text_is_written_as_plain_text(self):
@@ -300,13 +299,14 @@ class TestBase64Leaf:
         assert from_typed_element(parse(to_string(element))) == b""
 
     def test_envelope_hand_off_carries_the_bytes(self, decodes):
-        """Sender to receiver through the envelope hand-off: the handed
-        body is a copy, and a copy's text still refers to the value; the
-        same wire text delivered again is parsed, and decoded."""
+        """Sender to receiver through the envelope hand-off, as the file
+        server replies: the receiver is handed the sender's ``bytes``;
+        the same wire text delivered again is parsed, and decoded."""
         value = bytes(range(256)) * 512
         codec = Network(Environment()).codec
         body = Element(QName(UVA, "ReadResponse"))
-        body.append(to_typed_element(QName(UVA, "ReadResult"), {"kind": "data", "data": value}))
+        content = FileContent.from_bytes(value)
+        body.append(typed_value(QName(UVA, "ReadResult"), content_to_wire(content)))
         headers = AddressingHeaders(EndpointReference("http://b/x"), "urn:read")
         wire = SoapEnvelope(headers, body).serialize(codec)
         text = str(wire)

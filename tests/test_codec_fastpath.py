@@ -15,7 +15,7 @@ Seven concerns, one file:
   allocated by a pre-order walk before anything is written);
 - coherence oracles for the two hand-offs: the content-addressed
   :class:`repro.db.DecodeCache` (value isolation, destroy-then-recreate,
-  post-restore invalidation, the byte bound) and the message object of
+  post-restore invalidation, one entry per stored blob) and the message object of
   :class:`repro.soap.EnvelopeCache` (the reference text, its size and
   length unread, move semantics of the encode→parse bridge, nothing
   kept for an undelivered message);
@@ -45,7 +45,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import BlobResourceStore, CachedResourceStore, DecodeCache, SqlResourceStore
+from repro.db import (
+    BlobResourceStore, CachedResourceStore, DbError, DecodeCache, SqlResourceStore,
+)
 from repro.db.resource_store import decode_state, encode_state
 from repro.gridapp import FaultToleranceConfig, FederationConfig, FileRef, JobSpec, Testbed
 from repro.net import RetryPolicy
@@ -318,26 +320,6 @@ class TestDecodeCache:
         state[QName(UVA, "Doc")].text = "mutated-after-save"
         assert _values_equal(cache.decode(blob), decode_state(blob))
 
-    def test_capacity_bounded_fifo(self):
-        # The bound is on blob bytes: room for two of these, not three.
-        cache = DecodeCache(max_bytes=2 * _blob_bytes(0) + 10)
-        blobs = [encode_state(_state(n)) for n in range(3)]
-        for blob in blobs:
-            cache.decode(blob)
-        cache.decode(blobs[0])  # evicted by blobs[2] — a miss again
-        assert cache.misses == 4
-
-    def test_blob_larger_than_the_bound_is_not_kept(self):
-        cache = DecodeCache(max_bytes=_blob_bytes(0) - 1)
-        blob = cache.encode(_state(0))
-        assert blob == encode_state(_state(0))
-        assert _values_equal(cache.decode(blob), decode_state(blob))
-        assert (cache.hits, cache.misses) == (0, 1)
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            DecodeCache(max_bytes=0)
-
     def test_superseded_blob_is_dropped(self):
         # Footprint: a save keeps the new version and lets the old one go.
         cache = DecodeCache()
@@ -360,6 +342,49 @@ class TestDecodeCache:
         cache.release(shared)  # ... until it is destroyed too
         cache.decode(shared)
         assert cache.misses == 1
+
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["create", "save", "touch"]), st.sampled_from("abc"),
+                  st.integers(0, 2)),
+        st.tuples(st.sampled_from(["destroy", "load"]), st.sampled_from("abc")),
+        st.tuples(st.just("snapshot")),
+        st.tuples(st.just("restore"), st.integers(0, 3)),
+    ), max_size=16))
+    def test_entries_are_exactly_the_blobs_the_rows_hold(self, ops):
+        """Footprint: no bound but the rows.  After every step the table
+        holds one entry per distinct stored blob, counting the rows that
+        hold it — two rows may hold the same bytes, and a restore of an
+        older snapshot counts its rows in and the replaced ones out."""
+        store = BlobResourceStore()
+        cache = store.decode_cache
+        snapshots = [store.snapshot()]
+        for op, *args in ops:
+            try:
+                if op == "create":
+                    store.create("Svc", args[0], _state(args[1]))
+                elif op == "save":
+                    store.save("Svc", args[0], _state(args[1]))
+                elif op == "touch":  # load, change one field, save
+                    state = store.load("Svc", args[0])
+                    state[QName(UVA, "Count")] = args[1]
+                    store.save("Svc", args[0], state)
+                elif op == "destroy":
+                    store.destroy("Svc", args[0])
+                elif op == "load":
+                    loaded = store.load("Svc", args[0])
+                    assert _values_equal(loaded, decode_state(store.load_blob("Svc", args[0])))
+                elif op == "snapshot":
+                    snapshots.append(store.snapshot())
+                else:
+                    store.restore(snapshots[args[0] % len(snapshots)])
+            except DbError:
+                pass  # a create of a row that exists
+            except KeyError:
+                pass  # a row that does not exist
+            held = {}
+            for row in store.db.table(store.TABLE).select():
+                held[row["state"]] = held.get(row["state"], 0) + 1
+            assert {blob: entry.rows for blob, entry in cache._entries.items()} == held
 
 
 class TestDecodeCacheThroughStores:
@@ -548,13 +573,12 @@ class TestIncrementalEncode:
     @given(st.dictionaries(st.sampled_from(_KEYS), _typed_values, max_size=4),
            st.lists(_edits, max_size=8))
     def test_every_step_matches_from_scratch(self, state, edits):
-        cache = DecodeCache(max_bytes=4096)
-        filler = {QName(UVA, "filler"): "x" * 3000}
+        cache = DecodeCache()
         blob = cache.encode(state)
         assert blob == encode_state(state)
         for edit in edits:
-            if edit[0] == "evict":  # push the base out of the table
-                cache.release(cache.encode(filler))
+            if edit[0] == "evict":  # the table forgets the base
+                cache.release(blob)
             else:
                 _apply(state, edit)
             blob = cache.encode(state, base=blob)
@@ -1210,15 +1234,37 @@ def _grid():
     return fig3_testbed(10.0, {"out": b"x"}, n_machines=3)
 
 
+def _handed_values(element, path=()):
+    """``(child indices, typed value)`` of each typed value under
+    *element* that crosses as a value, read without building a tree."""
+    if type(element) is soap_types.TypedValue:
+        if element.unread:
+            yield path, element
+        return
+    for i, child in enumerate(element.children):
+        yield from _handed_values(child, (*path, i))
+
+
+def _bytes_leaves(value):
+    if type(value) is bytes:
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _bytes_leaves(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _bytes_leaves(item)
+
+
 @pytest.fixture
 def audit(monkeypatch):
     """Check, from outside, everything the hand-off hands over: each
     envelope, field for field, against the strict parse of its wire
-    text, each base64 leaf that still refers to the ``bytes`` it was
-    encoded from against the reference decode of its text, each loaded
-    state against ``decode_state`` of the stored bytes.  Counts the
-    envelopes handed over (``spliced``) and the encodes the splice
-    declined (``fallback``: reference text, nothing handed over)."""
+    text, each ``bytes`` leaf of a typed value handed over against the
+    strict decode of its element in that parse, each loaded state
+    against ``decode_state`` of the stored bytes.  Counts the envelopes
+    handed over (``spliced``) and the encodes the splice declined
+    (``fallback``: reference text, nothing handed over)."""
     seen = {"envelopes": 0, "spliced": 0, "fallback": 0, "states": 0, "base64": 0}
     real_parse, real_decode = EnvelopeCache.parse, DecodeCache.decode
     real_splice = envelope_module._splice
@@ -1232,13 +1278,20 @@ def audit(monkeypatch):
         hits = self.parse_hits
         envelope = real_parse(self, text)
         seen["spliced"] += self.parse_hits - hits
-        _assert_same_message(envelope, SoapEnvelope.from_element(parse(text)))
-        for block in (envelope.body, *envelope.extra_headers):
-            for leaf in block.iter():
-                if hasattr(leaf.text, "raw"):
-                    assert from_typed_element(leaf) is leaf.text.raw
-                    assert leaf.text.raw == base64.b64decode(leaf.text.encode("ascii"))
-                    seen["base64"] += 1
+        strict = SoapEnvelope.from_element(parse(text))
+        # before the comparison below, which builds every tree
+        for block, strict_block in zip((envelope.body, *envelope.extra_headers),
+                                       (strict.body, *strict.extra_headers)):
+            for path, typed in _handed_values(block):
+                handed = list(_bytes_leaves(typed.value))
+                received = list(_bytes_leaves(from_typed_element(typed)))
+                assert list(map(id, received)) == list(map(id, handed))
+                element = strict_block
+                for i in path:
+                    element = element.children[i]
+                assert handed == list(_bytes_leaves(from_typed_element(element)))
+                seen["base64"] += len(handed)
+        _assert_same_message(envelope, strict)
         seen["envelopes"] += 1
         return envelope
 

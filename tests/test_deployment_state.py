@@ -27,7 +27,9 @@ from repro.osim import Machine, MachineParams
 from repro.osim.programs import make_compute_program
 from repro.sim import Environment
 from repro.soap import SoapEnvelope, SoapFault
-from repro.wsrf import deploy
+from repro.wsn import DemandPublisherPortType, NotificationBrokerService
+from repro.wsn.base_notification import NotificationProducer
+from repro.wsrf import ServiceSkeleton, WSRFPortType, deploy
 from repro.wssec import CertificateAuthority
 from repro.wssec.x509 import enroll
 from repro.xmlx import NS, QName
@@ -80,6 +82,25 @@ class TestDeclaredState:
     def test_every_lazy_counter_is_declared_by_someone(self):
         declared = {"restarts"}.union(*(cls.DEPLOYMENT for cls in DECLARING))
         assert {attribute for _, attribute in _LAZY_COUNTERS} <= declared
+
+
+    def test_what_imported_port_types_bring_is_there_at_deploy(self):
+        """``SpecPortType.deployment``: a broker holds its producer, its
+        publisher list and no demand manager yet; a demand publisher its
+        paused roots; two port types that name the producer share one."""
+        broker = _deploy_alone(NotificationBrokerService)
+        producer = broker.notification_producer
+        assert isinstance(producer, NotificationProducer)
+        assert broker.on_resource_destroyed == [producer._forget]
+        assert broker.registered_publishers == [] and broker.demand_manager is None
+
+        @WSRFPortType(DemandPublisherPortType)
+        class Sensor(ServiceSkeleton):
+            pass
+
+        sensor = _deploy_alone(Sensor)
+        assert sensor.publishing_paused == set() and sensor.notification_producer is None
+        assert _deploy_alone(Sensor, "host-b").publishing_paused is not sensor.publishing_paused
 
 
 # -- (b) a Scheduler nobody wired fails the job set, typed ---------------------------

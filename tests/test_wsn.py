@@ -15,14 +15,14 @@ from repro.wsn import (
     SubscriptionManagerPortType,
     TopicExpression,
     TopicExpressionError,
-    attach_notification_producer,
     build_notify_body,
     parse_notify_body,
 )
-from repro.wsn.broker import deploy_broker
+from repro.wsn.broker import NotificationBrokerService
 from repro.wsrf import (
     GetResourcePropertyPortType,
     ImmediateResourceTerminationPortType,
+    Resource,
     ServiceSkeleton,
     WebMethod,
     WSRFPortType,
@@ -118,6 +118,12 @@ class ChattyService(ServiceSkeleton):
         return 0
 
 
+class MuteService(ServiceSkeleton):
+    """Publishes without importing a producer port type."""
+
+    Emit = ChattyService.Emit
+
+
 @WSRFPortType(NotificationConsumerPortType)
 class SinkService(ServiceSkeleton):
     """A service-side notification consumer."""
@@ -134,7 +140,6 @@ def fabric():
     net = Network(env)
     producer_machine = Machine(net, "producer-node")
     wrapper = deploy(ChattyService, producer_machine, "Chatty")
-    attach_notification_producer(wrapper)
     net.add_host("client")
     client = WsrfClient(net, "client")
     SinkService.log = []
@@ -233,7 +238,7 @@ class TestSubscribeNotify:
     def test_publish_without_producer_raises(self, fabric):
         env, net, pm, wrapper, client = fabric
         machine2 = Machine(net, "other-node")
-        bare = deploy(ChattyService, machine2, "Bare")
+        bare = deploy(MuteService, machine2, "Bare")
         with pytest.raises(SoapFaultLike := Exception, match="NotificationProducer"):
             run(env, client.call(bare.service_epr(), UVA, "Emit", {"topic": "t", "text": "x"}))
 
@@ -253,7 +258,7 @@ class TestBroker:
     def test_broker_multicast(self, fabric):
         env, net, pm, wrapper, client = fabric
         broker_machine = Machine(net, "broker-node")
-        broker = deploy_broker(broker_machine)
+        broker = deploy(NotificationBrokerService, broker_machine, "NotificationBroker")
         # Two listeners subscribe at the broker.
         listeners = []
         for i in range(3):
@@ -273,7 +278,7 @@ class TestBroker:
     def test_register_publisher(self, fabric):
         env, net, pm, wrapper, client = fabric
         broker_machine = Machine(net, "broker-node")
-        broker = deploy_broker(broker_machine)
+        broker = deploy(NotificationBrokerService, broker_machine, "NotificationBroker")
         from repro.wsn.broker import REGISTER_PUBLISHER
 
         body = Element(REGISTER_PUBLISHER)
@@ -287,14 +292,14 @@ class TestBroker:
     def test_broker_ping(self, fabric):
         env, net, pm, wrapper, client = fabric
         broker_machine = Machine(net, "broker-node")
-        broker = deploy_broker(broker_machine)
+        broker = deploy(NotificationBrokerService, broker_machine, "NotificationBroker")
         assert run(env, client.call(broker.service_epr(), NS.WSBN, "Ping")) == "broker-alive"
 
     def test_broker_decouples_producer_from_consumers(self, fabric):
         """Producer sends ONE message regardless of subscriber count."""
         env, net, pm, wrapper, client = fabric
         broker_machine = Machine(net, "broker-node")
-        broker = deploy_broker(broker_machine)
+        broker = deploy(NotificationBrokerService, broker_machine, "NotificationBroker")
         for i in range(10):
             net.add_host(f"c{i}")
             listener = NotificationListener(net, f"c{i}")
@@ -342,7 +347,7 @@ class TestDemandPublishing:
     def _demand_setup(self, fabric):
         env, net, pm, wrapper, client = fabric
         broker_machine = Machine(net, "broker-node")
-        broker = deploy_broker(broker_machine)
+        broker = deploy(NotificationBrokerService, broker_machine, "NotificationBroker")
 
         # A publisher service that honors Pause/ResumePublishing.
         from repro.wsn.broker import DemandPublisherPortType
@@ -351,8 +356,7 @@ class TestDemandPublishing:
         class Sensor(ServiceSkeleton):
             @WebMethod(requires_resource=False)
             def IsPublishing(self, root: str) -> bool:
-                paused = getattr(self.wsrf.wrapper, "publishing_paused", set())
-                return root not in paused
+                return root not in self.wsrf.wrapper.publishing_paused
 
         sensor_machine = Machine(net, "sensor-node")
         sensor = deploy(Sensor, sensor_machine, "Sensor")
@@ -478,7 +482,7 @@ class TestBrokerRedelivery:
         from repro.wsn.broker import enable_redelivery
 
         broker_machine = Machine(net, "broker-node")
-        broker = deploy_broker(broker_machine)
+        broker = deploy(NotificationBrokerService, broker_machine, "NotificationBroker")
         enable_redelivery(broker, policy)
         net.add_host("watcher")
         listener = NotificationListener(net, "watcher")
@@ -586,7 +590,7 @@ class TestBrokerRedelivery:
         """Seed semantics (§4.1 one-way loss) are untouched by default."""
         env, net, pm, wrapper, client = fabric
         broker_machine = Machine(net, "broker-node")
-        broker = deploy_broker(broker_machine)
+        broker = deploy(NotificationBrokerService, broker_machine, "NotificationBroker")
         net.add_host("watcher")
         listener = NotificationListener(net, "watcher")
         run(env, client.subscribe(broker.service_epr(), listener.epr, "t/**",
@@ -706,3 +710,96 @@ class TestTopicsCapSignal:
         # the same unseen topic republished counts each time: the signal
         # tracks how often advertisement was wrong, not distinct names
         assert producer.topics_dropped == 2
+
+
+class TestSubscriptionRows:
+    """A dispatch onto a subscription keeps the row the producer stored:
+    the broker declares no Resource fields, so nothing of the row is the
+    dispatch's to write."""
+
+    def _subscribed(self):
+        from repro.gridapp import Testbed
+
+        tb = Testbed(n_machines=1, seed=11)
+        tb.network.add_host("watcher")
+        listener = NotificationListener(tb.network, "watcher")
+        client = WsrfClient(tb.network, "watcher")
+        sub_epr = tb.run(client.subscribe(
+            tb.broker.service_epr(), listener.epr, "t/**", dialect=FULL_DIALECT
+        ))
+        rid = sub_epr.get(QName(UVA, "ResourceID"))
+        return tb, listener, client, sub_epr, rid
+
+    def _notify(self, tb, client, text):
+        payload = Element(QName(UVA, "E"), text=text)
+        tb.run(client.invoke(tb.broker.service_epr(), build_notify_body("t/e", payload),
+                             category="producer-notify"))
+        tb.settle(5.0)
+
+    def test_a_pause_keeps_the_row(self):
+        from repro.wsn.base_notification import PAUSE_SUBSCRIPTION
+
+        tb, listener, client, sub_epr, rid = self._subscribed()
+        tb.run(client.invoke(sub_epr, Element(PAUSE_SUBSCRIPTION)))
+        state = tb.broker.store.load("NotificationBroker", rid)
+        assert state == {
+            QName(NS.WSNT, "consumer"): listener.epr,
+            QName(NS.WSNT, "expression"): "t/**",
+            QName(NS.WSNT, "dialect"): FULL_DIALECT,
+            QName(NS.WSNT, "paused"): True,
+        }
+
+    def test_a_paused_subscription_survives_a_restart_paused(self):
+        from repro.wsn.base_notification import PAUSE_SUBSCRIPTION, RESUME_SUBSCRIPTION
+
+        tb, listener, client, sub_epr, rid = self._subscribed()
+        tb.run(client.invoke(sub_epr, Element(PAUSE_SUBSCRIPTION)))
+        tb.env.run(until=tb.restart_host(tb.central.name, down_for=2.0))
+        assert tb.broker.restarts == 1
+        assert tb.broker.notification_producer.subscriptions[rid].paused
+        self._notify(tb, client, "while paused")
+        assert listener.received == []
+        tb.run(client.invoke(sub_epr, Element(RESUME_SUBSCRIPTION)))
+        self._notify(tb, client, "resumed")
+        assert [note.payload.full_text() for note in listener.received] == ["resumed"]
+
+    def test_a_property_read_leaves_the_row_bytes(self):
+        tb, listener, client, sub_epr, rid = self._subscribed()
+        before = tb.broker.store.snapshot()[f"NotificationBroker|{rid}"]
+        count = tb.run(client.get_resource_property(
+            sub_epr, QName(NS.WSBN, "SubscriptionCount")
+        ))
+        assert count == 1
+        assert tb.broker.store.snapshot()[f"NotificationBroker|{rid}"] == before
+
+    def test_a_field_set_on_a_subscription_carries_the_row(self):
+        """On a producer that declares fields, a subscription row stores
+        none of them: a dispatch that reads none writes nothing, and one
+        that sets a field writes it beside the producer's keys."""
+        from repro.wsn.base_notification import PAUSE_SUBSCRIPTION
+
+        @WSRFPortType(NotificationProducerPortType, SubscriptionManagerPortType)
+        class Labelled(ServiceSkeleton):
+            label = Resource(default="none")
+
+            @WebMethod
+            def Label(self, text: str) -> None:
+                self.label = text
+
+        env = Environment()
+        net = Network(env)
+        wrapper = deploy(Labelled, Machine(net, "producer-node"), "Labelled")
+        net.add_host("client")
+        client = WsrfClient(net, "client")
+        listener = NotificationListener(net, "client")
+        sub_epr = run(env, client.subscribe(wrapper.service_epr(), listener.epr, "t/x"))
+        rid = sub_epr.get(QName(UVA, "ResourceID"))
+        run(env, client.invoke(sub_epr, Element(PAUSE_SUBSCRIPTION)))
+        stored = wrapper.store.load("Labelled", rid)
+        assert list(stored) == [QName(NS.WSNT, name)
+                                for name in ("consumer", "expression", "dialect", "paused")]
+        assert stored[QName(NS.WSNT, "paused")] is True
+        run(env, client.call(sub_epr, UVA, "Label", {"text": "mine"}))
+        assert wrapper.store.load("Labelled", rid) == {
+            QName(UVA, "label"): "mine", **stored,
+        }
