@@ -34,7 +34,7 @@ from repro.db.resource_store import (
     same_field,
 )
 # the exactness rule lives beside the grammar it describes
-from repro.soap.types import IMMUTABLE_LEAVES, copy_field
+from repro.soap.types import SHARED_ON_READ, copy_field, read_copy
 from repro.db.cached_store import CachedResourceStore
 from repro.db.xmlstore import XmlResourceStore
 
@@ -45,14 +45,15 @@ __all__ = [
     "Database",
     "DbError",
     "DecodeCache",
-    "IMMUTABLE_LEAVES",
     "NoSuchResource",
     "ResourceStore",
+    "SHARED_ON_READ",
     "SqlError",
     "SqlResourceStore",
     "Table",
     "XmlResourceStore",
     "copy_field",
     "execute_sql",
+    "read_copy",
     "same_field",
 ]

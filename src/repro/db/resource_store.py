@@ -9,12 +9,15 @@ loads are cheap, but any query must deserialize every blob.
 
 from __future__ import annotations
 
+from itertools import accumulate, chain, compress, count
+from operator import is_not
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.db.engine import Column, Database, DbError
 from repro.soap import from_typed_element, to_typed_element, write_typed
-from repro.soap.types import IMMUTABLE_LEAVES, _Inexact, copy_field
-from repro.wsa import EndpointReference
+from repro.soap.types import (
+    _STR_ONLY, SHARED_ON_READ, EntrySpan, _Inexact, copy_field, read_copy,
+)
 from repro.xmlx import NS, Element, QName, parse, to_string, xpath_select
 from repro.xmlx.writer import document_frame
 
@@ -101,10 +104,10 @@ def same_field(a: Any, b: Any) -> bool:
     Anything outside the exact types of the typed-value universe (a
     tuple, a subclass) is never "the same": it is encoded afresh.
 
-    A state loaded here shares every immutable leaf with the kept value
-    it was copied from (:func:`copy_field`), so members that are one
-    object on both sides — nearly all of an unchanged field — are
-    passed over without a call.
+    A state loaded here shares every immutable leaf and EPR with the
+    kept value it was copied from (:func:`read_copy`), so members that
+    are one object on both sides — nearly all of an unchanged field —
+    are passed over without a call.
     """
     if a is b:
         return True
@@ -129,20 +132,28 @@ def same_field(a: Any, b: Any) -> bool:
         return True
     if cls is float:
         return repr(a) == repr(b)  # the encoded form; tells -0.0 from 0.0
-    if cls in IMMUTABLE_LEAVES or cls is EndpointReference:
+    if cls in SHARED_ON_READ:
         return a == b
     if cls is Element:
         return _same_element(a, b)
     return False
 
 
+#: where each entry of a map field sits in the field's fragment, for a
+#: non-empty map with ``str`` keys assembled here: the length of the
+#: map's start tag, then per entry, in the kept map's order, its length
+#: and the namespaces its value mentions beyond the map's own.  Lengths
+#: and not offsets: an entry that grows moves every entry after it, and
+#: ``accumulate`` turns lengths into offsets in C
+_EntrySpans = Tuple[int, List[int], List[Tuple[str, ...]]]
+
 #: one field of a kept state: the decoded value (read-only: author code
 #: only ever gets copies) and, when the blob was assembled from fragments
 #: here, where the field's serialized element sits in the blob (offsets from
-#: the end of the root start tag; ``end == 0``: not known) and the
-#: namespaces it mentions — kept so the save that replaces the blob
-#: re-encodes only what changed
-_Field = Tuple[Any, int, int, Tuple[str, ...]]
+#: the end of the root start tag; ``end == 0``: not known), the namespaces
+#: it mentions and, for a map, its entries (None: not a map, or not known)
+#: — kept so the save that replaces the blob re-encodes only what changed
+_Field = Tuple[Any, int, int, Tuple[str, ...], Optional[_EntrySpans]]
 
 
 class _Entry:
@@ -167,11 +178,71 @@ _UNKNOWN = _Entry({})
 _UNDECODED: Dict[QName, _Field] = {}
 
 
+def _encode_map(qkey: QName, value: dict, old: Optional[_Field], base: bytes, field_at: int):
+    """The fragment of the map field *value*, entry by entry: each entry
+    that encodes as it did in the *old* field (which starts at
+    *field_at* in *base*) is copied out of it, a run of them as one
+    slice, and the others are written.  ``(fragment, kept value,
+    namespaces, entry spans)``; None when the map has no
+    document-independent fragment.
+
+    Copying needs the old keys in their order at the front of *value*
+    (entries changed in place, new ones added after them): the common
+    case is then found by C loops over the values, identity first.  A
+    map that dropped or moved an entry is written whole."""
+    keys = list(value)
+    items = list(value.values())
+    if old is not None and old[4] is not None and keys[:len(old[0])] == list(old[0]):
+        old_kept, (head, lengths, owns) = old[0], old[4]
+        before = list(old_kept.values())
+        changed = [
+            at for at in compress(count(), map(is_not, items, before))
+            if not same_field(items[at], before[at])
+        ]
+        if not changed and len(keys) == len(before):  # the field as it was
+            return base[field_at:field_at + old[2] - old[1]], old_kept, old[3], old[4]
+    else:
+        old_kept, head, lengths, owns, changed = {}, 0, [], [], []
+    n_old = len(lengths)
+    written_at = changed + list(range(n_old, len(keys)))
+    text: List[str] = []
+    written: List[EntrySpan] = []
+    mentions = write_typed(qkey, {keys[at]: items[at] for at in written_at}, text, entries=written)
+    if mentions is None:
+        return None
+    starts = list(accumulate(lengths, initial=head))  # old entries, from the field's start
+    opening = "".join(text[:written[0][0]]).encode("utf-8")
+    parts = [opening]
+    kept = old_kept.copy()
+    lengths, owns = lengths.copy(), owns.copy()
+    copied = 0  # the old entries before this one are in parts
+    for at, (begin, end, own) in zip(written_at, written):
+        stop = min(at, n_old)
+        if copied < stop:
+            parts.append(base[field_at + starts[copied]:field_at + starts[stop]])
+            copied = stop
+        piece = "".join(text[begin:end]).encode("utf-8")
+        parts.append(piece)
+        if at < n_old:
+            lengths[at], owns[at] = len(piece), own
+            copied = at + 1
+        else:
+            lengths.append(len(piece))
+            owns.append(own)
+        kept[keys[at]] = copy_field(items[at])
+    if copied < n_old:
+        parts.append(base[field_at + starts[copied]:field_at + starts[n_old]])
+    parts.append("".join(text[written[-1][1]:]).encode("utf-8"))
+    mentions = tuple(dict.fromkeys(chain(mentions, chain.from_iterable(owns))))
+    return b"".join(parts), kept, mentions, (len(opening), lengths, owns)
+
+
 def _assemble(state: State, base: bytes, old: _Entry) -> Optional[Tuple[bytes, _Entry]]:
     """Encode *state* field by field, copying out of *base* (the blob
     being replaced, *old* its entry) every field that encodes as it did
-    there.  None when *state* is not a run of document-independent
-    fragments, one per key, inside a root start and end tag."""
+    there, and of a changed map field every entry that does.  None when
+    *state* is not a run of document-independent fragments, one per
+    key, inside a root start and end tag."""
     if not state:
         return None  # an empty root is written as one tag
     fields: Dict[QName, _Field] = {}
@@ -183,17 +254,30 @@ def _assemble(state: State, base: bytes, old: _Entry) -> Optional[Tuple[bytes, _
         if qkey in fields:
             return None  # "x" beside QName("x"): two children, one key
         field = old.fields.get(qkey)
-        if field is not None and field[2] and same_field(value, field[0]):
-            kept, start, end, mentions = field
+        if field is not None and not field[2]:
+            field = None  # decoded, not assembled: nothing to copy
+        if field is not None and (
+            value is field[0] or (field[4] is None and same_field(value, field[0]))
+        ):
+            kept, start, end, mentions, entries = field
             piece = base[old.body_at + start:old.body_at + end]
         else:
-            text: List[str] = []
-            mentions = write_typed(qkey, value, text)
-            if mentions is None:
-                return None
-            kept = copy_field(value)
-            piece = "".join(text).encode("utf-8")
-        fields[qkey] = (kept, at, at + len(piece), mentions)
+            built = None
+            if type(value) is dict and value and _STR_ONLY.issuperset(map(type, value)):
+                built = _encode_map(
+                    qkey, value, field, base, old.body_at + field[1] if field else 0
+                )
+            if built is not None:
+                piece, kept, mentions, entries = built
+            else:
+                text: List[str] = []
+                mentions = write_typed(qkey, value, text)
+                if mentions is None:
+                    return None
+                kept = copy_field(value)
+                piece = "".join(text).encode("utf-8")
+                entries = None
+        fields[qkey] = (kept, at, at + len(piece), mentions, entries)
         at += len(piece)
         pieces.append(piece)
         uris.update(mentions)
@@ -207,7 +291,7 @@ def _whole(state: State) -> Tuple[bytes, Optional[_Entry]]:
     blob = encode_state(state)
     try:
         return blob, _Entry(
-            {_qname(key): (copy_field(value), 0, 0, ()) for key, value in state.items()}
+            {_qname(key): (copy_field(value), 0, 0, (), None) for key, value in state.items()}
         )
     except _Inexact:
         return blob, None
@@ -225,7 +309,7 @@ class DecodeCache:
 
     - the decoded state, so a load of bytes that were encoded (or
       already decoded) here skips the parser.  :meth:`decode`, hit or
-      miss, returns a deep copy built by :func:`copy_field`, so callers
+      miss, returns a deep copy built by :func:`read_copy`, so callers
       can mutate what they get.  :meth:`kept` returns the kept values
       themselves, read-only: only the wrapper's db_load stage asks for
       them, and it copies each field before author code can see it
@@ -234,7 +318,8 @@ class DecodeCache:
       :meth:`encode` of a state that replaces this blob re-encodes only
       the fields that differ under :func:`same_field` and copies the
       rest — byte-identical to :func:`encode_state`, which stays the
-      reference.
+      reference.  Of a map it also keeps where each entry sits, so a
+      changed map re-encodes only its changed entries.
 
     Blobs not encoded here (restored snapshots, rows written behind the
     store's back) go through :func:`decode_state` and its strict parser.
@@ -271,7 +356,7 @@ class DecodeCache:
         if entry.fields is _UNDECODED:
             self.misses += 1
             entry.fields = {
-                key: (value, 0, 0, ()) for key, value in decode_state(blob).items()
+                key: (value, 0, 0, (), None) for key, value in decode_state(blob).items()
             }
         else:
             self.hits += 1
@@ -279,7 +364,7 @@ class DecodeCache:
 
     def decode(self, blob: bytes) -> State:
         """The state *blob* encodes, a copy the caller owns."""
-        return {key: copy_field(value) for key, value in self.kept(blob).items()}
+        return {key: read_copy(value) for key, value in self.kept(blob).items()}
 
     def encode(self, state: State, base: Optional[bytes] = None) -> bytes:
         """Encode *state*, which replaces the blob *base* (None: a new

@@ -376,7 +376,9 @@ class SchedulerService(ServiceSkeleton):
     def _schedule_ready_jobs(self):
         if "pending" not in (self.job_phase or {}).values():
             return  # nothing to place: leave the spec unread and unparsed
-        spec = JobSetSpec.from_wire(self.jobs or [])
+        # The stored spec, neither copied nor dirty-checked: from_wire
+        # builds fresh objects, so nothing of it reaches this code.
+        spec = JobSetSpec.from_wire(self.kept_field("jobs") or [])
         name_map = spec.name_map()
         wrapper = self.wsrf.wrapper
         # Transport failures (the target never answered Run, even after

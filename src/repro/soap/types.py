@@ -25,6 +25,8 @@ _ITEM = QName(NS.UVACG, "item")
 _ENTRY = QName(NS.UVACG, "entry")
 _KEY = QName(NS.UVACG, "key")
 _VALUE = QName(NS.UVACG, "value")
+_EPR_ADDRESS = QName(NS.WSA, "Address")
+_EPR_PROPERTIES = QName(NS.WSA, "ReferenceProperties")
 
 #: the ``xsi:type`` names of the two containers
 _ARRAY = "uva:array"
@@ -136,8 +138,15 @@ _LEAF_TYPES = frozenset(_LEAVES)
 _STR_ONLY = frozenset({str})
 
 
+#: where one entry of a map sits in a :func:`write_typed` output: its
+#: pieces ``out[begin:end]`` and the namespaces its value mentions
+#: beyond the map's own (its tag's, xsi, uva)
+EntrySpan = Tuple[int, int, Tuple[str, ...]]
+
+
 def write_typed(
-    tag: QName, value: Any, out: List[Any], deferred: Optional[List[Any]] = None
+    tag: QName, value: Any, out: List[Any], deferred: Optional[List[Any]] = None,
+    entries: Optional[List[EntrySpan]] = None,
 ) -> Optional[Tuple[str, ...]]:
     """:func:`~repro.xmlx.writer.write_fragment` of
     ``to_typed_element(tag, value)`` without the element: the same
@@ -150,14 +159,19 @@ def write_typed(
     *deferred*: *out* then makes a :class:`~repro.xmlx.writer.WireText`,
     not a ``"".join``.
 
+    Given an *entries* list, a non-empty map with ``str`` keys reports
+    its entry boundaries there, one :data:`EntrySpan` per entry in
+    order: what lets a state encoder copy an unchanged entry out of the
+    blob it was written into (``repro.db.resource_store._assemble``).
+
     A second output of one grammar, not a second grammar.  The walk
     spells the exact types ``str``, ``int``, ``bool``, ``float``,
-    ``bytes``, ``None``, ``dict`` with ``str`` keys and ``list`` — the
-    leaves through :func:`_leaf`, as the element does — and hands
-    everything else to the reference, subtree by subtree: an
-    ``EndpointReference``, an ``Element``, a tuple, any subclass, a map
-    with some other key.  So the reference's ``TypeError`` is raised by
-    the reference, and ``None`` is its answer too: a namespace without a
+    ``bytes``, ``None``, ``dict`` with ``str`` keys, ``list`` and
+    ``EndpointReference`` — the leaves through :func:`_leaf`, as the
+    element does — and hands everything else to the reference, subtree
+    by subtree: an ``Element``, a tuple, any subclass, a map with some
+    other key.  So the reference's ``TypeError`` is raised by the
+    reference, and ``None`` is its answer too: a namespace without a
     preferred prefix, in *tag* or below it, has no document-independent
     spelling (:func:`~repro.xmlx.writer.write_fragment`).
     """
@@ -171,13 +185,13 @@ def write_typed(
         name = f"{prefix}:{name}"
         mentions[tag.uri] = None
     mentions[NS.XSI] = None
-    exact = _write_typed(tag, name, value, out, mentions, deferred)
+    exact = _write_typed(tag, name, value, out, mentions, deferred, entries)
     return tuple(mentions) if exact else None
 
 
 def _write_typed(
     tag: QName, name: str, value: Any, out: List[Any], mentions: Dict[str, None],
-    deferred: Optional[List[Any]],
+    deferred: Optional[List[Any]], entries: Optional[List[EntrySpan]] = None,
 ) -> bool:
     """The element *name* (*tag* as written) of *value*; False when a
     subtree handed to the reference has no document-independent
@@ -210,16 +224,54 @@ def _write_typed(
                 exact &= _write_typed(_ITEM, _ITEM_NAME, item, out, mentions, deferred)
         else:
             for key, item in value.items():
+                begin = len(out)
                 out.append(
                     f"<{_ENTRY_NAME}><{_KEY_NAME}>{escape_text(key)}</{_KEY_NAME}>"
                     if key else f"<{_ENTRY_NAME}><{_KEY_NAME} />"
                 )
-                exact &= _write_typed(_VALUE, _VALUE_NAME, item, out, mentions, deferred)
+                if entries is None:
+                    exact &= _write_typed(_VALUE, _VALUE_NAME, item, out, mentions, deferred)
+                else:
+                    own: Dict[str, None] = {}
+                    exact &= _write_typed(_VALUE, _VALUE_NAME, item, out, own, deferred)
+                    mentions.update(own)
                 out.append(f"</{_ENTRY_NAME}>")
+                if entries is not None:
+                    entries.append((begin, len(out), tuple(own)))
         out.append(f"</{name}>")
         return exact
+    elif cls is EndpointReference:
+        return _write_epr(name, value, out, mentions)
     else:
         return write_fragment(to_typed_element(tag, value), out, mentions) is not None
+    return True
+
+
+_EPR_START = f' {_TYPE_ATTR}="wsa:EndpointReferenceType"><{_prefixed(_EPR_ADDRESS)}>'
+_EPR_ADDRESS_END = f"</{_prefixed(_EPR_ADDRESS)}>"
+_EPR_PROPS = _prefixed(_EPR_PROPERTIES)
+
+
+def _write_epr(name: str, epr: EndpointReference, out: List[Any], mentions: Dict[str, None]) -> bool:
+    """The element *name* of *epr*, as ``write_fragment`` writes what
+    :func:`to_typed_element` builds for it (the element stays the
+    reference, ``TestTypedWriter`` the differential).  False for a
+    reference property in a namespace without a preferred prefix."""
+    mentions[NS.WSA] = None
+    out += ("<" + name + _EPR_START, escape_text(epr.address), _EPR_ADDRESS_END)
+    props = epr.property_items
+    if props:
+        out.append(f"<{_EPR_PROPS}>")
+        for (uri, local), text in props:
+            if uri:
+                prefix = NS.PREFERRED_PREFIXES.get(uri)
+                if prefix is None:
+                    return False
+                mentions[uri] = None
+                local = f"{prefix}:{local}"
+            out.append(f"<{local}>{escape_text(text)}</{local}>" if text else f"<{local} />")
+        out.append(f"</{_EPR_PROPS}>")
+    out.append(f"</{name}>")
     return True
 
 
@@ -274,6 +326,38 @@ def copy_field(value: Any) -> Any:
     if cls is EndpointReference and value.address == value.address.strip():
         return value
     raise _Inexact
+
+
+#: what a read copy shares with the kept value it copies: the immutable
+#: leaves and the EPRs, each checked once on its way in
+SHARED_ON_READ = IMMUTABLE_LEAVES | {EndpointReference}
+
+
+def read_copy(value: Any) -> Any:
+    """:func:`copy_field` of a value that is already kept: a kept value
+    entered through :func:`copy_field` or the strict decode, which
+    checked every member, so the copy only isolates the mutable shapes
+    (dict, list, Element) and shares everything else.  A container of
+    shared members only, the common case, is copied without a Python
+    loop."""
+    cls = type(value)
+    if cls is dict:
+        copy = value.copy()
+        if not SHARED_ON_READ.issuperset(map(type, value.values())):
+            for key, item in value.items():
+                if type(item) not in SHARED_ON_READ:
+                    copy[key] = read_copy(item)
+        return copy
+    if cls is list:
+        copy = value.copy()
+        if not SHARED_ON_READ.issuperset(map(type, value)):
+            for at, item in enumerate(value):
+                if type(item) not in SHARED_ON_READ:
+                    copy[at] = read_copy(item)
+        return copy
+    if cls is Element:
+        return value.copy()
+    return value
 
 
 #: what a :class:`TypedValue` holds once its tree is built
@@ -362,7 +446,7 @@ def from_typed_element(element: Element) -> Any:
     """
     if type(element) is TypedValue and element.unread:
         value = element.value
-        return value if type(value) in IMMUTABLE_LEAVES else copy_field(value)
+        return value if type(value) in SHARED_ON_READ else read_copy(value)
     if element.get(_XSI_NIL) == "true":
         return None
     xsi_type = element.get(_XSI_TYPE)

@@ -61,6 +61,12 @@ class EndpointReference:
     def reference_properties(self) -> Dict[QName, str]:
         return dict(self._props)
 
+    @property
+    def property_items(self) -> Tuple[Tuple[QName, str], ...]:
+        """The reference properties as ``(name, value)`` pairs in the
+        order :meth:`to_xml` writes them, without a copy."""
+        return self._props
+
     def get(self, name, default: Optional[str] = None) -> Optional[str]:
         want = name if isinstance(name, QName) else QName(name)
         for key, value in self._props:

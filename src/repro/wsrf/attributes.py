@@ -36,7 +36,7 @@ from __future__ import annotations
 import inspect
 from typing import Any, Dict, Optional, Tuple, Type
 
-from repro.db import copy_field
+from repro.db import read_copy
 from repro.xmlx import NS, QName
 
 
@@ -48,9 +48,10 @@ class Resource:
     one yet copies the field out of the state the wrapper's db_load
     stage read (``obj._kept``) and makes the copy the instance
     attribute, so a dispatch copies only the fields its method reads
-    (db_load sets a field holding an immutable leaf itself: there is no
-    copy to defer); a field the state does not hold reads as the
-    default.
+    (db_load sets a field holding an immutable leaf or an EPR itself:
+    there is no copy to defer); a field the state does not hold reads
+    as the default.  :meth:`ServiceSkeleton.kept_field` reads a field
+    without the copy.
     """
 
     def __init__(self, default: Any = None, qname: Optional[QName] = None) -> None:
@@ -73,7 +74,7 @@ class Resource:
         kept = obj._kept
         name = self.name
         if name in kept:
-            value = obj.__dict__[name] = copy_field(kept[name])
+            value = obj.__dict__[name] = read_copy(kept[name])
             return value
         return self.default
 
@@ -224,6 +225,19 @@ class ServiceSkeleton:
     def client(self):
         """A WsrfClient originating from this service's machine."""
         return self.wsrf.client
+
+    def kept_field(self, name: str) -> Any:
+        """Resource field *name* as the db_load stage read it, without
+        the copy a read makes: the stored value itself, read-only to the
+        caller (the contract of ``servicegroup.kept_entries``).  Not
+        being an instance attribute, it is neither compared nor saved
+        back.  A field this dispatch already read or assigned answers
+        as the instance holds it."""
+        if name in self.__dict__:
+            return self.__dict__[name]
+        if name in self._kept:
+            return self._kept[name]
+        return getattr(type(self), name).default
 
     # -- resource management helpers (forwarded to the wrapper) ---------------------
 

@@ -23,7 +23,7 @@ import math
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.db import (
-    IMMUTABLE_LEAVES,
+    SHARED_ON_READ,
     BlobResourceStore,
     CachedResourceStore,
     NoSuchResource,
@@ -698,14 +698,15 @@ class WrapperService:
             raise self._unknown_resource(rid) from None
         # Nothing is copied here: Resource.__get__ copies a field out of
         # the kept state when the method first reads it.  An immutable
-        # leaf is its own copy, so it is set now and read without a call.
+        # leaf or an EPR is its own read copy (read_copy), so it is set
+        # now and read without a call.
         call.kept = kept
         loaded = call.instance._kept = {}
         attrs = call.instance.__dict__
         for name, qname in self._field_qnames:
             if qname in kept:
                 value = loaded[name] = kept[qname]
-                if type(value) in IMMUTABLE_LEAVES:
+                if type(value) in SHARED_ON_READ:
                     attrs[name] = value
 
     def _method(self, call: _Call):

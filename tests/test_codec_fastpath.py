@@ -1,6 +1,6 @@
 """Codec fast path (docs/performance.md, "Codec fast path").
 
-Seven concerns, one file:
+Eight concerns, one file:
 
 - the three parser *contract* fixes that rode along with the fast path:
   malformed character references raise :class:`XmlParseError` with an
@@ -27,9 +27,11 @@ Seven concerns, one file:
   differential with ``write_fragment(to_typed_element(...))`` over
   values inside and outside the types it spells itself, and every field
   fragment of two whole runs;
+- what a job event costs the Scheduler's row, counted: the map entries
+  each save writes, and no copy or compare of the stored spec;
 - the oracles of the always-on hand-off: incremental state encoding
   against from-scratch :func:`encode_state` under random edit
-  sequences, every envelope and state handed over in whole runs checked
+  sequences, of whole states and of maps encoded entry by entry, every envelope and state handed over in whole runs checked
   against the reference ``parse`` / ``decode_state`` from outside,
   hostile wire text still meeting the strict parser, and the run
   differential against the same run forced onto the reference codec
@@ -610,8 +612,9 @@ class TestIncrementalEncode:
 
         encoded = []
         real = resource_store.write_typed
-        monkeypatch.setattr(resource_store, "write_typed",
-                            lambda tag, value, out: encoded.append(tag) or real(tag, value, out))
+        monkeypatch.setattr(
+            resource_store, "write_typed",
+            lambda tag, value, out, **spans: encoded.append(tag) or real(tag, value, out, **spans))
         cache = DecodeCache()
         state = _state(1)
         blob = cache.encode(state)
@@ -668,6 +671,220 @@ class TestIncrementalEncode:
         assert store.decode_cache.misses == 1
         loaded[QName(UVA, "n")] = 2
         assert store.save("Svc", "r", loaded) == encode_state(loaded)
+
+
+# -- map fields, entry by entry ------------------------------------------------------
+
+_MAP_KEYS = st.sampled_from(["", "k", "a&<>b", "x", "y"])
+_MAP_EPRS = st.builds(
+    EndpointReference,
+    st.sampled_from(["http://n1:80/Exec", "soap.tcp://c:9000/files?a&b"]),
+    st.dictionaries(
+        st.sampled_from([QName(UVA, "ResourceID"), QName(NS.WSA, "Extra")]),
+        st.text(alphabet="ab&<", max_size=2), max_size=2,
+    ),
+)
+_MAP_ITEMS = st.recursive(
+    st.one_of(
+        st.sampled_from([0, 1, True, False, -0.0, 0.0, 2.5, "", "s&<>", b"", b"raw", None]),
+        _MAP_EPRS,
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(_MAP_KEYS, inner, max_size=2)),
+    max_leaves=4,
+)
+_MAP_FIELDS = [QName(UVA, name) for name in ("phase", "eprs", "nested")]
+_map_states = st.fixed_dictionaries(
+    {field: st.dictionaries(_MAP_KEYS, _MAP_ITEMS, max_size=4) for field in _MAP_FIELDS})
+_map_edits = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_MAP_FIELDS), _MAP_KEYS, _MAP_ITEMS),
+    st.tuples(st.just("delete"), st.sampled_from(_MAP_FIELDS), _MAP_KEYS),
+    st.tuples(st.just("to_end"), st.sampled_from(_MAP_FIELDS), _MAP_KEYS),
+    st.tuples(st.just("reverse"), st.sampled_from(_MAP_FIELDS)),
+    st.tuples(st.just("retype"), st.sampled_from(_MAP_FIELDS), _MAP_KEYS),
+    st.tuples(st.just("clear"), st.sampled_from(_MAP_FIELDS)),
+)
+#: a value as another type that ``==`` may not tell apart
+_RETYPED = {int: float, float: bool, bool: int, str: bytes, bytes: str}
+
+
+def _edit_map(table, edit):
+    op, key = edit[0], (edit[2] if len(edit) > 2 else None)
+    if op == "set":
+        table[key] = edit[3]
+    elif op == "delete":
+        table.pop(key, None)
+    elif op == "to_end" and key in table:
+        table[key] = table.pop(key)
+    elif op == "reverse":
+        for name in list(reversed(table)):
+            table[name] = table.pop(name)
+    elif op == "retype" and key in table:
+        value = table[key]
+        kind = _RETYPED.get(type(value))
+        if kind is bytes:
+            table[key] = value.encode()
+        elif kind is str:
+            table[key] = value.decode()
+        elif kind is not None:
+            table[key] = kind(value)
+        else:
+            table[key] = [value]  # None, an EPR, a container: into a list
+    elif op == "clear":
+        table.clear()
+
+
+class TestMapEntries:
+    """A changed map is encoded entry by entry, each unchanged entry
+    copied out of the old blob: the bytes must still be the
+    from-scratch encoder's, and the kept state what ``decode_state``
+    parses."""
+
+    @given(_map_states, st.lists(st.tuples(_map_edits, st.booleans()), max_size=10))
+    def test_every_edit_matches_from_scratch(self, state, steps):
+        cache = DecodeCache()
+        blob = cache.encode(state)
+        assert blob == encode_state(state)
+        for edit, reload in steps:
+            if reload:  # edit what a load shares with the kept state
+                state = cache.decode(blob)
+            _edit_map(state[edit[1]], edit)
+            blob = cache.encode(state, base=blob)
+            assert blob == encode_state(state)
+            assert _values_equal(cache.decode(blob), decode_state(blob))
+
+    def test_a_changed_entry_is_the_only_one_written(self, monkeypatch):
+        written = []
+        real = soap_types._write_typed
+
+        def counting(tag, *args, **kwargs):
+            if tag == soap_types._VALUE:
+                written.append(args[1])
+            return real(tag, *args, **kwargs)
+
+        cache = DecodeCache()
+        table = QName(UVA, "phase")
+        state = {table: {f"job{i}": "pending" for i in range(6)}, QName(UVA, "n"): 1}
+        blob = cache.encode(state)
+        monkeypatch.setattr(soap_types, "_write_typed", counting)
+        for step in ({"job2": "dispatched"}, {"job6": "pending"}, {}, {"job0": "done"}):
+            state = cache.decode(blob)
+            state[table].update(step)
+            del written[:]
+            blob = cache.encode(state, base=blob)
+            assert blob == encode_state(state)
+            assert written == list(step.values())
+
+
+# -- what a job event costs the Scheduler's row -------------------------------------
+
+_JOBS = QName(UVA, "jobs")
+
+
+def _chain_run(monkeypatch, n_jobs, on_save, hooks):
+    """A chain of *n_jobs* (the ledger's ``staging_chain`` shape, a small
+    payload), calling ``on_save(old, new, written)`` for each save of
+    the Scheduler's row with the map entries the typed writer wrote for
+    it, and counting each call of ``hooks`` (``[(module, name)]``) that
+    is handed a stored spec."""
+    tb = fig3_testbed(5.0, {"out.dat": b"x" * 64})
+    store = tb.scheduler.store
+    writing = []  # the entries of the Scheduler save in progress, else empty
+
+    real_write = soap_types._write_typed
+
+    def write(tag, *args, **kwargs):
+        if writing and tag == soap_types._VALUE:
+            writing[0] += 1
+        return real_write(tag, *args, **kwargs)
+
+    real_encode = DecodeCache.encode
+
+    def encode(self, state, base=None):
+        if self is not store.decode_cache or base is None:
+            return real_encode(self, state, base)
+        writing[:] = [0]
+        try:
+            return real_encode(self, state, base)
+        finally:
+            on_save(decode_state(base), state, writing.pop())
+
+    def kept_specs():
+        return [store.load_kept("Scheduler", rid)[_JOBS] for rid in store.list_ids("Scheduler")]
+
+    calls = []  # (name, handed a stored spec) of each hooked call
+
+    def counted(real):
+        def call(*args):
+            specs = kept_specs()
+            calls.append((real.__name__, any(arg is spec for arg in args for spec in specs)))
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(soap_types, "_write_typed", write)
+    monkeypatch.setattr(DecodeCache, "encode", encode)
+    for module, name in hooks:
+        if hasattr(module, name):  # the names the code has
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    client = tb.make_client()
+    outcome, _, _ = tb.run_job_set(client, fan_spec(client, tb, n_jobs, chain=True))
+    assert outcome == "completed"
+    return calls, kept_specs()
+
+
+def _entry_text(value):
+    return to_string(to_typed_element(QName(UVA, "value"), value))
+
+
+class TestJobEventCost:
+    """Counts, not timings: a job event costs the Scheduler's row what
+    it changed, not the whole job set."""
+
+    @pytest.mark.parametrize("n_jobs", [8, 32])
+    def test_a_save_encodes_only_the_entries_it_changed_or_added(self, monkeypatch, n_jobs):
+        saves = []
+
+        def on_save(old, new, written):
+            changed = 0
+            for key, value in new.items():
+                before = old.get(key)
+                if type(value) is dict and type(before) is dict:
+                    changed += sum(
+                        1 for name, item in value.items()
+                        if name not in before or _entry_text(item) != _entry_text(before[name])
+                    )
+                elif type(value) is dict and _entry_text(value) != _entry_text(before):
+                    changed += len(value)
+            saves.append((written, changed))
+
+        _chain_run(monkeypatch, n_jobs, on_save, [])
+        # the first placement, then each exit with the next placement
+        assert len(saves) == n_jobs + 1
+        assert all(written <= changed for written, changed in saves), saves
+        assert sum(written for written, _ in saves) > 0
+
+    @pytest.mark.parametrize("n_jobs", [8, 32])
+    def test_a_scheduling_pass_neither_copies_nor_compares_the_spec(self, monkeypatch, n_jobs):
+        import repro.db.resource_store as resource_store
+        import repro.wsrf.attributes as attributes
+        import repro.wsrf.tooling as tooling
+
+        from repro.gridapp import JobSetSpec
+
+        parsed = []
+        from_wire = JobSetSpec.from_wire.__func__
+        monkeypatch.setattr(JobSetSpec, "from_wire", classmethod(
+            lambda cls, data: parsed.append(data) or from_wire(cls, data)))
+        hooks = [(module, name) for module in (soap_types, attributes, resource_store)
+                 for name in ("copy_field", "read_copy")]
+        hooks += [(tooling, "same_field"), (resource_store, "same_field")]
+        calls, (spec,) = _chain_run(monkeypatch, n_jobs, lambda *_: None, hooks)
+        assert [name for name, on_spec in calls if on_spec] == []
+        assert len(calls) > n_jobs  # the other fields are copied and compared
+        # one parse at submit, one per pass that placed a job (the chain
+        # places each job in its own pass), handed the stored spec itself
+        assert len(parsed) == 1 + n_jobs
+        assert all(data is spec for data in parsed[1:])
 
 
 # -- the state writer against the element it does not build -------------------------
@@ -769,7 +986,8 @@ class TestTypedWriter:
         ((1, 2), 1), ([(1, 2), (3,)], 2), (_Str("s"), 1), (_Int(1), 1),
         (_Phase.RUNNING, 1), (_Dict(a=1), 1), ([_List([1])], 1),
         ({"k": 1, _Str("sub"): 2}, 1),
-        ([EndpointReference("http://n1:80/Exec"), Element(QName(UVA, "doc")), 1], 2),
+        # an EPR is spelled by the walk, an Element is not
+        ([EndpointReference("http://n1:80/Exec"), Element(QName(UVA, "doc")), 1], 1),
     ])
     def test_only_outsiders_reach_the_reference(self, monkeypatch, value, handed_over):
         from repro.soap import types
@@ -782,6 +1000,32 @@ class TestTypedWriter:
         tag = QName(UVA, "v")
         assert _writer_written(tag, value) == _reference_written(tag, value)
         assert len(handed) == handed_over
+
+    @pytest.mark.parametrize("value", [
+        EndpointReference("http://n1:80/Exec"),
+        EndpointReference("http://n1:80/Exec?a=1&b=<2>"),
+        EndpointReference("http://n1:80/Exec", {QName(UVA, "ResourceID"): ""}),
+        EndpointReference("http://n1:80/Exec", {QName(UVA, "ResourceID"): "r&1",
+                                                QName(NS.WSA, "Extra"): "x",
+                                                QName("", "plain"): "p"}),
+        EndpointReference("http://n1:80/Exec", {QName(_FOREIGN, "k"): "v"}),
+        [1, EndpointReference("http://n1:80/Exec", {QName(_FOREIGN, "k"): ""})],
+        {"k": EndpointReference("http://n1:80/Exec", {QName(UVA, "ResourceID"): "r"})},
+    ])
+    def test_an_epr_is_spelled_as_the_reference_writes_it(self, monkeypatch, value):
+        from repro.soap import types
+
+        tag = QName(UVA, "v")
+        reference = _reference_written(tag, value)
+        handed = []
+        monkeypatch.setattr(types, "to_typed_element",
+                            lambda tag, value: handed.append(value) or to_typed_element(tag, value))
+        assert _writer_written(tag, value) == reference
+        assert handed == []
+
+    def test_a_property_namespace_without_a_prefix_has_no_fragment(self):
+        epr = EndpointReference("http://n1:80/Exec", {QName(_FOREIGN, "k"): "v"})
+        assert _writer_written(QName(UVA, "v"), epr) is None
 
     @pytest.mark.parametrize("tag, value, answer", [
         (QName(_FOREIGN, "f"), 1, None),
@@ -812,9 +1056,9 @@ class TestTypedWriter:
         real = resource_store.write_typed
         checked = []
 
-        def write_checked(tag, value, out):
+        def write_checked(tag, value, out, **spans):
             mark = len(out)
-            mentions = real(tag, value, out)
+            mentions = real(tag, value, out, **spans)
             assert ("".join(out[mark:]), mentions) == _reference_written(tag, value)
             checked.append(tag)
             return mentions

@@ -80,7 +80,7 @@ def test_a_dispatch_copies_only_the_fields_it_reads(monkeypatch, perf):
     env, wrapper, client = _fabric(Ledger, perf=perf)
     epr = _drive(env, client.call(wrapper.service_epr(), UVA, "Create"))
     copied = []
-    original = types.copy_field
+    original = types.read_copy
 
     def counting(value):
         copied.append(value)
@@ -89,8 +89,8 @@ def test_a_dispatch_copies_only_the_fields_it_reads(monkeypatch, perf):
     # Both names: Resource.__get__ calls the one it imported, and the
     # copy recurses through its own module's.  The reply's int result is
     # a leaf, which crosses the hand-off without a copy_field call.
-    monkeypatch.setattr(attributes, "copy_field", counting)
-    monkeypatch.setattr(types, "copy_field", counting)
+    monkeypatch.setattr(attributes, "read_copy", counting)
+    monkeypatch.setattr(types, "read_copy", counting)
     assert _drive(env, client.call(epr, UVA, "CountItems")) == 2
     # ``items`` and its two members; ``note``, ``table`` and ``doc``
     # were never read, so nothing of theirs was copied.
