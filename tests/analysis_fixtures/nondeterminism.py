@@ -57,3 +57,22 @@ def schedule_sorted(machines):
 def suppressed_wall_clock():
     # The inline pragma silences this one occurrence.
     return time.time()  # wsrfcheck: ignore[DET001]
+
+
+def seeded_constructors():
+    # OK: an explicitly seeded constructor reproduces like
+    # default_rng(seed).
+    stdlib = random.Random(42)
+    bits = np.random.PCG64(7)
+    return stdlib, bits
+
+
+def unseeded_constructors():
+    # DET001: entropy-seeded, like default_rng() with no seed.
+    stdlib = random.Random()
+    bits = np.random.PCG64()
+    return stdlib, bits
+
+
+# DET001: a module-level wall-clock read, outside every function.
+IMPORTED_AT = time.time()
