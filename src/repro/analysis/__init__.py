@@ -23,14 +23,13 @@ rule catalog:
   after a definite ``destroy_resource``/``Destroy`` on every path;
 - **WSRF005** EPR escape: endpoint references parked in process-global
   state that a host restart silently invalidates;
-- **DET001** nondeterminism sources: wall-clock time, global RNGs,
-  unseeded generators, unordered ``set`` iteration;
-- **DET002** nondeterminism *reach*: service methods and detached
-  processes whose behavior a DET001 source perturbs through helpers;
+- **DET001** nondeterminism: wall-clock time, global RNGs, unseeded
+  generators and unordered ``set`` iteration where they are, plus the
+  service methods and detached processes that reach one through helpers;
 - **SIM001** real blocking calls (``time.sleep``, sockets, file I/O)
   inside the simulated world;
-- **WAL001/WAL002** write-ahead ordering: raw ``fire_and_forget`` on
-  the dispatch pipeline (lexical / through the call graph) instead of
+- **WAL001** write-ahead ordering: a raw ``fire_and_forget`` on the
+  dispatch pipeline, in place or through the call graph, instead of
   the post-persist outbox;
 - **LOCK001** static lockset: shared WS-Resource state mutated on a
   call path from an ``env.process(...)`` root with no resource Lock
@@ -44,8 +43,8 @@ reentrancy.  Off by default; a single ``env.san is None`` check per
 kernel hook.
 
 See ``docs/static_analysis.md`` for the rule catalog, the
-``# wsrfcheck: ignore[RULE, ...]`` suppression syntax, baselines, SARIF
-output, and how to add rules.
+``# wsrfcheck: ignore[RULE, ...]`` suppression syntax, SARIF output,
+and how to add rules.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from repro.analysis.engine import (
     Rule,
     analyze_paths,
     iter_rules,
-    load_baseline,
     rule_catalog,
 )
 from repro.analysis.model import ContractModel, build_model
@@ -72,6 +70,5 @@ __all__ = [
     "analyze_paths",
     "build_model",
     "iter_rules",
-    "load_baseline",
     "rule_catalog",
 ]

@@ -2,15 +2,14 @@
 
 Exit-code matrix (tested by ``tests/test_analysis.py``):
 
-- **0** — every finding is suppressed or baselined, no parse errors,
-  no stale baseline entries;
-- **1** — findings, parse errors, or stale baseline entries (the
-  ratchet: entries matching nothing must be pruned);
-- **2** — usage or I/O errors: unknown rule codes, nonexistent paths,
-  an unreadable baseline file (argparse misuse also exits 2).
+- **0** — every finding is suppressed and no file failed to parse;
+- **1** — unsuppressed findings or parse errors;
+- **2** — usage or I/O errors: unknown rule codes, nonexistent paths
+  (argparse misuse also exits 2).
 
 CI runs ``python -m repro.analysis src/repro`` and fails the build on
-any new finding; ``--format sarif`` feeds the code-scanning upload.
+any unsuppressed finding; ``--format sarif`` feeds the code-scanning
+upload.
 """
 
 from __future__ import annotations
@@ -21,17 +20,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.engine import (
-    BaselineError,
-    analyze_paths,
-    iter_rules,
-    load_baseline,
-    prune_baseline,
-    rule_catalog,
-    write_baseline,
-)
-
-DEFAULT_BASELINE = "wsrfcheck-baseline.json"
+from repro.analysis.engine import analyze_paths, iter_rules, rule_catalog
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -52,24 +41,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="comma-separated rule codes to run (default: all)",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE", default=DEFAULT_BASELINE,
-        help=f"baseline of accepted findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file; report every finding",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="accept all current findings into the baseline file and exit 0 "
-        "(one-time adoption; day-to-day pruning is --update-baseline)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="prune baseline entries that no longer match any finding and "
-        "exit 0; never adds entries (baselines only shrink)",
-    )
-    parser.add_argument(
         "--show-suppressed", action="store_true",
         help="audit view: also list findings silenced by "
         "'# wsrfcheck: ignore[...]' comments",
@@ -81,8 +52,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if opts.list_rules:
         for rule in iter_rules():
-            kind = "program" if rule.program else "module"
-            print(f"{rule.code}  [{kind}]  {rule.title}")
+            print(f"{rule.code}  {rule.title}")
             if rule.description:
                 print(f"        {rule.description}")
         return 0
@@ -108,33 +78,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return 2
 
-    baseline_path = Path(opts.baseline)
-    try:
-        baseline = None if opts.no_baseline else load_baseline(baseline_path)
-    except BaselineError as exc:
-        print(f"wsrfcheck: {exc}", file=sys.stderr)
-        return 2
-
-    if opts.write_baseline:
-        report = analyze_paths(opts.paths, rules=rules, baseline=None)
-        write_baseline(baseline_path, report.findings)
-        print(
-            f"wsrfcheck: wrote {len(report.findings)} finding(s) to "
-            f"{baseline_path}"
-        )
-        return 0
-
-    if opts.update_baseline:
-        report = analyze_paths(opts.paths, rules=None, baseline=baseline)
-        pruned = prune_baseline(baseline_path, report.matched_baseline)
-        print(
-            f"wsrfcheck: pruned {pruned} stale entr"
-            f"{'y' if pruned == 1 else 'ies'} from {baseline_path}; "
-            f"{len(report.matched_baseline)} kept"
-        )
-        return 0
-
-    report = analyze_paths(opts.paths, rules=rules, baseline=baseline)
+    report = analyze_paths(opts.paths, rules=rules)
     if opts.format == "json":
         print(json.dumps(report.to_json(show_suppressed=opts.show_suppressed), indent=2))
     elif opts.format == "sarif":

@@ -1,9 +1,8 @@
-"""Whole-program wsrfcheck rules (WSRF004-005, DET002, WAL002, LOCK001).
+"""The call-graph wsrfcheck rules (WSRF004-005, DET001, WAL001, LOCK001).
 
-These run once per analysis over a :class:`~repro.analysis.engine.ProgramContext`
-— every parsed module plus the module-qualified call graph
-(:mod:`repro.analysis.callgraph`) — so they can follow a contract
-violation through helper layers the per-module rules cannot see:
+These follow a contract violation through the module-qualified call
+graph (:mod:`repro.analysis.callgraph`), across helper layers a scan of
+one file cannot see:
 
 - **WSRF004** — a resource handle is used (invoked, loaded, saved,
   re-destroyed) after a statement that definitely destroyed it, where
@@ -12,18 +11,20 @@ violation through helper layers the per-module rules cannot see:
 - **WSRF005** — an EndpointReference escapes into module- or
   class-level state outside a resource store: after a host restart
   those handles dangle (docs/durability.md);
-- **DET002** — a nondeterminism source (the same sites DET001 flags,
-  via :func:`repro.analysis.rules.det_source_sites`) is reachable from
-  a sim-visible entry point (service method or detached process root)
-  through at least one helper hop;
-- **WAL002** — ``fire_and_forget`` is reachable from a service method
-  through helpers, sidestepping the write-ahead outbox (WAL001 only
-  sees sends lexically inside the service class);
+- **DET001** — a nondeterminism source (wall clock, global RNG,
+  unseeded generator, set iteration) is flagged where it is, and a
+  sim-visible entry point (service or port-type method, detached
+  process root) that reaches one through helpers is flagged at its
+  first call on the witness chain;
+- **WAL001** — a raw ``fire_and_forget`` in dispatch-pipeline code is
+  flagged where it is, and a service or port-type method that reaches
+  one through helpers is flagged at its first call on the chain: the
+  send sidesteps the write-ahead outbox;
 - **LOCK001** — a resource-store mutation can execute on a path from a
   detached process root with no resource Lock acquired anywhere along
   the chain (the interprocedural successor of the old per-file SIM002).
 
-Like the per-module rules, every resolution here is conservative:
+Like the module-scope rules, every resolution here is conservative:
 precision over recall, so a finding always has a concrete witness
 chain and an unresolvable call site never manufactures one.
 """
@@ -31,37 +32,29 @@ chain and an unresolvable call site never manufactures one.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.callgraph import CallEdge, CallGraph, FunctionNode, own_calls, own_nodes
 from repro.analysis.dataflow import TaintSource, propagate
-from repro.analysis.engine import (
-    Finding,
-    ProgramContext,
-    register_program_rule,
-)
-from repro.analysis.rules import call_name, det_source_sites, store_mutation
+from repro.analysis.engine import Finding, ProgramContext, register_rule
+from repro.analysis.rules import call_name, dotted_parts, enclosing_symbols
 
 # -- shared graph/AST helpers ------------------------------------------------------
 
 
-def _owner_index(graph: CallGraph, module: str) -> Dict[int, FunctionNode]:
-    """id(ast node) -> the function lexically owning it, for one module."""
-    owners: Dict[int, FunctionNode] = {}
-    for fn in graph.functions.values():
-        if fn.module != module:
-            continue
-        for node in own_nodes(fn, graph):
-            owners[id(node)] = fn
-    return owners
+def _owner_index(graph: CallGraph) -> Dict[int, FunctionNode]:
+    """id(ast node) -> the function lexically owning it."""
+    return {
+        id(node): fn for fn in graph.functions.values() for node in own_nodes(fn, graph)
+    }
 
 
 def _fn_symbol(fn: FunctionNode) -> str:
     """The enclosing-scope symbol for a finding inside *fn*.
 
-    Matches the per-module ``enclosing_symbols`` convention
-    ("Class.method", plain "fn", nested "outer.inner") so fingerprints
-    from both tiers live in the same namespace.
+    Matches the ``enclosing_symbols`` convention ("Class.method", plain
+    "fn", nested "outer.inner") so every rule's fingerprints live in the
+    same namespace.
     """
     prefix = fn.module + "."
     if fn.qualname.startswith(prefix):
@@ -345,7 +338,7 @@ class _DestroyScanner:
                     destroyed.pop(target.id, None)
 
 
-@register_program_rule(
+@register_rule(
     "WSRF004",
     "use after destroy",
     "a resource handle must not be invoked, loaded, saved or destroyed "
@@ -354,7 +347,7 @@ class _DestroyScanner:
     "functions count (interprocedural)",
 )
 def check_use_after_destroy(pctx: ProgramContext) -> Iterator[Finding]:
-    graph: CallGraph = pctx.callgraph  # type: ignore[assignment]
+    graph = pctx.callgraph
     destroyers = _destroyer_params(graph)
     for fn in _sorted_functions(graph):
         for call, var, use, how in _DestroyScanner(fn, graph, destroyers).scan():
@@ -445,7 +438,7 @@ def _is_store_module(path: str) -> bool:
     return "/db/" in path.replace("\\", "/")
 
 
-@register_program_rule(
+@register_rule(
     "WSRF005",
     "EPR escapes into module/class globals",
     "EndpointReferences stored in module-level or class-level state "
@@ -455,7 +448,7 @@ def _is_store_module(path: str) -> bool:
     "state or re-derive them per use",
 )
 def check_epr_escape(pctx: ProgramContext) -> Iterator[Finding]:
-    graph: CallGraph = pctx.callgraph  # type: ignore[assignment]
+    graph = pctx.callgraph
     producers = _epr_producers(graph)
 
     def finding(ctx_path: str, node: ast.AST, symbol: str, where: str) -> Finding:
@@ -489,7 +482,6 @@ def check_epr_escape(pctx: ProgramContext) -> Iterator[Finding]:
         for fn in _sorted_functions(graph):
             if fn.module != ctx.module:
                 continue
-            symbol = _fn_symbol(fn)
             own = list(own_nodes(fn, graph))
             globals_here = {
                 name
@@ -498,90 +490,177 @@ def check_epr_escape(pctx: ProgramContext) -> Iterator[Finding]:
                 for name in sub.names
             }
             for node in own:
-                yield from _escapes_in(
-                    node, fn, ctx, pctx, graph, producers, containers,
-                    globals_here, symbol, finding,
-                )
+                for where in _escape_targets(
+                    node, fn.qualname, pctx, producers, containers, globals_here
+                ):
+                    yield finding(ctx.path, node, _fn_symbol(fn), where)
 
 
-def _escapes_in(
-    node, fn, ctx, pctx, graph, producers, containers,
-    globals_here, symbol, finding
-):
+def _escape_targets(
+    node: ast.AST,
+    caller: str,
+    pctx: ProgramContext,
+    producers: Set[str],
+    containers: Set[str],
+    globals_here: Set[str],
+) -> List[str]:
+    """Where *node* parks an EPR in restart-surviving state, if anywhere."""
+    graph = pctx.callgraph
     if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
-        if not _is_epr_expr(node.value, fn.qualname, graph, producers):
-            return
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
+        if not _is_epr_expr(node.value, caller, graph, producers):
+            return []
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        out: List[str] = []
         for target in targets:
             if isinstance(target, ast.Name) and target.id in globals_here:
-                yield finding(
-                    ctx.path, node, symbol,
-                    f"module global {target.id!r}",
-                )
+                out.append(f"module global {target.id!r}")
             elif (
                 isinstance(target, ast.Attribute)
                 and isinstance(target.value, ast.Name)
                 and target.value.id in pctx.model.classes
             ):
-                yield finding(
-                    ctx.path, node, symbol,
-                    f"class attribute {target.value.id}.{target.attr}",
-                )
+                out.append(f"class attribute {target.value.id}.{target.attr}")
             elif (
                 isinstance(target, ast.Subscript)
                 and isinstance(target.value, ast.Name)
                 and target.value.id in containers
             ):
-                yield finding(
-                    ctx.path, node, symbol,
-                    f"module-level container {target.value.id!r}",
-                )
-    elif isinstance(node, ast.Call):
+                out.append(f"module-level container {target.value.id!r}")
+        return out
+    if isinstance(node, ast.Call):
         func = node.func
-        if not (
+        if (
             isinstance(func, ast.Attribute)
             and func.attr in _CONTAINER_ADDERS
             and isinstance(func.value, ast.Name)
             and func.value.id in containers
+            and any(_is_epr_expr(arg, caller, graph, producers) for arg in node.args)
         ):
-            return
-        if any(
-            _is_epr_expr(arg, fn.qualname, graph, producers)
-            for arg in node.args
-        ):
-            yield finding(
-                ctx.path, node, symbol,
-                f"module-level container {func.value.id!r}",
-            )
+            return [f"module-level container {func.value.id!r}"]
+    return []
 
 
-# -- DET002: nondeterminism reaching sim-visible state through helpers -------------
+# -- DET001: nondeterminism, in place and through helpers --------------------------
+
+_WALLCLOCK = {
+    ("time", "time"),
+    ("time", "time_ns"),
+    ("time", "monotonic"),
+    ("time", "monotonic_ns"),
+    ("time", "perf_counter"),
+    ("time", "perf_counter_ns"),
+}
+_DATETIME_CALLS = {"now", "utcnow", "today"}
+_UUID_CALLS = {"uuid1", "uuid4"}
+#: generator constructors that reproduce when given a seed
+_RNG_CONSTRUCTORS = {
+    "default_rng", "Random", "RandomState", "SeedSequence",
+    "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64",
+}
 
 
-@register_program_rule(
-    "DET002",
-    "nondeterminism reachable through helper calls",
-    "a service method or detached process root transitively calls a "
-    "helper containing a nondeterminism source (wall clock, global "
-    "RNG, uuid) — the same sites DET001 flags in place, followed "
-    "through the call graph with a witness chain",
+def det_source_sites(
+    tree: ast.Module,
+) -> Iterator[Tuple[Union[ast.expr, ast.stmt], str]]:
+    """``(node, message)`` for every nondeterminism site in *tree*."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            parts = dotted_parts(node.func)
+            dotted = ".".join(parts)
+            if tuple(parts[-2:]) in _WALLCLOCK and parts[0] == "time":
+                yield (
+                    node,
+                    f"{dotted}() reads the wall clock; use env.now so "
+                    "runs are reproducible under the simulation clock",
+                )
+            elif len(parts) >= 2 and parts[-1] in _DATETIME_CALLS and (
+                "datetime" in parts[:-1] or parts[0] == "datetime"
+            ):
+                yield (
+                    node,
+                    f"{dotted}() reads the wall clock; derive timestamps "
+                    "from env.now instead",
+                )
+            elif parts[-1:] and parts[-1] in _RNG_CONSTRUCTORS and (
+                parts[-2:-1] == ["random"] or parts == ["default_rng"]
+            ):
+                if not node.args and not node.keywords:
+                    yield (
+                        node,
+                        f"{parts[-1]}() without a seed is entropy-seeded; "
+                        "pass an explicit seed so chaos/property tests "
+                        "reproduce",
+                    )
+            elif parts[:1] == ["random"] and len(parts) == 2:
+                yield (
+                    node,
+                    f"{dotted}() uses the process-global random state; "
+                    "thread an explicitly seeded np.random.Generator through "
+                    "instead",
+                )
+            elif (
+                len(parts) == 3
+                and parts[0] in ("np", "numpy")
+                and parts[1] == "random"
+                and parts[2] != "Generator"
+            ):
+                yield (
+                    node,
+                    f"{dotted}() draws from numpy's global RNG; use an "
+                    "explicitly seeded np.random.default_rng(seed)",
+                )
+            elif parts[:1] == ["uuid"] and parts[-1] in _UUID_CALLS:
+                yield (
+                    node,
+                    f"{dotted}() is nondeterministic; derive ids from a "
+                    "seeded counter (see repro.wsa.headers)",
+                )
+            elif parts[:1] == ["os"] and parts[-1] == "urandom":
+                yield (node, "os.urandom() is nondeterministic")
+            elif parts[:1] == ["secrets"]:
+                yield (node, f"{dotted}() is nondeterministic")
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            it = node.iter
+            if isinstance(it, ast.Set) or (
+                isinstance(it, ast.Call)
+                and isinstance(it.func, ast.Name)
+                and it.func.id in ("set", "frozenset")
+            ):
+                yield (
+                    node if isinstance(node, ast.For) else it,
+                    "iterating an unordered set: wrap in sorted(...) so "
+                    "downstream decisions are order-stable",
+                )
+
+
+@register_rule(
+    "DET001",
+    "nondeterminism",
+    "wall-clock reads, global RNG use, unseeded generators and "
+    "unordered set iteration break reproducible (seeded) runs; a "
+    "service method or detached process reaching one through helpers "
+    "is flagged too, with the witness chain",
 )
-def check_interproc_determinism(pctx: ProgramContext) -> Iterator[Finding]:
-    graph: CallGraph = pctx.callgraph  # type: ignore[assignment]
+def check_determinism(pctx: ProgramContext) -> Iterator[Finding]:
+    graph = pctx.callgraph
+    owners = _owner_index(graph)
     sources: List[TaintSource] = []
     for ctx in pctx.modules:
-        owners = _owner_index(graph, ctx.module)
+        symbols = enclosing_symbols(ctx.tree)
         for node, message in det_source_sites(ctx.tree):
-            line = getattr(node, "lineno", 0)
-            if ctx.suppressed(line, "DET001") or ctx.suppressed(line, "DET002"):
-                continue  # an accepted source doesn't taint its callers
+            yield Finding(
+                rule="DET001",
+                path=ctx.path,
+                line=node.lineno,
+                symbol=symbols.get(id(node), ""),
+                message=message,
+            )
             fn = owners.get(id(node))
-            if fn is None:
-                continue  # module-level site: DET001 reports it in place
-            reason = message.split(";")[0]
-            sources.append(TaintSource(fn.qualname, line, reason))
+            if fn is not None and not ctx.suppressed(node.lineno, "DET001"):
+                # an accepted source doesn't taint its callers
+                sources.append(
+                    TaintSource(fn.qualname, node.lineno, message.split(";")[0])
+                )
 
     taints = propagate(graph, sources)
     dispatch = _dispatch_classes(pctx)
@@ -595,10 +674,9 @@ def check_interproc_determinism(pctx: ProgramContext) -> Iterator[Finding]:
     )
     for qualname in entry_points:
         taint = taints.get(qualname)
-        if taint is None or taint.depth == 0:
-            continue  # depth 0 is DET001's site, already flagged in place
+        if taint is None or not taint.chain:
+            continue  # a site in the entry itself is reported above
         fn = graph.functions[qualname]
-        first = taint.chain[0]
         if _is_service_method(fn, pctx):
             kind = "service method"
         elif fn.class_name and fn.class_name in dispatch:
@@ -606,9 +684,9 @@ def check_interproc_determinism(pctx: ProgramContext) -> Iterator[Finding]:
         else:
             kind = "detached process"
         yield Finding(
-            rule="DET002",
+            rule="DET001",
             path=fn.path,
-            line=first.lineno,
+            line=taint.chain[0].lineno,
             symbol=_fn_symbol(fn),
             message=(
                 f"{kind} {fn.name} reaches nondeterminism through "
@@ -618,81 +696,88 @@ def check_interproc_determinism(pctx: ProgramContext) -> Iterator[Finding]:
         )
 
 
-# -- WAL002: fire_and_forget reachable from dispatch through helpers ---------------
+# -- WAL001: fire_and_forget on the dispatch pipeline ------------------------------
 
 #: path suffixes sanctioned to carry the raw send primitive: the
 #: write-ahead outbox itself and the notification base machinery
-WAL002_SANCTIONED = ("wsrf/tooling.py", "wsn/base_notification.py")
+WAL001_SANCTIONED = ("wsrf/tooling.py", "wsn/base_notification.py")
 
 
 def _wal_sanctioned(path: str) -> bool:
-    return path.replace("\\", "/").endswith(WAL002_SANCTIONED)
+    return path.replace("\\", "/").endswith(WAL001_SANCTIONED)
 
 
-@register_program_rule(
-    "WAL002",
-    "notification send reachable from dispatch through helpers",
-    "a service method transitively reaches fire_and_forget through "
-    "helper functions, so the send can leave the host before the "
-    "dispatch pipeline's db_save persists the state it announces "
-    "(WAL001 only sees sends lexically inside the service class); "
-    "route the chain through self.wsrf.send_after_persist",
+@register_rule(
+    "WAL001",
+    "notification may outrun the db_save stage",
+    "dispatch-pipeline code (a ServiceSkeleton subclass, closures "
+    "included, or a SpecPortType method) must not reach fire_and_forget, "
+    "directly or through helpers: the message can leave the host before "
+    "the state it announces is persisted, so a crash loses the state but "
+    "not the message (docs/durability.md); route it through "
+    "wsrf.send_after_persist instead",
 )
-def check_interproc_write_ahead(pctx: ProgramContext) -> Iterator[Finding]:
-    graph: CallGraph = pctx.callgraph  # type: ignore[assignment]
+def check_write_ahead_ordering(pctx: ProgramContext) -> Iterator[Finding]:
+    graph = pctx.callgraph
     dispatch = _dispatch_classes(pctx)
+    by_path = {ctx.path: ctx for ctx in pctx.modules}
     sources: List[TaintSource] = []
     for fn in _sorted_functions(graph):
         if _wal_sanctioned(fn.path):
             continue  # the outbox/base machinery legitimately sends raw
-        if _is_service_method(fn, pctx):
-            continue  # lexically in a service class: WAL001's site
-        for call in own_calls(fn, graph):
-            if call_name(call.func) == "fire_and_forget":
-                sources.append(
-                    TaintSource(
-                        fn.qualname, call.lineno,
-                        f"fire_and_forget in {fn.name}",
-                    )
-                )
-                break
+        sends = [
+            call for call in own_calls(fn, graph)
+            if call_name(call.func) == "fire_and_forget"
+        ]
+        if not sends:
+            continue
+        # an accepted send doesn't taint its callers
+        live = [c for c in sends if not by_path[fn.path].suppressed(c.lineno, "WAL001")]
+        if live:
+            sources.append(
+                TaintSource(fn.qualname, live[0].lineno, f"fire_and_forget in {fn.name}")
+            )
+        if fn.closure_class in pctx.model.service_classes:
+            message = (
+                f"service {fn.closure_class} calls fire_and_forget; the "
+                "send can overtake the dispatch pipeline's db_save "
+                "stage, breaking the write-ahead contract — use "
+                "self.wsrf.send_after_persist so the message leaves "
+                "only after the acknowledged state is durable"
+            )
+        elif fn.class_name in dispatch:
+            message = (
+                f"port-type method {fn.name} calls fire_and_forget "
+                "inside the dispatch pipeline; the message can outrun "
+                "the db_save stage — route it through the invocation's "
+                "send_after_persist so it leaves only after the state "
+                "it announces is durable"
+            )
+        else:
+            continue  # infrastructure; flagged only where dispatch reaches it
+        for call in sends:
+            yield Finding(
+                rule="WAL001",
+                path=fn.path,
+                line=call.lineno,
+                symbol=_fn_symbol(fn),
+                message=message,
+            )
 
     taints = propagate(
         graph, sources, barrier=lambda q: _wal_sanctioned(graph.functions[q].path)
     )
     for fn in _sorted_functions(graph):
-        if not (fn.class_name and fn.class_name in dispatch):
-            continue
         taint = taints.get(fn.qualname)
-        if taint is None:
-            continue
-        if taint.depth == 0:
-            if _is_service_method(fn, pctx):
-                continue  # WAL001 flags the lexical site
-            # direct raw send inside a port-type method: same dispatch
-            # pipeline, invisible to WAL001's ServiceSkeleton scan
-            yield Finding(
-                rule="WAL002",
-                path=fn.path,
-                line=taint.source.lineno,
-                symbol=_fn_symbol(fn),
-                message=(
-                    f"port-type method {fn.name} calls fire_and_forget "
-                    "inside the dispatch pipeline; the message can outrun "
-                    "the db_save stage — route it through the invocation's "
-                    "send_after_persist so it leaves only after the state "
-                    "it announces is durable"
-                ),
-            )
-            continue
+        if taint is None or not taint.chain or fn.class_name not in dispatch:
+            continue  # a send in the method itself is reported above
         kind = (
             "service method" if _is_service_method(fn, pctx) else "port-type method"
         )
-        first = taint.chain[0]
         yield Finding(
-            rule="WAL002",
+            rule="WAL001",
             path=fn.path,
-            line=first.lineno,
+            line=taint.chain[0].lineno,
             symbol=_fn_symbol(fn),
             message=(
                 f"{kind} {fn.name} reaches a raw notification "
@@ -706,13 +791,32 @@ def check_interproc_write_ahead(pctx: ProgramContext) -> Iterator[Finding]:
 
 # -- LOCK001: store mutation reachable from a process root without the lock --------
 
+_STORE_MUTATIONS = {"save", "destroy", "create"}
+
+
+def store_mutation(node: ast.Call) -> Optional[str]:
+    """'store.save' if this call mutates the resource store, else None."""
+    func = node.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr in ("destroy_resource", "save_resource"):
+        return func.attr
+    if (
+        func.attr in _STORE_MUTATIONS
+        and isinstance(func.value, ast.Attribute)
+        and func.value.attr == "store"
+    ):
+        return f"store.{func.attr}"
+    return None
+
+
 #: function names that run strictly before concurrent dispatch starts
 #: (crash recovery rebuilds state single-threaded; the locks it would
 #: take died with the previous boot — docs/durability.md)
 LOCK001_RECOVERY_ALLOWLIST = ("restore", "wsrf_recover", "snapshot")
 
 
-@register_program_rule(
+@register_rule(
     "LOCK001",
     "store mutation on an unlocked path from a detached process",
     "a resource-store mutation (store.save/destroy/create, "
@@ -723,7 +827,7 @@ LOCK001_RECOVERY_ALLOWLIST = ("restore", "wsrf_recover", "snapshot")
     "the per-file SIM002)",
 )
 def check_static_lockset(pctx: ProgramContext) -> Iterator[Finding]:
-    graph: CallGraph = pctx.callgraph  # type: ignore[assignment]
+    graph = pctx.callgraph
     acquires = {
         fn.qualname: _acquire_lines(fn, graph) for fn in graph.functions.values()
     }

@@ -1,7 +1,7 @@
-"""DET002 fixtures: nondeterminism reaching sim-visible code via helpers.
+"""DET001 fixtures: nondeterminism reaching sim-visible code via helpers.
 
-DET001 flags the source site in place; DET002 follows the call graph
-and flags the service method or detached process whose behavior the
+DET001 flags the source site in place, then follows the call graph and
+flags the service method or detached process whose behavior the
 source actually perturbs, with a witness chain.
 """
 
@@ -21,7 +21,7 @@ def _wall_clock_tag():
 class TimestampingService(ServiceSkeleton):
     @WebMethod
     def Stamp(self) -> str:
-        # ...and DET002 fires *here*: the service method inherits the
+        # ...and again *here* (depth 1): the service method inherits the
         # nondeterminism through the helper call.
         return _wall_clock_tag()
 
@@ -34,7 +34,7 @@ def _jitter_delay():
 def start_jitter_process(env):
     def jitter(env):
         while True:
-            # DET002: the detached process's timing depends on the
+            # DET001 (depth 1): the detached process's timing depends on the
             # helper's global RNG draw.
             yield env.timeout(_jitter_delay())
 
@@ -55,9 +55,9 @@ class SeededService(ServiceSkeleton):
 
 
 def _accepted_wall_clock():
-    # A multi-rule pragma: accepting the source here also keeps it from
-    # tainting callers (no DET002 at AcceptingService.Accepted).
-    return time.time()  # wsrfcheck: ignore[DET001, DET002]
+    # Accepting the source here also keeps it from tainting callers
+    # (no DET001 at AcceptingService.Accepted).
+    return time.time()  # wsrfcheck: ignore[DET001]
 
 
 class AcceptingService(ServiceSkeleton):

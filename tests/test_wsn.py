@@ -419,7 +419,7 @@ class TestDemandPublishing:
         assert self._is_publishing(env, client, sensor) is False
 
     def test_demand_signals_obey_write_ahead_order(self, fabric, monkeypatch):
-        """Demand-control Pause/Resume rides the dispatch outbox (WAL002).
+        """Demand-control Pause/Resume rides the dispatch outbox (WAL001).
 
         The one-way signal must leave the broker only after the dispatch
         that changed the subscription state has persisted it — never
