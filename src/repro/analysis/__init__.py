@@ -14,13 +14,8 @@ rule catalog:
 
 - **WSRF001** proxy drift: every ``client.call(epr, ns, "Name", {...})``
   site must match a decorated ``@WebMethod`` signature in that namespace;
-- **WSRF002** undeclared resource property access, both client-side
-  (``get_resource_property`` QNames) and service-side (``self.x = ...``
-  writes that silently bypass ``Resource`` persistence);
 - **WSRF003** faults raised by service code must be typed
   ``BaseFault`` subclasses so clients can reconstruct them;
-- **WSRF004** use-after-destroy: a resource id flowing into any use
-  after a definite ``destroy_resource``/``Destroy`` on every path;
 - **WSRF005** EPR escape: endpoint references parked in process-global
   state that a host restart silently invalidates;
 - **DET001** nondeterminism: wall-clock time, global RNGs, unseeded
@@ -38,9 +33,8 @@ rule catalog:
 **Tier 2 — dynamic.**  :class:`RaceSanitizer` (``Testbed(sanitize=True)``)
 checks the same properties on the paths a simulation actually takes:
 vector-clock happens-before plus Eraser-style dynamic lockset per
-WS-Resource row, lock-order-inversion detection, and dispatch
-reentrancy.  Off by default; a single ``env.san is None`` check per
-kernel hook.
+WS-Resource row, and dispatch reentrancy.  Off by default; a single
+``env.san is None`` check per kernel hook.
 
 See ``docs/static_analysis.md`` for the rule catalog, the
 ``# wsrfcheck: ignore[RULE, ...]`` suppression syntax, SARIF output,

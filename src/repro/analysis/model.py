@@ -3,10 +3,9 @@
 The model is wsrfcheck's equivalent of WSRF.NET's reflection pass over
 ``[WebMethod]``/``[Resource]`` attributes: it reads every module once
 and records, per service class, the declared web methods (with their
-signatures), ``Resource`` state fields, ``@ResourceProperty`` names and
-imported ``@WSRFPortType`` port types — plus the ``BaseFault`` class
-hierarchy, so rules can check call sites, RP reads and raised faults
-against what the services actually declare.
+signatures) and the service namespace — plus the ``BaseFault`` class
+hierarchy, so rules can check call sites and raised faults against what
+the services actually declare.
 
 Namespaces are tracked symbolically as ``"NS.<NAME>"`` strings: the
 extractor resolves module-level aliases (``UVA = NS.UVACG``) so a call
@@ -19,35 +18,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
-
-#: attributes provided by ServiceSkeleton / the invocation plumbing that
-#: service code may legitimately touch on ``self``
-SKELETON_ATTRS = frozenset(
-    {
-        "wsrf",
-        "env",
-        "machine",
-        "resource_id",
-        "client",
-        "epr_for",
-        "create_resource",
-        "destroy_resource",
-        "notify",
-        "wsrf_on_destroy",
-        "on_notification",
-        "SERVICE_NS",
-    }
-)
-
-#: implicit resource properties contributed by spec port types
-#: (port type class name -> [(ns_symbol, rp_name), ...])
-PORT_TYPE_RPS: Dict[str, List[Tuple[str, str]]] = {
-    "ScheduledResourceTerminationPortType": [
-        ("NS.WSRF_RL", "TerminationTime"),
-        ("NS.WSRF_RL", "CurrentTime"),
-    ],
-    "NotificationProducerPortType": [("NS.WSTOP", "Topic")],
-}
 
 #: exception types that count as the root of the typed fault hierarchy
 FAULT_ROOTS = frozenset({"BaseFault"})
@@ -81,12 +51,6 @@ class ServiceInfo:
     #: "NS.X" if declared on this class, else None (inherited)
     service_ns: Optional[str] = None
     web_methods: Dict[str, WebMethodInfo] = field(default_factory=dict)
-    resource_fields: Set[str] = field(default_factory=set)
-    resource_properties: Set[str] = field(default_factory=set)
-    port_types: List[str] = field(default_factory=list)
-    properties: Set[str] = field(default_factory=set)
-    methods: Set[str] = field(default_factory=set)
-    class_attrs: Set[str] = field(default_factory=set)
 
 
 @dataclass
@@ -143,32 +107,6 @@ class ContractModel:
                 if method is not None:
                     return method
         return None
-
-    def resource_property_names(self, ns_symbol: str) -> Set[str]:
-        """All @ResourceProperty names (incl. port-type RPs) in a namespace."""
-        out: Set[str] = set()
-        for service in self.services_in_ns(ns_symbol):
-            for info in self.mro(service.name):
-                out.update(info.resource_properties)
-        # port-type implicit RPs live in their own namespaces
-        for name in self.service_classes:
-            for info in self.mro(name):
-                for pt in info.port_types:
-                    for pt_ns, rp_name in PORT_TYPE_RPS.get(pt, ()):
-                        if pt_ns == ns_symbol:
-                            out.add(rp_name)
-        return out
-
-    def declared_members(self, class_name: str) -> Set[str]:
-        """Every attribute service code may write without losing state."""
-        out: Set[str] = set(SKELETON_ATTRS)
-        for info in self.mro(class_name):
-            out.update(info.resource_fields)
-            out.update(info.resource_properties)
-            out.update(info.properties)
-            out.update(info.methods)
-            out.update(info.class_attrs)
-        return out
 
 
 # -- per-module extraction ----------------------------------------------------------
@@ -247,43 +185,22 @@ def _extract_class(
         lineno=node.lineno,
         bases=[_decorator_name(base) for base in node.bases],
     )
-    for deco in node.decorator_list:
-        if _decorator_name(deco) == "WSRFPortType" and isinstance(deco, ast.Call):
-            info.port_types.extend(_decorator_name(arg) for arg in deco.args)
-
     for item in node.body:
-        if isinstance(item, ast.Assign) and len(item.targets) == 1:
-            target = item.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            info.class_attrs.add(target.id)
-            if target.id == "SERVICE_NS":
-                info.service_ns = ns_symbol_for(item.value, aliases)
-            value = item.value
-            if (
-                isinstance(value, ast.Call)
-                and _decorator_name(value.func) == "Resource"
-            ):
-                info.resource_fields.add(target.id)
-        elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            info.class_attrs.add(item.target.id)
+        if (
+            isinstance(item, ast.Assign)
+            and len(item.targets) == 1
+            and isinstance(item.targets[0], ast.Name)
+            and item.targets[0].id == "SERVICE_NS"
+        ):
+            info.service_ns = ns_symbol_for(item.value, aliases)
         elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            deco_names = [_decorator_name(d) for d in item.decorator_list]
-            if "ResourceProperty" in deco_names:
-                info.resource_properties.add(item.name)
-            elif "property" in deco_names:
-                info.properties.add(item.name)
-            elif "WebMethod" in deco_names:
-                method = _extract_method(item)
-                for deco in item.decorator_list:
-                    if _decorator_name(deco) == "WebMethod":
-                        meta = _web_method_meta(deco)
-                        method.one_way = meta["one_way"]
-                        method.requires_resource = meta["requires_resource"]
-                info.web_methods[item.name] = method
-                info.methods.add(item.name)
-            else:
-                info.methods.add(item.name)
+            for deco in item.decorator_list:
+                if _decorator_name(deco) == "WebMethod":
+                    method = _extract_method(item)
+                    meta = _web_method_meta(deco)
+                    method.one_way = meta["one_way"]
+                    method.requires_resource = meta["requires_resource"]
+                    info.web_methods[item.name] = method
     return info
 
 

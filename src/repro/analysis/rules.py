@@ -1,4 +1,4 @@
-"""The module-scope wsrfcheck rules (WSRF001-003, SIM001).
+"""The module-scope wsrfcheck rules (WSRF001, WSRF003, SIM001).
 
 Each rule walks every module of the :class:`ProgramContext` on its own,
 against the global contract model; see ``docs/static_analysis.md`` for
@@ -6,7 +6,7 @@ the catalog with examples and the suppression syntax.  Rules favor
 precision over recall: a site the analysis cannot resolve statically
 (computed method names, dynamic namespaces) is skipped, not guessed at.
 
-The call-graph rules (WSRF004-005, DET001, WAL001, LOCK001) live in
+The call-graph rules (WSRF005, DET001, WAL001, LOCK001) live in
 :mod:`repro.analysis.rules_interproc` and share the AST helpers below.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.analysis.engine import Finding, ModuleContext, ProgramContext, register_rule
+from repro.analysis.engine import Finding, ProgramContext, register_rule
 from repro.analysis.model import module_ns_aliases, ns_symbol_for
 
 # -- shared AST helpers ------------------------------------------------------------
@@ -54,43 +54,6 @@ def dotted_parts(node: ast.expr) -> List[str]:
     if isinstance(node, ast.Name):
         parts.append(node.id)
     return list(reversed(parts))
-
-
-def qname_constants(ctx: ModuleContext) -> Dict[str, Tuple[str, str]]:
-    """Module-level ``X = QName(NS_ALIAS, "Local")`` constants."""
-    aliases = module_ns_aliases(ctx.tree)
-    out: Dict[str, Tuple[str, str]] = {}
-    for node in ctx.tree.body:
-        if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-            continue
-        target = node.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        resolved = resolve_qname(node.value, aliases, {})
-        if resolved is not None:
-            out[target.id] = resolved
-    return out
-
-
-def resolve_qname(
-    node: ast.expr,
-    aliases: Dict[str, str],
-    constants: Dict[str, Tuple[str, str]],
-) -> Optional[Tuple[str, str]]:
-    """Resolve an expression to (ns_symbol, local) if statically known."""
-    if isinstance(node, ast.Name) and node.id in constants:
-        return constants[node.id]
-    if (
-        isinstance(node, ast.Call)
-        and call_name(node.func) == "QName"
-        and len(node.args) == 2
-        and isinstance(node.args[1], ast.Constant)
-        and isinstance(node.args[1].value, str)
-    ):
-        ns = ns_symbol_for(node.args[0], aliases)
-        if ns is not None:
-            return (ns, node.args[1].value)
-    return None
 
 
 # -- WSRF001: proxy drift ----------------------------------------------------------
@@ -186,89 +149,6 @@ def check_proxy_drift(pctx: ProgramContext) -> Iterator[Finding]:
                             f"{method_name!r} is invoked one-way but the "
                             "@WebMethod is not declared one_way=True; its "
                             "response would be silently discarded"
-                        ),
-                    )
-
-
-# -- WSRF002: undeclared resource property access ----------------------------------
-
-_RP_READERS = {"get_resource_property": 1, "get_multiple_resource_properties": 1}
-
-
-@register_rule(
-    "WSRF002",
-    "undeclared resource property access",
-    "RP reads must name a declared @ResourceProperty; service state "
-    "writes must hit declared Resource fields",
-)
-def check_rp_access(pctx: ProgramContext) -> Iterator[Finding]:
-    for ctx in pctx.modules:
-        aliases = module_ns_aliases(ctx.tree)
-        constants = qname_constants(ctx)
-        symbols = enclosing_symbols(ctx.tree)
-
-        # client side: RP reads against the declared catalog
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            reader = call_name(node.func)
-            if reader not in _RP_READERS or len(node.args) < 2:
-                continue
-            arg = node.args[_RP_READERS[reader]]
-            targets = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else [arg]
-            for target in targets:
-                resolved = resolve_qname(target, aliases, constants)
-                if resolved is None:
-                    continue
-                ns_symbol, local = resolved
-                declared = pctx.model.resource_property_names(ns_symbol)
-                if declared and local not in declared:
-                    yield Finding(
-                        rule="WSRF002",
-                        path=ctx.path,
-                        line=node.lineno,
-                        symbol=symbols.get(id(node), ""),
-                        message=(
-                            f"reads resource property {local!r} but no service "
-                            f"in namespace {ns_symbol} declares it via "
-                            f"@ResourceProperty (declared: {sorted(declared)})"
-                        ),
-                    )
-
-        # service side: self.<attr> writes must be declared state
-        for class_node in ast.walk(ctx.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            if class_node.name not in pctx.model.service_classes:
-                continue
-            members = pctx.model.declared_members(class_node.name)
-            for node in ast.walk(class_node):
-                if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                    continue
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if not (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        continue
-                    name = target.attr
-                    if name.startswith("_") or name in members:
-                        continue
-                    yield Finding(
-                        rule="WSRF002",
-                        path=ctx.path,
-                        line=node.lineno,
-                        symbol=symbols.get(id(node), ""),
-                        message=(
-                            f"write to undeclared attribute self.{name}: not a "
-                            f"Resource field of {class_node.name}, so the value "
-                            "is never persisted to the WS-Resource state"
                         ),
                     )
 

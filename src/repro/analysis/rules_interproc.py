@@ -1,13 +1,9 @@
-"""The call-graph wsrfcheck rules (WSRF004-005, DET001, WAL001, LOCK001).
+"""The call-graph wsrfcheck rules (WSRF005, DET001, WAL001, LOCK001).
 
 These follow a contract violation through the module-qualified call
 graph (:mod:`repro.analysis.callgraph`), across helper layers a scan of
 one file cannot see:
 
-- **WSRF004** — a resource handle is used (invoked, loaded, saved,
-  re-destroyed) after a statement that definitely destroyed it, where
-  "destroys" is computed interprocedurally (a helper whose body
-  destroys its parameter destroys at its call sites too);
 - **WSRF005** — an EndpointReference escapes into module- or
   class-level state outside a resource store: after a host restart
   those handles dangle (docs/durability.md);
@@ -89,11 +85,6 @@ def _acquire_lines(fn: FunctionNode, graph: CallGraph) -> List[int]:
     ]
 
 
-def _param_names(fn: FunctionNode) -> List[str]:
-    args = fn.node.args  # type: ignore[attr-defined]
-    return [p.arg for p in [*args.posonlyargs, *args.args]]
-
-
 def _is_service_method(fn: FunctionNode, pctx: ProgramContext) -> bool:
     return bool(fn.class_name) and fn.class_name in pctx.model.service_classes
 
@@ -120,248 +111,6 @@ def _dispatch_classes(pctx: ProgramContext) -> Set[str]:
                 out.add(name)
                 changed = True
     return out
-
-
-# -- WSRF004: use after destroy ----------------------------------------------------
-
-
-def _bare_arg(call: ast.Call, index: int) -> Optional[str]:
-    if len(call.args) > index and isinstance(call.args[index], ast.Name):
-        return call.args[index].id  # type: ignore[attr-defined]
-    return None
-
-
-def _store_base(func: ast.expr) -> bool:
-    """True for ``<...>.store.<op>`` / ``store.<op>`` attribute chains."""
-    if not isinstance(func, ast.Attribute):
-        return False
-    value = func.value
-    return (isinstance(value, ast.Attribute) and value.attr == "store") or (
-        isinstance(value, ast.Name) and value.id == "store"
-    )
-
-
-def _direct_destroy(call: ast.Call) -> Optional[Tuple[str, str]]:
-    """``(var, description)`` when this call destroys a bare-Name handle."""
-    name = call_name(call.func)
-    if name == "call" and len(call.args) >= 3:
-        method = call.args[2]
-        if (
-            isinstance(method, ast.Constant)
-            and method.value == "Destroy"
-        ):
-            var = _bare_arg(call, 0)
-            if var is not None:
-                return (var, "client.call(..., 'Destroy')")
-    if name == "destroy_resource":
-        var = _bare_arg(call, 0)
-        if var is not None:
-            return (var, "destroy_resource()")
-    if name == "destroy" and _store_base(call.func):
-        var = _bare_arg(call, 1)
-        if var is not None:
-            return (var, "store.destroy()")
-    return None
-
-
-def _destroyer_params(graph: CallGraph) -> Dict[str, Dict[int, str]]:
-    """``qualname -> {param index: description}`` for destroyer helpers.
-
-    A function destroys its parameter when its body (or, via fixpoint,
-    a helper it calls) destroys that bare name.
-    """
-    destroyers: Dict[str, Dict[int, str]] = {}
-    changed = True
-    while changed:
-        changed = False
-        for fn in _sorted_functions(graph):
-            params = {p: i for i, p in enumerate(_param_names(fn))}
-            current = destroyers.setdefault(fn.qualname, {})
-            for call in own_calls(fn, graph):
-                for var, how in _destroys_of(call, fn, graph, destroyers):
-                    index = params.get(var)
-                    if index is not None and index not in current:
-                        current[index] = how
-                        changed = True
-    return destroyers
-
-
-def _destroys_of(
-    call: ast.Call,
-    fn: FunctionNode,
-    graph: CallGraph,
-    destroyers: Dict[str, Dict[int, str]],
-) -> List[Tuple[str, str]]:
-    """Every ``(var, description)`` this call destroys, direct or via helper."""
-    out: List[Tuple[str, str]] = []
-    direct = _direct_destroy(call)
-    if direct is not None:
-        out.append(direct)
-    edge = _edge_at(graph, fn.qualname, call)
-    if edge is not None:
-        callee = graph.functions[edge.callee]
-        # bound method calls pass self implicitly: arg i is param i+1
-        offset = 1 if callee.class_name and isinstance(call.func, ast.Attribute) else 0
-        for index, how in destroyers.get(edge.callee, {}).items():
-            var = _bare_arg(call, index - offset)
-            if var is not None:
-                out.append((var, f"{_short(edge.callee)}() -> {how}"))
-    return out
-
-
-#: call patterns that *use* a resource handle: call name -> handle arg index
-_HANDLE_USES: Dict[str, int] = {
-    "call": 0,
-    "get_resource_property": 0,
-    "get_multiple_resource_properties": 0,
-    "epr_for": 0,
-    "db_load": 0,
-    "db_save": 0,
-    "set_termination_time": 0,
-    "load_resource": 0,
-    "save_resource": 0,
-}
-#: store operations taking (service, resource_id)
-_STORE_USES: Dict[str, int] = {"load": 1, "load_kept": 1, "save": 1, "exists": 1}
-
-
-def _handle_uses(call: ast.Call) -> List[Tuple[str, str]]:
-    """``(var, description)`` for each destroyed-handle-sensitive use."""
-    name = call_name(call.func)
-    out: List[Tuple[str, str]] = []
-    if name in _HANDLE_USES:
-        var = _bare_arg(call, _HANDLE_USES[name])
-        if var is not None:
-            out.append((var, f"{name}()"))
-    elif name in _STORE_USES and _store_base(call.func):
-        var = _bare_arg(call, _STORE_USES[name])
-        if var is not None:
-            out.append((var, f"store.{name}()"))
-    return out
-
-
-class _DestroyScanner:
-    """Forward definite-destroy walk over one function body.
-
-    Tracks variables that are *definitely* destroyed at each statement
-    (branch merge is intersection; loops and try bodies propagate the
-    entry state past the block) and flags later statements that use
-    them.  Same-statement use+destroy never flags: ``destroy(rid)``
-    obviously mentions ``rid``.
-    """
-
-    def __init__(
-        self,
-        fn: FunctionNode,
-        graph: CallGraph,
-        destroyers: Dict[str, Dict[int, str]],
-    ) -> None:
-        self.fn = fn
-        self.graph = graph
-        self.destroyers = destroyers
-        self.own_ids = {id(n) for n in own_nodes(fn, graph)}
-        self.hits: List[Tuple[ast.Call, str, str, str]] = []
-
-    def scan(self) -> List[Tuple[ast.Call, str, str, str]]:
-        body = getattr(self.fn.node, "body", [])
-        self._block(body, {})
-        return self.hits
-
-    # destroyed: var -> description of the destroying event
-    def _block(self, stmts: List[ast.stmt], destroyed: Dict[str, str]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, ast.If):
-                then_state = dict(destroyed)
-                else_state = dict(destroyed)
-                self._block(stmt.body, then_state)
-                self._block(stmt.orelse, else_state)
-                destroyed.clear()
-                destroyed.update(
-                    {v: d for v, d in then_state.items() if v in else_state}
-                )
-                continue
-            if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-                # loop may run zero times: body effects don't escape, but
-                # use-after-destroy inside one body pass still flags
-                body_state = dict(destroyed)
-                if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    self._clear_targets(stmt.target, body_state)
-                    self._clear_targets(stmt.target, destroyed)
-                self._block([*stmt.body, *stmt.orelse], body_state)
-                continue
-            if isinstance(stmt, ast.Try):
-                body_state = dict(destroyed)
-                self._block(stmt.body, body_state)
-                for handler in stmt.handlers:
-                    self._block(handler.body, dict(destroyed))
-                self._block(stmt.orelse, dict(body_state))
-                # finally always runs; entry state is the conservative one
-                self._block(stmt.finalbody, destroyed)
-                continue
-            if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                for item in stmt.items:
-                    self._simple(item.context_expr, destroyed)
-                self._block(stmt.body, destroyed)  # body definitely runs
-                continue
-            self._simple(stmt, destroyed)
-
-    def _clear_targets(self, target: ast.expr, destroyed: Dict[str, str]) -> None:
-        for node in ast.walk(target):
-            if isinstance(node, ast.Name):
-                destroyed.pop(node.id, None)
-
-    def _simple(self, stmt: ast.AST, destroyed: Dict[str, str]) -> None:
-        calls = [
-            n
-            for n in ast.walk(stmt)
-            if isinstance(n, ast.Call) and id(n) in self.own_ids
-        ]
-        # uses first: destruction earlier in *this* statement doesn't count
-        for call in calls:
-            for var, use in _handle_uses(call):
-                if var in destroyed:
-                    self.hits.append((call, var, use, destroyed[var]))
-            for var, _how in _destroys_of(call, self.fn, self.graph, self.destroyers):
-                if var in destroyed:
-                    self.hits.append(
-                        (call, var, "a second destroy", destroyed[var])
-                    )
-        for call in calls:
-            for var, how in _destroys_of(call, self.fn, self.graph, self.destroyers):
-                destroyed[var] = how
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    destroyed.pop(target.id, None)
-
-
-@register_rule(
-    "WSRF004",
-    "use after destroy",
-    "a resource handle must not be invoked, loaded, saved or destroyed "
-    "again after a statement that definitely destroyed it; the runtime "
-    "answer is ResourceUnknownFault, and destroys through helper "
-    "functions count (interprocedural)",
-)
-def check_use_after_destroy(pctx: ProgramContext) -> Iterator[Finding]:
-    graph = pctx.callgraph
-    destroyers = _destroyer_params(graph)
-    for fn in _sorted_functions(graph):
-        for call, var, use, how in _DestroyScanner(fn, graph, destroyers).scan():
-            yield Finding(
-                rule="WSRF004",
-                path=fn.path,
-                line=call.lineno,
-                symbol=_fn_symbol(fn),
-                message=(
-                    f"resource handle {var!r} is used ({use}) after being "
-                    f"destroyed by {how} earlier in {fn.name}; the resource "
-                    "is gone, so this raises ResourceUnknownFault at runtime"
-                ),
-            )
 
 
 # -- WSRF005: EPR escape into module/class globals ---------------------------------

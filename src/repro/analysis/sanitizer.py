@@ -3,7 +3,7 @@
 The static tier (``repro.analysis`` rules, notably LOCK001) proves the
 *absence* of unlocked shared-state mutation on call paths it can see;
 this module is the dynamic tier that checks the property on the paths a
-run actually takes.  It watches three things while a simulation executes:
+run actually takes.  It watches two things while a simulation executes:
 
 * **Data races** — two *writes* to the same WS-Resource row (keyed
   ``(machine, service, resource_id)`` — every machine deploys services
@@ -18,10 +18,6 @@ run actually takes.  It watches three things while a simulation executes:
   load-modify-save always *ends* in two unordered writes, which is
   exactly the lost-update corruption the per-resource mutex exists to
   prevent.
-* **Lock-order inversions** — process P acquires A then B while process
-  Q (ever) acquired B then A.  In the FIFO simulator this is a latent
-  deadlock the schedule may or may not hit; the sanitizer reports the
-  cycle the first time the second edge appears.
 * **Dispatch reentrancy** — a dispatch pipeline entering ``_dispatch``
   for a ``(service, rid)`` its own call stack is already dispatching.
   The per-resource mutex is not reentrant, so this deadlocks for real;
@@ -64,7 +60,12 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+
+if TYPE_CHECKING:
+    from repro.db import ResourceStore
+    from repro.sim import Environment, Event, Lock, Process
+    from repro.wsrf.tooling import WrapperService
 
 __all__ = ["RaceSanitizer", "SanitizerReport"]
 
@@ -73,11 +74,10 @@ __all__ = ["RaceSanitizer", "SanitizerReport"]
 class SanitizerReport:
     """One condition the sanitizer observed.
 
-    ``kind`` is ``"data-race"``, ``"lock-order-inversion"`` or
-    ``"dispatch-reentrancy"``; ``key`` locates the shared state (a
-    ``service/resource_id`` pair or a lock cycle); ``time`` is the
-    simulated instant of detection; ``detail`` is the human-readable
-    witness (who collided with whom, doing what).
+    ``kind`` is ``"data-race"`` or ``"dispatch-reentrancy"``; ``key``
+    locates the shared state (a ``service/resource_id`` pair); ``time``
+    is the simulated instant of detection; ``detail`` is the
+    human-readable witness (who collided with whom, doing what).
     """
 
     kind: str
@@ -122,7 +122,7 @@ class RaceSanitizer:
     attached afterwards sees locks and dispatches but no store traffic.
     """
 
-    def __init__(self, env) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
         env.san = self
         self.reports: List[SanitizerReport] = []
@@ -145,8 +145,6 @@ class RaceSanitizer:
         self._held: Dict[int, List[int]] = {}  # tid -> lock ids, outermost first
         self._release_vc: Dict[int, VC] = {}  # id(Lock) -> clock at last release
         self._pending_grants: Dict[int, int] = {}  # id(acquire Event) -> id(Lock)
-        self._order_edges: Dict[int, Set[int]] = {}  # id(Lock) -> ids acquired inside
-        self._order_witness: Dict[Tuple[int, int], str] = {}
 
         # -- shared state shadow -------------------------------------------
         # Rows are keyed (machine, service, rid): every machine deploys
@@ -163,7 +161,7 @@ class RaceSanitizer:
 
     # -- identity -----------------------------------------------------------------
 
-    def _tid_for(self, process) -> int:
+    def _tid_for(self, process: Process) -> int:
         key = id(process)
         tid = self._tids.get(key)
         if tid is None:
@@ -194,11 +192,12 @@ class RaceSanitizer:
 
     # -- kernel hooks (called from repro.sim with a None-checked env.san) -----------
 
-    def on_schedule(self, event) -> None:
+    def on_schedule(self, event: Event) -> None:
         """Stamp *event* with the scheduling context's clock."""
-        event._san_vc = dict(self._tick(self._current_tid()))
+        # the slot is declared unannotated, so it is written by name
+        setattr(event, "_san_vc", dict(self._tick(self._current_tid())))
 
-    def on_step(self, event) -> None:
+    def on_step(self, event: Event) -> None:
         """The loop is about to run *event*'s callbacks: advance the
         kernel clock past it, so kernel-context code (callbacks, and any
         top-level code running after this step) is ordered after it."""
@@ -216,7 +215,7 @@ class RaceSanitizer:
             if tid != _KERNEL_TID:
                 _join(clock, barrier)
 
-    def on_resume(self, process, trigger) -> None:
+    def on_resume(self, process: Process, trigger: Event) -> None:
         """*process* resumes on *trigger*: join the trigger's clock."""
         tid = self._tid_for(process)
         clock = self._clocks[tid]
@@ -228,21 +227,21 @@ class RaceSanitizer:
         if lock_id is not None:
             self._grant(tid, lock_id)
 
-    def on_join(self, process, target) -> None:
+    def on_join(self, process: Process, target: Event) -> None:
         """*process* consumed an already-processed *target* synchronously
         (the fast path in ``Process._resume``)."""
         self.on_resume(process, target)
 
     # -- lock hooks -----------------------------------------------------------------
 
-    def on_acquire(self, lock, event) -> None:
+    def on_acquire(self, lock: Lock, event: Event) -> None:
         """``Lock.acquire`` returned *event*; ownership lands on whichever
         process resumes on it (immediately if the lock was free)."""
         lock_id = id(lock)
         self._locks.setdefault(lock_id, lock)
         self._pending_grants[id(event)] = lock_id
 
-    def on_release(self, lock) -> None:
+    def on_release(self, lock: Lock) -> None:
         tid = self._current_tid()
         lock_id = id(lock)
         held = self._held.get(tid)
@@ -253,7 +252,7 @@ class RaceSanitizer:
         # waiter event's stamp otherwise).
         self._release_vc[lock_id] = dict(self._tick(tid))
 
-    def label_lock(self, lock, label: str) -> None:
+    def label_lock(self, lock: Lock, label: str) -> None:
         """Name a lock for reports (``resource_lock`` labels its mutexes)."""
         self._locks.setdefault(id(lock), lock)
         self._lock_labels[id(lock)] = label
@@ -265,46 +264,11 @@ class RaceSanitizer:
         release_vc = self._release_vc.get(lock_id)
         if release_vc is not None:
             _join(self._clocks[tid], release_vc)
-        held = self._held.setdefault(tid, [])
-        for outer in held:
-            self._order_edge(outer, lock_id, tid)
-        held.append(lock_id)
-
-    def _order_edge(self, outer: int, inner: int, tid: int) -> None:
-        if outer == inner or inner in self._order_edges.get(outer, ()):
-            return
-        self._order_edges.setdefault(outer, set()).add(inner)
-        self._order_witness[(outer, inner)] = self._names.get(tid, "?")
-        # New edge outer->inner: a path inner ->* outer closes a cycle.
-        path = self._find_path(inner, outer)
-        if path is None:
-            return
-        cycle = [outer] + path  # outer -> inner -> ... -> outer
-        names = " -> ".join(self._lock_name(l) for l in cycle)
-        self._report(
-            "lock-order-inversion",
-            " <-> ".join(sorted({self._lock_name(l) for l in cycle[:-1]})),
-            f"acquisition order cycle {names} "
-            f"(latest edge by {self._names.get(tid, '?')!r})",
-            dedupe=("inversion", frozenset(cycle)),
-        )
-
-    def _find_path(self, start: int, goal: int) -> Optional[List[int]]:
-        stack: List[Tuple[int, List[int]]] = [(start, [start])]
-        seen = {start}
-        while stack:
-            node, path = stack.pop()
-            if node == goal:
-                return path
-            for nxt in self._order_edges.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, path + [nxt]))
-        return None
+        self._held.setdefault(tid, []).append(lock_id)
 
     # -- store access hooks ----------------------------------------------------------
 
-    def instrument_wrapper(self, wrapper) -> None:
+    def instrument_wrapper(self, wrapper: WrapperService) -> None:
         """Wrap *wrapper*'s store so every row mutation reports here.
 
         Only the mutators are wrapped (``create``/``save``/``destroy``):
@@ -315,21 +279,22 @@ class RaceSanitizer:
         """
         self.instrument_store(wrapper.store, owner=wrapper.machine.name)
 
-    def instrument_store(self, store, owner: str = "") -> None:
+    def instrument_store(self, store: ResourceStore, owner: str = "") -> None:
         if getattr(store, "_san_instrumented", False):
             return
-        store._san_instrumented = True
+        setattr(store, "_san_instrumented", True)
         for op in ("create", "save", "destroy"):
             original = getattr(store, op)
 
-            def guarded(service, resource_id, *args, _orig=original, _op=op,
-                        **kwargs):
+            def guarded(service: str, resource_id: str, *args: Any,
+                        _orig: Callable[..., Any] = original, _op: str = op,
+                        **kwargs: Any) -> Any:
                 self.on_access(owner, service, resource_id, op=_op)
                 return _orig(service, resource_id, *args, **kwargs)
 
             setattr(store, op, guarded)
 
-    def on_access(self, owner: str, service: str, resource_id, *,
+    def on_access(self, owner: str, service: str, resource_id: str, *,
                   op: str) -> None:
         """A write to row ``(service, resource_id)`` of *owner*'s store
         by the current context: race-check it against the last write of
@@ -405,7 +370,7 @@ class RaceSanitizer:
                 del stack[i]
                 break
 
-    def on_recovery_begin(self, wrapper) -> None:
+    def on_recovery_begin(self, wrapper: WrapperService) -> None:
         """``WrapperService.restore`` rolled the store back: drop the
         service's access history.  The crashed boot's in-flight accesses
         describe writes the checkpoint just erased — racing against them
@@ -418,7 +383,7 @@ class RaceSanitizer:
         # (the host is down; its old processes are dead).
         _join(self._clocks[self._current_tid()], self._clocks[_KERNEL_TID])
 
-    def on_recovery_end(self, wrapper) -> None:
+    def on_recovery_end(self, wrapper: WrapperService) -> None:
         """Restore (including ``wsrf_recover``'s own writes) finished:
         capture the recovery clock for :meth:`on_dispatch_enter`."""
         self._recovery_vc[(wrapper.machine.name, wrapper.service_name)] = dict(

@@ -20,7 +20,7 @@ FIXTURES = REPO_ROOT / "tests" / "analysis_fixtures"
 GOLDEN = REPO_ROOT / "tests" / "analysis_golden.json"
 RULE_CODES = [
     "DET001", "LOCK001", "SIM001", "WAL001",
-    "WSRF001", "WSRF002", "WSRF003", "WSRF004", "WSRF005",
+    "WSRF001", "WSRF003", "WSRF005",
 ]
 
 
@@ -154,14 +154,6 @@ class TestRulesFire:
             for f in findings_for("WSRF001")
         )
 
-    def test_wsrf002_rp_access(self):
-        symbols = {f.symbol for f in findings_for("WSRF002")}
-        assert "PropertyService.Leak" in symbols  # undeclared self.x write
-        assert "reads_undeclared_property" in symbols
-        assert "reads_undeclared_inline" in symbols
-        assert "good_read" not in symbols
-        assert "PropertyService.Touch" not in symbols
-
     def test_wsrf003_untyped_faults(self):
         messages = [f.message for f in findings_for("WSRF003")]
         assert any("ValueError" in m for m in messages)
@@ -231,43 +223,8 @@ class TestRulesFire:
 
 
 class TestInterprocRulesFire:
-    """The call-graph rules: WSRF004/WSRF005, DET001 and WAL001 through
+    """The call-graph rules: WSRF005, DET001 and WAL001 through
     helpers, LOCK001."""
-
-    def test_wsrf004_use_after_destroy(self):
-        symbols = {f.symbol for f in findings_for("WSRF004")}
-        assert symbols == {
-            "destroy_then_call",        # client.call(..., 'Destroy') then call
-            "destroy_then_load",        # destroy_resource then store.load
-            "destroy_then_load_resource",  # ... then wrapper.load_resource
-            "destroy_then_load_kept",   # ... then store.load_kept
-            "double_destroy",           # destroy twice
-            "destroy_via_helper_then_use",  # destroyer helper then epr_for
-        }
-
-    def test_wsrf004_sees_load_resource(self):
-        """Reading fields by name through the wrapper is a use of the
-        handle like ``store.load``."""
-        by_symbol = {f.symbol: f.message for f in findings_for("WSRF004")}
-        assert "(load_resource())" in by_symbol["destroy_then_load_resource"]
-
-    def test_wsrf004_sees_load_kept(self):
-        """The db_load stage's uncopied read is a store read of the row
-        like ``store.load``."""
-        by_symbol = {f.symbol: f.message for f in findings_for("WSRF004")}
-        assert "(store.load_kept())" in by_symbol["destroy_then_load_kept"]
-
-    def test_wsrf004_helper_chain_in_message(self):
-        by_symbol = {f.symbol: f.message for f in findings_for("WSRF004")}
-        assert "_retire() -> destroy_resource()" in by_symbol[
-            "destroy_via_helper_then_use"
-        ]
-
-    def test_wsrf004_definite_destroy_only(self):
-        symbols = {f.symbol for f in findings_for("WSRF004")}
-        assert "conditional_destroy_ok" not in symbols  # one branch only
-        assert "reassign_after_destroy_ok" not in symbols  # handle rebound
-        assert "destroy_last_ok" not in symbols  # destroy is the last touch
 
     def test_wsrf005_epr_escape(self):
         findings = findings_for("WSRF005")
@@ -437,7 +394,7 @@ class TestEngine:
         run = doc["runs"][0]
         assert run["tool"]["driver"]["name"] == "wsrfcheck"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"WSRF004", "WSRF005", "DET001", "WAL001", "LOCK001"} <= rule_ids
+        assert {"WSRF005", "DET001", "WAL001", "LOCK001"} <= rule_ids
         assert len(run["results"]) == len(report.findings)
         first = run["results"][0]
         assert first["partialFingerprints"]["wsrfcheck/v1"] == (

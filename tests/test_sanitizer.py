@@ -10,9 +10,8 @@ Proof layers:
   fixture (``tests/analysis_fixtures/races.py``) is flagged statically
   by LOCK001 *and*, when driven live against a deployed wrapper, by the
   dynamic lockset; its lock-taking twin is clean both ways.
-- **The other two checkers**: a lock-order inversion that never
-  deadlocks in this schedule is still reported from its acquisition
-  edges; a genuinely reentrant dispatch is named while the run hangs.
+- **Reentrancy**: a genuinely reentrant dispatch is named while the run
+  hangs.
 - **Happens-before mechanics**: spawn edges order a parent's writes
   before its child's; unrelated processes racing on a bare store row
   are reported.
@@ -194,46 +193,6 @@ class TestRacyFixtureBothTiers:
         assert san.accesses_checked > 0
         san.assert_clean()
         assert san.summary() == {}
-
-
-# -- lock-order inversion -----------------------------------------------------------
-
-
-class TestLockOrderInversion:
-    def _nested(self, env, first, second, delay):
-        def holder(env):
-            yield env.timeout(delay)
-            yield first.acquire()
-            yield second.acquire()
-            yield env.timeout(0.1)
-            second.release()
-            first.release()
-
-        return env.process(holder(env))
-
-    def test_opposite_orders_reported_without_deadlocking(self):
-        """A→B at t=0 and B→A at t=1 never contend in this schedule;
-        the edge cycle is still a latent deadlock and is reported."""
-        env = Environment()
-        san = RaceSanitizer(env)
-        a, b = Lock(env), Lock(env)
-        san.label_lock(a, "A")
-        san.label_lock(b, "B")
-        self._nested(env, a, b, 0.0)
-        self._nested(env, b, a, 1.0)
-        env.run()
-        kinds = san.summary()
-        assert kinds == {"lock-order-inversion": 1}
-        assert "A" in san.reports[0].key and "B" in san.reports[0].key
-
-    def test_consistent_order_clean(self):
-        env = Environment()
-        san = RaceSanitizer(env)
-        a, b = Lock(env), Lock(env)
-        self._nested(env, a, b, 0.0)
-        self._nested(env, a, b, 1.0)
-        env.run()
-        san.assert_clean()
 
 
 # -- dispatch reentrancy ------------------------------------------------------------
