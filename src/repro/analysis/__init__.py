@@ -33,7 +33,7 @@ rule catalog:
 **Tier 2 — dynamic.**  :class:`RaceSanitizer` (``Testbed(sanitize=True)``)
 checks the same properties on the paths a simulation actually takes:
 vector-clock happens-before plus Eraser-style dynamic lockset per
-WS-Resource row, and dispatch reentrancy.  Off by default; a single
+WS-Resource row.  Off by default; a single
 ``env.san is None`` check per kernel hook.
 
 See ``docs/static_analysis.md`` for the rule catalog, the

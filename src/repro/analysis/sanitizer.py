@@ -3,25 +3,19 @@
 The static tier (``repro.analysis`` rules, notably LOCK001) proves the
 *absence* of unlocked shared-state mutation on call paths it can see;
 this module is the dynamic tier that checks the property on the paths a
-run actually takes.  It watches two things while a simulation executes:
-
-* **Data races** — two *writes* to the same WS-Resource row (keyed
-  ``(machine, service, resource_id)`` — every machine deploys services
-  under the same paths, so the rid alone is ambiguous) from different
-  simulated processes, with
-  no common Lock held and no happens-before edge between them.  Classic
-  Eraser lockset crossed with vector-clock happens-before: holding a
-  common lock *or* being causally ordered clears the pair; both missing
-  makes a report.  Only write/write pairs count: the kernel is
-  cooperative, so a single store call is atomic and a lone read merely
-  observes one of the two orders (benign staleness) — but a racy
-  load-modify-save always *ends* in two unordered writes, which is
-  exactly the lost-update corruption the per-resource mutex exists to
-  prevent.
-* **Dispatch reentrancy** — a dispatch pipeline entering ``_dispatch``
-  for a ``(service, rid)`` its own call stack is already dispatching.
-  The per-resource mutex is not reentrant, so this deadlocks for real;
-  the report names the cause while the run hangs at its deadline.
+run actually takes.  It watches for **data races** while a simulation
+executes: two *writes* to the same WS-Resource row (keyed
+``(machine, service, resource_id)`` — every machine deploys services
+under the same paths, so the rid alone is ambiguous) from different
+simulated processes, with no common Lock held and no happens-before
+edge between them.  Classic Eraser lockset crossed with vector-clock
+happens-before: holding a common lock *or* being causally ordered
+clears the pair; both missing makes a report.  Only write/write pairs
+count: the kernel is cooperative, so a single store call is atomic and
+a lone read merely observes one of the two orders (benign staleness) —
+but a racy load-modify-save always *ends* in two unordered writes,
+which is exactly the lost-update corruption the per-resource mutex
+exists to prevent.
 
 Happens-before edges come from the kernel itself: every scheduled event
 is stamped with the scheduler's vector clock (``Event._san_vc``), and a
@@ -60,7 +54,7 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Set, Tuple
 
 if TYPE_CHECKING:
     from repro.db import ResourceStore
@@ -74,7 +68,7 @@ __all__ = ["RaceSanitizer", "SanitizerReport"]
 class SanitizerReport:
     """One condition the sanitizer observed.
 
-    ``kind`` is ``"data-race"`` or ``"dispatch-reentrancy"``; ``key``
+    ``kind`` is ``"data-race"``; ``key``
     locates the shared state (a ``service/resource_id`` pair); ``time``
     is the simulated instant of detection; ``detail`` is the
     human-readable witness (who collided with whom, doing what).
@@ -152,8 +146,7 @@ class RaceSanitizer:
         # aliases rows of different machines' stores.
         self._shadow: Dict[Tuple[str, str, str], Dict[int, _Access]] = {}
 
-        # -- dispatch + recovery -------------------------------------------
-        self._dispatch_stack: Dict[int, List[Tuple[str, str, Optional[str]]]] = {}
+        # -- recovery -------------------------------------------------------
         # (machine, service) -> clock after restore
         self._recovery_vc: Dict[Tuple[str, str], VC] = {}
 
@@ -336,39 +329,13 @@ class RaceSanitizer:
 
     # -- dispatch + recovery hooks ----------------------------------------------------
 
-    def on_dispatch_enter(self, owner: str, service: str,
-                          resource_id: Optional[str]) -> None:
-        tid = self._current_tid()
+    def on_dispatch_enter(self, owner: str, service: str) -> None:
         recovery_vc = self._recovery_vc.get((owner, service))
         if recovery_vc is not None:
             # The host only accepts traffic once its restore finished, so
             # every dispatch is causally after recovery even though no
             # event connects them (the edge is the host coming back up).
-            _join(self._clocks[tid], recovery_vc)
-        stack = self._dispatch_stack.setdefault(tid, [])
-        key = (owner, service, resource_id)
-        if resource_id is not None and key in stack:
-            self._report(
-                "dispatch-reentrancy",
-                f"{owner}:{service}/{resource_id}",
-                f"{self._names.get(tid, '?')!r} re-entered the dispatch "
-                f"pipeline for a resource it is already dispatching "
-                f"(stack: {[f'{o}:{s}/{r}' for o, s, r in stack]}); the "
-                f"resource mutex is not reentrant, this deadlocks",
-                dedupe=("reentry", key, tid),
-            )
-        stack.append(key)
-
-    def on_dispatch_exit(self, owner: str, service: str,
-                         resource_id: Optional[str]) -> None:
-        stack = self._dispatch_stack.get(self._current_tid())
-        if not stack:
-            return
-        key = (owner, service, resource_id)
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i] == key:
-                del stack[i]
-                break
+            _join(self._clocks[self._current_tid()], recovery_vc)
 
     def on_recovery_begin(self, wrapper: WrapperService) -> None:
         """``WrapperService.restore`` rolled the store back: drop the

@@ -19,7 +19,7 @@ from repro.soap.types import (
     _STR_ONLY, SHARED_ON_READ, EntrySpan, _Inexact, copy_field, read_copy,
 )
 from repro.xmlx import NS, Element, QName, parse, to_string, xpath_select
-from repro.xmlx.writer import document_frame
+from repro.xmlx.writer import DocumentFrames
 
 _STATE_TAG = QName(NS.UVACG, "ResourceState")
 
@@ -237,7 +237,9 @@ def _encode_map(qkey: QName, value: dict, old: Optional[_Field], base: bytes, fi
     return b"".join(parts), kept, mentions, (len(opening), lengths, owns)
 
 
-def _assemble(state: State, base: bytes, old: _Entry) -> Optional[Tuple[bytes, _Entry]]:
+def _assemble(
+    state: State, base: bytes, old: _Entry, frames: DocumentFrames
+) -> Optional[Tuple[bytes, _Entry]]:
     """Encode *state* field by field, copying out of *base* (the blob
     being replaced, *old* its entry) every field that encodes as it did
     there, and of a changed map field every entry that does.  None when
@@ -281,7 +283,7 @@ def _assemble(state: State, base: bytes, old: _Entry) -> Optional[Tuple[bytes, _
         at += len(piece)
         pieces.append(piece)
         uris.update(mentions)
-    opening, closing = (tag.encode("utf-8") for tag in document_frame(_STATE_TAG, uris))
+    opening, closing = (tag.encode("utf-8") for tag in frames(_STATE_TAG, uris))
     return b"".join([opening, *pieces, closing]), _Entry(fields, len(opening))
 
 
@@ -330,15 +332,22 @@ class DecodeCache:
     save replaced the blob, the resource was destroyed, a restore
     rolled the row back.  A blob asked about that no row holds (a cache
     used on its own) is kept as held once.
+
+    The state root's start and end tags come from *frames*
+    (:class:`~repro.xmlx.writer.DocumentFrames`, one per namespace set
+    the fields mention): a deployed service's store writes through its
+    network's (``network.codec.frames``), a store on its own through
+    one of its own.
     """
 
-    __slots__ = ("hits", "misses", "_entries")
+    __slots__ = ("hits", "misses", "_entries", "_frames")
 
-    def __init__(self) -> None:
+    def __init__(self, frames: Optional[DocumentFrames] = None) -> None:
         #: cache effectiveness counters for the obs registry
         self.hits = 0
         self.misses = 0
         self._entries: Dict[bytes, _Entry] = {}
+        self._frames = frames if frames is not None else DocumentFrames()
 
     def kept(self, blob: bytes) -> State:
         """The state *blob* encodes, as the kept values themselves.
@@ -383,7 +392,7 @@ class DecodeCache:
         """
         entries = self._entries
         try:
-            built = _assemble(state, base or b"", entries.get(base) or _UNKNOWN)
+            built = _assemble(state, base or b"", entries.get(base) or _UNKNOWN, self._frames)
         except _Inexact:
             built = None
         blob, entry = built or _whole(state)
@@ -420,7 +429,9 @@ class BlobResourceStore(ResourceStore):
 
     TABLE = "resources"
 
-    def __init__(self, db: Optional[Database] = None) -> None:
+    def __init__(
+        self, db: Optional[Database] = None, frames: Optional[DocumentFrames] = None
+    ) -> None:
         self.db = db or Database()
         if self.TABLE not in self.db.tables:
             table = self.db.create_table(
@@ -437,8 +448,9 @@ class BlobResourceStore(ResourceStore):
         self.loads = 0
         self.saves = 0
         self.scans = 0
-        #: the state hand-off: what this store encoded it never re-parses
-        self.decode_cache = DecodeCache()
+        #: the state hand-off: what this store encoded it never re-parses;
+        #: *frames* is the state root's frame memo to share (DecodeCache)
+        self.decode_cache = DecodeCache(frames)
 
     @staticmethod
     def _key(service: str, resource_id: str) -> str:

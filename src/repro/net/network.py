@@ -119,6 +119,9 @@ class Network:
         #: to SoapEnvelope.serialize/deserialize, so the receiver of a
         #: message encoded on this fabric adopts the sender's tree
         self.codec = EnvelopeCache()
+        #: the parsed destination per address sent to (a Uri is
+        #: immutable): the deployment's endpoints, never an unroutable one
+        self._routes: Dict[str, Uri] = {}
 
     def inject_faults(
         self,
@@ -245,15 +248,19 @@ class Network:
     def _open_send(self, name: str, src_host: str, url: str, category: str, message_id):
         """What both transports start with: the parsed target, the
         sending host and the send's span (None with observation off)."""
-        try:
-            uri = Uri.parse(url)
-            if not uri.is_network:
-                raise UriError(f"{uri.scheme}:// names no network endpoint")
-        except UriError as exc:
-            # An address nobody can be reached at (a subscriber's
-            # ConsumerReference, say) is a refused delivery.
-            self.stats.record_fault("refused")
-            raise DeliveryError(f"cannot route {url!r}: {exc}") from None
+        uri = self._routes.get(url)
+        if uri is None:
+            try:
+                uri = Uri.parse(url)
+                if not uri.is_network:
+                    raise UriError(f"{uri.scheme}:// names no network endpoint")
+            except UriError as exc:
+                # An address nobody can be reached at (a subscriber's
+                # ConsumerReference, say) is a refused delivery, each
+                # time: only a route is kept.
+                self.stats.record_fault("refused")
+                raise DeliveryError(f"cannot route {url!r}: {exc}") from None
+            self._routes[url] = uri
         src = self.host(src_host)
         span = None
         if self.obs is not None:

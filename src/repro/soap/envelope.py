@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.soap.types import TypedValue, typed_value, write_typed
 from repro.wsa.headers import AddressingHeaders
 from repro.xmlx import NS, Element, QName, WireText, parse, to_string
-from repro.xmlx.writer import XML_DECLARATION, document_frame, write_fragment
+from repro.xmlx.writer import XML_DECLARATION, DocumentFrames, write_fragment
 
 _ENVELOPE = QName(NS.SOAP, "Envelope")
 _HEADER = QName(NS.SOAP, "Header")
@@ -27,7 +27,7 @@ class EnvelopeCache:
     block are written as fragments, and the root's declarations are the
     union of the namespaces they mention — byte for byte the reference
     ``to_string(envelope.to_element(), xml_declaration=True)``.  A
-    message the splice cannot reproduce exactly (:func:`_splice` lists
+    message the splice cannot reproduce exactly (:meth:`_splice` lists
     the conditions, each a property of the message) is written by the
     reference encoder instead, as a plain ``str``.
 
@@ -49,21 +49,46 @@ class EnvelopeCache:
     observe each other's mutations (most handlers do mutate — EPR
     resolution pops headers).
 
-    There is no table: an undelivered message's envelope, and the
-    ``bytes`` any deferred piece was written from, are freed with the
-    message.
+    An undelivered message's envelope, and the ``bytes`` any deferred
+    piece was written from, are freed with the message: no table holds
+    messages.  What the codec remembers is the text that depends only
+    on the deployment, each keyed by exactly what it is a function of:
+
+    - the root frame (:class:`~repro.xmlx.writer.DocumentFrames`): the
+      envelope's start tag with its declarations, and its end tag, per
+      namespace set the pieces mention.  Only namespaces with a
+      preferred prefix reach it, so the sets are the deployment's
+      message shapes;
+    - the addressing head (:meth:`AddressingHeaders.write_blocks`):
+      ``<wsa:To>…</wsa:To>`` per address — the deployment's services
+      and the anonymous reply address of each sending host — and
+      ``<wsa:Action>…</wsa:Action><wsa:MessageID>`` per action.  Two
+      memos, so the entries are the addresses plus the actions, not
+      their product.  The message id, ``RelatesTo`` and the reference
+      properties are written per message; no memo is keyed by an EPR,
+      which would grow with the resources.
+
+    State blobs of the services deployed on this codec's network write
+    their root frames through :attr:`frames` too.
     """
 
-    __slots__ = ("parse_hits", "parse_misses", "encode_hits", "encode_misses")
+    __slots__ = ("parse_hits", "parse_misses", "encode_hits", "encode_misses",
+                 "frames", "to_blocks", "action_blocks")
 
     def __init__(self) -> None:
-        #: hand-off effectiveness counters for the obs registry; there is
-        #: no encode memo, so every encode is a miss and encode_hits
+        #: hand-off effectiveness counters for the obs registry; no
+        #: message is memoized, so every encode is a miss and encode_hits
         #: stays 0 (the ledger and the perf export read all four)
         self.parse_hits = 0
         self.parse_misses = 0
         self.encode_hits = 0
         self.encode_misses = 0
+        #: a document's root frame per (root tag, namespace set)
+        self.frames = DocumentFrames()
+        #: the addressing head: the To block per address, the Action
+        #: block (up to the MessageID start tag) per action
+        self.to_blocks: Dict[str, str] = {}
+        self.action_blocks: Dict[str, str] = {}
 
     def parse(self, text: Union[str, WireText]) -> "SoapEnvelope":
         if isinstance(text, WireText) and text.owner is self and text.handed is not None:
@@ -76,7 +101,7 @@ class EnvelopeCache:
 
     def encode(self, envelope: "SoapEnvelope") -> Union[str, WireText]:
         self.encode_misses += 1
-        spliced = _splice(envelope)
+        spliced = self._splice(envelope)
         if spliced is None:
             # Nothing is handed over: the receiver's strict parse reads
             # this text, and raises where the reference decoder would.
@@ -86,42 +111,42 @@ class EnvelopeCache:
         # piece is deferred — then only a reader of the text joins it.
         return WireText(pieces if deferred else "".join(pieces), self, handed)
 
-
-def _splice(envelope: "SoapEnvelope") -> Optional[Tuple[List[Any], bool, "SoapEnvelope"]]:
-    """The pieces of the reference wire text of *envelope*, written
-    without building its tree, whether one of them is a deferred base64
-    piece, and the envelope its receiver is handed (body and blocks
-    copied by the walk that wrote them, a typed value in the body handed
-    over as a value: :func:`_write_body`) — or None when the text, or what
-    the strict parser reads back from it, depends on more than the
-    pieces: the addressing headers decline
-    (:meth:`AddressingHeaders.header_fragment`), an extra header is not
-    a ``wsse:`` block (:meth:`SoapEnvelope.from_element` reads any other
-    back as a reference property), or the body or a ``wsse:`` block
-    mentions a namespace without a preferred prefix.
-    """
-    sent = envelope.addressing
-    head = sent.header_fragment()
-    if head is None:
-        return None
-    # out[1] is the root's start tag, known when every piece is written.
-    out: List[Any] = [XML_DECLARATION, "", "<soap:Header>", head[0]]
-    uris = dict.fromkeys(head[1])
-    blocks = []
-    for block in envelope.extra_headers:
-        block = write_fragment(block, out, uris) if block.tag.uri == NS.WSSE else None
-        if block is None:
+    def _splice(
+        self, envelope: "SoapEnvelope"
+    ) -> Optional[Tuple[List[Any], bool, "SoapEnvelope"]]:
+        """The pieces of the reference wire text of *envelope*, written
+        without building its tree, whether one of them is a deferred
+        base64 piece, and the envelope its receiver is handed (body and
+        blocks copied by the walk that wrote them, a typed value in the
+        body handed over as a value: :func:`_write_body`) — or None when
+        the text, or what the strict parser reads back from it, depends
+        on more than the pieces: the addressing headers decline
+        (:meth:`AddressingHeaders.write_blocks`), an extra header is
+        not a ``wsse:`` block (:meth:`SoapEnvelope.from_element` reads
+        any other back as a reference property), or the body or a
+        ``wsse:`` block mentions a namespace without a preferred prefix.
+        """
+        sent = envelope.addressing
+        # out[1] is the root's start tag, known when every piece is written.
+        out: List[Any] = [XML_DECLARATION, "", "<soap:Header>"]
+        uris: Dict[str, None] = {}
+        if not sent.write_blocks(self.to_blocks, self.action_blocks, out, uris):
             return None
-        blocks.append(block)
-    out.append("</soap:Header><soap:Body>")
-    deferred: List[Any] = []
-    body = _write_body(envelope.body, out, uris, deferred)
-    if body is None:
-        return None
-    out[1], closing = document_frame(_ENVELOPE, uris)
-    out.append("</soap:Body>" + closing)
-    addressing = AddressingHeaders(sent.to_epr, sent.action, sent.message_id, sent.relates_to)
-    return out, bool(deferred), SoapEnvelope(addressing, body, blocks)
+        blocks = []
+        for block in envelope.extra_headers:
+            block = write_fragment(block, out, uris) if block.tag.uri == NS.WSSE else None
+            if block is None:
+                return None
+            blocks.append(block)
+        out.append("</soap:Header><soap:Body>")
+        deferred: List[Any] = []
+        body = _write_body(envelope.body, out, uris, deferred)
+        if body is None:
+            return None
+        out[1], closing = self.frames(_ENVELOPE, uris)
+        out.append("</soap:Body>" + closing)
+        addressing = AddressingHeaders(sent.to_epr, sent.action, sent.message_id, sent.relates_to)
+        return out, bool(deferred), SoapEnvelope(addressing, body, blocks)
 
 
 def _write_body(body: Element, out: List[Any], uris, deferred: List[Any]) -> Optional[Element]:

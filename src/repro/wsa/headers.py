@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.wsa.epr import EndpointReference
 from repro.xmlx import NS, Element, QName
-from repro.xmlx.writer import Fragment, escape_text
+from repro.xmlx.writer import escape_text
 
 _TO = QName(NS.WSA, "To")
 _ACTION = QName(NS.WSA, "Action")
@@ -17,6 +17,12 @@ _REPLY_TO = QName(NS.WSA, "ReplyTo")
 _FAULT_TO = QName(NS.WSA, "FaultTo")
 
 _id_counter = itertools.count(1)
+
+
+def _clean(value: str) -> bool:
+    """Whether the strict reader gets *value* back from its text: it
+    strips what it reads, and an empty one is read as absent."""
+    return bool(value) and value == value.strip()
 
 
 def make_message_id() -> str:
@@ -67,40 +73,59 @@ class AddressingHeaders:
             out.append(Element(name, text=value))
         return out
 
-    def header_fragment(self) -> Optional[Fragment]:
-        """The blocks of :meth:`to_header_elements` as ``to_string``
-        writes them inside an envelope, with the namespaces they mention
-        — or None when :meth:`from_header_elements` would not read every
+    def write_blocks(
+        self, to_blocks: Dict[str, str], action_blocks: Dict[str, str],
+        out: List[str], mentions: Dict[str, None],
+    ) -> bool:
+        """Append the blocks of :meth:`to_header_elements` to *out* as
+        ``to_string`` writes them inside an envelope, and the namespaces
+        they mention to *mentions* — or answer False (the caller drops
+        *out*) when :meth:`from_header_elements` would not read every
         field back as it stands here: ``reply_to`` / ``fault_to`` set, a
         value that is empty or that ``strip()`` changes, a reference
         property whose namespace has no preferred prefix (its ``ns0`` /
         ``ns1`` depends on the whole document) or is ``wsa:`` / ``wsse:``
         (not read back as a reference property).
+
+        *to_blocks* and *action_blocks* are the writing codec's memos of
+        ``<wsa:To>…</wsa:To>`` per address and of
+        ``<wsa:Action>…</wsa:Action><wsa:MessageID>`` per action.  A
+        block is kept only once its value passed the check above, which
+        depends on that value alone, so a hit skips no check a miss
+        would make.  The message id, ``RelatesTo`` and the reference
+        properties are checked and written per message.
         """
         if self.reply_to is not None or self.fault_to is not None:
-            return None
-        fields = [self.to_epr.address, self.action, self.message_id]
-        if self.relates_to is not None:
-            fields.append(self.relates_to)
-        for value in fields:
-            if not value or value != value.strip():
-                return None
-        text = (
-            f"<wsa:To>{escape_text(fields[0])}</wsa:To>"
-            f"<wsa:Action>{escape_text(fields[1])}</wsa:Action>"
-            f"<wsa:MessageID>{escape_text(fields[2])}</wsa:MessageID>"
-        )
-        if self.relates_to is not None:
-            text += f"<wsa:RelatesTo>{escape_text(self.relates_to)}</wsa:RelatesTo>"
-        uris = [NS.WSA]
-        for name, value in self.to_epr.reference_properties.items():
-            prefix = NS.PREFERRED_PREFIXES.get(name.uri)
-            if prefix is None or name.uri in (NS.WSA, NS.WSSE):
-                return None
-            uris.append(name.uri)
+            return False
+        epr, action = self.to_epr, self.action
+        to_block = to_blocks.get(epr.address)
+        if to_block is None:
+            if not _clean(epr.address):
+                return False
+            to_block = to_blocks[epr.address] = f"<wsa:To>{escape_text(epr.address)}</wsa:To>"
+        action_block = action_blocks.get(action)
+        if action_block is None:
+            if not _clean(action):
+                return False
+            action_block = action_blocks[action] = (
+                f"<wsa:Action>{escape_text(action)}</wsa:Action><wsa:MessageID>"
+            )
+        message_id, relates_to = self.message_id, self.relates_to
+        if not _clean(message_id) or (relates_to is not None and not _clean(relates_to)):
+            return False
+        out += (to_block, action_block, escape_text(message_id), "</wsa:MessageID>")
+        if relates_to is not None:
+            out.append(f"<wsa:RelatesTo>{escape_text(relates_to)}</wsa:RelatesTo>")
+        mentions[NS.WSA] = None
+        for name, value in epr.property_items:
+            uri = name.uri
+            prefix = NS.PREFERRED_PREFIXES.get(uri)
+            if prefix is None or uri in (NS.WSA, NS.WSSE):
+                return False
+            mentions[uri] = None
             tag = prefix + ":" + name.local
-            text += f"<{tag}>{escape_text(value)}</{tag}>" if value else f"<{tag} />"
-        return text, tuple(uris)
+            out.append(f"<{tag}>{escape_text(value)}</{tag}>" if value else f"<{tag} />")
+        return True
 
     @classmethod
     def from_header_elements(cls, headers: List[Element]) -> "AddressingHeaders":

@@ -208,7 +208,10 @@ class WrapperService:
         self.service_name = self.path
         self.perf = perf
         if store is None:
-            store = CachedResourceStore() if perf else BlobResourceStore()
+            # State blobs share the frame memo of the network's codec.
+            store = BlobResourceStore(frames=machine.network.codec.frames)
+            if perf:
+                store = CachedResourceStore(store)
         self.store: ResourceStore = store
         self.address = machine.service_url(self.path)
 
@@ -583,9 +586,8 @@ class WrapperService:
         )
         san = self.env.san
         if san is not None:
-            # Joins the service's recovery clock and reports reentrant
-            # dispatch of a resource this call stack already holds.
-            san.on_dispatch_enter(self.machine.name, self.service_name, rid)
+            # Joins the service's recovery clock.
+            san.on_dispatch_enter(self.machine.name, self.service_name)
         try:
             for name, stage, gate in self._STAGES:
                 if gate is not None and not gate(self, call):
@@ -629,8 +631,6 @@ class WrapperService:
                 pool.release()
             if call.lock is not None:
                 self.release_resource_lock(rid, call.lock)
-            if san is not None:
-                san.on_dispatch_exit(self.machine.name, self.service_name, rid)
             if span is not None:
                 obs.spans.finish_subtree(span)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union
 
 from repro.xmlx.element import Element
 from repro.xmlx.qname import NS, QName
@@ -163,11 +163,6 @@ def to_string(root: Element, xml_declaration: bool = False) -> str:
     return "".join(out)
 
 
-#: a serialized child element plus the namespace URIs it mentions (which
-#: the document that embeds it must declare on its root)
-Fragment = Tuple[str, Tuple[str, ...]]
-
-
 _PREFERRED = NS.PREFERRED_PREFIXES
 _new_element = Element.__new__
 
@@ -257,6 +252,35 @@ def document_frame(tag: QName, uris: Iterable[str]) -> Tuple[str, str]:
     except KeyError as missing:
         raise ValueError(f"namespace {missing} has no preferred prefix") from None
     return "<" + name + "".join([decl for _, decl in decls]) + ">", "</" + name + ">"
+
+
+class DocumentFrames:
+    """:func:`document_frame`, written once per (root tag, namespace
+    set) and remembered.
+
+    A codec writes few document shapes many times over: an envelope
+    whose pieces mention ``wsa:`` and one service's namespace, a state
+    blob of one service's fields.  The key is what the frame depends on
+    and nothing else, and every namespace in it has a preferred prefix
+    (a set that holds one without raises, each time, and is not kept),
+    so the table is bounded by the deployment's message and state
+    shapes — never by the messages, rows or job sets that use them.
+    """
+
+    __slots__ = ("_frames",)
+
+    def __init__(self) -> None:
+        self._frames: Dict[Tuple[QName, FrozenSet[str]], Tuple[str, str]] = {}
+
+    def __call__(self, tag: QName, uris: Iterable[str]) -> Tuple[str, str]:
+        key = (tag, frozenset(uris))
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = self._frames[key] = document_frame(tag, key[1])
+        return frame
+
+    def __len__(self) -> int:
+        return len(self._frames)
 
 
 def _name(qname: QName, allocator: _PrefixAllocator) -> str:

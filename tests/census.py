@@ -17,9 +17,9 @@ The suites run from this checkout's ``tests/`` against the patched copy
 reads the same every time.  A test that starts a subprocess with the
 checkout's own ``src`` (the wsrfcheck CLI gate, the examples) sees the
 unpatched tree, so the tier-1 column never counts wsrfcheck's own gate.
-A reentrant dispatch deadlocks, so a suite that prints nothing for
-:data:`STALL_S` is killed: it has caught the seed, and the row names the
-test it was running as a timeout.
+A seed can hang a test (a job that never starts), so a suite that
+prints nothing for :data:`STALL_S` is killed: it has caught the seed,
+and the row names the test it was running as a timeout.
 
 Rewrite the table in ``docs/static_analysis.md`` (about 24 minutes on
 two cores, :data:`JOBS` seeds at a time)::
@@ -59,7 +59,7 @@ STALL_S = 120
 #: seeds run at a time; each check is one single-threaded process
 JOBS = 2
 
-_REPORT_KINDS = ("data-race", "dispatch-reentrancy")
+_REPORT_KINDS = ("data-race",)
 
 
 @dataclass(frozen=True)
@@ -263,15 +263,6 @@ SEEDS: Tuple[Seed, ...] = (
         "                wrapper.release_resource_lock(others[0], peer)\n"
         "            entry = wrapper.load_resource(entry_id)\n",
         "lock-order",
-    ),
-    Seed(
-        "self-dispatch", "gridapp/execution_service.py",
-        "        rid = self.resource_id\n"
-        "        tracing.record(machine, 7,",
-        "        rid = self.resource_id\n"
-        '        yield from self.wsrf.wrapper._dispatch(Element(QName(UVA, "GetExitCode")), rid)\n'
-        "        tracing.record(machine, 7,",
-        "reentrancy",
     ),
 )
 

@@ -1,6 +1,6 @@
 """Codec fast path (docs/performance.md, "Codec fast path").
 
-Eight concerns, one file:
+Nine concerns, one file:
 
 - the three parser *contract* fixes that rode along with the fast path:
   malformed character references raise :class:`XmlParseError` with an
@@ -22,6 +22,10 @@ Eight concerns, one file:
 - the envelope splice against the reference codec: a Hypothesis
   differential over generated envelopes, and each fallback condition
   from both sides;
+- the constant parts a codec and a network write once (root frame,
+  addressing head, route): a Hypothesis differential of a warm codec
+  against a fresh one and the reference, and their entry counts, which
+  more resources or job sets on one deployment do not move;
 - the state writer (:func:`repro.soap.write_typed`, value -> text in
   one walk) against the element it does not build: a Hypothesis
   differential with ``write_fragment(to_typed_element(...))`` over
@@ -52,7 +56,8 @@ from repro.db import (
 )
 from repro.db.resource_store import decode_state, encode_state
 from repro.gridapp import FaultToleranceConfig, FederationConfig, FileRef, JobSpec, Testbed
-from repro.net import RetryPolicy
+from repro.net import DeliveryError, Network, RetryPolicy
+from repro.osim import Machine
 from repro.osim.programs import make_compute_program
 from repro.soap import (
     EnvelopeCache, SoapEnvelope, SoapFault, from_typed_element, to_typed_element, typed_value,
@@ -60,7 +65,12 @@ from repro.soap import (
 )
 from repro.soap import envelope as envelope_module
 from repro.soap import types as soap_types
+from repro.sim import Environment
 from repro.wsa import AddressingHeaders, EndpointReference
+from repro.wsrf import (
+    GetResourcePropertyPortType, Resource, ResourceProperty, ServiceSkeleton, WebMethod,
+    WSRFPortType, WsrfClient, deploy,
+)
 from repro.xmlx import NS, Element, QName, WireText, XmlParseError, parse, to_string
 from repro.xmlx import writer
 
@@ -1471,6 +1481,167 @@ class TestEnvelopeSplice:
         _assert_same_message(got, SoapEnvelope.deserialize(wire))
 
 
+# -- the constant parts, written once per codec -------------------------------------
+
+
+# A few addresses and actions met many times, each with other
+# reference properties, ids, RelatesTo and blocks: the pools hold
+# markup, and values the reader strips or reads as absent, which must
+# decline on a warm codec as on a fresh one.
+_memo_addresses = st.sampled_from(
+    ["http://n:80/S", "http://n:80/a&b<c>", " http://n:80/S", "http://n:80/S\t", " "])
+_memo_actions = st.sampled_from(["urn:Run", "urn:<Run> & >", "", " urn:Run", "urn:Run\r"])
+_memo_ids = st.sampled_from(["uuid:m-1", "uuid:<m>&2", "", " uuid:m-3"])
+
+
+@st.composite
+def _memo_envelopes(draw):
+    props = draw(st.one_of(_exact_props, _any_props))
+    headers = AddressingHeaders(
+        EndpointReference(draw(_memo_addresses), props), draw(_memo_actions))
+    headers.message_id = draw(_memo_ids)
+    headers.relates_to = draw(st.one_of(st.none(), _memo_ids))
+    # the body and blocks are the existing differential's; shallow here
+    body = draw(_rich_elements(depth=2, names=_preferred_qnames))
+    blocks = draw(st.lists(st.builds(Element, st.just(_SECURITY), text=_rich_texts), max_size=2))
+    return SoapEnvelope(headers, body, blocks)
+
+
+def _clean(value):
+    return bool(value) and value == value.strip()
+
+
+class TestConstantParts:
+    """What a codec writes once — the root frame per namespace set, the
+    To block per address, the Action block per action — and what a
+    network parses once — the route per address — change no byte and
+    skip no check."""
+
+    @settings(max_examples=150)
+    @given(st.lists(_memo_envelopes(), min_size=1, max_size=6))
+    def test_memoized_encode_is_the_reference(self, envelopes):
+        warm = EnvelopeCache()
+        for envelope in envelopes:
+            reference = to_string(envelope.to_element(), xml_declaration=True)
+            fresh = EnvelopeCache().encode(envelope)
+            for wire in (fresh, warm.encode(envelope), warm.encode(envelope)):
+                assert str(wire) == reference
+                # spliced on a fresh codec iff spliced on a warm one
+                assert type(wire) is type(fresh)
+        # a block is kept only for a value the reader gets back
+        assert all(map(_clean, [*warm.to_blocks, *warm.action_blocks]))
+
+    def test_one_address_block_serves_every_resource_of_a_service(self):
+        codec = EnvelopeCache()
+        rid, foreign = QName(UVA, "ResourceID"), QName(_FOREIGN, "ResourceID")
+        sent = [
+            _to("http://n:80/S", {rid: "r-1"}),
+            _to("http://n:80/S", {foreign: "r-2"}),  # declines, after a hit
+            _to("http://n:80/S", {rid: "r-3", QName(NS.WSRF_RL, "Lease"): "a<b"}),
+            _to("http://n:80/S", {QName(NS.WSSE, "Token"): "t"}),  # declines
+        ]
+        wires = [codec.encode(envelope) for envelope in sent]
+        assert [type(wire) for wire in wires] == [WireText, str, WireText, str]
+        for wire, envelope in zip(wires, sent):
+            assert str(wire) == to_string(envelope.to_element(), xml_declaration=True)
+        assert list(codec.to_blocks) == ["http://n:80/S"]
+        assert list(codec.action_blocks) == ["urn:Run"]
+        assert len(codec.frames) == 2  # {wsa, uvacg, wsse}, {wsa, uvacg, wsrl, wsse}
+
+    def test_an_unroutable_address_is_refused_on_every_send(self):
+        env = Environment()
+        net = Network(env)
+        net.add_host("a")
+        for url in ["nowhere", "local://x", "job3://out.dat", "http://:80/S"] * 2:
+            with pytest.raises(DeliveryError, match="cannot route"):
+                _drain(env, net.request("a", url, "<x/>"))
+        assert net.stats.faults["refused"] == 8
+        assert net._routes == {}
+
+
+def _drain(env, coroutine):
+    proc = env.process(coroutine)
+    env.run(until=proc)
+    return proc.value
+
+
+@WSRFPortType(GetResourcePropertyPortType)
+class _Counter(ServiceSkeleton):
+    """The rp_calls service: one integer per WS-Resource."""
+
+    value = Resource(default=0)
+
+    @ResourceProperty
+    @property
+    def Value(self) -> int:
+        return self.value
+
+    @WebMethod(requires_resource=False)
+    def Create(self):
+        return self.epr_for(self.create_resource(value=0))
+
+    @WebMethod
+    def Increment(self) -> int:
+        self.value = self.value + 1
+        return self.value
+
+
+def _memo_sizes(network):
+    """Entry counts of every memo of the constant parts: the network's
+    codec (root frames, envelopes' and state blobs' alike, and the
+    addressing blocks) and its routes."""
+    codec = network.codec
+    return (len(codec.frames), len(codec.to_blocks), len(codec.action_blocks),
+            len(network._routes))
+
+
+class TestMemoBounds:
+    """The memos are fixed by the deployment: more resources, messages
+    or job sets on the same deployment add no entry."""
+
+    def test_rp_calls_shape_on_32_then_64_resources(self):
+        env = Environment()
+        net = Network(env)
+        wrapper = deploy(_Counter, Machine(net, "server"), "Counter")
+        clients = []
+        for c in range(4):
+            net.add_host(f"client{c:02d}")
+            clients.append(WsrfClient(net, f"client{c:02d}"))
+        eprs = []
+
+        def run_on(n_resources):
+            while len(eprs) < n_resources:
+                eprs.append(_drain(env, clients[0].call(wrapper.service_epr(), UVA, "Create")))
+
+            def loop(client, shift):
+                # 3 reads per write, every resource
+                for i, epr in enumerate(eprs):
+                    if (i + shift) % 4 == 0:
+                        yield from client.call(epr, UVA, "Increment")
+                    else:
+                        yield from client.get_resource_property(epr, QName(UVA, "Value"))
+
+            env.run(until=env.all_of([env.process(loop(c, k)) for k, c in enumerate(clients)]))
+            return _memo_sizes(net)
+
+        small = run_on(32)
+        assert run_on(64) == small
+        assert net.stats.messages > 2 * 4 * 64
+
+    def test_a_1_set_then_a_3_set_fan_on_one_testbed(self):
+        tb = fig3_testbed(10.0, {"out": b"x"}, n_machines=3)
+        client = tb.make_client()
+
+        def fan(n_sets):
+            for k in range(n_sets):
+                spec = fan_spec(client, tb, 4, name=f"set{n_sets}-{k}-job{{}}")
+                assert tb.run_job_set(client, spec)[0] == "completed"
+            tb.settle(5.0)
+            return _memo_sizes(tb.network)
+
+        assert fan(1) == fan(3)
+
+
 # -- the hand-off watched from outside, in whole runs -------------------------------
 
 
@@ -1511,10 +1682,10 @@ def audit(monkeypatch):
     (``fallback``: reference text, nothing handed over)."""
     seen = {"envelopes": 0, "spliced": 0, "fallback": 0, "states": 0, "base64": 0}
     real_parse, real_decode = EnvelopeCache.parse, DecodeCache.decode
-    real_splice = envelope_module._splice
+    real_splice = EnvelopeCache._splice
 
-    def splice_counted(envelope):
-        wire = real_splice(envelope)
+    def splice_counted(self, envelope):
+        wire = real_splice(self, envelope)
         seen["fallback"] += wire is None
         return wire
 
@@ -1545,7 +1716,7 @@ def audit(monkeypatch):
         seen["states"] += 1
         return state
 
-    monkeypatch.setattr(envelope_module, "_splice", splice_counted)
+    monkeypatch.setattr(EnvelopeCache, "_splice", splice_counted)
     monkeypatch.setattr(EnvelopeCache, "parse", parse_checked)
     monkeypatch.setattr(DecodeCache, "decode", decode_checked)
     return seen

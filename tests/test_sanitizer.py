@@ -10,8 +10,6 @@ Proof layers:
   fixture (``tests/analysis_fixtures/races.py``) is flagged statically
   by LOCK001 *and*, when driven live against a deployed wrapper, by the
   dynamic lockset; its lock-taking twin is clean both ways.
-- **Reentrancy**: a genuinely reentrant dispatch is named while the run
-  hangs.
 - **Happens-before mechanics**: spawn edges order a parent's writes
   before its child's; unrelated processes racing on a bare store row
   are reported.
@@ -30,10 +28,8 @@ from repro.net import Network
 from repro.osim import Machine, MachineParams
 from repro.sim import Environment
 from repro.sim.sync import Lock
-from repro.soap import SoapEnvelope
-from repro.wsa import AddressingHeaders
 from repro.wsrf import Resource, ServiceSkeleton, WebMethod, WsrfClient, deploy
-from repro.xmlx import NS, Element, QName
+from repro.xmlx import NS
 
 from tests.equivalence import FT, SCENARIOS, Scenario, run_scenario
 from tests.helpers import timed_trace
@@ -193,54 +189,6 @@ class TestRacyFixtureBothTiers:
         assert san.accesses_checked > 0
         san.assert_clean()
         assert san.summary() == {}
-
-
-# -- dispatch reentrancy ------------------------------------------------------------
-
-
-class NesterService(ServiceSkeleton):
-    count = Resource(default=0)
-
-    @WebMethod(requires_resource=False)
-    def Create(self):
-        return self.epr_for(self.create_resource())
-
-    @WebMethod
-    def Touch(self) -> str:
-        return "ok"
-
-    @WebMethod
-    def Recurse(self):
-        # Re-dispatch Touch against our own resource from inside its
-        # dispatch: the non-reentrant resource mutex deadlocks here.
-        wrapper = self.wsrf.wrapper
-        envelope = SoapEnvelope(
-            AddressingHeaders(to_epr=self.wsrf.my_epr(), action=f"{UVA}/Touch"),
-            Element(QName(UVA, "Touch")),
-        )
-        result, _fault = yield from wrapper._dispatch(
-            envelope.body, self.wsrf.resource_id, envelope
-        )
-        return result
-
-
-class TestDispatchReentrancy:
-    def test_reentrant_dispatch_named_while_run_hangs(self):
-        env = Environment()
-        san = RaceSanitizer(env)
-        net = Network(env)
-        machine = Machine(net, "server", params=MachineParams(db_access_s=0.01))
-        wrapper = deploy(NesterService, machine, "Nester")
-        net.add_host("client")
-        client = WsrfClient(net, "client")
-        proc = env.process(client.call(wrapper.service_epr(), UVA, "Create"))
-        env.run(until=proc)
-        env.process(client.call(proc.value, UVA, "Recurse"))
-        env.run(until=10.0)  # the inner acquire never returns
-        assert san.summary() == {"dispatch-reentrancy": 1}
-        report = san.reports[0]
-        assert "Nester" in report.key
-        assert "deadlocks" in report.detail
 
 
 # -- happens-before mechanics -------------------------------------------------------
