@@ -366,11 +366,10 @@ class Testbed:
         return self.run(client.run_job_set(spec))
 
     def settle(self, extra_time: float = 10.0) -> None:
-        """Advance simulated time so in-flight messages land.
+        """Advance simulated time by *extra_time* so in-flight messages land.
 
-        The heap never fully drains while the Processor Utilization
-        samplers run (they tick forever), so settling is a bounded
-        time advance, not a drain.
+        Idle utilization samplers park, so a finished grid's heap may
+        drain before the deadline; the clock still ends there.
         """
         self.env.run(until=self.env.now + extra_time)
 

@@ -115,6 +115,8 @@ class Network:
         #: attached repro.gridapp.tracing.EventTrace (the numbered Fig. 3
         #: steps), or None
         self.trace: Optional[Any] = None
+        #: the utilization samplers' shared timers (repro.gridapp.utilization)
+        self.sampler_timers: Optional[Any] = None
         #: the envelope hand-off (docs/performance.md): endpoints pass it
         #: to SoapEnvelope.serialize/deserialize, so the receiver of a
         #: message encoded on this fabric adopts the sender's tree

@@ -51,6 +51,9 @@ class CpuScheduler:
         self._version = 0
         #: total CPU-seconds delivered (all processes, for utilization stats)
         self.cpu_seconds_delivered = 0.0
+        #: called whenever the run queue gains or loses a task, the only
+        #: moments utilization() changes (gridapp/utilization.py)
+        self.on_run_queue_changed: list = []
 
     # -- state advancement ---------------------------------------------------------
 
@@ -78,6 +81,12 @@ class CpuScheduler:
         for task_id in finished:
             task = self._active.pop(task_id)
             task.waiter.succeed()
+        if finished:
+            self._run_queue_changed()
+
+    def _run_queue_changed(self) -> None:
+        for callback in self.on_run_queue_changed:
+            callback()
 
     def _reschedule(self) -> None:
         self._version += 1
@@ -108,13 +117,15 @@ class CpuScheduler:
         task_id = next(self._task_ids)
         waiter = self.env.event()
         self._active[task_id] = _Task(work_units, waiter, process)
+        self._run_queue_changed()
         self._reschedule()
         try:
             yield waiter
         except (Interrupt, GeneratorExit):
             # Killed mid-compute: withdraw the task and repartition the CPU.
             self._advance()
-            self._active.pop(task_id, None)
+            if self._active.pop(task_id, None) is not None:
+                self._run_queue_changed()
             self._reschedule()
             raise
 

@@ -466,6 +466,46 @@ class TestDemandPublishing:
         )
         assert self._is_publishing(env, client, sensor) is False
 
+    def test_demand_signals_leave_after_the_dispatch_db_save(self, fabric, monkeypatch):
+        """Each Pause/Resume that a RegisterPublisher or Subscribe
+        dispatch decides is handed to the network only once that
+        dispatch's db_save stage has finished (WAL001), never from the
+        method.  The broker dispatch's stage spans, open while it runs,
+        say which stage it is in when a send starts."""
+        import repro.wsn.base_notification as base_notification
+        from repro.obs import Observability
+
+        obs = Observability(fabric[0]).attach(fabric[1])
+        sends = []
+        real_send = base_notification.fire_and_forget
+
+        def spy_send(env_, client_, epr, body, category="notify", **kwargs):
+            if category == "demand-control":
+                (dispatch,) = [
+                    span for span in obs.spans.open_spans()
+                    if span.name == "wsrf.dispatch"
+                    and span.attrs["service"] == "NotificationBroker"
+                ]
+                saved = [
+                    span for span in obs.spans.children(dispatch)
+                    if span.name == "wsrf.dispatch.db_save" and span.end is not None
+                ]
+                sends.append((dispatch.attrs["operation"], body.tag.local, len(saved)))
+            return real_send(env_, client_, epr, body, category=category, **kwargs)
+
+        monkeypatch.setattr(base_notification, "fire_and_forget", spy_send)
+        env, net, broker, sensor, client = self._demand_setup(fabric)
+        listener = NotificationListener(net, "client")
+        for topic in ("env/**", "env/x"):  # the second changes no demand
+            run(env, client.subscribe(broker.service_epr(), listener.epr, topic,
+                                      dialect=FULL_DIALECT))
+            env.run(until=env.now + 1.0)
+        assert sends == [
+            ("RegisterPublisher", "PausePublishing", 1),
+            ("Subscribe", "ResumePublishing", 1),
+        ]
+        assert self._is_publishing(env, client, sensor) is True
+
 
 class TestBrokerRedelivery:
     """Bounded notification redelivery, then dropping the subscriber."""
