@@ -106,6 +106,7 @@ class AggregatorCatalogService(ServiceGroupService):
             # the refresh below is a load-modify-save on the entry row
             # outside a requires_resource dispatch, so take the entry's
             # own resource lock for the whole read-refresh-serve cycle.
+            # Not a run_local dispatch: this write pays no database time today.
             lock = wrapper.resource_lock(entry_id)
             yield lock.acquire()
             try:

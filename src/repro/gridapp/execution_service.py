@@ -261,9 +261,8 @@ class ExecutionService(ServiceSkeleton):
         invocation's outbox, the event leaves this host only after the
         db_save stage persists the state change it announces (a
         ``JobStarted`` must never outlive a crash that erased the
-        ``Running`` status it reported).  From the detached process
-        watcher the invocation is already closed and its own save done,
-        so the send fires immediately.
+        ``Running`` status it reported).  The process watcher's send,
+        after its own dispatch returned, fires immediately.
         """
         wrapper = self.wsrf.wrapper
         broker_epr = wrapper.broker_epr
@@ -274,49 +273,33 @@ class ExecutionService(ServiceSkeleton):
         self.wsrf.send_after_persist(broker_epr, body)
 
     def _watch_process(self, rid: str, process) -> None:
-        """Detached watcher: on exit, persist the outcome and broadcast.
+        """Detached watcher: on exit, persist the outcome with a local
+        dispatch (``WrapperService.run_local``), then broadcast it.
 
         This is the ProcSpawn → ES completion notification of step 10,
         modeled as the Windows service firing the process's done event.
+        It belongs to this boot of the machine: after a crash, recovery
+        (wsrf_recover) re-dispatches the job instead.
         """
         wrapper = self.wsrf.wrapper
         machine = self.machine
-        env = self.env
-        host = machine.host
-        epoch = host.boot_epoch
-
-        def stale() -> bool:
-            # The watcher belongs to this boot of the machine: once the
-            # host crashes, its observation dies unpersisted — recovery
-            # (wsrf_recover) re-dispatches the job instead.
-            return host.down or host.boot_epoch != epoch
+        epoch = machine.host.boot_epoch
 
         def watcher(env):
             code = yield process.done
-            if stale():
+            if wrapper._zombie(epoch) is not None:
                 return
             tracing.record(machine, 10, f"ProcSpawn@{machine.name}",
                            f"{rid} exited {code}")
-            lock = wrapper.resource_lock(rid)
-            yield lock.acquire()
-            try:
-                if stale() or not wrapper.store.exists(wrapper.service_name, rid):
-                    return  # job resource destroyed while running
-                yield machine.db_delay()
-                job = wrapper.load_resource(rid)
-                job.status = (
-                    "Killed" if process.state == ProcessState.KILLED else "Exited"
-                )
+
+            def RecordExit(job):
+                job.status = "Killed" if process.state == ProcessState.KILLED else "Exited"
                 job.exit_code = code
-                yield machine.db_delay()
-                if stale():
-                    return  # crashed between observing and persisting
-                wrapper.save_resource(rid, job)
-            finally:
-                wrapper.release_resource_lock(rid, lock)
-            # The outcome is persisted; the broadcast may follow (the
-            # write-ahead ordering, done manually by this detached
-            # process since it runs outside any invocation).
+                return job
+
+            job = yield from wrapper.run_local(rid, RecordExit, epoch)
+            if job is None:
+                return  # destroyed while running, or the host went down
             self._broadcast(
                 f"{job.topic}/{job.job_name}/exited",
                 _job_event(
@@ -326,7 +309,7 @@ class ExecutionService(ServiceSkeleton):
                 ),
             )
 
-        env.process(watcher(env))
+        self.env.process(watcher(self.env))
 
 
 def _job_event(kind: str, job_name: str, exit_code=None, job_epr=None,

@@ -168,6 +168,7 @@ class NodeInfoService(ServiceGroupService):
         entry_id = wrapper._processor_index.entry_for(wrapper, machine_name)
         if entry_id is None:
             return 0
+        # Not a run_local dispatch: this write pays no database time today.
         lock = wrapper.resource_lock(entry_id)
         yield lock.acquire()
         try:

@@ -14,6 +14,7 @@ from repro.soap import SoapFault
 from repro.wsa import EndpointReference
 from repro.wsn.topics import CONCRETE_DIALECT, TopicExpression, TopicExpressionError
 from repro.wsrf.basefaults import BaseFault
+from repro.wsrf.lifetime import Destroy
 from repro.wsrf.porttypes import SpecPortType
 from repro.xmlx import NS, Element, QName
 
@@ -383,8 +384,7 @@ class NotificationProducer:
         policy = self.redelivery_policy
         env = wrapper.env
         obs = wrapper.machine.network.obs
-        host = wrapper.machine.host
-        epoch = host.boot_epoch
+        epoch = wrapper.machine.host.boot_epoch
         failures = 0
         while True:
             try:
@@ -413,24 +413,12 @@ class NotificationProducer:
                 yield env.timeout(policy.delay_for(failures, self._redelivery_rng))
                 if rspan is not None:
                     obs.finish(rspan)
-        if host.down or host.boot_epoch != epoch:
-            # This redelivery loop belongs to a dead boot: its failure
-            # tally describes deliveries that never happened as far as
-            # the restored broker is concerned — do not drop.
-            return
-        if sub.resource_id in self.subscriptions:
+        # A local wsrl:Destroy.  A loop of a dead boot destroys nothing:
+        # the restored broker never saw the failures it counted.
+        if sub.resource_id in self.subscriptions and (
+            yield from wrapper.run_local(sub.resource_id, Destroy, epoch)
+        ) is not None:
             self.dropped_subscribers.append(sub.resource_id)
-            # Take the subscription's resource lock before destroying it: a
-            # concurrent Unsubscribe/PauseSubscription handler may be mid
-            # load-modify-save on the same resource.
-            lock = wrapper.resource_lock(sub.resource_id)
-            yield lock.acquire()
-            try:
-                wrapper.destroy_resource(sub.resource_id)
-            except Exception:
-                self.subscriptions.pop(sub.resource_id, None)
-            finally:
-                wrapper.release_resource_lock(sub.resource_id, lock)
 
 
 def attach_notification_producer(wrapper) -> Optional[NotificationProducer]:

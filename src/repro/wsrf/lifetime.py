@@ -32,15 +32,22 @@ class ImmediateResourceTerminationPortType(SpecPortType):
         return self.instance.wsrf.resource_id
 
 
+def Destroy(instance) -> Element:
+    """``wsrl:Destroy`` as an internal operation
+    (:meth:`~repro.wsrf.tooling.WrapperService.run_local`): an expiry's
+    or a dropped subscriber's, the wire operation without a message."""
+    return ImmediateResourceTerminationPortType(instance.wsrf.wrapper, instance).destroy(None)
+
+
 class ScheduledResourceTerminationPortType(SpecPortType):
     """wsrl:SetTerminationTime plus the TerminationTime/CurrentTime RPs.
 
     Termination times live in a wrapper-side table.  Setting one arms
     a single timer (:meth:`WrapperService.set_termination_time`); when
-    it fires the wrapper runs a ``wsrl:Destroy`` through its own
-    dispatch, so a service importing this port type imports
-    :class:`ImmediateResourceTerminationPortType` too.  A nil requested
-    time means "never terminate" and cancels the pending destroy.
+    it fires the wrapper runs :func:`Destroy` as a local dispatch, so
+    this port type needs no :class:`ImmediateResourceTerminationPortType`
+    beside it.  A nil requested time means "never terminate" and
+    cancels the pending destroy.
     """
 
     OPERATIONS = {SET_TERMINATION_TIME: "set_termination_time"}

@@ -209,19 +209,18 @@ class ServiceGroupService(ServiceSkeleton):
     # -- lifecycle ---------------------------------------------------------------------
 
     def wsrf_on_destroy(self) -> None:
-        """Destroying an entry removes it from its group's entry list."""
+        """Destroying an entry removes it from its group's entry list:
+        a detached local dispatch on the group row waits for that row's
+        lock holding no worker thread (``WrapperService.run_local``)."""
         if self.kind != "entry" or self.group_id is None:
             return
-        wrapper = self.wsrf.wrapper
-        try:
-            group = wrapper.load_resource(self.group_id)
-        except KeyError:
-            return
-        ids = list(group.entry_ids or [])
-        if self.resource_id in ids:
-            ids.remove(self.resource_id)
-            group.entry_ids = ids
-            wrapper.save_resource(self.group_id, group)
+        entry_id = self.resource_id
+
+        def RemoveEntry(group):
+            group.entry_ids = [rid for rid in group.entry_ids or [] if rid != entry_id]
+
+        self.env.process(self.wsrf.wrapper.run_local(
+            self.group_id, RemoveEntry, self.machine.host.boot_epoch))
 
     # -- helpers ------------------------------------------------------------------------
 

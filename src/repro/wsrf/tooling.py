@@ -46,7 +46,7 @@ from repro.wsrf.basefaults import (
     ResourceUnknownFault,
     UnableToModifyResourcePropertyFault,
 )
-from repro.wsrf.lifetime import DESTROY
+from repro.wsrf.lifetime import Destroy
 from repro.wsrf.porttypes import SpecPortType
 from repro.wssec import SecurityError, UsernameToken, open_security_header
 from repro.xmlx import NS, Element, QName
@@ -98,10 +98,10 @@ class InvocationContext:
         leaves the host, so the wrapper holds these sends until the
         db_save stage completes (a crash in between discards them along
         with the unpersisted state — the client retries, the subscriber
-        never hears about state that no longer exists).  Called from a
-        detached process after its invocation already finished (e.g. a
-        process watcher that has done its own locked save), the send
-        fires immediately.
+        never hears about state that no longer exists).  Called after
+        its invocation finished (e.g. by a process watcher once its
+        :meth:`WrapperService.run_local` returned), the send fires
+        immediately.
         """
         if self._outbox_closed:
             self._send_now(target_epr, body, category)
@@ -149,7 +149,7 @@ class _Call:
 
     def __init__(self, ctx: InvocationContext, body, instance, pool, epoch: int) -> None:
         self.ctx = ctx
-        self.body = body  # the request body: the operation and its arguments
+        self.body = body  # the request body, or an internal operation (run_local)
         self.instance = instance  # the service object the method runs on
         self.pool = pool  # the ASP.NET pool serving the call
         self.epoch = epoch  # the host's boot on arrival (_zombie)
@@ -306,9 +306,9 @@ class WrapperService:
     def load_resource(self, resource_id: str) -> ServiceSkeleton:
         """The stored WS-Resource as a service object with its fields
         set and no invocation context: how code outside a web method
-        (recovery hooks, detached watchers, service-level operations)
-        reads fields by name.  Raises ``NoSuchResource``; charges no db
-        time — a detached caller yields ``machine.db_delay()`` itself."""
+        (recovery hooks, service-level operations) reads fields by name.
+        Raises ``NoSuchResource``; charges no db time.  Detached code
+        that changes a row runs a local dispatch (:meth:`run_local`)."""
         state = self.store.load(self.service_name, resource_id)
         instance = self.service_cls()
         for name, qname in self._field_qnames:
@@ -362,8 +362,8 @@ class WrapperService:
 
     def _arm_expiry(self, resource_id: str, when: Optional[float]) -> None:
         """Spawn the process that destroys *resource_id* at *when* (at
-        once if that has passed) with a ``wsrl:Destroy`` through
-        :meth:`_dispatch`; a nil or infinite *when* arms nothing.
+        once if that has passed) with a local ``wsrl:Destroy``
+        (:meth:`run_local`); a nil or infinite *when* arms nothing.
 
         The process belongs to this boot of the host and to this
         termination time: it does nothing if the host is down or has
@@ -377,12 +377,8 @@ class WrapperService:
 
         def expiry(env):
             yield env.timeout(max(when - env.now, 0.0))
-            if self._zombie(epoch) is not None or self._termination.get(resource_id) != when:
-                return
-            try:
-                yield from self._dispatch(Element(DESTROY), resource_id)
-            except DeliveryError:
-                pass  # the host went down mid-destroy; its reboot re-arms
+            if self._termination.get(resource_id) == when:
+                yield from self.run_local(resource_id, Destroy, epoch)
 
         self.env.process(expiry(self.env))
 
@@ -502,6 +498,21 @@ class WrapperService:
             )
         return None
 
+    def run_local(self, resource_id: str, operation: Callable, epoch: int):
+        """Run *operation*(service object) on row *resource_id* through
+        :attr:`_STAGES`, with no message and no worker thread: how
+        detached work changes a row.  A coroutine returning its result,
+        or None when the row is gone, it faulted, or the host went down
+        or rebooted since boot *epoch*.  An internal operation is not in
+        :attr:`_ops`, so no SOAP body reaches it."""
+        if self._zombie(epoch) is not None:
+            return None
+        try:
+            response, _ = yield from self._dispatch(operation, resource_id)
+        except DeliveryError:
+            return None  # the host went down mid-dispatch; nothing was saved
+        return response
+
     # -- notifications ------------------------------------------------------------------
 
     def publish(self, topic, payload, parent_span=None) -> None:
@@ -549,13 +560,14 @@ class WrapperService:
             return reject(network, delivery, envelope, fault)
         return reply_text(network.codec, delivery, envelope, response_body)
 
-    def _dispatch(self, body: Element, rid, envelope: Optional[SoapEnvelope] = None,
+    def _dispatch(self, body, rid, envelope: Optional[SoapEnvelope] = None,
                   delivery=None, pool=None):
         """Take one invocation through the Fig. 1 stages (:attr:`_STAGES`)
         in its ``wsrf.dispatch`` span; returns ``(reply body, None)``, or
         ``(None, fault)`` once the fault is counted.  A request arrives
-        with its *envelope* and *delivery*; an expiry (:meth:`_arm_expiry`)
-        is a local dispatch with neither, and no worker *pool*.
+        with its *envelope* and *delivery*; a local dispatch
+        (:meth:`run_local`) has neither, no worker *pool*, and its
+        *body* is the internal operation itself.
 
         The loop below is the one place a stage span opens and closes.
         A stage ends the dispatch either by *returning* the fault — it
@@ -575,7 +587,8 @@ class WrapperService:
                 attrs={
                     "service": self.path,
                     "host": self.machine.name,
-                    "operation": body.tag.local,
+                    "operation": body.tag.local if isinstance(body, Element)
+                    else body.__name__,
                 },
             )
         # The epoch says which boot of this host the invocation belongs
@@ -635,12 +648,17 @@ class WrapperService:
                 obs.spans.finish_subtree(span)
 
     def _epr_resolve(self, call: _Call):
-        """Route the body to its operation (:attr:`_ops`).  Reading
-        ResourceID out of the EPR costs no simulated time; the
-        zero-length stage still marks Fig. 1 step 1 in the trace."""
+        """Route the body to its operation (:attr:`_ops`); an internal
+        operation is its own.  Reading ResourceID out of the EPR costs
+        no simulated time; the zero-length stage still marks Fig. 1
+        step 1 in the trace."""
         rid = call.ctx.resource_id
         if call.stage is not None:
             call.stage.attrs["resource_id"] = rid or ""
+        if not isinstance(call.body, Element):
+            call.needs_resource = True
+            call.run = lambda instance, operation: operation(instance)
+            return None
         tag = call.body.tag
         op = self._ops.get(tag)
         if op is None:
@@ -714,7 +732,7 @@ class WrapperService:
         instance, body = call.instance, call.body
         instance._invocation = call.ctx
         if call.stage is not None:
-            call.stage.attrs["operation"] = body.tag.local
+            call.stage.attrs["operation"] = call.ctx.span.attrs["operation"]
         result = call.run(instance, body)
         if inspect.isgenerator(result):
             result = yield from result

@@ -81,27 +81,6 @@ def _drop_lock(block: str) -> str:
     return "".join(line[4:] if line.strip() else line for line in lines[3:-2])
 
 
-#: the ES process watcher's locked load-modify-save (a detached process)
-_WATCHER_LOCKED = (
-    "            lock = wrapper.resource_lock(rid)\n"
-    "            yield lock.acquire()\n"
-    "            try:\n"
-    "                if stale() or not wrapper.store.exists(wrapper.service_name, rid):\n"
-    "                    return  # job resource destroyed while running\n"
-    "                yield machine.db_delay()\n"
-    "                job = wrapper.load_resource(rid)\n"
-    "                job.status = (\n"
-    '                    "Killed" if process.state == ProcessState.KILLED else "Exited"\n'
-    "                )\n"
-    "                job.exit_code = code\n"
-    "                yield machine.db_delay()\n"
-    "                if stale():\n"
-    "                    return  # crashed between observing and persisting\n"
-    "                wrapper.save_resource(rid, job)\n"
-    "            finally:\n"
-    "                wrapper.release_resource_lock(rid, lock)\n"
-)
-
 #: NIS ReportUtilization's locked load-modify-save (a dispatch)
 _REPORT_LOCKED = (
     "        lock = wrapper.resource_lock(entry_id)\n"
@@ -225,13 +204,13 @@ SEEDS: Tuple[Seed, ...] = (
         "WAL001",
     ),
     Seed(
-        "real-sleep", "gridapp/execution_service.py",
-        "                job.exit_code = code\n"
-        "                yield machine.db_delay()\n",
-        "                job.exit_code = code\n"
-        "                import time\n"
-        "                time.sleep(machine.params.db_access_s)\n"
-        "                yield machine.db_delay()\n",
+        "real-sleep", "wsrf/tooling.py",
+        "        for _ in range(call.ctx.db_ops):\n"
+        "            yield self.machine.db_delay()\n",
+        "        for _ in range(call.ctx.db_ops):\n"
+        "            import time\n"
+        "            time.sleep(self.machine.params.db_access_s)\n"
+        "            yield self.machine.db_delay()\n",
         "SIM001",
     ),
     Seed(
@@ -242,7 +221,11 @@ SEEDS: Tuple[Seed, ...] = (
     ),
     Seed(
         "unlocked-detached-save", "gridapp/execution_service.py",
-        _WATCHER_LOCKED, _drop_lock(_WATCHER_LOCKED), "LOCK001",
+        "            job = yield from wrapper.run_local(rid, RecordExit, epoch)\n",
+        "            job = wrapper.load_resource(rid)\n"
+        "            RecordExit(job)\n"
+        "            wrapper.save_resource(rid, job)\n",
+        "LOCK001",
     ),
     Seed(
         "dropped-acquire", "gridapp/node_info.py",

@@ -294,6 +294,8 @@ class TestJobResourceInterface:
         assert exit_code == 0
 
     def test_destroying_job_resource_kills_process(self, testbed):
+        """The killed process's watcher finds no row: its local dispatch
+        faults (counted in faults_returned) and nothing is broadcast."""
         testbed.programs.register(make_compute_program("eternal", 10_000.0))
         client = testbed.make_client()
         spec = client.new_job_set()
@@ -308,12 +310,41 @@ class TestJobResourceInterface:
                 event = parse_job_event(note.payload)
                 if event.get("kind") == "JobStarted":
                     job_epr = event["job_epr"]
+            es = next(w for w in testbed.es.values() if w.address == job_epr.address)
+            faults = es.faults_returned
             yield from client.soap.destroy(job_epr)
-            return job_epr
+            return es, faults
 
-        job_epr = testbed.run(scenario())
+        es, faults = testbed.run(scenario())
         testbed.settle(extra_time=5.0)
         assert all(m.cpu.active_tasks == 0 for m in testbed.machines)
+        kinds = [parse_job_event(note.payload)["kind"] for note in client.listener.received]
+        assert "JobExited" not in kinds
+        assert es.faults_returned == faults + 1
+
+    @pytest.mark.parametrize("perf", [False, True])
+    def test_a_job_exit_is_one_local_dispatch(self, perf):
+        """The watcher records an exit through the stage table: no wire
+        call, and under perf its db_load is a cache hit, elided."""
+        tb = Testbed(n_machines=1, seed=7, perf=perf)
+        tb.programs.register(make_compute_program("solo", 5.0))
+        client = tb.make_client()
+        [es] = tb.es.values()
+
+        def kinds():
+            return [parse_job_event(n.payload)["kind"] for n in client.listener.received]
+
+        def scenario():
+            yield from client.submit(_single_job_spec(client, tb))
+            while "JobStarted" not in kinds():
+                yield tb.env.timeout(0.1)
+            before = (es.invocations, es.loads_elided)
+            while "JobExited" not in kinds():
+                yield tb.env.timeout(0.1)
+            return before, (es.invocations, es.loads_elided)
+
+        (calls, elided), after = tb.run(scenario())
+        assert after == (calls, elided + perf)
 
     def test_network_traffic_accounted(self, testbed):
         client = testbed.make_client()

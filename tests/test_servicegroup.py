@@ -17,6 +17,7 @@ from repro.wsrf.servicegroup import (
 from repro.xmlx import NS, Element, QName
 
 SG = NS.WSRF_SG
+_RID = QName(NS.UVACG, "ResourceID")
 
 
 @pytest.fixture()
@@ -127,6 +128,29 @@ class TestServiceGroup:
         entries = parse_entries(run(env, client.get_resource_property(group, ENTRY_RP)))
         assert len(entries) == 1
         assert entries[0][0] == _member(2)
+
+    @pytest.mark.parametrize("offset_ms", [i / 10 for i in range(-30, 60)])
+    def test_destroying_an_entry_during_an_add_keeps_both(self, fabric, offset_ms):
+        """Destroy(entry) starts *offset_ms* after Add(member) on the
+        entry's group: the new entry is listed, the destroyed one not,
+        whichever dispatch reaches the group row first."""
+        env, net, wrapper, client = fabric
+        group = run(env, client.call(wrapper.service_epr(), SG, "CreateGroup"))
+        doomed = run(env, client.call(group, SG, "Add",
+                                      {"member": _member(0), "content": _content("n0")}))
+
+        def at(delay, call):
+            yield env.timeout(delay)
+            return (yield from call)
+
+        start = env.now + 0.01
+        add = env.process(at(start - env.now, client.call(
+            group, SG, "Add", {"member": _member(1), "content": _content("n1")})))
+        env.process(at(start + offset_ms / 1000 - env.now, client.destroy(doomed)))
+        env.run(until=start + 1.0)
+        added = add.value.get(_RID)
+        group_row = wrapper.load_resource(group.get(_RID))
+        assert group_row.entry_ids == [added]
 
     def test_update_entry_content(self, fabric):
         env, net, wrapper, client = fabric

@@ -602,6 +602,34 @@ class TestBrokerRedelivery:
         if batched:
             assert producer.batcher.batches_sent == 1
 
+    def test_a_broker_crash_mid_drop_keeps_the_subscription(self, fabric):
+        """The drop is a local wsrl:Destroy: queued at the subscription's
+        lock when the broker crashes, it destroys nothing, raises nothing
+        out of the redelivery loop, and counts no drop."""
+        env, net, pm, wrapper, client = fabric
+        broker, listener, sub_epr = self._broker_with_listener(
+            env, net, client, self._policy(attempts=2)
+        )
+        rid = sub_epr.get(QName(NS.UVACG, "ResourceID"))
+        host = broker.machine.host
+        producer = broker.notification_producer
+        lock = broker.resource_lock(rid)
+        lock.acquire()  # a handler holds the subscription past the last failure
+        net.host("watcher").down = True
+        self._notify(env, client, broker, "x")
+        env.run(until=env.now + 10.0)
+        snap = host.snapshot()
+        host.down = True
+        broker.release_resource_lock(rid, lock)
+        env.run(until=env.now + 1.0)
+        assert broker.store.exists(broker.service_name, rid)
+        assert producer.dropped_subscribers == []
+        host.restore(snap)
+        host.down = False
+        env.run()
+        assert list(producer.subscriptions) == [rid]
+        assert producer.dropped_subscribers == []
+
     def test_dropped_subscribers_resource_property(self, fabric):
         env, net, pm, wrapper, client = fabric
         broker, listener, sub_epr = self._broker_with_listener(

@@ -508,6 +508,65 @@ class TestLifetime:
             run(env, client.destroy(wrapper.epr_for("ghost")))
 
 
+def Bump(instance):
+    """An internal operation: a callable run_local runs on a row."""
+    instance.counter = instance.counter + 1
+    return instance.counter
+
+
+class TestLocalDispatch:
+    """``WrapperService.run_local``: an internal operation through the
+    Fig. 1 stages, with no message and no worker thread."""
+
+    def test_runs_the_stages_and_returns_the_result(self, grid):
+        env, net, machine, wrapper, client = grid
+        epr = make_resource(env, wrapper, client)
+        rid = epr.get(QName(UVA, "ResourceID"))
+        messages, start = net.stats.messages, env.now
+        assert run(env, wrapper.run_local(rid, Bump, machine.host.boot_epoch)) == 1
+        # db_load and db_save; no queue time without a worker pool
+        assert env.now == pytest.approx(start + 2 * MachineParams().db_access_s)
+        assert net.stats.messages == messages
+        assert run(env, client.call(epr, UVA, "MyMethod")) == 2
+
+    def test_no_soap_message_reaches_an_internal_operation(self, grid):
+        env, net, machine, wrapper, client = grid
+        epr = make_resource(env, wrapper, client)
+        with pytest.raises(SoapFault, match="no operation"):
+            run(env, client.invoke(epr, Element(QName(UVA, "Bump"))))
+        assert run(env, client.call(epr, UVA, "MyMethod")) == 1
+
+    @pytest.mark.parametrize("case", ["gone", "down", "rebooted", "crash_at_the_lock"])
+    def test_returns_none_and_saves_nothing(self, grid, case):
+        """The row is gone, or the host went down or rebooted since the
+        caller's boot epoch, before the dispatch or while it queued."""
+        env, net, machine, wrapper, client = grid
+        epr = make_resource(env, wrapper, client)
+        rid = epr.get(QName(UVA, "ResourceID"))
+        host = machine.host
+        epoch = host.boot_epoch
+        if case == "crash_at_the_lock":
+            lock = wrapper.resource_lock(rid)
+            lock.acquire()
+            local = env.process(wrapper.run_local(rid, Bump, epoch))
+            env.run(until=env.now + 1.0)
+            host.down = True
+            wrapper.release_resource_lock(rid, lock)
+            assert run(env, _wait(local)) is None
+        else:
+            if case == "gone":
+                run(env, client.destroy(epr))
+            elif case == "down":
+                host.down = True
+            else:
+                host.boot_epoch += 1
+            assert run(env, wrapper.run_local(rid, Bump, epoch)) is None
+        assert wrapper.faults_returned == (case == "gone")
+        host.down = False
+        if case != "gone":
+            assert wrapper.store.load(wrapper.service_name, rid)[QName(UVA, "counter")] == 0
+
+
 class TestFaultTransport:
     def test_typed_fault_reconstructed_with_metadata(self, grid):
         env, net, machine, wrapper, client = grid
