@@ -300,6 +300,7 @@ class Network:
         """
         uri, src, span = self._open_send("net.request", src_host, url, category, message_id)
         obs = self.obs
+        leg = None
         try:
             dest = self._check_reachable(src_host, uri.host)
             port = uri.port or 80
@@ -312,7 +313,6 @@ class Network:
             # Sender-side XML serialization cost.
             yield self.env.timeout(self.params.xml_cost(size))
             request_dropped = self._message_dropped(src_host, uri.host)
-            leg = None
             if obs is not None:
                 leg = obs.start_span(
                     "net.transit", parent=span,
@@ -352,7 +352,6 @@ class Network:
             # NOTE: the server has already executed by now — losing the
             # response leg makes a retried call at-least-once.
             response_dropped = self._message_dropped(uri.host, src_host)
-            leg = None
             if obs is not None:
                 leg = obs.start_span(
                     "net.transit", parent=span,
@@ -369,7 +368,9 @@ class Network:
             return response
         finally:
             if span is not None:
-                obs.spans.finish_subtree(span)
+                obs.finish(span)
+            if leg is not None:  # an attempt abandoned in transit
+                obs.finish(leg)
 
     def bulk_transfer(
         self,
@@ -416,12 +417,6 @@ class Network:
         """
         uri, src, span = self._open_send("net.oneway", src_host, url, category, message_id)
         obs = self.obs
-        if span is not None:
-            # This send runs as its own process and may outlive the
-            # dispatch that spawned it: detach immediately so an
-            # enclosing span's finish_subtree never closes it mid-flight
-            # (only this generator and _deliver own the close).
-            span.detached = True
         handed_off = False
         try:
             dest = self._check_reachable(src_host, uri.host)
@@ -464,11 +459,11 @@ class Network:
                     self.stats.record_fault("host-down")
                 finally:
                     if span is not None:
-                        obs.spans.finish_subtree(span)
+                        obs.finish(span)
 
             self.env.process(_deliver())
             handed_off = True
             return None
         finally:
             if span is not None and not handed_off:
-                obs.spans.finish_subtree(span)
+                obs.finish(span)

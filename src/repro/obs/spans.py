@@ -8,7 +8,9 @@ span registered under the message id, and every layer that later sees
 the same id (the network fabric, IIS, the WSRF wrapper) parents its own
 span to the innermost still-open span for that id.  Responses need no
 registration — ``RelatesTo`` correlation is implicit because the reply
-is handled inside the requester's still-open span.
+is handled inside the requester's still-open span.  Each span is closed
+by the code that opened it, so work that outlives its parent (a one-way
+delivery, the server side of an abandoned request) ends after it.
 
 Spans are allocated only when an :class:`~repro.obs.core.Observability`
 is attached to the network (instrumentation sites guard on ``obs is
@@ -40,7 +42,7 @@ class Span:
 
     __slots__ = (
         "span_id", "parent_id", "name", "start", "end", "attrs", "message_id",
-        "detached", "start_seq", "finish_seq",
+        "start_seq", "finish_seq",
     )
 
     def __init__(
@@ -60,9 +62,6 @@ class Span:
         self.end: Optional[float] = None
         self.attrs = attrs
         self.message_id = message_id
-        #: ownership moved to a detached process (a handed-off one-way
-        #: send): an ancestor's finish_subtree must not close it
-        self.detached = False
         #: the recorder's counter at this span's start and finish
         self.start_seq = start_seq
         self.finish_seq: Optional[int] = None
@@ -86,9 +85,6 @@ class SpanRecorder:
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.spans: List[Span] = []  # a span's id is its position + 1
-        #: insertion-ordered index of OPEN spans (subset of ``spans``),
-        #: so subtree closes scan live spans instead of the whole run
-        self._open: Dict[int, Span] = {}
         #: innermost-last stacks of OPEN spans, keyed by message id
         self._open_by_message: Dict[str, List[Span]] = {}
         #: starts plus finishes so far: orders every span event
@@ -127,7 +123,6 @@ class SpanRecorder:
             start_seq=self._seq,
         )
         self.spans.append(span)
-        self._open[span.span_id] = span
         if message_id is not None:
             self._open_by_message.setdefault(message_id, []).append(span)
         return span
@@ -139,39 +134,18 @@ class SpanRecorder:
         span.end = self.env.now
         self._seq += 1
         span.finish_seq = self._seq
-        self._open.pop(span.span_id, None)
         if span.message_id is not None:
             stack = self._open_by_message.get(span.message_id)
             if stack and span in stack:
-                stack.remove(span)
+                if stack[0] is span:
+                    del stack[0]
+                else:
+                    # A hop closing above its sender's span (an abandoned
+                    # attempt) takes the work it carried off the stack
+                    # too: that runs on, but a retry parents to the sender.
+                    del stack[stack.index(span):]
                 if not stack:
                     del self._open_by_message[span.message_id]
-
-    def finish_subtree(self, root: Span) -> None:
-        """Close *root* and any still-open owned descendants.
-
-        A fan-out send may outlive the dispatch that spawned it: its
-        ``net.oneway`` span is *detached* (ownership handed to the
-        delivery process), so an ancestor closing its subtree skips
-        that span and everything under it — the new owner closes it
-        when the handler finishes.  The root itself always closes, even
-        if detached (that IS the owner's close).
-        """
-        for span in list(self._open.values()):
-            if span.end is None and self._owned_descendant(span, root):
-                self.finish(span)
-        self.finish(root)
-
-    def _owned_descendant(self, span: Span, ancestor: Span) -> bool:
-        # A parent starts before its child, so ids fall along the walk.
-        current: Optional[Span] = span
-        while current is not None:
-            if current.span_id == ancestor.span_id:
-                return True
-            if current.detached and current.end is None:
-                return False  # shielded: a live handed-off send en route
-            current = None if current.parent_id is None else self.get(current.parent_id)
-        return False
 
     # -- queries ---------------------------------------------------------------
 
@@ -179,7 +153,7 @@ class SpanRecorder:
         return self.spans[span_id - 1] if 0 < span_id <= len(self.spans) else None
 
     def open_spans(self) -> List[Span]:
-        return list(self._open.values())
+        return [s for s in self.spans if s.end is None]
 
     def children(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]

@@ -137,7 +137,7 @@ class IisServer:
                 self._pool.release()
         finally:
             if span is not None:
-                obs.spans.finish_subtree(span)
+                obs.finish(span)
 
     @property
     def queued_requests(self) -> int:

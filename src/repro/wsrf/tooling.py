@@ -572,9 +572,9 @@ class WrapperService:
         The loop below is the one place a stage span opens and closes.
         A stage ends the dispatch either by *returning* the fault — it
         is raised once the stage's span has closed — or by raising it,
-        which leaves the span open for the ``finish_subtree`` below to
-        close after the dispatch span (the event log tells the two
-        apart).  A stage that never waits is a plain function, not a
+        which leaves the span open for the ``finally`` below to close
+        after the dispatch span (the event log tells the two apart).
+        A stage that never waits is a plain function, not a
         generator.  docs/observability.md has the table.
         """
         obs = self.machine.network.obs
@@ -645,7 +645,8 @@ class WrapperService:
             if call.lock is not None:
                 self.release_resource_lock(rid, call.lock)
             if span is not None:
-                obs.spans.finish_subtree(span)
+                obs.finish(span)
+                obs.finish(call.stage)  # still open if its stage raised
 
     def _epr_resolve(self, call: _Call):
         """Route the body to its operation (:attr:`_ops`); an internal

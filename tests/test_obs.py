@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.net import Network
+from repro.net import CallTimeout, Network, RetryPolicy
 from repro.obs import (
     MetricsRegistry,
     Observability,
@@ -21,8 +21,16 @@ from repro.obs import (
 )
 from repro.gridapp import FaultToleranceConfig
 from repro.gridapp.scheduler import SchedulerService
+from repro.osim import Machine
 from repro.sim import Environment
-from repro.wsrf import InvalidResourcePropertyQNameFault, ResourceUnknownFault
+from repro.wsrf import (
+    InvalidResourcePropertyQNameFault,
+    ResourceUnknownFault,
+    ServiceSkeleton,
+    WebMethod,
+    WsrfClient,
+    deploy,
+)
 from repro.wsrf.tooling import WrapperService
 from repro.xmlx import NS, QName
 
@@ -140,33 +148,6 @@ class TestSpanRecorder:
             ("net.request_s", {"scheme": "http"}, hist)
         ]
 
-    def test_finish_subtree_closes_descendants(self):
-        env, rec = self._recorder()
-        root = rec.start("root")
-        child = rec.start("child", parent=root)
-        grandchild = rec.start("grand", parent=child)
-        other = rec.start("other")
-        rec.finish_subtree(root)
-        assert root.finished and child.finished and grandchild.finished
-        assert not other.finished
-        assert rec.open_spans() == [other]
-
-    def test_finish_subtree_skips_detached_live_sends(self):
-        env, rec = self._recorder()
-        dispatch = rec.start("wsrf.dispatch")
-        oneway = rec.start("net.oneway", parent=dispatch, message_id="m9")
-        oneway.detached = True  # ownership moved to the delivery process
-        rec.finish_subtree(dispatch)  # the dispatch ends first
-        assert dispatch.finished
-        assert not oneway.finished
-        # delivery-side spans can still parent to the in-flight send
-        env.run(until=0.5)
-        handle = rec.start("iis.handle", message_id="m9")
-        assert handle.parent_id == oneway.span_id
-        rec.finish(handle)
-        rec.finish_subtree(oneway)  # the owner's close always lands
-        assert oneway.finished and oneway.duration == 0.5
-
     def test_slowest_and_queries(self):
         env, rec = self._recorder()
         fast = rec.start("a")
@@ -270,8 +251,8 @@ class TestEndToEnd:
 
     def test_every_iis_handle_rides_a_transport_span(self, observed_run):
         # One-way sends outlive the dispatch that spawned them; the
-        # detached net.oneway span must stay open until delivery so the
-        # receiver's iis.handle parents to it instead of orphaning.
+        # net.oneway span, closed by the delivery, stays open until then
+        # so the receiver's iis.handle parents to it instead of orphaning.
         rec = observed_run.obs.spans
         by_id = {span.span_id: span for span in rec.spans}
         handles = rec.named("iis.handle")
@@ -283,6 +264,13 @@ class TestEndToEnd:
             # the transport span covers the whole delivery
             assert parent.start <= handle.start
             assert parent.end >= handle.end
+
+    def test_every_send_lasts_until_it_is_handed_off(self, observed_run):
+        # A one-way send ends when its sender hands the message off, not
+        # when the dispatch that started it ends.
+        invokes = observed_run.obs.spans.named("client.invoke")
+        assert any(s.attrs["category"] == "notify" for s in invokes)
+        assert [s for s in invokes if s.duration == 0] == []
 
     def test_fig1_stages_partition_dispatch_latency(self, observed_run):
         """A clean Fig-3 run, the perf layer (elided db_save, cache-hit
@@ -429,6 +417,64 @@ class TestEndToEnd:
         assert obs_of(observed_run.network) is observed_run.obs
         assert obs_of(observed_run.central) is observed_run.obs
         assert obs_of(observed_run.machines[0]) is observed_run.obs
+
+
+
+class _Slow(ServiceSkeleton):
+    @WebMethod(requires_resource=False)
+    def Wait(self):
+        yield self.env.timeout(5.0)
+        return 1
+
+    @WebMethod(requires_resource=False)
+    def Take(self, data: str) -> int:
+        return len(data)
+
+
+class TestAbandonedAttempt:
+    """A call abandoned by its client's timeout leaves the server to run
+    on: each span ends when its own work ends."""
+
+    def _call(self, method, args=None, max_attempts=1, timeout_s=1.0):
+        env = Environment()
+        net = Network(env)
+        obs = Observability(env).attach(net)
+        wrapper = deploy(_Slow, Machine(net, "server"), "Slow")
+        net.add_host("client")
+        policy = RetryPolicy(max_attempts=max_attempts, timeout_s=timeout_s, jitter=0.0)
+        client = WsrfClient(net, "client", retry_policy=policy)
+        proc = env.process(client.call(wrapper.service_epr(), NS.UVACG, method, args))
+        with pytest.raises(CallTimeout):
+            env.run(until=proc)
+        env.run(until=env.now + 30.0)
+        assert obs.spans.open_spans() == []
+        return obs.spans
+
+    def test_each_span_ends_with_its_own_work(self):
+        rec = self._call("Wait")
+        (invoke,) = rec.named("client.invoke")
+        (request,) = rec.named("net.request")
+        assert invoke.end == request.end == 1.0
+        (method,) = rec.named("wsrf.dispatch.method")
+        assert method.duration == pytest.approx(5.0)
+        (dispatch,) = rec.named("wsrf.dispatch")
+        (handle,) = rec.named("iis.handle")
+        assert handle.end == dispatch.end == method.end
+        (save,) = rec.named("wsrf.dispatch.db_save")
+        assert save.start == method.end
+        # abandoned in transit: the request leg ends with its attempt
+        rec = self._call("Take", {"data": "x" * 200_000}, timeout_s=0.03)
+        (leg,) = rec.named("net.transit")
+        assert leg.end == 0.03
+        assert rec.named("iis.handle") == []
+
+    def test_a_retry_parents_to_the_sender(self):
+        rec = self._call("Wait", max_attempts=2)
+        (invoke,) = rec.named("client.invoke")
+        requests = rec.named("net.request")
+        assert len(requests) == 2
+        assert [r.parent_id for r in requests] == [invoke.span_id] * 2
+        assert [len(rec.named(n)) for n in ("iis.handle", "wsrf.dispatch")] == [2, 2]
 
 
 class TestDashboard:
@@ -588,14 +634,16 @@ class TestSpanCorrelationEdges:
         assert rec.open_spans() == []
         assert all(s.duration is not None for s in rec.spans)
 
-    def test_finish_subtree_after_out_of_order_close_is_idempotent(self):
+    def test_an_abandoned_hop_takes_its_work_off_the_stack(self):
         rec = SpanRecorder(Environment())
-        root = rec.start("wsrf.dispatch", message_id="m1")
-        child = rec.start("wsrf.dispatch.method", parent=root)
-        rec.finish(root)
-        rec.finish_subtree(root)  # must not raise, must close the child
-        assert child.finished
-        assert rec.open_spans() == []
+        sender = rec.start("client.invoke", message_id="m1")
+        first = rec.start("net.request", message_id="m1")
+        handle = rec.start("iis.handle", message_id="m1")
+        rec.finish(first)  # abandoned: the server's work runs on
+        retry = rec.start("net.request", message_id="m1")
+        assert retry.parent_id == sender.span_id
+        rec.finish(handle)
+        assert rec.start("iis.handle", message_id="m1").parent_id == retry.span_id
 
 
 # -- CLI (satellite: robust errors + tail) ------------------------------------------

@@ -3,9 +3,9 @@ equal what the old recorder emitted as the spans ran.
 
 Hypothesis draws span programs: starts with or without a message id or
 an explicit parent, finishes (repeated ones included, and out of
-order), ``finish_subtree`` over detached descendants, label attributes
-written while a span is open, and clock advances that are often zero, so
-that many spans start and finish at the same ``t``.  Each program runs
+order), label attributes written while a span is open, and clock
+advances that are often zero, so that many spans start and finish at
+the same ``t``.  Each program runs
 once on ``tests/reference_recorder.py``, which keeps the old emission;
 the views are then computed from the same spans and compared with it.
 
@@ -39,8 +39,6 @@ _start = st.tuples(
 _finish = st.tuples(st.just("finish"), _span)
 _ops = st.one_of(
     _start, _start, _start, _finish, _finish,  # most spans open and close
-    st.tuples(st.just("finish_subtree"), _span),
-    st.tuples(st.just("detach"), _span),
     st.tuples(st.just("label"), _span, _attr_key, _attr_value),
     st.tuples(st.just("advance"), st.sampled_from((0.0, 0.0, 0.25, 1.0))),
 )
@@ -64,10 +62,6 @@ def _run(program):
             span = spans[args[0] % len(spans)]
             if op == "finish":
                 rec.finish(span)
-            elif op == "finish_subtree":
-                rec.finish_subtree(span)
-            elif op == "detach":
-                span.detached = True
             elif span.end is None:  # label: never written after the finish
                 span.attrs[args[1]] = args[2]
     return obs, rec
