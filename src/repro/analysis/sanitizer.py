@@ -22,10 +22,14 @@ is stamped with the scheduler's vector clock (``Event._san_vc``), and a
 process resuming on an event joins that clock.  That single rule covers
 process spawn (the boot event), process join (the terminal event),
 timeouts (program order), interrupts, and lock hand-off (``release``
-succeeds the next waiter's event from the releaser's context).  Code
-running outside any process — kernel callbacks, test harness code
-between ``run()`` calls — executes on the *kernel clock* (tid 0), which
-joins every event the loop processes and is therefore causally after
+succeeds the next waiter's event from the releaser's context).  A
+kernel callback (a condition's member check, a CPU timer) has no clock
+of its own: what it schedules carries the stamp of the event being
+processed, and a condition it fires the join of its members that have
+fired, so a waiter resumed through ``AnyOf`` (``with_retry``) is ordered
+after what it waited on and nothing else.  Test harness code between
+``run()`` calls executes on the *kernel clock* (tid 0), which joins
+every event the loop processes and is therefore causally after
 everything that has actually executed.  Entering ``run()`` is a barrier
 the other way: top-level code only executes while the loop is idle, so
 every suspended process joins the kernel clock there (setup writes made
@@ -54,7 +58,9 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+
+from repro.sim import AllOf, AnyOf
 
 if TYPE_CHECKING:
     from repro.db import ResourceStore
@@ -132,6 +138,8 @@ class RaceSanitizer:
         #: kernel clock at the last run() entry; threads first seen
         #: mid-run started after it (see on_run_begin)
         self._run_barrier: VC = {}
+        #: stamp of the event whose callbacks are running, None between steps
+        self._step_vc: Optional[VC] = None
 
         # -- locks ---------------------------------------------------------
         self._locks: Dict[int, Any] = {}  # id(Lock) -> Lock (pins ids)
@@ -186,17 +194,41 @@ class RaceSanitizer:
     # -- kernel hooks (called from repro.sim with a None-checked env.san) -----------
 
     def on_schedule(self, event: Event) -> None:
-        """Stamp *event* with the scheduling context's clock."""
+        """Stamp *event* with the scheduling context's clock.
+
+        A kernel callback (no process active, inside a step) runs on the
+        stamp of the event being processed, and a condition it fires on
+        the join of the members that have fired: the kernel clock has
+        joined every event processed so far, and would order a waiter
+        after writes it never observed."""
+        step_vc = self._step_vc
+        if self.env._active_process is not None or step_vc is None:
+            vc = dict(self._tick(self._current_tid()))
+        elif isinstance(event, (AllOf, AnyOf)):
+            vc = {}
+            for member in event.events:
+                member_vc = getattr(member, "_san_vc", None)
+                if member.processed and member_vc is not None:
+                    _join(vc, member_vc)
+        else:
+            vc = step_vc
         # the slot is declared unannotated, so it is written by name
-        setattr(event, "_san_vc", dict(self._tick(self._current_tid())))
+        setattr(event, "_san_vc", vc)
 
     def on_step(self, event: Event) -> None:
         """The loop is about to run *event*'s callbacks: advance the
-        kernel clock past it, so kernel-context code (callbacks, and any
-        top-level code running after this step) is ordered after it."""
+        kernel clock past it, so top-level code running after this step
+        is ordered after it.  The callbacks themselves run on *event*'s
+        own stamp (:meth:`on_schedule`)."""
         vc = getattr(event, "_san_vc", None)
         if vc is not None:
             _join(self._clocks[_KERNEL_TID], vc)
+        self._step_vc = vc
+
+    def on_step_end(self) -> None:
+        """The stepped event's callbacks have run: code outside any
+        process is top-level code again, on the kernel clock."""
+        self._step_vc = None
 
     def on_run_begin(self) -> None:
         """``Environment.run`` was entered from the top level: everything

@@ -100,8 +100,8 @@ class ClientFileServer:
         response.append(
             typed_value(QName(UVA, "ReadResult"), content_to_wire(content))
         )
-        yield self.env.timeout(0)
         return reply_text(network.codec, ctx, envelope, response, self.host_name)
+        yield  # unreached; it makes handle a generator, as a server's must be
 
     def close(self) -> None:
         self.network.host(self.host_name).unbind(FILE_SERVER_PORT)

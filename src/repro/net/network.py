@@ -336,6 +336,8 @@ class Network:
                 source_host=src_host, scheme=uri.scheme, one_way=False,
                 path=uri.path, message_id=message_id or "",
             )
+            # The one handler that runs in a process of its own: with_retry
+            # kills an abandoned attempt, and the server's work runs on.
             response = yield self.env.process(server.handle(payload, ctx))
             if dest.down:
                 # The server executed, but the host died before its
@@ -451,7 +453,7 @@ class Network:
                 # handler finishes, so server-side spans can parent to it.
                 try:
                     yield self.env.timeout(self.params.xml_cost(size))
-                    yield self.env.process(server.handle(payload, ctx))
+                    yield from server.handle(payload, ctx)
                 except DeliveryError:
                     # The receiving host died mid-handling (crash-restart
                     # zombie abort): for a one-way message that is the

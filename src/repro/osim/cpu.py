@@ -96,14 +96,12 @@ class CpuScheduler:
         dt = min(task.remaining for task in self._active.values()) / rate
         version = self._version
 
-        def watcher(env):
-            yield env.timeout(dt)
-            if version != self._version:
-                return
-            self._advance()
-            self._reschedule()
+        def expire(_timer: Event) -> None:
+            if version == self._version:
+                self._advance()
+                self._reschedule()
 
-        self.env.process(watcher(self.env))
+        self.env.timeout(dt).callbacks.append(expire)
 
     # -- public API -------------------------------------------------------------------
 

@@ -122,15 +122,13 @@ class IisServer:
                 # do not starve the pool (the classic ASP.NET re-entrancy
                 # deadlock: handlers blocking on a lock while holding the
                 # thread the lock holder needs for its own nested calls).
-                response = yield self.env.process(
-                    app.handle_soap(payload, ctx, pool=self._pool)
-                )
+                response = yield from app.handle_soap(payload, ctx, pool=self._pool)
                 self.requests_served += 1
                 return response
             yield self._pool.acquire()
             try:
                 yield self.env.timeout(self.machine.params.iis_dispatch_s)
-                response = yield self.env.process(app.handle_soap(payload, ctx))
+                response = yield from app.handle_soap(payload, ctx)
                 self.requests_served += 1
                 return response
             finally:

@@ -207,6 +207,8 @@ class Environment:
         callbacks, event.callbacks = event.callbacks, None
         for cb in callbacks:
             cb(event)
+        if san is not None:
+            san.on_step_end()
         if not event._ok and not event._defused:
             raise event._value
 

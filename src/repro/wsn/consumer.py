@@ -90,8 +90,8 @@ class NotificationListener:
             for expression, callback in self._callbacks:
                 if expression.matches(topic):
                     callback(note)
-        yield self.env.timeout(0)
         return reply_text(self.network.codec, ctx, envelope, Element(NOTIFY_RESPONSE))
+        yield  # unreached; it makes handle a generator, as a server's must be
 
     def topics_seen(self) -> List[str]:
         return [note.topic for note in self.received]

@@ -6,7 +6,9 @@ f8c75a5 (the interrupt / kill race and clock fixes, the last commit of
 the nine-frames-per-event kernel), verbatim and in that order; the only
 edits are the ones one file needs — the three module headers merged
 into one, and the function-level imports of ``Environment.process`` /
-``all_of`` / ``any_of`` dropped because the names live here.  Nothing
+``all_of`` / ``any_of`` dropped because the names live here — and one
+later hook, ``san.on_step_end()`` after an event's callbacks, which the
+sanitizer added and both kernels emit at the same point.  Nothing
 under ``src/`` imports this module and nothing selects it at run time:
 it exists so that generated programs can be run on both kernels and
 their schedules compared.  Do not optimise it, and do not fix it without
@@ -211,6 +213,8 @@ class Environment:
         if san is not None:
             san.on_step(event)
         event._run_callbacks()
+        if san is not None:
+            san.on_step_end()
         if not event._ok and not event._defused:
             exc = event._value
             raise exc

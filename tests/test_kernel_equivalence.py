@@ -131,6 +131,9 @@ class _Recorder:
     def on_step(self, event):
         self._record("step", event)
 
+    def on_step_end(self):
+        self._record("step_end")
+
     def on_resume(self, process, trigger):
         self._record("resume", process, trigger)
 
@@ -380,7 +383,7 @@ def test_the_interpreter_waits_collides_and_races():
     assert (1.5, "r1", 4, True, "all_of", ("r1.4/0", "r1.4/1", "r0.3")) in trace
     assert (2.0, "run", None, "returned", "r1 done") in trace
     assert {hook for hook, *_ in result["hooks"]} == {
-        "schedule", "step", "resume", "join", "run_begin", "acquire", "release"}
+        "schedule", "step", "step_end", "resume", "join", "run_begin", "acquire", "release"}
     # a crowd at t=0, URGENT (boots, the interrupt, the kill) and NORMAL mixed
     at_zero = [priority for when, priority, _, _ in result["pops"] if when == 0]
     assert len(at_zero) >= 7 and set(at_zero) == {0, 1}

@@ -16,11 +16,13 @@ from repro.osim import (
     SpawnError,
     UserAccounts,
 )
-from repro.osim.cpu import ProcessState
+from repro.osim.cpu import ProcessState, SimProcess
 from repro.osim.filesystem import normalize_path
 from repro.osim.programs import make_compute_program
 from repro.sim import Environment
 from repro.soap import SoapEnvelope, SoapFault
+from repro.wsrf import ServiceSkeleton, WebMethod, WsrfClient, deploy
+from repro.xmlx import NS
 
 
 class TestFileContent:
@@ -534,3 +536,61 @@ class TestIis:
         env, m = _machine()
         with pytest.raises(TypeError):
             m.iis.register_app("/X", object())
+
+
+class _Echo(ServiceSkeleton):
+    @WebMethod(requires_resource=False)
+    def Echo(self, text: str) -> str:
+        return text
+
+
+class TestSpawnsPerExchange:
+    """A handler runs in the process that carries its message, and the
+    CPU times itself with a timer: the one process a call spawns is
+    ``Network.request``'s server side, which runs on when its client
+    abandons the attempt (``test_obs.py::TestAbandonedAttempt``)."""
+
+    def _spawned(self, env, driver):
+        """Run *driver* to its end; the processes it spawned on the way."""
+        proc = env.process(driver)
+        spawned = []
+        spawn = env.process
+
+        def counted(generator):
+            spawned.append(generator.__name__)
+            return spawn(generator)
+
+        env.process = counted
+        env.run(until=proc)
+        env.run()
+        return spawned
+
+    def _call(self, one_way):
+        env = Environment()
+        net = Network(env)
+        wrapper = deploy(_Echo, Machine(net, "server"), "Echo")
+        net.add_host("client")
+        client = WsrfClient(net, "client")
+        driver = client.call(wrapper.service_epr(), NS.UVACG, "Echo", {"text": "hi"},
+                             one_way=one_way)
+        spawned = self._spawned(env, driver)
+        assert wrapper.machine.iis.requests_served == 1
+        return spawned
+
+    def test_a_request_spawns_its_server_side_only(self):
+        assert self._call(one_way=False) == ["handle"]
+
+    def test_a_one_way_send_spawns_its_delivery_only(self):
+        assert self._call(one_way=True) == ["_deliver"]
+
+    def test_an_uncontended_compute_spawns_nothing(self):
+        env, m = _machine()
+        process = SimProcess(env, "job.exe", [], "griduser", "c:/grid")
+
+        def driver():
+            yield from m.cpu.compute(process, 2.0)
+            return env.now
+
+        assert self._spawned(env, driver()) == []
+        assert env.now == pytest.approx(2.0)
+        assert process.cpu_time == pytest.approx(2.0)

@@ -264,6 +264,42 @@ class TestHappensBefore:
         env.run()
         san.assert_clean()
 
+    def test_a_condition_fired_by_a_callback_orders_only_what_it_waited_on(self):
+        """AnyOf fires in its member's step, outside any process: the
+        waiter it resumes is not ordered after an unrelated earlier write
+        (the kernel clock, which has joined every processed event, would
+        order it so)."""
+        env, san, store = self._bare()
+
+        def writer(env):
+            yield env.timeout(1.0)
+            store.save("S", "row", {"by": "writer"})
+
+        def waiter(env):
+            yield env.any_of([env.timeout(2.0)])
+            store.save("S", "row", {"by": "waiter"})
+
+        env.process(writer(env))
+        env.process(waiter(env))
+        env.run()
+        assert san.summary() == {"data-race": 1}
+
+    def test_a_condition_joins_every_member_that_fired(self):
+        env, san, store = self._bare()
+
+        def writer(env):
+            yield env.timeout(1.0)
+            store.save("S", "row", {"by": "writer"})
+
+        def waiter(env, p1):
+            yield env.all_of([p1, env.timeout(2.0)])
+            store.save("S", "row", {"by": "waiter"})
+
+        p1 = env.process(writer(env))
+        env.process(waiter(env, p1))
+        env.run()
+        san.assert_clean()
+
     @pytest.mark.sanitize_off_vs_on
     def test_sanitize_off_is_absent(self):
         env = Environment()
