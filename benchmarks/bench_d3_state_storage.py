@@ -74,12 +74,17 @@ def bench_d3_query_speedup_summary(benchmark):
     with population while point ops stay comparable."""
     import time
 
-    def measure(fn, repeat=3):
-        best = float("inf")
+    def measure_pair(first, second, repeat=15):
+        # The ratio of the two bests is what is asserted, so both sides
+        # must see the same host load: the scans alternate inside each
+        # repeat, and each is timed in this process's CPU time, which
+        # does not count the time a busy host keeps the process waiting.
+        best = [float("inf"), float("inf")]
         for _ in range(repeat):
-            t0 = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - t0)
+            for side, fn in enumerate((first, second)):
+                t0 = time.process_time()
+                fn()
+                best[side] = min(best[side], time.process_time() - t0)
         return best
 
     def scenario():
@@ -90,8 +95,9 @@ def bench_d3_query_speedup_summary(benchmark):
                 blob.create("ES", f"j{i:05d}", _state(i))
                 xml.create("ES", f"j{i:05d}", _state(i))
             q = "Status[.='Exited']"
-            t_blob = measure(lambda: blob.scan_query("ES", q))
-            t_xml = measure(lambda: xml.scan_query("ES", q))
+            t_blob, t_xml = measure_pair(
+                lambda: blob.scan_query("ES", q), lambda: xml.scan_query("ES", q)
+            )
             assert [r for r, _ in blob.scan_query("ES", q)] == [
                 r for r, _ in xml.scan_query("ES", q)
             ]

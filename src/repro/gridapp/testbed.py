@@ -26,12 +26,8 @@ from repro.gt4 import Gt4ExecutionService, LinuxMachine
 from repro.net import Network
 from repro.osim import Machine, MachineParams, ProgramRegistry
 from repro.sim import Environment
-from repro.wsn.batching import enable_batching
-from repro.wsn.broker import (
-    NotificationBrokerService,
-    enable_redelivery,
-    federate_brokers,
-)
+from repro.wsn.batching import NotificationBatcher
+from repro.wsn.broker import NotificationBrokerService, federate_brokers
 from repro.wsrf import deploy
 from repro.wssec import CertificateAuthority
 from repro.wssec.x509 import enroll
@@ -233,9 +229,10 @@ class Testbed:
         per-event subscriber multiplicity (the ES->broker leg is already
         a single message per event)."""
         broker = self._deploy(NotificationBrokerService, machine, "NotificationBroker", zone)
-        enable_redelivery(broker, self._broker_redelivery)
+        producer = broker.notification_producer
+        producer.redelivery_policy = self._broker_redelivery
         if self.perf:
-            enable_batching(broker)
+            producer.batcher = NotificationBatcher(producer)
         if self.root_broker is not None:
             federate_brokers(broker, self.root_broker.service_epr())
         return broker

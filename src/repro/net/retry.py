@@ -17,7 +17,10 @@ Only transport-level faults (``DeliveryError``, including
 :class:`CallTimeout`) are retried; SOAP faults are application answers
 and propagate immediately.  Because a lost *response* still executed the
 call server-side, retried operations are at-least-once — callers must be
-idempotent or tolerate re-execution (all testbed operations are).
+idempotent or tolerate re-execution.  Not every testbed operation does:
+``SubmitJobSet`` is not idempotent, and a central crash between the
+Scheduler's create and its reply makes the retry run the job set twice
+(5 of 28 central crash points; ROADMAP item 12).
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from repro.wsn.base_notification import (
     build_subscribe_body,
     parse_notify_body,
 )
-from repro.wsn.batching import NotificationBatcher, enable_batching
+from repro.wsn.batching import NotificationBatcher
 from repro.wsn.consumer import NotificationListener, ReceivedNotification
 from repro.wsn.broker import (
     DemandPublisherPortType,
@@ -59,7 +59,6 @@ __all__ = [
     "attach_notification_producer",
     "build_notify_batch_body",
     "build_notify_body",
-    "enable_batching",
     "build_subscribe_body",
     "parse_notify_body",
 ]

@@ -103,14 +103,3 @@ class NotificationBatcher:
         self.producer.send(sub, body, parent_span=span)
         if span is not None:
             obs.finish(span)
-
-
-def enable_batching(wrapper) -> NotificationBatcher:
-    """Attach a coalescing batcher to a wrapper's notification producer.
-
-    Composes with ``enable_redelivery``: batches go through the
-    producer's bounded-redelivery path when one is configured.
-    """
-    producer = wrapper.notification_producer
-    producer.batcher = NotificationBatcher(producer)
-    return producer.batcher

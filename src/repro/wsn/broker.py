@@ -211,16 +211,3 @@ def federate_brokers(zone_broker, root_epr: EndpointReference) -> str:
     return zone_broker.notification_producer.add_subscription(
         root_epr, TopicExpression("**", FULL_DIALECT)
     )
-
-
-def enable_redelivery(wrapper, policy):
-    """Give *wrapper*'s producer bounded notification redelivery.
-
-    *policy* is a :class:`repro.net.retry.RetryPolicy`; a consumer that
-    stays unreachable for ``policy.max_attempts`` one-way sends has its
-    subscription destroyed (visible via the broker's DroppedSubscribers
-    resource property).  Pass ``None`` to restore pure fire-and-forget.
-    """
-    producer = wrapper.notification_producer
-    producer.redelivery_policy = policy
-    return producer

@@ -519,11 +519,9 @@ class TestBrokerRedelivery:
         )
 
     def _broker_with_listener(self, env, net, client, policy):
-        from repro.wsn.broker import enable_redelivery
-
         broker_machine = Machine(net, "broker-node")
         broker = deploy(NotificationBrokerService, broker_machine, "NotificationBroker")
-        enable_redelivery(broker, policy)
+        broker.notification_producer.redelivery_policy = policy
         net.add_host("watcher")
         listener = NotificationListener(net, "watcher")
         sub_epr = run(
@@ -583,14 +581,16 @@ class TestBrokerRedelivery:
         """Immediate fan-out and a batch flush share one send path: under
         a redelivery policy both try an unreachable consumer exactly
         ``max_attempts`` times, then drop it."""
-        from repro.wsn import enable_batching
+        from repro.wsn import NotificationBatcher
 
         env, net, pm, wrapper, client = fabric
         broker, listener, sub_epr = self._broker_with_listener(
             env, net, client, self._policy(attempts=3)
         )
         if batched:
-            enable_batching(broker)
+            broker.notification_producer.batcher = NotificationBatcher(
+                broker.notification_producer
+            )
         net.host("watcher").down = True
         self._notify(env, client, broker, "never")
         env.run()
@@ -716,14 +716,13 @@ class TestPublishBodyIsolation:
 
     def test_mutation_does_not_alias_into_redeliveries(self, fabric, monkeypatch):
         from repro.net.retry import RetryPolicy
-        from repro.wsn.broker import enable_redelivery
 
         env, net, pm, wrapper, client = fabric
         net.add_host("red0")
         listener = NotificationListener(net, "red0")
         run(env, client.subscribe(wrapper.service_epr(), listener.epr, "t/x"))
-        enable_redelivery(
-            wrapper, RetryPolicy(max_attempts=3, base_delay_s=0.1, jitter=0.0)
+        wrapper.notification_producer.redelivery_policy = RetryPolicy(
+            max_attempts=3, base_delay_s=0.1, jitter=0.0
         )
         # First delivery attempt fails (host down) → redelivery path keeps
         # the body pending across simulated time.
